@@ -1,12 +1,18 @@
 """Shared benchmark fixtures: artifact directory for reproduced figures."""
 
 import pathlib
+import sys
 
 import pytest
 
 from repro.ioutil import atomic_write_text
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+
+# benchmarks import the scalar reference search from tests/reference_search.py
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 
 @pytest.fixture(scope="session")

@@ -5,17 +5,16 @@ the paper's heterogeneous 128+128 TPU-v2/v3 array and emits
 ``results/BENCH_planner.json``.  Three guarantees are enforced here rather
 than just reported:
 
-* the optimized planner (closed-form Eq. 10 + family memoization) emits the
-  *same plan* as the legacy mode (bisection, uncached) — types identical,
-  ratios within 1e-9;
-* the optimized planner clears the overhaul's speedup floor against the
-  recorded seed-planner timings;
+* the planner (packed closed-form step costs + the batched Eq. 9
+  recurrence) emits the *same plan* as the legacy mode — the scalar
+  reference recurrence fed by bisection, uncached
+  (``tests/reference_search.py``, registered as a search backend) — types
+  identical, ratios within 1e-9;
+* the planner clears the overhaul's speedup floor against the recorded
+  seed-planner timings;
 * fresh timings may not regress more than ``REGRESSION_FACTOR``× against the
   committed ``BENCH_planner.json`` (the CI gate; the committed file is read
-  *before* it is rewritten with this run's numbers);
-* the ``dp-vectorized`` backend emits a bit-identical plan to ``dp`` and
-  clears ``VECTORIZED_SPEEDUP_FLOOR``× over it on resnet18 (the deepest
-  network here, where the batched recurrence has the most to amortize).
+  *before* it is rewritten with this run's numbers).
 """
 
 import json
@@ -29,8 +28,8 @@ from repro.hardware.presets import heterogeneous_array
 from repro.ioutil import atomic_write_text
 from repro.models import build_model
 from repro.obs import telemetry as telemetry_store
-
-from conftest import RESULTS_DIR
+from repro.plan import register_backend
+from tests.reference_search import REFERENCE_BACKEND, ReferenceBisectionBackend
 
 ARTIFACT = "BENCH_planner.json"
 
@@ -42,9 +41,9 @@ REPEATS = 7
 #: solver, no step memoization, no workload/tree caching) on this benchmark's
 #: exact configuration, recorded at the seed commit.  These are the "before"
 #: numbers the overhaul is measured against; the in-process legacy mode
-#: (``closed_form=False, memoize=False``) is faster than this because the
-#: structural work (eager workload quantities, pairing-tree cache, linear
-#: backtracking) speeds both modes up.
+#: (the bisection-fed reference recurrence) is faster than this because the
+#: structural work (eager workload quantities, pairing-tree cache) speeds
+#: both modes up.
 SEED_BASELINE_MS = {
     "alexnet": 44.8,
     "vgg16": 92.9,
@@ -70,14 +69,6 @@ LEGACY_REFERENCE_MS = {
 #: the committed artifact (absorbs machine-speed differences between the
 #: machine that committed the baseline and the CI runner)
 REGRESSION_FACTOR = 3.0
-
-#: CI gate: the vectorized backend must beat the scalar DP by at least this
-#: factor on resnet18.  Both backends run in the same process on the same
-#: machine, so no calibration is needed; resnet18 only, because on shallow
-#: chains (alexnet) fixed per-plan overhead dominates both and the ratio
-#: mostly measures noise.
-VECTORIZED_SPEEDUP_FLOOR = 3.0
-VECTORIZED_GATE_NETWORK = "resnet18"
 
 #: CI gate: planning with durable telemetry *enabled* (a live writer
 #: recording one search event per plan) may cost at most this fraction
@@ -115,6 +106,11 @@ def _interleaved_ms(net, scheme_factories):
     return [(statistics.median(ts) * 1e3, min(ts) * 1e3) for ts in times]
 
 
+def _legacy_scheme():
+    """The legacy mode: the reference recurrence, bisection, no caches."""
+    return AccParScheme(backend=REFERENCE_BACKEND)
+
+
 def _assert_same_plan(name, optimized, legacy):
     """The overhaul must not change a single decision: types identical,
     ratios within 1e-9, per-level costs within float noise."""
@@ -132,25 +128,12 @@ def _assert_same_plan(name, optimized, legacy):
             assert rel <= 1e-9, (name, opt.cost, leg.cost)
 
 
-def _assert_identical_plan(name, a, b):
-    """Bit-identical plans: same ordered typed entries, same float costs.
-
-    Stricter than :func:`_assert_same_plan` — the vectorized backend is a
-    different execution strategy for the *same* arithmetic, so it owes
-    equality, not tolerance."""
-    a_levels = collect_level_plans(a.plan)
-    b_levels = collect_level_plans(b.plan)
-    assert len(a_levels) == len(b_levels), name
-    for la, lb in zip(a_levels, b_levels):
-        assert la.entries == lb.entries, name
-        assert la.cost == lb.cost, name
-
-
 def test_planner_throughput_and_regression_gate(results_dir):
     artifact_path = pathlib.Path(results_dir) / ARTIFACT
     committed = None
     if artifact_path.exists():
         committed = json.loads(artifact_path.read_text())
+    register_backend(REFERENCE_BACKEND, ReferenceBisectionBackend)
 
     networks = {}
     for name in NETWORKS:
@@ -158,20 +141,13 @@ def test_planner_throughput_and_regression_gate(results_dir):
 
         # identity first (also warms imports and caches for the timings)
         optimized = _plan(net, AccParScheme())
-        legacy = _plan(net, AccParScheme(closed_form=False, memoize=False))
-        vectorized = _plan(net, AccParScheme(backend="dp-vectorized"))
+        legacy = _plan(net, _legacy_scheme())
         _assert_same_plan(name, optimized, legacy)
-        _assert_identical_plan(name, optimized, vectorized)
 
         (
             (optimized_ms, optimized_min),
             (legacy_ms, legacy_min),
-            (dp_vectorized_ms, dp_vectorized_min),
-        ) = _interleaved_ms(net, (
-            AccParScheme,
-            lambda: AccParScheme(closed_form=False, memoize=False),
-            lambda: AccParScheme(backend="dp-vectorized"),
-        ))
+        ) = _interleaved_ms(net, (AccParScheme, _legacy_scheme))
         # calibrate the seed baseline to this machine: the legacy mode runs
         # the seed's solver configuration in-process, so its slowdown vs the
         # reference recording is pure machine speed.  The gate uses the
@@ -183,21 +159,9 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "machine_factor": round(machine_factor, 3),
             "optimized_ms": round(optimized_ms, 2),
             "legacy_mode_ms": round(legacy_ms, 2),
-            "dp_vectorized_ms": round(dp_vectorized_ms, 2),
             "speedup_vs_seed": round(seed_ms / optimized_min, 2),
             "speedup_vs_legacy_mode": round(legacy_min / optimized_min, 2),
-            "speedup_dp_vectorized_vs_dp": round(
-                optimized_min / dp_vectorized_min, 2
-            ),
         }
-
-        if name == VECTORIZED_GATE_NETWORK:
-            assert optimized_min / dp_vectorized_min >= VECTORIZED_SPEEDUP_FLOOR, (
-                f"{name}: dp-vectorized at {dp_vectorized_min:.1f}ms is only "
-                f"{optimized_min / dp_vectorized_min:.1f}x over the scalar dp "
-                f"backend ({optimized_min:.1f}ms); the vectorized recurrence "
-                f"requires >= {VECTORIZED_SPEEDUP_FLOOR}x here"
-            )
 
         assert seed_ms / optimized_min >= SPEEDUP_FLOOR, (
             f"{name}: optimized planner at {optimized_min:.1f}ms is only "
@@ -221,17 +185,14 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "per-scheme minima, which are stable under shared-runner noise), "
             "heterogeneous 128+128 TPU-v2/v3 array, "
             f"batch {BATCH}.  seed_baseline_ms is the pre-overhaul planner "
-            "recorded at the seed commit; legacy_mode_ms is the same solver "
-            "configuration (bisection, uncached) running in-process today; "
-            "machine_factor (legacy_mode_ms / the legacy timing recorded "
-            "alongside the seed numbers) rescales the seed baseline to this "
-            "machine before the speedup floor is checked.  dp_vectorized_ms "
-            "is the dp-vectorized backend (batched numpy Eq. 9) on the same "
-            "workload; it must emit a bit-identical plan and beat dp by "
-            f"{VECTORIZED_SPEEDUP_FLOOR}x on {VECTORIZED_GATE_NETWORK}."
+            "recorded at the seed commit; optimized_ms is the planner (packed "
+            "step costs, batched Eq. 9 recurrence); legacy_mode_ms is the "
+            "same solver configuration as the seed (scalar recurrence, "
+            "bisection, uncached) running in-process today; machine_factor "
+            "(legacy_mode_ms / the legacy timing recorded alongside the seed "
+            "numbers) rescales the seed baseline to this machine before the "
+            "speedup floor is checked."
         ),
-        "vectorized_speedup_floor": VECTORIZED_SPEEDUP_FLOOR,
-        "vectorized_gate_network": VECTORIZED_GATE_NETWORK,
         "batch": BATCH,
         "repeats": REPEATS,
         "regression_factor": REGRESSION_FACTOR,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
+from repro.core.dp_vectorized import search_stages
 from repro.core.stages import ShardedLayerStage
 from repro.core.types import ShardedWorkload
 from repro.experiments.reporting import format_table

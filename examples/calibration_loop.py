@@ -12,7 +12,7 @@ Run:
 """
 
 from repro import AcceleratorSpec, Planner, build_model, evaluate, get_scheme, make_group
-from repro.experiments.calibration import calibrate, probe_from_run
+from repro.calib import calibrate, probe_from_run
 
 # what the hardware actually delivers per board (the planner never sees this
 # directly — only measured end-to-end times)

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..core.cost_model import PairCostModel
-from ..core.counters import planner_counters
 from ..core.stages import ShardedStage
 from ..core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import HardwareProfile
+from ..obs.registry import planner_counters
 from ..plan.backends import get_backend
 from ..plan.ir import LevelPlan
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.cost_model import PairCostModel
-from ..core.counters import planner_counters
 from ..core.stages import ShardedStage, flatten_to_chain
 from ..core.types import HYPAR_TYPES
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import HardwareProfile
+from ..obs.registry import planner_counters
 from ..plan.backends import get_backend
 from ..plan.ir import LevelPlan
 

@@ -3,7 +3,7 @@
 Two entry points, one loop (plan → measure → calibrate → re-plan):
 
 * :func:`calibrate` / :class:`Probe` — the coarse two-parameter fit from
-  end-to-end run probes (historically ``repro.experiments.calibration``);
+  end-to-end run probes;
 * :func:`profile_from_export` — the full per-op-kind
   :class:`~repro.hardware.profile.CalibratedProfile` fit from a
   ``repro.telemetry.calibration/v1`` export (``repro calibrate`` on the

@@ -15,8 +15,7 @@ deployment needs: plan → measure → calibrate → re-plan.
 This is the coarse two-parameter fit (one number per rate, no size or
 op-kind dependence); :mod:`repro.calib.profile_fit` builds the richer
 per-op-kind :class:`~repro.hardware.profile.CalibratedProfile` from the
-``repro.telemetry.calibration/v1`` export.  Historically this module lived
-at ``repro.experiments.calibration``, which remains as a re-export shim.
+``repro.telemetry.calibration/v1`` export.
 """
 
 from __future__ import annotations

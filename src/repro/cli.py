@@ -54,7 +54,7 @@ from .hardware.cluster import describe_tree
 from .hardware.profile import ProfileError
 from .hardware.presets import TPU_V2, TPU_V3, heterogeneous_array, homogeneous_array
 from .models.registry import available_models, build_model
-from .plan import available_backends, plan_diff
+from .plan import available_backends, canonical_backend_name, plan_diff
 from .sim.executor import evaluate
 
 _KNOWN_SPECS = {"tpu-v2": TPU_V2, "tpu-v3": TPU_V3}
@@ -91,6 +91,14 @@ def parse_array(text: str) -> AcceleratorGroup:
     return AcceleratorGroup(tuple(members))
 
 
+def parse_backend(text: str) -> str:
+    """Parse a ``--backend`` value: a registered name or alias, canonicalized."""
+    try:
+        return canonical_backend_name(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -100,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_backend_option(p) -> None:
         p.add_argument(
-            "--backend", choices=available_backends(), default=None,
-            help="search backend (default: the scheme's own, the exact DP)",
+            "--backend", type=parse_backend, default=None, metavar="NAME",
+            help=f"search backend, one of {{{','.join(available_backends())}}} "
+                 "or an alias (default: the scheme's own, the exact DP)",
         )
 
     def add_profile_option(p) -> None:

@@ -2,8 +2,8 @@
 
 from .brute_force import brute_force_chain
 from .greedy import greedy_chain
-from .cost_model import PairCostModel, StepDecision, inter_layer_elements
-from .dp_search import SearchResult, search_stages
+from .cost_model import PairCostModel, inter_layer_elements
+from .dp_vectorized import search_stages
 from .hierarchy import PartitionScheme, collect_level_plans, plan_tree, stages_key
 from .planner import AccParPlanner, AccParScheme, GreedyScheme, PlannedExecution, Planner
 from .ratio import compute_proportional_ratio, solve_balanced_ratio
@@ -32,7 +32,7 @@ from .stages import (
     shard_stages,
     to_sharded_stages,
 )
-from ..plan.ir import HierarchicalPlan, LayerPartition, LevelPlan
+from ..plan.ir import HierarchicalPlan, LayerPartition, LevelPlan, SearchResult
 from .types import (
     ALL_TYPES,
     HYPAR_TYPES,
@@ -78,7 +78,6 @@ __all__ = [
     "ShardedParallelStage",
     "ShardedStage",
     "ShardedWorkload",
-    "StepDecision",
     "brute_force_chain",
     "greedy_chain",
     "collect_level_plans",

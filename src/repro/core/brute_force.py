@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..plan.ir import LayerAssignment, SearchResult
 from .cost_model import PairCostModel
-from .dp_search import SpaceFn
+from .dp_vectorized import SpaceFn
 from .stages import ShardedLayerStage, ShardedStage
 from .types import ALL_TYPES, PartitionType
 
@@ -32,9 +32,10 @@ def brute_force_chain(
 ) -> SearchResult:
     """Enumerate every type sequence on a *linear* chain of weighted layers.
 
-    Costs are accumulated with the same :meth:`PairCostModel.step` the DP
-    uses, but with no shared structure — an independent check of Eq. 9's
-    optimal-substructure argument rather than of the arithmetic alone.
+    Costs are accumulated from the same packed step costs the DP reads
+    (:meth:`PairCostModel.pack_step_tensors`), but with no shared
+    structure — an independent check of Eq. 9's optimal-substructure
+    argument rather than of the arithmetic alone.
 
     Chains longer than ``max_layers`` raise :class:`ValueError` instead of
     enumerating |T|^N combinations.
@@ -56,6 +57,14 @@ def brute_force_chain(
         tuple(space_fn(stage.workload)) if space_fn is not None else tuple(space)
         for stage in chain
     ]
+    pack = model.pack_step_tensors([stage.workload for stage in chain])
+    # (cost, α) per layer and (prev, cur), read once from the pack
+    steps = [
+        {(prev, t): pack.cell(row, prev, t)
+         for prev in ((None,) if row == 0 else spaces[row - 1])
+         for t in layer_space}
+        for row, layer_space in enumerate(spaces)
+    ]
     best_cost = float("inf")
     best_combo = None
     best_alphas: Sequence[float] = ()
@@ -63,10 +72,10 @@ def brute_force_chain(
         total = 0.0
         prev: Optional[PartitionType] = None
         alphas = []
-        for stage, ptype in zip(chain, combo):
-            decision = model.step(stage.workload, prev, ptype)
-            total += decision.cost
-            alphas.append(decision.alpha)
+        for step, ptype in zip(steps, combo):
+            cost, alpha = step[(prev, ptype)]
+            total += cost
+            alphas.append(alpha)
             prev = ptype
             if total >= best_cost:
                 break

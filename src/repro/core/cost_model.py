@@ -19,24 +19,25 @@ Three cost families are implemented exactly as the paper's tables:
 
 The model is written for one *pair* of parties because the hierarchical
 scheme (Section 5.1) always splits two ways; a party may itself be an
-aggregated accelerator group.
+aggregated accelerator group.  :meth:`PairCostModel.pack_step_tensors` is
+the one producer of Eq. 9 step costs: every search backend reads the
+dense (layer, Table 5 family, type) tensors it builds.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import ANALYTIC, HardwareProfile
-from .counters import StepStats
+from ..obs.tracing import tracer
 from .ratio import (
     PATH_BISECTION,
     PATH_LINEAR,
     PATH_MINIMAX,
     PATH_QUADRATIC,
-    PairCostPoly,
-    solve_balanced_ratio,
-    solve_balanced_ratio_poly,
     solve_balanced_ratio_poly_batch,
 )
 from .types import ALL_TYPES, PartitionType, ShardedWorkload
@@ -91,29 +92,20 @@ _TRANSITION_FAMILY = {
 
 #: family → row on the packed cost tensors' family axis.  The four Table 5
 #: families collapse to *three* distinct cost columns: the F-move and E-move
-#: transitions produce identical per-party coefficients (party i fetches
+#: transitions produce identical per-party costs (party i fetches
 #: β·A(F_{l+1}), party j fetches α·A(E_{l+1}), and A(F) = A(E) for the
-#: boundary tensor), which :meth:`PairCostModel._poly_parts` already
-#: exploits by sharing one branch for both.
+#: boundary tensor).
 PACKED_FAMILY_INDEX = {FAMILY_ZERO: 0, FAMILY_CROSS: 1, FAMILY_F: 2, FAMILY_E: 2}
 
 #: number of rows on the packed family axis
 PACKED_FAMILY_COUNT = 3
 
-#: representative (packed family row, type column, predecessor type) per
-#: *reachable* cell of the packed grid, for the scalar packing route.  The
-#: cross family cannot reach Type-III (no Table 5 transition maps there),
-#: so that cell stays at the unreachable sentinel.
-_PACK_REPRESENTATIVES = (
-    (0, 0, None),
-    (0, 1, None),
-    (0, 2, None),
-    (1, 0, PartitionType.TYPE_III),
-    (1, 1, PartitionType.TYPE_I),
-    (2, 0, PartitionType.TYPE_II),
-    (2, 1, PartitionType.TYPE_II),
-    (2, 2, PartitionType.TYPE_I),
-)
+#: partition type → column on the packed tensors' type axis
+TYPE_INDEX = {t: i for i, t in enumerate(ALL_TYPES)}
+
+#: reachable cells per packed layer: every (family, type) pair but
+#: cross → Type-III, which no Table 5 transition maps to
+REACHABLE_CELLS = PACKED_FAMILY_COUNT * len(ALL_TYPES) - 1
 
 
 def transition_family(
@@ -154,22 +146,59 @@ def inter_layer_elements(
     raise ValueError(f"unknown transition {key!r}")
 
 
-class StepDecision(NamedTuple):
-    """Outcome of costing one layer under one (prev_type, type) transition.
+class StepStats:
+    """Lock-free per-model counters for the search hot path.
 
-    A NamedTuple rather than a frozen dataclass: the planner constructs one
-    per uncached step and tuple construction is several times cheaper.
+    A plain ``__slots__`` bag of integers owned by one
+    :class:`PairCostModel`; the search bumps attributes directly and the
+    scheme merges :meth:`as_dict` into
+    :data:`repro.obs.registry.planner_counters` after each level plan.
+    The names are documented in ``docs/observability.md``.
     """
 
-    ptype: PartitionType
-    alpha: float
-    cost: float        # the pair-combined cost the DP accumulates
-    cost_i: float
-    cost_j: float
-    compute_i: float = 0.0
-    compute_j: float = 0.0
-    comm_i: float = 0.0
-    comm_j: float = 0.0
+    __slots__ = (
+        "step_calls",
+        "boundary_calls",
+        "boundary_cache_hits",
+        "ratio_solves",
+        "ratio_closed_linear",
+        "ratio_closed_quadratic",
+        "ratio_bisection_fallback",
+        "ratio_minimax",
+        "multipath_path_dp_runs",
+        "vec_searches",
+        "vec_pack_ns",
+        "vec_recurrence_ns",
+        "vec_multipath_batches",
+    )
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+class StepTensors(NamedTuple):
+    """One level's packed Eq. 9 step costs (:meth:`PairCostModel.pack_step_tensors`).
+
+    ``cost`` and ``alpha`` have shape ``(n_layers, PACKED_FAMILY_COUNT, |T|)``.
+    """
+
+    cost: np.ndarray
+    alpha: np.ndarray
+
+    def cell(
+        self, row: int, prev_type: Optional[PartitionType], cur_type: PartitionType
+    ) -> Tuple[float, float]:
+        """``(cost, α)`` of layer ``row`` entered from ``prev_type`` as ``cur_type``."""
+        index = (
+            row,
+            PACKED_FAMILY_INDEX[transition_family(prev_type, cur_type)],
+            TYPE_INDEX[cur_type],
+        )
+        return float(self.cost[index]), float(self.alpha[index])
 
 
 class PairCostModel:
@@ -190,23 +219,7 @@ class PairCostModel:
       communication *amount* in bytes (no computation, no bandwidth), since
       HyPar uses communication as the proxy for performance.
 
-    Two hot-path optimizations are on by default and individually
-    switchable (the throughput benchmark and the equivalence property tests
-    run both configurations):
-
-    * ``closed_form`` — solve Eq. 10 analytically from the
-      :class:`~repro.core.ratio.PairCostPoly` coefficients instead of the
-      ~80-iteration bisection (bisection remains the checked fallback);
-    * ``memoize`` — cache one :class:`StepDecision` per
-      ``(workload key, transition family, cur_type)``: compute and
-      intra-layer costs are independent of the predecessor type, and the
-      inter-layer cost depends on it only through the Table 5 family, so
-      the nine transitions collapse to at most four costings per layer and
-      repeated costings (multi-path entry states, greedy re-steps) become
-      dictionary hits.
-
-    Work performed is tallied in ``self.stats``
-    (:class:`~repro.core.counters.StepStats`).
+    Work performed is tallied in ``self.stats`` (:class:`StepStats`).
     """
 
     def __init__(
@@ -215,8 +228,6 @@ class PairCostModel:
         party_j: AcceleratorGroup,
         dtype_bytes: int = 2,
         ratio_mode: str = "balanced",
-        closed_form: bool = True,
-        memoize: bool = True,
         profile: Optional[HardwareProfile] = None,
     ):
         if ratio_mode not in ("balanced", "proportional", "equal", "comm-volume"):
@@ -226,8 +237,8 @@ class PairCostModel:
         self.party_i = party_i
         self.party_j = party_j
         self.profile = ANALYTIC if profile is None else profile
-        # the analytic flag picks the historical arithmetic verbatim on the
-        # hot paths (and keeps them bit-identical to the pre-profile code)
+        # the analytic flag picks the datasheet arithmetic verbatim in the
+        # scalar per-party formulas and skips the per-size bandwidth lookups
         self._analytic = bool(getattr(self.profile, "is_analytic", False))
         self.c_i = self.profile.compute_rate(party_i)
         self.c_j = self.profile.compute_rate(party_j)
@@ -235,10 +246,7 @@ class PairCostModel:
         self.b_j = party_j.network_bandwidth
         self.dtype_bytes = dtype_bytes
         self.ratio_mode = ratio_mode
-        self.closed_form = closed_form
-        self.memoize = memoize
         self.stats = StepStats()
-        self._step_cache: dict = {}
         self._boundary_cache: dict = {}
         if self._analytic:
             self._lat_i = 0.0
@@ -247,8 +255,7 @@ class PairCostModel:
             self._lat_i = self.profile.transfer_latency_s(party_i)
             self._lat_j = self.profile.transfer_latency_s(party_j)
         # per-kind effective compute rates and per-size effective bandwidths
-        # are profile lookups; one dict per party keeps them O(1) on the
-        # step hot path
+        # are profile lookups; one dict per party keeps them O(1)
         self._rate_cache_i: dict = {"default": self.c_i}
         self._rate_cache_j: dict = {"default": self.c_j}
         self._bw_cache_i: dict = {}
@@ -259,8 +266,7 @@ class PairCostModel:
         else:
             self._nominal_alpha = 0.5
 
-        # built once: the vectorized backend keys three module-level caches
-        # on this per alignment matrix / packed tensor, so it is hot
+        # built once: the search keys its alignment-matrix cache on it
         self._pack_key = (
             self.c_i,
             self.c_j,
@@ -268,7 +274,6 @@ class PairCostModel:
             self.b_j,
             self.dtype_bytes,
             self.ratio_mode,
-            self.closed_form,
             None if self._analytic else self.profile.fingerprint(),
         )
 
@@ -277,12 +282,12 @@ class PairCostModel:
         return self._nominal_alpha
 
     def pack_key(self) -> Tuple:
-        """Everything the packed step tensors depend on besides the workloads.
+        """Everything the step costs depend on besides the workloads.
 
-        Two models with equal ``pack_key()`` produce bit-identical packed
-        tensors for the same workload sequence, which is what lets the
-        vectorized backend share one module-level tensor cache across the
-        fresh per-level :class:`PairCostModel` instances the planner builds.
+        Two models with equal ``pack_key()`` produce bit-identical costs for
+        the same workloads, which is what lets the search share one
+        module-level alignment-matrix cache across the fresh per-level
+        :class:`PairCostModel` instances the planner builds.
         """
         return self._pack_key
 
@@ -328,123 +333,57 @@ class PairCostModel:
             self._bw_cache_j[nbytes] = bw
         return bw
 
-    # ------------------------------------------------------------------
-    # dense step-cost packing (the vectorized backend's phase 1)
-    # ------------------------------------------------------------------
-    def pack_step_tensors(self, workloads: Sequence[ShardedWorkload]) -> Tuple:
-        """Every Eq. 9 step costing of a level as two dense tensors.
+    def _bandwidths(self, nbytes: np.ndarray) -> Tuple:
+        """Effective (party i, party j) bandwidths per transfer size.
 
-        Returns ``(cost, alpha)``, each of shape
-        ``(n_layers, PACKED_FAMILY_COUNT, |T|)``: Eq. 9's step cost and its
-        Eq. 10 ratio for layer ``l`` entered through packed Table 5 family
-        ``f`` under partition type ``t`` (type columns in ``ALL_TYPES``
-        order).  Values are bit-identical to :meth:`step` on the same
-        combination — the balanced closed-form route batches the polynomial
-        build and the Eq. 10 solve through
-        :func:`~repro.core.ratio.solve_balanced_ratio_poly_batch` with the
-        scalar arithmetic's exact operation order; every other mode routes
-        through the memoized :meth:`step` itself.  The one unreachable grid
-        cell (cross family → Type-III) holds ``inf``.
+        Looked up once per distinct size through :meth:`_bw_i` /
+        :meth:`_bw_j`; 1.0 where nothing moves, so ``nbytes / bw`` stays
+        exactly 0.0 there.  The analytic profile's bandwidth is the peak
+        one at every size.
         """
-        if self.ratio_mode == "balanced" and self.closed_form:
-            return self._pack_closed_form(workloads)
-        import numpy as np
+        if self._analytic:
+            return self.b_i, self.b_j
+        sizes, inverse = np.unique(nbytes.ravel(), return_inverse=True)
+        bw_i = np.ones(sizes.shape)
+        bw_j = np.ones(sizes.shape)
+        for k, size in enumerate(sizes):
+            if size > 0:
+                bw_i[k] = self._bw_i(size)
+                bw_j[k] = self._bw_j(size)
+        return (bw_i[inverse].reshape(nbytes.shape),
+                bw_j[inverse].reshape(nbytes.shape))
 
-        n = len(workloads)
-        cost = np.full((n, PACKED_FAMILY_COUNT, len(ALL_TYPES)), np.inf)
-        alpha = np.full(cost.shape, self.nominal_alpha())
-        for row, sw in enumerate(workloads):
-            for fam_idx, t_idx, prev in _PACK_REPRESENTATIVES:
-                decision = self.step(sw, prev, ALL_TYPES[t_idx])
-                cost[row, fam_idx, t_idx] = decision.cost
-                alpha[row, fam_idx, t_idx] = decision.alpha
-        return cost, alpha
+    # ------------------------------------------------------------------
+    # Eq. 9 step costs, packed
+    # ------------------------------------------------------------------
+    def pack_step_tensors(self, workloads: Sequence[ShardedWorkload]) -> StepTensors:
+        """Every Eq. 9 step costing of a level, as two dense tensors.
 
-    def _pack_closed_form(self, workloads: Sequence[ShardedWorkload]) -> Tuple:
-        """Balanced-mode packing: batched :meth:`_poly_parts` + batched Eq. 10.
+        Returns ``(cost, alpha)`` of shape
+        ``(n_layers, PACKED_FAMILY_COUNT, |T|)``: the step cost and its
+        ratio for layer ``l`` entered through packed Table 5 family ``f``
+        under partition type ``t`` (type columns in ``ALL_TYPES`` order).
+        The one unreachable cell, cross family → Type-III, holds ``inf``.
 
-        Mirrors :meth:`_step_closed_form` coefficient-for-coefficient, just
-        over arrays: the base polynomial per (layer, type), the α·β cross
-        term on the cross row, the boundary-move shift on the move row.
-        Calibrated profiles route through
-        :meth:`_pack_closed_form_profiled`, which mirrors the profiled
-        scalar arithmetic the same way.
+        Every cell repeats the per-party formulas of :meth:`step_pair_costs`
+        elementwise, in their operation order.  ``balanced`` builds each
+        cell's Eq. 10 polynomial ``const + lin·α + quad·α(1-α)`` per party
+        and solves all of them in one batch
+        (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`); the
+        fixed-α modes take the slower party at their one ratio;
+        ``comm-volume`` counts bytes.  Calibrated profiles enter as per-kind
+        compute rates, effective bandwidths at each transfer's
+        α-independent base size and a latency constant per nonzero
+        transfer; the analytic profile answers peak rates and zero latency,
+        which reproduces the datasheet arithmetic bit for bit.
         """
-        if not self._analytic:
-            return self._pack_closed_form_profiled(workloads)
-        import numpy as np
-
         n = len(workloads)
-        total = np.empty(n)
-        a_in = np.empty(n)
-        psum = np.empty((n, len(ALL_TYPES)))
-        for row, sw in enumerate(workloads):
-            total[row] = sw.flops_total()
-            a_in[row] = sw.a_input_fm()
-            for col, t in enumerate(ALL_TYPES):
-                psum[row, col] = sw.a_psum(t)
-
-        dtype_bytes = float(self.dtype_bytes)
-        intra = psum * dtype_bytes
         shape = (n, len(ALL_TYPES))
-        base_ci = psum / self.c_i + intra / self.b_i
-        base_li = np.broadcast_to((total / self.c_i)[:, None], shape)
-        base_cj = (total[:, None] + psum) / self.c_j + intra / self.b_j
-        base_lj = np.broadcast_to((-total / self.c_j)[:, None], shape)
-        zero = np.zeros(shape)
-
-        cross = 2.0 * a_in * dtype_bytes
-        cross_qi = np.broadcast_to((cross / self.b_i)[:, None], shape)
-        cross_qj = np.broadcast_to((cross / self.b_j)[:, None], shape)
-
-        move = a_in * dtype_bytes
-        move_bi = (move / self.b_i)[:, None]
-        move_ci = base_ci + move_bi
-        move_li = base_li - move_bi
-        move_lj = base_lj + (move / self.b_j)[:, None]
-
-        # family axis rows: 0 = zero, 1 = cross, 2 = move (PACKED_FAMILY_INDEX)
-        const_i = np.stack([base_ci, base_ci, move_ci], axis=1)
-        lin_i = np.stack([base_li, base_li, move_li], axis=1)
-        quad_i = np.stack([zero, cross_qi, zero], axis=1)
-        const_j = np.stack([base_cj, base_cj, base_cj], axis=1)
-        lin_j = np.stack([base_lj, base_lj, move_lj], axis=1)
-        quad_j = np.stack([zero, cross_qj, zero], axis=1)
-
-        alpha, counts = solve_balanced_ratio_poly_batch(
-            const_i, lin_i, quad_i, const_j, lin_j, quad_j
-        )
-        stats = self.stats
-        stats.ratio_solves += alpha.size
-        stats.ratio_closed_linear += counts[PATH_LINEAR]
-        stats.ratio_closed_quadratic += counts[PATH_QUADRATIC]
-        stats.ratio_bisection_fallback += counts[PATH_BISECTION]
-        stats.ratio_minimax += counts[PATH_MINIMAX]
-
-        ab = alpha * (1.0 - alpha)
-        cost_i = const_i + lin_i * alpha + quad_i * ab
-        cost_j = const_j + lin_j * alpha + quad_j * ab
-        return np.where(cost_i >= cost_j, cost_i, cost_j), alpha
-
-    def _pack_closed_form_profiled(self, workloads: Sequence[ShardedWorkload]) -> Tuple:
-        """Calibrated-profile packing, bit-identical to the profiled scalar step.
-
-        Mirrors the profiled branch of :meth:`_poly_parts` elementwise with
-        the exact scalar operation order: per-kind compute rates, per-size
-        effective bandwidths (looked up through the same memoized
-        ``_bw_i``/``_bw_j`` scalars the step path uses), and latency
-        constants masked to nonzero transfers (adding ``+0.0`` elsewhere,
-        which is bitwise identity on the non-negative costs).
-        """
-        import numpy as np
-
-        n = len(workloads)
-        n_types = len(ALL_TYPES)
         total = np.empty(n)
         a_in = np.empty(n)
         rate_i = np.empty(n)
         rate_j = np.empty(n)
-        psum = np.empty((n, n_types))
+        psum = np.empty(shape)
         for row, sw in enumerate(workloads):
             total[row] = sw.flops_total()
             a_in[row] = sw.a_input_fm()
@@ -453,69 +392,89 @@ class PairCostModel:
             rate_j[row] = self._rate_j(kind)
             for col, t in enumerate(ALL_TYPES):
                 psum[row, col] = sw.a_psum(t)
-
         dtype_bytes = float(self.dtype_bytes)
+        zero = np.zeros(n)
+
+        if self.ratio_mode == "comm-volume":
+            # HyPar's bytes: both parties' partial sums plus both parties'
+            # boundary fetches, at α = β = 1/2
+            alpha = beta = 0.5
+            cross = alpha * beta * 2.0 * a_in
+            inter = np.stack([zero, (cross + cross) * dtype_bytes,
+                              (beta * a_in + alpha * a_in) * dtype_bytes], axis=1)
+            cost = (2.0 * psum * dtype_bytes)[:, None, :] + inter[:, :, None]
+            return self._packed(cost, np.full(cost.shape, alpha))
+
         intra = psum * dtype_bytes
-        shape = (n, n_types)
-        # effective bandwidth per intra transfer (1.0 where the transfer is
-        # empty: 0/1 keeps the term at exactly 0.0, matching the scalar's
-        # skipped addition)
-        bw_intra_i = np.ones(shape)
-        bw_intra_j = np.ones(shape)
-        for row in range(n):
-            for col in range(n_types):
-                nbytes = intra[row, col]
-                if nbytes > 0:
-                    bw_intra_i[row, col] = self._bw_i(nbytes)
-                    bw_intra_j[row, col] = self._bw_j(nbytes)
+        move = a_in * dtype_bytes
+        cross = 2.0 * a_in * dtype_bytes
+        bw_intra_i, bw_intra_j = self._bandwidths(intra)
+        bw_move_i, bw_move_j = self._bandwidths(move)
+        bw_cross_i, bw_cross_j = self._bandwidths(cross)
+        # the latency constant lands once per nonzero transfer
+        lat_intra_i = np.where(psum > 0, self._lat_i, 0.0)
+        lat_intra_j = np.where(psum > 0, self._lat_j, 0.0)
+        lat_edge_i = np.where(a_in > 0, self._lat_i, 0.0)
+        lat_edge_j = np.where(a_in > 0, self._lat_j, 0.0)
 
-        base_ci = psum / rate_i[:, None] + intra / bw_intra_i
+        if self.ratio_mode != "balanced":
+            # one fixed α: compute_costs + intra_costs + inter_costs per
+            # party, then the slower party
+            alpha = self._nominal_alpha
+            beta = 1.0 - alpha
+            cp_i = (alpha * total[:, None] + psum) / rate_i[:, None]
+            cp_j = (beta * total[:, None] + psum) / rate_j[:, None]
+            intra_i = intra / bw_intra_i + lat_intra_i
+            intra_j = intra / bw_intra_j + lat_intra_j
+            cross_amount = alpha * beta * 2.0 * a_in
+            inter_i = np.stack([
+                zero,
+                cross_amount * dtype_bytes / bw_cross_i + lat_edge_i,
+                beta * a_in * dtype_bytes / bw_move_i + lat_edge_i,
+            ], axis=1)[:, :, None]
+            inter_j = np.stack([
+                zero,
+                cross_amount * dtype_bytes / bw_cross_j + lat_edge_j,
+                alpha * a_in * dtype_bytes / bw_move_j + lat_edge_j,
+            ], axis=1)[:, :, None]
+            cost_i = cp_i[:, None, :] + (intra_i[:, None, :] + inter_i)
+            cost_j = cp_j[:, None, :] + (intra_j[:, None, :] + inter_j)
+            return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j),
+                                np.full(cost_i.shape, alpha))
+
+        # balanced: cost_i(α) = const_i + lin_i·α + quad_i·α(1-α), likewise
+        # for party j; the zero family pays compute and the partial-sum
+        # exchange, the cross family adds the α·β re-alignment, the move
+        # family adds party i's β·A and party j's α·A boundary fetches
+        base_ci = psum / rate_i[:, None] + intra / bw_intra_i + lat_intra_i
         base_li = np.broadcast_to((total / rate_i)[:, None], shape)
-        base_cj = (total[:, None] + psum) / rate_j[:, None] + intra / bw_intra_j
+        base_cj = ((total[:, None] + psum) / rate_j[:, None]
+                   + intra / bw_intra_j + lat_intra_j)
         base_lj = np.broadcast_to((-total / rate_j)[:, None], shape)
-        zero = np.zeros(shape)
-
-        # intra-transfer latency lands on every family's constant term
-        base_ci = base_ci + np.where(psum > 0, self._lat_i, 0.0)
-        base_cj = base_cj + np.where(psum > 0, self._lat_j, 0.0)
-
-        # inter-transfer terms at the α-independent base sizes, rows where
-        # the boundary tensor is nonzero
-        cross_qi = np.zeros(n)
-        cross_qj = np.zeros(n)
-        move_bi = np.zeros(n)
-        move_bj = np.zeros(n)
-        for row in range(n):
-            if a_in[row] > 0:
-                cross = 2.0 * a_in[row] * dtype_bytes
-                cross_qi[row] = cross / self._bw_i(cross)
-                cross_qj[row] = cross / self._bw_j(cross)
-                move = a_in[row] * dtype_bytes
-                move_bi[row] = move / self._bw_i(move)
-                move_bj[row] = move / self._bw_j(move)
-        lat_edge_i = np.where(a_in > 0, self._lat_i, 0.0)[:, None]
-        lat_edge_j = np.where(a_in > 0, self._lat_j, 0.0)[:, None]
-
-        cross_ci = base_ci + lat_edge_i
-        cross_cj = base_cj + lat_edge_j
-        move_ci = base_ci + move_bi[:, None] + lat_edge_i
-        move_li = base_li - move_bi[:, None]
-        move_lj = base_lj + move_bj[:, None]
-        move_cj = base_cj + lat_edge_j
+        move_i = (move / bw_move_i)[:, None]
+        move_j = (move / bw_move_j)[:, None]
+        lat_edge_i = lat_edge_i[:, None]
+        lat_edge_j = lat_edge_j[:, None]
+        flat = np.zeros(shape)
 
         # family axis rows: 0 = zero, 1 = cross, 2 = move (PACKED_FAMILY_INDEX)
-        const_i = np.stack([base_ci, cross_ci, move_ci], axis=1)
-        lin_i = np.stack([base_li, base_li, move_li], axis=1)
-        quad_i = np.stack(
-            [zero, np.broadcast_to(cross_qi[:, None], shape), zero], axis=1)
-        const_j = np.stack([base_cj, cross_cj, move_cj], axis=1)
-        lin_j = np.stack([base_lj, base_lj, move_lj], axis=1)
-        quad_j = np.stack(
-            [zero, np.broadcast_to(cross_qj[:, None], shape), zero], axis=1)
+        const_i = np.stack([base_ci, base_ci + lat_edge_i,
+                            base_ci + move_i + lat_edge_i], axis=1)
+        lin_i = np.stack([base_li, base_li, base_li - move_i], axis=1)
+        quad_i = np.stack([flat, np.broadcast_to((cross / bw_cross_i)[:, None], shape),
+                           flat], axis=1)
+        const_j = np.stack([base_cj, base_cj + lat_edge_j,
+                            base_cj + lat_edge_j], axis=1)
+        lin_j = np.stack([base_lj, base_lj, base_lj + move_j], axis=1)
+        quad_j = np.stack([flat, np.broadcast_to((cross / bw_cross_j)[:, None], shape),
+                           flat], axis=1)
 
-        alpha, counts = solve_balanced_ratio_poly_batch(
-            const_i, lin_i, quad_i, const_j, lin_j, quad_j
-        )
+        with tracer.span("ratio.solve", category="ratio",
+                         cells=const_i.size) as span:
+            alpha, counts = solve_balanced_ratio_poly_batch(
+                const_i, lin_i, quad_i, const_j, lin_j, quad_j
+            )
+            span.set("paths", counts)
         stats = self.stats
         stats.ratio_solves += alpha.size
         stats.ratio_closed_linear += counts[PATH_LINEAR]
@@ -526,10 +485,16 @@ class PairCostModel:
         ab = alpha * (1.0 - alpha)
         cost_i = const_i + lin_i * alpha + quad_i * ab
         cost_j = const_j + lin_j * alpha + quad_j * ab
-        return np.where(cost_i >= cost_j, cost_i, cost_j), alpha
+        return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j), alpha)
+
+    def _packed(self, cost: np.ndarray, alpha: np.ndarray) -> StepTensors:
+        cost[:, PACKED_FAMILY_INDEX[FAMILY_CROSS],
+             TYPE_INDEX[PartitionType.TYPE_III]] = np.inf
+        self.stats.step_calls += REACHABLE_CELLS * cost.shape[0]
+        return StepTensors(cost, alpha)
 
     # ------------------------------------------------------------------
-    # component costs
+    # component costs (Tables 4-6, per party, at one α)
     # ------------------------------------------------------------------
     def compute_costs(self, sw: ShardedWorkload, ptype: PartitionType,
                       alpha: float) -> Tuple[float, float]:
@@ -574,8 +539,8 @@ class PairCostModel:
         Calibrated profiles evaluate the bandwidth-efficiency curve at the
         transition's α-independent base tensor size (the full boundary
         tensor for moves, both boundary tensors for cross re-alignments) so
-        this stays consistent with :meth:`step_poly` at every α, and add
-        the latency constant per nonzero transfer.
+        this stays consistent with the packed Eq. 10 polynomials at every
+        α, and add the latency constant per nonzero transfer.
         """
         if prev_type is None:
             return 0.0, 0.0
@@ -616,254 +581,16 @@ class PairCostModel:
         cm_j = intra_j + inter_j
         return cp_i + cm_i, cp_j + cm_j, (cp_i, cp_j), (cm_i, cm_j)
 
-    def _poly_parts(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        family: Optional[str] = None,
-    ) -> Tuple[PairCostPoly, float, float]:
-        """:meth:`step_poly` plus the ``(total FLOPs, psum)`` it consumed.
-
-        The closed-form step needs the same two workload quantities again to
-        split the balanced cost into compute and communication shares;
-        returning them avoids a second pair of lookups on the hot path.
-
-        Under a calibrated profile the compute density is per op kind, each
-        transfer's bandwidth is the efficiency-derated one at the transfer's
-        α-independent base size, and every nonzero transfer adds the
-        per-transfer latency constant to both parties' *constant* terms —
-        affine in α, so the Eq. 10 closed forms (and their bisection
-        fallback, which evaluates this same polynomial) apply unchanged.
-        """
-        total = sw.flops_total()
-        psum = sw.a_psum(cur_type)
-        intra = psum * self.dtype_bytes
-        if self._analytic:
-            const_i = psum / self.c_i + intra / self.b_i
-            lin_i = total / self.c_i
-            quad_i = 0.0
-            const_j = (total + psum) / self.c_j + intra / self.b_j
-            lin_j = -total / self.c_j
-            quad_j = 0.0
-            if prev_type is not None:
-                if family is None:
-                    family = transition_family(prev_type, cur_type)
-                if family == FAMILY_CROSS:
-                    cross = 2.0 * sw.a_input_fm() * self.dtype_bytes
-                    quad_i = cross / self.b_i
-                    quad_j = cross / self.b_j
-                elif family in (FAMILY_F, FAMILY_E):
-                    move = sw.a_input_fm() * self.dtype_bytes
-                    const_i += move / self.b_i
-                    lin_i -= move / self.b_i
-                    lin_j += move / self.b_j
-            return (
-                PairCostPoly(const_i, lin_i, quad_i, const_j, lin_j, quad_j),
-                total,
-                psum,
-            )
-        kind = self._kind(sw)
-        c_i = self._rate_i(kind)
-        c_j = self._rate_j(kind)
-        const_i = psum / c_i + (intra / self._bw_i(intra) if intra > 0 else 0.0)
-        lin_i = total / c_i
-        quad_i = 0.0
-        const_j = (total + psum) / c_j + (
-            intra / self._bw_j(intra) if intra > 0 else 0.0)
-        lin_j = -total / c_j
-        quad_j = 0.0
-        if psum > 0:
-            const_i += self._lat_i
-            const_j += self._lat_j
-        if prev_type is not None:
-            if family is None:
-                family = transition_family(prev_type, cur_type)
-            a_in = sw.a_input_fm()
-            if family == FAMILY_CROSS and a_in > 0:
-                cross = 2.0 * a_in * self.dtype_bytes
-                quad_i = cross / self._bw_i(cross)
-                quad_j = cross / self._bw_j(cross)
-                const_i += self._lat_i
-                const_j += self._lat_j
-            elif family in (FAMILY_F, FAMILY_E) and a_in > 0:
-                move = a_in * self.dtype_bytes
-                move_i = move / self._bw_i(move)
-                const_i += move_i
-                lin_i -= move_i
-                lin_j += move / self._bw_j(move)
-                const_i += self._lat_i
-                const_j += self._lat_j
-        return (
-            PairCostPoly(const_i, lin_i, quad_i, const_j, lin_j, quad_j),
-            total,
-            psum,
-        )
-
-    def step_poly(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        family: Optional[str] = None,
-    ) -> PairCostPoly:
-        """Eq. 9 step costs as α-polynomial coefficients (Tables 4-6).
-
-        ``cost_i(α) = const_i + lin_i·α + quad_i·α(1-α)`` and likewise for
-        party j; matches :meth:`step_pair_costs` at every α by construction
-        (asserted by the property tests).  Callers that already know the
-        transition's Table 5 ``family`` may pass it to skip the lookup.
-        """
-        return self._poly_parts(sw, prev_type, cur_type, family)[0]
-
-    def _solve_balanced_alpha(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-    ) -> float:
-        """Eq. 10 for one step: closed form when enabled, else bisection."""
-        self.stats.ratio_solves += 1
-        if not self.closed_form:
-            return solve_balanced_ratio(
-                lambda a: self.step_pair_costs(sw, prev_type, cur_type, a)[:2]
-            )
-        alpha, path = solve_balanced_ratio_poly(
-            self.step_poly(sw, prev_type, cur_type)
-        )
-        if path == PATH_LINEAR:
-            self.stats.ratio_closed_linear += 1
-        elif path == PATH_QUADRATIC:
-            self.stats.ratio_closed_quadratic += 1
-        elif path == PATH_BISECTION:
-            self.stats.ratio_bisection_fallback += 1
-        else:
-            self.stats.ratio_minimax += 1
-        return alpha
-
     # ------------------------------------------------------------------
-    # DP step costing under the configured ratio policy
+    # boundary re-alignment (multi-path joins and skip paths)
     # ------------------------------------------------------------------
-    def step(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        family: Optional[str] = None,
-    ) -> StepDecision:
-        """One memoized Eq. 9 step costing.
-
-        The cache key is ``(workload key, transition family, cur_type)``:
-        everything a :class:`StepDecision` contains is invariant across
-        predecessor types within one Table 5 family.  Callers that already
-        computed the family (the DP's family-collapse loop) may pass it in.
-        """
-        self.stats.step_calls += 1
-        if family is None:
-            family = transition_family(prev_type, cur_type)
-        key = None
-        if self.memoize:
-            key = (sw.key(), family, cur_type)
-            cached = self._step_cache.get(key)
-            if cached is not None:
-                self.stats.step_cache_hits += 1
-                return cached
-        decision = self._step_uncached(sw, prev_type, cur_type, family)
-        if key is not None:
-            self._step_cache[key] = decision
-        return decision
-
-    def _step_uncached(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        family: Optional[str] = None,
-    ) -> StepDecision:
-        if self.ratio_mode == "balanced":
-            if self.closed_form:
-                return self._step_closed_form(sw, prev_type, cur_type, family)
-            alpha = self._solve_balanced_alpha(sw, prev_type, cur_type)
-            combine = max  # equal at the solution up to solver tolerance
-        elif self.ratio_mode == "proportional":
-            alpha = self.c_i / (self.c_i + self.c_j)
-            combine = max
-        elif self.ratio_mode == "equal":
-            alpha = 0.5
-            combine = max
-        else:  # comm-volume: HyPar's communication-amount proxy
-            alpha = 0.5
-            volume = self._comm_volume(sw, prev_type, cur_type, alpha)
-            return StepDecision(
-                ptype=cur_type, alpha=alpha, cost=volume,
-                cost_i=volume, cost_j=volume,
-            )
-
-        ci, cj, (cp_i, cp_j), (cm_i, cm_j) = self.step_pair_costs(
-            sw, prev_type, cur_type, alpha
-        )
-        return StepDecision(
-            ptype=cur_type,
-            alpha=alpha,
-            cost=combine(ci, cj),
-            cost_i=ci,
-            cost_j=cj,
-            compute_i=cp_i,
-            compute_j=cp_j,
-            comm_i=cm_i,
-            comm_j=cm_j,
-        )
-
-    def _step_closed_form(
-        self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        family: Optional[str] = None,
-    ) -> StepDecision:
-        """Balanced-mode step via one :class:`PairCostPoly` build.
-
-        The polynomial serves both the Eq. 10 solve and the final cost
-        evaluation, so the per-party cost formulas are computed exactly
-        once per (family, type) combination.
-        """
-        poly, total, psum = self._poly_parts(sw, prev_type, cur_type, family)
-        self.stats.ratio_solves += 1
-        alpha, path = solve_balanced_ratio_poly(poly)
-        if path == PATH_LINEAR:
-            self.stats.ratio_closed_linear += 1
-        elif path == PATH_QUADRATIC:
-            self.stats.ratio_closed_quadratic += 1
-        elif path == PATH_BISECTION:
-            self.stats.ratio_bisection_fallback += 1
-        else:
-            self.stats.ratio_minimax += 1
-        ci, cj = poly.costs(alpha)
-        # compute shares, same arithmetic as compute_costs() with the
-        # already-fetched workload quantities (per-kind rates equal the
-        # peak ones under the analytic profile)
-        kind = self._kind(sw)
-        cp_i = (alpha * total + psum) / self._rate_i(kind)
-        cp_j = ((1.0 - alpha) * total + psum) / self._rate_j(kind)
-        return StepDecision(
-            ptype=cur_type,
-            alpha=alpha,
-            cost=ci if ci >= cj else cj,
-            cost_i=ci,
-            cost_j=cj,
-            compute_i=cp_i,
-            compute_j=cp_j,
-            comm_i=ci - cp_i,
-            comm_j=cj - cp_j,
-        )
-
     def boundary_step(
         self,
         boundary_fm_elements: float,
         prev_type: PartitionType,
         cur_type: PartitionType,
         alpha: Optional[float] = None,
-    ) -> StepDecision:
+    ) -> float:
         """Cost of re-aligning a boundary tensor with no layer attached.
 
         Used for identity skip paths in multi-path regions (Section 5.2):
@@ -874,55 +601,35 @@ class PairCostModel:
         the same alignments once per entry state and exit alignment.
         """
         if alpha is None:
-            alpha = self.nominal_alpha()
+            alpha = self._nominal_alpha
         self.stats.boundary_calls += 1
-        key = None
-        if self.memoize:
-            key = (boundary_fm_elements, prev_type, cur_type, alpha)
-            cached = self._boundary_cache.get(key)
-            if cached is not None:
-                self.stats.boundary_cache_hits += 1
-                return cached
-        decision = self._boundary_uncached(
-            boundary_fm_elements, prev_type, cur_type, alpha
-        )
-        if key is not None:
-            self._boundary_cache[key] = decision
-        return decision
-
-    def _boundary_uncached(
-        self,
-        boundary_fm_elements: float,
-        prev_type: PartitionType,
-        cur_type: PartitionType,
-        alpha: float,
-    ) -> StepDecision:
+        key = (boundary_fm_elements, prev_type, cur_type, alpha)
+        cost = self._boundary_cache.get(key)
+        if cost is not None:
+            self.stats.boundary_cache_hits += 1
+            return cost
         if self.ratio_mode == "comm-volume":
             amount_i, amount_j = inter_layer_elements(
                 boundary_fm_elements, prev_type, cur_type, alpha
             )
-            volume = (amount_i + amount_j) * self.dtype_bytes
-            return StepDecision(ptype=cur_type, alpha=alpha, cost=volume,
-                                cost_i=volume, cost_j=volume)
-        ci, cj = self.inter_costs(boundary_fm_elements, prev_type, cur_type, alpha)
-        return StepDecision(
-            ptype=cur_type, alpha=alpha, cost=max(ci, cj),
-            cost_i=ci, cost_j=cj, comm_i=ci, comm_j=cj,
-        )
+            cost = (amount_i + amount_j) * self.dtype_bytes
+        else:
+            cost = max(self.inter_costs(boundary_fm_elements, prev_type,
+                                        cur_type, alpha))
+        self._boundary_cache[key] = cost
+        return cost
 
-    # ------------------------------------------------------------------
-    def _comm_volume(
+    def alignment_cost(
         self,
-        sw: ShardedWorkload,
-        prev_type: Optional[PartitionType],
-        cur_type: PartitionType,
-        alpha: float,
+        boundary_fm_elements: float,
+        from_state: Optional[PartitionType],
+        to_state: PartitionType,
     ) -> float:
-        """Total bytes moved (both parties): HyPar's optimization objective."""
-        intra = 2.0 * sw.a_psum(cur_type) * self.dtype_bytes
-        if prev_type is None:
-            return intra
-        amount_i, amount_j = inter_layer_elements(
-            sw.a_input_fm(), prev_type, cur_type, alpha
-        )
-        return intra + (amount_i + amount_j) * self.dtype_bytes
+        """Cost of re-aligning a boundary tensor between two DP states.
+
+        Zero when the states already agree or the source state is free
+        (network entry); otherwise the Table 5 transfer for the tensor.
+        """
+        if from_state is None or from_state is to_state:
+            return 0.0
+        return self.boundary_step(boundary_fm_elements, from_state, to_state)

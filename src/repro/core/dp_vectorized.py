@@ -1,20 +1,19 @@
-"""Vectorized layer-wise search: Eq. 9 as a batched min-plus recurrence.
+"""Layer-wise search (Sections 5.1-5.2, Eq. 9) as a batched min-plus recurrence.
 
-The scalar DP (:mod:`repro.core.dp_search`) spends its time in pure-Python
-loops — one :meth:`~repro.core.cost_model.PairCostModel.step` call chain and
-one frontier comparison per (state, type) pair per stage.  This module runs
-the same recurrence on dense numpy tensors instead, in two phases:
+The DP runs over the sharded series-parallel stage list of
+:mod:`repro.core.stages`.  The DP state is the partition type governing the
+boundary tensor after a stage (``None`` is the free network entry); Eq. 9's
+step costs come from :class:`~repro.core.cost_model.PairCostModel`, so the
+same search serves AccPar (balanced ratios, full space), HyPar
+(communication volume, {Type-I, Type-II}), the fixed-type baselines (a
+pinned ``space_fn``) and restricted ablations.  Complexity is O(N · |T|²)
+for N weighted layers — the paper's reduction from the O(3^N) brute force
+(validated against :mod:`repro.core.brute_force`).  It runs in two phases:
 
 **Phase 1 — packing.**  Every step costing a level can ever need is
-precomputed as two tensors of shape ``(n_layers, 3 families, |T| types)``
+computed up front as two tensors of shape ``(n_layers, 3 families, |T|)``
 (:meth:`PairCostModel.pack_step_tensors`): Eq. 9's step cost and its Eq. 10
-ratio per (layer, packed Table 5 family, type).  In balanced mode the
-polynomial coefficients and the closed-form solve are themselves batched
-(:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`), so packing a
-level costs a handful of array ops rather than thousands of Python calls.
-Packed tensors are cached module-wide keyed by
-``(model.pack_key(), workload keys)`` — repeated plans of the same network
-(the service's bread and butter) skip phase 1 entirely.
+ratio per (layer, packed Table 5 family, type).
 
 **Phase 2 — recurrence.**  The DP frontier is a cost matrix ``F`` of shape
 ``(entry_rows, |states|)``.  Per layer stage the update is one broadcast::
@@ -24,32 +23,35 @@ Packed tensors are cached module-wide keyed by
 
 with the argmin matrix recorded for O(N) backtracking into the typed IR
 (:class:`~repro.plan.ir.LayerAssignment` / ``JoinAlignment`` / ``PathExit``).
-A fork/join region runs each path *once* as a batch over all entry states
-(identity-initialized frontier) instead of one scalar DP per entry state,
-folds the exit re-alignments in as one broadcast add, and accumulates the
-per-path minima into the macro cost matrix in path order — the same
-floating-point addition sequence as the scalar code, which is what keeps
-the two backends bit-identical (asserted across the model zoo and a seeded
-randomized property suite).
 
-Tie-breaking reuses the shared :mod:`repro.core.tiebreak` rule: the masked
+A fork/join region (Figure 4) is one macro-transition: for every entry
+state and join state, each path's cheapest configuration between the two,
+summed over the paths (both groups execute all paths).  Each path runs
+*once* as a batch over all entry states (identity-initialized frontier);
+its last layer pays the re-alignment of its output tensor to the join
+state, and an empty path (identity skip) pays only the re-alignment of the
+fork tensor.  After the join the boundary tensor behaves like a weighted
+layer's output in the join state, so consecutive residual blocks chain.
+Besides the ``JoinAlignment`` the macro-transition records one ``PathExit``
+per path — the path's pre-alignment exit state — so the simulator replays
+exactly the re-alignments the search costed.
+
+Tie-breaking uses the shared :mod:`repro.core.tiebreak` rule: the masked
 argmin picks the lowest state index within ``COST_REL_TOL`` slack of the
-minimum, exactly the scalar scan's first-seen-wins winner.
+minimum, i.e. a first-seen-wins scan in state order.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.tracing import tracer
 from ..plan.ir import JoinAlignment, LayerAssignment, PathExit, PlanEntry, SearchResult
-from .cost_model import PACKED_FAMILY_INDEX, PairCostModel, transition_family
-from .dp_search import SpaceFn
-from .multipath import alignment_cost
+from .cost_model import PACKED_FAMILY_INDEX, TYPE_INDEX, PairCostModel, transition_family
 from .stages import (
     ShardedLayerStage,
     ShardedParallelStage,
@@ -59,19 +61,21 @@ from .stages import (
     last_workload,
 )
 from .tiebreak import UNREACHABLE, improves, masked_first_within_slack
-from .types import ALL_TYPES, PartitionType
+from .types import ALL_TYPES, PartitionType, ShardedWorkload
 
+#: optional per-layer restriction of the searchable types (used by the fixed
+#: baselines: data parallelism pins Type-I everywhere, OWT pins by layer kind)
+SpaceFn = Callable[[ShardedWorkload], Sequence[PartitionType]]
+
+#: DP states: a partition type, or None for the free entry boundary
 State = Optional[PartitionType]
 
 #: DP state codes: row/column order of every index table.  ``None`` (the
-#: free entry boundary) first, then the types in ``ALL_TYPES`` order —
-#: matching the scalar DP's frontier insertion order.
+#: free entry boundary) first, then the types in ``ALL_TYPES`` order.
 _STATE_ORDER: Tuple[State, ...] = (None,) + ALL_TYPES
 _STATE_CODE: Dict[State, int] = {s: i for i, s in enumerate(_STATE_ORDER)}
-_TYPE_CODE: Dict[PartitionType, int] = {t: i for i, t in enumerate(ALL_TYPES)}
 
-#: packed family row per (state code, type code), derived from the same
-#: transition_family the scalar DP consults
+#: packed family row per (state code, type code)
 _FAM_TABLE = np.array(
     [
         [PACKED_FAMILY_INDEX[transition_family(s, t)] for t in ALL_TYPES]
@@ -85,12 +89,6 @@ _FAM_TABLE = np.array(
 #: arrays for the gather are built once each
 _GATHER_MEMO: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
-#: packed-tensor cache: (model pack key, per-layer workload keys) →
-#: :class:`_Pack`.  Bounded LRU; honored only for memoizing models, like
-#: the model's own step cache.
-_PACK_CACHE: "OrderedDict[Tuple, _Pack]" = OrderedDict()
-_PACK_CACHE_MAX = 128
-
 #: identity frontiers for batched path DPs, keyed by row count; read-only
 _IDENTITY_CACHE: Dict[int, np.ndarray] = {}
 
@@ -103,12 +101,6 @@ _SELF_CHOICE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
 #: repeated fork/join joins of one level and across levels with equal pairs
 _ALIGN_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
 _ALIGN_CACHE_MAX = 1024
-
-
-def clear_pack_caches() -> None:
-    """Drop the module-wide packed-tensor and alignment caches (tests)."""
-    _PACK_CACHE.clear()
-    _ALIGN_CACHE.clear()
 
 
 def _identity(rows: int) -> np.ndarray:
@@ -137,41 +129,10 @@ def _gather_indices(
     cached = _GATHER_MEMO.get(key)
     if cached is None:
         rows = np.array([_STATE_CODE[s] for s in in_states], dtype=np.intp)
-        t_codes = np.array([_TYPE_CODE[t] for t in out_states], dtype=np.intp)
+        t_codes = np.array([TYPE_INDEX[t] for t in out_states], dtype=np.intp)
         cached = (_FAM_TABLE[rows[:, None], t_codes[None, :]], t_codes)
         _GATHER_MEMO[key] = cached
     return cached
-
-
-class _Pack:
-    """One level's packed step tensors plus derived per-stage gathers.
-
-    ``gathers`` caches the (in-state × out-state) step-cost submatrix each
-    layer stage needs — the fancy-index gather from the packed tensor is
-    the same for every search over the same pack, so repeated plans skip
-    it along with the pack itself.
-    """
-
-    __slots__ = ("cost", "alpha", "gathers")
-
-    def __init__(self, cost: np.ndarray, alpha: np.ndarray):
-        self.cost = cost
-        self.alpha = alpha
-        self.gathers: Dict[Tuple, np.ndarray] = {}
-
-    def step_costs(
-        self,
-        row: int,
-        in_states: Tuple[State, ...],
-        out_states: Tuple[PartitionType, ...],
-    ) -> np.ndarray:
-        key = (row, in_states, out_states)
-        gathered = self.gathers.get(key)
-        if gathered is None:
-            fam, t_codes = _gather_indices(in_states, out_states)
-            gathered = self.cost[row][fam, t_codes[None, :]]
-            self.gathers[key] = gathered
-        return gathered
 
 
 class _LayerDecision:
@@ -239,29 +200,6 @@ def _backtrack(decisions, row: int, exit_idx: int) -> Tuple[PlanEntry, ...]:
     return tuple(out)
 
 
-def _packed_tensors(
-    stages: Sequence[ShardedStage], model: PairCostModel
-) -> Tuple["_Pack", Dict[int, int]]:
-    """Phase 1: the level's dense step tensors, with the module-wide cache."""
-    layers = list(iter_layer_stages(stages))
-    index = {id(stage): row for row, stage in enumerate(layers)}
-    key = None
-    if model.memoize:
-        key = (model.pack_key(), tuple(st.workload.key() for st in layers))
-        cached = _PACK_CACHE.get(key)
-        if cached is not None:
-            _PACK_CACHE.move_to_end(key)
-            model.stats.vec_pack_cache_hits += 1
-            return cached, index
-        model.stats.vec_pack_cache_misses += 1
-    pack = _Pack(*model.pack_step_tensors([st.workload for st in layers]))
-    if key is not None:
-        _PACK_CACHE[key] = pack
-        while len(_PACK_CACHE) > _PACK_CACHE_MAX:
-            _PACK_CACHE.popitem(last=False)
-    return pack, index
-
-
 def _align_matrix(
     model: PairCostModel,
     elements: float,
@@ -269,23 +207,20 @@ def _align_matrix(
     to_states: Tuple[PartitionType, ...],
 ) -> np.ndarray:
     """Table 5 re-alignment costs as a (from, to) matrix, cached."""
-    key = None
-    if model.memoize:
-        key = (model.pack_key(), elements, from_states, to_states)
-        cached = _ALIGN_CACHE.get(key)
-        if cached is not None:
-            _ALIGN_CACHE.move_to_end(key)
-            return cached
+    key = (model.pack_key(), elements, from_states, to_states)
+    cached = _ALIGN_CACHE.get(key)
+    if cached is not None:
+        _ALIGN_CACHE.move_to_end(key)
+        return cached
     matrix = np.array(
         [
-            [alignment_cost(model, elements, frm, to) for to in to_states]
+            [model.alignment_cost(elements, frm, to) for to in to_states]
             for frm in from_states
         ]
     )
-    if key is not None:
-        _ALIGN_CACHE[key] = matrix
-        while len(_ALIGN_CACHE) > _ALIGN_CACHE_MAX:
-            _ALIGN_CACHE.popitem(last=False)
+    _ALIGN_CACHE[key] = matrix
+    while len(_ALIGN_CACHE) > _ALIGN_CACHE_MAX:
+        _ALIGN_CACHE.popitem(last=False)
     return matrix
 
 
@@ -294,7 +229,8 @@ def _layer_step(stage, pack, index, space, space_fn, states, frontier):
     # needs normalizing here
     layer_space = tuple(space_fn(stage.workload)) if space_fn is not None else space
     row = index[id(stage)]
-    step_costs = pack.step_costs(row, states, layer_space)
+    fam, t_codes = _gather_indices(states, layer_space)
+    step_costs = pack.cost[row][fam, t_codes[None, :]]
     if frontier is _IDENTITY_CACHE.get(len(states)):
         # first stage of a chain: row r of the identity frontier holds 0 at
         # state r and UNREACHABLE elsewhere, so the argmin is r itself and
@@ -304,7 +240,6 @@ def _layer_step(stage, pack, index, space, space_fn, states, frontier):
     else:
         cand = frontier[:, :, None] + step_costs[None, :, :]
         new_frontier, choice = masked_first_within_slack(cand)
-    fam, t_codes = _gather_indices(states, layer_space)
     decision = _LayerDecision(stage.name, pack.alpha[row], fam, t_codes,
                               layer_space, choice)
     return layer_space, new_frontier, decision
@@ -313,6 +248,8 @@ def _layer_step(stage, pack, index, space, space_fn, states, frontier):
 def _parallel_step(stage, model, pack, index, space, space_fn,
                    states, frontier):
     out_states = space
+    # the fork tensor: input feature map of the first weighted layer in any
+    # non-empty path (all paths consume the same tensor)
     fork_elements = None
     for path in stage.paths:
         if path:
@@ -323,8 +260,7 @@ def _parallel_step(stage, model, pack, index, space, space_fn,
 
     stats = model.stats
     rows = len(states)
-    # all entry states at once: one batched DP per path instead of one
-    # scalar DP per (path, entry state)
+    # all entry states at once: one batched DP per path
     identity = _identity(rows)
 
     macro = np.zeros((rows, len(out_states)))
@@ -340,6 +276,7 @@ def _parallel_step(stage, model, pack, index, space, space_fn,
             align = _align_matrix(model, out_elements, path_out, out_states)
             aligned = path_frontier[:, :, None] + align[None, :, :]
             best, exit_choice = masked_first_within_slack(aligned)
+            # the paths' minima add up in path order
             macro += best
             paths.append((path_decisions, path_out, exit_choice))
         else:
@@ -380,16 +317,18 @@ def _run_chain(stages, model, pack, index, space, space_fn,
     return states, frontier, decisions
 
 
-def search_stages_vectorized(
+def search_stages(
     stages: Sequence[ShardedStage],
     model: PairCostModel,
     space: Sequence[PartitionType] = ALL_TYPES,
     space_fn: Optional[SpaceFn] = None,
 ) -> SearchResult:
-    """Drop-in vectorized twin of :func:`~repro.core.dp_search.search_stages`.
+    """Find the minimum-cost per-layer assignment for one hierarchy level.
 
-    Same arguments, same :class:`~repro.plan.ir.SearchResult`, bit-identical
-    entries, cost and exit state; see the module docstring for how.
+    The entry boundary is free (``c(L_0, t) = 0``, Section 5.1: the input
+    tensor may start in whichever partitioning the first layer prefers).
+    ``space`` is the searchable type set; ``space_fn`` optionally restricts
+    it per layer (workload → allowed types).
     """
     space = tuple(space)
     if not space:
@@ -400,32 +339,32 @@ def search_stages_vectorized(
 
     stats = model.stats
     stats.vec_searches += 1
-    with tracer.span("dpv.search", category="dp", stages=len(stages),
+    with tracer.span("dp.search", category="dp", stages=len(stages),
                      space=len(space)) as span:
         t_start = time.perf_counter_ns()
-        pack, index = _packed_tensors(stages, model)
+        with tracer.span("dp.pack", category="dp"):
+            layers = list(iter_layer_stages(stages))
+            index = {id(stage): row for row, stage in enumerate(layers)}
+            pack = model.pack_step_tensors([st.workload for st in layers])
         t_packed = time.perf_counter_ns()
         stats.vec_pack_ns += t_packed - t_start
 
-        # the 1×1 identity frontier is exactly [[0.0]] — the scalar search's
-        # {None: 0} entry — and lets the first stage take the identity
-        # shortcut like any path chain
-        entry_states: Tuple[State, ...] = (None,)
-        frontier = _identity(1)
-        out_states, frontier, decisions = _run_chain(
-            stages, model, pack, index, space, space_fn,
-            entry_states, frontier,
-        )
-
-        # final exit: first-seen-wins over the frontier order, exactly the
-        # scalar search's exits.items() scan
-        final = frontier[0]
-        best = 0
-        for j in range(1, len(out_states)):
-            if improves(float(final[j]), float(final[best])):
-                best = j
-        entries = _backtrack(decisions, 0, best)
-        best_cost = float(final[best])
+        with tracer.span("dp.recurrence", category="dp"):
+            # the 1×1 identity frontier is exactly [[0.0]]: the free entry
+            # state at zero cost, and the first stage takes the identity
+            # shortcut like any path chain
+            out_states, frontier, decisions = _run_chain(
+                stages, model, pack, index, space, space_fn,
+                (None,), _identity(1),
+            )
+            # final exit: first-seen-wins over the frontier order
+            final = frontier[0]
+            best = 0
+            for j in range(1, len(out_states)):
+                if improves(float(final[j]), float(final[best])):
+                    best = j
+            entries = _backtrack(decisions, 0, best)
+            best_cost = float(final[best])
         stats.vec_recurrence_ns += time.perf_counter_ns() - t_packed
         span.set("cost", best_cost)
     return SearchResult(

@@ -14,8 +14,9 @@ from typing import List, Optional, Sequence
 
 from ..plan.ir import LayerAssignment, SearchResult
 from .cost_model import PairCostModel
-from .dp_search import SpaceFn, improves
+from .dp_vectorized import SpaceFn
 from .stages import ShardedLayerStage, ShardedStage
+from .tiebreak import improves
 from .types import ALL_TYPES, PartitionType
 
 
@@ -27,9 +28,10 @@ def greedy_chain(
 ) -> SearchResult:
     """Myopic per-layer choice on a linear chain.
 
-    Uses the same step costs as the DP — including the ``COST_REL_TOL``
-    tie-break of :func:`~repro.core.dp_search.improves`, so greedy-vs-DP
-    comparisons measure search quality, not last-ulp float noise.
+    Reads the same packed step costs as the DP and breaks ties with the
+    same ``COST_REL_TOL`` rule (:func:`~repro.core.tiebreak.improves`), so
+    greedy-vs-DP comparisons measure search quality, not last-ulp float
+    noise.
     """
     for stage in stages:
         if not isinstance(stage, ShardedLayerStage):
@@ -37,21 +39,22 @@ def greedy_chain(
     if not space:
         raise ValueError("partition-type space must be non-empty")
 
+    pack = model.pack_step_tensors([stage.workload for stage in stages])
     entries: List[LayerAssignment] = []
     total = 0.0
     prev: Optional[PartitionType] = None
-    for stage in stages:
+    for row, stage in enumerate(stages):
         layer_space = space_fn(stage.workload) if space_fn is not None else space
         best = None
         best_cost: Optional[float] = None
         for t in layer_space:
-            decision = model.step(stage.workload, prev, t)
-            if improves(decision.cost, best_cost):
-                best = decision
-                best_cost = decision.cost
-        assert best is not None
-        entries.append(LayerAssignment(stage.name, best.ptype, best.alpha))
-        total += best.cost
-        prev = best.ptype
+            cost, alpha = pack.cell(row, prev, t)
+            if improves(cost, best_cost):
+                best = (t, alpha)
+                best_cost = cost
+        assert best is not None and best_cost is not None
+        entries.append(LayerAssignment(stage.name, *best))
+        total += best_cost
+        prev = best[0]
 
     return SearchResult(entries=tuple(entries), cost=total, exit_state=prev)

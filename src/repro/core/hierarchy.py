@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode
+from ..obs.registry import planner_counters
 from ..obs.tracing import tracer
 from ..plan.ir import HierarchicalPlan, LevelPlan
-from .counters import planner_counters
 from .stages import ShardedStage, iter_sharded_workloads, shard_stages
 
 

@@ -27,10 +27,10 @@ from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
+from ..obs.registry import planner_counters
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
-from .counters import planner_counters
 from .hierarchy import PartitionScheme, collect_level_plans, plan_tree
 from .stages import ShardedStage, to_sharded_stages
 from .types import ALL_TYPES, PartitionType
@@ -51,19 +51,12 @@ class AccParScheme:
         space: Sequence[PartitionType] = ALL_TYPES,
         ratio_mode: str = "balanced",
         name: str = "accpar",
-        closed_form: bool = True,
-        memoize: bool = True,
         backend: str = "dp",
         profile: Optional[HardwareProfile] = None,
     ):
         self.space = tuple(space)
         self.ratio_mode = ratio_mode
         self.name = name
-        # hot-path knobs, forwarded to PairCostModel; the throughput
-        # benchmark and equivalence tests flip them off to get the
-        # pre-optimization (bisection, uncached) planner
-        self.closed_form = closed_form
-        self.memoize = memoize
         self.backend = backend
         # None = peak analytic rates; a CalibratedProfile re-prices every
         # PairCostModel this scheme builds with measured effective rates
@@ -77,14 +70,12 @@ class AccParScheme:
         dtype_bytes: int,
     ) -> LevelPlan:
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
-                              closed_form=self.closed_form,
-                              memoize=self.memoize,
                               profile=self.profile)
         result = get_backend(self.backend).search(stages, model, self.space)
         planner_counters.merge(model.stats.as_dict())
         # per-backend served-plan series (repro_planner_level_plans_<b>_total
         # in Prometheus): which search algorithm actually produced the plans.
-        # Aliases canonicalize so "dpv" and "dp-vectorized" feed one series.
+        # Aliases canonicalize so "exact" and "dpv" feed the "dp" series.
         backend = canonical_backend_name(self.backend)
         planner_counters.inc("level_plans_" + backend.replace("-", "_"))
         return result.to_level_plan(self.name)

@@ -55,9 +55,7 @@ class PairCostPoly(NamedTuple):
     (party j's affine part is folded into ``const_j``/``lin_j``, so
     ``lin_j`` is typically negative: j's compute share is 1-α.)  The
     α(1-α) terms carry the Table 5 cross transitions; they vanish for
-    every other transition family.  A NamedTuple rather than a dataclass:
-    one is built per uncached planner step, and tuple construction is
-    several times cheaper.
+    every other transition family.
     """
 
     const_i: float
@@ -86,26 +84,6 @@ def solve_balanced_ratio_poly(
     hi: float = RATIO_HI,
 ) -> Tuple[float, str]:
     """Closed-form Eq. 10 solve; returns ``(α, solver_path)``.
-
-    When tracing is enabled each solve becomes a ``ratio.solve`` span
-    whose ``path`` attribute records which solver branch answered; the
-    disabled path is a single attribute check.
-    """
-    if tracer.enabled:
-        with tracer.span("ratio.solve", category="ratio") as span:
-            alpha, path = _solve_balanced_ratio_poly(poly, lo, hi)
-            span.set("path", path)
-            span.set("alpha", alpha)
-        return alpha, path
-    return _solve_balanced_ratio_poly(poly, lo, hi)
-
-
-def _solve_balanced_ratio_poly(
-    poly: PairCostPoly,
-    lo: float,
-    hi: float,
-) -> Tuple[float, str]:
-    """The untraced closed-form solve behind :func:`solve_balanced_ratio_poly`.
 
     The residual ``g(α) = ΔA + ΔB·α + ΔC·α(1-α)`` is affine or quadratic:
 
@@ -169,9 +147,10 @@ def solve_balanced_ratio_poly_batch(
 ):
     """Closed-form Eq. 10 over arrays of coefficients; ``(α array, path counts)``.
 
-    The elementwise twin of :func:`_solve_balanced_ratio_poly`, used by the
-    vectorized search backend to solve every (layer, family, type) balance
-    problem of a level in one shot.  Every branch replicates the scalar
+    The elementwise twin of :func:`solve_balanced_ratio_poly`, used by
+    :meth:`~repro.core.cost_model.PairCostModel.pack_step_tensors` to solve
+    every (layer, family, type) balance problem of a level in one shot.
+    Every branch replicates the scalar
     solver's arithmetic *in the same operation order* — numpy's float64
     elementwise ops are the same IEEE doubles — so each element's α is
     bit-identical to the scalar solve on its coefficients:
@@ -271,7 +250,7 @@ def solve_balanced_ratio_poly_batch(
             float(quad_i.flat[idx]), float(const_j.flat[idx]),
             float(lin_j.flat[idx]), float(quad_j.flat[idx]),
         )
-        a_scalar, path = _solve_balanced_ratio_poly(poly, lo, hi)
+        a_scalar, path = solve_balanced_ratio_poly(poly, lo, hi)
         alpha.flat[idx] = a_scalar
         counts[path] += 1
     return alpha, counts
@@ -317,7 +296,7 @@ def solve_balanced_ratio(
 
     Emits a ``ratio.bisection`` span when tracing is enabled — including
     when it runs as the closed-form solver's checked fallback, where the
-    span nests inside the ``ratio.solve`` span that triggered it.
+    span nests inside the batched ``ratio.solve`` span that triggered it.
     """
     if tracer.enabled:
         with tracer.span("ratio.bisection", category="ratio") as span:

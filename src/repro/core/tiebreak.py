@@ -1,10 +1,10 @@
 """The one place that defines cost tie-breaking, scalar and vectorized.
 
-Every search variant — the scalar DP (:mod:`repro.core.dp_search`), the
-greedy baseline (:mod:`repro.core.greedy`) and the vectorized kernel
-(:mod:`repro.core.dp_vectorized`) — must break cost ties identically, or
+Every search — the DP (:mod:`repro.core.dp_vectorized`), the greedy
+baseline (:mod:`repro.core.greedy`) and the scalar reference recurrence
+the tests check the DP against — must break cost ties identically, or
 mathematically tied branches (symmetric fork paths, equal-cost exit
-states) get broken by last-ulp float noise and the backends stop being
+states) get broken by last-ulp float noise and the searches stop being
 bit-identical.  The rule lives here exactly once:
 
 * two candidates closer than :data:`COST_REL_TOL` *relative* slack are a
@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 #: variant of the same cost model emit the same plan.
 COST_REL_TOL = 1e-9
 
-#: sentinel cost for unreachable DP states in the vectorized kernel.  A
+#: sentinel cost for unreachable DP states in the vectorized recurrence.  A
 #: finite stand-in for +inf: ``inf - inf`` is NaN, which would poison the
 #: slack arithmetic of :func:`masked_first_within_slack`, while 1e300 still
 #: dwarfs every admissible cost (seconds) by ~300 orders of magnitude and

@@ -11,12 +11,6 @@ from .faults import (
     straggler_experiment,
     throttle_spec,
 )
-from .calibration import (
-    CalibrationResult,
-    Probe,
-    calibrate,
-    probe_from_run,
-)
 from .sensitivity import (
     OptimizerImpact,
     SweepSeries,
@@ -72,18 +66,14 @@ __all__ = [
     "render_what_if",
     "straggler_experiment",
     "throttle_spec",
-    "CalibrationResult",
     "OptimizerImpact",
-    "Probe",
     "SweepSeries",
     "batch_sweep",
     "bandwidth_sweep",
-    "calibrate",
     "latency_sweep",
     "grouped_bar_svg",
     "line_chart_svg",
     "optimizer_sweep",
-    "probe_from_run",
     "scale_network_bandwidth",
     "LayerCostRow",
     "dominant_layers",

@@ -143,7 +143,7 @@ def layer_type_sensitivity(planned: PlannedExecution) -> List[WhatIfRow]:
     Answers "how much does this layer's decision matter?" — a flat row
     means the layer is insensitive; a steep one explains the plan.
     """
-    from ..core.dp_search import search_stages
+    from ..core.dp_vectorized import search_stages
     from ..core.types import ALL_TYPES
 
     if planned.plan.level_plan is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cost_model import PairCostModel
-from ..core.dp_search import search_stages
+from ..core.dp_vectorized import search_stages
 from ..core.stages import ShardedLayerStage, ShardedStage
 from ..core.types import ALL_TYPES, PartitionType
 
@@ -71,17 +71,18 @@ def enumerate_landscape(
             f"raise max_layers explicitly if you mean it"
         )
 
+    pack = model.pack_step_tensors([stage.workload for stage in chain])
     costs: List[Tuple[Tuple[PartitionType, ...], float]] = []
     for combo in itertools.product(ALL_TYPES, repeat=len(chain)):
         total = 0.0
         prev: Optional[PartitionType] = None
-        for stage, ptype in zip(chain, combo):
-            total += model.step(stage.workload, prev, ptype).cost
+        for row, ptype in enumerate(combo):
+            total += pack.cell(row, prev, ptype)[0]
             prev = ptype
         costs.append((combo, total))
     costs.sort(key=lambda entry: entry[1])
 
-    dp = search_stages(list(stages), model)
+    dp = search_stages(stages, model)
     return CostLandscape(
         layer_names=[s.name for s in chain],
         costs=costs,

@@ -10,9 +10,7 @@ Three telemetry concerns, one dependency-free layer:
   :class:`~repro.obs.registry.LatencyHistogram`,
   :class:`~repro.obs.registry.MetricsRegistry`,
   :class:`~repro.obs.registry.PerfCounters`) plus Prometheus
-  text-exposition rendering.  ``repro.service.metrics`` and
-  ``repro.core.counters`` re-export from here, so old import paths keep
-  working.
+  text-exposition rendering.
 * :mod:`repro.obs.export` — Chrome Trace Event JSON and a self-time /
   cumulative-time profile table over collected spans.
 * :mod:`repro.obs.logging` — structured JSON log lines carrying the active

@@ -1,12 +1,7 @@
 """The unified metrics registry: one home for every counter and histogram.
 
-Before this module existed the repo had two disjoint metric islands —
-``repro.service.metrics`` (request counters + latency histograms) and
-``repro.core.counters`` (planner search-work counters).  Both now live
-here; the old modules are thin re-export shims, so every historical import
-path (``from repro.service.metrics import MetricsRegistry``, ``from
-repro.core.counters import planner_counters``) still resolves to the same
-objects.
+The plan service's request counters and latency histograms live here
+beside the planner's search-work counters (:data:`planner_counters`).
 
 Everything is dependency-free (no prometheus client in the image), but
 :func:`render_prometheus` emits standard `text exposition format
@@ -60,11 +55,10 @@ SERVICE_HISTOGRAM_NAMES = (
     "exact_plan_s",
 )
 
-#: every counter the planner search bumps (see repro.core.counters for the
-#: per-name documentation; StepStats merges into these after each level)
+#: every counter the planner search bumps (documented in
+#: docs/observability.md; each level's StepStats merges into these)
 PLANNER_COUNTER_NAMES = (
     "step_calls",
-    "step_cache_hits",
     "boundary_calls",
     "boundary_cache_hits",
     "ratio_solves",
@@ -76,8 +70,6 @@ PLANNER_COUNTER_NAMES = (
     "hierarchy_memo_misses",
     "multipath_path_dp_runs",
     "vec_searches",
-    "vec_pack_cache_hits",
-    "vec_pack_cache_misses",
     "vec_pack_ns",
     "vec_recurrence_ns",
     "vec_multipath_batches",

@@ -38,7 +38,6 @@ from .ir import (
 from .backends import (
     BruteForceSearchBackend,
     DpSearchBackend,
-    DpVectorizedSearchBackend,
     FixedTypeSearchBackend,
     GreedySearchBackend,
     SearchBackend,
@@ -53,7 +52,6 @@ from .diff import PlanDifference, plan_diff
 __all__ = [
     "BruteForceSearchBackend",
     "DpSearchBackend",
-    "DpVectorizedSearchBackend",
     "FixedTypeSearchBackend",
     "GreedySearchBackend",
     "HierarchicalPlan",

@@ -18,7 +18,7 @@ have finished loading.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from ..core.types import ALL_TYPES, PartitionType
 from .ir import SearchResult
@@ -46,33 +46,19 @@ class SearchBackend(Protocol):
 
 
 class DpSearchBackend:
-    """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²)."""
+    """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²).
+
+    Step costs are packed as dense (layer, family, type) tensors and the
+    recurrence plus fork/join macro-stages run as batched numpy min-plus;
+    see :mod:`repro.core.dp_vectorized` and ``docs/performance.md``.
+    """
 
     name = "dp"
 
     def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
-        from ..core.dp_search import search_stages
+        from ..core.dp_vectorized import search_stages
 
-        return search_stages(list(stages), model, space, space_fn=space_fn)
-
-
-class DpVectorizedSearchBackend:
-    """The Eq. 9 DP as batched numpy min-plus over packed cost tensors.
-
-    Bit-identical plans to ``dp`` (asserted by the plan-equivalence CI job
-    and the randomized property suite) at a fraction of the latency: step
-    costs are precomputed as dense (layer, family, type) tensors — cached
-    across searches — and the recurrence plus fork/join macro-stages run
-    as broadcast array ops.  See ``docs/performance.md``.
-    """
-
-    name = "dp-vectorized"
-
-    def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
-        from ..core.dp_vectorized import search_stages_vectorized
-
-        return search_stages_vectorized(list(stages), model, space,
-                                        space_fn=space_fn)
+        return search_stages(stages, model, space, space_fn=space_fn)
 
 
 class GreedySearchBackend:
@@ -110,7 +96,8 @@ class BruteForceSearchBackend:
 
 
 class FixedTypeSearchBackend:
-    """Pin every layer to a static type; the DP only aligns fork/join tensors.
+    """The DP with every layer pinned to a static type; it only aligns
+    fork/join tensors.
 
     ``type_fn`` maps a workload to its pinned type (default: Type-I
     everywhere — classic data parallelism).  A caller-provided ``space_fn``
@@ -124,13 +111,13 @@ class FixedTypeSearchBackend:
         self.type_fn = type_fn
 
     def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
-        from ..core.dp_search import search_stages
+        from ..core.dp_vectorized import search_stages
 
         fn = space_fn
         if fn is None:
             type_fn = self.type_fn or (lambda w: PartitionType.TYPE_I)
             fn = lambda w: (type_fn(w),)
-        return search_stages(list(stages), model, space, space_fn=fn)
+        return search_stages(stages, model, space, space_fn=fn)
 
 
 #: canonical name → zero-argument factory
@@ -177,9 +164,9 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-register_backend("dp", DpSearchBackend, aliases=("accpar", "exact"))
-register_backend("dp-vectorized", DpVectorizedSearchBackend,
-                 aliases=("dp_vectorized", "dpv", "vectorized"))
+register_backend("dp", DpSearchBackend,
+                 aliases=("accpar", "exact", "dp-vectorized", "dp_vectorized",
+                          "dpv", "vectorized"))
 register_backend("greedy", GreedySearchBackend)
 register_backend("brute-force", BruteForceSearchBackend,
                  aliases=("brute_force", "bruteforce"))

@@ -20,7 +20,7 @@ contract.
 
 from .cache import CacheStats, PlanCache
 from .fingerprint import REQUEST_SCHEMA_VERSION, PlanRequest
-from .metrics import Counter, LatencyHistogram, MetricsRegistry
+from ..obs.registry import Counter, LatencyHistogram, MetricsRegistry
 from .server import serve_loop, warm_cache
 from .service import PlanResponse, PlanService, build_scheme
 from .singleflight import SingleFlight

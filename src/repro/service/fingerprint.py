@@ -23,6 +23,7 @@ from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import CalibratedProfile
 from ..models.registry import build_model
+from ..plan.backends import canonical_backend_name
 
 #: bump when the fingerprint payload layout (or plan semantics) changes;
 #: folded into every key so old disk-cache entries simply stop matching
@@ -41,7 +42,9 @@ class PlanRequest:
     "the scheme's defaults" and hashes distinctly from pinning the defaults
     explicitly — by design, since a scheme's defaults may evolve.  The same
     convention covers ``backend``: ``None`` keeps the scheme's default search
-    backend, a name from :func:`repro.plan.available_backends` overrides it.
+    backend, a name from :func:`repro.plan.available_backends` (or one of
+    its aliases, stored canonicalized so every spelling of one search
+    shares a fingerprint) overrides it.
     ``profile`` re-prices the cost model with calibrated effective rates;
     ``None`` is the peak analytic model, and the profile's content digest
     is part of the fingerprint.
@@ -65,6 +68,10 @@ class PlanRequest:
             raise ValueError("dtype_bytes must be positive")
         if self.space is not None:
             object.__setattr__(self, "space", tuple(self.space))
+        if self.backend is not None:
+            # raises KeyError("unknown search backend ...") for bad names
+            object.__setattr__(self, "backend",
+                               canonical_backend_name(self.backend))
         if self.profile is not None and getattr(self.profile, "is_analytic", False):
             # the analytic profile IS the default; canonicalize so both
             # spellings share one fingerprint (and one cache entry)
@@ -98,7 +105,7 @@ class PlanRequest:
                 "levels": self.levels,
                 "space": list(self.space) if self.space is not None else None,
                 "ratio_mode": self.ratio_mode,
-                "backend": self.backend.lower() if self.backend else None,
+                "backend": self.backend,
                 "profile": (self.profile.fingerprint()
                             if self.profile is not None else None),
             }

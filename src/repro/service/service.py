@@ -15,7 +15,7 @@ Request lifecycle (:meth:`PlanService.plan`):
    *next* request gets the exact plan.
 
 Distinct fingerprints run concurrently across the pool; identical ones never
-plan twice.  All counters land in a :class:`~repro.service.metrics.MetricsRegistry`.
+plan twice.  All counters land in a :class:`~repro.obs.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
 from ..baselines import get_scheme
-from ..core.counters import planner_counters
 from ..core.hierarchy import PartitionScheme
 from ..core.planner import AccParScheme, GreedyScheme, PlannedExecution, Planner
 from ..core.types import PartitionType
@@ -38,12 +37,11 @@ from ..graph.network import Network
 from ..plan.backends import get_backend
 from ..obs import telemetry as telemetry_store
 from ..obs.logging import get_logger, slow_request_threshold_s
-from ..obs.registry import render_prometheus
+from ..obs.registry import MetricsRegistry, planner_counters, render_prometheus
 from ..obs.slo import SLOTracker, render_slo_lines
 from ..obs.tracing import new_trace_id, tracer
 from .cache import PlanCache
 from .fingerprint import PlanRequest
-from .metrics import MetricsRegistry
 from .singleflight import SingleFlight
 
 log = get_logger("repro.service")
@@ -178,7 +176,8 @@ class PlanService:
         """Serve one request, waiting at most ``deadline_s`` for exactness.
 
         ``deadline_s=None`` waits for the exact plan.  A deadline of 0 is
-        legal and means "whatever is ready right now or the greedy fallback".
+        legal and means "whatever is ready right now or the greedy fallback";
+        an exact job the request starts itself never counts as ready.
 
         Every request gets a trace id — a fresh one unless the caller
         passes ``trace_id`` (the fleet frontend does, so one id follows a
@@ -232,6 +231,10 @@ class PlanService:
         try:
             with tracer.span("service.singleflight_wait", category="service",
                              leader=leader):
+                if leader and deadline_s is not None and deadline_s <= 0:
+                    # "ready right now" is decided on arrival: the exact job
+                    # this request just started is not, however fast it is
+                    raise FutureTimeout()
                 planned = future.result(timeout=deadline_s)
         except FutureTimeout:
             self.metrics.counter("degraded").inc()
@@ -457,9 +460,9 @@ class PlanService:
         """JSON-compatible stats: metrics, cache counters, planner counters.
 
         ``planner`` holds the process-wide search-work counters
-        (:data:`repro.core.counters.planner_counters`): step calls and cache
-        hits, ratio-solver path split, hierarchy memo hits, multipath DP
-        runs — the cold-path cost behind every ``planner_runs`` increment.
+        (:data:`repro.obs.registry.planner_counters`): packed step costings,
+        ratio-solver path split, hierarchy memo hits, multipath DP runs —
+        the cold-path cost behind every ``planner_runs`` increment.
         """
         cache_stats = self.cache.stats.as_dict()
         cache_stats["memory_entries"] = len(self.cache)

@@ -36,17 +36,18 @@ def chain():
 
 
 class TestRegistry:
-    def test_five_canonical_backends(self):
+    def test_four_canonical_backends(self):
         assert available_backends() == [
-            "brute-force", "dp", "dp-vectorized", "fixed-type", "greedy"
+            "brute-force", "dp", "fixed-type", "greedy"
         ]
 
     def test_aliases_resolve_to_canonical(self):
         assert get_backend("accpar").name == "dp"
         assert get_backend("exact").name == "dp"
-        assert get_backend("dp_vectorized").name == "dp-vectorized"
-        assert get_backend("dpv").name == "dp-vectorized"
-        assert get_backend("vectorized").name == "dp-vectorized"
+        assert get_backend("dp-vectorized").name == "dp"
+        assert get_backend("dp_vectorized").name == "dp"
+        assert get_backend("dpv").name == "dp"
+        assert get_backend("vectorized").name == "dp"
         assert get_backend("brute_force").name == "brute-force"
         assert get_backend("bruteforce").name == "brute-force"
         assert get_backend("fixed").name == "fixed-type"
@@ -58,24 +59,27 @@ class TestRegistry:
 
     def test_canonical_backend_name(self):
         assert canonical_backend_name("dp") == "dp"
-        assert canonical_backend_name("DPV") == "dp-vectorized"
+        assert canonical_backend_name("DPV") == "dp"
         assert canonical_backend_name("exact") == "dp"
         with pytest.raises(KeyError, match="unknown search backend"):
             canonical_backend_name("simulated-annealing")
 
     def test_level_plan_counter_canonicalizes_aliases(self, chain):
-        # "dpv" and "dp-vectorized" must feed one Prometheus series,
+        # every spelling of the exact DP must feed one Prometheus series,
         # not fragment per requested spelling
-        from repro.core.counters import planner_counters
         from repro.core.planner import AccParScheme
         from repro.hardware import make_group
+        from repro.obs.registry import planner_counters
 
         party_i, party_j = make_group(TPU_V3, 1), make_group(TPU_V2, 1)
-        before = planner_counters.value("level_plans_dp_vectorized")
-        for spelling in ("dpv", "dp_vectorized", "dp-vectorized"):
+        spellings = ("dp", "accpar", "exact", "dpv", "dp_vectorized",
+                     "dp-vectorized", "vectorized")
+        before = planner_counters.value("level_plans_dp")
+        for spelling in spellings:
             AccParScheme(backend=spelling).level_plan(chain, party_i, party_j, 2)
-        after = planner_counters.value("level_plans_dp_vectorized")
-        assert after == before + 3
+        after = planner_counters.value("level_plans_dp")
+        assert after == before + len(spellings)
+        assert planner_counters.value("level_plans_dp_vectorized") == 0
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(KeyError, match="brute-force.*dp.*fixed-type.*greedy"):
@@ -109,12 +113,11 @@ class TestBackendSearch:
         assert isinstance(result, SearchResult)
         assert set(result.types()) == {f"l{i}" for i in range(4)}
 
-    def test_dp_vectorized_matches_dp_bitwise(self, model, chain):
+    def test_vectorized_spellings_are_the_dp_backend(self, model, chain):
         dp = get_backend("dp").search(chain, model)
         vec = get_backend("dp-vectorized").search(chain, model)
-        assert vec.entries == dp.entries
-        assert vec.cost == dp.cost
-        assert vec.exit_state == dp.exit_state
+        assert type(get_backend("dp-vectorized")) is type(get_backend("dp"))
+        assert vec == dp
 
     def test_greedy_never_beats_dp(self, model, chain):
         dp = get_backend("dp").search(chain, model)
@@ -159,7 +162,7 @@ class TestBackendSearch:
     def test_space_restriction_respected(self, model, chain):
         # fixed-type is excluded: its pinned type_fn deliberately wins
         # over the level's searchable space
-        for name in ("dp", "dp-vectorized", "greedy", "brute-force"):
+        for name in ("dp", "greedy", "brute-force"):
             result = get_backend(name).search(chain, model, space=(II,))
             assert set(result.types().values()) == {II}, name
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.planner import AccParPlanner, Planner
 from repro.baselines import get_scheme
-from repro.experiments.calibration import (
+from repro.calib import (
     CalibrationResult,
     Probe,
     calibrate,

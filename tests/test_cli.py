@@ -311,7 +311,8 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "planner profile (lenet)" in out
-        assert "dp.stage" in out and "ratio.solve" in out
+        assert "dp.pack" in out and "dp.recurrence" in out
+        assert "ratio.solve" in out
         assert "planner trace written" in out
 
         document = json.loads(trace.read_text())

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import SearchResult, search_stages
+from repro.core.dp_vectorized import search_stages
+from repro.plan.ir import SearchResult
 from repro.core.hierarchy import collect_level_plans, plan_tree
 from repro.core.planner import AccParScheme, Planner
 from repro.core.stages import (
@@ -43,28 +44,28 @@ class TestBoundaryStepTaxonomy:
 
     def test_free_transitions(self, model):
         for tt, t in [(I, I), (II, III), (III, II)]:
-            assert model.boundary_step(1e6, tt, t).cost == 0.0
+            assert model.boundary_step(1e6, tt, t) == 0.0
 
     def test_single_tensor_transitions(self, model):
         alpha = model.nominal_alpha()
         for tt, t in [(I, III), (III, III), (II, I), (II, II)]:
-            d = model.boundary_step(1e6, tt, t)
+            cost = model.boundary_step(1e6, tt, t)
             expected_i = (1 - alpha) * 1e6 * 2 / model.b_i
             expected_j = alpha * 1e6 * 2 / model.b_j
-            assert d.cost == pytest.approx(max(expected_i, expected_j))
+            assert cost == pytest.approx(max(expected_i, expected_j))
 
     def test_cross_transitions(self, model):
         alpha = model.nominal_alpha()
         for tt, t in [(I, II), (III, I)]:
-            d = model.boundary_step(1e6, tt, t)
+            cost = model.boundary_step(1e6, tt, t)
             amount = alpha * (1 - alpha) * 2e6 * 2
-            assert d.cost == pytest.approx(
+            assert cost == pytest.approx(
                 max(amount / model.b_i, amount / model.b_j)
             )
 
     def test_explicit_alpha_override(self, model):
-        a = model.boundary_step(1e6, I, III, alpha=0.9).cost
-        b = model.boundary_step(1e6, I, III, alpha=0.1).cost
+        a = model.boundary_step(1e6, I, III, alpha=0.9)
+        b = model.boundary_step(1e6, I, III, alpha=0.1)
         assert a != b
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the cost model: Tables 4, 5, 6 and the step policies."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.cost_model import (
@@ -15,6 +17,22 @@ from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
+
+
+class Step(NamedTuple):
+    cost: float
+    alpha: float
+    cost_i: float
+    cost_j: float
+    compute_i: float
+    comm_i: float
+
+
+def step(model, sw, prev, cur):
+    """One packed Eq. 9 step plus its per-party split at the packed α."""
+    cost, alpha = model.pack_step_tensors([sw]).cell(0, prev, cur)
+    ci, cj, (cp_i, _), (cm_i, _) = model.step_pair_costs(sw, prev, cur, alpha)
+    return Step(cost, alpha, ci, cj, cp_i, cm_i)
 
 
 def fc_sw(batch=8, d_in=6, d_out=4):
@@ -151,20 +169,20 @@ class TestStepPolicies:
         fast = type(TPU_V3)("f", TPU_V3.flops, 1, 1e30, 1e30)
         slow = type(TPU_V2)("s", TPU_V2.flops, 1, 1e30, 1e30)
         model = PairCostModel(make_group(fast, 1), make_group(slow, 1))
-        d = model.step(fc_sw(batch=512, d_in=4096, d_out=4096), I, I)
+        d = step(model, fc_sw(batch=512, d_in=4096, d_out=4096), I, I)
         assert d.cost_i == pytest.approx(d.cost_j, rel=1e-3)
 
     def test_balanced_step_minimaxes_when_balance_impossible(self, hetero_model):
         # Table 4's intra term is alpha-independent; with the real 1 vs 2 GB/s
         # links it dominates and the v2 party is the floor no alpha removes
         sw = fc_sw(batch=512, d_in=4096, d_out=4096)
-        d = hetero_model.step(sw, I, I)
+        d = step(hetero_model, sw, I, I)
         intra_j = sw.a_weight() * 2 / TPU_V2.network_bandwidth
         assert d.cost >= intra_j
 
     def test_balanced_alpha_favors_fast_party(self, hetero_model):
         sw = fc_sw(batch=512, d_in=4096, d_out=4096)
-        d = hetero_model.step(sw, I, I)
+        d = step(hetero_model, sw, I, I)
         assert d.alpha > 0.5  # party i (v3) takes the bigger share
 
     def test_balanced_alpha_matches_flops_ratio_when_compute_bound(self):
@@ -174,14 +192,14 @@ class TestStepPolicies:
         big_bw_fast = type(TPU_V3)("f", TPU_V3.flops, 1, 1e30, 1e30)
         big_bw_slow = type(TPU_V2)("s", TPU_V2.flops, 1, 1e30, 1e30)
         model = PairCostModel(make_group(big_bw_fast, 1), make_group(big_bw_slow, 1))
-        d = model.step(fc_sw(batch=512, d_in=512, d_out=512), None, I)
+        d = step(model, fc_sw(batch=512, d_in=512, d_out=512), None, I)
         assert d.alpha == pytest.approx(420 / (420 + 180), rel=1e-2)
 
     def test_equal_mode_takes_slower_party(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1),
                               ratio_mode="equal")
         sw = fc_sw(batch=512, d_in=4096, d_out=4096)
-        d = model.step(sw, I, I)
+        d = step(model, sw, I, I)
         assert d.alpha == 0.5
         assert d.cost == pytest.approx(max(d.cost_i, d.cost_j))
         assert d.cost == pytest.approx(d.cost_j)  # v2 is slower
@@ -192,15 +210,15 @@ class TestStepPolicies:
         for tt in ALL_TYPES:
             for t in ALL_TYPES:
                 sw = fc_sw(batch=512, d_in=2048, d_out=1024)
-                balanced = hetero_model.step(sw, tt, t).cost
-                equal = equal_model.step(sw, tt, t).cost
+                balanced = step(hetero_model, sw, tt, t).cost
+                equal = step(equal_model, sw, tt, t).cost
                 assert balanced <= equal * (1 + 1e-9)
 
     def test_comm_volume_mode_returns_bytes(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
                               ratio_mode="comm-volume")
         sw = fc_sw()
-        d = model.step(sw, None, I)
+        d = step(model, sw, None, I)
         # both parties exchange the full weight psum: 2 * A(W) * 2 bytes
         assert d.cost == pytest.approx(2 * sw.a_weight() * 2)
 
@@ -208,8 +226,8 @@ class TestStepPolicies:
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
                               ratio_mode="comm-volume")
         sw = fc_sw()
-        no_inter = model.step(sw, None, I).cost
-        with_inter = model.step(sw, II, I).cost
+        no_inter = step(model, sw, None, I).cost
+        with_inter = step(model, sw, II, I).cost
         assert with_inter > no_inter
 
     def test_first_layer_has_no_inter_cost(self, homo_model):
@@ -217,7 +235,7 @@ class TestStepPolicies:
         assert homo_model.inter_costs(sw.a_input_fm(), None, I, 0.5) == (0.0, 0.0)
 
     def test_step_decision_records_components(self, homo_model):
-        d = homo_model.step(fc_sw(), None, I)
+        d = step(homo_model, fc_sw(), None, I)
         assert d.cost_i == pytest.approx(d.compute_i + d.comm_i)
 
     def test_unknown_ratio_mode_raises(self):
@@ -235,8 +253,7 @@ class TestBoundaryStep:
     def test_aligned_states_cost_table5(self, homo_model):
         # boundary_step applies Table 5 even on the diagonal; zero transitions
         # stay zero
-        d = homo_model.boundary_step(1000.0, II, III)
-        assert d.cost == 0.0
+        assert homo_model.boundary_step(1000.0, II, III) == 0.0
 
     def test_nominal_alpha_balanced(self, hetero_model):
         assert hetero_model.nominal_alpha() == pytest.approx(420 / 600)
@@ -249,9 +266,9 @@ class TestBoundaryStep:
     def test_comm_volume_boundary(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
                               ratio_mode="comm-volume")
-        d = model.boundary_step(1000.0, I, III, alpha=0.5)
+        cost = model.boundary_step(1000.0, I, III, alpha=0.5)
         # beta*A + alpha*A = A elements, times dtype
-        assert d.cost == pytest.approx(1000.0 * 2)
+        assert cost == pytest.approx(1000.0 * 2)
 
 
 class TestProportionalMode:
@@ -260,13 +277,13 @@ class TestProportionalMode:
                               ratio_mode="proportional")
         sw = fc_sw(batch=512, d_in=1024, d_out=1024)
         for tt in (None, I, II, III):
-            d = model.step(sw, tt, I)
+            d = step(model, sw, tt, I)
             assert d.alpha == pytest.approx(420 / 600)
 
     def test_cost_is_slower_party(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1),
                               ratio_mode="proportional")
-        d = model.step(fc_sw(), None, I)
+        d = step(model, fc_sw(), None, I)
         assert d.cost == pytest.approx(max(d.cost_i, d.cost_j))
 
     def test_balanced_never_worse_than_proportional(self):
@@ -276,5 +293,5 @@ class TestProportionalMode:
                                      ratio_mode="proportional")
         for t in ALL_TYPES:
             sw = fc_sw(batch=512, d_in=2048, d_out=512)
-            assert (balanced.step(sw, I, t).cost
-                    <= proportional.step(sw, I, t).cost * (1 + 1e-9))
+            assert (step(balanced, sw, I, t).cost
+                    <= step(proportional, sw, I, t).cost * (1 + 1e-9))

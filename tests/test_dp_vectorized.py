@@ -1,13 +1,14 @@
-"""Equivalence and property tests for the vectorized DP backend.
+"""Equivalence and property tests for the vectorized Eq. 9 recurrence.
 
-The contract under test: :func:`repro.core.dp_vectorized.search_stages_vectorized`
-is *bit-identical* to the scalar :func:`repro.core.dp_search.search_stages` —
-same typed entries in the same order, the same float cost, the same exit
-state — across randomized series-parallel workloads (including nested
-fork-in-path regions and per-layer space restrictions), every cost-model
-configuration, and the degenerate corners.  The shared tie-break rule in
-:mod:`repro.core.tiebreak` gets its own property test: the masked argmin
-must agree with a literal first-seen-wins scalar scan.
+The contract under test: :func:`repro.core.dp_vectorized.search_stages` is
+*bit-identical* to the scalar reference recurrence of
+``tests/reference_search.py`` fed from the same packed step costs — same
+typed entries in the same order, the same float cost, the same exit state
+— across randomized series-parallel workloads (including nested
+fork-in-path regions and per-layer space restrictions), every ratio mode,
+analytic and calibrated profiles, and the degenerate corners.  The shared
+tie-break rule in :mod:`repro.core.tiebreak` gets its own property test:
+the masked argmin must agree with a literal first-seen-wins scalar scan.
 """
 
 import random
@@ -15,12 +16,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
-from repro.core.dp_vectorized import (
-    clear_pack_caches,
-    search_stages_vectorized,
-)
+from repro.core.cost_model import REACHABLE_CELLS, PairCostModel
+from repro.core.dp_vectorized import search_stages
 from repro.core.stages import (
     ShardedLayerStage,
     ShardedParallelStage,
@@ -36,6 +33,7 @@ from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkl
 from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.hardware.profile import CalibratedProfile, SpecProfile
+from tests.reference_search import reference_search
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -116,8 +114,6 @@ def random_model(rng):
         lhs, rhs,
         dtype_bytes=rng.choice((1, 2, 4)),
         ratio_mode=mode,
-        closed_form=rng.random() < 0.5,
-        memoize=rng.random() < 0.5,
     )
 
 
@@ -155,22 +151,21 @@ def random_calibrated_model(rng):
         lhs, rhs,
         dtype_bytes=rng.choice((1, 2, 4)),
         ratio_mode=mode,
-        closed_form=rng.random() < 0.5,
-        memoize=rng.random() < 0.5,
         profile=random_profile(rng),
     )
 
 
 def assert_same_search(stages, model_a, model_b, space=ALL_TYPES, space_fn=None):
-    scalar = search_stages(stages, model_a, space, space_fn=space_fn)
-    vector = search_stages_vectorized(stages, model_b, space, space_fn=space_fn)
+    """The DP on ``model_b`` == the reference fed from ``model_a``'s pack."""
+    scalar = reference_search(stages, model_a, space=space, space_fn=space_fn)
+    vector = search_stages(stages, model_b, space, space_fn=space_fn)
     assert vector.entries == scalar.entries
     assert vector.cost == scalar.cost          # bitwise, not approx
     assert vector.exit_state == scalar.exit_state
 
 
 class TestRandomizedEquivalence:
-    """≥200 random workloads: the two backends emit bit-identical plans."""
+    """≥200 random workloads: DP and reference emit bit-identical plans."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_series_parallel(self, seed):
@@ -240,10 +235,10 @@ class TestRandomizedEquivalence:
 
 
 class TestCalibratedProfileEquivalence:
-    """The bit-identity contract extends to calibrated profiles: the same
-    per-kind rates, bandwidth curves and latency constants flow through
-    the packed path in the same scalar lookups (memoized per size), so
-    plans must stay bitwise equal, not just close."""
+    """The bit-identity contract extends to calibrated profiles: per-kind
+    rates, bandwidth curves and latency constants only change the packed
+    costs, which both recurrences read, so plans must stay bitwise equal,
+    not just close."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_series_parallel_with_profile(self, seed):
@@ -270,7 +265,7 @@ class TestCalibratedProfileEquivalence:
         assert_same_search(stages, model_a, model_b, space_fn=fn)
 
     def test_profile_changes_pack_key(self):
-        """Analytic and calibrated models must never share a pack cache row."""
+        """Analytic and calibrated models must never share an alignment-cache row."""
         rng = random.Random(99)
         lhs, rhs = make_group(TPU_V3, 2), make_group(TPU_V2, 2)
         analytic = PairCostModel(lhs, rhs)
@@ -294,20 +289,19 @@ class TestDegenerateCases:
         assert_same_search(stages, two_party_model(), two_party_model())
 
     def test_empty_stage_list(self):
-        result = search_stages_vectorized([], two_party_model())
+        result = search_stages([], two_party_model())
         assert result.entries == ()
         assert result.cost == 0.0
         assert result.exit_state is None
 
     def test_empty_space_raises(self):
         with pytest.raises(ValueError, match="non-empty"):
-            search_stages_vectorized([fc_layer("l", 8, 8, 8)], two_party_model(),
-                                     space=())
+            search_stages([fc_layer("l", 8, 8, 8)], two_party_model(), space=())
 
     def test_all_empty_fork_raises(self):
         region = ShardedParallelStage(paths=((), ()), name="hollow")
         with pytest.raises(ValueError, match="no weighted layers"):
-            search_stages_vectorized([region], two_party_model())
+            search_stages([region], two_party_model())
 
     def test_hypar_space(self):
         stages = [fc_layer(f"l{i}", 64, 128, 128) for i in range(4)]
@@ -395,13 +389,7 @@ class TestTieBreakProperty:
         assert values[0, 0] == 0.9
 
 
-class TestCountersAndCaches:
-    def setup_method(self):
-        clear_pack_caches()
-
-    def teardown_method(self):
-        clear_pack_caches()
-
+class TestCounters:
     def test_vec_counters_tick(self):
         stages = [
             fc_layer("pre", 64, 64, 64),
@@ -410,29 +398,19 @@ class TestCountersAndCaches:
             ),
         ]
         model = two_party_model()
-        search_stages_vectorized(stages, model)
+        search_stages(stages, model)
         s = model.stats
         assert s.vec_searches == 1
-        assert s.vec_pack_cache_misses == 1
-        assert s.vec_pack_cache_hits == 0
+        assert s.step_calls == 2 * REACHABLE_CELLS   # one pack of two layers
+        assert s.ratio_solves > 0
         assert s.vec_multipath_batches == 1
         assert s.vec_pack_ns > 0
         assert s.vec_recurrence_ns > 0
 
-    def test_pack_cache_hits_across_models(self):
+    def test_every_search_packs_afresh(self):
+        # no cross-search pack cache: each search builds its own tensors
         stages = [fc_layer(f"l{i}", 64, 64, 64) for i in range(3)]
-        a, b = two_party_model(), two_party_model()
-        search_stages_vectorized(stages, a)
-        search_stages_vectorized(stages, b)
-        assert a.stats.vec_pack_cache_misses == 1
-        assert b.stats.vec_pack_cache_hits == 1
-        assert b.stats.vec_pack_cache_misses == 0
-
-    def test_no_pack_cache_without_memoize(self):
-        stages = [fc_layer(f"l{i}", 64, 64, 64) for i in range(3)]
-        a = two_party_model(memoize=False)
-        b = two_party_model(memoize=False)
-        search_stages_vectorized(stages, a)
-        search_stages_vectorized(stages, b)
-        assert a.stats.vec_pack_cache_hits == 0
-        assert b.stats.vec_pack_cache_hits == 0
+        model = two_party_model()
+        search_stages(stages, model)
+        search_stages(stages, model)
+        assert model.stats.step_calls == 2 * 3 * REACHABLE_CELLS

@@ -137,6 +137,25 @@ class TestPlanRequestFingerprint:
         with pytest.raises(ValueError):
             PlanRequest(model="alexnet", array=self.array, batch=0)
 
+    def test_every_exact_dp_spelling_shares_one_fingerprint(self):
+        spellings = ("dp", "DP", "accpar", "exact", "dp-vectorized",
+                     "dp_vectorized", "dpv", "vectorized")
+        requests = [self.request(backend=b) for b in spellings]
+        assert {r.backend for r in requests} == {"dp"}
+        keys = {r.fingerprint() for r in requests}
+        assert len(keys) == 1
+        assert self.request(backend="greedy").fingerprint() not in keys
+        # no backend keeps its own key: the scheme's default may evolve
+        assert self.request().fingerprint() not in keys
+
+    def test_backend_aliases_canonicalize(self):
+        assert self.request(backend="brute_force").backend == "brute-force"
+        assert self.request(backend="Fixed").backend == "fixed-type"
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(KeyError, match="unknown search backend"):
+            self.request(backend="simulated-annealing")
+
 
 class TestProfileFingerprintSeparation:
     """Calibrated and analytic plans must never share a cache entry."""

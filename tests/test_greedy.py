@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
+from repro.core.dp_vectorized import search_stages
 from repro.core.greedy import greedy_chain
 from repro.core.stages import ShardedLayerStage, to_sharded_stages
 from repro.core.types import PartitionType, ShardedWorkload

@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import (
-    TransitionInfo,
-    _BackNode,
-    dp_over_stages,
-    layer_stage_transitions,
-)
 from repro.core.stages import ShardedLayerStage
 from repro.core.types import (
-    ALL_TYPES,
     PartitionType,
     Phase,
     ShardedWorkload,
 )
 from repro.graph.layers import LayerWorkload
-from repro.plan.ir import LayerAssignment
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.numeric.sharding import AxisShard, reassemble, take
 from repro.numeric.two_device import (
@@ -42,62 +34,6 @@ def fc_stage(name="fc", batch=8, d_in=6, d_out=4):
 @pytest.fixture
 def model():
     return PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1))
-
-
-class TestBacktracking:
-    def test_backtrack_restores_stage_order(self):
-        first = _BackNode((LayerAssignment("x", I, 0.5),), parent=None)
-        second = _BackNode((LayerAssignment("y", II, 0.5),), parent=first)
-        assert [e.name for e in second.backtrack()] == ["x", "y"]
-
-    def test_empty_groups_skipped(self):
-        first = _BackNode((LayerAssignment("x", I, 0.5),), parent=None)
-        empty = _BackNode((), parent=first)
-        assert [e.name for e in empty.backtrack()] == ["x"]
-
-    def test_shared_prefix_not_copied(self):
-        # two branches share the same parent chain object (O(N) memory)
-        prefix = _BackNode((LayerAssignment("x", I, 0.5),), parent=None)
-        left = _BackNode((LayerAssignment("l", II, 0.5),), parent=prefix)
-        right = _BackNode((LayerAssignment("r", III, 0.5),), parent=prefix)
-        assert left.parent is right.parent
-        assert [e.name for e in left.backtrack()] == ["x", "l"]
-        assert [e.name for e in right.backtrack()] == ["x", "r"]
-
-    def test_transition_info_is_plain_record(self):
-        info = TransitionInfo(1.0, (LayerAssignment("x", I, 0.5),))
-        assert info.cost == 1.0
-        by_name = {e.name: e for e in info.entries}
-        assert by_name["x"].ptype is I
-
-
-class TestDpInternals:
-    def test_layer_transitions_cover_in_states_times_space(self, model):
-        stage = fc_stage()
-        transitions = layer_stage_transitions(stage, model, ALL_TYPES,
-                                              [None, I])
-        assert len(transitions) == 2 * 3
-        for (tt, t), info in transitions.items():
-            assert info.cost > 0
-            by_name = {e.name: e for e in info.entries}
-            assert by_name["fc"].ptype is t
-
-    def test_dp_over_stages_exposes_all_exits(self, model):
-        exits = dp_over_stages([fc_stage()], model, ALL_TYPES, {None: 0.0})
-        assert set(exits) == set(ALL_TYPES)
-
-    def test_entry_costs_shift_results(self, model):
-        handicap = 100.0
-        exits = dp_over_stages(
-            [fc_stage()], model, ALL_TYPES, {I: handicap, II: 0.0}
-        )
-        # every path through the handicapped entry is at least that expensive
-        for state, (cost, _) in exits.items():
-            assert cost < handicap  # the II entry is always preferable
-
-    def test_empty_entry_rejected(self, model):
-        with pytest.raises(ValueError):
-            dp_over_stages([fc_stage()], model, ALL_TYPES, {})
 
 
 class TestStepPairCosts:

@@ -1,10 +1,14 @@
-"""Unit tests for multi-path (fork/join) search — Section 5.2, Figure 4."""
+"""Unit tests for multi-path (fork/join) search — Section 5.2, Figure 4.
+
+The macro-transition tables come from the scalar reference recurrence
+(``tests/reference_search.py``), which the DP matches bit for bit
+(``tests/test_dp_vectorized.py``); the end-to-end tests run the DP itself.
+"""
 
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
-from repro.core.multipath import alignment_cost, parallel_stage_transitions
+from repro.core.dp_vectorized import search_stages
 from repro.core.stages import (
     ShardedLayerStage,
     ShardedParallelStage,
@@ -13,7 +17,8 @@ from repro.core.stages import (
 from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
-from repro.plan.ir import JoinAlignment, LayerAssignment, LevelPlan, PathExit
+from repro.plan.ir import LayerAssignment, LevelPlan
+from tests.reference_search import chain_exits, pack_feed, parallel_transitions
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -31,8 +36,14 @@ def residual_region(with_skip_layer=False):
 
 
 def as_level(info_or_result):
-    """View a TransitionInfo or SearchResult's entries through LevelPlan."""
+    """View a Transition or SearchResult's entries through LevelPlan."""
     return LevelPlan(entries=tuple(info_or_result.entries))
+
+
+def parallel_stage_transitions(stage, model, space, in_states):
+    """The reference macro-transition table, fed from the model's pack."""
+    return parallel_transitions(stage, model, pack_feed(model, [stage]),
+                                space, in_states)
 
 
 @pytest.fixture
@@ -44,16 +55,16 @@ def model():
 class TestAlignmentCost:
     def test_same_state_is_free(self, model):
         for t in ALL_TYPES:
-            assert alignment_cost(model, 1000.0, t, t) == 0.0
+            assert model.alignment_cost(1000.0, t, t) == 0.0
 
     def test_free_entry_is_free(self, model):
-        assert alignment_cost(model, 1000.0, None, I) == 0.0
+        assert model.alignment_cost(1000.0, None, I) == 0.0
 
     def test_zero_transitions_free(self, model):
-        assert alignment_cost(model, 1000.0, II, III) == 0.0
+        assert model.alignment_cost(1000.0, II, III) == 0.0
 
     def test_costly_transition_positive(self, model):
-        assert alignment_cost(model, 1000.0, I, III) > 0.0
+        assert model.alignment_cost(1000.0, I, III) > 0.0
 
 
 class TestParallelTransitions:
@@ -81,10 +92,12 @@ class TestParallelTransitions:
         """A two-path region must cost at least each path alone."""
         region = residual_region(with_skip_layer=True)
         transitions = parallel_stage_transitions(region, model, ALL_TYPES, [I])
-        single = search_stages([fc_stage("p2a"), fc_stage("p2b")], model,
-                               entry={I: 0.0})
+        path = [fc_stage("p2a"), fc_stage("p2b")]
+        exits = chain_exits(path, model, pack_feed(model, path), ALL_TYPES,
+                            {I: 0.0})
+        single = min(info.cost for info in exits.values())
         best_region = min(info.cost for info in transitions.values())
-        assert best_region >= single.cost - 1e-12
+        assert best_region >= single - 1e-12
 
     def test_all_empty_paths_raise(self, model):
         stage = ShardedParallelStage(paths=((), ()), name="empty")
@@ -206,8 +219,8 @@ class TestEndToEndMultipath:
 
 
 class TestNestedForkJoin:
-    """A fork nested inside one path of another fork (satellite: deep
-    fork-in-path coverage for parallel_stage_transitions)."""
+    """A fork nested inside one path of another fork (deep fork-in-path
+    coverage for the macro-transition)."""
 
     @staticmethod
     def nested_region():

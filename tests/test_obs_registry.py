@@ -1,12 +1,11 @@
-"""Unified metrics registry: histograms, counters, shims, Prometheus text."""
+"""Unified metrics registry: histograms, counters, Prometheus text."""
 
+import importlib
 import random
 import re
 
 import pytest
 
-import repro.core.counters as counters_shim
-import repro.service.metrics as metrics_shim
 from repro.obs.registry import (
     PLANNER_COUNTER_NAMES,
     SERVICE_COUNTER_NAMES,
@@ -15,7 +14,6 @@ from repro.obs.registry import (
     LatencyHistogram,
     MetricsRegistry,
     PerfCounters,
-    planner_counters,
     render_prometheus,
 )
 
@@ -199,17 +197,22 @@ class TestCountersAndRegistry:
         assert perf.snapshot() == {}
 
 
-class TestImportShims:
-    """Historical import paths must resolve to the unified objects."""
+class TestNoShims:
+    """The registry is imported from repro.obs.registry only."""
 
-    def test_service_metrics_shim(self):
-        assert metrics_shim.Counter is Counter
-        assert metrics_shim.LatencyHistogram is LatencyHistogram
-        assert metrics_shim.MetricsRegistry is MetricsRegistry
+    @pytest.mark.parametrize("module", ["repro.core.counters",
+                                        "repro.service.metrics",
+                                        "repro.experiments.calibration"])
+    def test_reexport_shims_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
-    def test_core_counters_shim(self):
-        assert counters_shim.PerfCounters is PerfCounters
-        assert counters_shim.planner_counters is planner_counters
+    def test_service_package_exports_the_registry_classes(self):
+        import repro.service as service
+
+        assert service.Counter is Counter
+        assert service.LatencyHistogram is LatencyHistogram
+        assert service.MetricsRegistry is MetricsRegistry
 
 
 class TestPrometheusRendering:

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
+from repro.core.dp_vectorized import search_stages
 from repro.core.planner import AccParPlanner
 from repro.core.stages import to_sharded_stages
 from repro.hardware import heterogeneous_array
@@ -176,7 +176,7 @@ class TestPlannerSpanTree:
     def test_span_tree_covers_hierarchy_dp_and_ratio(self, enabled_tracer, array):
         spans = plan_spans(enabled_tracer, array)
         names = {s.name for s in spans}
-        assert {"hierarchy.plan", "dp.search", "dp.stage",
+        assert {"hierarchy.plan", "dp.search", "dp.pack", "dp.recurrence",
                 "ratio.solve"} <= names
 
     def test_hierarchy_recursion_nests(self, enabled_tracer, array):
@@ -203,21 +203,29 @@ class TestPlannerSpanTree:
         for span in spans:
             if span.name == "dp.search":
                 assert index[span.parent_id].name == "hierarchy.plan"
-            elif span.name == "dp.stage":
+            elif span.name in ("dp.pack", "dp.recurrence"):
                 assert index[span.parent_id].name == "dp.search"
             elif span.name == "ratio.solve":
-                parent = index[span.parent_id]
-                assert parent.name in ("dp.stage", "multipath.path_dp")
-                assert "path" in span.attributes
+                # the batched Eq. 10 solve of one pack, with its path split
+                assert index[span.parent_id].name == "dp.pack"
+                assert span.attributes["cells"] > 0
+                assert sum(span.attributes["paths"].values()) == \
+                    span.attributes["cells"]
 
-    def test_multipath_spans_on_branching_models(self, enabled_tracer, array):
+    def test_search_splits_into_pack_and_recurrence(self, enabled_tracer, array):
         spans = plan_spans(enabled_tracer, array, model="resnet18")
-        multipath = [s for s in spans if s.name == "multipath.path_dp"]
-        assert multipath, "resnet18 should exercise fork/join path DPs"
-        index = {s.span_id: s for s in spans}
-        for span in multipath:
-            assert index[span.parent_id].name == "dp.stage"
-            assert isinstance(span.attributes["path"], int)
+        searches = {s.span_id: s for s in spans if s.name == "dp.search"}
+        assert searches
+        children = {}
+        for span in spans:
+            if span.parent_id in searches:
+                children.setdefault(span.parent_id, []).append(span)
+        for span_id, parent in searches.items():
+            kids = children[span_id]
+            assert sorted(k.name for k in kids) == ["dp.pack", "dp.recurrence"]
+            for kid in kids:
+                assert parent.start_ns <= kid.start_ns
+                assert kid.end_ns <= parent.end_ns
 
 
 class TestChromeExport:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel, inter_layer_elements
-from repro.core.dp_search import search_stages
+from repro.core.dp_vectorized import search_stages
 from repro.core.ratio import RATIO_HI, RATIO_LO, solve_balanced_ratio
 from repro.core.stages import ShardedLayerStage
 from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload

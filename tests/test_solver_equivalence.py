@@ -1,14 +1,16 @@
-"""Property tests for the planner hot-path overhaul.
+"""The packed closed form against the bisection-fed reference.
 
-Two equivalence guarantees back the optimizations:
+Two equivalence guarantees back the planner's one step-cost kernel:
 
-* the closed-form Eq. 10 solver (:func:`solve_balanced_ratio_poly` over
-  polynomial coefficients) agrees with the bracketed bisection to within
-  1e-9 in α, for every Table 5 transition, over every workload of every
-  registered model, on both a heterogeneous and a homogeneous pair;
-* step-decision memoization changes nothing: end-to-end hierarchical plans
-  are bit-identical (types, ratios, per-level costs) with the cache on and
-  off.
+* every packed Eq. 10 ratio (:meth:`PairCostModel.pack_step_tensors`, the
+  batched closed-form solve) agrees with bracketed bisection over the
+  per-party formulas to within 1e-9 in α, for every Table 5 transition,
+  over every workload of every registered model, on both a heterogeneous
+  and a homogeneous pair;
+* end-to-end hierarchical plans from the DP match the scalar reference
+  recurrence fed by bisection (``tests/reference_search.py``, registered as
+  a search backend): identical types, ratios within 1e-9, per-level costs
+  within float noise.
 """
 
 import pytest
@@ -16,11 +18,13 @@ import pytest
 from repro.core.cost_model import PairCostModel
 from repro.core.hierarchy import collect_level_plans
 from repro.core.planner import AccParScheme, Planner
-from repro.core.ratio import solve_balanced_ratio, solve_balanced_ratio_poly
+from repro.core.ratio import solve_balanced_ratio
 from repro.core.types import ALL_TYPES, ShardedWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.hardware.presets import heterogeneous_array
 from repro.models import available_models, build_model
+from repro.plan import backends, register_backend
+from tests.reference_search import REFERENCE_BACKEND, ReferenceBisectionBackend
 
 #: every Eq. 9 entry condition: the free entry boundary plus the nine
 #: (prev, cur) Table 5 transitions
@@ -38,69 +42,60 @@ def _pair_models():
 class TestClosedFormMatchesBisection:
     @pytest.mark.parametrize("model_name", available_models())
     def test_alpha_within_1e9_across_registry(self, model_name):
-        net = build_model(model_name)
-        pairs = _pair_models()
+        workloads = [ShardedWorkload(w)
+                     for w in build_model(model_name).workloads(batch=16)]
         checked = 0
-        for workload in net.workloads(batch=16):
-            sw = ShardedWorkload(workload)
-            for pair_name, model in pairs.items():
+        for pair_name, model in _pair_models().items():
+            pack = model.pack_step_tensors(workloads)
+            for row, sw in enumerate(workloads):
                 for prev, cur in TRANSITIONS:
-                    poly = model.step_poly(sw, prev, cur)
-                    alpha_closed, _ = solve_balanced_ratio_poly(poly)
+                    alpha_packed = pack.cell(row, prev, cur)[1]
                     alpha_bisect = solve_balanced_ratio(
                         lambda a: model.step_pair_costs(sw, prev, cur, a)[:2]
                     )
-                    assert abs(alpha_closed - alpha_bisect) <= 1e-9, (
-                        model_name, pair_name, workload.name, prev, cur,
-                        alpha_closed, alpha_bisect,
+                    assert abs(alpha_packed - alpha_bisect) <= 1e-9, (
+                        model_name, pair_name, sw.name, prev, cur,
+                        alpha_packed, alpha_bisect,
                     )
                     checked += 1
-        assert checked == len(list(net.workloads(batch=16))) * 2 * len(TRANSITIONS)
-
-    def test_poly_costs_match_closure_costs(self):
-        """The coefficient derivation must reproduce step_pair_costs exactly
-        at arbitrary α, not just at the balanced point."""
-        net = build_model("alexnet")
-        model = PairCostModel(make_group(TPU_V3, 4), make_group(TPU_V2, 4))
-        for workload in net.workloads(batch=16):
-            sw = ShardedWorkload(workload)
-            for prev, cur in TRANSITIONS:
-                poly = model.step_poly(sw, prev, cur)
-                for alpha in (0.001, 0.25, 0.5, 0.75, 0.999):
-                    ci, cj = model.step_pair_costs(sw, prev, cur, alpha)[:2]
-                    pi, pj = poly.costs(alpha)
-                    assert pi == pytest.approx(ci, rel=1e-12)
-                    assert pj == pytest.approx(cj, rel=1e-12)
+        assert checked == len(workloads) * 2 * len(TRANSITIONS)
 
 
-class TestMemoizationChangesNothing:
+@pytest.fixture
+def reference_backend(monkeypatch):
+    """Register the bisection-fed reference for one test only."""
+    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+    monkeypatch.setattr(backends, "_ALIASES", dict(backends._ALIASES))
+    register_backend(REFERENCE_BACKEND, ReferenceBisectionBackend)
+    return REFERENCE_BACKEND
+
+
+def assert_same_plan(name, packed, reference):
+    """Types identical, ratios within 1e-9, per-level costs within noise."""
+    packed_levels = collect_level_plans(packed.plan)
+    reference_levels = collect_level_plans(reference.plan)
+    assert len(packed_levels) == len(reference_levels), name
+    for got, want in zip(packed_levels, reference_levels):
+        assert set(got.assignments) == set(want.assignments), name
+        for key in got.assignments:
+            g, w = got.assignments[key], want.assignments[key]
+            assert g.ptype is w.ptype, (name, key, g.ptype, w.ptype)
+            assert abs(g.ratio - w.ratio) <= 1e-9, (name, key, g.ratio, w.ratio)
+        assert got.cost == pytest.approx(want.cost, rel=1e-9), name
+
+
+class TestPlansMatchBisectionReference:
     @pytest.mark.parametrize("model_name", ["lenet", "alexnet", "resnet18", "trident"])
-    def test_plans_bit_identical_with_and_without_memo(self, model_name):
+    def test_zoo_plans_on_heterogeneous_array(self, reference_backend, model_name):
         net = build_model(model_name)
         array = heterogeneous_array()
-        with_memo = Planner(array, AccParScheme(memoize=True)).plan(net, 64)
-        without = Planner(array, AccParScheme(memoize=False)).plan(net, 64)
+        packed = Planner(array, AccParScheme()).plan(net, 64)
+        reference = Planner(array, AccParScheme(backend=reference_backend)).plan(net, 64)
+        assert_same_plan(model_name, packed, reference)
 
-        memo_levels = collect_level_plans(with_memo.plan)
-        plain_levels = collect_level_plans(without.plan)
-        assert len(memo_levels) == len(plain_levels)
-        for memo, plain in zip(memo_levels, plain_levels):
-            assert memo.cost == plain.cost  # bit-identical, not approx
-            assert set(memo.assignments) == set(plain.assignments)
-            for key in memo.assignments:
-                m, p = memo.assignments[key], plain.assignments[key]
-                assert m.ptype is p.ptype, (model_name, key)
-                assert m.ratio == p.ratio, (model_name, key)
-
-    def test_homogeneous_array_also_identical(self):
+    def test_homogeneous_array(self, reference_backend):
         net = build_model("alexnet")
         array = make_group(TPU_V3, 16)
-        with_memo = Planner(array, AccParScheme(memoize=True)).plan(net, 64)
-        without = Planner(array, AccParScheme(memoize=False)).plan(net, 64)
-        for memo, plain in zip(
-            collect_level_plans(with_memo.plan), collect_level_plans(without.plan)
-        ):
-            assert memo.cost == plain.cost
-            assert {k: (v.ptype, v.ratio) for k, v in memo.assignments.items()} == {
-                k: (v.ptype, v.ratio) for k, v in plain.assignments.items()
-            }
+        packed = Planner(array, AccParScheme()).plan(net, 64)
+        reference = Planner(array, AccParScheme(backend=reference_backend)).plan(net, 64)
+        assert_same_plan("alexnet", packed, reference)

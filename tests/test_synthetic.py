@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import get_scheme
 from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel
-from repro.core.dp_search import search_stages
+from repro.core.dp_vectorized import search_stages
 from repro.core.planner import Planner
 from repro.core.stages import ShardedLayerStage, to_sharded_stages
 from repro.core.types import ShardedWorkload
