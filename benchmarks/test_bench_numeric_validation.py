@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.types import PartitionType
 from repro.experiments.reporting import format_table
-from repro.numeric import LayerPlanNumeric, MlpSpec, validate_partitioned_training
+from repro.numeric import MlpSpec, validate_partitioned_training
+from repro.plan import LayerPartition
 
 from conftest import save_artifact
 
@@ -28,7 +29,7 @@ def test_exhaustive_numeric_validation(benchmark, results_dir):
         results = []
         for combo in itertools.product((I, II, III), repeat=3):
             for ratio in (0.25, 0.5, 0.75):
-                plan = [LayerPlanNumeric(t, ratio) for t in combo]
+                plan = [LayerPartition(t, ratio) for t in combo]
                 report = validate_partitioned_training(spec, plan, batch=8)
                 results.append((combo, ratio, report))
         return results

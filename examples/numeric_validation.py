@@ -14,13 +14,12 @@ import itertools
 from repro.core.types import PartitionType
 from repro.numeric import (
     CnnSpec,
-    ConvLayerPlan,
     ConvLayerSpec,
-    LayerPlanNumeric,
     MlpSpec,
     validate_conv_partitioned_training,
     validate_partitioned_training,
 )
+from repro.plan import LayerPartition
 from repro.training import compare_runs, synthetic_task, train_partitioned, train_reference
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
@@ -32,7 +31,7 @@ def main() -> None:
     print("FC partition algebra (27 type combinations, alpha=0.25):")
     exact = 0
     for combo in itertools.product((I, II, III), repeat=3):
-        plan = [LayerPlanNumeric(t, 0.25) for t in combo]
+        plan = [LayerPartition(t, 0.25) for t in combo]
         report = validate_partitioned_training(spec, plan, batch=8)
         assert report.numerically_exact
         assert report.intra_matches_table4 and report.inter_matches_table5
@@ -45,7 +44,7 @@ def main() -> None:
     print("CONV partition algebra (9 type pairs):")
     for t0, t1 in itertools.product((I, II, III), repeat=2):
         report = validate_conv_partitioned_training(
-            cnn, [ConvLayerPlan(t0, 0.5), ConvLayerPlan(t1, 0.5)], batch=4
+            cnn, [LayerPartition(t0, 0.5), LayerPartition(t1, 0.5)], batch=4
         )
         status = "exact" if report.numerically_exact else "FAILED"
         print(f"  {t0!s:>9} -> {t1!s:<9} {status}  "
@@ -56,8 +55,8 @@ def main() -> None:
     print("\nmulti-step training (momentum, mixed II/III/I plan):")
     mlp = MlpSpec([8, 12, 8, 4])
     x, target = synthetic_task(mlp, batch=16)
-    plan = [LayerPlanNumeric(II, 0.5), LayerPlanNumeric(III, 0.5),
-            LayerPlanNumeric(I, 0.5)]
+    plan = [LayerPartition(II, 0.5), LayerPartition(III, 0.5),
+            LayerPartition(I, 0.5)]
     ref = train_reference(mlp, x, target, steps=30, optimizer="momentum")
     par = train_partitioned(mlp, plan, x, target, steps=30, optimizer="momentum")
     print(f"  loss: {ref.losses[0]:.4f} -> {ref.final_loss:.4f} (reference)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..graph import (
     Add,
@@ -119,3 +119,17 @@ def random_chain_widths(seed: int, min_layers: int = 2, max_layers: int = 12,
             int(min_width * (max_width / min_width) ** exponent)
         )
     return [max(w, min_width) for w in widths]
+
+
+def mlp_network(widths: Sequence[int], name: str = "mlp") -> Network:
+    """A plain FC chain with layers ``fc0 .. fc{n-1}`` and ReLUs between.
+
+    The layer names match :class:`~repro.numeric.MlpSpec`'s, so a plan of
+    this network runs on the numeric executor as is.
+    """
+    net = Network(name, Input("input", channels=widths[0]))
+    for k in range(len(widths) - 1):
+        net.add(Linear(f"fc{k}", widths[k], widths[k + 1]))
+        if k < len(widths) - 2:
+            net.add(ReLU(f"relu{k}"))
+    return net

@@ -71,6 +71,26 @@ class CnnSpec:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    @property
+    def layer_names(self) -> List[str]:
+        return [f"cv{k}" for k in range(self.n_layers)]
+
+    # the three phase kernels of layer k on (A, W, E) — the leaves of the
+    # partitioned executor's recursion
+    def forward(self, k: int, a: np.ndarray, w: np.ndarray, e) -> np.ndarray:
+        layer = self.layers[k]
+        return conv_forward(a, w, layer.stride, layer.padding)
+
+    def input_grad(self, k: int, a: np.ndarray, w: np.ndarray,
+                   e: np.ndarray) -> np.ndarray:
+        layer = self.layers[k]
+        return conv_input_grad(e, w, a.shape, layer.stride, layer.padding)
+
+    def weight_grad(self, k: int, a: np.ndarray, w: np.ndarray,
+                    e: np.ndarray) -> np.ndarray:
+        layer = self.layers[k]
+        return conv_weight_grad(a, e, w.shape, layer.stride, layer.padding)
+
     def geometries(self) -> List[Tuple[int, int, int]]:
         """(C, H, W) before each layer plus the final output geometry."""
         out = [(self.in_channels, self.height, self.width)]

@@ -37,6 +37,10 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
+    @property
+    def layer_names(self) -> List[str]:
+        return [f"fc{k}" for k in range(self.n_layers)]
+
     def init_weights(self, seed: int = 0) -> List[np.ndarray]:
         rng = np.random.default_rng(seed)
         return [
@@ -44,6 +48,19 @@ class MlpSpec:
             / np.sqrt(self.widths[i])
             for i in range(self.n_layers)
         ]
+
+    # the three phase kernels of layer k on (A, W, E) — the leaves of the
+    # partitioned executor's recursion
+    def forward(self, k: int, a: np.ndarray, w: np.ndarray, e) -> np.ndarray:
+        return a @ w
+
+    def input_grad(self, k: int, a: np.ndarray, w: np.ndarray,
+                   e: np.ndarray) -> np.ndarray:
+        return e @ w.T
+
+    def weight_grad(self, k: int, a: np.ndarray, w: np.ndarray,
+                    e: np.ndarray) -> np.ndarray:
+        return a.T @ e
 
 
 def relu(x: np.ndarray) -> np.ndarray:

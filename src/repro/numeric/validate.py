@@ -16,10 +16,11 @@ import numpy as np
 
 from ..core.cost_model import inter_layer_elements
 from ..core.types import PartitionType
-from .conv_partitioned import ConvLayerPlan, ConvTwoDeviceExecutor
+from ..plan.ir import LayerPartition
 from .conv_reference import CnnSpec, conv_reference_step
+from .executor import PartitionedExecutor
 from .reference import MlpSpec, reference_step
-from .two_device import LayerPlanNumeric, TwoDeviceExecutor
+from .sharding import effective_alpha
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -46,7 +47,7 @@ class ValidationReport:
 
 
 def expected_intra_elements(
-    spec: MlpSpec, plan: Sequence[LayerPlanNumeric], batch: int
+    spec: MlpSpec, plan: Sequence[LayerPartition], batch: int
 ) -> Dict[str, Tuple[int, int]]:
     """Table 4 psum element counts per layer, per device."""
     out: Dict[str, Tuple[int, int]] = {}
@@ -70,7 +71,7 @@ def expected_intra_elements(
 
 
 def expected_inter_elements(
-    spec: MlpSpec, plan: Sequence[LayerPlanNumeric], batch: int
+    spec: MlpSpec, plan: Sequence[LayerPartition], batch: int
 ) -> Dict[str, Tuple[int, int]]:
     """Table 5 element counts per boundary (F + E directions), per device.
 
@@ -81,7 +82,7 @@ def expected_inter_elements(
     out: Dict[str, Tuple[int, int]] = {}
     for k in range(1, spec.n_layers):
         prev, cur = plan[k - 1], plan[k]
-        alpha = cur.effective_alpha(batch, spec.widths[k], spec.widths[k + 1])
+        alpha = effective_alpha(cur, batch, spec.widths[k], spec.widths[k + 1])
         boundary = batch * spec.widths[k]
         amount_i, amount_j = inter_layer_elements(
             float(boundary), prev.ptype, cur.ptype, alpha
@@ -91,7 +92,7 @@ def expected_inter_elements(
 
 
 def expected_conv_intra_elements(
-    spec: CnnSpec, plan: Sequence[ConvLayerPlan], batch: int
+    spec: CnnSpec, plan: Sequence[LayerPartition], batch: int
 ) -> Dict[str, Tuple[int, int]]:
     """Table 4 psum counts for CONV layers (Section 4.3's spatial scaling)."""
     out: Dict[str, Tuple[int, int]] = {}
@@ -112,7 +113,7 @@ def expected_conv_intra_elements(
 
 
 def expected_conv_inter_elements(
-    spec: CnnSpec, plan: Sequence[ConvLayerPlan], batch: int
+    spec: CnnSpec, plan: Sequence[LayerPartition], batch: int
 ) -> Dict[str, Tuple[int, int]]:
     """Table 5 boundary counts for CONV layers, per device."""
     out: Dict[str, Tuple[int, int]] = {}
@@ -120,7 +121,7 @@ def expected_conv_inter_elements(
     for k in range(1, spec.n_layers):
         prev, cur = plan[k - 1], plan[k]
         dims = (batch, spec.layers[k].in_channels, spec.layers[k].out_channels)
-        alpha = cur.effective_alpha(*dims)
+        alpha = effective_alpha(cur, *dims)
         c, h, w = geoms[k]
         boundary = batch * c * h * w
         amount_i, amount_j = inter_layer_elements(
@@ -130,23 +131,12 @@ def expected_conv_inter_elements(
     return out
 
 
-def validate_conv_partitioned_training(
-    spec: CnnSpec,
-    plan: Sequence[ConvLayerPlan],
-    batch: int,
-    seed: int = 0,
-    check_tables: bool = True,
-) -> ValidationReport:
-    """CONV counterpart of :func:`validate_partitioned_training`."""
-    rng = np.random.default_rng(seed)
-    weights = spec.init_weights(seed)
-    x = rng.standard_normal((batch, spec.in_channels, spec.height, spec.width))
-    out_geom = spec.geometries()[-1]
-    target = rng.standard_normal((batch, *out_geom))
-
-    ref = conv_reference_step(spec, weights, x, target)
-    par, comm = ConvTwoDeviceExecutor(spec, weights, plan, batch).step(x, target)
-
+def _compare(spec, plan: Sequence[LayerPartition], batch: int, weights, x,
+             target, ref, expected_intra, expected_inter,
+             check_tables: bool) -> ValidationReport:
+    """Run the two-device plan on the reference's data and compare."""
+    par = PartitionedExecutor(spec, weights, [plan], batch).step(x, target)
+    comm = par.comm
     act_err = max(
         float(np.max(np.abs(a - b)))
         for a, b in zip(ref.activations, par.activations)
@@ -160,14 +150,19 @@ def validate_conv_partitioned_training(
     intra_ok = True
     inter_ok = True
     if check_tables:
-        intra_ok = comm.intra == expected_conv_intra_elements(spec, plan, batch)
-        expected_inter = expected_conv_inter_elements(spec, plan, batch)
-        measured: Dict[str, Tuple[int, int]] = {}
-        for key in expected_inter:
+        measured_intra = {
+            f"layer{k}": comm.intra[(0, name)]
+            for k, name in enumerate(spec.layer_names)
+            if (0, name) in comm.intra
+        }
+        intra_ok = measured_intra == expected_intra(spec, plan, batch)
+        expected = expected_inter(spec, plan, batch)
+        measured_inter: Dict[str, Tuple[int, int]] = {}
+        for key in expected:
             fwd = comm.inter_forward.get(key, (0, 0))
             bwd = comm.inter_backward.get(key, (0, 0))
-            measured[key] = (fwd[0] + bwd[0], fwd[1] + bwd[1])
-        inter_ok = measured == expected_inter
+            measured_inter[key] = (fwd[0] + bwd[0], fwd[1] + bwd[1])
+        inter_ok = measured_inter == expected
 
     return ValidationReport(
         max_activation_error=act_err,
@@ -179,9 +174,28 @@ def validate_conv_partitioned_training(
     )
 
 
+def validate_conv_partitioned_training(
+    spec: CnnSpec,
+    plan: Sequence[LayerPartition],
+    batch: int,
+    seed: int = 0,
+    check_tables: bool = True,
+) -> ValidationReport:
+    """CONV counterpart of :func:`validate_partitioned_training`."""
+    rng = np.random.default_rng(seed)
+    weights = spec.init_weights(seed)
+    x = rng.standard_normal((batch, spec.in_channels, spec.height, spec.width))
+    out_geom = spec.geometries()[-1]
+    target = rng.standard_normal((batch, *out_geom))
+    ref = conv_reference_step(spec, weights, x, target)
+    return _compare(spec, plan, batch, weights, x, target, ref,
+                    expected_conv_intra_elements, expected_conv_inter_elements,
+                    check_tables)
+
+
 def validate_partitioned_training(
     spec: MlpSpec,
-    plan: Sequence[LayerPlanNumeric],
+    plan: Sequence[LayerPartition],
     batch: int,
     seed: int = 0,
     check_tables: bool = True,
@@ -191,38 +205,7 @@ def validate_partitioned_training(
     weights = spec.init_weights(seed)
     x = rng.standard_normal((batch, spec.widths[0]))
     target = rng.standard_normal((batch, spec.widths[-1]))
-
     ref = reference_step(weights, x, target)
-    executor = TwoDeviceExecutor(spec, weights, plan, batch)
-    par = executor.step(x, target)
-
-    act_err = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(ref.activations, par.activations)
-    )
-    grad_err = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(ref.gradients, par.gradients)
-    )
-    loss_err = abs(ref.loss - par.loss)
-
-    intra_ok = True
-    inter_ok = True
-    if check_tables:
-        intra_ok = par.comm.intra == expected_intra_elements(spec, plan, batch)
-        expected_inter = expected_inter_elements(spec, plan, batch)
-        measured_inter: Dict[str, Tuple[int, int]] = {}
-        for key in expected_inter:
-            fwd = par.comm.inter_forward.get(key, (0, 0))
-            bwd = par.comm.inter_backward.get(key, (0, 0))
-            measured_inter[key] = (fwd[0] + bwd[0], fwd[1] + bwd[1])
-        inter_ok = measured_inter == expected_inter
-
-    return ValidationReport(
-        max_activation_error=act_err,
-        max_gradient_error=grad_err,
-        loss_error=loss_err,
-        comm_total_elements=par.comm.total_elements(),
-        intra_matches_table4=intra_ok,
-        inter_matches_table5=inter_ok,
-    )
+    return _compare(spec, plan, batch, weights, x, target, ref,
+                    expected_intra_elements, expected_inter_elements,
+                    check_tables)

@@ -6,7 +6,6 @@ from .loop import (
     conv_synthetic_task,
     synthetic_task,
     train_partitioned,
-    train_partitioned_conv,
     train_reference,
     train_reference_conv,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "make_rule",
     "synthetic_task",
     "train_partitioned",
-    "train_partitioned_conv",
     "train_reference",
     "train_reference_conv",
 ]

@@ -9,13 +9,17 @@ task — the end-to-end demonstration that partitioned training *is* training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..numeric.executor import PartitionedExecutor
 from ..numeric.reference import MlpSpec, reference_step
-from ..numeric.two_device import LayerPlanNumeric, TwoDeviceExecutor
 from .optimizers import make_rule
+
+if TYPE_CHECKING:
+    from ..numeric.conv_reference import CnnSpec
+    from ..plan.ir import LayerPartition
 
 
 @dataclass
@@ -62,8 +66,8 @@ def train_reference(
 
 
 def train_partitioned(
-    spec: MlpSpec,
-    plan: Sequence[LayerPlanNumeric],
+    spec: Union[MlpSpec, "CnnSpec"],
+    plan: Sequence["LayerPartition"],
     x: np.ndarray,
     target: np.ndarray,
     steps: int,
@@ -71,7 +75,7 @@ def train_partitioned(
     seed: int = 0,
     **opt_kwargs,
 ) -> TrainingRun:
-    """Two-device partitioned training.
+    """Two-device partitioned training of an MLP or a CNN.
 
     The optimizer update is element-wise on each device's weight shard;
     because shards tile the weight tensor exactly (and Type-I replicas see
@@ -79,7 +83,7 @@ def train_partitioned(
     tensors is mathematically the shard-local update.
     """
     weights = spec.init_weights(seed)
-    executor = TwoDeviceExecutor(spec, weights, plan, batch=x.shape[0])
+    executor = PartitionedExecutor(spec, weights, [plan], batch=x.shape[0])
     rule = make_rule(optimizer, **opt_kwargs)
     losses = []
     for _ in range(steps):
@@ -126,19 +130,3 @@ def train_reference_conv(spec, x, target, steps: int, optimizer: str = "sgd",
         losses.append(trace.loss)
         rule.apply(weights, trace.gradients)
     return TrainingRun(losses=losses, weights=weights)
-
-
-def train_partitioned_conv(spec, plan, x, target, steps: int,
-                           optimizer: str = "sgd", seed: int = 0,
-                           **opt_kwargs) -> TrainingRun:
-    from ..numeric.conv_partitioned import ConvTwoDeviceExecutor
-
-    weights = spec.init_weights(seed)
-    executor = ConvTwoDeviceExecutor(spec, weights, plan, batch=x.shape[0])
-    rule = make_rule(optimizer, **opt_kwargs)
-    losses = []
-    for _ in range(steps):
-        trace, _ = executor.step(x, target)
-        losses.append(trace.loss)
-        rule.apply(executor.weights, trace.gradients)
-    return TrainingRun(losses=losses, weights=executor.weights)

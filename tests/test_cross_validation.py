@@ -16,11 +16,11 @@ from repro.core.cost_model import inter_layer_elements
 from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
 from repro.numeric import (
-    LayerPlanNumeric,
     MlpSpec,
-    TwoDeviceExecutor,
+    PartitionedExecutor,
     expected_intra_elements,
 )
+from repro.plan import LayerPartition
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -45,7 +45,7 @@ def run_numeric(plan):
     weights = SPEC.init_weights(0)
     x = rng.standard_normal((BATCH, WIDTHS[0]))
     target = rng.standard_normal((BATCH, WIDTHS[-1]))
-    return TwoDeviceExecutor(SPEC, weights, plan, BATCH).step(x, target)
+    return PartitionedExecutor(SPEC, weights, [plan], BATCH).step(x, target)
 
 
 class TestIntraConsistency:
@@ -53,19 +53,19 @@ class TestIntraConsistency:
     def test_psum_closed_form_equals_counted(self, ptype):
         """a_psum(t) (the planner's Table 4 quantity) equals what the
         executor actually moved for every layer."""
-        plan = [LayerPlanNumeric(ptype, 0.5) for _ in range(SPEC.n_layers)]
+        plan = [LayerPartition(ptype, 0.5) for _ in range(SPEC.n_layers)]
         trace = run_numeric(plan)
         for k, sw in enumerate(analytic_workloads()):
             if ptype is III and k == 0:
                 continue  # first layer's backward psum never runs
-            counted_i, counted_j = trace.comm.intra[f"layer{k}"]
+            counted_i, counted_j = trace.comm.intra[(0, f"fc{k}")]
             assert counted_i == sw.a_psum(ptype)
             assert counted_j == sw.a_psum(ptype)
 
     def test_expected_helper_agrees_with_planner_quantities(self):
         """numeric.validate's hand-derived expectations equal a_psum too."""
         for ptype in ALL_TYPES:
-            plan = [LayerPlanNumeric(ptype, 0.5) for _ in range(SPEC.n_layers)]
+            plan = [LayerPartition(ptype, 0.5) for _ in range(SPEC.n_layers)]
             expected = expected_intra_elements(SPEC, plan, BATCH)
             for k, sw in enumerate(analytic_workloads()):
                 if ptype is III and k == 0:
@@ -82,8 +82,8 @@ class TestInterConsistency:
     def test_boundary_closed_form_equals_counted(self, tt, t):
         """Table 5's closed form equals the executor's counted re-sharding
         traffic at the layer0/layer1 boundary, per device, F+E combined."""
-        plan = [LayerPlanNumeric(tt, 0.5)] + [
-            LayerPlanNumeric(t, 0.5) for _ in range(SPEC.n_layers - 1)
+        plan = [LayerPartition(tt, 0.5)] + [
+            LayerPartition(t, 0.5) for _ in range(SPEC.n_layers - 1)
         ]
         trace = run_numeric(plan)
         boundary_elements = float(BATCH * WIDTHS[1])
@@ -96,8 +96,8 @@ class TestInterConsistency:
     def test_asymmetric_ratio_consistency(self):
         """Same check at alpha=0.25 on an exactly divisible axis."""
         tt, t = I, III
-        plan = [LayerPlanNumeric(tt, 0.25)] + [
-            LayerPlanNumeric(t, 0.25) for _ in range(SPEC.n_layers - 1)
+        plan = [LayerPartition(tt, 0.25)] + [
+            LayerPartition(t, 0.25) for _ in range(SPEC.n_layers - 1)
         ]
         trace = run_numeric(plan)
         boundary_elements = float(BATCH * WIDTHS[1])

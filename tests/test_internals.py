@@ -12,14 +12,17 @@ from repro.core.types import (
 )
 from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
-from repro.numeric.sharding import AxisShard, reassemble, take
-from repro.numeric.two_device import (
-    CommLog,
-    LayerPlanNumeric,
+from repro.numeric.executor import CommLog
+from repro.numeric.sharding import (
+    AxisShard,
     Layout,
+    effective_alpha,
     error_consumer_layout,
     error_producer_layout,
+    reassemble,
+    take,
 )
+from repro.plan import LayerPartition
 from repro.sim.trace import EventKind, optimizer_update_events, total_amount
 from repro.training.optimizers import ADAM, SGD
 
@@ -78,33 +81,33 @@ class TestShardingHelpers:
 class TestErrorLayouts:
     def test_consumer_layouts(self):
         dims = (8, 4, 4)
-        assert error_consumer_layout(LayerPlanNumeric(I, 0.5), *dims).kind == "row"
-        assert error_consumer_layout(LayerPlanNumeric(II, 0.5), *dims).kind == "full"
-        assert error_consumer_layout(LayerPlanNumeric(III, 0.5), *dims).kind == "col"
+        assert error_consumer_layout(LayerPartition(I, 0.5), *dims).kind == "row"
+        assert error_consumer_layout(LayerPartition(II, 0.5), *dims).kind == "full"
+        assert error_consumer_layout(LayerPartition(III, 0.5), *dims).kind == "col"
 
     def test_producer_layouts(self):
         dims = (8, 4, 4)
-        assert error_producer_layout(LayerPlanNumeric(I, 0.5), *dims).kind == "row"
-        assert error_producer_layout(LayerPlanNumeric(II, 0.5), *dims).kind == "col"
-        assert error_producer_layout(LayerPlanNumeric(III, 0.5), *dims).kind == "full"
+        assert error_producer_layout(LayerPartition(I, 0.5), *dims).kind == "row"
+        assert error_producer_layout(LayerPartition(II, 0.5), *dims).kind == "col"
+        assert error_producer_layout(LayerPartition(III, 0.5), *dims).kind == "full"
 
     def test_effective_alpha_tracks_integer_split(self):
-        plan = LayerPlanNumeric(I, 0.3)
-        assert plan.effective_alpha(10, 4, 4) == pytest.approx(0.3)
+        plan = LayerPartition(I, 0.3)
+        assert effective_alpha(plan, 10, 4, 4) == pytest.approx(0.3)
         # with a tiny axis the snap is coarse
-        assert LayerPlanNumeric(I, 0.3).effective_alpha(3, 4, 4) == pytest.approx(1 / 3)
+        assert effective_alpha(LayerPartition(I, 0.3), 3, 4, 4) == pytest.approx(1 / 3)
 
 
 class TestCommLog:
     def test_record_accumulates(self):
         log = CommLog()
-        log.record(log.intra, "layer0", 5, 7)
-        log.record(log.intra, "layer0", 1, 2)
-        assert log.intra["layer0"] == (6, 9)
+        log.record(log.intra, (0, "fc0"), 5, 7)
+        log.record(log.intra, (0, "fc0"), 1, 2)
+        assert log.intra[(0, "fc0")] == (6, 9)
 
     def test_total_elements(self):
         log = CommLog()
-        log.record(log.intra, "a", 1, 2)
+        log.record(log.intra, (0, "a"), 1, 2)
         log.record(log.inter_forward, "b", 3, 4)
         log.record(log.inter_backward, "c", 5, 6)
         assert log.total_elements() == 21

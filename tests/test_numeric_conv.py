@@ -13,9 +13,8 @@ import pytest
 from repro.core.types import PartitionType
 from repro.numeric import (
     CnnSpec,
-    ConvLayerPlan,
     ConvLayerSpec,
-    ConvTwoDeviceExecutor,
+    PartitionedExecutor,
     col2im,
     conv_forward,
     conv_input_grad,
@@ -24,6 +23,7 @@ from repro.numeric import (
     im2col,
     validate_conv_partitioned_training,
 )
+from repro.plan import LayerPartition
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -137,7 +137,7 @@ class TestPartitionedConv:
     )
     def test_all_type_pairs_exact(self, t0, t1):
         spec = small_cnn()
-        plan = [ConvLayerPlan(t0, 0.5), ConvLayerPlan(t1, 0.5)]
+        plan = [LayerPartition(t0, 0.5), LayerPartition(t1, 0.5)]
         report = validate_conv_partitioned_training(spec, plan, batch=4)
         assert report.max_gradient_error < 1e-9
         assert report.loss_error < 1e-9
@@ -147,7 +147,7 @@ class TestPartitionedConv:
     @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.75])
     def test_asymmetric_ratios(self, ratio):
         spec = small_cnn()
-        plan = [ConvLayerPlan(II, ratio), ConvLayerPlan(III, ratio)]
+        plan = [LayerPartition(II, ratio), LayerPartition(III, ratio)]
         report = validate_conv_partitioned_training(spec, plan, batch=4)
         assert report.numerically_exact
 
@@ -160,8 +160,8 @@ class TestPartitionedConv:
                 ConvLayerSpec(8, 4, kernel=1),
             ],
         )
-        plan = [ConvLayerPlan(I, 0.5), ConvLayerPlan(II, 0.5),
-                ConvLayerPlan(III, 0.5)]
+        plan = [LayerPartition(I, 0.5), LayerPartition(II, 0.5),
+                LayerPartition(III, 0.5)]
         report = validate_conv_partitioned_training(spec, plan, batch=4)
         assert report.numerically_exact
         assert report.intra_matches_table4
@@ -170,15 +170,15 @@ class TestPartitionedConv:
     def test_plan_length_mismatch_raises(self):
         spec = small_cnn()
         with pytest.raises(ValueError):
-            ConvTwoDeviceExecutor(spec, spec.init_weights(), [ConvLayerPlan(I, 0.5)],
-                                  batch=4)
+            PartitionedExecutor(spec, spec.init_weights(),
+                                [[LayerPartition(I, 0.5)]], batch=4)
 
     def test_spatial_scaling_of_comm(self):
         """Halving the spatial size quarters the boundary traffic."""
         def traffic(h):
             spec = CnnSpec(4, h, h, [ConvLayerSpec(4, 4, kernel=3, padding=1),
                                      ConvLayerSpec(4, 4, kernel=3, padding=1)])
-            plan = [ConvLayerPlan(I, 0.5), ConvLayerPlan(III, 0.5)]
+            plan = [LayerPartition(I, 0.5), LayerPartition(III, 0.5)]
             report = validate_conv_partitioned_training(spec, plan, batch=4)
             return report.comm_total_elements
 

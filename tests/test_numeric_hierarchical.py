@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import PartitionType
-from repro.numeric.hierarchical import HierarchicalMlpExecutor
+from repro.numeric.executor import PartitionedExecutor
 from repro.numeric.reference import MlpSpec, reference_step
-from repro.numeric.two_device import LayerPlanNumeric
+from repro.plan import LayerPartition
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -31,10 +31,10 @@ def run_both(level_types, ratio=0.5, spec=SPEC, batch=BATCH, seed=0):
     target = rng.standard_normal((batch, spec.widths[-1]))
     ref = reference_step(weights, x, target)
     plans = [
-        [LayerPlanNumeric(t, ratio) for t in per_layer]
+        [LayerPartition(t, ratio) for t in per_layer]
         for per_layer in level_types
     ]
-    hier = HierarchicalMlpExecutor(spec, weights, plans, batch).step(x, target)
+    hier = PartitionedExecutor(spec, weights, plans, batch).step(x, target)
     return ref, hier
 
 
@@ -84,8 +84,8 @@ class TestExactness:
 
     def test_plan_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            HierarchicalMlpExecutor(SPEC, SPEC.init_weights(),
-                                    [[LayerPlanNumeric(I, 0.5)]], BATCH)
+            PartitionedExecutor(SPEC, SPEC.init_weights(),
+                                [[LayerPartition(I, 0.5)]], BATCH)
 
 
 class TestPerLevelTraffic:
@@ -115,7 +115,7 @@ class TestPerLevelTraffic:
 
     def test_type_iii_logs_backward_psums(self):
         _, hier = run_both([[III, III]])
-        keyed = hier.comm.psum_elements
+        keyed = hier.comm.intra
         # layer 0 propagates no error to the input, so only fc1 psums...
         # but the hierarchical executor computes E_0 only if a previous
         # layer exists; layer fc1's backward psum must be present
@@ -126,8 +126,8 @@ class TestPerLevelTraffic:
         traffic: impossible — every type psums in exactly one phase; verify
         instead that each (level, layer) appears at most once per phase."""
         _, hier = run_both([[I, II]])
-        for (level, layer), elements in hier.comm.psum_elements.items():
-            assert elements > 0
+        for (level, layer), elements in hier.comm.intra.items():
+            assert min(elements) > 0
 
 
 class TestPropertyBased:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.types import PartitionType
-from repro.numeric.conv_partitioned import ConvLayerPlan
 from repro.numeric.conv_reference import (
     CnnSpec,
     ConvLayerSpec,
     conv_reference_step,
 )
-from repro.numeric.hierarchical_conv import HierarchicalCnnExecutor
+from repro.numeric.executor import PartitionedExecutor
+from repro.plan import LayerPartition
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -35,13 +35,11 @@ def run_both(level_types, ratio=0.5, batch=8, seed=0):
     target = rng.standard_normal((batch, *spec.geometries()[-1]))
     ref = conv_reference_step(spec, weights, x, target)
     plans = [
-        [ConvLayerPlan(t, ratio) for t in per_layer]
+        [LayerPartition(t, ratio) for t in per_layer]
         for per_layer in level_types
     ]
-    hier, log = HierarchicalCnnExecutor(spec, weights, plans, batch).step(
-        x, target
-    )
-    return ref, hier, log
+    hier = PartitionedExecutor(spec, weights, plans, batch).step(x, target)
+    return ref, hier, hier.comm
 
 
 def max_divergence(ref, hier) -> float:
@@ -76,8 +74,8 @@ class TestExactness:
     def test_plan_length_mismatch_raises(self):
         spec = make_spec()
         with pytest.raises(ValueError):
-            HierarchicalCnnExecutor(spec, spec.init_weights(),
-                                    [[ConvLayerPlan(I, 0.5)]], batch=8)
+            PartitionedExecutor(spec, spec.init_weights(),
+                                [[LayerPartition(I, 0.5)]], batch=8)
 
 
 class TestPerLevelTraffic:
@@ -91,5 +89,5 @@ class TestPerLevelTraffic:
 
     def test_type_ii_forward_psum_scales_with_output_map(self):
         _, _, log = run_both([[II, II]])
-        keyed = log.psum_elements
-        assert keyed[(0, "cv0")] == 2 * 8 * 8 * 8 * 8  # 2 x B x Cout x OH x OW
+        keyed = log.intra
+        assert sum(keyed[(0, "cv0")]) == 2 * 8 * 8 * 8 * 8  # 2 x B x Cout x OH x OW

@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.types import PartitionType
 from repro.numeric import (
     AxisShard,
-    LayerPlanNumeric,
     Layout,
     MlpSpec,
-    TwoDeviceExecutor,
+    PartitionedExecutor,
     expected_inter_elements,
     expected_intra_elements,
     input_layout,
@@ -26,6 +25,7 @@ from repro.numeric import (
     split_point,
     validate_partitioned_training,
 )
+from repro.plan import LayerPartition
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -68,17 +68,17 @@ class TestShardingPrimitives:
 
 class TestLayouts:
     def test_type_i_layouts(self):
-        plan = LayerPlanNumeric(I, 0.5)
+        plan = LayerPartition(I, 0.5)
         assert input_layout(plan, 8, 4, 4).kind == "row"
         assert output_layout(plan, 8, 4, 4).kind == "row"
 
     def test_type_ii_layouts(self):
-        plan = LayerPlanNumeric(II, 0.5)
+        plan = LayerPartition(II, 0.5)
         assert input_layout(plan, 8, 4, 4).kind == "col"
         assert output_layout(plan, 8, 4, 4).kind == "full"
 
     def test_type_iii_layouts(self):
-        plan = LayerPlanNumeric(III, 0.5)
+        plan = LayerPartition(III, 0.5)
         assert input_layout(plan, 8, 4, 4).kind == "full"
         assert output_layout(plan, 8, 4, 4).kind == "col"
 
@@ -91,7 +91,7 @@ class TestAllTypeCombinations:
     )
     def test_two_layer_exact(self, t0, t1):
         spec = MlpSpec([8, 8, 8])
-        plan = [LayerPlanNumeric(t0, 0.5), LayerPlanNumeric(t1, 0.5)]
+        plan = [LayerPartition(t0, 0.5), LayerPartition(t1, 0.5)]
         report = validate_partitioned_training(spec, plan, batch=8)
         assert report.numerically_exact
         assert report.intra_matches_table4
@@ -102,7 +102,7 @@ class TestAllTypeCombinations:
     )
     def test_three_layer_exact(self, combo):
         spec = MlpSpec([8, 8, 8, 8])
-        plan = [LayerPlanNumeric(t, 0.25) for t in combo]
+        plan = [LayerPartition(t, 0.25) for t in combo]
         report = validate_partitioned_training(spec, plan, batch=8)
         assert report.numerically_exact
         assert report.intra_matches_table4
@@ -111,15 +111,15 @@ class TestAllTypeCombinations:
     @pytest.mark.parametrize("ratio", [0.125, 0.25, 0.75, 0.875])
     def test_asymmetric_ratios(self, ratio):
         spec = MlpSpec([16, 16, 16])
-        plan = [LayerPlanNumeric(II, ratio), LayerPlanNumeric(III, ratio)]
+        plan = [LayerPartition(II, ratio), LayerPartition(III, ratio)]
         report = validate_partitioned_training(spec, plan, batch=16)
         assert report.numerically_exact
         assert report.inter_matches_table5
 
     def test_rectangular_widths(self):
         spec = MlpSpec([12, 20, 8, 4])
-        plan = [LayerPlanNumeric(I, 0.5), LayerPlanNumeric(II, 0.5),
-                LayerPlanNumeric(III, 0.5)]
+        plan = [LayerPartition(I, 0.5), LayerPartition(II, 0.5),
+                LayerPartition(III, 0.5)]
         report = validate_partitioned_training(spec, plan, batch=6,
                                                check_tables=False)
         assert report.numerically_exact
@@ -127,8 +127,8 @@ class TestAllTypeCombinations:
     def test_mismatched_plan_length_raises(self):
         spec = MlpSpec([8, 8, 8])
         with pytest.raises(ValueError):
-            TwoDeviceExecutor(spec, spec.init_weights(), [LayerPlanNumeric(I, 0.5)],
-                              batch=8)
+            PartitionedExecutor(spec, spec.init_weights(),
+                                [[LayerPartition(I, 0.5)]], batch=8)
 
 
 class TestCommunicationCounts:
@@ -136,7 +136,7 @@ class TestCommunicationCounts:
         """I→I, II→III, III→II must show zero inter-layer traffic."""
         spec = MlpSpec([8, 8, 8])
         for t0, t1 in [(I, I), (II, III), (III, II)]:
-            plan = [LayerPlanNumeric(t0, 0.5), LayerPlanNumeric(t1, 0.5)]
+            plan = [LayerPartition(t0, 0.5), LayerPartition(t1, 0.5)]
             report = validate_partitioned_training(spec, plan, batch=8)
             expected = expected_inter_elements(spec, plan, 8)
             assert expected["boundary1"] == (0, 0)
@@ -144,21 +144,21 @@ class TestCommunicationCounts:
 
     def test_data_parallel_comm_is_gradient_sync_only(self):
         spec = MlpSpec([8, 8, 8])
-        plan = [LayerPlanNumeric(I, 0.5), LayerPlanNumeric(I, 0.5)]
+        plan = [LayerPartition(I, 0.5), LayerPartition(I, 0.5)]
         weights = spec.init_weights(0)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 8))
         target = rng.standard_normal((8, 8))
-        trace = TwoDeviceExecutor(spec, weights, plan, 8).step(x, target)
+        trace = PartitionedExecutor(spec, weights, [plan], 8).step(x, target)
         # inter-layer traffic: none
         assert all(v == (0, 0) for v in trace.comm.inter_forward.values())
         assert all(v == (0, 0) for v in trace.comm.inter_backward.values())
         # intra traffic: exactly the two weight tensors per device
-        assert trace.comm.intra == {"layer0": (64, 64), "layer1": (64, 64)}
+        assert trace.comm.intra == {(0, "fc0"): (64, 64), (0, "fc1"): (64, 64)}
 
     def test_expected_intra_skips_first_layer_type_iii(self):
         spec = MlpSpec([8, 8])
-        expected = expected_intra_elements(spec, [LayerPlanNumeric(III, 0.5)], 8)
+        expected = expected_intra_elements(spec, [LayerPartition(III, 0.5)], 8)
         assert expected == {}
 
 
@@ -172,7 +172,7 @@ class TestPropertyBased:
     def test_random_plans_are_exact(self, types, ratio, seed):
         widths = [8] * (len(types) + 1)
         spec = MlpSpec(widths)
-        plan = [LayerPlanNumeric(t, ratio) for t in types]
+        plan = [LayerPartition(t, ratio) for t in types]
         report = validate_partitioned_training(spec, plan, batch=8, seed=seed)
         assert report.numerically_exact
         assert report.intra_matches_table4

@@ -11,7 +11,8 @@ import itertools
 import pytest
 
 from repro.core.types import PartitionType
-from repro.numeric import LayerPlanNumeric, MlpSpec
+from repro.numeric import MlpSpec
+from repro.plan import LayerPartition
 from repro.training.loop import (
     compare_runs,
     synthetic_task,
@@ -43,8 +44,8 @@ class TestLossDecreases:
 
     def test_partitioned_learns(self, task):
         x, target = task
-        plan = [LayerPlanNumeric(I, 0.5), LayerPlanNumeric(II, 0.5),
-                LayerPlanNumeric(III, 0.5)]
+        plan = [LayerPartition(I, 0.5), LayerPartition(II, 0.5),
+                LayerPartition(III, 0.5)]
         run = train_partitioned(SPEC, plan, x, target, steps=40)
         assert run.final_loss < run.losses[0] * 0.5
 
@@ -53,8 +54,8 @@ class TestPartitionedMatchesReference:
     @pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
     def test_mixed_plan_all_optimizers(self, task, optimizer):
         x, target = task
-        plan = [LayerPlanNumeric(II, 0.5), LayerPlanNumeric(III, 0.5),
-                LayerPlanNumeric(I, 0.5)]
+        plan = [LayerPartition(II, 0.5), LayerPartition(III, 0.5),
+                LayerPartition(I, 0.5)]
         ref = train_reference(SPEC, x, target, steps=25, optimizer=optimizer)
         par = train_partitioned(SPEC, plan, x, target, steps=25,
                                 optimizer=optimizer)
@@ -66,8 +67,8 @@ class TestPartitionedMatchesReference:
                              list(itertools.product((I, II, III), repeat=3)))
     def test_every_type_combination_with_momentum(self, task, t0, t1, t2):
         x, target = task
-        plan = [LayerPlanNumeric(t0, 0.5), LayerPlanNumeric(t1, 0.5),
-                LayerPlanNumeric(t2, 0.5)]
+        plan = [LayerPartition(t0, 0.5), LayerPartition(t1, 0.5),
+                LayerPartition(t2, 0.5)]
         ref = train_reference(SPEC, x, target, steps=8, optimizer="momentum")
         par = train_partitioned(SPEC, plan, x, target, steps=8,
                                 optimizer="momentum")
@@ -75,8 +76,8 @@ class TestPartitionedMatchesReference:
 
     def test_asymmetric_ratio_training(self, task):
         x, target = task
-        plan = [LayerPlanNumeric(I, 0.25), LayerPlanNumeric(II, 0.75),
-                LayerPlanNumeric(III, 0.25)]
+        plan = [LayerPartition(I, 0.25), LayerPartition(II, 0.75),
+                LayerPartition(III, 0.25)]
         ref = train_reference(SPEC, x, target, steps=15)
         par = train_partitioned(SPEC, plan, x, target, steps=15)
         assert compare_runs(ref, par) < 1e-8
@@ -114,18 +115,17 @@ class TestConvTrainingLoop:
 
     @pytest.mark.parametrize("optimizer", ["sgd", "momentum"])
     def test_conv_partitioned_matches_reference(self, conv_setup, optimizer):
-        from repro.numeric.conv_partitioned import ConvLayerPlan
         from repro.training.loop import (
-            train_partitioned_conv,
+            train_partitioned,
             train_reference_conv,
         )
 
         spec, x, target = conv_setup
-        plan = [ConvLayerPlan(II, 0.5), ConvLayerPlan(III, 0.5)]
+        plan = [LayerPartition(II, 0.5), LayerPartition(III, 0.5)]
         ref = train_reference_conv(spec, x, target, steps=10,
                                    optimizer=optimizer, lr=0.002)
-        par = train_partitioned_conv(spec, plan, x, target, steps=10,
-                                     optimizer=optimizer, lr=0.002)
+        par = train_partitioned(spec, plan, x, target, steps=10,
+                                optimizer=optimizer, lr=0.002)
         assert compare_runs(ref, par) < 1e-8
         for a, b in zip(ref.losses, par.losses):
             assert a == pytest.approx(b, rel=1e-10)
