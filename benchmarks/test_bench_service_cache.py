@@ -1,18 +1,29 @@
 """Benchmark: plan-service cache speedup and single-flight coalescing.
 
-Two serving-layer claims are measured (and enforced):
+Three serving-layer claims are measured (and enforced):
 
 * a warm (cached) request is at least 10x faster than the cold planning run
   it memoizes — the whole point of fronting the O(N·|T|²) DP with a cache;
 * N concurrent identical requests trigger exactly one planner invocation,
-  i.e. a coalescing factor of N.
+  i.e. a coalescing factor of N;
+* the disk tier writes an entry at least 10x faster than the indented
+  writer it replaced, and reads it back no slower than that writer's
+  reader (``results/BENCH_cache.json``).
 """
 
+import hashlib
+import json
 import threading
 import time
 
+from repro.core.planner import AccParPlanner
+from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.hardware.presets import heterogeneous_array
-from repro.service import PlanRequest, PlanService
+from repro.ioutil import atomic_write_text
+from repro.models import build_model
+from repro.plan import plan_diff
+from repro.service import PlanCache, PlanRequest, PlanService
+from repro.service.cache import entry_checksum
 
 from conftest import save_artifact
 
@@ -81,3 +92,124 @@ def test_bench_cold_vs_warm_and_coalescing(results_dir):
         f"warm requests must be >=10x faster than cold (got {speedup:.1f}x: "
         f"cold {cold_s * 1e3:.2f}ms, warm {warm_s * 1e3:.2f}ms)"
     )
+
+
+# --- disk tier -----------------------------------------------------------
+
+DISK_MODELS = ("vgg19", "resnet50")
+DISK_ROUNDS = 5
+PUT_SPEEDUP_GATE = 10.0
+
+
+def reference_put(directory, key, planned):
+    """The indented writer: expand, checksum, ``json.dumps(indent=2)``."""
+    document = plan_to_dict(planned)
+    document["fingerprint"] = key
+    document["checksum"] = entry_checksum(document)
+    atomic_write_text(directory / f"{key}.json",
+                      json.dumps(document, indent=2))
+
+
+def reference_get(directory, key):
+    """The indented layout's reader: parse, ``entry_checksum``, rebuild."""
+    data = json.loads((directory / f"{key}.json").read_text())
+    assert data["checksum"] == entry_checksum(data)
+    return plan_from_dict(data)
+
+
+def single_dumps_put(directory, key, planned):
+    """Today's layout from one ``json.dumps`` of the expanded document:
+    the canonical writer without its subtree memo."""
+    text = json.dumps({**plan_to_dict(planned), "fingerprint": key},
+                      sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    atomic_write_text(directory / f"{key}.json",
+                      f'{{"checksum":"{checksum}",{text[1:]}')
+
+
+def _ms(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return (time.perf_counter() - start) * 1e3
+
+
+def _disk_row(model, array, tmp_path):
+    planned = AccParPlanner(array).plan(build_model(model), batch=BATCH)
+    key = PlanRequest(model=model, array=array, batch=BATCH).fingerprint()
+    dirs = {name: tmp_path / f"{model}-{name}"
+            for name in ("reference", "single", "canonical")}
+    for directory in dirs.values():
+        directory.mkdir()
+
+    samples = {name: [] for name in (
+        "put_ms", "put_ms_reference", "put_ms_single_dumps",
+        "hit_ms", "hit_ms_reference")}
+    cache = PlanCache(disk_dir=dirs["canonical"])
+    # interleaved rounds: host drift hits every writer and reader alike
+    for _ in range(DISK_ROUNDS):
+        samples["put_ms_reference"].append(
+            _ms(reference_put, dirs["reference"], key, planned))
+        samples["put_ms_single_dumps"].append(
+            _ms(single_dumps_put, dirs["single"], key, planned))
+        samples["put_ms"].append(_ms(cache.put, key, planned))
+        samples["hit_ms_reference"].append(
+            _ms(reference_get, dirs["reference"], key))
+        samples["hit_ms"].append(
+            _ms(PlanCache(disk_dir=dirs["canonical"]).get_with_tier, key))
+
+    reader = PlanCache(disk_dir=dirs["canonical"])
+    hit, tier = reader.get_with_tier(key)
+    assert tier == "disk" and reader.stats.corrupt_total == 0
+    assert plan_diff(hit.plan, planned.plan) == []
+    # the memo-free writer lays out the very same bytes
+    entry = (dirs["canonical"] / f"{key}.json").read_bytes()
+    assert entry == (dirs["single"] / f"{key}.json").read_bytes()
+
+    row = {name: round(min(values), 2) for name, values in samples.items()}
+    row.update({
+        "entry_bytes": len(entry),
+        "entry_bytes_reference": (
+            dirs["reference"] / f"{key}.json").stat().st_size,
+    })
+    row["put_speedup"] = round(row["put_ms_reference"] / row["put_ms"], 1)
+    row["put_speedup_single_dumps"] = round(
+        row["put_ms_reference"] / row["put_ms_single_dumps"], 1)
+    row["hit_speedup"] = round(row["hit_ms_reference"] / row["hit_ms"], 2)
+    return row
+
+
+def test_bench_disk_tier(results_dir, tmp_path):
+    array = heterogeneous_array()
+    rows = {model: _disk_row(model, array, tmp_path) for model in DISK_MODELS}
+
+    payload = {
+        "description": (
+            f"Disk-tier entry write (PlanCache.put) and disk hit (a fresh "
+            f"PlanCache.get_with_tier) against the indented writer and its "
+            f"reader (plan_to_dict + entry_checksum + json.dumps(indent=2); "
+            f"json.loads + entry_checksum + plan_from_dict), timed in one "
+            f"process on {array.size} boards (hetero), batch {BATCH}.  "
+            f"put_ms_single_dumps is today's layout from one json.dumps "
+            f"of the expanded document (no subtree memo).  Best of "
+            f"{DISK_ROUNDS} interleaved rounds."
+        ),
+        "boards": array.size,
+        "batch": BATCH,
+        "rounds": DISK_ROUNDS,
+        "put_speedup_gate": PUT_SPEEDUP_GATE,
+        "models": rows,
+    }
+    text = json.dumps(payload, indent=2)
+    atomic_write_text(results_dir / "BENCH_cache.json", text + "\n")
+    print(f"\n[artifact: {results_dir / 'BENCH_cache.json'}]\n{text}")
+
+    for model, row in rows.items():
+        assert row["put_speedup"] >= PUT_SPEEDUP_GATE, (
+            f"{model}: disk-tier put only {row['put_speedup']}x faster than "
+            f"the indented writer ({row['put_ms']} vs "
+            f"{row['put_ms_reference']} ms)"
+        )
+        assert row["hit_ms"] <= row["hit_ms_reference"], (
+            f"{model}: disk hit {row['hit_ms']} ms is slower than the "
+            f"indented reader's {row['hit_ms_reference']} ms"
+        )

@@ -5,6 +5,9 @@ plan once and ship the decision to the runtime, so plans round-trip through
 a plain-JSON document: the accelerator array, the model name and batch, and
 the per-level plan entries.  Loading re-derives the pairing tree and sharded
 stages deterministically and re-attaches the stored decisions.
+:func:`plan_to_dict` builds that document; :func:`plan_to_json` writes it
+as canonical JSON text (sorted keys, no whitespace) for plan files and
+disk-cache entries.
 
 Format version 2 stores each level as an *ordered* ``"entries"`` list of
 typed records (``layer`` / ``join`` / ``exit``), mirroring the plan IR of
@@ -44,6 +47,10 @@ FORMAT_VERSION = 2
 #: versions this reader understands; v1 documents go through the
 #: assignments-dict migration shim below
 SUPPORTED_VERSIONS = (1, 2)
+
+#: the canonical encoding: ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))``, without building an encoder per call
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # v1's synthetic-key encoding of fork/join decisions, kept only for migration
 _V1_JOIN_PREFIX = "@join:"
@@ -215,8 +222,33 @@ def _plan_node_from_dict(data: Optional[Dict], scheme: str,
     )
 
 
-def plan_to_dict(planned: PlannedExecution) -> Dict:
-    """Serialize a planned execution to a JSON-compatible document (v2)."""
+def _plan_node_json(plan: Optional[HierarchicalPlan],
+                    memo: Dict[int, str]) -> str:
+    """:func:`_plan_node_to_dict` as canonical JSON text.
+
+    ``memo`` maps ``id(node)`` to the node's text, so a subtree object the
+    planner shares between several parents is encoded once and repeated.
+    Ids are stable because the tree keeps every node alive for the call.
+    """
+    if plan is None or plan.level_plan is None:
+        return "null"
+    text = memo.get(id(plan))
+    if text is None:
+        level = plan.level_plan
+        entries = [_entry_to_dict(e) for e in level.entries]
+        # keys in sorted order: cost, entries, left, right, scheme
+        text = memo[id(plan)] = (
+            f'{{"cost":{_canonical(level.cost)},'
+            f'"entries":{_canonical(entries)},'
+            f'"left":{_plan_node_json(plan.left, memo)},'
+            f'"right":{_plan_node_json(plan.right, memo)},'
+            f'"scheme":{_canonical(level.scheme)}}}'
+        )
+    return text
+
+
+def _document_head(planned: PlannedExecution) -> Dict:
+    """Every top-level field of the v2 document except the plan tree."""
     return {
         "format_version": FORMAT_VERSION,
         "network": planned.network_name,
@@ -225,8 +257,31 @@ def plan_to_dict(planned: PlannedExecution) -> Dict:
         "dtype_bytes": planned.dtype_bytes,
         "levels": planned.hierarchy_levels(),
         "array": [_spec_to_dict(m) for m in planned.tree.group.members],
-        "plan": _plan_node_to_dict(planned.plan),
     }
+
+
+def plan_to_dict(planned: PlannedExecution) -> Dict:
+    """Serialize a planned execution to a JSON-compatible document (v2)."""
+    return {**_document_head(planned), "plan": _plan_node_to_dict(planned.plan)}
+
+
+def plan_to_json(planned: PlannedExecution, **extra) -> str:
+    """Serialize a planned execution to canonical JSON text (v2).
+
+    The text is byte-equal to ``json.dumps({**plan_to_dict(planned),
+    **extra}, sort_keys=True, separators=(",", ":"))``: sorted keys, no
+    whitespace.  It is built without that document, though: the planner
+    shares one subtree object between symmetric halves of the pairing tree
+    (a 128-board resnet50 plan has 127 nodes but 13 distinct subtrees), and
+    each distinct subtree is encoded once.  ``extra`` adds top-level keys,
+    such as the disk cache's ``fingerprint``.
+    """
+    fields = {key: _canonical(value)
+              for key, value in {**_document_head(planned), **extra}.items()}
+    if "plan" not in fields:
+        fields["plan"] = _plan_node_json(planned.plan, {})
+    return "{" + ",".join(
+        f"{_canonical(key)}:{fields[key]}" for key in sorted(fields)) + "}"
 
 
 def plan_from_dict(
@@ -238,8 +293,14 @@ def plan_from_dict(
     Accepts both current (v2) documents and v1 documents, which are migrated
     transparently.  ``network_builder`` resolves the stored model name; it
     defaults to the model-zoo registry, so custom models must be registered
-    (or passed via a custom builder) before loading.
+    (or passed via a custom builder) before loading.  A document of the
+    wrong shape (not an object, a field missing or of the wrong type)
+    raises :class:`PlanFormatError`.
     """
+    if not isinstance(data, dict):
+        raise PlanFormatError(
+            f"a plan document is a JSON object, not {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise PlanFormatError(
@@ -247,13 +308,24 @@ def plan_from_dict(
             f"{SUPPORTED_VERSIONS}); re-plan with this version of the "
             f"library or load with a matching reader"
         )
-    builder = network_builder or build_model
-    network = builder(data["network"])
+    name = data.get("network")
+    if not isinstance(name, str):
+        raise PlanFormatError(f"plan document names no model: {name!r}")
+    network = (network_builder or build_model)(name)
 
-    array = AcceleratorGroup(tuple(_spec_from_dict(s) for s in data["array"]))
-    tree = bisection_tree(array, data["levels"])
-    stages = to_sharded_stages(network.stages(data["batch"]))
-    plan = _plan_node_from_dict(data["plan"], data["scheme"], version)
+    try:
+        array = AcceleratorGroup(
+            tuple(_spec_from_dict(s) for s in data["array"]))
+        tree = bisection_tree(array, data["levels"])
+        batch = data["batch"]
+        stages = to_sharded_stages(network.stages(batch))
+        scheme = data["scheme"]
+        plan = _plan_node_from_dict(data["plan"], scheme, version)
+        dtype_bytes = data["dtype_bytes"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        # a missing field or one of the wrong shape: a null array, a string
+        # where a plan node belongs, ...
+        raise PlanFormatError(f"malformed plan document: {exc!r}") from None
 
     if plan.depth() != tree.depth():
         raise ValueError(
@@ -262,19 +334,19 @@ def plan_from_dict(
         )
 
     return PlannedExecution(
-        network_name=data["network"],
-        batch=data["batch"],
-        scheme=data["scheme"],
+        network_name=name,
+        batch=batch,
+        scheme=scheme,
         tree=tree,
         stages=stages,
         plan=plan,
-        dtype_bytes=data["dtype_bytes"],
+        dtype_bytes=dtype_bytes,
     )
 
 
 def save_plan(planned: PlannedExecution, path) -> None:
-    """Atomically write a plan to a JSON file."""
-    atomic_write_text(path, json.dumps(plan_to_dict(planned), indent=2))
+    """Atomically write a plan to a file as canonical JSON."""
+    atomic_write_text(path, plan_to_json(planned))
 
 
 def load_plan(path, network_builder=None) -> PlannedExecution:

@@ -13,12 +13,22 @@ kept apart:
 * **forward-compat misses** — a well-formed document this build cannot
   use (future schema version, unregistered model).  Counted in
   ``disk_errors`` and left in place: a newer build may read it fine.
-* **corruption** — unparseable JSON or a checksum mismatch (torn write,
-  bit rot, hand edits).  Every entry is written with an embedded SHA-256
-  ``checksum`` over its canonical JSON; an entry that fails the check is
-  **quarantined** — renamed to ``<fingerprint>.json.corrupt`` rather than
-  deleted, so operators can inspect what broke — and counted in
-  ``corrupt_total`` (exposed as ``repro_cache_corrupt_total``).
+* **corruption** — bytes that are not UTF-8, text that is not a JSON
+  object, or a checksum mismatch (torn write, bit rot, hand edits).  An
+  entry that fails is **quarantined** — renamed to
+  ``<fingerprint>.json.corrupt`` rather than deleted, so operators can
+  inspect what broke — and counted in ``corrupt_total`` (exposed as
+  ``repro_cache_corrupt_total``).
+
+Every entry is written with a SHA-256 ``checksum`` of its canonical JSON
+(sorted keys, no whitespace, checksum field excluded: :func:`entry_checksum`).
+The writer encodes the document once, as that canonical text, and lays
+the entry out as ``{"checksum":"<hex>",`` followed by the rest of the
+text, so the checksum covers exactly the bytes after it.  A reader checks
+such an entry with one hash of its bytes; any other entry (the indented
+layout earlier builds wrote, a hand edit, a byte mismatch) is checked by
+:func:`entry_checksum` on the parsed document, the rule every build
+applies, so entries move freely between builds sharing a directory.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 from ..core.planner import PlannedExecution
-from ..core.serialize import plan_from_dict, plan_to_dict
+from ..core.serialize import plan_from_dict, plan_to_json
 from ..graph.network import Network
 from ..ioutil import atomic_write_text
 from ..obs.logging import get_logger
@@ -43,11 +53,33 @@ log = get_logger("repro.service.cache")
 CORRUPT_SUFFIX = ".corrupt"
 
 
+#: how a written entry starts: ``{"checksum":"``, 64 hex digits, ``",``
+_HEAD = b'{"checksum":"'
+_HEAD_LEN = len(_HEAD) + 64 + 2
+
+
 def entry_checksum(document: dict) -> str:
     """SHA-256 over a disk entry's canonical JSON, checksum field excluded."""
     payload = {k: v for k, v in document.items() if k != "checksum"}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _checksum_matches(raw: bytes, document: dict) -> bool:
+    """Whether a disk entry's stored checksum matches its content.
+
+    An entry laid out as the writer lays it out passes when the SHA-256 of
+    its bytes after the checksum (with the ``{`` the checksum displaced)
+    equals the stored checksum; every other entry goes through
+    :func:`entry_checksum`.
+    """
+    stored = document["checksum"]
+    if raw.startswith(_HEAD) and raw[_HEAD_LEN - 2:_HEAD_LEN] == b'",':
+        digest = hashlib.sha256(b"{")
+        digest.update(memoryview(raw)[_HEAD_LEN:])
+        if digest.hexdigest() == stored:
+            return True
+    return entry_checksum(document) == stored
 
 
 @dataclass
@@ -86,7 +118,9 @@ class PlanCache:
     """LRU plan cache with an optional persistent disk tier.
 
     ``capacity`` bounds the in-memory tier only; the disk tier grows without
-    bound (plans are a few KB each).  A disk hit is promoted into memory so
+    bound.  An entry holds the whole expanded pairing tree, so its size
+    grows with the array: a 256-board resnet50 entry is about 1.6 MB, a
+    4-board alexnet entry a few KB.  A disk hit is promoted into memory so
     repeated lookups pay the JSON parse once.
     """
 
@@ -174,18 +208,21 @@ class PlanCache:
         if path is None or not path.exists():
             return None
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             with self._lock:
                 self.stats.disk_errors += 1
             return None
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._quarantine(path, f"unparseable JSON: {exc}")
+            data = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            self._quarantine(path, f"unparseable entry: {exc}")
             return None
-        if isinstance(data, dict) and "checksum" in data and \
-                data["checksum"] != entry_checksum(data):
+        if not isinstance(data, dict):
+            self._quarantine(path, f"not a JSON object: "
+                                   f"{type(data).__name__}")
+            return None
+        if "checksum" in data and not _checksum_matches(raw, data):
             self._quarantine(path, "checksum mismatch")
             return None
         try:
@@ -217,12 +254,12 @@ class PlanCache:
         path = self._disk_path(key)
         if path is None:
             return
-        document = plan_to_dict(planned)
-        document["fingerprint"] = key
-        document["checksum"] = entry_checksum(document)
-        # unique temp name + os.replace: atomic against concurrent readers
-        # AND concurrent writers of the same fingerprint
-        atomic_write_text(path, json.dumps(document, indent=2))
+        text = plan_to_json(planned, fingerprint=key)
+        checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        # the checksum goes first, so the bytes after it are the canonical
+        # text it hashes.  Unique temp name + os.replace: atomic against
+        # concurrent readers AND concurrent writers of the same fingerprint
+        atomic_write_text(path, f'{{"checksum":"{checksum}",{text[1:]}')
 
     # ------------------------------------------------------------------
     # introspection

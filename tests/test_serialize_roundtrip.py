@@ -87,6 +87,37 @@ class TestForwardCompatibility:
     def test_plan_format_error_is_a_value_error(self):
         assert issubclass(PlanFormatError, ValueError)
 
+    @pytest.mark.parametrize("document", [[1, 2], 42, "plan", None])
+    def test_non_object_document_raises_plan_format_error(self, document):
+        with pytest.raises(PlanFormatError, match="JSON object"):
+            plan_from_dict(document)
+
+    @pytest.mark.parametrize("field,value", [
+        ("plan", "oops"),
+        ("plan", [1]),
+        ("array", None),
+        ("array", [7]),
+        ("levels", "2"),
+        ("network", None),
+    ])
+    def test_wrong_shaped_field_raises_plan_format_error(self, alexnet_doc,
+                                                         field, value):
+        alexnet_doc[field] = value
+        with pytest.raises(PlanFormatError):
+            plan_from_dict(alexnet_doc)
+
+    @pytest.mark.parametrize("field", ["batch", "scheme", "dtype_bytes",
+                                       "plan", "network"])
+    def test_missing_field_raises_plan_format_error(self, alexnet_doc, field):
+        del alexnet_doc[field]
+        with pytest.raises(PlanFormatError):
+            plan_from_dict(alexnet_doc)
+
+    def test_wrong_shaped_entry_raises_plan_format_error(self, alexnet_doc):
+        alexnet_doc["plan"]["entries"][0] = 3
+        with pytest.raises(PlanFormatError):
+            plan_from_dict(alexnet_doc)
+
     def test_extra_document_keys_roundtrip(self, alexnet_doc, tmp_path):
         # the disk cache tier stores the fingerprint inside the document;
         # the reader must not choke on keys it does not know

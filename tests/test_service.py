@@ -166,6 +166,49 @@ class TestDiskTier:
         assert response.source == "disk" and response.cache_hit
         assert second.cache.stats.corrupt_total == 0
 
+    # a malformed entry is a miss that replans, never a failed request
+    def _plan_over(self, tmp_path, request, content):
+        (tmp_path / f"{request.fingerprint()}.json").write_bytes(content)
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as svc:
+            response = svc.plan(request)
+        assert response.source == "planned"
+        return svc.cache.stats
+
+    def _legacy_entry(self, tmp_path, request, **fields):
+        """A valid entry without a checksum, with ``fields`` overridden."""
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as first:
+            first.plan(request)
+        doc = json.loads((tmp_path / f"{request.fingerprint()}.json")
+                         .read_text())
+        del doc["checksum"]
+        doc.update(fields)
+        return json.dumps(doc).encode()
+
+    def test_invalid_utf8_entry_is_quarantined(self, tmp_path,
+                                               request_alexnet):
+        stats = self._plan_over(tmp_path, request_alexnet,
+                                b'{"format_version": 2, "network": "\xff"}')
+        assert stats.corrupt_total == 1
+
+    def test_json_list_entry_is_quarantined(self, tmp_path, request_alexnet):
+        stats = self._plan_over(tmp_path, request_alexnet, b"[1, 2]")
+        assert stats.corrupt_total == 1
+
+    def test_json_number_entry_is_quarantined(self, tmp_path,
+                                              request_alexnet):
+        stats = self._plan_over(tmp_path, request_alexnet, b"42")
+        assert stats.corrupt_total == 1
+
+    def test_string_plan_tree_is_a_miss(self, tmp_path, request_alexnet):
+        entry = self._legacy_entry(tmp_path, request_alexnet, plan="oops")
+        stats = self._plan_over(tmp_path, request_alexnet, entry)
+        assert stats.disk_errors == 1 and stats.corrupt_total == 0
+
+    def test_null_array_is_a_miss(self, tmp_path, request_alexnet):
+        entry = self._legacy_entry(tmp_path, request_alexnet, array=None)
+        stats = self._plan_over(tmp_path, request_alexnet, entry)
+        assert stats.disk_errors == 1 and stats.corrupt_total == 0
+
 
 class TestLRUEviction:
     def test_capacity_respected(self, array):
