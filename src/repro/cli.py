@@ -34,8 +34,8 @@ from typing import List, Optional, Sequence
 
 from .baselines import SCHEME_ORDER, get_scheme
 from .core.planner import Planner
-from .core.serialize import load_plan, save_plan
-from .core.verify import verify_planned
+from .core.serialize import PlanFormatError, load_plan, save_plan
+from .core.verify import PlanVerificationError, verify_planned
 from .experiments.analysis import (
     render_breakdown,
     render_level_summary,
@@ -458,7 +458,7 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         from .sim.timeline import save_chrome_trace
 
-        save_chrome_trace(planned, args.trace)
+        save_chrome_trace(planned, args.trace, profile=profile)
         print(f"simulated critical-path trace written to {args.trace}")
     return 0
 
@@ -986,6 +986,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # usage error, not a crash: say what's wrong and which specs the
         # profile does cover
         print(f"profile error: {exc}", file=sys.stderr)
+        return 2
+    except (PlanFormatError, PlanVerificationError) as exc:
+        # likewise a plan file this build cannot read, or a plan that
+        # cannot shard its layers (the issue `validate` reports)
+        print(f"plan error: {exc}", file=sys.stderr)
         return 2
 
 

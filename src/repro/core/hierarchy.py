@@ -2,24 +2,31 @@
 
 Section 5.1: "apply the layer-wise partitioning recursively on a partitioned
 hierarchy".  At every internal node of the pairing tree
-(:func:`repro.hardware.cluster.bisection_tree`) a *scheme* decides the
+(:func:`repro.hardware.cluster.bisection_tree`) a decision fixes the
 per-layer partitioning between the node's two child groups; each child then
-recursively plans its own (sharded) sub-problem.
+sees its own (sharded) sub-problem.
+
+:func:`walk` is that recursion, shared by everything that follows a plan
+down the tree: the planner decides each node by a scheme's search, the
+quantizer by snapping a stored plan's ratios, and the simulator and the
+verifier replay the stored plan (:func:`stored_level`) and fold over the
+steps.
 
 Symmetric subtrees — ubiquitous once a homogeneous group is split equally —
-produce identical sub-problems, so planning is memoized on
+produce identical sub-problems, so the walk is memoized on
 ``(group signature, subtree depth, stage content)``; this collapses the 255
-internal nodes of a 256-accelerator tree to a handful of distinct plans.
+internal nodes of a 256-accelerator tree to a handful of distinct steps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode
 from ..obs.registry import planner_counters
-from ..obs.tracing import tracer
+from ..obs.tracing import NULL_SPAN, tracer
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .stages import ShardedStage, iter_sharded_workloads, shard_stages
 
@@ -45,61 +52,125 @@ def stages_key(stages: Sequence[ShardedStage]) -> Tuple:
     return tuple(w.key() for w in iter_sharded_workloads(stages))
 
 
+@dataclass(eq=False)
+class Step:
+    """One distinct node of a walk: the sub-problem a pairing-tree node sees.
+
+    ``plan`` is the stored plan node the decision read (``None`` when
+    planning); ``level`` is the decision, ``None`` where the walk stopped.
+    Memo hits make one step the child of several parents.
+    """
+
+    node: GroupNode
+    stages: List[ShardedStage]
+    plan: Optional[HierarchicalPlan]
+    level: Optional[LevelPlan] = None
+    left: Optional["Step"] = None
+    right: Optional["Step"] = None
+
+
+def walk(
+    node: GroupNode,
+    stages: List[ShardedStage],
+    decide: Callable[..., Optional[LevelPlan]],
+    plan: Optional[HierarchicalPlan] = None,
+    scheme: Optional[str] = None,
+) -> Step:
+    """Walk the pairing tree rooted at ``node``, left child before right.
+
+    At each internal node ``decide(node, stages, plan)`` returns the level
+    plan to shard the stages by, or ``None`` to stop; the walk descends
+    with the children of ``plan``.  A memo hit is reused only if it read
+    the same plan node (``is``, or ``==`` for a plan rebuilt from a file).
+    ``scheme`` names a planner walk: only those count memo hits and misses
+    and open ``hierarchy.plan`` spans.
+    """
+    return _walk(node, stages, plan, decide, scheme, {})
+
+
+def _walk(node: GroupNode, stages: List[ShardedStage],
+          plan: Optional[HierarchicalPlan], decide, scheme: Optional[str],
+          memo: Dict[Tuple, Step]) -> Step:
+    # a module function, not a closure: a recursive closure is a reference
+    # cycle, which would keep the memo's stage lists alive until a GC pass
+    planning = scheme is not None
+    if planning and node.is_leaf:
+        return Step(node, stages, plan)  # nothing to decide or fold
+    key = (node.group.signature(), node.depth(), stages_key(stages))
+    step = memo.get(key)
+    if step is not None and (step.plan is plan or step.plan == plan):
+        if planning:
+            planner_counters.inc("hierarchy_memo_hits")
+        return step
+    step = Step(node, stages, plan)
+    memo.setdefault(key, step)
+    if planning:
+        planner_counters.inc("hierarchy_memo_misses")
+    # the span wraps the node's search AND both child walks, so child
+    # hierarchy spans nest inside their parent's in the trace
+    with tracer.span("hierarchy.plan", category="hierarchy",
+                     level=node.level + 1, group=str(node.group),
+                     scheme=scheme) if planning else NULL_SPAN:
+        level = None if node.is_leaf else decide(node, stages, plan)
+        if level is not None:
+            assert node.left is not None and node.right is not None
+            assignments = level.layer_assignments()
+            step.level = level
+            step.left = _walk(node.left, shard_stages(stages, assignments, "left"),
+                              None if plan is None else plan.left,
+                              decide, scheme, memo)
+            step.right = _walk(node.right, shard_stages(stages, assignments, "right"),
+                               None if plan is None else plan.right,
+                               decide, scheme, memo)
+    return step
+
+
+def plan_of(step: Step, scheme: str,
+            _memo: Optional[Dict[Step, HierarchicalPlan]] = None,
+            ) -> HierarchicalPlan:
+    """The plan a walk decided, sharing a subtree wherever steps do."""
+    memo = {} if _memo is None else _memo
+    if step not in memo:
+        memo[step] = HierarchicalPlan(
+            level_plan=step.level,
+            left=None if step.left is None else plan_of(step.left, scheme, memo),
+            right=None if step.right is None else plan_of(step.right, scheme, memo),
+            scheme=scheme,
+        )
+    return memo[step]
+
+
 def plan_tree(
     node: GroupNode,
     stages: List[ShardedStage],
     scheme: PartitionScheme,
     dtype_bytes: int = 2,
-    _memo: Optional[Dict[Tuple, HierarchicalPlan]] = None,
 ) -> HierarchicalPlan:
     """Plan every level of the pairing tree rooted at ``node``."""
-    if _memo is None:
-        _memo = {}
-    if node.is_leaf:
-        return HierarchicalPlan(level_plan=None, scheme=scheme.name)
 
-    key = (node.group.signature(), node.depth(), stages_key(stages))
-    cached = _memo.get(key)
-    if cached is not None:
-        planner_counters.inc("hierarchy_memo_hits")
-        return cached
-    planner_counters.inc("hierarchy_memo_misses")
+    def search(node: GroupNode, stages: List[ShardedStage], _) -> LevelPlan:
+        assert node.left is not None and node.right is not None
+        return scheme.level_plan(stages, node.left.group, node.right.group,
+                                 dtype_bytes)
 
-    assert node.left is not None and node.right is not None
-    # the span wraps the level plan AND the recursion into both children,
-    # so child hierarchy spans nest inside their parent's in the trace
-    with tracer.span(
-        "hierarchy.plan", category="hierarchy",
-        level=node.level + 1, group=str(node.group), scheme=scheme.name,
-    ):
-        level = scheme.level_plan(stages, node.left.group, node.right.group,
-                                  dtype_bytes)
+    return plan_of(walk(node, stages, search, scheme=scheme.name), scheme.name)
 
-        assignments = level.layer_assignments()
-        left_stages = shard_stages(stages, assignments, "left")
-        right_stages = shard_stages(stages, assignments, "right")
 
-        plan = HierarchicalPlan(
-            level_plan=level,
-            left=plan_tree(node.left, left_stages, scheme, dtype_bytes, _memo),
-            right=plan_tree(node.right, right_stages, scheme, dtype_bytes, _memo),
-            scheme=scheme.name,
-        )
-    _memo[key] = plan
-    return plan
+def stored_level(node: GroupNode, stages: List[ShardedStage],
+                 plan: HierarchicalPlan) -> Optional[LevelPlan]:
+    """Replay a stored plan: its own level, unless it lacks a child, leaves
+    a layer of ``stages`` unassigned or holds a ratio outside (0, 1)."""
+    level = plan.level_plan
+    if level is None or plan.left is None or plan.right is None:
+        return None
+    layers = level.layers()
+    assigned = {a.name for a in layers if 0.0 < a.alpha < 1.0}
+    if len(assigned) < len(layers) or any(
+            w.name not in assigned for w in iter_sharded_workloads(stages)):
+        return None
+    return level
 
 
 def collect_level_plans(plan: HierarchicalPlan) -> List[LevelPlan]:
     """All LevelPlans in pre-order (root split first)."""
-    result: List[LevelPlan] = []
-
-    def visit(p: HierarchicalPlan) -> None:
-        if p.level_plan is not None:
-            result.append(p.level_plan)
-        if p.left is not None:
-            visit(p.left)
-        if p.right is not None:
-            visit(p.right)
-
-    visit(plan)
-    return result
+    return [node.level_plan for _, node in plan.splits()]

@@ -164,17 +164,8 @@ class PlannedExecution:
         the exact report for asymmetric plans where
         :meth:`layer_types_by_level` must pick one spine.
         """
-        result: Dict[str, Dict[str, PartitionType]] = {}
-
-        def visit(node: Optional[HierarchicalPlan], path: str) -> None:
-            if node is None or node.level_plan is None:
-                return
-            result[path] = {a.name: a.ptype for a in node.level_plan.layers()}
-            visit(node.left, path + "L")
-            visit(node.right, path + "R")
-
-        visit(self.plan, "root")
-        return result
+        return {path: {a.name: a.ptype for a in node.level_plan.layers()}
+                for path, node in self.plan.splits()}
 
     def subtrees_symmetric(self) -> bool:
         """True when every pair of sibling subtrees carries identical plans."""
@@ -189,14 +180,7 @@ class PlannedExecution:
                 return False
             return same(a.left, b.left) and same(a.right, b.right)
 
-        def visit(node: Optional[HierarchicalPlan]) -> bool:
-            if node is None or node.level_plan is None:
-                return True
-            if not same(node.left, node.right):
-                return False
-            return visit(node.left) and visit(node.right)
-
-        return visit(self.plan)
+        return all(same(node.left, node.right) for _, node in self.plan.splits())
 
 
 class Planner:

@@ -11,17 +11,19 @@ the cost drift the rounding introduces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
+from ..hardware.cluster import GroupNode
 from ..plan.ir import (
     HierarchicalPlan,
     LayerAssignment,
     LevelPlan,
     PlanEntry,
 )
+from .hierarchy import collect_level_plans, plan_of, walk
 from .planner import PlannedExecution
-from .stages import ShardedStage, iter_sharded_workloads, shard_stages
+from .stages import ShardedStage, iter_sharded_workloads
 from .types import PartitionType, ShardedWorkload
 
 
@@ -84,70 +86,47 @@ def quantize_plan(
     axis raises :class:`QuantizationError`; otherwise it is counted in the
     report and the ratio passes through unchanged.
     """
-    max_shift = 0.0
-    n_ratios = 0
-    levels = 0
-    unrealizable = 0
+    #: per snapped level: (each snapped ratio's shift, unrealizable count)
+    snapped: Dict[int, Tuple[List[float], int]] = {}
 
-    def workload_index(stages: List[ShardedStage]) -> Dict[str, ShardedWorkload]:
-        return {sw.name: sw for sw in iter_sharded_workloads(stages)}
-
-    def visit(plan: HierarchicalPlan,
-              stages: List[ShardedStage]) -> HierarchicalPlan:
-        nonlocal max_shift, n_ratios, levels, unrealizable
+    def snap(node: GroupNode, stages: List[ShardedStage],
+             plan: HierarchicalPlan) -> Optional[LevelPlan]:
         if plan.level_plan is None:
-            return HierarchicalPlan(level_plan=None, scheme=plan.scheme)
-        levels += 1
-        by_name = workload_index(stages)
-
-        new_entries: List[PlanEntry] = []
+            return None
+        by_name = {sw.name: sw for sw in iter_sharded_workloads(stages)}
+        shifts: List[float] = []
+        unrealizable = 0
+        entries: List[PlanEntry] = []
+        # join/exit alignment entries describe transfers, not tensor
+        # splits; their nominal ratios pass through
         for entry in plan.level_plan.entries:
-            if not isinstance(entry, LayerAssignment):
-                # join/exit alignment entries describe transfers, not
-                # tensor splits; their nominal ratios pass through
-                new_entries.append(entry)
-                continue
-            extent = partitioned_extent(by_name[entry.name], entry.ptype)
-            try:
-                snapped = quantize_ratio(entry.alpha, extent)
-            except QuantizationError:
-                if strict:
-                    raise
-                unrealizable += 1
-                new_entries.append(entry)
-                continue
-            max_shift = max(max_shift, abs(snapped - entry.alpha))
-            n_ratios += 1
-            new_entries.append(LayerAssignment(entry.name, entry.ptype, snapped))
-
-        level = LevelPlan(entries=tuple(new_entries),
-                          cost=plan.level_plan.cost,
+            if isinstance(entry, LayerAssignment):
+                extent = partitioned_extent(by_name[entry.name], entry.ptype)
+                try:
+                    ratio = quantize_ratio(entry.alpha, extent)
+                except QuantizationError:
+                    if strict:
+                        raise
+                    unrealizable += 1
+                else:
+                    shifts.append(abs(ratio - entry.alpha))
+                    entry = LayerAssignment(entry.name, entry.ptype, ratio)
+            entries.append(entry)
+        level = LevelPlan(entries, cost=plan.level_plan.cost,
                           scheme=plan.level_plan.scheme)
-        assignments = level.layer_assignments()
-        left_stages = shard_stages(stages, assignments, "left")
-        right_stages = shard_stages(stages, assignments, "right")
-        assert plan.left is not None and plan.right is not None
-        return HierarchicalPlan(
-            level_plan=level,
-            left=visit(plan.left, left_stages),
-            right=visit(plan.right, right_stages),
-            scheme=plan.scheme,
-        )
+        snapped[id(level)] = (shifts, unrealizable)
+        return level
 
-    quantized_plan = visit(planned.plan, planned.stages)
-    quantized = PlannedExecution(
-        network_name=planned.network_name,
-        batch=planned.batch,
-        scheme=planned.scheme,
-        tree=planned.tree,
-        stages=planned.stages,
-        plan=quantized_plan,
-        dtype_bytes=planned.dtype_bytes,
-    )
+    plan = plan_of(walk(planned.tree, planned.stages, snap, planned.plan),
+                   planned.plan.scheme)
+    # every plan node counts, a subtree shared by several parents once per
+    # parent
+    counts = [snapped[id(level)] for level in collect_level_plans(plan)]
     report = QuantizationReport(
-        max_ratio_shift=max_shift,
-        n_ratios=n_ratios,
-        levels_quantized=levels,
-        unrealizable=unrealizable,
+        max_ratio_shift=max((max(shifts, default=0.0) for shifts, _ in counts),
+                            default=0.0),
+        n_ratios=sum(len(shifts) for shifts, _ in counts),
+        levels_quantized=len(counts),
+        unrealizable=sum(unrealizable for _, unrealizable in counts),
     )
-    return quantized, report
+    return replace(planned, plan=plan), report

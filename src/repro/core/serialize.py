@@ -311,7 +311,10 @@ def plan_from_dict(
     name = data.get("network")
     if not isinstance(name, str):
         raise PlanFormatError(f"plan document names no model: {name!r}")
-    network = (network_builder or build_model)(name)
+    try:
+        network = (network_builder or build_model)(name)
+    except KeyError as exc:  # a model this build does not know
+        raise PlanFormatError(exc.args[0] if exc.args else repr(exc)) from None
 
     try:
         array = AcceleratorGroup(
@@ -328,7 +331,7 @@ def plan_from_dict(
         raise PlanFormatError(f"malformed plan document: {exc!r}") from None
 
     if plan.depth() != tree.depth():
-        raise ValueError(
+        raise PlanFormatError(
             f"stored plan depth {plan.depth()} does not match the rebuilt "
             f"pairing tree depth {tree.depth()}"
         )
@@ -350,6 +353,12 @@ def save_plan(planned: PlannedExecution, path) -> None:
 
 
 def load_plan(path, network_builder=None) -> PlannedExecution:
-    """Read a plan from a JSON file."""
-    data = json.loads(Path(path).read_text())
+    """Read a plan from a JSON file; an unreadable file raises
+    :class:`PlanFormatError`, as a malformed document does."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise PlanFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise PlanFormatError(f"{path} is not a JSON document: {exc}") from None
     return plan_from_dict(data, network_builder)

@@ -13,14 +13,14 @@ runtime-facing API re-checks everything before execution:
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
-from ..hardware.cluster import GroupNode
 from ..plan.validate import collect_structure, validate_level
 from ..sim.memory import leaf_memory_report
 from ..training.optimizers import SGD, OptimizerSpec
+from .hierarchy import Step, stored_level, walk
 from .planner import PlannedExecution
-from .stages import ShardedStage, iter_sharded_workloads, shard_stages
 
 
 class PlanVerificationError(ValueError):
@@ -34,52 +34,42 @@ def verify_planned(
 ) -> List[str]:
     """Check a planned execution; returns a list of issues (empty = ok).
 
+    Issues name the plan node by its path from the root (``rootLR``); a
+    subtree shared by several paths is checked once and reported on each.
     With ``strict=True`` the first batch of issues raises
     :class:`PlanVerificationError` instead.
     """
-    issues: List[str] = []
     layer_names, parallel_paths = collect_structure(planned.stages)
 
-    def visit(node: GroupNode, plan, stages: List[ShardedStage],
-              path: str) -> None:
-        if plan.level_plan is None or node.is_leaf:
-            if node.is_leaf != plan.is_leaf and layer_names:
-                issues.append(
-                    f"{path}: plan and pairing tree disagree about being a leaf"
-                )
-            report = leaf_memory_report(stages, node.group,
-                                        planned.dtype_bytes, optimizer)
-            if not report.fits:
-                issues.append(
-                    f"{path}: leaf workload needs "
-                    f"{report.total_bytes / 2**30:.2f} GiB but {node.group} "
-                    f"has {report.capacity_bytes / 2**30:.2f} GiB"
-                )
-            return
+    @functools.lru_cache(maxsize=None)
+    def check(step: Step) -> List[str]:
+        """One step's issues, found once however many paths share it."""
+        node, plan = step.node, step.plan
+        found: List[str] = []
+        if plan.level_plan is not None and not node.is_leaf:
+            found += validate_level(plan.level_plan, layer_names, parallel_paths)
+            if plan.left is None or plan.right is None:
+                found.append("internal plan node missing children")
+            return found
+        if node.is_leaf != plan.is_leaf and layer_names:
+            found.append("plan and pairing tree disagree about being a leaf")
+        report = leaf_memory_report(step.stages, node.group,
+                                    planned.dtype_bytes, optimizer)
+        if not report.fits:
+            found.append(
+                f"leaf workload needs {report.total_bytes / 2**30:.2f} GiB "
+                f"but {node.group} has {report.capacity_bytes / 2**30:.2f} GiB"
+            )
+        return found
 
-        level_issues = validate_level(plan.level_plan, layer_names,
-                                      parallel_paths)
-        issues.extend(f"{path}: {issue}" for issue in level_issues)
-        layer_entries = plan.level_plan.layers()
-        missing = layer_names - {a.name for a in layer_entries}
-        bad_alpha = any(not 0.0 < a.alpha < 1.0 for a in layer_entries)
-
-        if plan.left is None or plan.right is None:
-            issues.append(f"{path}: internal plan node missing children")
-            return
-        if node.left is None or node.right is None:
-            issues.append(f"{path}: plan has levels below a pairing-tree leaf")
-            return
-
-        if missing or bad_alpha:
-            return  # cannot shard further on incomplete/invalid assignments
-        assignments = plan.level_plan.layer_assignments()
-        left_stages = shard_stages(stages, assignments, "left")
-        right_stages = shard_stages(stages, assignments, "right")
-        visit(node.left, plan.left, left_stages, path + "L")
-        visit(node.right, plan.right, right_stages, path + "R")
-
-    visit(planned.tree, planned.plan, planned.stages, "root")
+    issues: List[str] = []
+    pending = [(walk(planned.tree, planned.stages, stored_level, planned.plan),
+                "root")]
+    while pending:  # pre-order; the walk stops below leaves and bad levels
+        step, path = pending.pop()
+        issues.extend(f"{path}: {issue}" for issue in check(step))
+        if step.left is not None and step.right is not None:
+            pending += [(step.right, path + "R"), (step.left, path + "L")]
 
     if strict and issues:
         raise PlanVerificationError("; ".join(issues))

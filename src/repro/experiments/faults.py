@@ -15,12 +15,12 @@ heterogeneity story as a fault-tolerance story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 from ..baselines import get_scheme
 from ..core.hierarchy import plan_tree
-from ..core.planner import PlannedExecution, Planner
+from ..core.planner import Planner
 from ..hardware.accelerator import AcceleratorGroup, AcceleratorSpec
 from ..hardware.cluster import GroupNode
 from ..models.registry import build_model
@@ -130,28 +130,11 @@ def straggler_experiment(
     degraded_tree = degrade_tree(healthy.tree, n_degraded, compute_factor,
                                  network_factor)
 
-    stale = PlannedExecution(
-        network_name=healthy.network_name,
-        batch=healthy.batch,
-        scheme=healthy.scheme,
-        tree=degraded_tree,
-        stages=healthy.stages,
-        plan=healthy.plan,
-        dtype_bytes=healthy.dtype_bytes,
-    )
+    # the healthy plan on the degraded boards, then a plan made for them
+    stale = replace(healthy, tree=degraded_tree)
     stale_time = evaluate(stale).total_time
-
-    replanned_plan = plan_tree(degraded_tree, healthy.stages,
-                               get_scheme(scheme), healthy.dtype_bytes)
-    replanned = PlannedExecution(
-        network_name=healthy.network_name,
-        batch=healthy.batch,
-        scheme=healthy.scheme,
-        tree=degraded_tree,
-        stages=healthy.stages,
-        plan=replanned_plan,
-        dtype_bytes=healthy.dtype_bytes,
-    )
+    replanned = replace(stale, plan=plan_tree(
+        degraded_tree, healthy.stages, get_scheme(scheme), healthy.dtype_bytes))
     replanned_time = evaluate(replanned).total_time
 
     return StragglerOutcome(

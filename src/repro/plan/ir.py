@@ -25,7 +25,7 @@ value consumers compute with) does validate, as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.types import ALL_TYPES, PartitionType
 
@@ -264,6 +264,16 @@ class HierarchicalPlan:
         left_d = self.left.depth() if self.left else 0
         right_d = self.right.depth() if self.right else 0
         return 1 + max(left_d, right_d)
+
+    def splits(self, path: str = "root") -> Iterator[Tuple[str, "HierarchicalPlan"]]:
+        """Every node with a level plan, pre-order, with its path (``root``,
+        ``rootL``, ``rootLR`` …); a shared subtree comes once per parent."""
+        if self.level_plan is None:
+            return
+        yield path, self
+        for side, child in (("L", self.left), ("R", self.right)):
+            if child is not None:
+                yield from child.splits(path + side)
 
     def validate(self, network, batch: int = 1) -> List[str]:
         """Structural validation against a network; see :func:`validate_plan`."""

@@ -20,9 +20,9 @@ its pairing-tree and memory checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from .ir import HierarchicalPlan, JoinAlignment, LayerAssignment, LevelPlan, PathExit
+from .ir import HierarchicalPlan, JoinAlignment, LevelPlan, PathExit
 
 
 def collect_structure(stages: Iterable) -> Tuple[Set[str], Dict[str, int]]:
@@ -99,19 +99,6 @@ def validate_plan(plan: HierarchicalPlan, network, batch: int = 1) -> List[str]:
     """
     layer_names, parallel_paths = collect_structure(network.stages(batch))
 
-    issues: List[str] = []
-
-    def visit(node: HierarchicalPlan, path: str) -> None:
-        if node.level_plan is not None:
-            issues.extend(
-                f"{path}: {msg}"
-                for msg in validate_level(node.level_plan, layer_names,
-                                          parallel_paths)
-            )
-        if node.left is not None:
-            visit(node.left, path + "L")
-        if node.right is not None:
-            visit(node.right, path + "R")
-
-    visit(plan, "root")
-    return issues
+    return [f"{path}: {msg}" for path, node in plan.splits()
+            for msg in validate_level(node.level_plan, layer_names,
+                                      parallel_paths)]

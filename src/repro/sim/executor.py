@@ -1,6 +1,7 @@
 """Plan evaluation: simulate one training iteration of a hierarchical plan.
 
-The executor walks the pairing tree together with the plan tree:
+The executor folds over the walk of the plan down the pairing tree
+(:func:`repro.core.hierarchy.walk`):
 
 * at a **leaf**, the group executes its fully-sharded slice of every layer's
   three phases; the trace events are costed against the leaf's compute
@@ -23,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cost_model import inter_layer_elements
 from ..core.planner import PlannedExecution
+from ..core.hierarchy import Step, stored_level, walk
 from ..core.stages import (
     ShardedLayerStage,
     ShardedParallelStage,
@@ -30,11 +32,9 @@ from ..core.stages import (
     first_workload,
     iter_sharded_workloads,
     last_workload,
-    shard_stages,
 )
-from ..core.hierarchy import stages_key
 from ..core.types import PSUM_PHASE, PartitionType, Phase
-from ..plan.ir import HierarchicalPlan, LevelPlan
+from ..plan.ir import LevelPlan
 from ..hardware.cluster import GroupNode
 from .energy import EnergyBreakdown, ZERO_ENERGY, events_energy
 from .engine import EngineConfig, TimingEngine
@@ -95,6 +95,19 @@ def _group_hardware_name(group) -> str:
     return "+".join(sorted({m.name for m in group.members}))
 
 
+def _record_op_timing(telemetry, planned: PlannedExecution, group,
+                      **fields) -> None:
+    telemetry.record({
+        "type": "op_timing",
+        "hardware": _group_hardware_name(group),
+        "devices": group.size,
+        **fields,
+        "model": planned.network_name,
+        "scheme": planned.scheme,
+        "batch": planned.batch,
+    })
+
+
 def _record_leaf_timings(telemetry, planned: PlannedExecution, node: GroupNode,
                          stages: List[ShardedStage], engine: TimingEngine) -> None:
     """One durable ``op_timing`` event per (layer, phase) of a leaf group.
@@ -105,27 +118,18 @@ def _record_leaf_timings(telemetry, planned: PlannedExecution, node: GroupNode,
     once per distinct (group, stages) pair — duplicates carry no new
     calibration signal.
     """
-    hardware = _group_hardware_name(node.group)
     for sw in iter_sharded_workloads(stages):
         for phase in Phase:
             events = layer_phase_events(sw, phase)
-            seconds = engine.elapsed(events, node.group)
-            moved = (total_amount(events, EventKind.LOAD)
-                     + total_amount(events, EventKind.STORE))
-            telemetry.record({
-                "type": "op_timing",
-                "hardware": hardware,
-                "devices": node.group.size,
-                "op": sw.name,
-                "kind": "conv" if sw.base.is_conv else "fc",
-                "phase": phase.name.lower(),
-                "elements": moved,
-                "flops": sw.flops_phase(phase),
-                "time_s": seconds,
-                "model": planned.network_name,
-                "scheme": planned.scheme,
-                "batch": planned.batch,
-            })
+            _record_op_timing(
+                telemetry, planned, node.group, op=sw.name,
+                kind="conv" if sw.base.is_conv else "fc",
+                phase=phase.name.lower(),
+                elements=(total_amount(events, EventKind.LOAD)
+                          + total_amount(events, EventKind.STORE)),
+                flops=sw.flops_phase(phase),
+                time_s=engine.elapsed(events, node.group),
+            )
 
 
 def _record_level_timings(telemetry, planned: PlannedExecution, node: GroupNode,
@@ -139,30 +143,15 @@ def _record_level_timings(telemetry, planned: PlannedExecution, node: GroupNode,
     per-transfer latency) regresses on.
     """
     for party, events in ((node.left, ev_i), (node.right, ev_j)):
-        net_elements = 0.0
-        transfers = 0
-        for event in events:
-            if event.kind is EventKind.NET_READ:
-                net_elements += event.quantized_amount()
-                transfers += 1
-        if transfers == 0:
-            continue
-        breakdown = engine.breakdown(events, party.group)
-        telemetry.record({
-            "type": "op_timing",
-            "hardware": _group_hardware_name(party.group),
-            "devices": party.group.size,
-            "op": f"level-{node.level + 1}",
-            "kind": "net",
-            "phase": "comm",
-            "elements": net_elements,
-            "flops": 0.0,
-            "transfers": transfers,
-            "time_s": breakdown.network,
-            "model": planned.network_name,
-            "scheme": planned.scheme,
-            "batch": planned.batch,
-        })
+        net = [e for e in events if e.kind is EventKind.NET_READ]
+        if net:
+            _record_op_timing(
+                telemetry, planned, party.group, op=f"level-{node.level + 1}",
+                kind="net", phase="comm",
+                elements=sum(e.quantized_amount() for e in net), flops=0.0,
+                transfers=len(net),
+                time_s=engine.breakdown(events, party.group).network,
+            )
 
 
 @dataclass
@@ -171,15 +160,16 @@ class _NodeResult:
     levels: Tuple[LevelRecord, ...]
     leaf_time: float
     memory_worst: Optional[MemoryReport]
-    energy: EnergyBreakdown = ZERO_ENERGY
+    energy: EnergyBreakdown
+    #: the steps of the critical path below this node, down to its leaf
+    path: Tuple[Step, ...]
 
 
 def _level_net_events(
     stages: Sequence[ShardedStage],
     level: LevelPlan,
-    entry_state: Optional[PartitionType],
-) -> Tuple[List[TraceEvent], List[TraceEvent], Optional[PartitionType]]:
-    """Per-party network/psum-add events for one level; returns exit state."""
+) -> Tuple[List[TraceEvent], List[TraceEvent]]:
+    """Per-party network/psum-add events for one level."""
     events_i: List[TraceEvent] = []
     events_j: List[TraceEvent] = []
 
@@ -242,8 +232,8 @@ def _level_net_events(
                 raise TypeError(f"unknown stage kind {type(stage).__name__}")
         return prev
 
-    exit_state = walk(stages, entry_state)
-    return events_i, events_j, exit_state
+    walk(stages, None)
+    return events_i, events_j
 
 
 def evaluate(planned: PlannedExecution,
@@ -257,24 +247,49 @@ def evaluate(planned: PlannedExecution,
     under measured effective rates instead (it must cover every spec in
     the planned array).
     """
+    telemetry = telemetry_store.active()
+    if telemetry is not None and not telemetry.enabled:
+        telemetry = None
+    root, _ = simulate_critical_path(planned, config, profile, telemetry)
+    return SimReport(
+        total_time=root.time,
+        leaf_time=root.leaf_time,
+        comm_time=root.time - root.leaf_time,
+        levels=list(root.levels),
+        memory_worst=root.memory_worst,
+        batch=planned.batch,
+        energy=root.energy,
+    )
+
+
+def simulate_critical_path(planned: PlannedExecution,
+                           config: Optional[EngineConfig] = None,
+                           profile=None,
+                           telemetry=None) -> Tuple[_NodeResult, TimingEngine]:
+    """:func:`evaluate`'s fold over the replayed plan, and its timing engine.
+
+    The root result's ``path`` holds the critical path's steps (the slower
+    child at every split), one per record in ``levels``, then the leaf.
+    """
     if config is None:
         config = EngineConfig(dtype_bytes=planned.dtype_bytes)
     if profile is not None:
         profile.validate_array(planned.tree.group)
     engine = TimingEngine(config, profile=profile)
-    memo: Dict[Tuple, _NodeResult] = {}
-    telemetry = telemetry_store.active()
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
+    results: Dict[Step, _NodeResult] = {}
 
-    def visit(node: GroupNode, plan: HierarchicalPlan,
-              stages: List[ShardedStage]) -> _NodeResult:
-        key = (node.group.signature(), node.depth(), stages_key(stages))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def fold(step: Step) -> _NodeResult:
+        result = results.get(step)
+        if result is not None:
+            return result
+        node, stages, level = step.node, step.stages, step.level
+        if level is None:
+            if not node.is_leaf and step.plan.level_plan is not None:
+                # a stored split that cannot shard: raise verify's issues
+                # (verify imports this package, hence the late import)
+                from ..core.verify import verify_planned
 
-        if plan.level_plan is None or node.is_leaf:
+                verify_planned(planned, config.optimizer, strict=True)
             events: List[TraceEvent] = []
             for sw in iter_sharded_workloads(stages):
                 events.extend(layer_events(sw))
@@ -285,17 +300,16 @@ def evaluate(planned: PlannedExecution,
             result = _NodeResult(time=leaf_time, levels=(), leaf_time=leaf_time,
                                  memory_worst=mem,
                                  energy=events_energy(events, config.dtype_bytes,
-                                                      config.energy))
+                                                      config.energy),
+                                 path=(step,))
             if telemetry is not None:
                 _record_leaf_timings(telemetry, planned, node, stages, engine)
-            memo[key] = result
+            results[step] = result
             return result
 
         assert node.left is not None and node.right is not None
-        assert plan.left is not None and plan.right is not None
-        level = plan.level_plan
-
-        ev_i, ev_j, _ = _level_net_events(stages, level, entry_state=None)
+        assert step.left is not None and step.right is not None
+        ev_i, ev_j = _level_net_events(stages, level)
         time_i = engine.elapsed(ev_i, node.left.group)
         time_j = engine.elapsed(ev_j, node.right.group)
         comm_time = max(time_i, time_j)
@@ -307,11 +321,8 @@ def evaluate(planned: PlannedExecution,
         bytes_j = sum(e.quantized_amount() for e in ev_j
                       if e.kind is EventKind.NET_READ) * config.dtype_bytes
 
-        assignments = level.layer_assignments()
-        left_stages = shard_stages(stages, assignments, "left")
-        right_stages = shard_stages(stages, assignments, "right")
-        left = visit(node.left, plan.left, left_stages)
-        right = visit(node.right, plan.right, right_stages)
+        left = fold(step.left)
+        right = fold(step.right)
         slower = left if left.time >= right.time else right
 
         record = LevelRecord(
@@ -334,20 +345,16 @@ def evaluate(planned: PlannedExecution,
             leaf_time=slower.leaf_time,
             memory_worst=worst_mem,
             energy=level_energy + left.energy + right.energy,
+            path=(step,) + slower.path,
         )
-        memo[key] = result
+        results[step] = result
         return result
 
-    root = visit(planned.tree, planned.plan, planned.stages)
-    return SimReport(
-        total_time=root.time,
-        leaf_time=root.leaf_time,
-        comm_time=root.time - root.leaf_time,
-        levels=list(root.levels),
-        memory_worst=root.memory_worst,
-        batch=planned.batch,
-        energy=root.energy,
-    )
+    root = fold(walk(planned.tree, planned.stages, stored_level, planned.plan))
+    # the recursive closure is a reference cycle: empty the memo so the
+    # steps' stage lists go with the caller's last reference, not a GC pass
+    results.clear()
+    return root, engine
 
 
 def _worse_memory(a: Optional[MemoryReport],

@@ -1,11 +1,11 @@
 """Timeline export: render a simulated iteration as a Chrome trace.
 
 Produces Trace Event Format JSON (load it at ``chrome://tracing`` or in
-Perfetto) for the *critical path* of a hierarchical plan: one row per
-hierarchy level showing its communication phase, and one row for the leaf
-showing per-layer, per-phase execution.  Durations come from the same
-timing engine the evaluator uses, so the trace's total span equals the
-reported iteration time.
+Perfetto) for the critical path :func:`~repro.sim.executor.evaluate`
+charges, at its rates: one row per level with the report's exchange time,
+and one row for the critical leaf's per-layer, per-phase execution.  The
+leaf rows time each phase alone, without the overlap the evaluator applies
+across phases, so the span is the reported time plus a few percent.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import json
 from typing import Dict, List, Optional
 
 from ..core.planner import PlannedExecution
-from ..ioutil import atomic_write_text
-from ..core.stages import iter_sharded_workloads, shard_stages
+from ..core.stages import iter_sharded_workloads
 from ..core.types import Phase
-from ..hardware.cluster import GroupNode
-from .engine import EngineConfig, TimingEngine
-from .executor import _level_net_events
+from ..ioutil import atomic_write_text
+from .engine import EngineConfig
+from .executor import simulate_critical_path
 from .trace import layer_phase_events, optimizer_update_events
 
 
@@ -39,70 +38,46 @@ def _event(name: str, start_us: float, dur_us: float, tid: int,
 def critical_path_timeline(
     planned: PlannedExecution,
     config: Optional[EngineConfig] = None,
+    profile=None,
 ) -> List[Dict]:
-    """Trace events along the slower child at every split.
+    """Trace events along the critical path ``evaluate`` reports.
 
-    Rows (``tid``): 0..h-1 are the hierarchy levels' communication phases;
-    row h is the critical leaf's layer-by-layer execution.
+    Rows (``tid``): 0..h-1 are the levels' communication phases on the
+    path; row h is its leaf's layer-by-layer execution.  ``config`` and
+    ``profile`` mean what they mean to ``evaluate``.
     """
     if config is None:
         config = EngineConfig(dtype_bytes=planned.dtype_bytes)
-    engine = TimingEngine(config)
+    root, engine = simulate_critical_path(planned, config, profile)
     events: List[Dict] = []
-
-    node = planned.tree
-    plan = planned.plan
-    stages = planned.stages
     cursor_us = 0.0
-    level_row = 0
 
-    while plan.level_plan is not None and not node.is_leaf:
+    for row, (step, record) in enumerate(zip(root.path, root.levels)):
+        node = step.node
         assert node.left is not None and node.right is not None
-        assert plan.left is not None and plan.right is not None
-        level = plan.level_plan
-
-        ev_i, ev_j, _ = _level_net_events(stages, level, entry_state=None)
-        time_i = engine.elapsed(ev_i, node.left.group)
-        time_j = engine.elapsed(ev_j, node.right.group)
-        comm_us = max(time_i, time_j) * 1e6
+        comm_us = record.comm_time * 1e6
         events.append(
             _event(
-                f"level {node.level + 1} exchange ({node.left.group} | {node.right.group})",
-                cursor_us, comm_us, level_row, "communication",
+                f"level {record.level} exchange ({node.left.group} | {node.right.group})",
+                cursor_us, comm_us, row, "communication",
             )
         )
         cursor_us += comm_us
-        level_row += 1
-
-        assignments = level.layer_assignments()
-        left_stages = shard_stages(stages, assignments, "left")
-        right_stages = shard_stages(stages, assignments, "right")
-        # descend into the slower child: compare one-level-down quickly by
-        # planning costs; the evaluator's memoized recursion is authoritative,
-        # here we only pick a representative path for visualization
-        left_time = plan.left and _subtree_leaf_time(
-            node.left, plan.left, left_stages, engine
-        )
-        right_time = plan.right and _subtree_leaf_time(
-            node.right, plan.right, right_stages, engine
-        )
-        if (right_time or 0.0) > (left_time or 0.0):
-            node, plan, stages = node.right, plan.right, right_stages
-        else:
-            node, plan, stages = node.left, plan.left, left_stages
 
     # leaf execution: per layer, per phase
-    leaf_row = level_row
-    for sw in iter_sharded_workloads(stages):
+    leaf = root.path[-1]
+    leaf_row = len(root.levels)
+    for sw in iter_sharded_workloads(leaf.stages):
         for phase in Phase:
-            dur = engine.elapsed(layer_phase_events(sw, phase), node.group) * 1e6
+            dur = engine.elapsed(layer_phase_events(sw, phase),
+                                 leaf.node.group) * 1e6
             events.append(
                 _event(f"{sw.name}:{phase.value}", cursor_us, dur, leaf_row,
                        "compute")
             )
             cursor_us += dur
         dur = engine.elapsed(optimizer_update_events(sw, config.optimizer),
-                             node.group) * 1e6
+                             leaf.node.group) * 1e6
         events.append(
             _event(f"{sw.name}:update", cursor_us, dur, leaf_row, "optimizer")
         )
@@ -111,19 +86,10 @@ def critical_path_timeline(
     return events
 
 
-def _subtree_leaf_time(node: GroupNode, plan, stages, engine: TimingEngine) -> float:
-    """Cheap leaf-time proxy used to choose the visualized path."""
-    from .trace import layer_events
-
-    events = []
-    for sw in iter_sharded_workloads(stages):
-        events.extend(layer_events(sw))
-    return engine.elapsed(events, node.group)
-
-
 def save_chrome_trace(planned: PlannedExecution, path,
-                      config: Optional[EngineConfig] = None) -> None:
+                      config: Optional[EngineConfig] = None,
+                      profile=None) -> None:
     """Atomically write the critical-path timeline as a Chrome-trace file."""
-    events = critical_path_timeline(planned, config)
+    events = critical_path_timeline(planned, config, profile)
     document = {"traceEvents": events, "displayTimeUnit": "ms"}
     atomic_write_text(path, json.dumps(document, indent=1))

@@ -124,6 +124,77 @@ class TestValidateCommand:
         assert "cv1" in capsys.readouterr().out
 
 
+class TestMalformedPlanFiles:
+    """A plan file the CLI cannot use gets one ``plan error:`` line on
+    stderr and exit code 2, never a traceback."""
+
+    @pytest.fixture
+    def plan_file(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        main(["plan", "--model", "lenet", "--array", "tpu-v3:4",
+              "--batch", "32", "--out", str(path)])
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def edit(path, change):
+        document = json.loads(path.read_text())
+        change(document)
+        path.write_text(json.dumps(document))
+
+    @staticmethod
+    def commands(path, good):
+        return [["simulate", "--plan", str(path)],
+                ["validate", "--plan", str(path)],
+                ["plan-diff", str(good), str(path)],
+                ["plan-diff", str(path), str(good)]]
+
+    def assert_plan_error(self, capsys, argv, *needles):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("plan error: "), lines
+        assert "Traceback" not in captured.err + captured.out
+        for needle in needles:
+            assert needle in lines[0]
+
+    def test_ratio_out_of_range(self, capsys, plan_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(plan_file.read_text())
+        self.edit(bad, lambda d: d["plan"]["entries"][0].update(alpha=1.5))
+        for argv in self.commands(bad, plan_file):
+            self.assert_plan_error(capsys, argv, "1.5", "(0, 1)")
+
+    def test_unknown_model(self, capsys, plan_file, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(plan_file.read_text())
+        self.edit(bad, lambda d: d.update(network="lenet-9000"))
+        for argv in self.commands(bad, plan_file):
+            self.assert_plan_error(capsys, argv, "unknown model 'lenet-9000'")
+
+    def test_unreadable_file(self, capsys, plan_file, tmp_path):
+        missing = tmp_path / "missing.json"
+        for argv in self.commands(missing, plan_file):
+            self.assert_plan_error(capsys, argv, "cannot read")
+
+    def test_not_json(self, capsys, plan_file, tmp_path):
+        text = tmp_path / "notes.json"
+        text.write_text("this is not a plan\n")
+        for argv in self.commands(text, plan_file):
+            self.assert_plan_error(capsys, argv, "not a JSON document")
+
+    def test_simulate_refuses_a_plan_it_cannot_shard(self, capsys, plan_file):
+        self.edit(plan_file, lambda d: d["plan"].update(entries=[
+            e for e in d["plan"]["entries"] if e.get("layer") != "cv1"]))
+        issue = "root: layers without assignment: ['cv1']"
+        assert main(["validate", "--plan", str(plan_file)]) == 1
+        assert f"  - {issue}" in capsys.readouterr().out
+        self.assert_plan_error(capsys, ["simulate", "--plan", str(plan_file)])
+        # the same wording validate prints
+        assert main(["simulate", "--plan", str(plan_file)]) == 2
+        assert capsys.readouterr().err == f"plan error: {issue}\n"
+
+
 class TestReportCommand:
     def test_report_to_stdout(self, capsys):
         code = main(["report", "--model", "lenet",

@@ -101,3 +101,48 @@ class TestSimulatorIndependence:
                                batch=256))
         dp = evaluate(plan(model="vgg11", scheme="dp", array=array, batch=256))
         assert accpar.total_time < dp.total_time
+
+
+def _rotate_types(node):
+    """Edit a plan document subtree in place: Type I -> II -> III -> I."""
+    rotation = {"I": "II", "II": "III", "III": "I"}
+    if node is None:
+        return
+    for entry in node["entries"]:
+        for field in ("type", "state"):
+            if field in entry:
+                entry[field] = rotation[entry[field]]
+    _rotate_types(node["left"])
+    _rotate_types(node["right"])
+
+
+class TestSiblingPlans:
+    """Two siblings with the same group and sub-problem but different stored
+    plans are simulated apart: a memo hit needs the same plan node too."""
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        return plan(model="alexnet", array=make_group(TPU_V3, 4), batch=512)
+
+    def edited(self, planned, side):
+        from repro.core.serialize import plan_from_dict, plan_to_dict
+
+        document = plan_to_dict(planned)
+        _rotate_types(document["plan"][side])
+        return plan_from_dict(document)
+
+    def test_either_sibling_edit_gives_the_same_total(self, planned):
+        left = evaluate(self.edited(planned, "left")).total_time
+        right = evaluate(self.edited(planned, "right")).total_time
+        assert right == pytest.approx(left, rel=1e-5)
+        # and the edit matters: the rotated types are far slower
+        assert left > 2 * evaluate(planned).total_time
+
+    def test_loaded_plan_matches_planned(self, planned):
+        """A plan rebuilt from its document shares no subtree objects; the
+        walk's structural hit rule still gives the planner's answer."""
+        from repro.core.serialize import plan_from_dict, plan_to_dict
+
+        loaded = plan_from_dict(plan_to_dict(planned))
+        assert loaded.plan.left is not loaded.plan.right
+        assert evaluate(loaded) == evaluate(planned)

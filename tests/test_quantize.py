@@ -101,23 +101,23 @@ class TestQuantizePlan:
 
 
 class TestUnrealizableAxes:
-    def test_deep_hierarchy_counts_unrealizable(self):
+    # at batch 16 the 256-board alexnet plan shards 220 (level, layer) axes
+    # below two elements; at batch 512 it shards none
+    @pytest.fixture(scope="class")
+    def planned(self):
+        return AccParPlanner(heterogeneous_array(128, 128)).plan(
+            build_model("alexnet"), batch=16
+        )
+
+    def test_deep_hierarchy_counts_unrealizable(self, planned):
         """At full depth on 256 boards some axes shard below 2 elements;
         non-strict quantization reports them instead of crashing."""
-        planned = AccParPlanner(heterogeneous_array(128, 128)).plan(
-            build_model("alexnet"), batch=512
-        )
         quantized, report = quantize_plan(planned)
-        assert report.unrealizable >= 0
+        assert report.unrealizable > 0
         assert report.n_ratios > 0
         # the quantized plan still evaluates
         evaluate(quantized)
 
-    def test_strict_mode_raises_on_unsplittable(self):
-        planned = AccParPlanner(heterogeneous_array(128, 128)).plan(
-            build_model("alexnet"), batch=512
-        )
-        _, report = quantize_plan(planned, strict=False)
-        if report.unrealizable:
-            with pytest.raises(QuantizationError):
-                quantize_plan(planned, strict=True)
+    def test_strict_mode_raises_on_unsplittable(self, planned):
+        with pytest.raises(QuantizationError):
+            quantize_plan(planned, strict=True)
