@@ -28,6 +28,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -49,46 +51,29 @@ from .experiments.figures import (
 )
 from .experiments.harness import sweep
 from .experiments.reporting import format_speedup_table
-from .hardware.accelerator import AcceleratorGroup, AcceleratorSpec, make_group
+from .hardware import presets
+from .hardware.accelerator import AcceleratorGroup
 from .hardware.cluster import describe_tree
 from .hardware.profile import ProfileError
-from .hardware.presets import TPU_V2, TPU_V3, heterogeneous_array, homogeneous_array
 from .models.registry import available_models, build_model
 from .plan import available_backends, canonical_backend_name, plan_diff
 from .sim.executor import evaluate
 
-_KNOWN_SPECS = {"tpu-v2": TPU_V2, "tpu-v3": TPU_V3}
-
 #: default disk tier for the plan service commands (serve / warm / service-stats)
 DEFAULT_CACHE_DIR = ".plan-cache"
 
+#: serve flags that only mean something to a fleet (``--shards N``)
+FLEET_ONLY_FLAGS = ("--port", "--host", "--shard-mode", "--restart",
+                    "--chaos", "--heartbeat-interval", "--failure-threshold",
+                    "--retry")
+
 
 def parse_array(text: str) -> AcceleratorGroup:
-    """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'."""
-    key = text.strip().lower()
-    if key in ("hetero", "heterogeneous"):
-        return heterogeneous_array()
-    if key in ("homo", "homogeneous"):
-        return homogeneous_array()
-    members: List[AcceleratorSpec] = []
-    for part in key.split(","):
-        if ":" not in part:
-            raise argparse.ArgumentTypeError(
-                f"bad array component {part!r}; expected name:count"
-            )
-        name, count_text = part.split(":", 1)
-        if name not in _KNOWN_SPECS:
-            raise argparse.ArgumentTypeError(
-                f"unknown accelerator {name!r}; known: {sorted(_KNOWN_SPECS)}"
-            )
-        try:
-            count = int(count_text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad count in {part!r}") from exc
-        members.extend(make_group(_KNOWN_SPECS[name], count).members)
-    if not members:
-        raise argparse.ArgumentTypeError(f"empty array spec {text!r}")
-    return AcceleratorGroup(tuple(members))
+    """``--array``: :func:`repro.hardware.presets.parse_array` for argparse."""
+    try:
+        return presets.parse_array(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_backend(text: str) -> str:
@@ -210,35 +195,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=0,
                    help="run a fleet of N plan-service shards behind an "
                         "asyncio frontend (0 = classic single process)")
-    p.add_argument("--port", type=int, default=None,
+    # the fleet-only flags below leave no attribute when omitted
+    # (argparse.SUPPRESS), so serve can refuse them without --shards
+    p.add_argument("--port", type=int, default=argparse.SUPPRESS,
                    help="fleet mode: TCP port for the frontend (0 = "
                         "ephemeral; omit to keep serving stdin/stdout)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="fleet mode: frontend bind address")
+    p.add_argument("--host", default=argparse.SUPPRESS,
+                   help="fleet mode: frontend bind address (default "
+                        "127.0.0.1)")
     p.add_argument("--shard-mode", choices=["thread", "process"],
-                   default="thread",
-                   help="fleet mode: shards as threads in this process or "
-                        "as isolated OS processes")
+                   default=argparse.SUPPRESS,
+                   help="fleet mode: shards as threads in this process "
+                        "(the default) or as isolated OS processes")
     p.add_argument("--trace", action="store_true",
-                   help="fleet mode: collect spans on every shard for the "
-                        "'trace' op")
-    p.add_argument("--restart", action="store_true",
+                   help="collect spans for the 'trace' op (in a fleet: on "
+                        "the frontend and every shard)")
+    p.add_argument("--restart", action="store_true", default=argparse.SUPPRESS,
                    help="fleet mode (process shards): supervise crashed "
                         "shard processes and restart them with backoff")
-    p.add_argument("--chaos", default=None, metavar="SPEC",
+    p.add_argument("--chaos", default=argparse.SUPPRESS, metavar="SPEC",
                    help="fleet mode: enable the deterministic fault "
                         "injector on every shard, e.g. "
                         "'seed=42,drop=0.05,delay=0.1,delay_ms=20,"
                         "corrupt=0.01' (also unlocks the chaos_kill / "
                         "chaos_freeze wire ops); equivalent to setting "
                         "REPRO_CHAOS on the shards. NEVER in production")
-    p.add_argument("--heartbeat-interval", type=float, default=1.0,
+    p.add_argument("--heartbeat-interval", type=float,
+                   default=argparse.SUPPRESS,
                    help="fleet mode: seconds between frontend health "
-                        "probes of each shard (0 disables)")
-    p.add_argument("--failure-threshold", type=int, default=3,
+                        "probes of each shard (default 1; 0 disables)")
+    p.add_argument("--failure-threshold", type=int, default=argparse.SUPPRESS,
                    help="fleet mode: consecutive probe/request failures "
-                        "before a shard leaves the routing ring")
-    p.add_argument("--retry", default=None, metavar="SPEC",
+                        "before a shard leaves the routing ring (default 3)")
+    p.add_argument("--retry", default=argparse.SUPPRESS, metavar="SPEC",
                    help="fleet mode: the frontend's transport retry "
                         "budget, e.g. 'attempts=3,base=0.02,max=0.1,"
                         "seed=0' (omitted keys keep the defaults; "
@@ -563,112 +552,105 @@ def _build_service(cache_dir, capacity: int, workers=None,
 
 
 def _cmd_serve(args) -> int:
+    """Serve JSON lines on stdin/stdout: ``serve_loop`` over one process's
+    op table or a fleet frontend's.  A fleet with ``--port`` serves TCP
+    only, until a shutdown op (see docs/serving.md)."""
     from .obs.logging import configure_json_logging
-    from .service.server import serve_loop
+    from .obs.tracing import tracer
+    from .service.server import handle_doc, serve_loop
 
+    fleet_flags = [flag for flag in FLEET_ONLY_FLAGS
+                   if hasattr(args, flag[2:].replace("-", "_"))]
+    if fleet_flags and not args.shards:
+        print(f"serve: fleet-only flag(s) {', '.join(fleet_flags)} "
+              "need --shards N", file=sys.stderr)
+        return 2
     # stdout carries the JSON-lines protocol; structured logs (e.g. the
     # slow-request warning, with trace id) go to stderr as JSON too
     configure_json_logging(stream=sys.stderr)
-    slo = getattr(args, "slo", None)
-    if slo is not None:  # fail fast on a bad spec, before any spawn
+    if args.slo is not None:  # fail fast on a bad spec, before any spawn
         from .obs.slo import SLOConfig
-        SLOConfig.parse(slo)
-    # resolve the profile up front so a broken file fails fast in both the
-    # single-process and fleet paths (fleet shards re-load it from the path)
+        SLOConfig.parse(args.slo)
+    # resolve the profile up front so a broken file fails fast in both
+    # modes (fleet shards re-load it from the path)
     default_profile = _load_profile_arg(args)
-    if args.shards:
-        return _cmd_serve_fleet(args)
-    telemetry = None
-    if getattr(args, "telemetry_dir", None):
-        from .obs import telemetry as telemetry_store
+    if args.trace:
+        tracer.enable()
+    with contextlib.ExitStack() as stack:
+        try:
+            if args.shards:
+                frontend = _start_fleet(args, stack)
+                if hasattr(args, "port"):
+                    frontend.wait()  # TCP only; a shutdown op ends this
+                    return 0
+                handle = frontend.handle_doc
+            else:
+                telemetry = None
+                if args.telemetry_dir:
+                    from .obs import telemetry as telemetry_store
 
-        telemetry = telemetry_store.install(args.telemetry_dir)
-    service = _build_service(args.cache_dir, args.capacity, args.workers,
-                             slo=slo, telemetry=telemetry,
-                             default_profile=default_profile)
-    try:
-        served = serve_loop(service, sys.stdin, sys.stdout)
-    finally:
-        service.close()
+                    telemetry = telemetry_store.install(args.telemetry_dir)
+                service = stack.enter_context(_build_service(
+                    args.cache_dir, args.capacity, args.workers,
+                    slo=args.slo, telemetry=telemetry,
+                    default_profile=default_profile))
+                handle = functools.partial(handle_doc, service)
+            served = serve_loop(handle, sys.stdin, sys.stdout)
+        except KeyboardInterrupt:
+            return 0
     print(f"served {served} request(s)", file=sys.stderr)
     return 0
 
 
-def _cmd_serve_fleet(args) -> int:
-    """Fleet mode: N shards behind the asyncio frontend (see docs/serving.md).
+def _start_fleet(args, stack: contextlib.ExitStack):
+    """Start ``--shards`` shards and their frontend; ``stack`` stops them."""
+    from .fleet import ChaosSpec, FleetFrontend, RetryPolicy, ShardSupervisor
 
-    With ``--port`` the frontend listens on TCP (v2 frames, with the v1
-    JSON-lines sniff) until a shutdown op arrives; without it the frontend
-    still comes up but requests are read from stdin and answered on stdout,
-    exactly like the single-process loop — the fleet as a drop-in upgrade.
-    """
-    from .fleet import FleetFrontend, ShardSupervisor
-    from .obs.tracing import tracer
-
-    if args.trace:
-        tracer.enable()  # the frontend's own spans; shards via trace=True
     chaos = getattr(args, "chaos", None)
     if chaos is not None:  # fail fast on a bad spec, before any spawn
-        from .fleet import ChaosSpec
         ChaosSpec.parse(chaos)
     retry = getattr(args, "retry", None)
     if retry is not None:
-        from .fleet import RetryPolicy
         retry = RetryPolicy.parse(retry)
-    slo = getattr(args, "slo", None)
-    telemetry_dir = getattr(args, "telemetry_dir", None)
+    shard_mode = getattr(args, "shard_mode", "thread")
     frontend_telemetry = None
-    if telemetry_dir:
+    if args.telemetry_dir:
         from pathlib import Path
 
         from .obs import telemetry as telemetry_store
 
         frontend_telemetry = telemetry_store.TelemetryWriter(
-            Path(telemetry_dir) / "frontend")
-    supervisor = ShardSupervisor(
+            Path(args.telemetry_dir) / "frontend")
+        stack.callback(frontend_telemetry.close)
+    supervisor = stack.enter_context(ShardSupervisor(
         args.shards,
         cache_dir=args.cache_dir or None,
-        mode=args.shard_mode,
+        mode=shard_mode,
         capacity=args.capacity,
         workers=args.workers,
-        fallback_backend="greedy",
         trace=args.trace,
         chaos=chaos,
-        restart=bool(getattr(args, "restart", False)
-                     and args.shard_mode == "process"),
-        telemetry_dir=telemetry_dir,
-        slo=slo,
-        profile_path=getattr(args, "profile", None),
-    )
-    with supervisor:
-        frontend = FleetFrontend(
-            supervisor.handles,
-            host=args.host,
-            port=args.port if args.port is not None else 0,
-            heartbeat_interval_s=getattr(args, "heartbeat_interval", 1.0),
-            failure_threshold=getattr(args, "failure_threshold", 3),
-            retry=retry,
-            slo=slo,
-            telemetry=frontend_telemetry,
-        )
-        with frontend:
-            shard_list = ", ".join(
-                f"{h.name}@{h.host}:{h.port}" for h in supervisor.handles)
-            print(f"fleet up: frontend {frontend.host}:{frontend.port} "
-                  f"({args.shard_mode} shards: {shard_list})",
-                  file=sys.stderr)
-            sys.stderr.flush()
-            try:
-                if args.port is not None:
-                    frontend.wait()  # TCP only; a shutdown op ends this
-                else:
-                    served = frontend.serve_stdin(sys.stdin, sys.stdout)
-                    print(f"served {served} request(s)", file=sys.stderr)
-            except KeyboardInterrupt:
-                pass
-    if frontend_telemetry is not None:
-        frontend_telemetry.close()
-    return 0
+        restart=getattr(args, "restart", False) and shard_mode == "process",
+        telemetry_dir=args.telemetry_dir,
+        slo=args.slo,
+        profile_path=args.profile,
+    ))
+    frontend = stack.enter_context(FleetFrontend(
+        supervisor.handles,
+        host=getattr(args, "host", "127.0.0.1"),
+        port=getattr(args, "port", 0),
+        heartbeat_interval_s=getattr(args, "heartbeat_interval", 1.0),
+        failure_threshold=getattr(args, "failure_threshold", 3),
+        retry=retry,
+        slo=args.slo,
+        telemetry=frontend_telemetry,
+    ))
+    shard_list = ", ".join(
+        f"{h.name}@{h.host}:{h.port}" for h in supervisor.handles)
+    print(f"fleet up: frontend {frontend.host}:{frontend.port} "
+          f"({shard_mode} shards: {shard_list})", file=sys.stderr)
+    sys.stderr.flush()
+    return frontend
 
 
 def _cmd_warm(args) -> int:

@@ -1,12 +1,14 @@
 """Fleet serving: sharded, batched, deadline-aware plan service.
 
-The single-process :mod:`repro.service` answers one JSON-lines request at a
-time from one process's cache.  This package is the horizontal layer on top
-of it — the ROADMAP's "millions of users" item:
+The single-process :mod:`repro.service` answers JSON-lines requests from one
+process's cache.  This package is the horizontal layer on top of it, and
+serves the same protocol: a fleet's JSON lines, on stdin or TCP, go through
+the one decoder and line loop of :mod:`repro.service.server`, and every
+shard answers with that module's op table.
 
 * :mod:`~repro.fleet.wire` — versioned wire protocol **v2**
-  (length-prefixed JSON frames over TCP, hello/negotiation, a
-  first-byte-sniffing compat shim for the v1 JSON-lines protocol);
+  (length-prefixed JSON frames over TCP, hello/negotiation, and the
+  first-byte sniff that tells a JSON-lines client from a v2 one);
 * :mod:`~repro.fleet.ring` — consistent-hash sharding of the
   content-addressed plan cache (virtual nodes, minimal movement on shard
   join/leave, deterministic across processes);

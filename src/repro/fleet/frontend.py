@@ -42,9 +42,11 @@ Request path for one batch item::
   owner's answer.  See docs/serving.md ("Fault tolerance").
 
 The frontend runs its event loop in a dedicated thread so the blocking
-CLI (and tests) can drive it; v1 JSON-lines clients are supported both on
-stdin (:meth:`FleetFrontend.serve_stdin`) and over TCP (first-byte sniff,
-see :mod:`repro.fleet.wire`).
+CLI (and tests) can drive it.  JSON-lines clients reach it two ways, both
+through the one request decoder (:func:`repro.service.server.decode_line`):
+on stdin, where ``serve_loop`` hands each decoded line to
+:meth:`FleetFrontend.handle_doc`, and over TCP (first-byte sniff, see
+:mod:`repro.fleet.wire`).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import itertools
 import json
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.logging import get_logger
 from ..obs import telemetry as telemetry_store
@@ -62,10 +64,10 @@ from ..obs.registry import MetricsRegistry
 from ..obs.slo import SLOTracker
 from ..obs.tracing import new_trace_id, tracer
 from ..service.server import (
-    KNOWN_OPS,
-    MAX_REQUEST_BYTES,
+    decode_line,
     is_shutdown_ack,
     request_from_doc,
+    too_large,
 )
 from .admission import ADMIT, DEGRADE, AdmissionController, Decision
 from .health import HealthMonitor
@@ -90,8 +92,7 @@ from .wire import (
 
 log = get_logger("repro.fleet.frontend")
 
-#: ops the frontend answers (v2 frames; v1 lines accept the overlap with
-#: the single-process protocol: plan / stats / shutdown, plus plan_batch)
+#: ops the frontend answers, on v2 frames and JSON lines alike
 FRONTEND_OPS = ("hello", "ping", "plan", "plan_batch", "warm", "stats",
                 "fleet_stats", "trace", "shutdown")
 
@@ -426,93 +427,59 @@ class FleetFrontend:
                 doc = await read_frame(reader, MAX_REQUEST_FRAME_BYTES,
                                        prefix=prefix)
             except FrameTooLarge as exc:
-                await write_frame(writer, {
-                    "ok": False, "error": "request too large",
-                    "limit_bytes": exc.limit, "got_bytes": exc.declared})
+                await write_frame(writer, too_large(exc.declared))
                 return  # stream desynchronized past a refused frame
             except FrameError:
                 return
             prefix = b""
             if doc is None:
                 return
-            reply, stop = await self._handle_op(doc)
+            reply = await self._handle_op(doc)
             await write_frame(writer, reply)
-            if stop:
+            if is_shutdown_ack(reply):
                 self._stop_event.set()
                 return
 
     async def _serve_v1_connection(self, first: bytes,
                                    reader: asyncio.StreamReader,
                                    writer: asyncio.StreamWriter) -> None:
-        """The v1 JSON-lines compat shim, over TCP."""
-        pending = first
+        """JSON lines over TCP: decoded as on stdin, one reply per line."""
+        prefix = first
         while True:
-            try:
-                rest = await reader.readline()
-            except ValueError:  # line beyond the stream limit
-                writer.write((json.dumps({
-                    "ok": False, "error": "request too large",
-                    "limit_bytes": MAX_REQUEST_BYTES}) + "\n").encode())
-                await writer.drain()
-                return
-            line = (pending + rest).decode("utf-8", errors="replace")
-            pending = b""
-            if not line.strip():
-                if not rest:
-                    return  # EOF
-                continue
-            result = await self._handle_v1_line(line)
-            writer.write((json.dumps(result) + "\n").encode())
+            line = await _read_line(reader, prefix)
+            prefix = b""
+            if line == b"":
+                return  # EOF
+            if isinstance(line, int):  # the size of a dropped line
+                doc, reply = None, too_large(line)
+            else:
+                doc, reply = decode_line(line)
+            if doc is not None:
+                self.metrics.counter("v1_lines").inc()
+                reply = await self._handle_op(doc)
+            writer.write((json.dumps(reply) + "\n").encode())
             await writer.drain()
-            if is_shutdown_ack(result):
+            if is_shutdown_ack(reply):
                 self._stop_event.set()
                 return
-            if not rest:
-                return  # EOF after an unterminated final line
 
-    async def _handle_v1_line(self, line: str) -> Dict:
-        """One v1 JSON-lines request routed through the fleet."""
-        self.metrics.counter("v1_lines").inc()
-        if len(line) > MAX_REQUEST_BYTES:
-            return {"ok": False, "error": "request too large",
-                    "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": len(line)}
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"ok": False, "error": f"bad JSON: {exc}"}
-        if not isinstance(doc, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
-        reply, _ = await self._handle_op(doc)
-        return reply
+    def handle_doc(self, doc: Dict) -> Dict:
+        """Answer one request document from outside the event loop.
 
-    def serve_stdin(self, lines: Iterable[str], out: TextIO) -> int:
-        """Drive the fleet from the v1 stdin/stdout loop (CLI compat).
-
-        Runs on the caller's thread; each line is handed to the event loop
-        and the response written back as one JSON line, exactly like the
-        single-process ``repro serve``.
+        The stdin entry of ``repro serve --shards N``: ``serve_loop`` runs
+        on the caller's thread and hands each decoded line here.
         """
         if self._loop is None:
             raise RuntimeError("frontend not started")
-        served = 0
-        for line in lines:
-            future = asyncio.run_coroutine_threadsafe(
-                self._handle_v1_line(line), self._loop)
-            result = future.result()
-            out.write(json.dumps(result) + "\n")
-            out.flush()
-            served += 1
-            if is_shutdown_ack(result):
-                break
-        return served
+        return asyncio.run_coroutine_threadsafe(
+            self._handle_op(doc), self._loop).result()
 
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    async def _handle_op(self, doc: Dict) -> Tuple[Dict, bool]:
+    async def _handle_op(self, doc: Dict) -> Dict:
         op = doc.get("op", "plan")
         request_id = doc.get("id")
-        stop = False
         try:
             if op == "hello":
                 reply = negotiate(doc, role="frontend", server=self.name)
@@ -531,16 +498,14 @@ class FleetFrontend:
                 reply = await self._fleet_trace()
             elif op == "shutdown":
                 reply = await self._shutdown_shards()
-                stop = True
             else:
                 reply = {"ok": False, "error": f"unknown op {op!r}",
-                         "known_ops": sorted(set(FRONTEND_OPS) |
-                                             set(KNOWN_OPS))}
+                         "known_ops": list(FRONTEND_OPS)}
         except Exception as exc:  # a bad request must not kill the frontend
             reply = {"ok": False, "error": str(exc)}
         if request_id is not None:
             reply.setdefault("id", request_id)
-        return reply, stop
+        return reply
 
     # -- plan items ----------------------------------------------------
     def _parse_item(self, doc: Dict) -> str:
@@ -980,3 +945,28 @@ class FleetFrontend:
 
 async def _immediate(doc: Dict) -> Dict:
     return doc
+
+
+async def _read_line(reader: asyncio.StreamReader,
+                     prefix: bytes = b"") -> Union[bytes, int]:
+    """The next line after ``prefix``, newline included (b"" at EOF).
+
+    A line longer than the stream buffer is read past and dropped, so the
+    stream stays in step; its size in bytes comes back instead.
+    """
+    if prefix.endswith(b"\n"):
+        return prefix
+    try:
+        return prefix + await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:  # EOF, maybe mid-line
+        return prefix + exc.partial
+    except asyncio.LimitOverrunError:
+        pass
+    size = len(prefix)
+    while True:
+        try:
+            return size + len(await reader.readuntil(b"\n"))
+        except asyncio.LimitOverrunError as exc:
+            size += len(await reader.readexactly(exc.consumed))
+        except asyncio.IncompleteReadError as exc:
+            return size + len(exc.partial)

@@ -3,9 +3,11 @@
 A shard is the unit of horizontal scale: it owns a contiguous set of ring
 positions (see :mod:`repro.fleet.ring`), runs a full single-process plan
 service (cache tiers, single-flight, worker pool, deadline fallback), and
-speaks wire protocol v2 over TCP.  Shards never talk to each other — the
-frontend routes, replicates and aggregates — which keeps every shard
-failure mode local.
+speaks wire protocol v2 over TCP.  It answers the same op table as
+single-process ``repro serve`` (:func:`repro.service.server.handle_doc`)
+and adds only ``hello``, the chaos ops and its ``shard`` label.  Shards
+never talk to each other — the frontend routes, replicates and aggregates
+— which keeps every shard failure mode local.
 
 Two run modes, same server class:
 
@@ -13,14 +15,15 @@ Two run modes, same server class:
   ``ThreadingTCPServer``; used by tests and by small single-machine fleets
   where process isolation is not worth the memory duplication;
 * **process** — :func:`run_shard` is spawned as a separate OS process (the
-  production topology from the ISSUE): its cache, worker pool, metrics and
+  production topology): its cache, worker pool, metrics and
   tracer are fully isolated, and the actual bound port travels back over a
   pipe so ephemeral ports work.
 
 The supervisor starts N shards with per-shard disk-cache directories
 (``<cache_dir>/shard-<name>``) and stops them by protocol (a ``shutdown``
-frame drains the shard's in-flight jobs before the ack), falling back to
-termination only when a process stops responding.
+frame drains the shard's in-flight jobs and writes its stats snapshot
+before the ack), falling back to termination only when a process stops
+responding.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.serialize import plan_from_dict, plan_to_dict
 from ..obs import telemetry as telemetry_store
 from ..obs.logging import get_logger, set_log_context
 from ..obs.tracing import tracer
 from ..service.cache import PlanCache
-from ..service.server import request_from_doc, response_to_doc
+from ..service.server import handle_doc as service_handle_doc
+from ..service.server import is_shutdown_ack, too_large
 from ..service.service import PlanService
 from .chaos import ChaosController, ChaosSpec
 from .retry import RetryPolicy
@@ -55,10 +58,6 @@ from .wire import (
 )
 
 log = get_logger("repro.fleet.shard")
-
-#: ops a shard answers; the frontend speaks exactly this set
-SHARD_OPS = ("hello", "ping", "plan", "cache_put", "stats", "trace",
-             "shutdown")
 
 #: fault-injection ops, refused unless the shard runs with a chaos
 #: controller (``serve --chaos`` / ``REPRO_CHAOS``): a production shard
@@ -85,10 +84,8 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 doc = recv_frame(sock, max_bytes=MAX_REQUEST_FRAME_BYTES)
             except FrameTooLarge as exc:
                 try:
-                    send_frame(sock, {
-                        "ok": False, "error": "request too large",
-                        "limit_bytes": exc.limit, "got_bytes": exc.declared,
-                    }, chaos=shard.chaos)
+                    send_frame(sock, too_large(exc.declared),
+                               chaos=shard.chaos)
                 except OSError:
                     pass
                 return  # stream is desynchronized past a refused frame
@@ -197,6 +194,10 @@ class ShardServer:
     def handle_doc(self, doc: Dict) -> Tuple[Optional[Dict], bool]:
         """Answer one frame; returns ``(reply, stop_serving)``.
 
+        Every op but ``hello`` and the chaos ops goes through the shared
+        plan-service op table (:func:`repro.service.server.handle_doc`);
+        the shard adds its ``shard`` label to every reply, its chaos
+        counters to ``stats`` and its process name to ``trace`` spans.
         A ``None`` reply means "answer with silence and drop the
         connection" — only the chaos kill path produces it, because a
         crashing shard does not say goodbye.
@@ -205,76 +206,28 @@ class ShardServer:
         if frozen_for > 0:  # chaos freeze: the shard stops answering
             time.sleep(frozen_for)
         op = doc.get("op", "plan")
-        request_id = doc.get("id")
-        stop = False
-        try:
-            if op in CHAOS_OPS:
-                return self._handle_chaos_op(op, doc, request_id)
-            if op == "hello":
-                reply = negotiate(doc, role="shard", server=self.name)
-            elif op == "ping":
-                reply = {"ok": True, "shard": self.name}
-            elif op == "plan":
-                reply = self._handle_plan(doc)
-            elif op == "cache_put":
-                reply = self._handle_cache_put(doc)
-            elif op == "stats":
-                stats = self.service.snapshot()
-                if self.chaos is not None:
-                    stats["chaos"] = self.chaos.snapshot()
-                reply = {"ok": True, "shard": self.name, "stats": stats}
-            elif op == "trace":
-                spans = [dict(span.as_dict(), process=f"shard-{self.name}")
-                         for span in tracer.drain()]
-                reply = {"ok": True, "shard": self.name, "spans": spans}
-            elif op == "shutdown":
-                pending = self.service.pending_jobs()
-                self.service.drain()
-                reply = {"ok": True, "op": "shutdown", "shard": self.name,
-                         "drained_jobs": pending}
-                stop = True
-            else:
-                reply = {"ok": False, "shard": self.name,
-                         "error": f"unknown op {op!r}",
-                         "known_ops": list(SHARD_OPS)}
-        except Exception as exc:  # one bad request must not kill the shard
-            reply = {"ok": False, "shard": self.name, "error": str(exc)}
-        if request_id is not None:
-            reply.setdefault("id", request_id)
-        return reply, stop
-
-    def _handle_plan(self, doc: Dict) -> Dict:
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        request = request_from_doc(doc)
-        response = self.service.plan(
-            request, deadline_s=deadline_s, trace_id=doc.get("trace_id"))
-        reply = response_to_doc(response)
+        if op in CHAOS_OPS:
+            reply = self._handle_chaos_op(op, doc)
+            if reply is None:
+                return None, True
+        elif op == "hello":
+            reply = negotiate(doc, role="shard", server=self.name)
+        else:
+            reply = service_handle_doc(self.service, doc)
+            if op == "stats" and reply["ok"] and self.chaos is not None:
+                reply["stats"]["chaos"] = self.chaos.snapshot()
+            if op == "trace":
+                for span in reply.get("spans", ()):
+                    span["process"] = f"shard-{self.name}"
         reply["shard"] = self.name
-        if doc.get("include_plan"):
-            reply["plan"] = plan_to_dict(response.planned)
-        return reply
+        if doc.get("id") is not None:
+            reply.setdefault("id", doc["id"])
+        return reply, is_shutdown_ack(reply)
 
-    def _handle_cache_put(self, doc: Dict) -> Dict:
-        """Warm-replication receiver: install a peer-planned cache entry."""
-        fingerprint = doc.get("fingerprint")
-        plan_doc = doc.get("plan")
-        if not fingerprint or not isinstance(plan_doc, dict):
-            raise ValueError("cache_put needs 'fingerprint' and 'plan'")
-        planned = plan_from_dict(plan_doc)
-        self.service.cache.put(fingerprint, planned)
-        return {"ok": True, "shard": self.name, "stored": True,
-                "fingerprint": fingerprint}
-
-    def _handle_chaos_op(self, op: str, doc: Dict,
-                         request_id) -> Tuple[Optional[Dict], bool]:
+    def _handle_chaos_op(self, op: str, doc: Dict) -> Optional[Dict]:
         """Scripted shard faults; refused without an active controller."""
         if self.chaos is None:
-            reply = {"ok": False, "shard": self.name,
-                     "error": "chaos not enabled on this shard"}
-            if request_id is not None:
-                reply["id"] = request_id
-            return reply, False
+            return {"ok": False, "error": "chaos not enabled on this shard"}
         if op == "chaos_kill":
             log.warning("chaos kill", extra={
                 "event": "chaos_kill", "shard": self.name,
@@ -286,16 +239,16 @@ class ShardServer:
             self.killed = True
             self.request_stop()
             self._sever_connections()
-            return None, True
-        seconds = float(doc.get("seconds", 1.0))
+            return None
+        try:
+            seconds = float(doc.get("seconds", 1.0))
+        except (TypeError, ValueError) as exc:
+            return {"ok": False, "error": str(exc)}
         self._frozen_until = time.monotonic() + seconds
         log.warning("chaos freeze", extra={
             "event": "chaos_freeze", "shard": self.name,
             "seconds": seconds})
-        reply = {"ok": True, "shard": self.name, "frozen_s": seconds}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply, False
+        return {"ok": True, "frozen_s": seconds}
 
     # ------------------------------------------------------------------
     # connection tracking (for the thread-mode chaos kill)

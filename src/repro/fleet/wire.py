@@ -18,8 +18,8 @@ JSON-lines protocol this adds three things the fleet needs:
 length-prefix byte would declare a >2 GB frame, far beyond any cap this
 module accepts.  Servers therefore sniff the first byte
 (:func:`looks_like_v1`) and fall back to newline-delimited JSON on such
-connections — the existing stdin/stdout loop keeps working over TCP,
-unchanged.
+connections, decoded line by line exactly like stdin
+(:func:`repro.service.server.decode_line`).
 
 Both blocking-socket (``send_frame``/``recv_frame``) and asyncio
 (``write_frame``/``read_frame``) helpers live here so the shard servers,
@@ -35,13 +35,15 @@ import struct
 import time
 from typing import Any, Dict, Optional
 
+from ..service.server import MAX_REQUEST_BYTES
+
 #: the protocol this module implements; carried in every hello
 PROTOCOL_VERSION = 2
 
 #: inbound request frames larger than this are rejected with
-#: ``{"ok": false, "error": "request too large"}`` — mirrors the v1 line
-#: cap in :data:`repro.service.server.MAX_REQUEST_BYTES`
-MAX_REQUEST_FRAME_BYTES = 1 << 20
+#: ``{"ok": false, "error": "request too large"}``: the one request cap,
+#: shared with JSON lines
+MAX_REQUEST_FRAME_BYTES = MAX_REQUEST_BYTES
 
 #: response frames can carry merged traces and serialized plans; clients
 #: accept up to this much before declaring the peer broken

@@ -56,3 +56,28 @@ def heterogeneous_array(n_v2: int = 128, n_v3: int = 128) -> AcceleratorGroup:
 def homogeneous_array(n: int = 128) -> AcceleratorGroup:
     """The Section 6.3 array: 128 TPU-v3 boards."""
     return make_group(TPU_V3, n)
+
+
+def parse_array(text: str) -> AcceleratorGroup:
+    """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'.
+
+    Raises ``ValueError`` on a spec it cannot read.
+    """
+    key = text.strip().lower()
+    if key in ("hetero", "heterogeneous"):
+        return heterogeneous_array()
+    if key in ("homo", "homogeneous"):
+        return homogeneous_array()
+    members = []
+    for part in key.split(","):
+        name, colon, count = part.partition(":")
+        if not colon:
+            raise ValueError(
+                f"bad array component {part!r}; expected name:count")
+        if name not in KNOWN_SPECS:
+            raise ValueError(
+                f"unknown accelerator {name!r}; known: {sorted(KNOWN_SPECS)}")
+        if not count.strip().isdecimal():
+            raise ValueError(f"bad count in {part!r}")
+        members.extend(make_group(KNOWN_SPECS[name], int(count)).members)
+    return AcceleratorGroup(tuple(members))

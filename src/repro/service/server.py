@@ -1,6 +1,6 @@
-"""JSON-lines front-end for the plan service (``python -m repro serve``).
+"""The plan service's JSON-lines protocol (``python -m repro serve``).
 
-One request per line on stdin, one JSON response per line on stdout — the
+One request per line on stdin, one JSON reply per line on stdout — the
 simplest protocol that scripts, ``xargs`` and load generators can all drive.
 A request looks like::
 
@@ -8,35 +8,41 @@ A request looks like::
 
 Optional fields: ``scheme`` (default ``accpar``), ``levels``, ``dtype_bytes``,
 ``space`` (partition-type values, e.g. ``["I", "II"]``), ``ratio_mode``,
-``backend`` (search backend name, e.g. ``"greedy"``), ``id`` (echoed back).
-Control operations use ``op``::
+``backend`` (search backend name, e.g. ``"greedy"``), ``profile``, ``id``
+(echoed back).  Control operations use ``op``; see :data:`KNOWN_OPS`.
 
-    {"op": "stats"}        -> metrics + cache counters
-    {"op": "shutdown"}     -> drain and exit the loop
-
-Malformed input produces an ``{"ok": false, "error": ...}`` line and the
-loop keeps serving — a bad client must not take the service down.
+Every JSON-lines ingress, stdin or TCP, single process or fleet, decodes
+with :func:`decode_line` and gets exactly one reply per line, so a bad line
+gets an ``{"ok": false, "error": ...}`` reply and serving goes on.
+:func:`handle_doc` is the one op table over a :class:`PlanService`, for
+``repro serve`` and every fleet shard; :func:`serve_loop` runs over it or
+over the fleet frontend's, and treats EOF as a shutdown without the ack.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import (Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
+                    Union)
 
+from ..core.serialize import plan_from_dict, plan_to_dict
+from ..hardware.presets import parse_array
 from ..ioutil import atomic_write_text
+from ..obs.tracing import tracer
 from .fingerprint import PlanRequest
 from .service import PlanResponse, PlanService
 
-#: request lines longer than this are rejected with a structured
-#: ``{"ok": false, "error": "request too large"}`` before JSON parsing —
-#: a misbehaving client cannot make the loop buffer unbounded input.
-#: Mirrors the v2 frame cap (repro.fleet.wire.MAX_REQUEST_FRAME_BYTES).
+#: the largest request in UTF-8 bytes, on every ingress: a JSON line or a
+#: wire-v2 request frame (:mod:`repro.fleet.wire` reuses it).  Checked
+#: before parsing, so a client cannot make a server parse unbounded input.
 MAX_REQUEST_BYTES = 1 << 20
 
-#: the control operations the JSON-lines protocol understands; anything
-#: else is answered with a structured unknown-op error naming this list
-KNOWN_OPS = ("plan", "stats", "shutdown")
+#: the ops :func:`handle_doc` answers; an unknown op's reply lists them
+KNOWN_OPS = ("ping", "plan", "cache_put", "stats", "trace", "shutdown")
+
+#: one request document in, one reply out (:func:`handle_doc` on a service)
+Handler = Callable[[Dict], Dict]
 
 #: name of the stats snapshot dropped next to the disk cache tier; carries a
 #: leading underscore and a .txt suffix so the ``*.json`` entry glob skips it
@@ -48,17 +54,44 @@ STATS_SNAPSHOT_NAME = "_last_session_stats.txt"
 STATS_SNAPSHOT_JSON_NAME = "_last_session_stats.meta"
 
 
+def too_large(got_bytes: int) -> Dict:
+    """The reply to a request over :data:`MAX_REQUEST_BYTES`."""
+    return {"ok": False, "error": "request too large",
+            "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": got_bytes}
+
+
+def decode_line(line: Union[str, bytes]) -> Tuple[Optional[Dict],
+                                                  Optional[Dict]]:
+    """One request line as ``(document, None)`` or ``(None, error reply)``.
+
+    The cap counts the line's UTF-8 bytes without surrounding whitespace,
+    so a line of multi-byte characters cannot slip under it.
+    """
+    data = line.encode("utf-8", "surrogatepass") \
+        if isinstance(line, str) else line
+    data = data.strip()
+    if len(data) > MAX_REQUEST_BYTES:
+        return None, too_large(len(data))
+    if not data:
+        return None, {"ok": False, "error": "empty request line"}
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        return None, {"ok": False, "error": f"bad JSON: {exc}"}
+    if not isinstance(doc, dict):
+        return None, {"ok": False, "error": "request must be a JSON object"}
+    return doc, None
+
+
 def request_from_doc(doc: Dict) -> PlanRequest:
     """Build a canonical :class:`PlanRequest` from a JSON request document.
 
     Only ``op == "plan"`` documents (the default) describe a plan request;
     any other ``op`` is rejected here so a control operation (or a typo'd
     one) can never be silently misread as a planning job by callers that
-    skip :func:`handle_line` — the fleet frontend routes documents through
+    skip :func:`handle_doc` — the fleet frontend routes documents through
     this function directly.
     """
-    from ..cli import parse_array  # deferred: the CLI imports this module
-
     op = doc.get("op", "plan")
     if op != "plan":
         raise ValueError(
@@ -124,53 +157,59 @@ def response_to_doc(response: PlanResponse) -> Dict:
     }
 
 
-def handle_line(service: PlanService, line: str) -> Dict:
-    """Process one request line into one response document.
+def handle_doc(service: PlanService, doc: Dict) -> Dict:
+    """Answer one request document: the op table of every plan service.
 
-    A ``shutdown`` op **drains first, then acknowledges**: every in-flight
-    planning job (including background exact refinement behind a degraded
-    response) finishes and reaches the disk cache before the
-    ``{"ok": true, "op": "shutdown"}`` ack is produced — a client that
-    reads the ack knows its plans are durable.  The serving loop stops
-    after writing that ack.
+    ``plan`` adopts ``trace_id`` and, with ``include_plan``, carries the
+    serialized plan (warm replication reads it); ``cache_put`` installs a
+    peer-planned entry.  ``shutdown`` **drains first, then acknowledges**:
+    in-flight jobs (background refinements too) reach the disk tier and
+    the stats snapshot is written before the ack, so a client that reads
+    the ack knows its plans are durable.
     """
-    if len(line) > MAX_REQUEST_BYTES:
-        return {"ok": False, "error": "request too large",
-                "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": len(line)}
-    text = line.strip()
-    if not text:
-        return {"ok": False, "error": "empty request line"}
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return {"ok": False, "error": f"bad JSON: {exc}"}
-    if not isinstance(doc, dict):
-        return {"ok": False, "error": "request must be a JSON object"}
-
     op = doc.get("op", "plan")
-    request_id = doc.get("id")
     try:
-        if op == "shutdown":
+        if op == "plan":
+            deadline_ms = doc.get("deadline_ms")
+            deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
+            response = service.plan(request_from_doc(doc),
+                                    deadline_s=deadline_s,
+                                    trace_id=doc.get("trace_id"))
+            reply = response_to_doc(response)
+            if doc.get("include_plan"):
+                reply["plan"] = plan_to_dict(response.planned)
+        elif op == "ping":
+            reply = {"ok": True}
+        elif op == "cache_put":
+            fingerprint, plan_doc = doc.get("fingerprint"), doc.get("plan")
+            if not fingerprint or not isinstance(plan_doc, dict):
+                raise ValueError("cache_put needs 'fingerprint' and 'plan'")
+            service.cache.put(fingerprint, plan_from_dict(plan_doc))
+            reply = {"ok": True, "stored": True, "fingerprint": fingerprint}
+        elif op == "stats":
+            reply = {"ok": True, "stats": service.snapshot()}
+        elif op == "trace":
+            reply = {"ok": True,
+                     "spans": [span.as_dict() for span in tracer.drain()]}
+        elif op == "shutdown":
             pending = service.pending_jobs()
             service.drain()
             write_stats_snapshot(service)
-            result: Dict = {"ok": True, "op": "shutdown",
-                            "drained_jobs": pending}
-        elif op == "stats":
-            result = {"ok": True, "stats": service.snapshot()}
-        elif op == "plan":
-            deadline_ms = doc.get("deadline_ms")
-            deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-            response = service.plan(request_from_doc(doc), deadline_s=deadline_s)
-            result = response_to_doc(response)
+            reply = {"ok": True, "op": "shutdown", "drained_jobs": pending}
         else:
-            result = {"ok": False, "error": f"unknown op {op!r}",
-                      "known_ops": list(KNOWN_OPS)}
-    except Exception as exc:  # a bad request must not kill the loop
-        result = {"ok": False, "error": str(exc)}
-    if request_id is not None:
-        result["id"] = request_id
-    return result
+            reply = {"ok": False, "error": f"unknown op {op!r}",
+                     "known_ops": list(KNOWN_OPS)}
+    except Exception as exc:  # a bad request must not kill the server
+        reply = {"ok": False, "error": str(exc)}
+    if doc.get("id") is not None:
+        reply["id"] = doc["id"]
+    return reply
+
+
+def handle_line(handle: Handler, line: Union[str, bytes]) -> Dict:
+    """One request line in, exactly one reply out."""
+    doc, error = decode_line(line)
+    return error or handle(doc)
 
 
 def is_shutdown_ack(result: Dict) -> bool:
@@ -178,24 +217,25 @@ def is_shutdown_ack(result: Dict) -> bool:
     return bool(result.get("ok")) and result.get("op") == "shutdown"
 
 
-def serve_loop(service: PlanService, lines: Iterable[str], out: TextIO) -> int:
-    """Serve requests until EOF or a shutdown op; returns served-line count.
+def serve_loop(handle: Handler, lines: Iterable[str], out: TextIO) -> int:
+    """Answer lines until a shutdown ack or EOF; returns the reply count.
 
-    Shutdown ordering matters: :func:`handle_line` drains in-flight jobs
-    *before* producing the shutdown ack, so by the time the client reads
-    the ack every plan — including background refinements racing the
-    shutdown — has been written to the disk cache.
+    ``handle`` is ``functools.partial(handle_doc, service)`` for one
+    process, or a fleet frontend's ``handle_doc``.  EOF acts as a shutdown
+    whose ack nobody reads, so in-flight jobs drain and the stats snapshot
+    is written either way.
     """
     served = 0
     for line in lines:
-        result = handle_line(service, line)
+        result = handle_line(handle, line)
         out.write(json.dumps(result) + "\n")
         out.flush()
         served += 1
         if is_shutdown_ack(result):
             return served
-    service.drain()
-    write_stats_snapshot(service)
+    ack = handle({"op": "shutdown"})
+    if not ack.get("ok"):
+        raise RuntimeError(f"shutdown at end of input: {ack.get('error')}")
     return served
 
 

@@ -27,7 +27,7 @@ from repro.fleet.wire import (
 )
 from repro.obs import chrome_trace_from_dicts, tracer
 from repro.plan.diff import plan_diff
-from repro.service.server import request_from_doc
+from repro.service.server import request_from_doc, serve_loop
 from repro.service.service import PlanService
 
 #: a small array keeps cold planning fast enough for tight test loops
@@ -243,7 +243,7 @@ class TestProtocol:
             json.dumps({"op": "shutdown"}),
         ]
         out = io.StringIO()
-        served = frontend.serve_stdin(lines, out)
+        served = serve_loop(frontend.handle_doc, lines, out)
         results = [json.loads(line) for line in out.getvalue().splitlines()]
         assert served == 3
         assert results[0]["ok"] and results[0]["id"] == 1

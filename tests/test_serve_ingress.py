@@ -1,0 +1,281 @@
+"""One serving path: every JSON-lines ingress shares one decoder and loop.
+
+Single-process ``repro serve``, a fleet's stdin loop and a fleet's TCP
+port must answer the same malformed lines the same way, one reply per
+line; ``repro serve`` and every shard answer from one op table.
+"""
+
+import io
+import json
+import os
+import socket
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import main
+from repro.fleet import (FleetClient, FleetFrontend, ShardServer,
+                         ShardSupervisor)
+from repro.fleet.wire import recv_frame, send_frame
+from repro.obs import tracer
+from repro.service import PlanCache, PlanService
+from repro.service.server import (
+    KNOWN_OPS,
+    MAX_REQUEST_BYTES,
+    STATS_SNAPSHOT_JSON_NAME,
+    STATS_SNAPSHOT_NAME,
+    decode_line,
+    handle_doc,
+    handle_line,
+    serve_loop,
+)
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+PLAN = json.dumps({"model": "lenet", "array": "tpu-v2:2,tpu-v3:2",
+                   "batch": 32})
+
+#: two-byte characters: under the cap counted in characters, over it in
+#: UTF-8 bytes
+OVERSIZED = json.dumps({"model": "é" * (MAX_REQUEST_BYTES // 2 + 8)},
+                       ensure_ascii=False)
+
+#: a valid plan, then every kind of line the decoder refuses
+TRANSCRIPT = [PLAN, "", "   \t ", "not json", "[]", OVERSIZED]
+
+
+def outcome(reply):
+    return reply["ok"], reply.get("error")
+
+
+def run_cli_serve(argv, lines, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "".join(line + "\n" for line in lines)))
+    code = main(["serve", *argv])
+    out, err = capsys.readouterr()
+    return code, [json.loads(line) for line in out.splitlines()], err
+
+
+def tcp_lines(port, lines):
+    """Send raw JSON lines to a fleet port; one reply line per line."""
+    with socket.create_connection(("127.0.0.1", port), 30.0) as sock:
+        sock.settimeout(30.0)
+        sock.sendall("".join(line + "\n" for line in lines).encode())
+        stream = sock.makefile("r", encoding="utf-8")
+        return [json.loads(stream.readline()) for _ in lines]
+
+
+@pytest.fixture
+def fleet(tmp_path):
+    with ShardSupervisor(2, cache_dir=tmp_path / "fleet") as sup:
+        with FleetFrontend(sup.handles) as frontend:
+            yield sup, frontend
+
+
+class TestDecodeLine:
+    def test_refusals(self):
+        assert decode_line("")[1]["error"] == "empty request line"
+        assert decode_line(" \t\r\n")[1]["error"] == "empty request line"
+        assert decode_line("nope")[1]["error"].startswith("bad JSON")
+        assert decode_line("[]")[1]["error"] == \
+            "request must be a JSON object"
+        # bytes that are not UTF-8 are bad JSON, not a crash
+        assert decode_line(b"{\xff}")[1]["error"].startswith("bad JSON")
+
+    def test_document(self):
+        doc, error = decode_line(b'  {"op": "ping"}\r\n')
+        assert doc == {"op": "ping"} and error is None
+
+    def test_cap_counts_utf8_bytes(self):
+        assert len(OVERSIZED) <= MAX_REQUEST_BYTES
+        size = len(OVERSIZED.encode("utf-8"))
+        assert size > MAX_REQUEST_BYTES
+        for line in (OVERSIZED, OVERSIZED.encode("utf-8")):
+            doc, error = decode_line(line)
+            assert doc is None
+            assert error == {"ok": False, "error": "request too large",
+                             "limit_bytes": MAX_REQUEST_BYTES,
+                             "got_bytes": size}
+
+
+class TestIngressParity:
+    def test_three_ingresses_answer_alike(self, tmp_path, fleet,
+                                          monkeypatch, capsys):
+        code, single, _ = run_cli_serve(
+            ["--cache-dir", str(tmp_path / "single")], TRANSCRIPT,
+            monkeypatch, capsys)
+        assert code == 0
+        _, frontend = fleet
+        over_tcp = tcp_lines(frontend.port, TRANSCRIPT)
+        out = io.StringIO()
+        assert serve_loop(frontend.handle_doc, TRANSCRIPT, out) == \
+            len(TRANSCRIPT)
+        fleet_stdin = [json.loads(line)
+                       for line in out.getvalue().splitlines()]
+
+        for replies in (single, fleet_stdin, over_tcp):
+            assert len(replies) == len(TRANSCRIPT)
+            assert replies[0]["ok"], replies[0]
+        assert "shard" not in single[0]
+        assert "shard" in fleet_stdin[0] and "shard" in over_tcp[0]
+        expected = [outcome(reply) for reply in single[1:]]
+        assert [outcome(r) for r in fleet_stdin[1:]] == expected
+        assert [outcome(r) for r in over_tcp[1:]] == expected
+        assert [error for _, error in expected] == [
+            "empty request line", "empty request line",
+            "bad JSON: Expecting value: line 1 column 1 (char 0)",
+            "request must be a JSON object", "request too large"]
+
+    def test_tcp_line_past_the_stream_buffer_keeps_the_stream(self, fleet):
+        _, frontend = fleet
+        huge = json.dumps({"model": "x" * (2 * MAX_REQUEST_BYTES)})
+        replies = tcp_lines(frontend.port,
+                            [huge, json.dumps({"op": "ping"})])
+        assert replies[0]["error"] == "request too large"
+        assert replies[0]["got_bytes"] > MAX_REQUEST_BYTES
+        assert replies[1]["ok"] and replies[1]["server"] == "frontend"
+
+    def test_tcp_blank_first_line_is_answered(self, fleet):
+        _, frontend = fleet
+        replies = tcp_lines(frontend.port, ["", json.dumps({"op": "ping"})])
+        assert outcome(replies[0]) == (False, "empty request line")
+        assert replies[1]["ok"]
+
+
+class TestEndOfInput:
+    def test_eof_drains_and_snapshots_without_an_ack(self, tmp_path):
+        out = io.StringIO()
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as svc:
+            assert serve_loop(partial(handle_doc, svc), [PLAN], out) == 1
+        assert len(out.getvalue().splitlines()) == 1
+        assert (tmp_path / STATS_SNAPSHOT_NAME).exists()
+        assert (tmp_path / STATS_SNAPSHOT_JSON_NAME).exists()
+
+    def test_fleet_shutdown_writes_every_shard_snapshot(
+            self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        code, replies, _ = run_cli_serve(
+            ["--shards", "2", "--cache-dir", str(cache)], [PLAN],
+            monkeypatch, capsys)
+        assert code == 0 and replies[0]["ok"]
+        for shard in ("shard-0", "shard-1"):
+            assert (cache / shard / STATS_SNAPSHOT_NAME).exists()
+            assert (cache / shard / STATS_SNAPSHOT_JSON_NAME).exists()
+        assert main(["service-stats", "--cache-dir",
+                     str(cache / "shard-0")]) == 0
+        assert "last session:" in capsys.readouterr().out
+
+
+def answered(reply):
+    return not str(reply.get("error", "")).startswith("unknown op")
+
+
+def by_known_ops(ask):
+    """Ask for an unknown op, then send every op its reply names."""
+    known = ask({"op": "explode"})["known_ops"]
+    ops = sorted(known, key=lambda op: op == "shutdown")  # shutdown last
+    return known, {op: ask({"op": op}) for op in ops}
+
+
+class TestKnownOps:
+    def test_stdin(self):
+        with PlanService() as svc:
+            handle = partial(handle_doc, svc)
+            known = handle_line(handle, '{"op": "explode"}')["known_ops"]
+            assert known == list(KNOWN_OPS)
+            lines = [json.dumps({"op": op}) for op in
+                     sorted(known, key=lambda op: op == "shutdown")]
+            out = io.StringIO()
+            assert serve_loop(handle, lines, out) == len(lines)
+        for line in out.getvalue().splitlines():
+            assert answered(json.loads(line)), line
+
+    def test_shard(self, tmp_path):
+        shard = ShardServer("0", cache_dir=tmp_path)
+        shard.start_background()
+        try:
+            with socket.create_connection((shard.host, shard.port), 30) as s:
+                s.settimeout(30.0)
+
+                def ask(doc):
+                    send_frame(s, doc)
+                    return recv_frame(s)
+
+                known, replies = by_known_ops(ask)
+        finally:
+            shard.stop()
+        assert "cache_put" in known
+        for op, reply in replies.items():
+            assert answered(reply), (op, reply)
+            assert reply["shard"] == "0"
+        assert (tmp_path / STATS_SNAPSHOT_JSON_NAME).exists()
+
+    def test_frontend(self, fleet):
+        _, frontend = fleet
+        with FleetClient(port=frontend.port) as client:
+            known, replies = by_known_ops(client.request)
+        assert "cache_put" not in known
+        assert {"plan_batch", "warm"} <= set(known)
+        for op, reply in replies.items():
+            assert answered(reply), (op, reply)
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("flag", [
+        ["--port", "0"], ["--host", "0.0.0.0"], ["--shard-mode", "process"],
+        ["--restart"], ["--chaos", "seed=1"], ["--heartbeat-interval", "0.5"],
+        ["--failure-threshold", "2"], ["--retry", "attempts=1"],
+    ])
+    def test_fleet_only_flag_needs_shards(self, flag, capsys):
+        assert main(["serve", "--cache-dir", "", *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
+
+    def test_every_flag_is_named(self, capsys):
+        assert main(["serve", "--port", "7071", "--chaos", "seed=1",
+                     "--trace"]) == 2
+        err = capsys.readouterr().err
+        assert "--port" in err and "--chaos" in err
+
+    def test_trace_without_shards(self, monkeypatch, capsys):
+        try:
+            code, replies, _ = run_cli_serve(
+                ["--cache-dir", "", "--trace"],
+                [PLAN, json.dumps({"op": "trace"})], monkeypatch, capsys)
+        finally:
+            tracer.disable()
+            tracer.clear()
+        assert code == 0 and replies[0]["ok"]
+        names = {span["name"] for span in replies[1]["spans"]}
+        assert "service.request" in names
+
+    def test_single_process_imports_no_fleet(self):
+        script = (
+            "import io, sys\n"
+            "sys.stdin = io.StringIO('{\"op\": \"ping\"}\\n')\n"
+            "from repro.cli import main\n"
+            "assert main(['serve', '--cache-dir', '']) == 0\n"
+            "print(sorted(m for m in ('asyncio', 'repro.fleet')"
+            " if m in sys.modules))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_request_from_doc_does_not_import_the_cli(self):
+        script = (
+            "import sys\n"
+            "from repro.service.server import request_from_doc\n"
+            "request = request_from_doc("
+            "{'model': 'lenet', 'array': 'tpu-v3:2'})\n"
+            "assert request.array.size == 2\n"
+            "print('repro.cli' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert result.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from functools import partial
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.service import (
     build_scheme,
     serve_loop,
 )
-from repro.service.server import handle_line, warm_cache
+from repro.service.server import handle_doc, handle_line, warm_cache
 from repro.sim.executor import evaluate
 
 
@@ -403,8 +404,8 @@ class TestDefaultProfile:
         plain = json.dumps({"model": "lenet", "array": "tpu-v2:2,tpu-v3:2",
                             "batch": 32})
         with PlanService() as svc:
-            profiled = handle_line(svc, doc)
-            analytic = handle_line(svc, plain)
+            profiled = handle_line(partial(handle_doc, svc), doc)
+            analytic = handle_line(partial(handle_doc, svc), plain)
         assert profiled["ok"] and analytic["ok"]
         assert profiled["fingerprint"] != analytic["fingerprint"]
 
@@ -412,7 +413,7 @@ class TestDefaultProfile:
         doc = json.dumps({"model": "lenet", "array": "tpu-v3:2",
                           "profile": "some-file.json"})
         with PlanService() as svc:
-            result = handle_line(svc, doc)
+            result = handle_line(partial(handle_doc, svc), doc)
         assert not result["ok"]
         assert "profile" in result["error"]
 
@@ -468,7 +469,7 @@ class TestWarmAndServeLoop:
             json.dumps({"model": "lenet"}),  # never reached
         ]
         out = io.StringIO()
-        served = serve_loop(service, lines, out)
+        served = serve_loop(partial(handle_doc, service), lines, out)
         results = [json.loads(line) for line in out.getvalue().splitlines()]
         # the shutdown ack is itself written (5 lines), then the loop stops
         assert served == 5
@@ -496,7 +497,8 @@ class TestWarmAndServeLoop:
             degraded = svc.plan(request, deadline_s=0.0)
             assert degraded.degraded  # exact refinement still in flight
             out = io.StringIO()
-            served = serve_loop(svc, [json.dumps({"op": "shutdown"})], out)
+            served = serve_loop(partial(handle_doc, svc),
+                                [json.dumps({"op": "shutdown"})], out)
             assert served == 1
             ack = json.loads(out.getvalue())
             assert ack["ok"] and ack["op"] == "shutdown"
@@ -508,7 +510,7 @@ class TestWarmAndServeLoop:
         from repro.service.server import MAX_REQUEST_BYTES
 
         line = '{"model": "' + "x" * MAX_REQUEST_BYTES + '"}'
-        result = handle_line(service, line)
+        result = handle_line(partial(handle_doc, service), line)
         assert not result["ok"] and result["error"] == "request too large"
         assert result["limit_bytes"] == MAX_REQUEST_BYTES
         assert result["got_bytes"] == len(line)
@@ -525,17 +527,18 @@ class TestWarmAndServeLoop:
         assert request_from_doc({"op": "plan", "model": "lenet"}).model == "lenet"
 
     def test_handle_line_bad_request_is_reported(self, service):
-        result = handle_line(service, json.dumps({"op": "plan"}))
+        handle = partial(handle_doc, service)
+        result = handle_line(handle, json.dumps({"op": "plan"}))
         assert not result["ok"] and "model" in result["error"]
-        result = handle_line(service, json.dumps({"model": "nope", "id": 7}))
+        result = handle_line(handle, json.dumps({"model": "nope", "id": 7}))
         assert not result["ok"] and result["id"] == 7
-        result = handle_line(service, json.dumps({"op": "???"}))
+        result = handle_line(handle, json.dumps({"op": "???"}))
         assert not result["ok"] and "unknown op" in result["error"]
 
     def test_deadline_ms_in_request_doc(self, service):
         doc = {"model": "vgg13", "array": "hetero", "batch": 512,
                "deadline_ms": 0}
-        result = handle_line(service, json.dumps(doc))
+        result = handle_line(partial(handle_doc, service), json.dumps(doc))
         assert result["ok"] and result["degraded"]
         assert result["source"] == "degraded"
 
