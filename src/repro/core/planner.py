@@ -127,7 +127,8 @@ class PlannedExecution:
         return collect_level_plans(self.plan)
 
     def hierarchy_levels(self) -> int:
-        return self.plan.depth()
+        # the pairing tree caches its depth, which equals the plan's
+        return self.tree.depth()
 
     def layer_types_by_level(self, strict: bool = False) -> List[Dict[str, PartitionType]]:
         """Per level (following the leftmost spine), the layer→type map.

@@ -41,6 +41,12 @@ class AcceleratorSpec:
         Two specs with the same fingerprint are interchangeable for planning,
         so the plan-service cache keys on this rather than object identity.
         """
+        return self._digest
+
+    # computed once per instance (the fields are frozen); the presets are
+    # module singletons, so every array built from them shares one digest
+    @cached_property
+    def _digest(self) -> str:
         return stable_digest(
             {
                 "name": self.name,

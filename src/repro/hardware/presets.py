@@ -47,6 +47,11 @@ BFLOAT16_BYTES = 2
 #: mini-batch size used throughout Section 6 (except Figure 7, which uses 128)
 PAPER_BATCH = 512
 
+#: the most boards :func:`parse_array` builds, summed over all components:
+#: 16x the paper's 256-board array, so a short request line cannot make a
+#: server build and hash a million-member array
+MAX_BOARDS = 4096
+
 
 def heterogeneous_array(n_v2: int = 128, n_v3: int = 128) -> AcceleratorGroup:
     """The Section 6.2 array: 128 TPU-v2 + 128 TPU-v3 boards."""
@@ -61,14 +66,15 @@ def homogeneous_array(n: int = 128) -> AcceleratorGroup:
 def parse_array(text: str) -> AcceleratorGroup:
     """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'.
 
-    Raises ``ValueError`` on a spec it cannot read.
+    Raises ``ValueError`` on a spec it cannot read, or on one with more
+    than :data:`MAX_BOARDS` boards (checked before any member is built).
     """
     key = text.strip().lower()
     if key in ("hetero", "heterogeneous"):
         return heterogeneous_array()
     if key in ("homo", "homogeneous"):
         return homogeneous_array()
-    members = []
+    components = []
     for part in key.split(","):
         name, colon, count = part.partition(":")
         if not colon:
@@ -79,5 +85,10 @@ def parse_array(text: str) -> AcceleratorGroup:
                 f"unknown accelerator {name!r}; known: {sorted(KNOWN_SPECS)}")
         if not count.strip().isdecimal():
             raise ValueError(f"bad count in {part!r}")
-        members.extend(make_group(KNOWN_SPECS[name], int(count)).members)
-    return AcceleratorGroup(tuple(members))
+        components.append((KNOWN_SPECS[name], int(count)))
+    boards = sum(count for _, count in components)
+    if boards > MAX_BOARDS:
+        raise ValueError(
+            f"array of {boards} boards exceeds the limit of {MAX_BOARDS}")
+    return merge_groups(*(make_group(spec, count)
+                          for spec, count in components))

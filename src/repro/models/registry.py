@@ -47,12 +47,17 @@ def available_models() -> List[str]:
     return list(_BUILDERS)
 
 
+def model_builder(name: str) -> Callable[[], Network]:
+    """The function registered under ``name`` (case-insensitive)."""
+    builder = _BUILDERS.get(name.lower())
+    if builder is None:
+        raise KeyError(f"unknown model {name!r}; available: {available_models()}")
+    return builder
+
+
 def build_model(name: str) -> Network:
     """Construct a fresh network by registry name (case-insensitive)."""
-    key = name.lower()
-    if key not in _BUILDERS:
-        raise KeyError(f"unknown model {name!r}; available: {available_models()}")
-    return _BUILDERS[key]()
+    return model_builder(name)()
 
 
 def register_model(name: str, builder: Callable[[], Network],

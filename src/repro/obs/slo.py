@@ -11,7 +11,9 @@ bad against a frozen :class:`SLOConfig` and maintains:
 * two sliding windows (fast/slow, the multiwindow burn-rate alerting
   shape) → **burn rate** = windowed error rate / (1 - objective), so
   burn 1.0 means "spending budget exactly as fast as the objective
-  allows" and burn 14 on the fast window is the classic page-now signal;
+  allows" and burn 14 on the fast window is the classic page-now signal.
+  The windows count good and bad requests per whole second, so their
+  memory is bounded by the slow window's length, not the request rate;
 * chaos attribution: observations flagged ``injected`` (a chaos fault
   touched the request) are counted separately so injected latency does
   not masquerade as organic SLO burn.
@@ -31,11 +33,12 @@ The tracker is snapshot-driven: :meth:`SLOTracker.snapshot` feeds the
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class SLOSpecError(ValueError):
@@ -97,11 +100,6 @@ class SLOConfig:
                         for name in self._FIELDS)
 
 
-#: bound on windowed samples kept for burn-rate math; at fleet rates this
-#: covers the slow window comfortably and keeps memory flat under floods
-_WINDOW_SAMPLE_CAP = 65536
-
-
 class SLOTracker:
     """Thread-safe good/bad classifier with burn-rate windows.
 
@@ -124,10 +122,10 @@ class SLOTracker:
         self.injected_bad_total = 0
         self.deadline_total = 0
         self.deadline_met_total = 0
-        # (ts, good) pairs, newest right; pruned lazily against the slow
-        # window on observe and snapshot
-        self._window: Deque[Tuple[float, bool]] = \
-            deque(maxlen=_WINDOW_SAMPLE_CAP)
+        # [second, good, bad] counts per whole second, newest right, so the
+        # windows hold at most window_slow_s + 1 buckets at any request
+        # rate; pruned lazily against the slow window on observe and snapshot
+        self._window: Deque[List[int]] = deque()
 
     # ------------------------------------------------------------------
     def observe(
@@ -158,27 +156,33 @@ class SLOTracker:
                 self.deadline_total += 1
                 if deadline_met:
                     self.deadline_met_total += 1
-            self._window.append((now, good))
+            second = math.floor(now)
+            window = self._window
+            # a clock that steps back counts into the newest bucket
+            if not window or window[-1][0] < second:
+                window.append([second, 0, 0])
+            window[-1][1 if good else 2] += 1
             self._prune(now)
         return good
 
     def _prune(self, now: float) -> None:
         horizon = now - self.config.window_slow_s
         window = self._window
-        while window and window[0][0] < horizon:
+        while window and window[0][0] + 1 <= horizon:
             window.popleft()
 
     def _window_rate(self, now: float, window_s: float) -> Optional[float]:
+        """Bad share of the buckets whose second overlaps ``window_s``."""
         horizon = now - window_s
-        total = bad = 0
-        for ts, good in self._window:
-            if ts >= horizon:
-                total += 1
-                if not good:
-                    bad += 1
-        if not total:
+        good = bad = 0
+        for second, good_n, bad_n in reversed(self._window):
+            if second + 1 <= horizon:
+                break
+            good += good_n
+            bad += bad_n
+        if not good + bad:
             return None
-        return bad / total
+        return bad / (good + bad)
 
     def burn_rate(self, window_s: Optional[float] = None) -> float:
         """Windowed error rate over the error budget; 0.0 when idle.

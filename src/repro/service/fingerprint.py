@@ -16,13 +16,14 @@ cache entry at once rather than silently serving stale plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 from ..digest import stable_digest
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import CalibratedProfile
-from ..models.registry import build_model
+from ..models.registry import build_model, model_builder
 from ..plan.backends import canonical_backend_name
 
 #: bump when the fingerprint payload layout (or plan semantics) changes;
@@ -31,6 +32,17 @@ from ..plan.backends import canonical_backend_name
 #: v3: hardware profile in the payload — calibrated and analytic plans
 #: must never share a cache entry)
 REQUEST_SCHEMA_VERSION = 3
+
+
+@lru_cache(maxsize=256)
+def _digest_by_builder(builder: Callable[[], Network]) -> str:
+    """The structural digest of a registered builder's network, once each.
+
+    The key is the registered function, so a name registered again under
+    another function misses, and registering the first function again finds
+    its old digest.  Bounded, because replaced functions stay behind.
+    """
+    return builder().fingerprint()
 
 
 @dataclass(frozen=True)
@@ -92,12 +104,15 @@ class PlanRequest:
         and its structural fingerprint is hashed, so re-registering a model
         name with a different architecture can never hit a stale entry.
         """
-        network = self.build_network(network_builder)
+        if network_builder is None:
+            network_digest = _digest_by_builder(model_builder(self.model))
+        else:
+            network_digest = network_builder(self.model).fingerprint()
         return stable_digest(
             {
                 "schema": REQUEST_SCHEMA_VERSION,
                 "model": self.model.lower(),
-                "network": network.fingerprint(),
+                "network": network_digest,
                 "array": self.array.fingerprint(),
                 "batch": self.batch,
                 "scheme": self.scheme.lower(),

@@ -137,9 +137,8 @@ def request_from_doc(doc: Dict) -> PlanRequest:
 
 def response_to_doc(response: PlanResponse) -> Dict:
     planned = response.planned
-    root_cost = (
-        planned.root_level_plan.cost if planned.hierarchy_levels() > 0 else None
-    )
+    levels = planned.hierarchy_levels()
+    root_cost = planned.root_level_plan.cost if levels > 0 else None
     return {
         "ok": True,
         "fingerprint": response.fingerprint,
@@ -152,7 +151,7 @@ def response_to_doc(response: PlanResponse) -> Dict:
         "model": planned.network_name,
         "scheme": planned.scheme,
         "batch": planned.batch,
-        "levels": planned.hierarchy_levels(),
+        "levels": levels,
         "root_cost": root_cost,
     }
 

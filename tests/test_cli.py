@@ -34,6 +34,19 @@ class TestParseArray:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_array("tpu-v2")
 
+    def test_board_cap_sums_components(self):
+        import argparse
+
+        from repro.hardware.presets import MAX_BOARDS
+
+        assert parse_array(f"tpu-v2:{MAX_BOARDS}").size == MAX_BOARDS
+        half = MAX_BOARDS // 2
+        with pytest.raises(argparse.ArgumentTypeError, match=str(MAX_BOARDS)):
+            parse_array(f"tpu-v2:{half},tpu-v3:{half + 1}")
+        # refused before a billion-member tuple is built
+        with pytest.raises(argparse.ArgumentTypeError, match=str(MAX_BOARDS)):
+            parse_array("tpu-v2:1000000000")
+
 
 class TestCommands:
     def test_models(self, capsys):

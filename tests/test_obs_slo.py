@@ -1,5 +1,8 @@
 """SLO engine: config parsing, burn-rate windows, Prometheus rendering."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.registry import LatencyHistogram, render_prometheus
@@ -117,6 +120,56 @@ class TestSLOTracker:
         clock.advance(700.0)
         tracker.observe(0.05)
         assert tracker.burn_rate(600.0) == pytest.approx(0.0)
+
+    def test_slow_window_covers_its_hour_at_any_rate(self):
+        clock = FakeClock()
+        tracker = SLOTracker(clock=clock)
+        # 600 s at 50 req/s with 10% errors, then 600 s at 200 req/s clean:
+        # 3,000 bad of 150,000 in the hour, against a 1% budget
+        for i in range(600 * 50):
+            tracker.observe(0.01, ok=i % 10 != 0)
+            clock.advance(1 / 50)
+        for _ in range(600 * 200):
+            tracker.observe(0.01)
+            clock.advance(1 / 200)
+        assert tracker.snapshot()["burn_rate_slow"] == pytest.approx(2.0)
+
+    def test_one_second_of_requests_is_one_bucket(self):
+        clock = FakeClock()
+        tracker = SLOTracker(clock=clock)
+        for _ in range(100_000):
+            tracker.observe(0.01)
+            clock.advance(0.9 / 100_000)
+        assert len(tracker._window) == 1
+        assert tracker.snapshot()["good_total"] == 100_000
+
+    def test_concurrent_observations_lose_no_count(self):
+        clock = FakeClock()
+        tracker = SLOTracker("latency_ms=100,objective=0.9", clock=clock)
+        threads, per_thread = 8, 2_000
+
+        def observe():
+            for i in range(per_thread):
+                tracker.observe(0.5 if i % 4 == 0 else 0.01)
+                clock.advance(1e-4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=observe)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert sum(good + bad for _, good, bad in tracker._window) == total
+        snap = tracker.snapshot()
+        assert snap["bad_total"] == total // 4
+        assert snap["burn_rate_slow"] == pytest.approx(0.25 / 0.1)
 
     def test_idle_tracker_is_quiet(self):
         tracker = SLOTracker()

@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.fleet import (FleetClient, FleetFrontend, ShardServer,
                          ShardSupervisor)
 from repro.fleet.wire import recv_frame, send_frame
+from repro.hardware.presets import MAX_BOARDS
 from repro.obs import tracer
 from repro.service import PlanCache, PlanService
 from repro.service.server import (
@@ -129,6 +130,20 @@ class TestIngressParity:
             "empty request line", "empty request line",
             "bad JSON: Expecting value: line 1 column 1 (char 0)",
             "request must be a JSON object", "request too large"]
+
+    def test_oversized_array_is_refused_and_serving_goes_on(
+            self, tmp_path, fleet, monkeypatch, capsys):
+        lines = [json.dumps({"model": "lenet", "array": "tpu-v2:1000000"}),
+                 PLAN]
+        _, single, _ = run_cli_serve(
+            ["--cache-dir", str(tmp_path / "single")], lines,
+            monkeypatch, capsys)
+        _, frontend = fleet
+        over_tcp = tcp_lines(frontend.port, lines)
+        for refused, served in (single, over_tcp):
+            assert not refused["ok"]
+            assert str(MAX_BOARDS) in refused["error"]
+            assert served["ok"], served
 
     def test_tcp_line_past_the_stream_buffer_keeps_the_stream(self, fleet):
         _, frontend = fleet
