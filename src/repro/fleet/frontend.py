@@ -59,12 +59,12 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.logging import get_logger
-from ..obs import telemetry as telemetry_store
 from ..obs.registry import MetricsRegistry
-from ..obs.slo import SLOTracker
+from ..obs.request import RequestRecord, RequestRecorder
 from ..obs.tracing import new_trace_id, tracer
 from ..service.server import (
     decode_line,
+    doc_record,
     is_shutdown_ack,
     request_from_doc,
     too_large,
@@ -119,6 +119,7 @@ FLEET_COUNTER_NAMES = (
     "heartbeat_failures",
     "shard_marked_down",
     "shard_marked_up",
+    "slow_requests",
 )
 
 #: extra headroom past an item's deadline before a dispatched request is
@@ -272,7 +273,6 @@ class FleetFrontend:
         metrics: Optional[MetricsRegistry] = None,
         admission: Optional[AdmissionController] = None,
         links_per_shard: int = 2,
-        network_builder=None,
         ring: Optional[HashRing] = None,
         name: str = "frontend",
         retry: Optional[RetryPolicy] = None,
@@ -289,11 +289,10 @@ class FleetFrontend:
         self.ring = ring or HashRing([addr[0] for addr in self._shard_addrs])
         self.metrics = metrics or MetricsRegistry()
         self.admission = admission or AdmissionController()
-        #: frontend-level SLO accounting (spec string, config, tracker, None)
-        self.slo = slo if isinstance(slo, SLOTracker) else SLOTracker(slo)
-        #: durable telemetry: explicit writer or the process-wide install
-        self.telemetry = telemetry if telemetry is not None \
-            else telemetry_store.active()
+        #: SLO, telemetry, ``item_latency_s`` and the slow-request log
+        self.recorder = RequestRecorder(
+            "frontend", self.metrics, "item_latency_s", log, slo=slo,
+            telemetry=telemetry)
         self.links_per_shard = links_per_shard
         self.retry = retry or DEFAULT_RETRY
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -310,7 +309,6 @@ class FleetFrontend:
                 "shard recovered, rejoined the ring",
                 extra={"event": "shard_up", "shard": shard}),
         )
-        self._network_builder = network_builder
         self._host = host
         self._requested_port = port
         self.host: Optional[str] = None
@@ -510,8 +508,7 @@ class FleetFrontend:
     # -- plan items ----------------------------------------------------
     def _parse_item(self, doc: Dict) -> str:
         """Validate a plan document and return its fingerprint (blocking)."""
-        request = request_from_doc(doc)
-        return request.fingerprint(self._network_builder)
+        return request_from_doc(doc).fingerprint()
 
     def _shed_doc(self, decision: Decision, start_ns: int,
                   fingerprint: Optional[str] = None) -> Dict:
@@ -527,67 +524,29 @@ class FleetFrontend:
             doc["fingerprint"] = fingerprint
         return doc
 
-    def _account_item(
-        self,
-        doc: Dict,
-        reply: Dict,
-        start_ns: int,
-        *,
-        fingerprint: Optional[str] = None,
-        trace_id: Optional[str] = None,
-        action: Optional[str] = None,
-    ) -> Dict:
-        """SLO + durable-telemetry accounting for one served item.
-
-        Every ``_serve_item`` exit (shed, error, dispatched) funnels
-        through here so the request record and the SLO classification
-        agree about what happened.
-        """
-        latency_s = (time.perf_counter_ns() - start_ns) / 1e9
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        ok = bool(reply.get("ok"))
-        deadline_met = (ok and latency_s <= deadline_s) \
-            if deadline_s is not None else None
-        self.slo.observe(latency_s, ok=ok, deadline_met=deadline_met)
-        t = self.telemetry
-        if t is not None and t.enabled:
-            if not ok:
-                outcome = "shed" if reply.get("error") == "shed" else "error"
-            elif reply.get("degraded"):
-                outcome = "degraded"
-            else:
-                outcome = "ok"
-            event = {
-                "type": "request",
-                "component": "frontend",
-                "fingerprint": fingerprint or reply.get("fingerprint"),
-                "model": doc.get("model"),
-                "scheme": doc.get("scheme"),
-                "backend": doc.get("backend"),
-                "shard": reply.get("shard"),
-                "source": reply.get("source"),
-                "outcome": outcome,
-                "latency_ms": round(latency_s * 1e3, 3),
-                "trace_id": trace_id or reply.get("trace_id"),
-                "action": action,
-            }
-            if deadline_s is not None:
-                event["deadline_ms"] = round(deadline_s * 1e3, 3)
-                event["deadline_met"] = deadline_met
-            if not ok:
-                event["reason"] = reply.get("reason") or reply.get("error")
-            if reply.get("failover_from"):
-                event["failover_from"] = reply["failover_from"]
-            t.record(event)
+    def _account_item(self, record: RequestRecord, reply: Dict,
+                      start_ns: int, action: str) -> Dict:
+        """Complete an item's record from its reply and record it: every
+        ``_serve_item`` exit (shed, invalid, dispatched) comes here."""
+        record.latency_s = (time.perf_counter_ns() - start_ns) / 1e9
+        record.action = action
+        record.shard = reply.get("shard")
+        record.source = reply.get("source")
+        record.degraded = bool(reply.get("degraded"))
+        record.coalesced = bool(reply.get("coalesced"))
+        record.failover_from = reply.get("failover_from")
+        record.reason = reply.get("reason")
+        if not reply.get("ok"):
+            record.error = str(reply.get("error"))
+        self.recorder.observe(record)
         return reply
 
     async def _serve_item(self, doc: Dict) -> Dict:
         """One plan item: admission → routing → dispatch → response."""
         start_ns = time.perf_counter_ns()
         self.metrics.counter("items").inc()
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
+        record = doc_record(doc)
+        deadline_s = record.deadline_s
 
         # fast path: a deadline below any possible service time is shed
         # before the frontend spends a single model build on it
@@ -595,8 +554,8 @@ class FleetFrontend:
         if quick is not None:
             self.metrics.counter("shed_deadline").inc()
             return self._account_item(
-                doc, self._shed_doc(quick, start_ns), start_ns,
-                action="quick_shed")
+                record, self._shed_doc(quick, start_ns), start_ns,
+                "quick_shed")
 
         loop = asyncio.get_running_loop()
         try:
@@ -604,8 +563,9 @@ class FleetFrontend:
                 None, self._parse_item, doc)
         except Exception as exc:
             return self._account_item(
-                doc, {"ok": False, "error": str(exc)}, start_ns,
-                action="invalid")
+                record, {"ok": False, "error": str(exc)}, start_ns,
+                "invalid")
+        record.fingerprint = fingerprint
 
         decision = self.admission.decide(
             fingerprint, deadline_s, self._queue.qsize())
@@ -614,11 +574,11 @@ class FleetFrontend:
                 "shed_queue_full" if "queue" in decision.reason
                 else "shed_deadline").inc()
             return self._account_item(
-                doc, self._shed_doc(decision, start_ns, fingerprint),
-                start_ns, fingerprint=fingerprint, action=decision.action)
+                record, self._shed_doc(decision, start_ns, fingerprint),
+                start_ns, decision.action)
         self.metrics.counter("admitted").inc()
 
-        trace_id = doc.get("trace_id") or new_trace_id()
+        trace_id = record.trace_id = record.trace_id or new_trace_id()
         forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
         forwarded["op"] = "plan"
         forwarded["trace_id"] = trace_id
@@ -636,17 +596,13 @@ class FleetFrontend:
 
         reply = await future
         reply.setdefault("shard", owner)
-        latency_s = (time.perf_counter_ns() - start_ns) / 1e9
-        self.metrics.histogram("item_latency_s").observe(latency_s)
         tracer.record(
             "fleet.item", "fleet",
             start_ns=start_ns, end_ns=time.perf_counter_ns(),
             trace_id=trace_id, shard=owner,
             model=doc.get("model"), action=decision.action,
         )
-        return self._account_item(
-            doc, reply, start_ns, fingerprint=fingerprint,
-            trace_id=trace_id, action=decision.action)
+        return self._account_item(record, reply, start_ns, decision.action)
 
     async def _dispatcher(self) -> None:
         """Drain the EDF queue into the owning shards (with failover)."""
@@ -887,18 +843,14 @@ class FleetFrontend:
 
     def snapshot(self) -> Dict:
         """The frontend's own stats (metrics, admission, queue, ring, health)."""
-        snap = {
+        return {
             "metrics": self.metrics.snapshot(),
             "admission": self.admission.snapshot(),
             "queue_depth": self._queue.qsize() if self._loop else 0,
             "ring": self.ring.describe(),
             "health": self.health.snapshot(),
-            "slo": self.slo.snapshot(),
-            "tracer": tracer.health(),
+            **self.recorder.snapshot(),
         }
-        if self.telemetry is not None:
-            snap["telemetry"] = self.telemetry.snapshot()
-        return snap
 
     async def _fleet_stats(self) -> Dict:
         return {

@@ -102,7 +102,7 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 return
             try:
                 send_frame(sock, reply, chaos=shard.chaos,
-                           telemetry=shard.service.telemetry)
+                           telemetry=shard.service.recorder.telemetry)
             except OSError:
                 return
             if stop:
@@ -128,7 +128,6 @@ class ShardServer:
         cache_dir=None,
         capacity: int = 128,
         workers: Optional[int] = None,
-        fallback_backend: str = "greedy",
         trace: bool = False,
         chaos=None,
         hard_exit: bool = False,
@@ -155,7 +154,6 @@ class ShardServer:
         self.service = PlanService(
             cache=PlanCache(capacity=capacity, disk_dir=cache_dir),
             workers=workers,
-            fallback_backend=fallback_backend,
             slo=slo,
             telemetry=telemetry,
             telemetry_labels={"shard": str(name)},
@@ -320,7 +318,6 @@ def run_shard(config: Dict, port_conn) -> None:
         cache_dir=config.get("cache_dir"),
         capacity=config.get("capacity", 128),
         workers=config.get("workers"),
-        fallback_backend=config.get("fallback_backend", "greedy"),
         trace=config.get("trace", False),
         chaos=config.get("chaos"),  # a spec string: pickles under spawn
         hard_exit=True,  # chaos_kill in a real process is a real crash
@@ -417,7 +414,6 @@ class ShardSupervisor:
         host: str = "127.0.0.1",
         capacity: int = 128,
         workers: Optional[int] = None,
-        fallback_backend: str = "greedy",
         trace: bool = False,
         chaos: Optional[str] = None,
         telemetry_dir=None,
@@ -441,7 +437,6 @@ class ShardSupervisor:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.capacity = capacity
         self.workers = workers
-        self.fallback_backend = fallback_backend
         self.trace = trace
         #: chaos spec *string* (not a controller): it must pickle through
         #: spawn; each shard process builds its own seeded controller
@@ -501,8 +496,7 @@ class ShardSupervisor:
         if self.mode == "thread":
             server = ShardServer(
                 name, host=self.host, cache_dir=self._shard_cache_dir(name),
-                capacity=self.capacity, workers=self.workers,
-                fallback_backend=self.fallback_backend, trace=self.trace,
+                capacity=self.capacity, workers=self.workers, trace=self.trace,
                 chaos=self.chaos,
                 telemetry_dir=self._shard_telemetry_dir(name),
                 slo=self.slo,
@@ -521,7 +515,6 @@ class ShardSupervisor:
             "cache_dir": self._shard_cache_dir(name),
             "capacity": self.capacity,
             "workers": self.workers,
-            "fallback_backend": self.fallback_backend,
             "trace": self.trace,
             "chaos": self.chaos,
             "telemetry_dir": self._shard_telemetry_dir(name),

@@ -6,10 +6,10 @@ spans join on the same key.  Built on the stdlib ``logging`` module: any
 handler/level configuration users already have keeps working, and
 :func:`configure_json_logging` is a convenience, not a requirement.
 
-The plan service uses :func:`get_logger` for its slow-request log: a
-warning line gated on a configurable latency threshold (see
-``PlanService(slow_request_s=...)`` and the ``REPRO_SLOW_REQUEST_MS``
-environment variable).
+The plan service and the fleet frontend use :func:`get_logger` for their
+slow-request log (:mod:`repro.obs.request`): a warning line gated on a
+configurable latency threshold (see ``PlanService(slow_request_s=...)``
+and the ``REPRO_SLOW_REQUEST_MS`` environment variable).
 """
 
 from __future__ import annotations

@@ -522,8 +522,7 @@ def render_prometheus(
     # SLO section: attainment/budget gauges + good/bad counters
     slo = dict(snapshot.get("slo", {}) or {})
     if slo:
-        for raw in ("good", "bad", "injected_bad", "deadline",
-                    "deadline_met"):
+        for raw in ("good", "bad", "deadline", "deadline_met"):
             name = f"repro_slo_{raw}_total"
             lines.append(f"# TYPE {name} counter")
             lines.append(

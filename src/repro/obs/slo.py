@@ -13,10 +13,10 @@ bad against a frozen :class:`SLOConfig` and maintains:
   burn 1.0 means "spending budget exactly as fast as the objective
   allows" and burn 14 on the fast window is the classic page-now signal.
   The windows count good and bad requests per whole second, so their
-  memory is bounded by the slow window's length, not the request rate;
-* chaos attribution: observations flagged ``injected`` (a chaos fault
-  touched the request) are counted separately so injected latency does
-  not masquerade as organic SLO burn.
+  memory is bounded by the slow window's length, not the request rate.
+
+Chaos-touched requests are budgeted like any other; ``repro telemetry
+summary`` splits their latency from organic latency offline, by trace id.
 
 Spec strings are comma-separated ``key=value`` pairs, the
 ``ChaosSpec.parse`` convention::
@@ -119,7 +119,6 @@ class SLOTracker:
         self._lock = threading.Lock()
         self.good_total = 0
         self.bad_total = 0
-        self.injected_bad_total = 0
         self.deadline_total = 0
         self.deadline_met_total = 0
         # [second, good, bad] counts per whole second, newest right, so the
@@ -134,14 +133,12 @@ class SLOTracker:
         *,
         ok: bool = True,
         deadline_met: Optional[bool] = None,
-        injected: bool = False,
     ) -> bool:
         """Classify one request; returns whether it was good.
 
         ``ok=False`` (errors, sheds) is always bad regardless of latency;
         ``deadline_met`` feeds deadline attainment when the request
-        carried a deadline; ``injected`` marks chaos-touched requests for
-        burn attribution.
+        carried a deadline.
         """
         good = bool(ok) and latency_s <= self.config.latency_s
         now = self._clock()
@@ -150,8 +147,6 @@ class SLOTracker:
                 self.good_total += 1
             else:
                 self.bad_total += 1
-                if injected:
-                    self.injected_bad_total += 1
             if deadline_met is not None:
                 self.deadline_total += 1
                 if deadline_met:
@@ -207,7 +202,6 @@ class SLOTracker:
         with self._lock:
             self._prune(now)
             good, bad = self.good_total, self.bad_total
-            injected_bad = self.injected_bad_total
             deadline_total = self.deadline_total
             deadline_met = self.deadline_met_total
             fast = self._window_rate(now, self.config.window_fast_s)
@@ -220,7 +214,6 @@ class SLOTracker:
             "objective": self.config.objective,
             "good_total": good,
             "bad_total": bad,
-            "injected_bad_total": injected_bad,
             "total": total,
             "attainment": (good / total) if total else None,
             "deadline_total": deadline_total,
@@ -250,8 +243,7 @@ def render_slo_lines(snap: Dict[str, Any], title: str = "slo") -> str:
         f"  target          p({snap.get('objective')}) <= "
         f"{snap.get('latency_target_ms')}ms",
         f"  requests        good={snap.get('good_total', 0)} "
-        f"bad={snap.get('bad_total', 0)} "
-        f"injected_bad={snap.get('injected_bad_total', 0)}",
+        f"bad={snap.get('bad_total', 0)}",
         f"  attainment      "
         f"{'n/a' if attainment is None else f'{attainment:.4f}'}",
         f"  deadline        met={snap.get('deadline_met_total', 0)}"

@@ -14,8 +14,7 @@ Four event types flow through the store (``docs/observability.md`` has
 the full schema table):
 
 * ``request``   — one per plan request, from :class:`PlanService` and the
-  fleet frontend (fingerprint, backend, shard, deadline, outcome,
-  failover/chaos tags, latency);
+  fleet frontend (:data:`repro.obs.request.REQUEST_EVENT_KEYS`);
 * ``op_timing`` — one per (layer, phase) leaf evaluation in
   :func:`repro.sim.evaluate` (the measured-profile input the
   profile-guided calibration item in ROADMAP.md consumes);
@@ -364,8 +363,7 @@ def summarize(directory) -> Dict[str, Any]:
             if shard is not None:
                 shards[str(shard)] = shards.get(str(shard), 0) + 1
             latency_ms = event.get("latency_ms")
-            injected = bool(event.get("chaos")) or \
-                (event.get("trace_id") in chaos_trace_ids)
+            injected = event.get("trace_id") in chaos_trace_ids
             if isinstance(latency_ms, (int, float)):
                 (injected_latencies if injected else latencies).append(
                     float(latency_ms))

@@ -39,11 +39,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.planner import PlannedExecution
 from ..core.serialize import plan_from_dict, plan_to_json
-from ..graph.network import Network
 from ..ioutil import atomic_write_text
 from ..obs.logging import get_logger
 
@@ -128,13 +127,11 @@ class PlanCache:
         self,
         capacity: int = 128,
         disk_dir=None,
-        network_builder: Optional[Callable[[str], Network]] = None,
     ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._network_builder = network_builder
         self._entries: "OrderedDict[str, PlannedExecution]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -226,7 +223,7 @@ class PlanCache:
             self._quarantine(path, "checksum mismatch")
             return None
         try:
-            return plan_from_dict(data, network_builder=self._network_builder)
+            return plan_from_dict(data)
         except (ValueError, KeyError, OSError):
             # a well-formed entry this build cannot use (future schema,
             # unknown model): degrade to a miss and leave the file — a

@@ -89,30 +89,21 @@ class PlanRequest:
             # spellings share one fingerprint (and one cache entry)
             object.__setattr__(self, "profile", None)
 
-    def build_network(
-        self, network_builder: Optional[Callable[[str], Network]] = None
-    ) -> Network:
-        builder = network_builder or build_model
-        return builder(self.model)
+    def build_network(self) -> Network:
+        return build_model(self.model)
 
-    def fingerprint(
-        self, network_builder: Optional[Callable[[str], Network]] = None
-    ) -> str:
+    def fingerprint(self) -> str:
         """The cache key: a stable hash over the full request content.
 
-        The model is resolved through the registry (or ``network_builder``)
-        and its structural fingerprint is hashed, so re-registering a model
-        name with a different architecture can never hit a stale entry.
+        The model is resolved through the registry and its structural
+        fingerprint is hashed, so re-registering a model name with a
+        different architecture can never hit a stale entry.
         """
-        if network_builder is None:
-            network_digest = _digest_by_builder(model_builder(self.model))
-        else:
-            network_digest = network_builder(self.model).fingerprint()
         return stable_digest(
             {
                 "schema": REQUEST_SCHEMA_VERSION,
                 "model": self.model.lower(),
-                "network": network_digest,
+                "network": _digest_by_builder(model_builder(self.model)),
                 "array": self.array.fingerprint(),
                 "batch": self.batch,
                 "scheme": self.scheme.lower(),

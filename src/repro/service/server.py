@@ -22,6 +22,7 @@ over the fleet frontend's, and treats EOF as a shutdown without the ack.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
                     Union)
@@ -29,6 +30,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
 from ..core.serialize import plan_from_dict, plan_to_dict
 from ..hardware.presets import parse_array
 from ..ioutil import atomic_write_text
+from ..obs.request import RequestRecord
 from ..obs.tracing import tracer
 from .fingerprint import PlanRequest
 from .service import PlanResponse, PlanService
@@ -135,6 +137,17 @@ def request_from_doc(doc: Dict) -> PlanRequest:
     )
 
 
+def doc_record(doc: Dict, **fields) -> RequestRecord:
+    """A plan document's request record, named as :func:`request_from_doc`
+    names its request, so every server that refuses it records it alike."""
+    deadline_ms = doc.get("deadline_ms")
+    return RequestRecord(
+        trace_id=doc.get("trace_id"), model=doc.get("model"),
+        scheme=doc.get("scheme", "accpar"), backend=doc.get("backend"),
+        deadline_s=deadline_ms / 1e3 if deadline_ms is not None else None,
+        **fields)
+
+
 def response_to_doc(response: PlanResponse) -> Dict:
     planned = response.planned
     levels = planned.hierarchy_levels()
@@ -169,10 +182,18 @@ def handle_doc(service: PlanService, doc: Dict) -> Dict:
     op = doc.get("op", "plan")
     try:
         if op == "plan":
+            start = time.perf_counter()
+            try:
+                request = request_from_doc(doc)
+            except Exception as exc:
+                # refused before PlanService.plan, which records the rest
+                service.recorder.observe(doc_record(
+                    doc, latency_s=time.perf_counter() - start,
+                    error=str(exc)))
+                raise
             deadline_ms = doc.get("deadline_ms")
             deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-            response = service.plan(request_from_doc(doc),
-                                    deadline_s=deadline_s,
+            response = service.plan(request, deadline_s=deadline_s,
                                     trace_id=doc.get("trace_id"))
             reply = response_to_doc(response)
             if doc.get("include_plan"):

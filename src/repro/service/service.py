@@ -9,10 +9,9 @@ Request lifecycle (:meth:`PlanService.plan`):
    requests coalesce onto the same in-flight future;
 4. **deadline** — a caller whose deadline expires before the exact job lands
    gets a fast fallback plan marked ``degraded=True``: the *same* scheme and
-   knobs re-run under the service's fallback search backend (greedy unless
-   configured otherwise).  The exact job keeps running in the pool and
-   upgrades the cache entry when it finishes (background refinement), so the
-   *next* request gets the exact plan.
+   knobs re-run under :data:`FALLBACK_BACKEND`.  The exact job keeps running
+   in the pool and upgrades the cache entry when it finishes (background
+   refinement), so the *next* request gets the exact plan.
 
 Distinct fingerprints run concurrently across the pool; identical ones never
 plan twice.  All counters land in a :class:`~repro.obs.registry.MetricsRegistry`.
@@ -27,18 +26,17 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..baselines import get_scheme
 from ..core.hierarchy import PartitionScheme
 from ..core.planner import AccParScheme, GreedyScheme, PlannedExecution, Planner
 from ..core.types import PartitionType
-from ..graph.network import Network
 from ..plan.backends import get_backend
-from ..obs import telemetry as telemetry_store
-from ..obs.logging import get_logger, slow_request_threshold_s
+from ..obs.logging import get_logger
 from ..obs.registry import MetricsRegistry, planner_counters, render_prometheus
-from ..obs.slo import SLOTracker, render_slo_lines
+from ..obs.request import RequestRecord, RequestRecorder
+from ..obs.slo import render_slo_lines
 from ..obs.tracing import new_trace_id, tracer
 from .cache import PlanCache
 from .fingerprint import PlanRequest
@@ -46,23 +44,21 @@ from .singleflight import SingleFlight
 
 log = get_logger("repro.service")
 
+#: the search backend of the deadline fallback (:meth:`PlanService.plan`)
+FALLBACK_BACKEND = "greedy"
+
 
 @dataclass
-class PlanResponse:
-    """A served plan plus how it was produced.
+class PlanResponse(RequestRecord):
+    """A served plan plus its request record.
 
     ``source`` is one of ``memory`` / ``disk`` (cache tiers), ``planned``
     (this call ran the planner), ``coalesced`` (another in-flight request ran
-    it) or ``degraded`` (deadline fallback).
+    it) or ``degraded`` (deadline fallback).  ``planned`` is set on every
+    response :meth:`PlanService.plan` returns.
     """
 
-    planned: PlannedExecution
-    fingerprint: str
-    source: str
-    degraded: bool
-    coalesced: bool
-    latency_s: float
-    trace_id: str = ""
+    planned: Optional[PlannedExecution] = None
 
     @property
     def cache_hit(self) -> bool:
@@ -117,9 +113,7 @@ class PlanService:
         cache: Optional[PlanCache] = None,
         workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        network_builder: Optional[Callable[[str], Network]] = None,
         slow_request_s: Optional[float] = None,
-        fallback_backend: str = "greedy",
         slo=None,
         telemetry=None,
         telemetry_labels: Optional[dict] = None,
@@ -136,25 +130,12 @@ class PlanService:
             else default_profile
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: SLO accounting — ``slo`` may be an SLOTracker, an SLOConfig, a
-        #: spec string ("latency_ms=250,objective=0.99") or None (defaults)
-        self.slo = slo if isinstance(slo, SLOTracker) else SLOTracker(slo)
-        #: durable telemetry — an explicit writer, or whatever is installed
-        #: process-wide (``serve --telemetry-dir`` / REPRO_TELEMETRY_DIR);
-        #: every producer path guards on ``enabled`` before building events
-        self.telemetry = telemetry if telemetry is not None \
-            else telemetry_store.active()
-        #: constant fields merged into every request event (the fleet shard
-        #: passes ``{"shard": name}`` so events join the metric series)
-        self.telemetry_labels = dict(telemetry_labels or {})
-        #: search backend for the deadline-degraded path; validated eagerly
-        #: so a typo surfaces at construction, not on the first slow request
-        get_backend(fallback_backend)
-        self.fallback_backend = fallback_backend
-        #: requests slower than this log a structured warning; defaults to
-        #: the REPRO_SLOW_REQUEST_MS environment variable, then 1 s
-        self.slow_request_s = slow_request_threshold_s(slow_request_s)
-        self._network_builder = network_builder
+        #: SLO, telemetry (a fleet shard labels events ``{"shard": name}``),
+        #: ``request_latency_s`` and the slow-request log
+        self.recorder = RequestRecorder(
+            "service", self.metrics, "request_latency_s", log, slo=slo,
+            telemetry=telemetry, labels=telemetry_labels,
+            slow_request_s=slow_request_s)
         self._flight = SingleFlight()
         self._pool = ThreadPoolExecutor(
             max_workers=workers or os.cpu_count() or 4,
@@ -185,6 +166,9 @@ class PlanService:
         active on this thread for the duration of the call (spans and log
         lines pick it up), propagated into the worker that plans on the
         request's behalf, and returned on the :class:`PlanResponse`.
+
+        Every exit, a raised error too, hands the response to the
+        service's :class:`~repro.obs.request.RequestRecorder` once.
         """
         if self._closed:
             raise RuntimeError("PlanService is closed")
@@ -207,26 +191,43 @@ class PlanService:
             # (and cache) its plans under the profile that priced them
             request = dataclasses.replace(request, profile=self.default_profile)
         self.metrics.counter("requests").inc()
+        response = PlanResponse(trace_id=trace_id, model=request.model,
+                                scheme=request.scheme, backend=request.backend,
+                                deadline_s=deadline_s)
+        try:
+            self._serve(request, response, start)
+        except BaseException as exc:
+            response.error = str(exc) or type(exc).__name__
+            raise
+        finally:
+            response.latency_s = time.perf_counter() - start
+            self.recorder.observe(response)
+        return response
+
+    def _serve(self, request: PlanRequest, response: PlanResponse,
+               start: float) -> None:
+        """Fill in ``response`` from the cache or the planner."""
         with tracer.span("service.fingerprint", category="service"):
-            key = request.fingerprint(self._network_builder)
+            key = response.fingerprint = request.fingerprint()
         after_fingerprint = time.perf_counter()
 
         with tracer.span("service.cache_lookup", category="service"):
             planned, tier = self.cache.get_with_tier(key)
-        after_lookup = time.perf_counter()
-        phases = (after_fingerprint - start, after_lookup - after_fingerprint)
+        response.phases = (after_fingerprint - start,
+                           time.perf_counter() - after_fingerprint)
         if planned is not None:
             self.metrics.counter(f"hits_{tier}").inc()
-            return self._respond(planned, key, tier, start, trace_id,
-                                 degraded=False, coalesced=False,
-                                 deadline_s=deadline_s, phases=phases)
+            response.planned, response.source = planned, tier
+            return
 
         self.metrics.counter("misses").inc()
         future, leader = self._flight.begin(key)
         if leader:
-            self._submit_exact(key, request, future, trace_id)
+            self._submit_exact(key, request, future, response.trace_id)
         else:
             self.metrics.counter("coalesced").inc()
+        response.coalesced = not leader
+        deadline_s = response.deadline_s
 
         try:
             with tracer.span("service.singleflight_wait", category="service",
@@ -235,23 +236,17 @@ class PlanService:
                     # "ready right now" is decided on arrival: the exact job
                     # this request just started is not, however fast it is
                     raise FutureTimeout()
-                planned = future.result(timeout=deadline_s)
+                response.planned = future.result(timeout=deadline_s)
         except FutureTimeout:
             self.metrics.counter("degraded").inc()
             with tracer.span("service.degraded_fallback", category="service"):
-                planned = self._plan_degraded(request)
-            return self._respond(planned, key, "degraded", start, trace_id,
-                                 degraded=True, coalesced=not leader,
-                                 deadline_s=deadline_s, phases=phases)
+                response.planned = self._plan_degraded(request)
+            response.source, response.degraded = "degraded", True
+            return
         except Exception:
             self.metrics.counter("errors").inc()
-            self._observe_failure(request, key, start, trace_id, deadline_s)
             raise
-
-        source = "planned" if leader else "coalesced"
-        return self._respond(planned, key, source, start, trace_id,
-                             degraded=False, coalesced=not leader,
-                             deadline_s=deadline_s, phases=phases)
+        response.source = "planned" if leader else "coalesced"
 
     def warm(self, requests: Iterable[PlanRequest]) -> List[PlanResponse]:
         """Pre-populate the cache; returns one response per request."""
@@ -307,8 +302,7 @@ class PlanService:
             dtype_bytes=request.dtype_bytes,
             levels=request.levels,
         )
-        return planner.plan(request.build_network(self._network_builder),
-                            request.batch)
+        return planner.plan(request.build_network(), request.batch)
 
     def _plan_degraded(self, request: PlanRequest) -> PlannedExecution:
         """The deadline fallback: same scheme, fallback search backend, inline.
@@ -318,115 +312,11 @@ class PlanService:
         """
         planner = Planner(
             request.array,
-            build_scheme(request, backend_override=self.fallback_backend),
+            build_scheme(request, backend_override=FALLBACK_BACKEND),
             dtype_bytes=request.dtype_bytes,
             levels=request.levels,
         )
-        return planner.plan(request.build_network(self._network_builder),
-                            request.batch)
-
-    def _observe_failure(
-        self,
-        request: PlanRequest,
-        key: str,
-        start: float,
-        trace_id: str,
-        deadline_s: Optional[float],
-    ) -> None:
-        """SLO + telemetry accounting for the raising (error) path."""
-        latency = time.perf_counter() - start
-        deadline_met = False if deadline_s is not None else None
-        self.slo.observe(latency, ok=False, deadline_met=deadline_met)
-        t = self.telemetry
-        if t is not None and t.enabled:
-            event = {
-                "type": "request",
-                "component": "service",
-                "fingerprint": key,
-                "model": request.model,
-                "scheme": request.scheme,
-                "source": "error",
-                "outcome": "error",
-                "latency_ms": round(latency * 1e3, 3),
-                "trace_id": trace_id,
-            }
-            if deadline_s is not None:
-                event["deadline_ms"] = round(deadline_s * 1e3, 3)
-                event["deadline_met"] = False
-            if self.telemetry_labels:
-                event.update(self.telemetry_labels)
-            t.record(event)
-
-    def _respond(
-        self,
-        planned: PlannedExecution,
-        key: str,
-        source: str,
-        start: float,
-        trace_id: str,
-        degraded: bool,
-        coalesced: bool,
-        deadline_s: Optional[float] = None,
-        phases: Optional[tuple] = None,
-    ) -> PlanResponse:
-        latency = time.perf_counter() - start
-        self.metrics.histogram("request_latency_s").observe(latency)
-        deadline_met = (latency <= deadline_s) if deadline_s is not None \
-            else None
-        self.slo.observe(latency, ok=True, deadline_met=deadline_met)
-        t = self.telemetry
-        if t is not None and t.enabled:
-            event = {
-                "type": "request",
-                "component": "service",
-                "fingerprint": key,
-                "model": planned.network_name,
-                "scheme": planned.scheme,
-                "source": source,
-                "outcome": "degraded" if degraded else "ok",
-                "degraded": degraded,
-                "coalesced": coalesced,
-                "latency_ms": round(latency * 1e3, 3),
-                "trace_id": trace_id,
-            }
-            if deadline_s is not None:
-                event["deadline_ms"] = round(deadline_s * 1e3, 3)
-                event["deadline_met"] = deadline_met
-            if phases is not None:
-                # span-derived breakdown without needing the tracer on:
-                # fingerprint / cache lookup / everything after (plan wait)
-                event["breakdown_ms"] = {
-                    "fingerprint": round(phases[0] * 1e3, 3),
-                    "cache_lookup": round(phases[1] * 1e3, 3),
-                    "plan_wait": round(
-                        (latency - phases[0] - phases[1]) * 1e3, 3),
-                }
-            if self.telemetry_labels:
-                event.update(self.telemetry_labels)
-            t.record(event)
-        if latency >= self.slow_request_s:
-            self.metrics.counter("slow_requests").inc()
-            log.warning(
-                "slow plan request",
-                extra={
-                    "trace_id": trace_id,
-                    "fingerprint": key,
-                    "model": planned.network_name,
-                    "source": source,
-                    "degraded": degraded,
-                    "latency_ms": round(latency * 1e3, 3),
-                    "threshold_ms": round(self.slow_request_s * 1e3, 3),
-                },
-            )
-        return PlanResponse(
-            planned=planned,
-            fingerprint=key,
-            source=source,
-            degraded=degraded,
-            coalesced=coalesced,
-            latency_s=latency,
-            trace_id=trace_id,
-        )
+        return planner.plan(request.build_network(), request.batch)
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -467,16 +357,12 @@ class PlanService:
         cache_stats = self.cache.stats.as_dict()
         cache_stats["memory_entries"] = len(self.cache)
         cache_stats["disk_entries"] = len(self.cache.disk_keys())
-        snap = {
+        return {
             "metrics": self.metrics.snapshot(),
             "cache": cache_stats,
             "planner": planner_counters.snapshot(),
-            "slo": self.slo.snapshot(),
-            "tracer": tracer.health(),
+            **self.recorder.snapshot(),
         }
-        if self.telemetry is not None:
-            snap["telemetry"] = self.telemetry.snapshot()
-        return snap
 
     def render_stats(self) -> str:
         snap = self.snapshot()

@@ -124,15 +124,6 @@ class TestPlanRequestFingerprint:
         assert (self.request(model="AlexNet").fingerprint()
                 == self.request(model="alexnet").fingerprint())
 
-    def test_custom_network_builder_feeds_hash(self):
-        def builder(name):
-            net = Network(name, Input("in", channels=8))
-            net.add(Linear("fc", 8, 4))
-            return net
-
-        assert (self.request().fingerprint(builder)
-                != self.request().fingerprint())
-
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
             PlanRequest(model="alexnet", array=self.array, batch=0)

@@ -80,14 +80,6 @@ class TestSLOTracker:
         assert tracker.observe(0.001, ok=False) is False
         assert tracker.snapshot()["bad_total"] == 1
 
-    def test_injected_bad_counted_separately(self):
-        tracker = SLOTracker("latency_ms=100,objective=0.9")
-        tracker.observe(0.5, injected=True)
-        tracker.observe(0.5)
-        snap = tracker.snapshot()
-        assert snap["bad_total"] == 2
-        assert snap["injected_bad_total"] == 1
-
     def test_deadline_attainment(self):
         tracker = SLOTracker()
         tracker.observe(0.01, deadline_met=True)
@@ -194,12 +186,11 @@ class TestPrometheusSLOSection:
     def test_slo_series_rendered(self):
         tracker = SLOTracker("latency_ms=100,objective=0.9")
         tracker.observe(0.01, deadline_met=True)
-        tracker.observe(0.5, injected=True)
+        tracker.observe(0.5)
         text = render_prometheus({"slo": tracker.snapshot()},
                                  include_defaults=False)
         assert "repro_slo_good_total 1" in text
         assert "repro_slo_bad_total 1" in text
-        assert "repro_slo_injected_bad_total 1" in text
         assert "repro_slo_deadline_total 1" in text
         assert "repro_slo_latency_target_seconds 0.1" in text
         assert "repro_slo_objective 0.9" in text

@@ -229,19 +229,41 @@ class TestProducers:
 
     def test_disabled_hot_path_builds_nothing(self, tmp_path, monkeypatch):
         """With telemetry disabled no event dict is ever built: producers
-        must gate before allocation, so a poisoned record() never fires."""
+        must gate before allocation, so a poisoned record() never fires —
+        for a plan, a simulation, a service hit, miss and error, and a
+        thread-fleet item."""
+        from repro.fleet import FleetFrontend, ShardSupervisor
+        from repro.obs import request as request_module
+        from repro.service import PlanCache, PlanRequest, PlanService
+
         writer = TelemetryWriter(tmp_path, enabled=False)
         telemetry_store.install(writer)
 
         calls = {"record": 0}
 
-        def poisoned(self, event):  # pragma: no cover - must not run
+        def poisoned(*args):  # pragma: no cover - must not run
             calls["record"] += 1
-            raise AssertionError("record() called on the disabled path")
+            raise AssertionError("event built on the disabled path")
 
         monkeypatch.setattr(TelemetryWriter, "record", poisoned)
+        monkeypatch.setattr(request_module, "request_event", poisoned)
         planned = self._plan()
         evaluate(planned)
+        with PlanService(cache=PlanCache(capacity=4)) as service:
+            request = PlanRequest(model="lenet", array=heterogeneous_array(),
+                                  batch=32)
+            assert service.plan(request).source == "planned"
+            assert service.plan(request).source == "memory"
+            with pytest.raises(KeyError, match="unknown model"):
+                service.plan(PlanRequest(model="no-such-model",
+                                         array=heterogeneous_array()))
+            assert service.recorder.slo.snapshot()["total"] == 3
+        with ShardSupervisor(1, mode="thread") as supervisor:
+            with FleetFrontend(supervisor.handles) as frontend:
+                reply = frontend.handle_doc(
+                    {"model": "lenet", "array": "tpu-v3:2", "batch": 32})
+                assert reply["ok"], reply
+                assert frontend.recorder.slo.snapshot()["total"] == 1
         assert calls["record"] == 0
         assert writer.events_written == 0
         assert segment_paths(tmp_path) == []
@@ -331,7 +353,7 @@ class TestFleetDurability:
                         deadline_ms=30000)
                     assert reply.get("ok")
                     stats = client.stats()
-            frontend.telemetry.close()
+            frontend.recorder.telemetry.close()
         slo = stats["frontend"]["slo"]
         assert slo["good_total"] + slo["bad_total"] == 1
         # frontend and the serving shard both wrote durable stores

@@ -22,7 +22,10 @@ from repro.fleet import (FleetClient, FleetFrontend, ShardServer,
                          ShardSupervisor)
 from repro.fleet.wire import recv_frame, send_frame
 from repro.hardware.presets import MAX_BOARDS
+from repro.obs import telemetry as telemetry_store
 from repro.obs import tracer
+from repro.obs.request import REQUEST_EVENT_KEYS
+from repro.obs.telemetry import read_events
 from repro.service import PlanCache, PlanService
 from repro.service.server import (
     KNOWN_OPS,
@@ -32,6 +35,7 @@ from repro.service.server import (
     decode_line,
     handle_doc,
     handle_line,
+    load_stats_snapshot,
     serve_loop,
 )
 
@@ -47,6 +51,13 @@ OVERSIZED = json.dumps({"model": "é" * (MAX_REQUEST_BYTES // 2 + 8)},
 
 #: a valid plan, then every kind of line the decoder refuses
 TRANSCRIPT = [PLAN, "", "   \t ", "not json", "[]", OVERSIZED]
+
+#: a plan twice, then a plan request each server refuses: an unknown model
+#: (refused when fingerprinted) and an unknown backend (when decoded)
+RECORDED = [PLAN, PLAN,
+            json.dumps({"model": "no-such-model", "array": "tpu-v3:2"}),
+            json.dumps({"model": "lenet", "array": "tpu-v3:2",
+                        "backend": "quantum"})]
 
 
 def outcome(reply):
@@ -159,6 +170,61 @@ class TestIngressParity:
         replies = tcp_lines(frontend.port, ["", json.dumps({"op": "ping"})])
         assert outcome(replies[0]) == (False, "empty request line")
         assert replies[1]["ok"]
+
+
+class TestRequestRecords:
+    """Every plan request is recorded once, alike on every server."""
+
+    @pytest.fixture(autouse=True)
+    def _no_process_writer(self):
+        telemetry_store.uninstall()
+        yield
+        telemetry_store.uninstall()
+
+    def test_serve_records_refused_requests(self, tmp_path, monkeypatch,
+                                            capsys):
+        store, cache = tmp_path / "tel", tmp_path / "cache"
+        code, replies, _ = run_cli_serve(
+            ["--cache-dir", str(cache), "--telemetry-dir", str(store)],
+            RECORDED, monkeypatch, capsys)
+        assert code == 0
+        assert [reply["ok"] for reply in replies] == [True, True, False,
+                                                       False]
+        events = read_events(store, types=("request",))
+        assert [e["outcome"] for e in events] == ["ok", "ok", "error",
+                                                  "error"]
+        assert load_stats_snapshot(cache)["slo"]["bad_total"] == 2
+
+    def test_single_process_and_fleet_record_alike(self, tmp_path,
+                                                   monkeypatch, capsys):
+        single, fleet = tmp_path / "tel1", tmp_path / "tel2"
+        run_cli_serve(["--cache-dir", "", "--telemetry-dir", str(single)],
+                      RECORDED, monkeypatch, capsys)
+        telemetry_store.uninstall()
+        run_cli_serve(["--shards", "2", "--cache-dir", "",
+                       "--telemetry-dir", str(fleet)],
+                      RECORDED, monkeypatch, capsys)
+        stores = {"single": single, **{p.name: p for p in fleet.iterdir()}}
+        assert sorted(stores) == ["frontend", "shard-0", "shard-1", "single"]
+        events = {name: read_events(path, types=("request",))
+                  for name, path in stores.items()}
+        keys = set(REQUEST_EVENT_KEYS) | {"ts"}
+        for name, found in events.items():
+            for event in found:
+                assert set(event) == keys, (name, event)
+        for name in ("single", "frontend"):
+            assert sorted(e["outcome"] for e in events[name]) == [
+                "error", "error", "ok", "ok"]
+        shard_events = events["shard-0"] + events["shard-1"]
+        assert len(shard_events) == 2
+        served = [e for found in events.values() for e in found
+                  if e["outcome"] == "ok"]
+        assert {(e["component"], e["scheme"]) for e in served} == {
+            ("service", "accpar"), ("frontend", "accpar")}
+        frontend = {e["trace_id"]: e for e in events["frontend"]}
+        for event in shard_events:
+            assert frontend[event["trace_id"]]["outcome"] == \
+                event["outcome"]
 
 
 class TestEndOfInput:
