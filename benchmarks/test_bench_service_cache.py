@@ -8,7 +8,10 @@ Three serving-layer claims are measured (and enforced):
   i.e. a coalescing factor of N;
 * the disk tier writes an entry at least 10x faster than the indented
   writer it replaced, and reads it back no slower than that writer's
-  reader (``results/BENCH_cache.json``).
+  reader (``results/BENCH_cache.json``);
+* a format-3 entry, which stores each distinct plan subtree once, is at
+  most a tenth of the format-2 entry earlier builds wrote for resnet50 on
+  256 boards, and its disk hit is faster.
 """
 
 import hashlib
@@ -99,11 +102,34 @@ def test_bench_cold_vs_warm_and_coalescing(results_dir):
 DISK_MODELS = ("vgg19", "resnet50")
 DISK_ROUNDS = 5
 PUT_SPEEDUP_GATE = 10.0
+#: the v3 entry of this model must be at most this share of its v2 entry
+V2_GATE_MODEL = "resnet50"
+V2_SIZE_GATE = 0.1
+
+
+def v2_document(planned):
+    """The plan as the format-2 document earlier builds wrote: every node
+    nested in its parent (a shared subtree once per parent), and every
+    member spec listed."""
+    document = plan_to_dict(planned)
+    nodes = document.pop("nodes")
+
+    def expand(index):
+        if index is None:
+            return None
+        node = nodes[index]
+        return {**node, "left": expand(node["left"]),
+                "right": expand(node["right"])}
+
+    return {**document, "format_version": 2,
+            "array": [spec for spec, count in document["array"]
+                      for _ in range(count)],
+            "plan": expand(document["plan"])}
 
 
 def reference_put(directory, key, planned):
     """The indented writer: expand, checksum, ``json.dumps(indent=2)``."""
-    document = plan_to_dict(planned)
+    document = v2_document(planned)
     document["fingerprint"] = key
     document["checksum"] = entry_checksum(document)
     atomic_write_text(directory / f"{key}.json",
@@ -117,10 +143,10 @@ def reference_get(directory, key):
     return plan_from_dict(data)
 
 
-def single_dumps_put(directory, key, planned):
-    """Today's layout from one ``json.dumps`` of the expanded document:
-    the canonical writer without its subtree memo."""
-    text = json.dumps({**plan_to_dict(planned), "fingerprint": key},
+def v2_put(directory, key, planned):
+    """The compact format-2 entry the previous build wrote (checksum
+    first, then the canonical text), which a disk hit here still reads."""
+    text = json.dumps({**v2_document(planned), "fingerprint": key},
                       sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(text.encode("utf-8")).hexdigest()
     atomic_write_text(directory / f"{key}.json",
@@ -137,44 +163,45 @@ def _disk_row(model, array, tmp_path):
     planned = AccParPlanner(array).plan(build_model(model), batch=BATCH)
     key = PlanRequest(model=model, array=array, batch=BATCH).fingerprint()
     dirs = {name: tmp_path / f"{model}-{name}"
-            for name in ("reference", "single", "canonical")}
+            for name in ("reference", "v2", "canonical")}
     for directory in dirs.values():
         directory.mkdir()
 
     samples = {name: [] for name in (
-        "put_ms", "put_ms_reference", "put_ms_single_dumps",
-        "hit_ms", "hit_ms_reference")}
+        "put_ms", "put_ms_reference",
+        "hit_ms", "hit_ms_reference", "hit_ms_v2")}
     cache = PlanCache(disk_dir=dirs["canonical"])
+    v2_put(dirs["v2"], key, planned)
     # interleaved rounds: host drift hits every writer and reader alike
     for _ in range(DISK_ROUNDS):
         samples["put_ms_reference"].append(
             _ms(reference_put, dirs["reference"], key, planned))
-        samples["put_ms_single_dumps"].append(
-            _ms(single_dumps_put, dirs["single"], key, planned))
         samples["put_ms"].append(_ms(cache.put, key, planned))
         samples["hit_ms_reference"].append(
             _ms(reference_get, dirs["reference"], key))
+        samples["hit_ms_v2"].append(
+            _ms(PlanCache(disk_dir=dirs["v2"]).get_with_tier, key))
         samples["hit_ms"].append(
             _ms(PlanCache(disk_dir=dirs["canonical"]).get_with_tier, key))
 
-    reader = PlanCache(disk_dir=dirs["canonical"])
-    hit, tier = reader.get_with_tier(key)
-    assert tier == "disk" and reader.stats.corrupt_total == 0
-    assert plan_diff(hit.plan, planned.plan) == []
-    # the memo-free writer lays out the very same bytes
-    entry = (dirs["canonical"] / f"{key}.json").read_bytes()
-    assert entry == (dirs["single"] / f"{key}.json").read_bytes()
+    for name in ("canonical", "v2"):
+        reader = PlanCache(disk_dir=dirs[name])
+        hit, tier = reader.get_with_tier(key)
+        assert tier == "disk" and reader.stats.disk_errors == 0, name
+        assert plan_diff(hit.plan, planned.plan) == [], name
 
     row = {name: round(min(values), 2) for name, values in samples.items()}
     row.update({
-        "entry_bytes": len(entry),
-        "entry_bytes_reference": (
-            dirs["reference"] / f"{key}.json").stat().st_size,
+        name: (dirs[directory] / f"{key}.json").stat().st_size
+        for name, directory in (("entry_bytes", "canonical"),
+                                ("entry_bytes_v2", "v2"),
+                                ("entry_bytes_reference", "reference"))
     })
     row["put_speedup"] = round(row["put_ms_reference"] / row["put_ms"], 1)
-    row["put_speedup_single_dumps"] = round(
-        row["put_ms_reference"] / row["put_ms_single_dumps"], 1)
     row["hit_speedup"] = round(row["hit_ms_reference"] / row["hit_ms"], 2)
+    row["entry_share_of_v2"] = round(
+        row["entry_bytes"] / row["entry_bytes_v2"], 3)
+    row["hit_speedup_over_v2"] = round(row["hit_ms_v2"] / row["hit_ms"], 2)
     return row
 
 
@@ -185,18 +212,22 @@ def test_bench_disk_tier(results_dir, tmp_path):
     payload = {
         "description": (
             f"Disk-tier entry write (PlanCache.put) and disk hit (a fresh "
-            f"PlanCache.get_with_tier) against the indented writer and its "
-            f"reader (plan_to_dict + entry_checksum + json.dumps(indent=2); "
-            f"json.loads + entry_checksum + plan_from_dict), timed in one "
-            f"process on {array.size} boards (hetero), batch {BATCH}.  "
-            f"put_ms_single_dumps is today's layout from one json.dumps "
-            f"of the expanded document (no subtree memo).  Best of "
-            f"{DISK_ROUNDS} interleaved rounds."
+            f"PlanCache.get_with_tier) of today's format-3 entries, against "
+            f"the indented writer and its reader (format-2 document + "
+            f"entry_checksum + json.dumps(indent=2); json.loads + "
+            f"entry_checksum + plan_from_dict) and against the compact "
+            f"format-2 entries the previous build wrote (*_v2: every plan "
+            f"node nested in its parent, every member spec listed), timed "
+            f"in one process on {array.size} boards (hetero), batch "
+            f"{BATCH}.  Best of {DISK_ROUNDS} interleaved rounds."
         ),
         "boards": array.size,
         "batch": BATCH,
         "rounds": DISK_ROUNDS,
         "put_speedup_gate": PUT_SPEEDUP_GATE,
+        "v2_gate": {"model": V2_GATE_MODEL,
+                    "max_entry_share_of_v2": V2_SIZE_GATE,
+                    "hit_faster_than_v2": True},
         "models": rows,
     }
     text = json.dumps(payload, indent=2)
@@ -213,3 +244,12 @@ def test_bench_disk_tier(results_dir, tmp_path):
             f"{model}: disk hit {row['hit_ms']} ms is slower than the "
             f"indented reader's {row['hit_ms_reference']} ms"
         )
+    row = rows[V2_GATE_MODEL]
+    assert row["entry_bytes"] <= V2_SIZE_GATE * row["entry_bytes_v2"], (
+        f"{V2_GATE_MODEL}: v3 entry of {row['entry_bytes']} bytes is more "
+        f"than {V2_SIZE_GATE} of the v2 entry's {row['entry_bytes_v2']}"
+    )
+    assert row["hit_ms"] < row["hit_ms_v2"], (
+        f"{V2_GATE_MODEL}: v3 disk hit {row['hit_ms']} ms is not faster "
+        f"than the v2 disk hit's {row['hit_ms_v2']} ms"
+    )

@@ -81,7 +81,8 @@ def walk(
     At each internal node ``decide(node, stages, plan)`` returns the level
     plan to shard the stages by, or ``None`` to stop; the walk descends
     with the children of ``plan``.  A memo hit is reused only if it read
-    the same plan node (``is``, or ``==`` for a plan rebuilt from a file).
+    the same plan node (``is``, or ``==`` for a plan rebuilt from a v1 or
+    v2 document, whose reader shares no subtree).
     ``scheme`` names a planner walk: only those count memo hits and misses
     and open ``hierarchy.plan`` spans.
     """

@@ -9,9 +9,19 @@ stages deterministically and re-attaches the stored decisions.
 as canonical JSON text (sorted keys, no whitespace) for plan files and
 disk-cache entries.
 
-Format version 2 stores each level as an *ordered* ``"entries"`` list of
-typed records (``layer`` / ``join`` / ``exit``), mirroring the plan IR of
-:mod:`repro.plan.ir` one-to-one.  Version-1 documents — a flat
+Format version 3 stores the plan tree as a flat ``"nodes"`` list holding
+each distinct subtree once, in post-order, with children named by the
+index of an earlier node; ``"plan"`` is the root's index.  The planner
+shares one subtree object between the symmetric halves of the pairing
+tree (a 256-board plan has 255 nodes but about 15 distinct subtrees), so
+a reader builds each of them once and the loaded plan shares subtrees as
+the planned one did.  ``"array"`` is a list of ``[spec, count]`` runs of
+consecutive equal member specs.  Each node's ``"entries"`` is the ordered
+list of typed records (``layer`` / ``join`` / ``exit``) of
+:mod:`repro.plan.ir`.
+
+Versions 1 and 2 are still read.  Version 2 nests each node's children
+inside it and lists every member spec.  Version-1 documents — a flat
 ``"assignments"`` dict whose fork/join decisions were encoded as magic
 ``@join:`` / ``@exit:`` key strings — are migrated on read, so every plan
 file and disk-cache entry written by earlier releases keeps loading
@@ -22,13 +32,15 @@ still exists, as migration shims.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..graph.network import Network
 from ..ioutil import atomic_write_text
 from ..hardware.accelerator import AcceleratorGroup, AcceleratorSpec
 from ..hardware.cluster import bisection_tree
+from ..hardware.presets import group_from_runs
 from ..models.registry import build_model
 from ..plan.ir import (
     HierarchicalPlan,
@@ -42,11 +54,11 @@ from .planner import PlannedExecution
 from .stages import to_sharded_stages
 from .types import PartitionType
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: versions this reader understands; v1 documents go through the
 #: assignments-dict migration shim below
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: the canonical encoding: ``json.dumps(value, sort_keys=True,
 #: separators=(",", ":"))``, without building an encoder per call
@@ -190,65 +202,142 @@ def _v1_entries(assignments: Dict[str, Dict]) -> List[PlanEntry]:
     return entries
 
 
-def _plan_node_to_dict(plan: HierarchicalPlan) -> Optional[Dict]:
-    if plan.level_plan is None:
-        return None
-    return {
-        "cost": plan.level_plan.cost,
-        "scheme": plan.level_plan.scheme,
-        "entries": [_entry_to_dict(e) for e in plan.level_plan.entries],
-        "left": _plan_node_to_dict(plan.left) if plan.left else None,
-        "right": _plan_node_to_dict(plan.right) if plan.right else None,
-    }
-
-
-def _plan_node_from_dict(data: Optional[Dict], scheme: str,
-                         version: int) -> HierarchicalPlan:
-    if data is None:
-        return HierarchicalPlan(level_plan=None, scheme=scheme)
+def _level_from_dict(data: Dict, version: int) -> LevelPlan:
+    """One stored node's level plan (any version's node record)."""
     if version == 1:
         entries = _v1_entries(data["assignments"])
     else:
         entries = [_entry_from_dict(e) for e in data["entries"]]
     try:
-        level = LevelPlan(entries, cost=data["cost"], scheme=data["scheme"])
+        return LevelPlan(entries, cost=data["cost"], scheme=data["scheme"])
     except ValueError as exc:  # duplicate entries in a hand-edited document
         raise PlanFormatError(str(exc)) from None
+
+
+def _nested_plan_from_dict(data: Optional[Dict], scheme: str, version: int,
+                           depth_left: int) -> HierarchicalPlan:
+    """A v1 or v2 plan tree, whose nodes nest their children.
+
+    ``depth_left`` bounds the recursion by the pairing tree's depth, so a
+    document nested deeper than any plan can be is refused, not recursed.
+    """
+    if data is None:
+        return HierarchicalPlan(level_plan=None, scheme=scheme)
+    if depth_left == 0:
+        raise PlanFormatError(
+            "stored plan is nested deeper than the rebuilt pairing tree depth"
+        )
     return HierarchicalPlan(
-        level_plan=level,
-        left=_plan_node_from_dict(data.get("left"), scheme, version),
-        right=_plan_node_from_dict(data.get("right"), scheme, version),
+        level_plan=_level_from_dict(data, version),
+        left=_nested_plan_from_dict(data.get("left"), scheme, version,
+                                    depth_left - 1),
+        right=_nested_plan_from_dict(data.get("right"), scheme, version,
+                                     depth_left - 1),
         scheme=scheme,
     )
 
 
-def _plan_node_json(plan: Optional[HierarchicalPlan],
-                    memo: Dict[int, str]) -> str:
-    """:func:`_plan_node_to_dict` as canonical JSON text.
+def _node_index(plan: Optional[HierarchicalPlan], nodes: List[Dict],
+                index: Dict[int, int]) -> Optional[int]:
+    """Append ``plan``'s distinct subtrees to ``nodes`` in post-order.
 
-    ``memo`` maps ``id(node)`` to the node's text, so a subtree object the
-    planner shares between several parents is encoded once and repeated.
-    Ids are stable because the tree keeps every node alive for the call.
+    Returns the position of ``plan``'s own record, or ``None`` for a leaf.
+    ``index`` maps ``id(node)`` to its position, so a subtree object the
+    planner shares between several parents is stored once; ids are stable
+    because the tree keeps every node alive for the call.
     """
     if plan is None or plan.level_plan is None:
-        return "null"
-    text = memo.get(id(plan))
-    if text is None:
+        return None
+    at = index.get(id(plan))
+    if at is None:
+        left = _node_index(plan.left, nodes, index)
+        right = _node_index(plan.right, nodes, index)
         level = plan.level_plan
-        entries = [_entry_to_dict(e) for e in level.entries]
-        # keys in sorted order: cost, entries, left, right, scheme
-        text = memo[id(plan)] = (
-            f'{{"cost":{_canonical(level.cost)},'
-            f'"entries":{_canonical(entries)},'
-            f'"left":{_plan_node_json(plan.left, memo)},'
-            f'"right":{_plan_node_json(plan.right, memo)},'
-            f'"scheme":{_canonical(level.scheme)}}}'
+        nodes.append({
+            "cost": level.cost,
+            "entries": [_entry_to_dict(e) for e in level.entries],
+            "left": left,
+            "right": right,
+            "scheme": level.scheme,
+        })
+        at = index[id(plan)] = len(nodes) - 1
+    return at
+
+
+def _root_depth(nodes: Sequence[Dict], root) -> int:
+    """Check a v3 node list's child and root indices; the root's depth.
+
+    Every child index must name an earlier node, so the list is in
+    post-order, holds no cycle, and each node can be built from nodes
+    already built.  Nothing is built here.
+    """
+    depths: List[int] = []
+    for position, node in enumerate(nodes):
+        depth = 0
+        for child in (node["left"], node["right"]):
+            if child is None:
+                continue
+            if type(child) is not int or not 0 <= child < position:
+                raise PlanFormatError(
+                    f"plan node {position}: child {child!r} is not the index "
+                    f"of an earlier node"
+                )
+            depth = max(depth, depths[child])
+        depths.append(depth + 1)
+    if root is None:
+        return 0
+    if type(root) is not int or not 0 <= root < len(depths):
+        raise PlanFormatError(
+            f"plan root {root!r} is not an index into the "
+            f"{len(depths)}-node list"
         )
-    return text
+    return depths[root]
 
 
-def _document_head(planned: PlannedExecution) -> Dict:
-    """Every top-level field of the v2 document except the plan tree."""
+def _plan_from_nodes(nodes: Sequence[Dict], root: Optional[int],
+                     scheme: str) -> HierarchicalPlan:
+    """A v3 plan tree, each node built once from already-built children.
+
+    The indices must have passed :func:`_root_depth`.
+    """
+    leaf = HierarchicalPlan(level_plan=None, scheme=scheme)
+    built: List[HierarchicalPlan] = []
+    for node in nodes:
+        left, right = node["left"], node["right"]
+        built.append(HierarchicalPlan(
+            level_plan=_level_from_dict(node, 3),
+            left=leaf if left is None else built[left],
+            right=leaf if right is None else built[right],
+            scheme=scheme,
+        ))
+    return leaf if root is None else built[root]
+
+
+def _array_runs(members: Sequence[AcceleratorSpec]) -> List[List]:
+    """The array as ``[spec, count]`` runs of consecutive equal specs."""
+    return [[_spec_to_dict(spec), sum(1 for _ in run)]
+            for spec, run in groupby(members)]
+
+
+def _group_from_runs(runs) -> AcceleratorGroup:
+    """A v3 ``array``: one spec is read per run, and every run count is
+    checked before a member is built, so a short document cannot make a
+    reader build a huge array."""
+    specs = []
+    for run in runs:
+        if not isinstance(run, list) or len(run) != 2:
+            raise PlanFormatError(f"array run {run!r} is not [spec, count]")
+        specs.append((_spec_from_dict(run[0]), run[1]))
+    try:
+        return group_from_runs(specs)
+    except ValueError as exc:
+        raise PlanFormatError(f"array runs: {exc}") from None
+
+
+def plan_to_dict(planned: PlannedExecution) -> Dict:
+    """Serialize a planned execution to a JSON-compatible document (v3)."""
+    nodes: List[Dict] = []
+    root = _node_index(planned.plan, nodes, {})
     return {
         "format_version": FORMAT_VERSION,
         "network": planned.network_name,
@@ -256,32 +345,21 @@ def _document_head(planned: PlannedExecution) -> Dict:
         "scheme": planned.scheme,
         "dtype_bytes": planned.dtype_bytes,
         "levels": planned.hierarchy_levels(),
-        "array": [_spec_to_dict(m) for m in planned.tree.group.members],
+        "array": _array_runs(planned.tree.group.members),
+        "nodes": nodes,
+        "plan": root,
     }
 
 
-def plan_to_dict(planned: PlannedExecution) -> Dict:
-    """Serialize a planned execution to a JSON-compatible document (v2)."""
-    return {**_document_head(planned), "plan": _plan_node_to_dict(planned.plan)}
-
-
 def plan_to_json(planned: PlannedExecution, **extra) -> str:
-    """Serialize a planned execution to canonical JSON text (v2).
+    """Serialize a planned execution to canonical JSON text (v3).
 
-    The text is byte-equal to ``json.dumps({**plan_to_dict(planned),
-    **extra}, sort_keys=True, separators=(",", ":"))``: sorted keys, no
-    whitespace.  It is built without that document, though: the planner
-    shares one subtree object between symmetric halves of the pairing tree
-    (a 128-board resnet50 plan has 127 nodes but 13 distinct subtrees), and
-    each distinct subtree is encoded once.  ``extra`` adds top-level keys,
-    such as the disk cache's ``fingerprint``.
+    The text is ``json.dumps({**plan_to_dict(planned), **extra},
+    sort_keys=True, separators=(",", ":"))``: sorted keys, no whitespace.
+    ``extra`` adds top-level keys, such as the disk cache's
+    ``fingerprint``.
     """
-    fields = {key: _canonical(value)
-              for key, value in {**_document_head(planned), **extra}.items()}
-    if "plan" not in fields:
-        fields["plan"] = _plan_node_json(planned.plan, {})
-    return "{" + ",".join(
-        f"{_canonical(key)}:{fields[key]}" for key in sorted(fields)) + "}"
+    return _canonical({**plan_to_dict(planned), **extra})
 
 
 def plan_from_dict(
@@ -290,11 +368,12 @@ def plan_from_dict(
 ) -> PlannedExecution:
     """Reconstruct a planned execution from :func:`plan_to_dict` output.
 
-    Accepts both current (v2) documents and v1 documents, which are migrated
-    transparently.  ``network_builder`` resolves the stored model name; it
-    defaults to the model-zoo registry, so custom models must be registered
-    (or passed via a custom builder) before loading.  A document of the
-    wrong shape (not an object, a field missing or of the wrong type)
+    Accepts current (v3) documents and the v2 and v1 documents earlier
+    releases wrote; v1 is migrated transparently.  ``network_builder``
+    resolves the stored model name; it defaults to the model-zoo registry,
+    so custom models must be registered (or passed via a custom builder)
+    before loading.  A document of the wrong shape (not an object, a field
+    missing or of the wrong type, an array run or node index out of range)
     raises :class:`PlanFormatError`.
     """
     if not isinstance(data, dict):
@@ -317,24 +396,33 @@ def plan_from_dict(
         raise PlanFormatError(exc.args[0] if exc.args else repr(exc)) from None
 
     try:
-        array = AcceleratorGroup(
-            tuple(_spec_from_dict(s) for s in data["array"]))
-        tree = bisection_tree(array, data["levels"])
+        scheme = data["scheme"]
+        if version == 3:
+            # every count and index is checked before anything is built
+            group = _group_from_runs(data["array"])
+            depth = _root_depth(data["nodes"], data["plan"])
+        else:
+            group = AcceleratorGroup(
+                tuple(_spec_from_dict(s) for s in data["array"]))
+        tree = bisection_tree(group, data["levels"])
+        if version != 3:
+            plan = _nested_plan_from_dict(data["plan"], scheme, version,
+                                          tree.depth())
+            depth = plan.depth()
+        if depth != tree.depth():
+            raise PlanFormatError(
+                f"stored plan depth {depth} does not match the rebuilt "
+                f"pairing tree depth {tree.depth()}"
+            )
+        if version == 3:
+            plan = _plan_from_nodes(data["nodes"], data["plan"], scheme)
         batch = data["batch"]
         stages = to_sharded_stages(network.stages(batch))
-        scheme = data["scheme"]
-        plan = _plan_node_from_dict(data["plan"], scheme, version)
         dtype_bytes = data["dtype_bytes"]
     except (KeyError, TypeError, AttributeError) as exc:
         # a missing field or one of the wrong shape: a null array, a string
         # where a plan node belongs, ...
         raise PlanFormatError(f"malformed plan document: {exc!r}") from None
-
-    if plan.depth() != tree.depth():
-        raise PlanFormatError(
-            f"stored plan depth {plan.depth()} does not match the rebuilt "
-            f"pairing tree depth {tree.depth()}"
-        )
 
     return PlannedExecution(
         network_name=name,
@@ -359,6 +447,7 @@ def load_plan(path, network_builder=None) -> PlannedExecution:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise PlanFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # not JSON, or not text
+    # not JSON, not text, or nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         raise PlanFormatError(f"{path} is not a JSON document: {exc}") from None
     return plan_from_dict(data, network_builder)

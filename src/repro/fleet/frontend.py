@@ -80,6 +80,7 @@ from .retry import (
 )
 from .ring import HashRing
 from .wire import (
+    BadPayload,
     FrameError,
     FrameTooLarge,
     MAX_REQUEST_FRAME_BYTES,
@@ -427,6 +428,10 @@ class FleetFrontend:
             except FrameTooLarge as exc:
                 await write_frame(writer, too_large(exc.declared))
                 return  # stream desynchronized past a refused frame
+            except BadPayload as exc:  # still at a frame boundary
+                prefix = b""
+                await write_frame(writer, {"ok": False, "error": str(exc)})
+                continue
             except FrameError:
                 return
             prefix = b""

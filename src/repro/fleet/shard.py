@@ -49,6 +49,7 @@ from .chaos import ChaosController, ChaosSpec
 from .retry import RetryPolicy
 from .ring import HashRing
 from .wire import (
+    BadPayload,
     FrameError,
     FrameTooLarge,
     MAX_REQUEST_FRAME_BYTES,
@@ -89,6 +90,13 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 except OSError:
                     pass
                 return  # stream is desynchronized past a refused frame
+            except BadPayload as exc:  # still at a frame boundary
+                try:
+                    send_frame(sock, {"ok": False, "error": str(exc)},
+                               chaos=shard.chaos)
+                except OSError:
+                    return
+                continue
             except (FrameError, OSError):
                 return
             # re-check after the blocking read: killed is set before any

@@ -56,6 +56,15 @@ class FrameError(ValueError):
     """The byte stream does not parse as a protocol-v2 frame."""
 
 
+class BadPayload(FrameError):
+    """A whole frame arrived, but its body is not a JSON object.
+
+    The length prefix was read and honoured, so the stream is still at a
+    frame boundary: a server answers such a frame with an error and reads
+    on.
+    """
+
+
 class FrameTooLarge(FrameError):
     """A frame declared a length beyond the caller's cap."""
 
@@ -102,10 +111,11 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     """Parse a frame body; the payload must be a JSON object."""
     try:
         doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"bad frame payload: {exc}") from exc
+    # bad UTF-8 or JSON, or nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
+        raise BadPayload(f"bad frame payload: {exc}") from exc
     if not isinstance(doc, dict):
-        raise FrameError("frame payload must be a JSON object")
+        raise BadPayload("frame payload must be a JSON object")
     return doc
 
 

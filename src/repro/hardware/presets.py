@@ -13,6 +13,8 @@ bit units.
 
 from __future__ import annotations
 
+from typing import Iterable, List, Tuple
+
 from .accelerator import AcceleratorSpec, AcceleratorGroup, make_group, merge_groups
 
 GB = 1e9
@@ -47,9 +49,9 @@ BFLOAT16_BYTES = 2
 #: mini-batch size used throughout Section 6 (except Figure 7, which uses 128)
 PAPER_BATCH = 512
 
-#: the most boards :func:`parse_array` builds, summed over all components:
-#: 16x the paper's 256-board array, so a short request line cannot make a
-#: server build and hash a million-member array
+#: the most boards :func:`group_from_runs` builds, summed over all runs:
+#: 16x the paper's 256-board array, so a short request line or plan
+#: document cannot make a server build and hash a million-member array
 MAX_BOARDS = 4096
 
 
@@ -63,11 +65,34 @@ def homogeneous_array(n: int = 128) -> AcceleratorGroup:
     return make_group(TPU_V3, n)
 
 
+def group_from_runs(
+    runs: Iterable[Tuple[AcceleratorSpec, int]],
+) -> AcceleratorGroup:
+    """The array of ``count`` consecutive copies of each run's ``spec``.
+
+    Raises ``ValueError`` on a count that is not a positive integer, or on
+    counts summing past :data:`MAX_BOARDS`; both are checked before any
+    member is built.
+    """
+    runs = list(runs)
+    for _, count in runs:
+        if type(count) is not int or count < 1:
+            raise ValueError(f"board count {count!r} is not a positive integer")
+    boards = sum(count for _, count in runs)
+    if boards > MAX_BOARDS:
+        raise ValueError(
+            f"array of {boards} boards exceeds the limit of {MAX_BOARDS}")
+    members: List[AcceleratorSpec] = []
+    for spec, count in runs:
+        members += [spec] * count
+    return AcceleratorGroup(tuple(members))
+
+
 def parse_array(text: str) -> AcceleratorGroup:
     """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'.
 
-    Raises ``ValueError`` on a spec it cannot read, or on one with more
-    than :data:`MAX_BOARDS` boards (checked before any member is built).
+    Raises ``ValueError`` on a spec it cannot read, or on one
+    :func:`group_from_runs` refuses.
     """
     key = text.strip().lower()
     if key in ("hetero", "heterogeneous"):
@@ -86,9 +111,4 @@ def parse_array(text: str) -> AcceleratorGroup:
         if not count.strip().isdecimal():
             raise ValueError(f"bad count in {part!r}")
         components.append((KNOWN_SPECS[name], int(count)))
-    boards = sum(count for _, count in components)
-    if boards > MAX_BOARDS:
-        raise ValueError(
-            f"array of {boards} boards exceeds the limit of {MAX_BOARDS}")
-    return merge_groups(*(make_group(spec, count)
-                          for spec, count in components))
+    return group_from_runs(components)

@@ -117,10 +117,11 @@ class PlanCache:
     """LRU plan cache with an optional persistent disk tier.
 
     ``capacity`` bounds the in-memory tier only; the disk tier grows without
-    bound.  An entry holds the whole expanded pairing tree, so its size
-    grows with the array: a 256-board resnet50 entry is about 1.6 MB, a
-    4-board alexnet entry a few KB.  A disk hit is promoted into memory so
-    repeated lookups pay the JSON parse once.
+    bound.  An entry holds each distinct subtree of the plan once, so its
+    size grows with the array's distinct sub-problems: a 256-board
+    resnet50 entry is about 90 KB, a 4-board alexnet entry a few KB.  A
+    disk hit is promoted into memory so repeated lookups pay the JSON parse
+    once.
     """
 
     def __init__(
@@ -212,7 +213,8 @@ class PlanCache:
             return None
         try:
             data = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        # bad UTF-8 or JSON, or nested deeper than the parser recurses
+        except (ValueError, RecursionError) as exc:
             self._quarantine(path, f"unparseable entry: {exc}")
             return None
         if not isinstance(data, dict):

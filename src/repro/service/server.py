@@ -78,7 +78,8 @@ def decode_line(line: Union[str, bytes]) -> Tuple[Optional[Dict],
         return None, {"ok": False, "error": "empty request line"}
     try:
         doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    # bad JSON or UTF-8, or nested deeper than the parser recurses
+    except (ValueError, RecursionError) as exc:
         return None, {"ok": False, "error": f"bad JSON: {exc}"}
     if not isinstance(doc, dict):
         return None, {"ok": False, "error": "request must be a JSON object"}
@@ -310,7 +311,7 @@ def describe_cache_dir(disk_dir) -> str:
             doc = json.loads(path.read_text())
             label = f"{doc.get('network', '?')} / {doc.get('scheme', '?')} " \
                     f"/ batch {doc.get('batch', '?')}"
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, RecursionError, OSError):
             label = "(unreadable)"
         by_model[label] = by_model.get(label, 0) + 1
     for label in sorted(by_model):

@@ -7,6 +7,11 @@ import pytest
 from repro.cli import main, parse_array
 
 
+def root_node(document):
+    """The root's record in a plan document's node list."""
+    return document["nodes"][document["plan"]]
+
+
 class TestParseArray:
     def test_presets(self):
         assert parse_array("hetero").size == 256
@@ -128,8 +133,9 @@ class TestValidateCommand:
         main(["plan", "--model", "lenet", "--array", "tpu-v3:4",
               "--batch", "32", "--out", str(out_file)])
         document = json.loads(out_file.read_text())
-        document["plan"]["entries"] = [
-            e for e in document["plan"]["entries"] if e.get("layer") != "cv1"
+        root = root_node(document)
+        root["entries"] = [
+            e for e in root["entries"] if e.get("layer") != "cv1"
         ]
         out_file.write_text(json.dumps(document))
         capsys.readouterr()
@@ -174,7 +180,7 @@ class TestMalformedPlanFiles:
     def test_ratio_out_of_range(self, capsys, plan_file, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(plan_file.read_text())
-        self.edit(bad, lambda d: d["plan"]["entries"][0].update(alpha=1.5))
+        self.edit(bad, lambda d: root_node(d)["entries"][0].update(alpha=1.5))
         for argv in self.commands(bad, plan_file):
             self.assert_plan_error(capsys, argv, "1.5", "(0, 1)")
 
@@ -197,8 +203,8 @@ class TestMalformedPlanFiles:
             self.assert_plan_error(capsys, argv, "not a JSON document")
 
     def test_simulate_refuses_a_plan_it_cannot_shard(self, capsys, plan_file):
-        self.edit(plan_file, lambda d: d["plan"].update(entries=[
-            e for e in d["plan"]["entries"] if e.get("layer") != "cv1"]))
+        self.edit(plan_file, lambda d: root_node(d).update(entries=[
+            e for e in root_node(d)["entries"] if e.get("layer") != "cv1"]))
         issue = "root: layers without assignment: ['cv1']"
         assert main(["validate", "--plan", str(plan_file)]) == 1
         assert f"  - {issue}" in capsys.readouterr().out

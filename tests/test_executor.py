@@ -1,16 +1,14 @@
 """Unit tests for the plan evaluator (the simulator's top level)."""
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import get_scheme
 from repro.core.planner import Planner
-from repro.hardware import (
-    TPU_V2,
-    TPU_V3,
-    heterogeneous_array,
-    homogeneous_array,
-    make_group,
-)
+from repro.hardware import heterogeneous_array, homogeneous_array
 from repro.models import build_model
 from repro.sim.engine import EngineConfig
 from repro.sim.executor import evaluate
@@ -116,33 +114,56 @@ def _rotate_types(node):
     _rotate_types(node["right"])
 
 
+#: a format-2 plan document (vgg19 on the 128-board ``homo`` array, batch
+#: 64): its reader builds every node apart, so the root's two children are
+#: equal but distinct objects
+V2_HOMO_PLAN = (Path(__file__).parent / "fixtures" / "plans_v2"
+                / "vgg19_homo_accpar.json")
+
+
 class TestSiblingPlans:
     """Two siblings with the same group and sub-problem but different stored
     plans are simulated apart: a memo hit needs the same plan node too."""
 
     @pytest.fixture(scope="class")
+    def document(self):
+        return json.loads(V2_HOMO_PLAN.read_text())
+
+    @pytest.fixture(scope="class")
     def planned(self):
-        return plan(model="alexnet", array=make_group(TPU_V3, 4), batch=512)
+        return plan(model="vgg19", array=homogeneous_array(), batch=64)
 
-    def edited(self, planned, side):
-        from repro.core.serialize import plan_from_dict, plan_to_dict
+    def edited(self, document, side):
+        from repro.core.serialize import plan_from_dict
 
-        document = plan_to_dict(planned)
+        document = copy.deepcopy(document)
         _rotate_types(document["plan"][side])
         return plan_from_dict(document)
 
-    def test_either_sibling_edit_gives_the_same_total(self, planned):
-        left = evaluate(self.edited(planned, "left")).total_time
-        right = evaluate(self.edited(planned, "right")).total_time
+    def test_either_sibling_edit_gives_the_same_total(self, document,
+                                                      planned):
+        left = evaluate(self.edited(document, "left")).total_time
+        right = evaluate(self.edited(document, "right")).total_time
         assert right == pytest.approx(left, rel=1e-5)
         # and the edit matters: the rotated types are far slower
         assert left > 2 * evaluate(planned).total_time
 
-    def test_loaded_plan_matches_planned(self, planned):
-        """A plan rebuilt from its document shares no subtree objects; the
+    def test_loaded_plan_matches_planned(self, document, planned):
+        """A plan rebuilt from a v2 document shares no subtree objects; the
         walk's structural hit rule still gives the planner's answer."""
+        from repro.core.serialize import plan_from_dict
+
+        loaded = plan_from_dict(document)
+        assert loaded.plan.left is not loaded.plan.right
+        assert loaded.plan.left == loaded.plan.right
+        assert evaluate(loaded) == evaluate(planned)
+
+    def test_v3_loaded_plan_shares_siblings(self, planned):
+        """A v3 document stores each distinct subtree once, so its reader
+        shares them as the planner did and the walk hits by identity."""
         from repro.core.serialize import plan_from_dict, plan_to_dict
 
         loaded = plan_from_dict(plan_to_dict(planned))
-        assert loaded.plan.left is not loaded.plan.right
+        assert planned.plan.left is planned.plan.right
+        assert loaded.plan.left is loaded.plan.right
         assert evaluate(loaded) == evaluate(planned)

@@ -211,12 +211,16 @@ class TestGarbageBeforeHello:
             assert reply["ok"] is False
             assert reply["error"] == "request too large"
 
-    def test_valid_length_prefix_with_garbage_body_drops_cleanly(self, shard):
+    def test_valid_length_prefix_with_garbage_body_gets_a_reply(self, shard):
         with self._open(shard) as sock:
             sock.sendall(b"\x00\x00\x00\x09not json!")
-            # unparseable body: the shard drops the connection rather
-            # than guess at resynchronization
-            assert recv_frame(sock) is None
+            # the whole frame was read, so the stream is still at a frame
+            # boundary: the shard refuses the body and reads on
+            reply = recv_frame(sock)
+            assert reply["ok"] is False
+            assert reply["error"].startswith("bad frame payload")
+            send_frame(sock, {"op": "ping"})
+            assert recv_frame(sock)["ok"]
 
     def test_server_survives_garbage_and_keeps_serving(self, shard):
         with self._open(shard) as sock:

@@ -1,13 +1,14 @@
 """Cross-backend plan equivalence: every registered backend plans real
-models, validates structurally, and survives a lossless serialize-v2
-round trip.  This module is the CI ``plan-equivalence`` job.
+models, validates structurally, and survives a lossless round trip
+through the plan document.  This module is the CI ``plan-equivalence``
+job.
 """
 
 import pytest
 
 from repro.baselines import get_scheme
 from repro.core.planner import Planner
-from repro.core.serialize import plan_from_dict, plan_to_dict
+from repro.core.serialize import FORMAT_VERSION, plan_from_dict, plan_to_dict
 from repro.hardware import heterogeneous_array
 from repro.models import build_model
 from repro.plan import available_backends, get_backend, plan_diff, validate_plan
@@ -50,10 +51,10 @@ class TestEveryBackendOnChain:
         assert validate_plan(planned.plan, build_model("vgg19"), 64) == []
 
     @pytest.mark.parametrize("backend", CHAIN_BACKENDS)
-    def test_vgg19_v2_roundtrip_lossless(self, backend):
+    def test_vgg19_roundtrip_lossless(self, backend):
         planned = plan_with_backend("vgg19", backend)
         document = plan_to_dict(planned)
-        assert document["format_version"] == 2
+        assert document["format_version"] == FORMAT_VERSION
         reloaded = plan_from_dict(document)
         assert_entries_identical(planned.plan, reloaded.plan)
         assert plan_diff(planned.plan, reloaded.plan) == []
@@ -72,7 +73,7 @@ class TestEveryBackendOnMultibranch:
         assert validate_plan(planned.plan, build_model("trident"), 64) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trident_v2_roundtrip_lossless(self, backend):
+    def test_trident_roundtrip_lossless(self, backend):
         planned = plan_with_backend("trident", backend)
         reloaded = plan_from_dict(plan_to_dict(planned),
                                   network_builder=build_any)
@@ -81,7 +82,7 @@ class TestEveryBackendOnMultibranch:
 
     def test_dp_roundtrip_preserves_joins_and_exits(self):
         """The multi-path-aware backend emits JoinAlignment and PathExit
-        entries; the v2 round trip must carry them bit-identically."""
+        entries; the document round trip must carry them bit-identically."""
         planned = plan_with_backend("trident", "dp")
         root = planned.root_level_plan
         assert root.joins(), "dp on trident must align fork/join tensors"

@@ -1,9 +1,11 @@
 """Oracle tests for the canonical plan encoder, ``plan_to_json``.
 
-``plan_to_json`` encodes each distinct subtree object once; the oracle is
-the plain encoding of the whole expanded document,
-``json.dumps(plan_to_dict(p), sort_keys=True, separators=(",", ":"))``,
-which the two must match byte for byte.
+The plan document stores each distinct subtree object once.  On the zoo,
+its text must equal the plain encoding,
+``json.dumps(plan_to_dict(p), sort_keys=True, separators=(",", ":"))``.
+Random trees that share subtrees, and reuse a level plan over other
+children, must read back through the v3 node reader as the same tree,
+shared exactly where the original was.
 """
 
 import dataclasses
@@ -12,10 +14,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import get_scheme
-from repro.cli import parse_array
-from repro.core.planner import Planner
 from repro.core.serialize import (
+    _plan_from_nodes,
+    _root_depth,
     load_plan,
     plan_from_dict,
     plan_to_dict,
@@ -23,7 +24,6 @@ from repro.core.serialize import (
     save_plan,
 )
 from repro.core.types import PartitionType
-from repro.models import build_model
 from repro.plan import plan_diff
 from repro.plan.ir import (
     HierarchicalPlan,
@@ -32,51 +32,7 @@ from repro.plan.ir import (
     LevelPlan,
     PathExit,
 )
-
-
-def canonical(document) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def plan(model, array="tpu-v2:2,tpu-v3:2", scheme="accpar", backend=None,
-         batch=64):
-    return Planner(parse_array(array), get_scheme(scheme, backend=backend)) \
-        .plan(build_model(model), batch)
-
-
-def count_nodes(root):
-    """(tree nodes, distinct node objects) of a plan tree's internal nodes."""
-    seen, total = set(), 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node is None or node.level_plan is None:
-            continue
-        total += 1
-        seen.add(id(node))
-        stack.extend((node.left, node.right))
-    return total, len(seen)
-
-
-ZOO = [
-    # chain models
-    ("lenet", "tpu-v2:2,tpu-v3:2", "accpar", None),
-    ("alexnet", "hetero", "accpar", None),
-    ("vgg19", "homo", "accpar", None),
-    # multipath models: JoinAlignment / PathExit entries
-    ("resnet18", "tpu-v2:4,tpu-v3:4", "accpar", None),
-    ("trident", "tpu-v2:2,tpu-v3:2", "accpar", None),
-    # unbalanced pairing trees
-    ("alexnet", "tpu-v3:3", "accpar", None),
-    ("resnet18", "tpu-v2:3,tpu-v3:2", "accpar", None),
-    # the other schemes and the greedy backend
-    ("alexnet", "tpu-v2:4,tpu-v3:4", "accpar", "greedy"),
-    ("resnet18", "tpu-v2:2,tpu-v3:2", "accpar", "greedy"),
-    ("vgg11", "tpu-v2:4,tpu-v3:4", "owt", None),
-    ("vgg11", "tpu-v2:4,tpu-v3:4", "hypar", None),
-    ("lenet", "tpu-v2:2,tpu-v3:2", "dp", None),
-]
-ZOO_IDS = ["-".join(filter(None, case)) for case in ZOO]
+from tests.plan_zoo import ZOO, ZOO_IDS, canonical, count_nodes, plan
 
 
 class TestZooOracle:
@@ -101,7 +57,8 @@ class TestZooOracle:
     def test_zoo_covers_multipath_entries(self):
         document = json.loads(plan_to_json(plan("resnet18",
                                                 "tpu-v2:4,tpu-v3:4")))
-        kinds = {key for entry in document["plan"]["entries"]
+        root = document["nodes"][document["plan"]]
+        kinds = {key for entry in root["entries"]
                  for key in ("layer", "join", "exit") if key in entry}
         assert kinds == {"layer", "join", "exit"}
 
@@ -168,20 +125,24 @@ def level_plans(draw):
 def plan_trees(draw):
     """A random plan tree whose children are fresh or reused subtrees.
 
-    A node may also reuse another node's level plan over other children,
-    so the encoder's memo must key on the node, not on its level plan.
+    Every node draws its level plan from a shared set of one or two, so a
+    level plan is often reused over other children, and the writer must
+    share node records by node, not by level plan.
     """
+    levels = draw(st.lists(level_plans(), min_size=1, max_size=2))
     pool = [HierarchicalPlan(level_plan=None)]
-    for _ in range(draw(st.integers(0, 5))):
-        children = st.one_of(st.sampled_from(pool), st.just(None))
-        left, right = draw(children), draw(children)
-        if draw(st.booleans()):
+
+    def child():  # mostly an earlier node (or the leaf), sometimes None
+        if draw(st.integers(0, 4)) == 0:
+            return None
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(2, 6))):
+        left, right = child(), child()
+        if draw(st.integers(0, 3)) == 0:
             right = left  # a subtree shared by both halves
-        levels = [node.level_plan for node in pool if node.level_plan]
-        level = draw(st.one_of(level_plans(), st.sampled_from(levels))
-                     if levels else level_plans())
-        pool.append(HierarchicalPlan(level_plan=level, left=left,
-                                     right=right))
+        pool.append(HierarchicalPlan(level_plan=draw(st.sampled_from(levels)),
+                                     left=left, right=right))
     return pool[-1]
 
 
@@ -190,18 +151,41 @@ def template():
     return plan("lenet")
 
 
+def assert_round_trips(template, tree):
+    """``tree``'s document text reads back as the same tree, with a node
+    object shared exactly where ``tree`` shares one; a ``None`` child and
+    a leaf node both read back as the leaf."""
+    text = plan_to_json(dataclasses.replace(template, plan=tree))
+    document = json.loads(text)
+    assert _root_depth(document["nodes"], document["plan"]) == tree.depth()
+    rebuilt = _plan_from_nodes(document["nodes"], document["plan"],
+                               template.scheme)
+    forward, backward = {}, {}
+    stack = [(tree, rebuilt)]
+    while stack:
+        original, loaded = stack.pop()
+        if original is None or original.level_plan is None:
+            assert loaded.level_plan is None
+            continue
+        assert loaded.level_plan == original.level_plan
+        assert forward.setdefault(id(original), id(loaded)) == id(loaded)
+        assert backward.setdefault(id(loaded), id(original)) == id(original)
+        stack.extend(((original.left, loaded.left),
+                      (original.right, loaded.right)))
+    assert count_nodes(rebuilt) == count_nodes(tree)
+    assert plan_to_json(dataclasses.replace(template, plan=rebuilt)) == text
+
+
 def test_nodes_sharing_a_level_plan_keep_their_own_children(template):
     level = LevelPlan([LayerAssignment("fc", TYPES[0], 0.5)], cost=1.0,
                       scheme="accpar")
     inner = HierarchicalPlan(level_plan=level)
     outer = HierarchicalPlan(level_plan=level, left=inner)
     root = HierarchicalPlan(level_plan=level, left=inner, right=outer)
-    planned = dataclasses.replace(template, plan=root)
-    assert plan_to_json(planned) == canonical(plan_to_dict(planned))
+    assert_round_trips(template, root)
 
 
 @settings(deadline=None, max_examples=150)
 @given(tree=plan_trees())
 def test_random_trees_byte_equal(template, tree):
-    planned = dataclasses.replace(template, plan=tree)
-    assert plan_to_json(planned) == canonical(plan_to_dict(planned))
+    assert_round_trips(template, tree)

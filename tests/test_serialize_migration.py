@@ -1,4 +1,4 @@
-"""v1 → v2 serialize migration against committed fixture files.
+"""v1 serialize migration against committed fixture files.
 
 The fixtures in ``tests/fixtures/plans_v1/`` were written by the
 pre-refactor serializer (format_version 1: flat ``assignments`` dicts with
@@ -109,17 +109,17 @@ class TestV1Migration:
         assert layers + typed_joins + typed_exits == total_keys
 
     @pytest.mark.parametrize("path", FIXTURE_FILES, ids=FIXTURE_IDS)
-    def test_v1_loads_identical_to_its_v2_reencoding(self, path):
-        """The property the format guarantees: migrate(v1) == read(write(v2))."""
+    def test_v1_loads_identical_to_its_v3_reencoding(self, path):
+        """The property the format guarantees: migrate(v1) == read(write(v3))."""
         from_v1 = load_plan(path, network_builder=build_any)
-        v2_document = plan_to_dict(from_v1)
-        assert v2_document["format_version"] == 2
-        from_v2 = plan_from_dict(v2_document, network_builder=build_any)
-        assert entries_per_node(from_v1.plan) == entries_per_node(from_v2.plan)
-        assert plan_diff(from_v1.plan, from_v2.plan) == []
+        v3_document = plan_to_dict(from_v1)
+        assert v3_document["format_version"] == 3
+        from_v3 = plan_from_dict(v3_document, network_builder=build_any)
+        assert entries_per_node(from_v1.plan) == entries_per_node(from_v3.plan)
+        assert plan_diff(from_v1.plan, from_v3.plan) == []
 
     @pytest.mark.parametrize("path", FIXTURE_FILES, ids=FIXTURE_IDS)
-    def test_v2_reencoding_has_no_magic_keys(self, path):
+    def test_v3_reencoding_has_no_magic_keys(self, path):
         planned = load_plan(path, network_builder=build_any)
         text = json.dumps(plan_to_dict(planned))
         assert ("@" + "join:") not in text

@@ -68,14 +68,15 @@ def alexnet_doc():
 
 class TestForwardCompatibility:
     def test_unknown_spec_keys_are_ignored(self, alexnet_doc):
-        for spec in alexnet_doc["array"]:
+        for spec, _ in alexnet_doc["array"]:
             spec["future_field"] = "from-a-newer-writer"
             spec["another"] = [1, 2, 3]
         reloaded = plan_from_dict(alexnet_doc)
         assert reloaded.network_name == "alexnet"
 
     def test_missing_spec_field_raises_plan_format_error(self, alexnet_doc):
-        del alexnet_doc["array"][0]["flops"]
+        spec, _ = alexnet_doc["array"][0]
+        del spec["flops"]
         with pytest.raises(PlanFormatError, match="missing fields"):
             plan_from_dict(alexnet_doc)
 
@@ -114,7 +115,7 @@ class TestForwardCompatibility:
             plan_from_dict(alexnet_doc)
 
     def test_wrong_shaped_entry_raises_plan_format_error(self, alexnet_doc):
-        alexnet_doc["plan"]["entries"][0] = 3
+        alexnet_doc["nodes"][alexnet_doc["plan"]]["entries"][0] = 3
         with pytest.raises(PlanFormatError):
             plan_from_dict(alexnet_doc)
 

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 from functools import partial
@@ -170,6 +171,48 @@ class TestIngressParity:
         replies = tcp_lines(frontend.port, ["", json.dumps({"op": "ping"})])
         assert outcome(replies[0]) == (False, "empty request line")
         assert replies[1]["ok"]
+
+
+#: 200,000 bytes, under the cap, nested past the JSON parser's recursion
+#: limit
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+class TestNestedJson:
+    """A line or frame nested deeper than the parser recurses is bad JSON:
+    it gets one refusal, and the server answers the next request."""
+
+    PING = json.dumps({"op": "ping"})
+
+    def test_serve_stdin(self, tmp_path, monkeypatch, capsys):
+        code, replies, _ = run_cli_serve(
+            ["--cache-dir", str(tmp_path)], [NESTED, self.PING],
+            monkeypatch, capsys)
+        assert code == 0
+        assert replies[0]["ok"] is False
+        assert replies[0]["error"].startswith("bad JSON")
+        assert replies[1] == {"ok": True}
+
+    def test_fleet_tcp_line(self, fleet):
+        _, frontend = fleet
+        # a JSON-lines connection is sniffed off its first byte, "{"
+        replies = tcp_lines(frontend.port, [self.PING, NESTED, self.PING])
+        assert replies[1]["error"].startswith("bad JSON")
+        assert replies[2]["ok"]
+
+    @pytest.mark.parametrize("port_of", ["frontend", "shard"])
+    def test_frame(self, fleet, port_of):
+        sup, frontend = fleet
+        port = frontend.port if port_of == "frontend" else sup.handles[0].port
+        body = NESTED.encode()
+        with socket.create_connection(("127.0.0.1", port), 30.0) as sock:
+            sock.settimeout(30.0)
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            reply = recv_frame(sock)
+            assert reply["ok"] is False
+            assert reply["error"].startswith("bad frame payload")
+            send_frame(sock, {"op": "ping"})
+            assert recv_frame(sock)["ok"]
 
 
 class TestRequestRecords:
