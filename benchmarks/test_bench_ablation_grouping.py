@@ -9,7 +9,7 @@ depends on grouping, not just per-layer ratios.
 
 import pytest
 
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.experiments.reporting import format_table
 from repro.hardware import heterogeneous_array
 from repro.models import build_model
@@ -27,11 +27,11 @@ def test_ablation_grouping_policy(benchmark, results_dir):
     def run_both():
         out = {}
         for model in MODELS:
-            separated = Planner(array, AccParScheme(),
+            separated = Planner(array, PartitionScheme(),
                                 split_policy="type-separated").plan(
                 build_model(model), 512
             )
-            interleaved = Planner(array, AccParScheme(),
+            interleaved = Planner(array, PartitionScheme(),
                                   split_policy="interleaved").plan(
                 build_model(model), 512
             )

@@ -8,7 +8,7 @@ coincide (the balanced ratio solves to 1/2).
 
 import pytest
 
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.experiments.reporting import format_table
 from repro.hardware import heterogeneous_array, homogeneous_array
 from repro.models import build_model
@@ -29,9 +29,9 @@ def test_ablation_flexible_vs_equal_ratio(benchmark, results_dir):
     """Three ratio policies: equal (1/2), a single global compute-
     proportional α, and the per-layer Eq. 10 balance."""
     hetero = heterogeneous_array()
-    flexible = AccParScheme()
-    proportional = AccParScheme(ratio_mode="proportional", name="accpar-prop")
-    equal = AccParScheme(ratio_mode="equal", name="accpar-eq")
+    flexible = PartitionScheme()
+    proportional = PartitionScheme(ratio_mode="proportional", name="accpar-prop")
+    equal = PartitionScheme(ratio_mode="equal", name="accpar-eq")
 
     def sweep_ablation():
         return {
@@ -68,8 +68,8 @@ def test_equal_and_flexible_coincide_on_homogeneous(benchmark, results_dir):
     homo = homogeneous_array(16)
 
     def run_pair():
-        flexible = run(homo, AccParScheme(), "alexnet", batch=128)
-        equal = run(homo, AccParScheme(ratio_mode="equal", name="accpar-eq"),
+        flexible = run(homo, PartitionScheme(), "alexnet", batch=128)
+        equal = run(homo, PartitionScheme(ratio_mode="equal", name="accpar-eq"),
                     "alexnet", batch=128)
         return flexible, equal
 

@@ -8,7 +8,7 @@ we report the measured gain per model.
 
 import pytest
 
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.core.types import HYPAR_TYPES, PartitionType
 from repro.experiments.reporting import format_table
 from repro.hardware import heterogeneous_array
@@ -23,8 +23,8 @@ MODELS = ["alexnet", "vgg19", "resnet18"]
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_complete_vs_two_type_space(benchmark, results_dir):
     array = heterogeneous_array()
-    full_scheme = AccParScheme()
-    two_scheme = AccParScheme(space=HYPAR_TYPES, name="accpar-2type")
+    full_scheme = PartitionScheme()
+    two_scheme = PartitionScheme(space=HYPAR_TYPES, name="accpar-2type")
 
     def sweep_ablation():
         out = {}
@@ -65,7 +65,7 @@ def test_type_iii_actually_selected(benchmark, results_dir):
     array = heterogeneous_array()
 
     def count_type_iii():
-        planned = Planner(array, AccParScheme()).plan(build_model("alexnet"), 512)
+        planned = Planner(array, PartitionScheme()).plan(build_model("alexnet"), 512)
         total = 0
         for level in planned.level_plans():
             total += level.type_counts()[PartitionType.TYPE_III]

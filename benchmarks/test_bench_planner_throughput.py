@@ -23,7 +23,7 @@ import statistics
 import time
 
 from repro.core.hierarchy import collect_level_plans
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.hardware.presets import heterogeneous_array
 from repro.ioutil import atomic_write_text
 from repro.models import build_model
@@ -108,7 +108,7 @@ def _interleaved_ms(net, scheme_factories):
 
 def _legacy_scheme():
     """The legacy mode: the reference recurrence, bisection, no caches."""
-    return AccParScheme(backend=REFERENCE_BACKEND)
+    return PartitionScheme(backend=REFERENCE_BACKEND)
 
 
 def _assert_same_plan(name, optimized, legacy):
@@ -140,14 +140,14 @@ def test_planner_throughput_and_regression_gate(results_dir):
         net = build_model(name)
 
         # identity first (also warms imports and caches for the timings)
-        optimized = _plan(net, AccParScheme())
+        optimized = _plan(net, PartitionScheme())
         legacy = _plan(net, _legacy_scheme())
         _assert_same_plan(name, optimized, legacy)
 
         (
             (optimized_ms, optimized_min),
             (legacy_ms, legacy_min),
-        ) = _interleaved_ms(net, (AccParScheme, _legacy_scheme))
+        ) = _interleaved_ms(net, (PartitionScheme, _legacy_scheme))
         # calibrate the seed baseline to this machine: the legacy mode runs
         # the seed's solver configuration in-process, so its slowdown vs the
         # reference recording is pure machine speed.  The gate uses the
@@ -219,7 +219,7 @@ def test_telemetry_overhead_gate(results_dir, tmp_path):
     both modes alike.
     """
     net = build_model(TELEMETRY_GATE_NETWORK)
-    _plan(net, AccParScheme())  # warm imports/caches outside the timings
+    _plan(net, PartitionScheme())  # warm imports/caches outside the timings
 
     telemetry_store.uninstall()
     writer = telemetry_store.TelemetryWriter(tmp_path / "telemetry")
@@ -228,7 +228,7 @@ def test_telemetry_overhead_gate(results_dir, tmp_path):
         for _ in range(TELEMETRY_REPEATS):
             telemetry_store.uninstall()
             t0 = time.perf_counter()
-            _plan(net, AccParScheme())
+            _plan(net, PartitionScheme())
             off_times.append(time.perf_counter() - t0)
 
             telemetry_store.install(writer)
@@ -237,7 +237,7 @@ def test_telemetry_overhead_gate(results_dir, tmp_path):
             # so the on-path timing should not pay a per-plan open()
             writer.record({"type": "bench_warm"})
             t0 = time.perf_counter()
-            _plan(net, AccParScheme())
+            _plan(net, PartitionScheme())
             on_times.append(time.perf_counter() - t0)
     finally:
         telemetry_store.uninstall()

@@ -11,12 +11,12 @@ Run:
 """
 
 from repro import (
+    SCHEME_ORDER,
+    SCHEMES,
     AcceleratorSpec,
-    AccParScheme,
     Planner,
     build_model,
     evaluate,
-    get_scheme,
     make_group,
 )
 from repro.hardware import merge_groups
@@ -41,15 +41,15 @@ def main() -> None:
     print(f"model:   {network.name}, batch {batch}\n")
 
     times = {}
-    for scheme_name in ("dp", "owt", "hypar", "accpar"):
-        planned = Planner(cluster, get_scheme(scheme_name)).plan(network, batch)
+    for scheme_name in SCHEME_ORDER:
+        planned = Planner(cluster, SCHEMES[scheme_name]).plan(network, batch)
         report = evaluate(planned)
         times[scheme_name] = report.total_time
         print(f"{scheme_name:>7}: {report.total_time * 1e3:8.2f} ms/iter   "
               f"speedup vs DP: {times['dp'] / report.total_time:5.2f}x")
 
     # inspect the ratios AccPar chose at the top split (gen-c vs the rest)
-    planned = Planner(cluster, AccParScheme()).plan(network, batch)
+    planned = Planner(cluster, SCHEMES["accpar"]).plan(network, batch)
     root = planned.root_level_plan
     ratios = sorted(
         {round(lp.ratio, 3) for lp in root.layer_assignments().values()}

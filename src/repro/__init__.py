@@ -24,22 +24,16 @@ Quickstart::
     print(report.total_time, report.throughput)
 """
 
-from .baselines import (
-    DataParallelScheme,
-    HyParScheme,
-    OwtScheme,
-    SCHEME_ORDER,
-    get_scheme,
-)
+from .baselines import SCHEME_ORDER, SCHEMES, get_scheme
 from .core import (
     ALL_TYPES,
     AccParPlanner,
-    AccParScheme,
     HYPAR_TYPES,
     HierarchicalPlan,
     LayerPartition,
     LevelPlan,
     PairCostModel,
+    PartitionScheme,
     PartitionType,
     Phase,
     PlannedExecution,
@@ -99,11 +93,9 @@ __all__ = [
     "AcceleratorGroup",
     "AcceleratorSpec",
     "AccParPlanner",
-    "AccParScheme",
     "Add",
     "BatchNorm",
     "Conv2d",
-    "DataParallelScheme",
     "Dropout",
     "EngineConfig",
     "FeatureMap",
@@ -111,7 +103,6 @@ __all__ = [
     "GlobalAvgPool",
     "HYPAR_TYPES",
     "HierarchicalPlan",
-    "HyParScheme",
     "Input",
     "JoinAlignment",
     "LayerAssignment",
@@ -123,13 +114,13 @@ __all__ = [
     "MemoryReport",
     "MetricsRegistry",
     "Network",
-    "OwtScheme",
     "PAPER_MODELS",
     "PlanCache",
     "PlanRequest",
     "PlanResponse",
     "PlanService",
     "PairCostModel",
+    "PartitionScheme",
     "PartitionType",
     "Phase",
     "PlannedExecution",
@@ -137,6 +128,7 @@ __all__ = [
     "Pool2d",
     "ReLU",
     "SCHEME_ORDER",
+    "SCHEMES",
     "SimReport",
     "ShardedWorkload",
     "TPU_V2",

@@ -218,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "injector on every shard, e.g. "
                         "'seed=42,drop=0.05,delay=0.1,delay_ms=20,"
                         "corrupt=0.01' (also unlocks the chaos_kill / "
-                        "chaos_freeze wire ops); equivalent to setting "
-                        "REPRO_CHAOS on the shards. NEVER in production")
+                        "chaos_freeze wire ops); each shard gets its own "
+                        "seeded controller and perturbs only its own "
+                        "frames. NEVER in production")
     p.add_argument("--heartbeat-interval", type=float,
                    default=argparse.SUPPRESS,
                    help="fleet mode: seconds between frontend health "

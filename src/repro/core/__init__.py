@@ -4,8 +4,8 @@ from .brute_force import brute_force_chain
 from .greedy import greedy_chain
 from .cost_model import PairCostModel, inter_layer_elements
 from .dp_vectorized import search_stages
-from .hierarchy import PartitionScheme, collect_level_plans, plan_tree, stages_key
-from .planner import AccParPlanner, AccParScheme, GreedyScheme, PlannedExecution, Planner
+from .hierarchy import collect_level_plans, plan_tree, stages_key
+from .planner import AccParPlanner, PartitionScheme, PlannedExecution, Planner
 from .ratio import compute_proportional_ratio, solve_balanced_ratio
 from .quantize import (
     QuantizationError,
@@ -58,8 +58,6 @@ __all__ = [
     "verify_planned",
     "ALL_TYPES",
     "AccParPlanner",
-    "AccParScheme",
-    "GreedyScheme",
     "HYPAR_TYPES",
     "HierarchicalPlan",
     "LayerPartition",

@@ -201,6 +201,10 @@ class StepTensors(NamedTuple):
         return float(self.cost[index]), float(self.alpha[index])
 
 
+#: the ``ratio_mode`` values :class:`PairCostModel` accepts
+RATIO_MODES = ("balanced", "proportional", "equal", "comm-volume")
+
+
 class PairCostModel:
     """Cost model for one pairing-tree split: party *i* (left) vs *j* (right).
 
@@ -230,7 +234,7 @@ class PairCostModel:
         ratio_mode: str = "balanced",
         profile: Optional[HardwareProfile] = None,
     ):
-        if ratio_mode not in ("balanced", "proportional", "equal", "comm-volume"):
+        if ratio_mode not in RATIO_MODES:
             raise ValueError(f"unknown ratio_mode {ratio_mode!r}")
         if dtype_bytes <= 0:
             raise ValueError("dtype_bytes must be positive")

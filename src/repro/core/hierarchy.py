@@ -21,30 +21,17 @@ internal nodes of a 256-accelerator tree to a handful of distinct steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
-from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode
 from ..obs.registry import planner_counters
 from ..obs.tracing import NULL_SPAN, tracer
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .stages import ShardedStage, iter_sharded_workloads, shard_stages
 
-
-class PartitionScheme(Protocol):
-    """A per-level planning policy: AccPar or one of the baselines."""
-
-    name: str
-
-    def level_plan(
-        self,
-        stages: Sequence[ShardedStage],
-        party_i: AcceleratorGroup,
-        party_j: AcceleratorGroup,
-        dtype_bytes: int,
-    ) -> LevelPlan:
-        """Assign a partition type and ratio to every weighted layer."""
-        ...  # pragma: no cover - protocol
+if TYPE_CHECKING:  # the planner module imports this one
+    from .planner import PartitionScheme
 
 
 def stages_key(stages: Sequence[ShardedStage]) -> Tuple:

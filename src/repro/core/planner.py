@@ -13,15 +13,15 @@ iteration time, or inspect ``planned.root_level_plan`` for the per-layer
 decisions (Figure 7).
 
 Every scheme resolves its search algorithm through the backend registry
-(:func:`repro.plan.get_backend`): ``AccParScheme(backend="greedy")`` runs
-the paper's cost model under the myopic search, and the CLI's ``--backend``
-flag reaches here.
+(:func:`repro.plan.get_backend`): ``PartitionScheme(backend="greedy")``
+runs the paper's cost model under the myopic search, and the CLI's
+``--backend`` flag reaches here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
@@ -31,36 +31,43 @@ from ..obs.registry import planner_counters
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
-from .hierarchy import PartitionScheme, collect_level_plans, plan_tree
-from .stages import ShardedStage, to_sharded_stages
-from .types import ALL_TYPES, PartitionType
+from .hierarchy import collect_level_plans, plan_tree
+from .stages import ShardedStage, flatten_to_chain, to_sharded_stages
+from .types import ALL_TYPES, PartitionType, ShardedWorkload
 
 
-class AccParScheme:
-    """The paper's scheme: complete space, joint compute+comm cost, Eq. 10 ratios.
+@dataclass(frozen=True)
+class PartitionScheme:
+    """One per-level planning policy: AccPar, a restriction of it, or a baseline.
 
-    ``space`` and ``ratio_mode`` are exposed for the ablation studies
-    (restricting to {Type-I, Type-II} isolates the value of Type-III;
-    ``ratio_mode="equal"`` isolates the value of flexible ratios).
-    ``backend`` names the search algorithm in the
-    :mod:`repro.plan.backends` registry; the default is the exact DP.
+    The defaults are the paper's scheme: the complete type space, the joint
+    compute+comm cost and Eq. 10 ratios, searched by the exact DP.  The
+    baselines are restrictions of that search (§3.5, §6.1):
+
+    * ``space`` — the searchable partition types;
+    * ``ratio_mode`` — how a pair of per-party costs becomes one cost
+      (:data:`repro.core.cost_model.RATIO_MODES`);
+    * ``pin`` — a function from a workload to its one type, or ``None``
+      to let the search choose from ``space``;
+    * ``linearize`` — search the topologically ordered chain instead of
+      the multi-path graph;
+    * ``backend`` — the search algorithm's name in the
+      :mod:`repro.plan.backends` registry;
+    * ``profile`` — ``None`` for peak analytic rates; a
+      ``CalibratedProfile`` re-prices every cost model with measured
+      effective rates.
+
+    :data:`repro.baselines.SCHEMES` names the paper's schemes and
+    :func:`repro.baselines.get_scheme` builds one with its knobs checked.
     """
 
-    def __init__(
-        self,
-        space: Sequence[PartitionType] = ALL_TYPES,
-        ratio_mode: str = "balanced",
-        name: str = "accpar",
-        backend: str = "dp",
-        profile: Optional[HardwareProfile] = None,
-    ):
-        self.space = tuple(space)
-        self.ratio_mode = ratio_mode
-        self.name = name
-        self.backend = backend
-        # None = peak analytic rates; a CalibratedProfile re-prices every
-        # PairCostModel this scheme builds with measured effective rates
-        self.profile = profile
+    name: str = "accpar"
+    space: Tuple[PartitionType, ...] = ALL_TYPES
+    ratio_mode: str = "balanced"
+    pin: Optional[Callable[[ShardedWorkload], PartitionType]] = None
+    linearize: bool = False
+    backend: str = "dp"
+    profile: Optional[HardwareProfile] = None
 
     def level_plan(
         self,
@@ -69,9 +76,14 @@ class AccParScheme:
         party_j: AcceleratorGroup,
         dtype_bytes: int,
     ) -> LevelPlan:
+        """Assign a partition type and ratio to every weighted layer."""
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
                               profile=self.profile)
-        result = get_backend(self.backend).search(stages, model, self.space)
+        if self.linearize:
+            stages = flatten_to_chain(list(stages))
+        result = get_backend(self.backend).search(
+            stages, model, self.space,
+            space_fn=None if self.pin is None else lambda w: (self.pin(w),))
         planner_counters.merge(model.stats.as_dict())
         # per-backend served-plan series (repro_planner_level_plans_<b>_total
         # in Prometheus): which search algorithm actually produced the plans.
@@ -79,29 +91,6 @@ class AccParScheme:
         backend = canonical_backend_name(self.backend)
         planner_counters.inc("level_plans_" + backend.replace("-", "_"))
         return result.to_level_plan(self.name)
-
-
-class GreedyScheme(AccParScheme):
-    """Myopic per-layer scheme: the ``greedy`` backend under AccPar's cost model.
-
-    O(N·|T|) instead of the DP's O(N·|T|²) and with no multi-path branch
-    search (fork/join regions are linearized), so it answers fast at the cost
-    of search quality.  The plan service uses it as the graceful-degradation
-    fallback when an exact planning job blows through a request deadline; the
-    response is marked ``degraded`` and the exact plan replaces it in the
-    cache once the background job lands.
-    """
-
-    def __init__(
-        self,
-        space: Sequence[PartitionType] = ALL_TYPES,
-        ratio_mode: str = "balanced",
-        name: str = "greedy",
-        backend: str = "greedy",
-        profile: Optional[HardwareProfile] = None,
-    ):
-        super().__init__(space=space, ratio_mode=ratio_mode, name=name,
-                         backend=backend, profile=profile)
 
 
 @dataclass
@@ -219,7 +208,7 @@ class Planner:
         # calibrated profiles re-order the pairing tree by effective rates
         # and must cover every spec in the array; fail fast and clearly
         # before any costing happens
-        profile = getattr(self.scheme, "profile", None)
+        profile = self.scheme.profile
         if profile is not None:
             profile.validate_array(self.array)
 
@@ -252,8 +241,7 @@ class Planner:
                 "model": network.name,
                 "batch": batch,
                 "scheme": self.scheme.name,
-                "backend": canonical_backend_name(
-                    getattr(self.scheme, "backend", "dp")),
+                "backend": canonical_backend_name(self.scheme.backend),
                 "levels": levels,
                 "elapsed_ms": round((perf_counter() - started) * 1e3, 3),
                 "counters": delta,
@@ -262,7 +250,8 @@ class Planner:
 
 
 class AccParPlanner(Planner):
-    """The paper's planner: :class:`AccParScheme` over the given array."""
+    """The paper's planner: the default :class:`PartitionScheme` over the
+    given array."""
 
     def __init__(
         self,
@@ -270,4 +259,4 @@ class AccParPlanner(Planner):
         dtype_bytes: int = 2,
         levels: Optional[int] = None,
     ):
-        super().__init__(array, AccParScheme(), dtype_bytes, levels)
+        super().__init__(array, PartitionScheme(), dtype_bytes, levels)

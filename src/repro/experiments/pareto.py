@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..baselines import SCHEMES
 from ..core.cost_model import PairCostModel
 from ..core.dp_vectorized import search_stages
 from ..core.stages import ShardedLayerStage, ShardedStage
@@ -95,9 +96,5 @@ def baseline_assignments(
 ) -> Dict[str, Tuple[PartitionType, ...]]:
     """The static baselines' assignments for a chain (DP and OWT)."""
     chain = [s for s in stages if isinstance(s, ShardedLayerStage)]
-    dp = tuple(PartitionType.TYPE_I for _ in chain)
-    owt = tuple(
-        PartitionType.TYPE_I if s.workload.base.is_conv else PartitionType.TYPE_II
-        for s in chain
-    )
-    return {"dp": dp, "owt": owt}
+    return {name: tuple(SCHEMES[name].pin(s.workload) for s in chain)
+            for name in ("dp", "owt")}

@@ -33,8 +33,8 @@ shard answers with that module's op table.
   ring membership consequences (an unhealthy shard leaves the ring, a
   recovered one rejoins at its old positions);
 * :mod:`~repro.fleet.chaos` — the deterministic fault-injection harness
-  (``serve --chaos`` / ``REPRO_CHAOS``): seeded frame drop/delay/corrupt
-  plus scripted shard kill/freeze ops.
+  (``serve --chaos``, one controller per shard): seeded frame
+  drop/delay/corrupt plus scripted shard kill/freeze ops.
 
 See docs/serving.md ("Fleet mode" and "Fault tolerance") for the topology
 diagram, the wire protocol v2 spec, the shed/degrade semantics and the

@@ -22,12 +22,12 @@ spec replays the same episode on every run:
   wedged worker pool look like from the frontend.
 
 Faults are **scoped**: a controller is attached to one
-:class:`~repro.fleet.shard.ShardServer` (or installed process-wide via
-:func:`install` / the ``REPRO_CHAOS`` env var / ``serve --chaos``), so a
-test can perturb one shard's responses while the frontend, the client and
-the other shards stay healthy.  The chaos ops are refused unless a
-controller is active — a production fleet without ``--chaos`` cannot be
-killed over the wire.
+:class:`~repro.fleet.shard.ShardServer` (``serve --chaos`` or
+``ShardSupervisor(chaos=...)`` gives each shard its own), so a test can
+perturb one shard's responses while the frontend, the client and the
+other shards stay healthy.  The chaos ops are refused unless the shard has
+a controller — a production fleet without ``--chaos`` cannot be killed
+over the wire.
 
 Spec strings are comma-separated ``key=value`` pairs::
 
@@ -38,14 +38,9 @@ Spec strings are comma-separated ``key=value`` pairs::
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-
-#: environment variable carrying a chaos spec string for process-wide
-#: installation (the CLI's ``serve --chaos`` sets the same thing up)
-CHAOS_ENV = "REPRO_CHAOS"
 
 
 class ChaosSpecError(ValueError):
@@ -179,51 +174,3 @@ class ChaosController:
                 "frames_delayed": self.frames_delayed,
                 "frames_corrupted": self.frames_corrupted,
             }
-
-
-# ----------------------------------------------------------------------
-# process-wide installation (the env-var / CLI gate)
-# ----------------------------------------------------------------------
-
-_active: Optional[ChaosController] = None
-_env_checked = False
-_active_lock = threading.Lock()
-
-
-def install(spec) -> ChaosController:
-    """Install a process-wide controller (spec string, spec, or controller)."""
-    global _active, _env_checked
-    if isinstance(spec, str):
-        spec = ChaosSpec.parse(spec)
-    controller = spec if isinstance(spec, ChaosController) \
-        else ChaosController(spec)
-    with _active_lock:
-        _active = controller
-        _env_checked = True
-    return controller
-
-
-def uninstall() -> None:
-    """Remove the process-wide controller (and forget the env-var check)."""
-    global _active, _env_checked
-    with _active_lock:
-        _active = None
-        _env_checked = False
-
-
-def active() -> Optional[ChaosController]:
-    """The process-wide controller, auto-installed from ``REPRO_CHAOS``.
-
-    The common (healthy) path is one attribute read — the wire codecs call
-    this per frame, so it must cost nothing when chaos is off.
-    """
-    global _active, _env_checked
-    if _active is not None or _env_checked:
-        return _active
-    with _active_lock:
-        if not _env_checked:
-            text = os.environ.get(CHAOS_ENV)
-            if text:
-                _active = ChaosController(ChaosSpec.parse(text))
-            _env_checked = True
-        return _active

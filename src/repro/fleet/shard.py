@@ -61,8 +61,8 @@ from .wire import (
 log = get_logger("repro.fleet.shard")
 
 #: fault-injection ops, refused unless the shard runs with a chaos
-#: controller (``serve --chaos`` / ``REPRO_CHAOS``): a production shard
-#: cannot be killed or frozen over the wire
+#: controller (``serve --chaos``): a production shard cannot be killed or
+#: frozen over the wire
 CHAOS_OPS = ("chaos_kill", "chaos_freeze")
 
 

@@ -146,20 +146,11 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
 def _perturbed(
     data: bytes, chaos
 ) -> "tuple[Optional[bytes], float, tuple[str, ...]]":
-    """Run one outbound frame through the active chaos controller, if any.
-
-    ``chaos`` scopes the faults: an explicit controller (one shard's),
-    ``None`` for the process-wide one (``REPRO_CHAOS`` / ``serve
-    --chaos``), or ``False`` to bypass chaos entirely.  The returned
+    """Run one outbound frame through ``chaos``, one shard's controller, or
+    pass it through untouched when ``chaos`` is ``None``.  The returned
     ``tags`` name the injected faults so callers can attribute the
     latency they are about to cause.
     """
-    if chaos is False:
-        return data, 0.0, ()
-    if chaos is None:
-        from .chaos import active
-
-        chaos = active()
     if chaos is None:
         return data, 0.0, ()
     return chaos.perturb_tagged(data)

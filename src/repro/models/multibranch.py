@@ -43,8 +43,9 @@ def trident(n_blocks: int = 2, channels: int = 32,
     """A small N-way multi-branch CNN for the multi-path search tests."""
     if n_blocks < 1:
         raise ValueError("need at least one block")
+    # named by its registry key, so a saved plan's network resolves
     net = Network(
-        f"trident{n_blocks}",
+        "trident",
         Input("input", channels=3, height=image_size, width=image_size),
     )
     cursor = net.add(Conv2d("stem", 3, channels, kernel=3, stride=1, padding=1))

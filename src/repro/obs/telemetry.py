@@ -233,6 +233,24 @@ class ReadReport:
     quarantined: List[str] = field(default_factory=list)
 
 
+def _parsed_lines(path) -> Iterator[Tuple[str, Optional[Dict[str, Any]]]]:
+    """Each non-blank line of a segment with its event, or with ``None``
+    when the line is corrupt: not JSON, not an object, or nested deeper
+    than the parser recurses.  An unreadable segment yields nothing."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except (ValueError, RecursionError):
+            event = None
+        yield line, event if isinstance(event, dict) else None
+
+
 def iter_events(
     directory,
     types: Optional[Iterable[str]] = None,
@@ -248,18 +266,8 @@ def iter_events(
     for path in segment_paths(directory):
         if report is not None:
             report.segments += 1
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            continue
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict):
-                    raise ValueError("not an object")
-            except ValueError:
+        for _, event in _parsed_lines(path):
+            if event is None:
                 if report is not None:
                     report.corrupt_lines += 1
                 continue
@@ -285,23 +293,10 @@ def scrub(directory) -> ReadReport:
     report = ReadReport()
     for path in segment_paths(directory):
         report.segments += 1
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            continue
         good: List[str] = []
         bad: List[str] = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-                if not isinstance(event, dict):
-                    raise ValueError("not an object")
-            except ValueError:
-                bad.append(line)
-                continue
-            good.append(line)
+        for line, event in _parsed_lines(path):
+            (bad if event is None else good).append(line)
         report.events += len(good)
         if not bad:
             continue

@@ -2,7 +2,7 @@
 
 Every search algorithm that can produce a level plan — the paper's Eq. 9
 dynamic program, the greedy strawman, the brute-force oracle, and the
-fixed-type baseline policies — implements :class:`SearchBackend`:
+fixed-type policy — implements :class:`SearchBackend`:
 
     search(stages, model, space, space_fn=None) -> SearchResult
 
@@ -18,7 +18,7 @@ have finished loading.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Protocol, Sequence
 
 from ..core.types import ALL_TYPES, PartitionType
 from .ir import SearchResult
@@ -96,28 +96,18 @@ class BruteForceSearchBackend:
 
 
 class FixedTypeSearchBackend:
-    """The DP with every layer pinned to a static type; it only aligns
-    fork/join tensors.
-
-    ``type_fn`` maps a workload to its pinned type (default: Type-I
-    everywhere — classic data parallelism).  A caller-provided ``space_fn``
-    takes precedence, which is how the OWT/DP baseline schemes express their
-    per-layer-kind policies through this backend.
-    """
+    """The DP with every layer pinned to Type-I (classic data parallelism);
+    it only aligns fork/join tensors.  A caller's ``space_fn`` replaces the
+    pin."""
 
     name = "fixed-type"
-
-    def __init__(self, type_fn: Optional[Callable] = None):
-        self.type_fn = type_fn
 
     def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
         from ..core.dp_vectorized import search_stages
 
-        fn = space_fn
-        if fn is None:
-            type_fn = self.type_fn or (lambda w: PartitionType.TYPE_I)
-            fn = lambda w: (type_fn(w),)
-        return search_stages(stages, model, space, space_fn=fn)
+        if space_fn is None:
+            space_fn = lambda w: (PartitionType.TYPE_I,)
+        return search_stages(stages, model, space, space_fn=space_fn)
 
 
 #: canonical name → zero-argument factory

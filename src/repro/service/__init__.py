@@ -9,7 +9,8 @@ production-scale goal asks for:
 * :class:`PlanCache` — in-memory LRU over an optional JSON disk tier;
 * :class:`SingleFlight` — concurrent identical requests plan exactly once;
 * :class:`PlanService` — worker pool, deadline fallback to the greedy
-  scheme (``degraded=True``) with background refinement of the cache entry;
+  search backend under the request's own scheme (``degraded=True``) with
+  background refinement of the cache entry;
 * :class:`MetricsRegistry` — counters and latency percentiles;
 * :mod:`~repro.service.server` — the JSON-lines loop behind
   ``python -m repro serve`` / ``warm`` / ``service-stats``.
@@ -22,7 +23,7 @@ from .cache import CacheStats, PlanCache
 from .fingerprint import REQUEST_SCHEMA_VERSION, PlanRequest
 from ..obs.registry import Counter, LatencyHistogram, MetricsRegistry
 from .server import serve_loop, warm_cache
-from .service import PlanResponse, PlanService, build_scheme
+from .service import PlanResponse, PlanService
 from .singleflight import SingleFlight
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "PlanService",
     "REQUEST_SCHEMA_VERSION",
     "SingleFlight",
-    "build_scheme",
     "serve_loop",
     "warm_cache",
 ]

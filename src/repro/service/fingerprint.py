@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
+from ..baselines import get_scheme
+from ..core.planner import PartitionScheme
+from ..core.types import PartitionType
 from ..digest import stable_digest
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
@@ -49,17 +52,21 @@ def _digest_by_builder(builder: Callable[[], Network]) -> str:
 class PlanRequest:
     """Everything that determines a plan, in canonical form.
 
-    ``space`` and ``ratio_mode`` are the AccPar ablation knobs
-    (:class:`repro.core.planner.AccParScheme`); leaving them ``None`` means
-    "the scheme's defaults" and hashes distinctly from pinning the defaults
-    explicitly — by design, since a scheme's defaults may evolve.  The same
-    convention covers ``backend``: ``None`` keeps the scheme's default search
-    backend, a name from :func:`repro.plan.available_backends` (or one of
-    its aliases, stored canonicalized so every spelling of one search
-    shares a fingerprint) overrides it.
+    ``space`` and ``ratio_mode`` are the ablation knobs of the ``accpar``
+    and ``greedy`` schemes (:func:`repro.baselines.get_scheme`); leaving
+    them ``None`` means "the scheme's defaults" and hashes distinctly from
+    pinning the defaults explicitly — by design, since a scheme's defaults
+    may evolve.  The same convention covers ``backend``: ``None`` keeps the
+    scheme's default search backend, a name from
+    :func:`repro.plan.available_backends` (or one of its aliases, stored
+    canonicalized so every spelling of one search shares a fingerprint)
+    overrides it.
     ``profile`` re-prices the cost model with calibrated effective rates;
     ``None`` is the peak analytic model, and the profile's content digest
     is part of the fingerprint.
+
+    Building a request resolves its scheme once, so a bad scheme name or
+    knob is refused here, before any fingerprint, cache or planner work.
     """
 
     model: str
@@ -88,6 +95,18 @@ class PlanRequest:
             # the analytic profile IS the default; canonicalize so both
             # spellings share one fingerprint (and one cache entry)
             object.__setattr__(self, "profile", None)
+        self.partition_scheme()
+
+    def partition_scheme(self, backend: Optional[str] = None) -> PartitionScheme:
+        """The scheme this request plans with; ``backend`` overrides its
+        search backend (the service's deadline fallback)."""
+        return get_scheme(
+            self.scheme,
+            backend=self.backend if backend is None else backend,
+            profile=self.profile,
+            space=(None if self.space is None
+                   else tuple(PartitionType(v) for v in self.space)),
+            ratio_mode=self.ratio_mode)
 
     def build_network(self) -> Network:
         return build_model(self.model)

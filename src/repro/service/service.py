@@ -28,11 +28,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..baselines import get_scheme
-from ..core.hierarchy import PartitionScheme
-from ..core.planner import AccParScheme, GreedyScheme, PlannedExecution, Planner
-from ..core.types import PartitionType
-from ..plan.backends import get_backend
+from ..core.planner import PartitionScheme, PlannedExecution, Planner
 from ..obs.logging import get_logger
 from ..obs.registry import MetricsRegistry, planner_counters, render_prometheus
 from ..obs.request import RequestRecord, RequestRecorder
@@ -65,44 +61,10 @@ class PlanResponse(RequestRecord):
         return self.source in ("memory", "disk")
 
 
-def build_scheme(
-    request: PlanRequest, backend_override: Optional[str] = None
-) -> PartitionScheme:
-    """Resolve a request's scheme name + ablation knobs into a scheme object.
-
-    The ``space`` / ``ratio_mode`` knobs parameterize the AccPar (and greedy)
-    search; the fixed baselines (dp/owt/hypar) have no such knobs and reject
-    them rather than silently ignoring cache-key-relevant input.  The search
-    backend is, in precedence order: ``backend_override`` (the service's
-    deadline fallback path), then the request's ``backend`` field, then the
-    scheme's own default.
-    """
-    name = request.scheme.lower()
-    backend = backend_override if backend_override is not None else request.backend
-    if backend is not None:
-        get_backend(backend)  # fail fast on unknown names, before planning
-    space = (
-        tuple(PartitionType(v) for v in request.space)
-        if request.space is not None
-        else None
-    )
-    if name in ("accpar", "greedy"):
-        cls = AccParScheme if name == "accpar" else GreedyScheme
-        kwargs = {}
-        if space is not None:
-            kwargs["space"] = space
-        if request.ratio_mode is not None:
-            kwargs["ratio_mode"] = request.ratio_mode
-        if backend is not None:
-            kwargs["backend"] = backend
-        if request.profile is not None:
-            kwargs["profile"] = request.profile
-        return cls(**kwargs)
-    if space is not None or request.ratio_mode is not None:
-        raise ValueError(
-            f"scheme {request.scheme!r} does not accept space/ratio_mode knobs"
-        )
-    return get_scheme(name, backend=backend, profile=request.profile)
+def _plan(request: PlanRequest, scheme: PartitionScheme) -> PlannedExecution:
+    planner = Planner(request.array, scheme, dtype_bytes=request.dtype_bytes,
+                      levels=request.levels)
+    return planner.plan(request.build_network(), request.batch)
 
 
 class PlanService:
@@ -296,13 +258,7 @@ class PlanService:
             self._pending.discard(fut)
 
     def _plan_exact(self, request: PlanRequest) -> PlannedExecution:
-        planner = Planner(
-            request.array,
-            build_scheme(request),
-            dtype_bytes=request.dtype_bytes,
-            levels=request.levels,
-        )
-        return planner.plan(request.build_network(), request.batch)
+        return _plan(request, request.partition_scheme())
 
     def _plan_degraded(self, request: PlanRequest) -> PlannedExecution:
         """The deadline fallback: same scheme, fallback search backend, inline.
@@ -310,13 +266,7 @@ class PlanService:
         Deliberately NOT cached — the background exact job owns the cache
         entry, so a degraded answer can never mask the exact plan.
         """
-        planner = Planner(
-            request.array,
-            build_scheme(request, backend_override=FALLBACK_BACKEND),
-            dtype_bytes=request.dtype_bytes,
-            levels=request.levels,
-        )
-        return planner.plan(request.build_network(), request.batch)
+        return _plan(request, request.partition_scheme(FALLBACK_BACKEND))
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -67,7 +67,7 @@ class TestRegistry:
     def test_level_plan_counter_canonicalizes_aliases(self, chain):
         # every spelling of the exact DP must feed one Prometheus series,
         # not fragment per requested spelling
-        from repro.core.planner import AccParScheme
+        from repro.core.planner import PartitionScheme
         from repro.hardware import make_group
         from repro.obs.registry import planner_counters
 
@@ -76,7 +76,7 @@ class TestRegistry:
                      "dp-vectorized", "vectorized")
         before = planner_counters.value("level_plans_dp")
         for spelling in spellings:
-            AccParScheme(backend=spelling).level_plan(chain, party_i, party_j, 2)
+            PartitionScheme(backend=spelling).level_plan(chain, party_i, party_j, 2)
         after = planner_counters.value("level_plans_dp")
         assert after == before + len(spellings)
         assert planner_counters.value("level_plans_dp_vectorized") == 0
@@ -160,7 +160,7 @@ class TestBackendSearch:
         assert {"pre", "p0a", "p0b", "p1a", "post"} <= set(result.types())
 
     def test_space_restriction_respected(self, model, chain):
-        # fixed-type is excluded: its pinned type_fn deliberately wins
+        # fixed-type is excluded: its Type-I pin deliberately wins
         # over the level's searchable space
         for name in ("dp", "greedy", "brute-force"):
             result = get_backend(name).search(chain, model, space=(II,))

@@ -92,6 +92,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "throughput" in out
 
+    def test_trident_plan_file_reads_back(self, capsys, tmp_path):
+        # the network names itself by its registry key, so every command
+        # that reads a plan file can rebuild it
+        out_file = tmp_path / "trident.json"
+        assert main(["plan", "--model", "trident", "--array",
+                     "tpu-v2:2,tpu-v3:2", "--batch", "32",
+                     "--out", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["network"] == "trident"
+        assert main(["plan-diff", str(out_file), str(out_file)]) == 0
+        assert main(["simulate", "--plan", str(out_file)]) == 0
+        assert "plan error" not in capsys.readouterr().err
+
     def test_simulate_inline(self, capsys):
         code = main(["simulate", "--model", "lenet", "--scheme", "dp",
                      "--array", "tpu-v2:2", "--batch", "32"])
@@ -567,6 +579,21 @@ class TestTelemetryCommands:
         assert document["events"] > 0
         assert document["by_type"]["op_timing"] > 0
         assert document["by_type"]["search"] == 1
+
+    def test_summary_counts_a_nested_line_as_corrupt(self, capsys, tmp_path):
+        from repro.obs.telemetry import TelemetryWriter
+
+        with TelemetryWriter(tmp_path) as writer:
+            writer.record({"type": "request", "i": 0})
+            writer.record({"type": "request", "i": 1})
+            path = writer.segment_path
+        first, second = path.read_text().splitlines()
+        nested = "[" * 100000 + "]" * 100000
+        path.write_text(f"{first}\n{nested}\n{second}\n")
+        assert main(["telemetry", "summary", "--dir", str(tmp_path)]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["events"] == 2
+        assert document["corrupt_lines"] == 1
 
     def test_tail_with_type_filter(self, capsys, tmp_path):
         store = self._store(tmp_path)

@@ -6,7 +6,7 @@ from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
 from repro.plan.ir import SearchResult
 from repro.core.hierarchy import collect_level_plans, plan_tree
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.core.stages import (
     ShardedLayerStage,
     ShardedParallelStage,
@@ -130,7 +130,7 @@ class TestHierarchyEdgeCases:
     def test_level_plans_collected_in_preorder(self):
         tree = bisection_tree(homogeneous_array(4), levels=2)
         stages = to_sharded_stages(build_model("lenet").stages(16))
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         plans = collect_level_plans(plan)
         assert len(plans) == 3
         assert plans[0] is plan.level_plan

@@ -2,15 +2,18 @@
 
 ``tests/fixtures/fingerprint_golden.json`` was written by :func:`record_all`
 on the build that re-hashed every member spec and rebuilt and re-hashed the
-network on each :meth:`PlanRequest.fingerprint` call.  Fingerprints name
-disk-cache entries, so every key here must stay byte-equal.
+network on each :meth:`PlanRequest.fingerprint` call; its ``trident/...``
+rows were written again when that network took its registry key as its
+name.  Fingerprints name disk-cache entries, so every key here must stay
+byte-equal.
 
 The other tests pin what the digest caches must keep: a re-registered model
 gets a fresh key, and a repeat request neither builds nor hashes its
 network.  A plan's depth, which replies now read off the pairing tree, is
 that tree's depth.
 
-Regenerate (only when ``REQUEST_SCHEMA_VERSION`` is bumped) with::
+Regenerate (only when ``REQUEST_SCHEMA_VERSION`` is bumped, or when a
+model's definition changes, which moves only that model's rows) with::
 
     PYTHONPATH=src python tests/test_fingerprint_golden.py
 """

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines import DataParallelScheme
+from repro.baselines import get_scheme
 from repro.core.hierarchy import collect_level_plans, plan_tree, stages_key
-from repro.core.planner import AccParScheme
+from repro.core.planner import PartitionScheme
 from repro.core.stages import iter_sharded_workloads, to_sharded_stages
 from repro.core.types import PartitionType
 from repro.hardware import bisection_tree, heterogeneous_array, homogeneous_array
@@ -21,24 +21,24 @@ def stages():
 class TestPlanTree:
     def test_leaf_plan_is_empty(self, stages):
         tree = bisection_tree(homogeneous_array(1), levels=0)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         assert plan.is_leaf
         assert plan.depth() == 0
 
     def test_depth_matches_tree(self, stages):
         tree = bisection_tree(homogeneous_array(8), levels=3)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         assert plan.depth() == 3
 
     def test_every_internal_node_planned(self, stages):
         tree = bisection_tree(homogeneous_array(8), levels=3)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         level_plans = collect_level_plans(plan)
         assert len(level_plans) == 7  # 4 + 2 + 1 internal nodes
 
     def test_all_layers_assigned_at_each_level(self, stages):
         tree = bisection_tree(homogeneous_array(4), levels=2)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         layer_names = {sw.name for sw in iter_sharded_workloads(stages)}
         for level in collect_level_plans(plan):
             assert layer_names <= set(level.assignments)
@@ -47,19 +47,19 @@ class TestPlanTree:
         """Homogeneous equal splits produce identical child sub-problems;
         the memo must return the same object for both."""
         tree = bisection_tree(homogeneous_array(8), levels=3)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         assert plan.left is plan.right
 
     def test_heterogeneous_children_differ(self, stages):
         tree = bisection_tree(heterogeneous_array(2, 2), levels=2)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         # the v3 side and v2 side get different sub-problems (different
         # groups), so the child plans are distinct objects
         assert plan.left is not plan.right
 
     def test_dp_scheme_assigns_type_i_half(self, stages):
         tree = bisection_tree(heterogeneous_array(2, 2), levels=1)
-        plan = plan_tree(tree, stages, DataParallelScheme())
+        plan = plan_tree(tree, stages, get_scheme("dp"))
         level = plan.level_plan
         for lp in level.layer_assignments().values():
             assert lp.ptype is I
@@ -69,7 +69,7 @@ class TestPlanTree:
         """The v3 group (left) should take the larger share at the v2/v3
         split for compute-heavy layers."""
         tree = bisection_tree(heterogeneous_array(4, 4), levels=1)
-        plan = plan_tree(tree, stages, AccParScheme())
+        plan = plan_tree(tree, stages, PartitionScheme())
         ratios = [lp.ratio for lp in plan.level_plan.layer_assignments().values()]
         assert max(ratios) > 0.5
 

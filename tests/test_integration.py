@@ -7,7 +7,7 @@ paper's results rather than absolute numbers.
 
 import pytest
 
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.core.types import PartitionType
 from repro.experiments.harness import run_scheme, sweep
 from repro.hardware import heterogeneous_array, homogeneous_array
@@ -82,9 +82,9 @@ class TestPlanQuality:
         """
         from repro.models import build_model
 
-        restricted_scheme = AccParScheme(space=(I, II), name="accpar-2type")
+        restricted_scheme = PartitionScheme(space=(I, II), name="accpar-2type")
         for model in ["alexnet", "vgg11"]:
-            planned_full = Planner(ARRAY, AccParScheme()).plan(
+            planned_full = Planner(ARRAY, PartitionScheme()).plan(
                 build_model(model), BATCH
             )
             planned_restricted = Planner(ARRAY, restricted_scheme).plan(
@@ -104,10 +104,10 @@ class TestPlanQuality:
         """Ablation: Eq. 10 ratios vs forced 1/2 on the heterogeneous array."""
         from repro.models import build_model
 
-        equal_scheme = AccParScheme(ratio_mode="equal", name="accpar-eq")
+        equal_scheme = PartitionScheme(ratio_mode="equal", name="accpar-eq")
         for model in ["vgg11", "resnet18"]:
             t_flex = evaluate(
-                Planner(ARRAY, AccParScheme()).plan(build_model(model), BATCH)
+                Planner(ARRAY, PartitionScheme()).plan(build_model(model), BATCH)
             ).total_time
             t_eq = evaluate(
                 Planner(ARRAY, equal_scheme).plan(build_model(model), BATCH)

@@ -111,14 +111,18 @@ class TestWriter:
         assert snap["enabled"] is True
 
 
+#: a line nested past the JSON parser's recursion limit
+NESTED_LINE = "[" * 100000 + "]" * 100000
+
+
 class TestQuarantine:
-    def _store_with_corruption(self, tmp_path):
+    def _store_with_corruption(self, tmp_path, bad_line="{not json at all"):
         with TelemetryWriter(tmp_path) as writer:
             writer.record({"type": "request", "i": 0})
             writer.record({"type": "request", "i": 1})
             path = writer.segment_path
         lines = path.read_text().splitlines()
-        lines.insert(1, "{not json at all")
+        lines.insert(1, bad_line)
         path.write_text("".join(line + "\n" for line in lines))
         return path
 
@@ -141,6 +145,17 @@ class TestQuarantine:
         list(iter_events(tmp_path, report=clean))
         assert clean.corrupt_lines == 0
         assert clean.events == 2
+
+    def test_nested_line_is_one_corrupt_line(self, tmp_path):
+        path = self._store_with_corruption(tmp_path, NESTED_LINE)
+        report = ReadReport()
+        events = list(iter_events(tmp_path, report=report))
+        assert [e["i"] for e in events] == [0, 1]
+        assert report.corrupt_lines == 1
+        assert scrub(tmp_path).corrupt_lines == 1
+        sidecar = path.with_name(path.name + ".corrupt")
+        assert sidecar.read_text() == NESTED_LINE + "\n"
+        assert len(read_events(tmp_path)) == 2
 
 
 class TestProcessWideInstall:

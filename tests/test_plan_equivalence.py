@@ -19,12 +19,6 @@ BACKENDS = available_backends()
 CHAIN_BACKENDS = [b for b in BACKENDS if b != "brute-force"]
 
 
-def build_any(name):
-    """Registry lookup that also resolves trident's self-reported name
-    ("trident2" encodes its block count, which is not a registry key)."""
-    return build_model("trident" if name.startswith("trident") else name)
-
-
 def plan_with_backend(model_name, backend, batch=64):
     array = heterogeneous_array(2, 2)
     scheme = get_scheme("accpar", backend=backend)
@@ -75,8 +69,7 @@ class TestEveryBackendOnMultibranch:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trident_roundtrip_lossless(self, backend):
         planned = plan_with_backend("trident", backend)
-        reloaded = plan_from_dict(plan_to_dict(planned),
-                                  network_builder=build_any)
+        reloaded = plan_from_dict(plan_to_dict(planned))
         assert_entries_identical(planned.plan, reloaded.plan)
         assert plan_diff(planned.plan, reloaded.plan) == []
 
@@ -87,8 +80,7 @@ class TestEveryBackendOnMultibranch:
         root = planned.root_level_plan
         assert root.joins(), "dp on trident must align fork/join tensors"
         assert root.path_exits(), "dp on trident must record path exits"
-        reloaded = plan_from_dict(plan_to_dict(planned),
-                                  network_builder=build_any)
+        reloaded = plan_from_dict(plan_to_dict(planned))
         assert reloaded.root_level_plan.joins() == root.joins()
         assert reloaded.root_level_plan.path_exits() == root.path_exits()
 
@@ -111,7 +103,7 @@ class TestBackendAgreement:
         )
 
     def test_registry_and_scheme_route_identically(self):
-        """AccParScheme's registry-routed search equals calling the backend
+        """The accpar scheme's registry-routed search equals calling the backend
         directly — the refactor changed plumbing, not plans."""
         planned = plan_with_backend("alexnet", "dp")
         from repro.core.cost_model import PairCostModel

@@ -49,8 +49,9 @@ def fixture_path(model, array, scheme, backend):
 
 
 def build_any(name):
-    """Registry lookup that also resolves trident's self-reported name."""
-    return build_model("trident" if name.startswith("trident") else name)
+    """Registry lookup that also resolves the frozen trident fixture, whose
+    network was still named ``trident2`` when it was written."""
+    return build_model("trident" if name == "trident2" else name)
 
 
 def load(document):
@@ -98,6 +99,10 @@ class TestV2Fixtures:
         planned = plan(*case)
         from_v3 = load(json.loads(plan_to_json(planned)))
         from_v2 = load(json.loads(fixture_path(*case).read_text()))
+        # the v2 trident fixture was written while that network still
+        # called itself "trident2"; its plan is today's all the same
+        if from_v2.network_name == "trident2":
+            from_v2.network_name = "trident"
         assert_same_plan(from_v3, from_v2)
 
     def test_extra_keys_on_a_v2_loaded_plan(self):

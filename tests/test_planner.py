@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import get_scheme
-from repro.core.planner import AccParPlanner, AccParScheme, Planner
+from repro.core.planner import AccParPlanner, PartitionScheme, Planner
 from repro.core.types import PartitionType
 from repro.hardware import heterogeneous_array, homogeneous_array
 from repro.models import build_model
@@ -73,7 +73,7 @@ class TestGenericPlanner:
         assert planned.scheme == scheme_name
 
     def test_ablation_scheme_restricted_space(self):
-        scheme = AccParScheme(space=(I, II), name="accpar-2type")
+        scheme = PartitionScheme(space=(I, II), name="accpar-2type")
         planner = Planner(homogeneous_array(4), scheme)
         planned = planner.plan(build_model("alexnet"), batch=32)
         for level in planned.level_plans():

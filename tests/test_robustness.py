@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import get_scheme
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.graph import Conv2d, FeatureMap, Input, Linear, Network
 from repro.hardware import homogeneous_array, make_group, TPU_V3
 from repro.models import build_model
@@ -28,13 +28,13 @@ class TestBatchValidation:
 
 class TestSchemeConfiguration:
     def test_invalid_ratio_mode_in_scheme(self):
-        scheme = AccParScheme(ratio_mode="psychic")
+        scheme = PartitionScheme(ratio_mode="psychic")
         planner = Planner(homogeneous_array(2), scheme)
         with pytest.raises(ValueError, match="ratio_mode"):
             planner.plan(build_model("lenet"), batch=8)
 
     def test_empty_space_in_scheme(self):
-        scheme = AccParScheme(space=())
+        scheme = PartitionScheme(space=())
         planner = Planner(homogeneous_array(2), scheme)
         with pytest.raises(ValueError, match="space"):
             planner.plan(build_model("lenet"), batch=8)

@@ -156,13 +156,11 @@ class TestAccParRegression:
         assert diffs == [], "\n".join(str(d) for d in diffs)
 
     def test_greedy_fixture_matches_replan(self):
-        from repro.core.planner import GreedyScheme
-
         path = FIXTURES / "lenet_hetero_greedy.json"
         fixture = load_plan(path)
         levels = json.loads(path.read_text())["levels"]
         replanned = Planner(
-            fixture.tree.group, GreedyScheme(), levels=levels
+            fixture.tree.group, get_scheme("greedy"), levels=levels
         ).plan(build_model(fixture.network_name), fixture.batch)
         assert plan_diff(fixture.plan, replanned.plan) == []
 

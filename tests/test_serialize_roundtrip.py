@@ -34,9 +34,7 @@ def test_roundtrip_preserves_plan(model_name, array_kind, tmp_path):
     )
     path = tmp_path / "plan.json"
     save_plan(planned, path)
-    # some builders name their network differently from the registry key
-    # (e.g. 'trident' builds 'trident2'), so resolve through the key we used
-    reloaded = load_plan(path, network_builder=lambda _: build_model(model_name))
+    reloaded = load_plan(path)
 
     assert reloaded.network_name == planned.network_name
     assert reloaded.batch == planned.batch

@@ -60,6 +60,20 @@ RECORDED = [PLAN, PLAN,
             json.dumps({"model": "lenet", "array": "tpu-v3:2",
                         "backend": "quantum"})]
 
+#: plan requests whose own scheme or knob is bad: each is refused when the
+#: request is built, before a fingerprint, the cache or a planner worker
+BAD_KNOBS = [json.dumps({"model": "lenet", "array": "tpu-v2:1,tpu-v3:1",
+                         **knob})
+             for knob in ({"scheme": "bogus"}, {"ratio_mode": "bogus"},
+                          {"scheme": "dp", "space": ["I"]})]
+BAD_KNOB_ERRORS = [
+    "unknown scheme 'bogus'; expected one of: dp, owt, hypar, accpar, greedy",
+    "unknown ratio_mode 'bogus'; expected one of: balanced, proportional, "
+    "equal, comm-volume",
+    "scheme 'dp' does not accept space/ratio_mode knobs",
+]
+STATS = json.dumps({"op": "stats"})
+
 
 def outcome(reply):
     return reply["ok"], reply.get("error")
@@ -268,6 +282,53 @@ class TestRequestRecords:
         for event in shard_events:
             assert frontend[event["trace_id"]]["outcome"] == \
                 event["outcome"]
+
+
+class TestBadSchemeKnobs:
+    """A bad scheme name or knob is refused before any server counts it."""
+
+    @pytest.fixture(autouse=True)
+    def _no_process_writer(self):
+        telemetry_store.uninstall()
+        yield
+        telemetry_store.uninstall()
+
+    def test_serve_refuses_before_the_service(self, tmp_path, monkeypatch,
+                                              capsys):
+        store = tmp_path / "tel"
+        code, replies, _ = run_cli_serve(
+            ["--cache-dir", str(tmp_path / "cache"),
+             "--telemetry-dir", str(store)],
+            BAD_KNOBS + [STATS], monkeypatch, capsys)
+        assert code == 0
+        *refused, stats = replies
+        assert [outcome(r) for r in refused] == \
+            [(False, error) for error in BAD_KNOB_ERRORS]
+        counters = stats["stats"]["metrics"]["counters"]
+        for name in ("requests", "misses", "planner_runs", "errors"):
+            assert counters.get(name, 0) == 0, name
+        events = read_events(store, types=("request",))
+        assert [e["outcome"] for e in events] == ["error"] * 3
+
+    def test_fleet_refuses_before_routing(self, tmp_path, monkeypatch,
+                                          capsys):
+        store = tmp_path / "tel"
+        code, replies, _ = run_cli_serve(
+            ["--shards", "2", "--cache-dir", "",
+             "--telemetry-dir", str(store)],
+            BAD_KNOBS + [STATS], monkeypatch, capsys)
+        assert code == 0
+        *refused, stats = replies
+        assert [outcome(r) for r in refused] == \
+            [(False, error) for error in BAD_KNOB_ERRORS]
+        assert not any("shard" in reply for reply in refused)
+        assert sorted(stats["shards"]) == ["0", "1"]
+        for name, shard in stats["shards"].items():
+            assert shard["metrics"]["counters"] == {}, name
+        events = read_events(store / "frontend", types=("request",))
+        assert [e["outcome"] for e in events] == ["error"] * 3
+        for shard in ("shard-0", "shard-1"):
+            assert read_events(store / shard, types=("request",)) == []
 
 
 class TestEndOfInput:

@@ -15,7 +15,6 @@ from repro.service import (
     PlanRequest,
     PlanService,
     SingleFlight,
-    build_scheme,
     serve_loop,
 )
 from repro.service.server import handle_doc, handle_line, warm_cache
@@ -88,6 +87,16 @@ class TestDiskTier:
             assert second.metrics.value("planner_runs") == 0
             # the disk hit was promoted: the next lookup is a memory hit
             assert second.plan(request_alexnet).source == "memory"
+
+    def test_trident_entry_is_a_disk_hit(self, tmp_path, array):
+        request = PlanRequest(model="trident", array=array, batch=32)
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as first:
+            cold = first.plan(request)
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as second:
+            warm = second.plan(request)
+            assert warm.source == "disk"
+            assert second.cache.stats.disk_errors == 0
+            assert_same_plan(warm.planned, cold.planned)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, request_alexnet):
         key = request_alexnet.fingerprint()
@@ -339,19 +348,22 @@ class TestDeadline:
 
 class TestSchemeResolution:
     def test_ablation_knobs_reach_accpar(self, array):
-        scheme = build_scheme(
-            PlanRequest(model="alexnet", array=array, space=("I", "II"),
-                        ratio_mode="equal")
-        )
+        scheme = PlanRequest(model="alexnet", array=array, space=("I", "II"),
+                             ratio_mode="equal").partition_scheme()
         assert [t.value for t in scheme.space] == ["I", "II"]
         assert scheme.ratio_mode == "equal"
 
     def test_baselines_reject_knobs(self, array):
         with pytest.raises(ValueError, match="knobs"):
-            build_scheme(
-                PlanRequest(model="alexnet", array=array, scheme="hypar",
-                            space=("I",))
-            )
+            PlanRequest(model="alexnet", array=array, scheme="hypar",
+                        space=("I",))
+
+    def test_fallback_keeps_scheme_and_knobs(self, array):
+        request = PlanRequest(model="alexnet", array=array, scheme="owt",
+                              backend="fixed-type")
+        fallback = request.partition_scheme(FALLBACK_BACKEND)
+        assert fallback.name == "owt" and fallback.backend == FALLBACK_BACKEND
+        assert request.partition_scheme().backend == "fixed-type"
 
     def test_greedy_scheme_served_directly(self, service, array):
         response = service.plan(

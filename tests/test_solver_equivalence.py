@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.cost_model import PairCostModel
 from repro.core.hierarchy import collect_level_plans
-from repro.core.planner import AccParScheme, Planner
+from repro.core.planner import PartitionScheme, Planner
 from repro.core.ratio import solve_balanced_ratio
 from repro.core.types import ALL_TYPES, ShardedWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
@@ -89,13 +89,13 @@ class TestPlansMatchBisectionReference:
     def test_zoo_plans_on_heterogeneous_array(self, reference_backend, model_name):
         net = build_model(model_name)
         array = heterogeneous_array()
-        packed = Planner(array, AccParScheme()).plan(net, 64)
-        reference = Planner(array, AccParScheme(backend=reference_backend)).plan(net, 64)
+        packed = Planner(array, PartitionScheme()).plan(net, 64)
+        reference = Planner(array, PartitionScheme(backend=reference_backend)).plan(net, 64)
         assert_same_plan(model_name, packed, reference)
 
     def test_homogeneous_array(self, reference_backend):
         net = build_model("alexnet")
         array = make_group(TPU_V3, 16)
-        packed = Planner(array, AccParScheme()).plan(net, 64)
-        reference = Planner(array, AccParScheme(backend=reference_backend)).plan(net, 64)
+        packed = Planner(array, PartitionScheme()).plan(net, 64)
+        reference = Planner(array, PartitionScheme(backend=reference_backend)).plan(net, 64)
         assert_same_plan("alexnet", packed, reference)
