@@ -11,7 +11,9 @@ Three serving-layer claims are measured (and enforced):
   reader (``results/BENCH_cache.json``);
 * a format-3 entry, which stores each distinct plan subtree once, is at
   most a tenth of the format-2 entry earlier builds wrote for resnet50 on
-  256 boards, and its disk hit is faster.
+  256 boards, and its disk hit is faster;
+* a disk hit builds no model and no stages: the timed hits make no
+  ``build_model`` and no ``Network.stages`` call.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ from repro.service import PlanCache, PlanRequest, PlanService
 from repro.service.cache import entry_checksum
 
 from conftest import save_artifact
+from tests.build_counts import count_builds
 
 MODEL = "vgg19"
 BATCH = 512
@@ -159,7 +162,9 @@ def _ms(fn, *args) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def _disk_row(model, array, tmp_path):
+def _disk_row(model, array, tmp_path, builds):
+    """``builds`` counts model builds (:func:`count_builds`); the row
+    records the ones made inside the timed disk hits."""
     planned = AccParPlanner(array).plan(build_model(model), batch=BATCH)
     key = PlanRequest(model=model, array=array, batch=BATCH).fingerprint()
     dirs = {name: tmp_path / f"{model}-{name}"
@@ -172,17 +177,21 @@ def _disk_row(model, array, tmp_path):
         "hit_ms", "hit_ms_reference", "hit_ms_v2")}
     cache = PlanCache(disk_dir=dirs["canonical"])
     v2_put(dirs["v2"], key, planned)
+    hit_builds = dict.fromkeys(builds, 0)
     # interleaved rounds: host drift hits every writer and reader alike
     for _ in range(DISK_ROUNDS):
         samples["put_ms_reference"].append(
             _ms(reference_put, dirs["reference"], key, planned))
         samples["put_ms"].append(_ms(cache.put, key, planned))
+        before = dict(builds)
         samples["hit_ms_reference"].append(
             _ms(reference_get, dirs["reference"], key))
         samples["hit_ms_v2"].append(
             _ms(PlanCache(disk_dir=dirs["v2"]).get_with_tier, key))
         samples["hit_ms"].append(
             _ms(PlanCache(disk_dir=dirs["canonical"]).get_with_tier, key))
+        for name in hit_builds:
+            hit_builds[name] += builds[name] - before[name]
 
     for name in ("canonical", "v2"):
         reader = PlanCache(disk_dir=dirs[name])
@@ -202,12 +211,15 @@ def _disk_row(model, array, tmp_path):
     row["entry_share_of_v2"] = round(
         row["entry_bytes"] / row["entry_bytes_v2"], 3)
     row["hit_speedup_over_v2"] = round(row["hit_ms_v2"] / row["hit_ms"], 2)
+    row["hit_builds"] = hit_builds
     return row
 
 
-def test_bench_disk_tier(results_dir, tmp_path):
+def test_bench_disk_tier(results_dir, tmp_path, monkeypatch):
     array = heterogeneous_array()
-    rows = {model: _disk_row(model, array, tmp_path) for model in DISK_MODELS}
+    builds = count_builds(monkeypatch)
+    rows = {model: _disk_row(model, array, tmp_path, builds)
+            for model in DISK_MODELS}
 
     payload = {
         "description": (
@@ -219,7 +231,10 @@ def test_bench_disk_tier(results_dir, tmp_path):
             f"format-2 entries the previous build wrote (*_v2: every plan "
             f"node nested in its parent, every member spec listed), timed "
             f"in one process on {array.size} boards (hetero), batch "
-            f"{BATCH}.  Best of {DISK_ROUNDS} interleaved rounds."
+            f"{BATCH}.  Best of {DISK_ROUNDS} interleaved rounds.  "
+            f"hit_builds: the build_model and Network.stages calls made "
+            f"inside all the timed hits of a model (a loaded plan builds "
+            f"its stages on first read, and a hit reads none)."
         ),
         "boards": array.size,
         "batch": BATCH,
@@ -235,6 +250,10 @@ def test_bench_disk_tier(results_dir, tmp_path):
     print(f"\n[artifact: {results_dir / 'BENCH_cache.json'}]\n{text}")
 
     for model, row in rows.items():
+        assert row["hit_builds"] == {"build_model": 0, "stages": 0}, (
+            f"{model}: the timed disk hits built models or stages: "
+            f"{row['hit_builds']}"
+        )
         assert row["put_speedup"] >= PUT_SPEEDUP_GATE, (
             f"{model}: disk-tier put only {row['put_speedup']}x faster than "
             f"the indented writer ({row['put_ms']} vs "

@@ -27,6 +27,7 @@ from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
+from ..models.registry import build_model
 from ..obs.registry import planner_counters
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
@@ -93,15 +94,49 @@ class PartitionScheme:
         return result.to_level_plan(self.name)
 
 
+class _Stages:
+    """The ``stages`` field of :class:`PlannedExecution`: the list given,
+    or, for ``None``, the model's sharded stages built on first read.
+
+    The planner passes the stages its search ran over.  A plan read from
+    a document (:func:`repro.core.serialize.plan_from_dict`) passes
+    ``None``, so a cache hit that is only answered builds no model.  Its
+    first read builds the stages at the plan's batch, from the model a
+    caller's ``network_builder`` returned at load or else from the
+    registry's ``network_name``, and keeps them: every later read returns
+    that list.  Two threads that make the first read of one shared plan at
+    once may both build; their lists are equal, so no lock is taken.
+    """
+
+    def __get__(self, planned, owner=None) -> List[ShardedStage]:
+        if planned is None:  # class access: the field has no default
+            raise AttributeError("stages")
+        stages = planned.__dict__["_stages"]
+        if stages is None:
+            network = planned.__dict__.get("_network")
+            if network is None:
+                network = build_model(planned.network_name)
+            stages = to_sharded_stages(network.stages(planned.batch))
+            planned.__dict__["_stages"] = stages
+        return stages
+
+    def __set__(self, planned, stages: Optional[List[ShardedStage]]) -> None:
+        planned.__dict__["_stages"] = stages
+
+
 @dataclass
 class PlannedExecution:
-    """Everything needed to evaluate or inspect a hierarchical plan."""
+    """Everything needed to evaluate or inspect a hierarchical plan.
+
+    ``stages`` may be given as ``None``; they are then built from
+    ``network_name`` and ``batch`` when first read (see :class:`_Stages`).
+    """
 
     network_name: str
     batch: int
     scheme: str
     tree: GroupNode
-    stages: List[ShardedStage]
+    stages: List[ShardedStage] = _Stages()
     plan: HierarchicalPlan
     dtype_bytes: int
 

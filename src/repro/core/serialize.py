@@ -3,8 +3,10 @@
 A planning run is cheap for one model but a production deployment would
 plan once and ship the decision to the runtime, so plans round-trip through
 a plain-JSON document: the accelerator array, the model name and batch, and
-the per-level plan entries.  Loading re-derives the pairing tree and sharded
-stages deterministically and re-attaches the stored decisions.
+the per-level plan entries.  Loading re-derives the pairing tree
+deterministically and re-attaches the stored decisions; the sharded stages
+are built from the model and batch only when something reads them (a cache
+hit that is only answered never does).
 :func:`plan_to_dict` builds that document; :func:`plan_to_json` writes it
 as canonical JSON text (sorted keys, no whitespace) for plan files and
 disk-cache entries.
@@ -41,7 +43,7 @@ from ..ioutil import atomic_write_text
 from ..hardware.accelerator import AcceleratorGroup, AcceleratorSpec
 from ..hardware.cluster import bisection_tree
 from ..hardware.presets import group_from_runs
-from ..models.registry import build_model
+from ..models.registry import model_builder
 from ..plan.ir import (
     HierarchicalPlan,
     JoinAlignment,
@@ -51,7 +53,6 @@ from ..plan.ir import (
     PlanEntry,
 )
 from .planner import PlannedExecution
-from .stages import to_sharded_stages
 from .types import PartitionType
 
 FORMAT_VERSION = 3
@@ -120,10 +121,15 @@ def _entry_to_dict(entry: PlanEntry) -> Dict:
     raise TypeError(f"not a plan entry: {entry!r}")  # pragma: no cover
 
 
+#: every partition type by its stored value
+_PTYPES: Dict[str, PartitionType] = {ptype.value: ptype
+                                     for ptype in PartitionType}
+
+
 def _ptype(value, context: str) -> PartitionType:
     try:
-        return PartitionType(value)
-    except ValueError:
+        return _PTYPES[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or object
         raise PlanFormatError(
             f"{context}: unknown partition type {value!r}"
         ) from None
@@ -369,12 +375,15 @@ def plan_from_dict(
     """Reconstruct a planned execution from :func:`plan_to_dict` output.
 
     Accepts current (v3) documents and the v2 and v1 documents earlier
-    releases wrote; v1 is migrated transparently.  ``network_builder``
-    resolves the stored model name; it defaults to the model-zoo registry,
-    so custom models must be registered (or passed via a custom builder)
-    before loading.  A document of the wrong shape (not an object, a field
-    missing or of the wrong type, an array run or node index out of range)
-    raises :class:`PlanFormatError`.
+    releases wrote; v1 is migrated transparently.  The stored model name
+    must resolve, in the model-zoo registry by default (so custom models
+    must be registered before loading) or through ``network_builder``,
+    which is called here.  No model is built from the registry and no
+    stages are built: the loaded plan builds its ``stages`` from its model
+    and batch the first time they are read.  A document of the wrong shape
+    (not an object, a field missing or of the wrong type, a ``batch`` or
+    ``dtype_bytes`` that is not a positive integer, an array run or node
+    index out of range) raises :class:`PlanFormatError`.
     """
     if not isinstance(data, dict):
         raise PlanFormatError(
@@ -390,8 +399,12 @@ def plan_from_dict(
     name = data.get("network")
     if not isinstance(name, str):
         raise PlanFormatError(f"plan document names no model: {name!r}")
+    network = None
     try:
-        network = (network_builder or build_model)(name)
+        if network_builder is None:
+            model_builder(name)  # the name resolves; nothing is built
+        else:
+            network = network_builder(name)
     except KeyError as exc:  # a model this build does not know
         raise PlanFormatError(exc.args[0] if exc.args else repr(exc)) from None
 
@@ -416,23 +429,30 @@ def plan_from_dict(
             )
         if version == 3:
             plan = _plan_from_nodes(data["nodes"], data["plan"], scheme)
-        batch = data["batch"]
-        stages = to_sharded_stages(network.stages(batch))
-        dtype_bytes = data["dtype_bytes"]
+        batch, dtype_bytes = data["batch"], data["dtype_bytes"]
+        # checked here: the stages and costs that would refuse them are
+        # built later, if ever
+        for field, value in (("batch", batch), ("dtype_bytes", dtype_bytes)):
+            if type(value) is not int or value <= 0:
+                raise PlanFormatError(
+                    f"plan {field} {value!r} is not a positive integer")
     except (KeyError, TypeError, AttributeError) as exc:
         # a missing field or one of the wrong shape: a null array, a string
         # where a plan node belongs, ...
         raise PlanFormatError(f"malformed plan document: {exc!r}") from None
 
-    return PlannedExecution(
+    planned = PlannedExecution(
         network_name=name,
         batch=batch,
         scheme=scheme,
         tree=tree,
-        stages=stages,
+        stages=None,
         plan=plan,
         dtype_bytes=dtype_bytes,
     )
+    if network is not None:  # a caller's builder: its model makes the stages
+        planned._network = network
+    return planned
 
 
 def save_plan(planned: PlannedExecution, path) -> None:

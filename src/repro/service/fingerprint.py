@@ -65,8 +65,10 @@ class PlanRequest:
     ``None`` is the peak analytic model, and the profile's content digest
     is part of the fingerprint.
 
-    Building a request resolves its scheme once, so a bad scheme name or
-    knob is refused here, before any fingerprint, cache or planner work.
+    Building a request checks each field's type (nothing is coerced: a
+    string ``space`` or a float ``batch`` is refused, naming the field)
+    and resolves its scheme once, so a bad scheme name or knob is refused
+    here, before any fingerprint, cache or planner work.
     """
 
     model: str
@@ -81,11 +83,30 @@ class PlanRequest:
     profile: Optional[CalibratedProfile] = None  # calibrated rates; None = analytic
 
     def __post_init__(self) -> None:
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
-        if self.dtype_bytes <= 0:
-            raise ValueError("dtype_bytes must be positive")
+        # a JSON request may carry any value in any field
+        for name, optional in (("model", False), ("scheme", False),
+                               ("ratio_mode", True), ("backend", True)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or optional and value is None):
+                raise ValueError(f"{name} must be a string, not {value!r}")
+        if not isinstance(self.array, AcceleratorGroup):
+            raise ValueError(
+                f"array must be an accelerator array, not {self.array!r}")
+        # ``type(...) is int``: a bool is an int subclass, never a count
+        for name in ("batch", "dtype_bytes"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(
+                    f"{name} must be a positive integer, not {value!r}")
+        if self.levels is not None and (type(self.levels) is not int
+                                        or self.levels < 0):
+            raise ValueError(f"levels must be null or an integer >= 0, "
+                             f"not {self.levels!r}")
         if self.space is not None:
+            # a string is a sequence too: "III" would plan Type-I only
+            if not isinstance(self.space, (list, tuple)):
+                raise ValueError(f"space must be a list of partition types, "
+                                 f"not {self.space!r}")
             object.__setattr__(self, "space", tuple(self.space))
         if self.backend is not None:
             # raises KeyError("unknown search backend ...") for bad names

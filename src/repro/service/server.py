@@ -106,7 +106,6 @@ def request_from_doc(doc: Dict) -> PlanRequest:
     array = doc.get("array", "hetero")
     if isinstance(array, str):
         array = parse_array(array)
-    space = doc.get("space")
     # an inline profile rides along as its v1 JSON document ("analytic" /
     # null keep the peak-rate default); resolved here so a malformed one is
     # rejected at the protocol boundary, not inside a worker thread
@@ -124,14 +123,15 @@ def request_from_doc(doc: Dict) -> PlanRequest:
             profile = None
     else:
         profile = None
+    # every knob goes to PlanRequest as sent, which checks its type
     return PlanRequest(
         model=doc["model"],
         array=array,
-        batch=int(doc.get("batch", 512)),
+        batch=doc.get("batch", 512),
         scheme=doc.get("scheme", "accpar"),
-        dtype_bytes=int(doc.get("dtype_bytes", 2)),
+        dtype_bytes=doc.get("dtype_bytes", 2),
         levels=doc.get("levels"),
-        space=tuple(space) if space is not None else None,
+        space=doc.get("space"),
         ratio_mode=doc.get("ratio_mode"),
         backend=doc.get("backend"),
         profile=profile,

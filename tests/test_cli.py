@@ -203,6 +203,16 @@ class TestMalformedPlanFiles:
         for argv in self.commands(bad, plan_file):
             self.assert_plan_error(capsys, argv, "unknown model 'lenet-9000'")
 
+    @pytest.mark.parametrize("field", ["batch", "dtype_bytes"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "x", None, True])
+    def test_bad_size_field(self, capsys, plan_file, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(plan_file.read_text())
+        self.edit(bad, lambda d: d.update({field: value}))
+        for argv in self.commands(bad, plan_file):
+            self.assert_plan_error(capsys, argv, f"plan {field} {value!r} ",
+                                   "not a positive integer")
+
     def test_unreadable_file(self, capsys, plan_file, tmp_path):
         missing = tmp_path / "missing.json"
         for argv in self.commands(missing, plan_file):

@@ -1,12 +1,15 @@
 """Unit tests for plan serialization and verification."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.planner import AccParPlanner, Planner
 from repro.core.serialize import (
     FORMAT_VERSION,
+    PlanFormatError,
     load_plan,
     plan_from_dict,
     plan_to_dict,
@@ -20,6 +23,10 @@ from repro.hardware import heterogeneous_array, homogeneous_array
 from repro.models import build_model
 from repro.sim.executor import evaluate
 from repro.training.optimizers import ADAM
+
+from tests.build_counts import count_builds
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture
@@ -89,7 +96,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="depth"):
             plan_from_dict(data)
 
-    def test_custom_network_builder(self, planned):
+    def test_custom_network_builder(self, planned, monkeypatch):
         data = plan_to_dict(planned)
         calls = []
 
@@ -97,8 +104,54 @@ class TestRoundTrip:
             calls.append(name)
             return build_model(name)
 
-        plan_from_dict(data, network_builder=builder)
+        reloaded = plan_from_dict(data, network_builder=builder)
         assert calls == ["alexnet"]
+        # the builder's model makes the stages: nothing is built again
+        builds = count_builds(monkeypatch)
+        assert reloaded.stages == planned.stages
+        assert builds == {"build_model": 0, "stages": 1}
+        assert calls == ["alexnet"]
+
+
+class TestLazyStages:
+    """A loaded plan builds its model and stages on first read, not at load."""
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_load_builds_nothing(self, planned, monkeypatch, version):
+        if version == 3:
+            document = plan_to_dict(planned)
+        else:
+            path = FIXTURES / f"plans_v{version}" / "alexnet_hetero_accpar.json"
+            document = json.loads(path.read_text())
+        builds = count_builds(monkeypatch)
+        loaded = plan_from_dict(document)
+        assert builds == {"build_model": 0, "stages": 0}
+        stages = loaded.stages
+        assert builds == {"build_model": 1, "stages": 1}
+        assert loaded.stages is stages
+        assert builds == {"build_model": 1, "stages": 1}
+        assert stages == AccParPlanner(heterogeneous_array(2, 2)).plan(
+            build_model("alexnet"), batch=loaded.batch).stages
+
+    def test_planned_plan_keeps_its_stages(self, planned, monkeypatch):
+        builds = count_builds(monkeypatch)
+        assert planned.stages is planned.stages
+        assert builds == {"build_model": 0, "stages": 0}
+
+    def test_replace_carries_the_stages(self, planned):
+        loaded = plan_from_dict(plan_to_dict(planned))
+        replaced = dataclasses.replace(loaded, scheme="renamed")
+        assert replaced.stages is loaded.stages
+        assert replaced.stages == planned.stages
+        assert replaced.plan is loaded.plan
+
+    @pytest.mark.parametrize("field", ["batch", "dtype_bytes"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "64", None, True, [64]])
+    def test_bad_size_field_is_a_format_error(self, planned, field, value):
+        document = plan_to_dict(planned)
+        document[field] = value
+        with pytest.raises(PlanFormatError, match="not a positive integer"):
+            plan_from_dict(document)
 
 
 class TestVerifyPlanned:

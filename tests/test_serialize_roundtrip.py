@@ -40,6 +40,8 @@ def test_roundtrip_preserves_plan(model_name, array_kind, tmp_path):
     assert reloaded.batch == planned.batch
     assert reloaded.scheme == planned.scheme
     assert reloaded.hierarchy_levels() == planned.hierarchy_levels()
+    # built from the stored model and batch on first read
+    assert reloaded.stages == planned.stages
 
     original_levels = collect_level_plans(planned.plan)
     reloaded_levels = collect_level_plans(reloaded.plan)
@@ -110,6 +112,13 @@ class TestForwardCompatibility:
     def test_missing_field_raises_plan_format_error(self, alexnet_doc, field):
         del alexnet_doc[field]
         with pytest.raises(PlanFormatError):
+            plan_from_dict(alexnet_doc)
+
+    @pytest.mark.parametrize("value", ["IV", "i", 1, None, ["I"], {"I": 1}])
+    def test_unknown_partition_type_raises_plan_format_error(
+            self, alexnet_doc, value):
+        alexnet_doc["nodes"][alexnet_doc["plan"]]["entries"][0]["type"] = value
+        with pytest.raises(PlanFormatError, match="unknown partition type"):
             plan_from_dict(alexnet_doc)
 
     def test_wrong_shaped_entry_raises_plan_format_error(self, alexnet_doc):

@@ -60,17 +60,39 @@ RECORDED = [PLAN, PLAN,
             json.dumps({"model": "lenet", "array": "tpu-v3:2",
                         "backend": "quantum"})]
 
-#: plan requests whose own scheme or knob is bad: each is refused when the
-#: request is built, before a fingerprint, the cache or a planner worker
+#: plan requests whose own scheme or knob is bad, in name or in type: each
+#: is refused when the request is built, before a fingerprint, the cache or
+#: a planner worker, and the refusal names the field
 BAD_KNOBS = [json.dumps({"model": "lenet", "array": "tpu-v2:1,tpu-v3:1",
                          **knob})
              for knob in ({"scheme": "bogus"}, {"ratio_mode": "bogus"},
-                          {"scheme": "dp", "space": ["I"]})]
+                          {"scheme": "dp", "space": ["I"]},
+                          {"space": "III"}, {"levels": "x"}, {"levels": -1},
+                          {"levels": True}, {"model": 5}, {"scheme": 5},
+                          {"backend": 5}, {"ratio_mode": 5},
+                          {"batch": 1.7}, {"batch": True}, {"batch": "64"},
+                          {"batch": 0}, {"dtype_bytes": 2.5},
+                          {"dtype_bytes": True}, {"array": 5})]
 BAD_KNOB_ERRORS = [
     "unknown scheme 'bogus'; expected one of: dp, owt, hypar, accpar, greedy",
     "unknown ratio_mode 'bogus'; expected one of: balanced, proportional, "
     "equal, comm-volume",
     "scheme 'dp' does not accept space/ratio_mode knobs",
+    "space must be a list of partition types, not 'III'",
+    "levels must be null or an integer >= 0, not 'x'",
+    "levels must be null or an integer >= 0, not -1",
+    "levels must be null or an integer >= 0, not True",
+    "model must be a string, not 5",
+    "scheme must be a string, not 5",
+    "backend must be a string, not 5",
+    "ratio_mode must be a string, not 5",
+    "batch must be a positive integer, not 1.7",
+    "batch must be a positive integer, not True",
+    "batch must be a positive integer, not '64'",
+    "batch must be a positive integer, not 0",
+    "dtype_bytes must be a positive integer, not 2.5",
+    "dtype_bytes must be a positive integer, not True",
+    "array must be an accelerator array, not 5",
 ]
 STATS = json.dumps({"op": "stats"})
 
@@ -308,7 +330,7 @@ class TestBadSchemeKnobs:
         for name in ("requests", "misses", "planner_runs", "errors"):
             assert counters.get(name, 0) == 0, name
         events = read_events(store, types=("request",))
-        assert [e["outcome"] for e in events] == ["error"] * 3
+        assert [e["outcome"] for e in events] == ["error"] * len(BAD_KNOBS)
 
     def test_fleet_refuses_before_routing(self, tmp_path, monkeypatch,
                                           capsys):
@@ -326,7 +348,7 @@ class TestBadSchemeKnobs:
         for name, shard in stats["shards"].items():
             assert shard["metrics"]["counters"] == {}, name
         events = read_events(store / "frontend", types=("request",))
-        assert [e["outcome"] for e in events] == ["error"] * 3
+        assert [e["outcome"] for e in events] == ["error"] * len(BAD_KNOBS)
         for shard in ("shard-0", "shard-1"):
             assert read_events(store / shard, types=("request",)) == []
 

@@ -21,6 +21,8 @@ from repro.service.server import handle_doc, handle_line, warm_cache
 from repro.service.service import FALLBACK_BACKEND
 from repro.sim.executor import evaluate
 
+from tests.build_counts import count_builds
+
 
 @pytest.fixture
 def array():
@@ -87,6 +89,25 @@ class TestDiskTier:
             assert second.metrics.value("planner_runs") == 0
             # the disk hit was promoted: the next lookup is a memory hit
             assert second.plan(request_alexnet).source == "memory"
+
+    def test_disk_hit_builds_stages_on_first_read(self, tmp_path, monkeypatch,
+                                                  request_alexnet):
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as first:
+            cold = first.plan(request_alexnet)
+        calls = count_builds(monkeypatch)
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as second:
+            warm = second.plan(request_alexnet)
+        assert warm.source == "disk"
+        # a reply reads no stages, so the hit builds no model
+        assert calls == {"build_model": 0, "stages": 0}
+        assert evaluate(warm.planned).total_time == pytest.approx(
+            evaluate(cold.planned).total_time)
+        assert calls == {"build_model": 1, "stages": 1}
+        stages = warm.planned.stages
+        evaluate(warm.planned)
+        assert warm.planned.stages is stages
+        assert calls == {"build_model": 1, "stages": 1}
+        assert stages == cold.planned.stages
 
     def test_trident_entry_is_a_disk_hit(self, tmp_path, array):
         request = PlanRequest(model="trident", array=array, batch=32)
@@ -217,6 +238,15 @@ class TestDiskTier:
 
     def test_null_array_is_a_miss(self, tmp_path, request_alexnet):
         entry = self._legacy_entry(tmp_path, request_alexnet, array=None)
+        stats = self._plan_over(tmp_path, request_alexnet, entry)
+        assert stats.disk_errors == 1 and stats.corrupt_total == 0
+
+    @pytest.mark.parametrize("field", ["batch", "dtype_bytes"])
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "64", None, True])
+    def test_bad_size_field_is_a_miss(self, tmp_path, request_alexnet, field,
+                                      value):
+        entry = self._legacy_entry(tmp_path, request_alexnet,
+                                   **{field: value})
         stats = self._plan_over(tmp_path, request_alexnet, entry)
         assert stats.disk_errors == 1 and stats.corrupt_total == 0
 
