@@ -151,15 +151,14 @@ class StepStats:
 
     A plain ``__slots__`` bag of integers owned by one
     :class:`PairCostModel`; the search bumps attributes directly and the
-    scheme merges :meth:`as_dict` into
-    :data:`repro.obs.registry.planner_counters` after each level plan.
+    scheme adds :meth:`as_dict` to its plan's tally, which reaches
+    :data:`repro.obs.registry.planner_counters` once per plan.
     The names are documented in ``docs/observability.md``.
     """
 
     __slots__ = (
         "step_calls",
         "boundary_calls",
-        "boundary_cache_hits",
         "ratio_solves",
         "ratio_closed_linear",
         "ratio_closed_quadratic",
@@ -251,7 +250,8 @@ class PairCostModel:
         self.dtype_bytes = dtype_bytes
         self.ratio_mode = ratio_mode
         self.stats = StepStats()
-        self._boundary_cache: dict = {}
+        # (elements, from states, to states) -> alignment_matrix's answer
+        self._alignment_matrices: Dict[Tuple, np.ndarray] = {}
         if self._analytic:
             self._lat_i = 0.0
             self._lat_j = 0.0
@@ -270,30 +270,9 @@ class PairCostModel:
         else:
             self._nominal_alpha = 0.5
 
-        # built once: the search keys its alignment-matrix cache on it
-        self._pack_key = (
-            self.c_i,
-            self.c_j,
-            self.b_i,
-            self.b_j,
-            self.dtype_bytes,
-            self.ratio_mode,
-            None if self._analytic else self.profile.fingerprint(),
-        )
-
     def nominal_alpha(self) -> float:
         """Default share for boundary-only transfers (no computation to balance)."""
         return self._nominal_alpha
-
-    def pack_key(self) -> Tuple:
-        """Everything the step costs depend on besides the workloads.
-
-        Two models with equal ``pack_key()`` produce bit-identical costs for
-        the same workloads, which is what lets the search share one
-        module-level alignment-matrix cache across the fresh per-level
-        :class:`PairCostModel` instances the planner builds.
-        """
-        return self._pack_key
 
     # ------------------------------------------------------------------
     # profile lookups (memoized per model instance)
@@ -601,27 +580,17 @@ class PairCostModel:
         the skip tensor produced under ``prev_type`` must be consumed under
         ``cur_type``.  With no computation to balance, the nominal ratio is
         the compute-proportional one (or 1/2 for equal-ratio schemes).
-        Memoized on ``(elements, prev, cur, α)`` — multi-path joins re-cost
-        the same alignments once per entry state and exit alignment.
         """
         if alpha is None:
             alpha = self._nominal_alpha
         self.stats.boundary_calls += 1
-        key = (boundary_fm_elements, prev_type, cur_type, alpha)
-        cost = self._boundary_cache.get(key)
-        if cost is not None:
-            self.stats.boundary_cache_hits += 1
-            return cost
         if self.ratio_mode == "comm-volume":
             amount_i, amount_j = inter_layer_elements(
                 boundary_fm_elements, prev_type, cur_type, alpha
             )
-            cost = (amount_i + amount_j) * self.dtype_bytes
-        else:
-            cost = max(self.inter_costs(boundary_fm_elements, prev_type,
-                                        cur_type, alpha))
-        self._boundary_cache[key] = cost
-        return cost
+            return (amount_i + amount_j) * self.dtype_bytes
+        return max(self.inter_costs(boundary_fm_elements, prev_type,
+                                    cur_type, alpha))
 
     def alignment_cost(
         self,
@@ -637,3 +606,29 @@ class PairCostModel:
         if from_state is None or from_state is to_state:
             return 0.0
         return self.boundary_step(boundary_fm_elements, from_state, to_state)
+
+    def alignment_matrix(
+        self,
+        boundary_fm_elements: float,
+        from_states: Tuple[Optional[PartitionType], ...],
+        to_states: Tuple[PartitionType, ...],
+    ) -> np.ndarray:
+        """:meth:`alignment_cost` of every (from, to) pair, as a matrix.
+
+        Memoized for the life of this model: the fork/join regions of one
+        level search re-align equal tensors between equal state sets.  The
+        planner builds one model per level search, so the memo never
+        outlives it, and every matrix is priced by this model's parties.
+        The matrix is shared between callers, so it is read-only.
+        """
+        key = (boundary_fm_elements, from_states, to_states)
+        matrix = self._alignment_matrices.get(key)
+        if matrix is None:
+            matrix = np.array([
+                [self.alignment_cost(boundary_fm_elements, frm, to)
+                 for to in to_states]
+                for frm in from_states
+            ])
+            matrix.flags.writeable = False
+            self._alignment_matrices[key] = matrix
+        return matrix

@@ -44,7 +44,6 @@ minimum, i.e. a first-seen-wins scan in state order.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,6 +83,12 @@ _FAM_TABLE = np.array(
     dtype=np.intp,
 )
 
+# The three module memos below hold index arrays and constant frontiers:
+# each is a pure function of state tuples and array shapes, never of a
+# cost, so sharing them across searches cannot change a plan.  Costs are
+# per model: the re-alignment matrices live in the level's own
+# PairCostModel (alignment_matrix), which dies with the search.
+
 #: (in-state tuple, out-state tuple) → (family submatrix, type-code vector);
 #: a handful of distinct combinations exist per process, so the index
 #: arrays for the gather are built once each
@@ -95,12 +100,6 @@ _IDENTITY_CACHE: Dict[int, np.ndarray] = {}
 #: broadcast "row r chose predecessor r" argmin matrices, keyed by shape;
 #: the backtracking answer for any step taken from an identity frontier
 _SELF_CHOICE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-
-#: alignment-matrix cache: (model pack key, elements, from states, to
-#: states) → matrix of Table 5 re-alignment costs, shared across the
-#: repeated fork/join joins of one level and across levels with equal pairs
-_ALIGN_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_ALIGN_CACHE_MAX = 1024
 
 
 def _identity(rows: int) -> np.ndarray:
@@ -200,30 +199,6 @@ def _backtrack(decisions, row: int, exit_idx: int) -> Tuple[PlanEntry, ...]:
     return tuple(out)
 
 
-def _align_matrix(
-    model: PairCostModel,
-    elements: float,
-    from_states: Tuple[State, ...],
-    to_states: Tuple[PartitionType, ...],
-) -> np.ndarray:
-    """Table 5 re-alignment costs as a (from, to) matrix, cached."""
-    key = (model.pack_key(), elements, from_states, to_states)
-    cached = _ALIGN_CACHE.get(key)
-    if cached is not None:
-        _ALIGN_CACHE.move_to_end(key)
-        return cached
-    matrix = np.array(
-        [
-            [model.alignment_cost(elements, frm, to) for to in to_states]
-            for frm in from_states
-        ]
-    )
-    _ALIGN_CACHE[key] = matrix
-    while len(_ALIGN_CACHE) > _ALIGN_CACHE_MAX:
-        _ALIGN_CACHE.popitem(last=False)
-    return matrix
-
-
 def _layer_step(stage, pack, index, space, space_fn, states, frontier):
     # ``space`` is pre-tupled once per search; only a per-layer restriction
     # needs normalizing here
@@ -273,7 +248,7 @@ def _parallel_step(stage, model, pack, index, space, space_fn,
                 path, model, pack, index, space, space_fn, states, identity,
             )
             out_elements = last_workload(path).a_output_fm()
-            align = _align_matrix(model, out_elements, path_out, out_states)
+            align = model.alignment_matrix(out_elements, path_out, out_states)
             aligned = path_frontier[:, :, None] + align[None, :, :]
             best, exit_choice = masked_first_within_slack(aligned)
             # the paths' minima add up in path order
@@ -282,7 +257,7 @@ def _parallel_step(stage, model, pack, index, space, space_fn,
         else:
             # identity skip: re-align the fork tensor itself, still in the
             # entry state, to each join state
-            macro += _align_matrix(model, fork_elements, states, out_states)
+            macro += model.alignment_matrix(fork_elements, states, out_states)
             paths.append(None)
 
     if frontier is identity:

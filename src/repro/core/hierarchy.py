@@ -20,6 +20,7 @@ internal nodes of a 256-accelerator tree to a handful of distinct steps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
@@ -61,7 +62,6 @@ def walk(
     stages: List[ShardedStage],
     decide: Callable[..., Optional[LevelPlan]],
     plan: Optional[HierarchicalPlan] = None,
-    scheme: Optional[str] = None,
 ) -> Step:
     """Walk the pairing tree rooted at ``node``, left child before right.
 
@@ -70,17 +70,17 @@ def walk(
     with the children of ``plan``.  A memo hit is reused only if it read
     the same plan node (``is``, or ``==`` for a plan rebuilt from a v1 or
     v2 document, whose reader shares no subtree).
-    ``scheme`` names a planner walk: only those count memo hits and misses
-    and open ``hierarchy.plan`` spans.
     """
-    return _walk(node, stages, plan, decide, scheme, {})
+    return _walk(node, stages, plan, decide, None, {}, None)
 
 
 def _walk(node: GroupNode, stages: List[ShardedStage],
           plan: Optional[HierarchicalPlan], decide, scheme: Optional[str],
-          memo: Dict[Tuple, Step]) -> Step:
+          memo: Dict[Tuple, Step], tally: Optional[Counter]) -> Step:
     # a module function, not a closure: a recursive closure is a reference
-    # cycle, which would keep the memo's stage lists alive until a GC pass
+    # cycle, which would keep the memo's stage lists alive until a GC pass.
+    # ``scheme`` names a planner walk (plan_tree): only those count memo
+    # hits and misses into ``tally`` and open ``hierarchy.plan`` spans
     planning = scheme is not None
     if planning and node.is_leaf:
         return Step(node, stages, plan)  # nothing to decide or fold
@@ -88,12 +88,12 @@ def _walk(node: GroupNode, stages: List[ShardedStage],
     step = memo.get(key)
     if step is not None and (step.plan is plan or step.plan == plan):
         if planning:
-            planner_counters.inc("hierarchy_memo_hits")
+            tally["hierarchy_memo_hits"] += 1
         return step
     step = Step(node, stages, plan)
     memo.setdefault(key, step)
     if planning:
-        planner_counters.inc("hierarchy_memo_misses")
+        tally["hierarchy_memo_misses"] += 1
     # the span wraps the node's search AND both child walks, so child
     # hierarchy spans nest inside their parent's in the trace
     with tracer.span("hierarchy.plan", category="hierarchy",
@@ -106,10 +106,10 @@ def _walk(node: GroupNode, stages: List[ShardedStage],
             step.level = level
             step.left = _walk(node.left, shard_stages(stages, assignments, "left"),
                               None if plan is None else plan.left,
-                              decide, scheme, memo)
+                              decide, scheme, memo, tally)
             step.right = _walk(node.right, shard_stages(stages, assignments, "right"),
                                None if plan is None else plan.right,
-                               decide, scheme, memo)
+                               decide, scheme, memo, tally)
     return step
 
 
@@ -133,15 +133,27 @@ def plan_tree(
     stages: List[ShardedStage],
     scheme: PartitionScheme,
     dtype_bytes: int = 2,
+    tally: Optional[Counter] = None,
 ) -> HierarchicalPlan:
-    """Plan every level of the pairing tree rooted at ``node``."""
+    """Plan every level of the pairing tree rooted at ``node``.
+
+    The plan's search work (each level's search counts and the walk's
+    memo hits and misses) is counted apart from any other plan's and
+    merged into :data:`planner_counters` once; ``tally`` receives it too.
+    """
+    own: Counter = Counter()
 
     def search(node: GroupNode, stages: List[ShardedStage], _) -> LevelPlan:
         assert node.left is not None and node.right is not None
         return scheme.level_plan(stages, node.left.group, node.right.group,
-                                 dtype_bytes)
+                                 dtype_bytes, own)
 
-    return plan_of(walk(node, stages, search, scheme=scheme.name), scheme.name)
+    plan = plan_of(_walk(node, stages, None, search, scheme.name, {}, own),
+                   scheme.name)
+    planner_counters.merge(own)
+    if tally is not None:
+        tally.update(own)
+    return plan
 
 
 def stored_level(node: GroupNode, stages: List[ShardedStage],

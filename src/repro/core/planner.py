@@ -20,6 +20,7 @@ runs the paper's cost model under the myopic search, and the CLI's
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -76,8 +77,14 @@ class PartitionScheme:
         party_i: AcceleratorGroup,
         party_j: AcceleratorGroup,
         dtype_bytes: int,
+        tally: Optional[Counter] = None,
     ) -> LevelPlan:
-        """Assign a partition type and ratio to every weighted layer."""
+        """Assign a partition type and ratio to every weighted layer.
+
+        The search work (the cost model's :class:`StepStats` and one
+        ``level_plans_<backend>`` count) is added to ``tally`` when one is
+        given, else merged into :data:`planner_counters`.
+        """
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
                               profile=self.profile)
         if self.linearize:
@@ -85,12 +92,16 @@ class PartitionScheme:
         result = get_backend(self.backend).search(
             stages, model, self.space,
             space_fn=None if self.pin is None else lambda w: (self.pin(w),))
-        planner_counters.merge(model.stats.as_dict())
+        counts = model.stats.as_dict()
         # per-backend served-plan series (repro_planner_level_plans_<b>_total
         # in Prometheus): which search algorithm actually produced the plans.
         # Aliases canonicalize so "exact" and "dpv" feed the "dp" series.
         backend = canonical_backend_name(self.backend)
-        planner_counters.inc("level_plans_" + backend.replace("-", "_"))
+        counts["level_plans_" + backend.replace("-", "_")] = 1
+        if tally is None:
+            planner_counters.merge(counts)
+        else:
+            tally.update(counts)
         return result.to_level_plan(self.name)
 
 
@@ -228,16 +239,17 @@ class Planner:
     def plan(self, network: Network, batch: int) -> PlannedExecution:
         # telemetry gate first: the disabled path must stay one attribute
         # read with zero allocations (the planner-throughput bench gates
-        # this), so even the counter pre-snapshot is behind the guard
+        # this), so even the search event's tally is behind the guard
         from ..obs import telemetry as telemetry_store
 
         t = telemetry_store.active()
         if t is not None and not t.enabled:
             t = None
+        tally = None
         if t is not None:
             from time import perf_counter
 
-            counters_before = planner_counters.snapshot()
+            tally = Counter()
             started = perf_counter()
 
         # calibrated profiles re-order the pairing tree by effective rates
@@ -253,7 +265,7 @@ class Planner:
         tree = bisection_tree(self.array, levels, self.split_policy,
                               profile=profile)
         stages = to_sharded_stages(network.stages(batch))
-        plan = plan_tree(tree, stages, self.scheme, self.dtype_bytes)
+        plan = plan_tree(tree, stages, self.scheme, self.dtype_bytes, tally)
         planned = PlannedExecution(
             network_name=network.name,
             batch=batch,
@@ -265,12 +277,6 @@ class Planner:
         )
 
         if t is not None:
-            counters_after = planner_counters.snapshot()
-            delta = {
-                name: value - counters_before.get(name, 0)
-                for name, value in counters_after.items()
-                if value - counters_before.get(name, 0)
-            }
             t.record({
                 "type": "search",
                 "model": network.name,
@@ -279,7 +285,9 @@ class Planner:
                 "backend": canonical_backend_name(self.scheme.backend),
                 "levels": levels,
                 "elapsed_ms": round((perf_counter() - started) * 1e3, 3),
-                "counters": delta,
+                # this plan's own search work, whatever else ran beside it
+                "counters": {name: value for name, value in sorted(tally.items())
+                             if value},
             })
         return planned
 

@@ -14,8 +14,9 @@ Eq. 10 ratio solver departs from 1/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .accelerator import AcceleratorGroup, AcceleratorSpec
 from .profile import HardwareProfile
@@ -102,15 +103,14 @@ SPLIT_POLICIES = {
     "interleaved": _split_interleaved,
 }
 
-#: pairing trees are pure functions of (sorted members, levels, policy);
+#: pairing trees (and depths) kept per process, least recently used out.
+#: A tree is a pure function of (sorted members, levels, policy), and
 #: AcceleratorSpec is a frozen value type, so identical arrays built at
-#: different times share one tree.  The tree is read-only after
-#: construction (planners only traverse it and memoize depths), and real
-#: deployments use a handful of array shapes, so the cache stays tiny.
-_TREE_CACHE: Dict[Tuple, GroupNode] = {}
-
-#: same reasoning for the depth probe of :func:`max_hierarchy_levels`
-_DEPTH_CACHE: Dict[Tuple[AcceleratorSpec, ...], int] = {}
+#: different times share one tree; it is read-only after construction
+#: (planners only traverse it and memoize depths).  The members come from
+#: outside input (a request's or a plan document's array), so the caches
+#: evict; no workload uses more than a handful of arrays.
+TREE_CACHE_SIZE = 64
 
 
 def _member_order_key(profile: Optional[HardwareProfile]):
@@ -147,13 +147,14 @@ def bisection_tree(array: AcceleratorGroup, levels: int,
         raise ValueError(
             f"unknown split policy {policy!r}; available: {sorted(SPLIT_POLICIES)}"
         )
-    split = SPLIT_POLICIES[policy]
-
     ordered = tuple(sorted(array.members, key=_member_order_key(profile)))
-    cache_key = (ordered, levels, policy)
-    cached = _TREE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    return _tree(ordered, levels, policy)
+
+
+@functools.lru_cache(maxsize=TREE_CACHE_SIZE)
+def _tree(ordered: Tuple[AcceleratorSpec, ...], levels: int,
+          policy: str) -> GroupNode:
+    split = SPLIT_POLICIES[policy]
 
     def build(members: Tuple[AcceleratorSpec, ...], level: int) -> GroupNode:
         node = GroupNode(group=AcceleratorGroup(members), level=level)
@@ -163,9 +164,7 @@ def bisection_tree(array: AcceleratorGroup, levels: int,
             node.right = build(right_members, level + 1)
         return node
 
-    root = build(ordered, 0)
-    _TREE_CACHE[cache_key] = root
-    return root
+    return build(ordered, 0)
 
 
 def max_hierarchy_levels(array: AcceleratorGroup) -> int:
@@ -175,11 +174,12 @@ def max_hierarchy_levels(array: AcceleratorGroup) -> int:
     just to measure its depth costs O(n²) group constructions for an
     n-accelerator array.
     """
+    return _depth(tuple(sorted(array.members, key=lambda m: (-m.flops, m.name))))
+
+
+@functools.lru_cache(maxsize=TREE_CACHE_SIZE)
+def _depth(ordered: Tuple[AcceleratorSpec, ...]) -> int:
     split = SPLIT_POLICIES["type-separated"]
-    ordered = tuple(sorted(array.members, key=lambda m: (-m.flops, m.name)))
-    cached = _DEPTH_CACHE.get(ordered)
-    if cached is not None:
-        return cached
 
     def depth_of(members: Tuple[AcceleratorSpec, ...]) -> int:
         if len(members) <= 1:
@@ -187,9 +187,7 @@ def max_hierarchy_levels(array: AcceleratorGroup) -> int:
         left, right = split(members)
         return 1 + max(depth_of(left), depth_of(right))
 
-    depth = depth_of(ordered)
-    _DEPTH_CACHE[ordered] = depth
-    return depth
+    return depth_of(ordered)
 
 
 def describe_tree(root: GroupNode, max_depth: int = 3) -> str:

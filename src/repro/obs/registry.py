@@ -56,11 +56,11 @@ SERVICE_HISTOGRAM_NAMES = (
 )
 
 #: every counter the planner search bumps (documented in
-#: docs/observability.md; each level's StepStats merges into these)
+#: docs/observability.md; each plan merges its levels' StepStats into
+#: these once)
 PLANNER_COUNTER_NAMES = (
     "step_calls",
     "boundary_calls",
-    "boundary_cache_hits",
     "ratio_solves",
     "ratio_closed_linear",
     "ratio_closed_quadratic",

@@ -36,6 +36,9 @@ from ..plan.backends import canonical_backend_name
 #: must never share a cache entry)
 REQUEST_SCHEMA_VERSION = 3
 
+#: the ``space`` values a request may name, in ``PartitionType`` order
+_TYPE_VALUES = tuple(t.value for t in PartitionType)
+
 
 @lru_cache(maxsize=256)
 def _digest_by_builder(builder: Callable[[], Network]) -> str:
@@ -108,6 +111,10 @@ class PlanRequest:
                 raise ValueError(f"space must be a list of partition types, "
                                  f"not {self.space!r}")
             object.__setattr__(self, "space", tuple(self.space))
+            for value in self.space:
+                if value not in _TYPE_VALUES:  # ``in`` a tuple: no hashing
+                    raise ValueError(f"space holds {value!r}, not one of: "
+                                     + ", ".join(_TYPE_VALUES))
         if self.backend is not None:
             # raises KeyError("unknown search backend ...") for bad names
             object.__setattr__(self, "backend",

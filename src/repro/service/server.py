@@ -22,6 +22,8 @@ over the fleet frontend's, and treats EOF as a shutdown without the ack.
 from __future__ import annotations
 
 import json
+import math
+import threading
 import time
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
@@ -39,6 +41,10 @@ from .service import PlanResponse, PlanService
 #: wire-v2 request frame (:mod:`repro.fleet.wire` reuses it).  Checked
 #: before parsing, so a client cannot make a server parse unbounded input.
 MAX_REQUEST_BYTES = 1 << 20
+
+#: the longest ``deadline_ms`` a plan waits for, in ms: the longest wait a
+#: thread can make (a longer deadline raises from ``Future.result``)
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 
 #: the ops :func:`handle_doc` answers; an unknown op's reply lists them
 KNOWN_OPS = ("ping", "plan", "cache_put", "stats", "trace", "shutdown")
@@ -103,6 +109,7 @@ def request_from_doc(doc: Dict) -> PlanRequest:
         )
     if "model" not in doc:
         raise ValueError("request needs a 'model' field")
+    deadline_seconds(doc)  # refused here, with the other knobs
     array = doc.get("array", "hetero")
     if isinstance(array, str):
         array = parse_array(array)
@@ -138,15 +145,35 @@ def request_from_doc(doc: Dict) -> PlanRequest:
     )
 
 
+def deadline_seconds(doc: Dict) -> Optional[float]:
+    """A plan document's ``deadline_ms`` in seconds, ``None`` for none.
+
+    The deadline is null or a finite number >= 0 (not a bool); anything
+    else raises ``ValueError`` naming the field.  A deadline longer than a
+    thread can wait (:data:`threading.TIMEOUT_MAX`) waits that long.
+    """
+    deadline_ms = doc.get("deadline_ms")
+    if deadline_ms is None:
+        return None
+    # ``not 0 <= x < inf`` also refuses NaN, which fails every comparison
+    if type(deadline_ms) not in (int, float) \
+            or not 0 <= deadline_ms < math.inf:
+        raise ValueError(f"deadline_ms must be null or a finite number "
+                         f">= 0, not {deadline_ms!r}")
+    return min(deadline_ms, _MAX_DEADLINE_MS) / 1e3
+
+
 def doc_record(doc: Dict, **fields) -> RequestRecord:
     """A plan document's request record, named as :func:`request_from_doc`
     names its request, so every server that refuses it records it alike."""
-    deadline_ms = doc.get("deadline_ms")
+    try:
+        deadline_s = deadline_seconds(doc)
+    except ValueError:  # request_from_doc refuses the document
+        deadline_s = None
     return RequestRecord(
         trace_id=doc.get("trace_id"), model=doc.get("model"),
         scheme=doc.get("scheme", "accpar"), backend=doc.get("backend"),
-        deadline_s=deadline_ms / 1e3 if deadline_ms is not None else None,
-        **fields)
+        deadline_s=deadline_s, **fields)
 
 
 def response_to_doc(response: PlanResponse) -> Dict:
@@ -192,9 +219,7 @@ def handle_doc(service: PlanService, doc: Dict) -> Dict:
                     doc, latency_s=time.perf_counter() - start,
                     error=str(exc)))
                 raise
-            deadline_ms = doc.get("deadline_ms")
-            deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-            response = service.plan(request, deadline_s=deadline_s,
+            response = service.plan(request, deadline_s=deadline_seconds(doc),
                                     trace_id=doc.get("trace_id"))
             reply = response_to_doc(response)
             if doc.get("include_plan"):

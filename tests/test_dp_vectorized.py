@@ -12,6 +12,7 @@ the masked argmin must agree with a literal first-seen-wins scalar scan.
 """
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,13 @@ from repro.core.tiebreak import (
 from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
-from repro.hardware.profile import CalibratedProfile, SpecProfile
+from repro.hardware.profile import CalibratedProfile, SpecProfile, load_profile
 from tests.reference_search import reference_search
+
+#: {tpu-v3} and {tpu-v2, tpu-v2} have equal effective compute and equal peak
+#: link bandwidth under this profile, but effective bandwidths 100x apart
+SPLIT_COLLISION = (Path(__file__).parent / "fixtures" / "profiles"
+                   / "split_collision.json")
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -176,7 +182,6 @@ class TestRandomizedEquivalence:
         assert workloads  # the generator never returns a layer-free net
         model_a = random_model(random.Random(17 * seed))
         model_b = random_model(random.Random(17 * seed))
-        assert model_a.pack_key() == model_b.pack_key()
         assert_same_search(stages, model_a, model_b)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -247,7 +252,6 @@ class TestCalibratedProfileEquivalence:
         stages = gen.chain(6, 0)
         model_a = random_calibrated_model(random.Random(41 * seed))
         model_b = random_calibrated_model(random.Random(41 * seed))
-        assert model_a.pack_key() == model_b.pack_key()
         assert_same_search(stages, model_a, model_b)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -264,19 +268,41 @@ class TestCalibratedProfileEquivalence:
         model_b = random_calibrated_model(random.Random(43 * seed))
         assert_same_search(stages, model_a, model_b, space_fn=fn)
 
-    def test_profile_changes_pack_key(self):
-        """Analytic and calibrated models must never share an alignment-cache row."""
-        rng = random.Random(99)
-        lhs, rhs = make_group(TPU_V3, 2), make_group(TPU_V2, 2)
-        analytic = PairCostModel(lhs, rhs)
-        calibrated = PairCostModel(lhs, rhs, profile=random_profile(rng))
-        assert analytic.pack_key() != calibrated.pack_key()
+    def test_each_model_prices_its_own_alignments(self):
+        """A search reads no re-alignment cost another model priced, even
+        one whose parties sum to the same compute and peak bandwidth."""
+        profile = load_profile(SPLIT_COLLISION)
+        stages = [
+            conv_layer("pre", 8, 64, 64, 14, 3),
+            ShardedParallelStage(
+                paths=(
+                    (conv_layer("a1", 8, 64, 64, 14, 3),
+                     conv_layer("a2", 8, 64, 64, 14, 3)),
+                    (conv_layer("b1", 8, 64, 64, 14, 1),),
+                    (),
+                ),
+                name="blk",
+            ),
+            fc_layer("post", 8, 64 * 14 * 14, 10),
+        ]
+        fast = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
+                             profile=profile)
+        search_stages(stages, fast)
+        slow = lambda: PairCostModel(make_group(TPU_V2, 2),
+                                     make_group(TPU_V2, 2), profile=profile)
+        assert_same_search(stages, slow(), slow())
 
-    def test_distinct_profiles_distinct_pack_keys(self):
-        lhs, rhs = make_group(TPU_V3, 2), make_group(TPU_V2, 2)
-        a = PairCostModel(lhs, rhs, profile=random_profile(random.Random(1)))
-        b = PairCostModel(lhs, rhs, profile=random_profile(random.Random(2)))
-        assert a.pack_key() != b.pack_key()
+    def test_alignment_matrix_is_memoized_per_model(self):
+        model = two_party_model()
+        states = (None, I, II, III)
+        matrix = model.alignment_matrix(1024.0, states, ALL_TYPES)
+        assert model.alignment_matrix(1024.0, states, ALL_TYPES) is matrix
+        assert two_party_model().alignment_matrix(
+            1024.0, states, ALL_TYPES) is not matrix
+        assert matrix.tolist() == [
+            [model.alignment_cost(1024.0, frm, to) for to in ALL_TYPES]
+            for frm in states
+        ]
 
 
 def two_party_model(**kwargs):

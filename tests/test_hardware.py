@@ -136,6 +136,14 @@ class TestBisectionTree:
         assert max_hierarchy_levels(homogeneous_array(128)) == 7
         assert max_hierarchy_levels(heterogeneous_array()) == 8
 
+    def test_depth_cache_is_bounded(self):
+        from repro.hardware.cluster import TREE_CACHE_SIZE, _depth
+
+        _depth.cache_clear()
+        for count in range(1, TREE_CACHE_SIZE + 9):
+            max_hierarchy_levels(homogeneous_array(count))
+        assert _depth.cache_info().currsize == TREE_CACHE_SIZE
+
     def test_levels_increase_down_the_tree(self):
         tree = bisection_tree(homogeneous_array(4), levels=2)
         assert tree.level == 0

@@ -2,11 +2,13 @@
 
 import json
 import os
+import threading
 
 import pytest
 
-from repro.hardware.presets import heterogeneous_array
+from repro.hardware.presets import heterogeneous_array, homogeneous_array
 from repro.models.registry import build_model
+from repro.core.cost_model import PairCostModel
 from repro.core.planner import AccParPlanner
 from repro.obs import telemetry as telemetry_store
 from repro.obs.telemetry import (
@@ -195,6 +197,47 @@ class TestProducers:
         assert event["elapsed_ms"] >= 0
         # the counter delta carries real search work
         assert sum(event["counters"].values()) > 0
+
+    def test_concurrent_plans_count_only_their_own_work(self, tmp_path,
+                                                         monkeypatch):
+        plans = {"lenet": heterogeneous_array(),
+                 "alexnet": homogeneous_array(8)}
+
+        def plan(model):
+            AccParPlanner(plans[model]).plan(build_model(model), batch=32)
+
+        def searches(directory):
+            return {e["model"]: e["counters"]["vec_searches"]
+                    for e in read_events(directory, types=("search",))}
+
+        telemetry_store.install(tmp_path / "alone")
+        for model in plans:
+            plan(model)
+        alone = searches(tmp_path / "alone")
+        assert alone["lenet"] != alone["alexnet"]
+
+        # lenet pauses inside its first level search while alexnet plans
+        paused, resume = threading.Event(), threading.Event()
+        pack = PairCostModel.pack_step_tensors
+
+        def pausing_pack(model, workloads):
+            if threading.current_thread() is first and not paused.is_set():
+                paused.set()
+                assert resume.wait(30)
+            return pack(model, workloads)
+
+        monkeypatch.setattr(PairCostModel, "pack_step_tensors", pausing_pack)
+        telemetry_store.install(tmp_path / "together")
+        first = threading.Thread(target=plan, args=("lenet",))
+        first.start()
+        try:
+            assert paused.wait(30)
+            plan("alexnet")
+        finally:
+            resume.set()
+            first.join(30)
+        assert not first.is_alive()
+        assert searches(tmp_path / "together") == alone
 
     def test_sim_records_op_timings_per_spec(self, tmp_path):
         telemetry_store.install(tmp_path)

@@ -32,11 +32,12 @@ from repro.core.serialize import (
 from repro.fleet import ShardServer
 from repro.fleet.wire import recv_frame, send_frame
 from repro.hardware import heterogeneous_array
+from repro.hardware.cluster import TREE_CACHE_SIZE, _tree
 from repro.hardware.presets import parse_array
 from repro.models import build_model
 from repro.plan import plan_diff
 from repro.service import PlanCache, PlanRequest, PlanService
-from repro.service.server import describe_cache_dir
+from repro.service.server import describe_cache_dir, handle_doc
 from tests.plan_zoo import ZOO, ZOO_IDS, canonical, count_nodes, plan
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "plans_v2"
@@ -311,6 +312,19 @@ def test_cache_put_of_a_good_document_is_stored(good_document, shard):
                           "plan": good_document})
         assert recv_frame(sock)["stored"] is True
     assert "cd" * 8 in shard.service.cache
+
+
+def test_refused_cache_puts_keep_the_tree_cache_bounded(good_document):
+    # each document's pairing tree is built before its depth is refused
+    _tree.cache_clear()
+    spec = good_document["array"][0][0]
+    with PlanService() as svc:
+        for count in range(8, 16 + TREE_CACHE_SIZE):
+            document = dict(good_document, array=[[spec, count]], levels=12)
+            reply = handle_doc(svc, {"op": "cache_put", "fingerprint": "ef" * 8,
+                                     "plan": document})
+            assert "does not match the rebuilt pairing tree" in reply["error"]
+    assert _tree.cache_info().currsize == TREE_CACHE_SIZE
 
 
 # --- nesting deeper than a reader recurses -----------------------------

@@ -72,7 +72,12 @@ BAD_KNOBS = [json.dumps({"model": "lenet", "array": "tpu-v2:1,tpu-v3:1",
                           {"backend": 5}, {"ratio_mode": 5},
                           {"batch": 1.7}, {"batch": True}, {"batch": "64"},
                           {"batch": 0}, {"dtype_bytes": 2.5},
-                          {"dtype_bytes": True}, {"array": 5})]
+                          {"dtype_bytes": True}, {"array": 5},
+                          {"space": ["IV"]}, {"space": [5]},
+                          {"space": [["I"]]}, {"deadline_ms": "x"},
+                          {"deadline_ms": float("inf")},
+                          {"deadline_ms": float("nan")},
+                          {"deadline_ms": True}, {"deadline_ms": -5})]
 BAD_KNOB_ERRORS = [
     "unknown scheme 'bogus'; expected one of: dp, owt, hypar, accpar, greedy",
     "unknown ratio_mode 'bogus'; expected one of: balanced, proportional, "
@@ -93,6 +98,14 @@ BAD_KNOB_ERRORS = [
     "dtype_bytes must be a positive integer, not 2.5",
     "dtype_bytes must be a positive integer, not True",
     "array must be an accelerator array, not 5",
+    "space holds 'IV', not one of: I, II, III",
+    "space holds 5, not one of: I, II, III",
+    "space holds ['I'], not one of: I, II, III",
+    "deadline_ms must be null or a finite number >= 0, not 'x'",
+    "deadline_ms must be null or a finite number >= 0, not inf",
+    "deadline_ms must be null or a finite number >= 0, not nan",
+    "deadline_ms must be null or a finite number >= 0, not True",
+    "deadline_ms must be null or a finite number >= 0, not -5",
 ]
 STATS = json.dumps({"op": "stats"})
 

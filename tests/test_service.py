@@ -1,12 +1,18 @@
 """Tests for the plan service: cache tiers, single-flight, deadlines, metrics."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.planner import AccParPlanner
+from repro.core.serialize import plan_to_json
 from repro.hardware import heterogeneous_array
 from repro.models import build_model
 from repro.service import (
@@ -17,11 +23,14 @@ from repro.service import (
     SingleFlight,
     serve_loop,
 )
-from repro.service.server import handle_doc, handle_line, warm_cache
+from repro.service.server import (handle_doc, handle_line, request_from_doc,
+                                  warm_cache)
 from repro.service.service import FALLBACK_BACKEND
 from repro.sim.executor import evaluate
 
 from tests.build_counts import count_builds
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -470,6 +479,48 @@ class TestDefaultProfile:
             with pytest.raises(ValueError, match="no calibration"):
                 svc.plan(PlanRequest(model="lenet", array=array, batch=32,
                                      profile=v3only))
+
+
+#: {tpu-v3} and {tpu-v2, tpu-v2} have equal effective compute and equal peak
+#: link bandwidth under this profile, but effective bandwidths 100x apart
+SPLIT_COLLISION = json.loads(
+    (Path(__file__).parent / "fixtures" / "profiles"
+     / "split_collision.json").read_text())
+
+#: X splits {tpu-v3 | tpu-v3} and {tpu-v2 x2 | tpu-v2 x2} under the root;
+#: Y, its half-batch twin, splits {tpu-v2 x2 | tpu-v2 x2} at the root
+HISTORY_X = {"model": "resnet18", "array": "tpu-v3:2,tpu-v2:4", "batch": 8,
+             "scheme": "owt", "profile": SPLIT_COLLISION}
+HISTORY_Y = dict(HISTORY_X, array="tpu-v2:4", batch=4)
+
+
+class TestHistoryIndependence:
+    """A plan is a function of its request alone, whatever the process
+    planned before it."""
+
+    @staticmethod
+    def plan_text(service, doc):
+        return plan_to_json(service.plan(request_from_doc(doc)).planned)
+
+    def test_a_plan_does_not_depend_on_earlier_plans(self):
+        script = (
+            "import json, sys\n"
+            "from repro.core.serialize import plan_to_json\n"
+            "from repro.service import PlanService\n"
+            "from repro.service.server import request_from_doc\n"
+            "with PlanService() as service:\n"
+            "    response = service.plan(request_from_doc("
+            "json.loads(sys.argv[1])))\n"
+            "sys.stdout.write(plan_to_json(response.planned))\n"
+        )
+        alone = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(HISTORY_X)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": SRC}).stdout
+        with PlanService() as svc:
+            self.plan_text(svc, HISTORY_Y)
+            after_twin = self.plan_text(svc, HISTORY_X)
+        assert after_twin == alone
 
 
 class TestErrors:
