@@ -27,7 +27,7 @@ from repro.core.planner import PartitionScheme, Planner
 from repro.hardware.presets import heterogeneous_array
 from repro.ioutil import atomic_write_text
 from repro.models import build_model
-from repro.obs import telemetry as telemetry_store
+from repro.obs.telemetry import TelemetryWriter
 from repro.plan import register_backend
 from tests.reference_search import REFERENCE_BACKEND, ReferenceBisectionBackend
 
@@ -80,10 +80,10 @@ TELEMETRY_GATE_NETWORK = "alexnet"
 TELEMETRY_REPEATS = 15
 
 
-def _plan(net, scheme):
+def _plan(net, scheme, telemetry=None):
     """One cold end-to-end plan: fresh array, fresh planner, fresh scheme."""
     array = heterogeneous_array()
-    return Planner(array, scheme).plan(net, BATCH)
+    return Planner(array, scheme, telemetry=telemetry).plan(net, BATCH)
 
 
 def _interleaved_ms(net, scheme_factories):
@@ -208,9 +208,9 @@ def test_telemetry_overhead_gate(results_dir, tmp_path):
     """Durable telemetry must stay out of the planner's way.
 
     Two interleaved timing series on the same workload: telemetry off
-    (no process-wide writer — the disabled-path contract, one attribute
-    read per plan) and telemetry on (a live writer appending one search
-    event per plan).  The enabled overhead, measured on the per-mode
+    (no writer handed to the planner — the disabled-path contract, one
+    attribute read per plan) and telemetry on (a live writer appending one
+    search event per plan).  The enabled overhead, measured on the per-mode
     *medians*, must stay under ``TELEMETRY_OVERHEAD_CEILING``.  Medians
     rather than the minima the speedup gates use: the true recording
     cost is microseconds against a multi-millisecond plan, so at this
@@ -221,29 +221,22 @@ def test_telemetry_overhead_gate(results_dir, tmp_path):
     net = build_model(TELEMETRY_GATE_NETWORK)
     _plan(net, PartitionScheme())  # warm imports/caches outside the timings
 
-    telemetry_store.uninstall()
-    writer = telemetry_store.TelemetryWriter(tmp_path / "telemetry")
     off_times, on_times = [], []
-    try:
+    with TelemetryWriter(tmp_path / "telemetry") as writer:
+        # open the writer's segment outside the timed region: a production
+        # writer stays open, so the on-path timing should not pay an open()
+        writer.record({"type": "bench_warm"})
         for _ in range(TELEMETRY_REPEATS):
-            telemetry_store.uninstall()
             t0 = time.perf_counter()
             _plan(net, PartitionScheme())
             off_times.append(time.perf_counter() - t0)
 
-            telemetry_store.install(writer)
-            # uninstall() above closed the writer's segment; reopen it
-            # outside the timed region — a production writer stays open,
-            # so the on-path timing should not pay a per-plan open()
-            writer.record({"type": "bench_warm"})
             t0 = time.perf_counter()
-            _plan(net, PartitionScheme())
+            _plan(net, PartitionScheme(), telemetry=writer)
             on_times.append(time.perf_counter() - t0)
-    finally:
-        telemetry_store.uninstall()
 
     # one warm event + one search event per enabled plan
-    assert writer.events_written == 2 * TELEMETRY_REPEATS
+    assert writer.events_written == 1 + TELEMETRY_REPEATS
     off_ms = statistics.median(off_times) * 1e3
     on_ms = statistics.median(on_times) * 1e3
     overhead = on_ms / off_ms - 1.0

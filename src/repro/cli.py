@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -62,6 +63,9 @@ from .sim.executor import evaluate
 #: default disk tier for the plan service commands (serve / warm / service-stats)
 DEFAULT_CACHE_DIR = ".plan-cache"
 
+#: the default of every ``--telemetry-dir`` and telemetry ``--dir`` flag
+TELEMETRY_ENV = "REPRO_TELEMETRY_DIR"
+
 #: serve flags that only mean something to a fleet (``--shards N``)
 FLEET_ONLY_FLAGS = ("--port", "--host", "--shard-mode", "--restart",
                     "--chaos", "--heartbeat-interval", "--failure-threshold",
@@ -90,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="AccPar (HPCA 2020) planner, simulator and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    telemetry_dir = os.environ.get(TELEMETRY_ENV)
 
     def add_backend_option(p) -> None:
         p.add_argument(
@@ -143,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--trace", default=None,
                    help="write the simulated critical-path Chrome trace here")
-    p.add_argument("--telemetry-dir", default=None,
+    p.add_argument("--telemetry-dir", default=telemetry_dir,
                    help="record per-op timing events to this durable "
                         "telemetry store (see 'repro telemetry export "
-                        "--calibration')")
+                        "--calibration'; default: $REPRO_TELEMETRY_DIR)")
     add_backend_option(p)
     add_profile_option(p)
 
@@ -234,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "seed=0' (omitted keys keep the defaults; "
                         "attempts=1 disables retries so transport errors "
                         "fail over immediately)")
-    p.add_argument("--telemetry-dir", default=None,
+    p.add_argument("--telemetry-dir", default=telemetry_dir,
                    help="durable request telemetry: append JSONL event "
                         "segments under this directory (fleet mode uses "
-                        "frontend/ and shard-<name>/ subdirectories); "
-                        "equivalent to setting REPRO_TELEMETRY_DIR")
+                        "frontend/ and shard-<name>/ subdirectories; "
+                        "default: $REPRO_TELEMETRY_DIR)")
     p.add_argument("--slo", default=None, metavar="SPEC",
                    help="SLO targets for the burn-rate gauges, e.g. "
                         "'latency_ms=250,objective=0.99,window_fast_s=300,"
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("export", "dump all events (or --calibration per-op timings)"),
     ):
         tp = tsub.add_parser(name, help=help_text)
-        tp.add_argument("--dir", default=None,
+        tp.add_argument("--dir", default=telemetry_dir,
                         help="telemetry store directory (default: "
                              "$REPRO_TELEMETRY_DIR)")
         if name == "tail":
@@ -416,12 +421,22 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    telemetry = None
-    if getattr(args, "telemetry_dir", None):
-        from .obs import telemetry as telemetry_store
+def _open_telemetry(directory, stack: contextlib.ExitStack):
+    """A writer appending under ``directory`` that ``stack`` closes, or
+    None when ``directory`` is unset or empty."""
+    if not directory:
+        return None
+    from .obs.telemetry import TelemetryWriter
 
-        telemetry = telemetry_store.install(args.telemetry_dir)
+    return stack.enter_context(TelemetryWriter(directory))
+
+
+def _cmd_simulate(args) -> int:
+    with contextlib.ExitStack() as stack:
+        return _simulate(args, _open_telemetry(args.telemetry_dir, stack))
+
+
+def _simulate(args, telemetry) -> int:
     profile = _load_profile_arg(args)
     if args.plan:
         planned = load_plan(args.plan)
@@ -429,12 +444,12 @@ def _cmd_simulate(args) -> int:
         planner = Planner(args.array,
                           get_scheme(args.scheme, backend=args.backend,
                                      profile=profile),
-                          levels=args.levels)
+                          levels=args.levels, telemetry=telemetry)
         planned = planner.plan(build_model(args.model), args.batch)
     else:
         print("simulate needs --plan or --model", file=sys.stderr)
         return 2
-    report = evaluate(planned, profile=profile)
+    report = evaluate(planned, profile=profile, telemetry=telemetry)
     if telemetry is not None:
         print(f"telemetry: {telemetry.events_written} event(s) -> "
               f"{args.telemetry_dir}", file=sys.stderr)
@@ -586,11 +601,7 @@ def _cmd_serve(args) -> int:
                     return 0
                 handle = frontend.handle_doc
             else:
-                telemetry = None
-                if args.telemetry_dir:
-                    from .obs import telemetry as telemetry_store
-
-                    telemetry = telemetry_store.install(args.telemetry_dir)
+                telemetry = _open_telemetry(args.telemetry_dir, stack)
                 service = stack.enter_context(_build_service(
                     args.cache_dir, args.capacity, args.workers,
                     slo=args.slo, telemetry=telemetry,
@@ -614,15 +625,9 @@ def _start_fleet(args, stack: contextlib.ExitStack):
     if retry is not None:
         retry = RetryPolicy.parse(retry)
     shard_mode = getattr(args, "shard_mode", "thread")
-    frontend_telemetry = None
-    if args.telemetry_dir:
-        from pathlib import Path
-
-        from .obs import telemetry as telemetry_store
-
-        frontend_telemetry = telemetry_store.TelemetryWriter(
-            Path(args.telemetry_dir) / "frontend")
-        stack.callback(frontend_telemetry.close)
+    frontend_telemetry = _open_telemetry(
+        args.telemetry_dir and os.path.join(args.telemetry_dir, "frontend"),
+        stack)
     supervisor = stack.enter_context(ShardSupervisor(
         args.shards,
         cache_dir=args.cache_dir or None,
@@ -829,11 +834,7 @@ def _cmd_service_stats(args) -> int:
 
 
 def _resolve_telemetry_dir(args) -> Optional[str]:
-    import os
-
-    from .obs.telemetry import TELEMETRY_ENV
-
-    directory = getattr(args, "dir", None) or os.environ.get(TELEMETRY_ENV)
+    directory = args.dir
     if not directory:
         print("telemetry needs --dir or REPRO_TELEMETRY_DIR", file=sys.stderr)
     return directory

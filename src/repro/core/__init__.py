@@ -6,7 +6,7 @@ from .cost_model import PairCostModel, inter_layer_elements
 from .dp_vectorized import search_stages
 from .hierarchy import collect_level_plans, plan_tree, stages_key
 from .planner import AccParPlanner, PartitionScheme, PlannedExecution, Planner
-from .ratio import compute_proportional_ratio, solve_balanced_ratio
+from .ratio import solve_balanced_ratio
 from .quantize import (
     QuantizationError,
     QuantizationReport,
@@ -79,7 +79,6 @@ __all__ = [
     "brute_force_chain",
     "greedy_chain",
     "collect_level_plans",
-    "compute_proportional_ratio",
     "first_workload",
     "flatten_to_chain",
     "inter_layer_elements",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.network import Network
@@ -220,7 +221,11 @@ class PlannedExecution:
 
 
 class Planner:
-    """Scheme-parameterized hierarchical planner over an accelerator array."""
+    """Scheme-parameterized hierarchical planner over an accelerator array.
+
+    ``telemetry`` is the writer that gets one ``search`` event per
+    :meth:`plan` call, or None to record nothing.
+    """
 
     def __init__(
         self,
@@ -229,26 +234,24 @@ class Planner:
         dtype_bytes: int = 2,
         levels: Optional[int] = None,
         split_policy: str = "type-separated",
+        telemetry=None,
     ):
         self.array = array
         self.scheme = scheme
         self.dtype_bytes = dtype_bytes
         self.levels = levels
         self.split_policy = split_policy
+        self.telemetry = telemetry
 
     def plan(self, network: Network, batch: int) -> PlannedExecution:
         # telemetry gate first: the disabled path must stay one attribute
         # read with zero allocations (the planner-throughput bench gates
         # this), so even the search event's tally is behind the guard
-        from ..obs import telemetry as telemetry_store
-
-        t = telemetry_store.active()
+        t = self.telemetry
         if t is not None and not t.enabled:
             t = None
         tally = None
         if t is not None:
-            from time import perf_counter
-
             tally = Counter()
             started = perf_counter()
 

@@ -10,21 +10,22 @@ and the F/E boundary moves are affine, and only the Type-I→Type-II and
 Type-III→Type-I inter-layer terms contribute the α·β = α(1-α) cross term
 (Table 5).  The balance equation therefore has a closed form — a linear
 solve for affine transitions, the quadratic formula for the cross
-transitions — implemented by :func:`solve_balanced_ratio_poly` over
-:class:`PairCostPoly` coefficient tuples.  The bracketed bisection
+transitions — which :func:`solve_balanced_ratio_poly_batch` applies to
+every cell of a level at once.  The bracketed bisection
 (:func:`solve_balanced_ratio`) is kept both as the generic closure-based
 API and as the *checked fallback*: whenever the closed form produces no
 admissible root, the solver falls back to it rather than guessing.
 
 When the balance residual never changes sign on the bracket (one party
-dominates at every admissible ratio) there is no balanced α; both solvers
-then minimize ``max(cost_i, cost_j)`` by golden-section search instead.
+dominates at every admissible ratio) there is no balanced α; the slower
+party's cost is then minimized at an endpoint, or by golden-section search
+when the residual dips through zero inside the bracket.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Tuple
 
 from ..obs.tracing import tracer
 
@@ -44,97 +45,6 @@ PATH_MINIMAX = "minimax"
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class PairCostPoly(NamedTuple):
-    """Coefficients of one Eq. 10 balance problem.
-
-    Both parties' costs are expressed in the share α of party *i*::
-
-        cost_i(α) = const_i + lin_i·α + quad_i·α(1-α)
-        cost_j(α) = const_j + lin_j·α + quad_j·α(1-α)
-
-    (party j's affine part is folded into ``const_j``/``lin_j``, so
-    ``lin_j`` is typically negative: j's compute share is 1-α.)  The
-    α(1-α) terms carry the Table 5 cross transitions; they vanish for
-    every other transition family.
-    """
-
-    const_i: float
-    lin_i: float
-    quad_i: float
-    const_j: float
-    lin_j: float
-    quad_j: float
-
-    def costs(self, alpha: float) -> Tuple[float, float]:
-        ab = alpha * (1.0 - alpha)
-        return (
-            self.const_i + self.lin_i * alpha + self.quad_i * ab,
-            self.const_j + self.lin_j * alpha + self.quad_j * ab,
-        )
-
-    def residual(self, alpha: float) -> float:
-        """g(α) = cost_i(α) - cost_j(α)."""
-        ci, cj = self.costs(alpha)
-        return ci - cj
-
-
-def solve_balanced_ratio_poly(
-    poly: PairCostPoly,
-    lo: float = RATIO_LO,
-    hi: float = RATIO_HI,
-) -> Tuple[float, str]:
-    """Closed-form Eq. 10 solve; returns ``(α, solver_path)``.
-
-    The residual ``g(α) = ΔA + ΔB·α + ΔC·α(1-α)`` is affine or quadratic:
-
-    * ``ΔC == 0`` — affine: root at ``-ΔA/ΔB``;
-    * otherwise — ``-ΔC·α² + (ΔB+ΔC)·α + ΔA = 0``, solved with the
-      numerically stable (citardauq) quadratic formula; a sign change of
-      ``g`` on the bracket guarantees exactly one root inside it.
-
-    Mirrors :func:`solve_balanced_ratio`'s bracket semantics exactly so the
-    two emit identical decisions: endpoint roots are returned as-is and a
-    residual that never changes sign falls back to minimizing the pair
-    maximum.  If the closed form yields no admissible in-bracket root
-    (degenerate coefficients), the checked fallback re-solves by bisection.
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-
-    # endpoint residuals, inlined with the exact operation order of
-    # ``poly.residual`` (costs first, then the subtraction) so the sign
-    # checks below agree bit-for-bit with the closure-based solver
-    const_i, lin_i, quad_i, const_j, lin_j, quad_j = poly
-    ab = lo * (1.0 - lo)
-    g_lo = (const_i + lin_i * lo + quad_i * ab) - (const_j + lin_j * lo + quad_j * ab)
-    ab = hi * (1.0 - hi)
-    g_hi = (const_i + lin_i * hi + quad_i * ab) - (const_j + lin_j * hi + quad_j * ab)
-    if g_lo == 0.0:
-        return lo, PATH_LINEAR
-    if g_hi == 0.0:
-        return hi, PATH_LINEAR
-
-    d_a = const_i - const_j
-    d_b = lin_i - lin_j
-    d_c = quad_i - quad_j
-
-    if g_lo * g_hi > 0.0:
-        return _minimize_pair_max_poly(poly, d_a, d_b, d_c, lo, hi), PATH_MINIMAX
-
-    if d_c == 0.0:
-        # affine residual: ΔA + ΔB·α = 0; ΔB != 0 because g changes sign
-        root = -d_a / d_b
-        if math.isfinite(root) and lo <= root <= hi:
-            return root, PATH_LINEAR
-    else:
-        root = _quadratic_root_in(d_a, d_b, d_c, lo, hi)
-        if root is not None:
-            return root, PATH_QUADRATIC
-
-    # checked fallback: the analytic root was lost to degenerate floats
-    return solve_balanced_ratio(poly.costs, lo, hi), PATH_BISECTION
-
-
 def solve_balanced_ratio_poly_batch(
     const_i,
     lin_i,
@@ -147,24 +57,23 @@ def solve_balanced_ratio_poly_batch(
 ):
     """Closed-form Eq. 10 over arrays of coefficients; ``(α array, path counts)``.
 
-    The elementwise twin of :func:`solve_balanced_ratio_poly`, used by
-    :meth:`~repro.core.cost_model.PairCostModel.pack_step_tensors` to solve
-    every (layer, family, type) balance problem of a level in one shot.
-    Every branch replicates the scalar
-    solver's arithmetic *in the same operation order* — numpy's float64
-    elementwise ops are the same IEEE doubles — so each element's α is
-    bit-identical to the scalar solve on its coefficients:
+    Each cell's two party costs are ``const + lin·α + quad·α(1-α)``, so its
+    residual ``g(α) = ΔA + ΔB·α + ΔC·α(1-α)`` is affine or quadratic.
+    :meth:`~repro.core.cost_model.PairCostModel.pack_step_tensors` solves
+    every (layer, family, type) balance problem of a level in one call:
 
     * endpoint residuals exactly zero → that endpoint (linear path);
-    * residual sign unchanged across the bracket → endpoint minimax, unless
-      a root of the quadratic residual sits strictly inside the bracket (a
-      rare interior double root), which defers to the scalar solver's
-      golden-section fallback;
+    * residual sign unchanged across the bracket → the slower party's cost
+      is affine or concave there, so its minimum is the cheaper endpoint
+      (ties keep ``lo``) — unless a root of the quadratic residual sits
+      strictly inside the bracket (a rare interior double root), which
+      goes to the golden-section search :func:`_minimize_pair_max`;
     * affine residual → ``-ΔA/ΔB`` when admissible;
-    * quadratic residual → the two-branch citardauq roots, first admissible
-      candidate wins (same candidate order as :func:`_quadratic_root_in`);
-    * anything left (degenerate floats, inadmissible roots) → the scalar
-      solver per element, which applies its checked bisection fallback.
+    * quadratic residual → ``-ΔC·α² + (ΔB+ΔC)·α + ΔA = 0`` by the
+      numerically stable two-branch (citardauq) formula, the first
+      admissible root winning; a sign change brackets exactly one;
+    * anything left (degenerate floats, inadmissible roots) → the checked
+      bisection :func:`solve_balanced_ratio`.
 
     ``counts`` maps the :data:`PATH_LINEAR` /... constants to how many
     elements each solver path answered, for the caller's counters.
@@ -200,7 +109,7 @@ def solve_balanced_ratio_poly_batch(
         d_c = quad_i - quad_j
 
         # citardauq machinery, shared by the minimax guard and the root
-        # branch (mirrors _quadratic_root_in / _minimize_pair_max_poly)
+        # branch: a·α² + b·α + c = 0 with a = ΔC, b = -(ΔB+ΔC), c = -ΔA
         a = d_c
         b = -(d_b + d_c)
         c = -d_a
@@ -242,47 +151,29 @@ def solve_balanced_ratio_poly_batch(
             np.count_nonzero(pick1) + np.count_nonzero(pick2)
         )
 
-    # everything still NaN defers to the scalar solver: the golden-section
-    # minimax fallback and the checked-bisection degenerate cases
+    # what is left goes to the searches the closed form cannot replace
     for idx in np.flatnonzero(np.isnan(alpha)):
-        poly = PairCostPoly(
-            float(const_i.flat[idx]), float(lin_i.flat[idx]),
-            float(quad_i.flat[idx]), float(const_j.flat[idx]),
-            float(lin_j.flat[idx]), float(quad_j.flat[idx]),
-        )
-        a_scalar, path = solve_balanced_ratio_poly(poly, lo, hi)
-        alpha.flat[idx] = a_scalar
-        counts[path] += 1
+        costs = _pair_costs(*(float(coeff.flat[idx]) for coeff in (
+            const_i, lin_i, quad_i, const_j, lin_j, quad_j)))
+        if golden.flat[idx]:
+            alpha.flat[idx] = _minimize_pair_max(costs, lo, hi)
+            counts[PATH_MINIMAX] += 1
+        else:
+            alpha.flat[idx] = solve_balanced_ratio(costs, lo, hi)
+            counts[PATH_BISECTION] += 1
     return alpha, counts
 
 
-def _quadratic_root_in(
-    d_a: float, d_b: float, d_c: float, lo: float, hi: float
-) -> Optional[float]:
-    """The root of ``ΔA + ΔB·α + ΔC·(α-α²)`` inside ``[lo, hi]``, if any.
+def _pair_costs(const_i: float, lin_i: float, quad_i: float,
+                const_j: float, lin_j: float, quad_j: float) -> PairCostFn:
+    """One cell's ``α -> (cost_i, cost_j)``, in the batch's operation order."""
 
-    Rewritten as ``a·α² + b·α + c = 0`` with ``a = ΔC``, ``b = -(ΔB+ΔC)``,
-    ``c = -ΔA`` and solved via the two-branch stable formula (one root from
-    the standard form, the other from the citardauq form), which keeps
-    precision when ``a`` is small or ``b`` nearly cancels the discriminant.
-    """
-    a, b, c = d_c, -(d_b + d_c), -d_a
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    sqrt_d = math.sqrt(disc)
-    q = -0.5 * (b + math.copysign(sqrt_d, b)) if b != 0.0 else -0.5 * sqrt_d
-    roots = []
-    if a != 0.0:
-        roots.append(q / a)
-    if q != 0.0:
-        roots.append(c / q)
-    candidates = [r for r in roots if math.isfinite(r) and lo <= r <= hi]
-    if not candidates:
-        return None
-    # a sign change admits exactly one interior root; floating point can
-    # surface the second only when both sit at the same point anyway
-    return candidates[0]
+    def costs(alpha: float) -> Tuple[float, float]:
+        ab = alpha * (1.0 - alpha)
+        return (const_i + lin_i * alpha + quad_i * ab,
+                const_j + lin_j * alpha + quad_j * ab)
+
+    return costs
 
 
 def solve_balanced_ratio(
@@ -327,9 +218,8 @@ def _solve_balanced_ratio(
     threshold whose meaning depends on the cost magnitudes.
 
     This is the generic closure-based solver; when the per-party costs are
-    available as :class:`PairCostPoly` coefficients, prefer the closed-form
-    :func:`solve_balanced_ratio_poly` (identical answers, ~80× fewer cost
-    evaluations).
+    available as polynomial coefficients, prefer the closed-form
+    :func:`solve_balanced_ratio_poly_batch` (~80× fewer cost evaluations).
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -370,14 +260,15 @@ def _minimize_pair_max(
 ) -> float:
     """Golden-section search for the α minimizing the slower party's cost.
 
-    This fallback only runs when the balance residual has one sign on the
-    whole bracket, i.e. the same party is the slower one at every admissible
-    α; ``max(cost_i, cost_j)`` then coincides with that party's single
-    smooth cost — affine or quadratic under the model, hence unimodal on
-    the bracket, which is exactly the shape golden-section search needs.
-    The endpoints are compared against the interior optimum explicitly so
-    boundary minima (e.g. of the concave α·β cross-term costs) are never
-    missed.
+    This fallback only runs when the balance residual has one sign at both
+    ends of the bracket.  When the same party is the slower one at every
+    admissible α, ``max(cost_i, cost_j)`` coincides with that party's
+    single smooth cost — affine or quadratic under the model, hence
+    unimodal on the bracket, which is exactly the shape golden-section
+    search needs; the batched solver sends it only the cells whose
+    residual dips through zero inside the bracket.  The endpoints are
+    compared against the interior optimum explicitly so boundary minima
+    (e.g. of the concave α·β cross-term costs) are never missed.
     """
 
     def value(alpha: float) -> float:
@@ -407,51 +298,3 @@ def _minimize_pair_max(
         if v < best_value:
             best_alpha, best_value = alpha, v
     return best_alpha
-
-
-def _minimize_pair_max_poly(
-    poly: PairCostPoly,
-    d_a: float,
-    d_b: float,
-    d_c: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Endpoint minimax for polynomial pair costs.
-
-    Each party's cost ``const + lin·α + quad·α(1-α)`` is affine or concave
-    in α (second derivative ``-2·quad ≤ 0``), so on a bracket where one
-    party dominates throughout, ``max(cost_i, cost_j)`` is that party's
-    concave cost and its minimum sits at an endpoint — no search needed.
-    Dominance can only switch mid-bracket if the quadratic residual dips
-    through zero *strictly inside* the bracket despite same-sign endpoints
-    (a double interior root); that rare case falls back to the same
-    golden-section search the closure-based solver uses.  Ties between the
-    endpoints keep ``lo``, matching the search's lo-first comparison order.
-    """
-    if d_c != 0.0:
-        a, b, c = d_c, -(d_b + d_c), -d_a
-        disc = b * b - 4.0 * a * c
-        if disc > 0.0:
-            sqrt_d = math.sqrt(disc)
-            q = -0.5 * (b + math.copysign(sqrt_d, b)) if b != 0.0 else -0.5 * sqrt_d
-            for root in ((q / a) if a != 0.0 else math.inf,
-                         (c / q) if q != 0.0 else math.inf):
-                if lo < root < hi:
-                    return _minimize_pair_max(poly.costs, lo, hi)
-    v_lo = max(poly.costs(lo))
-    v_hi = max(poly.costs(hi))
-    return lo if v_lo <= v_hi else hi
-
-
-def compute_proportional_ratio(flops_i: float, flops_j: float) -> float:
-    """The ratio matching raw compute densities: α = c_i / (c_i + c_j).
-
-    Used as the nominal ratio for boundary-only transfers (skip paths) where
-    there is no per-layer computation to balance, and as the initial guess in
-    diagnostics.
-    """
-    if flops_i <= 0 or flops_j <= 0:
-        raise ValueError("compute densities must be positive")
-    alpha = flops_i / (flops_i + flops_j)
-    return min(max(alpha, RATIO_LO), RATIO_HI)

@@ -138,9 +138,11 @@ class CalibrationGapReport:
 
 
 def _plan(model: str, array: AcceleratorGroup, batch: int,
-          profile: Optional[CalibratedProfile]) -> PlannedExecution:
+          profile: Optional[CalibratedProfile],
+          telemetry=None) -> PlannedExecution:
     scheme = get_scheme("accpar", profile=profile)
-    return Planner(array, scheme).plan(build_model(model), batch)
+    return Planner(array, scheme, telemetry=telemetry).plan(
+        build_model(model), batch)
 
 
 def measure_export(
@@ -151,13 +153,11 @@ def measure_export(
     directory,
 ) -> Dict:
     """Simulate analytic plans on the ground truth, recording telemetry."""
-    telemetry_store.install(str(directory))
-    try:
+    # closing the writer makes its segments durable before the export
+    with telemetry_store.TelemetryWriter(directory) as telemetry:
         for model in models:
-            planned = _plan(model, array, batch, profile=None)
-            evaluate(planned, profile=truth)
-    finally:
-        telemetry_store.uninstall()  # closes the writer: segments are durable
+            planned = _plan(model, array, batch, None, telemetry)
+            evaluate(planned, profile=truth, telemetry=telemetry)
     return telemetry_store.calibration_export(directory)
 
 

@@ -102,10 +102,6 @@ class StragglerOutcome:
     scheme: str
 
     @property
-    def degradation_with_stale_plan(self) -> float:
-        return self.stale_plan_time / self.healthy_time
-
-    @property
     def recovery_gain(self) -> float:
         """How much re-planning recovers vs running the stale plan."""
         return self.stale_plan_time / self.replanned_time

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.registry import MetricsRegistry
 from .ring import HashRing
@@ -133,14 +133,6 @@ class HealthMonitor:
         with self._lock:
             shard = self._shards.get(name)
             return bool(shard and shard.up)
-
-    def up_shards(self) -> List[str]:
-        with self._lock:
-            return [n for n, s in self._shards.items() if s.up]
-
-    def down_shards(self) -> List[str]:
-        with self._lock:
-            return [n for n, s in self._shards.items() if not s.up]
 
     def snapshot(self) -> Dict:
         with self._lock:

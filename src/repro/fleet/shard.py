@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs import telemetry as telemetry_store
 from ..obs.logging import get_logger, set_log_context
+from ..obs.telemetry import TelemetryWriter
 from ..obs.tracing import tracer
 from ..service.cache import PlanCache
 from ..service.server import handle_doc as service_handle_doc
@@ -86,14 +86,14 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
             except FrameTooLarge as exc:
                 try:
                     send_frame(sock, too_large(exc.declared),
-                               chaos=shard.chaos)
+                               chaos=shard.chaos, telemetry=shard.telemetry)
                 except OSError:
                     pass
                 return  # stream is desynchronized past a refused frame
             except BadPayload as exc:  # still at a frame boundary
                 try:
                     send_frame(sock, {"ok": False, "error": str(exc)},
-                               chaos=shard.chaos)
+                               chaos=shard.chaos, telemetry=shard.telemetry)
                 except OSError:
                     return
                 continue
@@ -110,7 +110,7 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 return
             try:
                 send_frame(sock, reply, chaos=shard.chaos,
-                           telemetry=shard.service.recorder.telemetry)
+                           telemetry=shard.telemetry)
             except OSError:
                 return
             if stop:
@@ -144,13 +144,11 @@ class ShardServer:
         profile_path=None,
     ):
         self.name = str(name)
-        # in thread mode several shards share one process, so each shard
-        # gets its own writer (per-shard directory) instead of the
-        # process-wide install; in process mode run_shard installs the
-        # writer process-wide before building the server
-        telemetry = None
-        if telemetry_dir is not None:
-            telemetry = telemetry_store.TelemetryWriter(telemetry_dir)
+        #: this shard's one writer (None without ``telemetry_dir``): its
+        #: service, planners and wire frames all record to it, whether the
+        #: shard runs as a thread beside others or as its own process
+        self.telemetry = (None if telemetry_dir is None
+                          else TelemetryWriter(telemetry_dir))
         # profile travels as a *path* (a primitive: pickles through spawn,
         # same pattern as the chaos/slo spec strings); every shard loads
         # the same calibrated rates and prices its plans with them
@@ -163,7 +161,7 @@ class ShardServer:
             cache=PlanCache(capacity=capacity, disk_dir=cache_dir),
             workers=workers,
             slo=slo,
-            telemetry=telemetry,
+            telemetry=self.telemetry,
             telemetry_labels={"shard": str(name)},
             default_profile=default_profile,
         )
@@ -286,6 +284,8 @@ class ShardServer:
         finally:
             self._server.server_close()
             self.service.close()
+            if self.telemetry is not None:
+                self.telemetry.close()
 
     def start_background(self) -> None:
         """Serve from a daemon thread (the supervisor's thread mode)."""
@@ -315,10 +315,6 @@ def run_shard(config: Dict, port_conn) -> None:
     # every JSON log line this process emits carries its shard name, so
     # logs join the {shard="n"} metric series without per-call-site extras
     set_log_context(shard=str(config["name"]))
-    if config.get("telemetry_dir"):
-        # process-wide: the service, planner and sim producers in this
-        # process all share one writer appending to the shard's directory
-        telemetry_store.install(config["telemetry_dir"])
     server = ShardServer(
         config["name"],
         host=config.get("host", "127.0.0.1"),
@@ -329,6 +325,7 @@ def run_shard(config: Dict, port_conn) -> None:
         trace=config.get("trace", False),
         chaos=config.get("chaos"),  # a spec string: pickles under spawn
         hard_exit=True,  # chaos_kill in a real process is a real crash
+        telemetry_dir=config.get("telemetry_dir"),
         slo=config.get("slo"),  # a spec string: pickles under spawn
         profile_path=config.get("profile_path"),
     )

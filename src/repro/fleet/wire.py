@@ -163,19 +163,11 @@ def _record_chaos(doc: Dict[str, Any], tags: "tuple[str, ...]",
     The event carries the outbound doc's trace id (requests and replies
     both echo it), which is how :func:`repro.obs.telemetry.summarize`
     separates chaos-injected latency from organic latency.  ``telemetry``
-    is an explicit writer (a thread-mode shard's own store); ``None``
-    falls back to the process-wide install.
+    is the sender's writer; ``None`` records nothing.
     """
-    if not tags:
+    if not tags or telemetry is None or not telemetry.enabled:
         return
-    t = telemetry
-    if t is None:
-        from ..obs import telemetry as telemetry_store
-
-        t = telemetry_store.active()
-    if t is None or not t.enabled:
-        return
-    t.record({
+    telemetry.record({
         "type": "chaos",
         "faults": list(tags),
         "trace_id": doc.get("trace_id"),

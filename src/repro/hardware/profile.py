@@ -57,6 +57,12 @@ class ProfileMismatchError(ProfileError):
     """A profile was asked about hardware it has no calibration for."""
 
 
+def _finite(value) -> bool:
+    """True for an int or float (not a bool) that is neither NaN nor ±inf."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class SpecProfile:
     """Effective-rate model of one accelerator spec (one Table 7 row).
@@ -84,21 +90,29 @@ class SpecProfile:
                 f"spec profile {self.spec!r} needs a {DEFAULT_KIND!r} compute rate"
             )
         for kind, rate in rates.items():
-            if not (isinstance(rate, (int, float)) and rate > 0):
+            if not (_finite(rate) and rate > 0):
                 raise ProfileError(
-                    f"compute rate for {self.spec!r}/{kind!r} must be positive"
+                    f"compute rate for {self.spec!r}/{kind!r} must be "
+                    f"positive and finite, got {rate!r}"
                 )
-        if self.transfer_latency_s < 0:
-            raise ProfileError("transfer_latency_s must be non-negative")
-        if self.memory_bandwidth_scale <= 0:
-            raise ProfileError("memory_bandwidth_scale must be positive")
+        latency = self.transfer_latency_s
+        if not (_finite(latency) and latency >= 0):
+            raise ProfileError(
+                f"transfer_latency_s of {self.spec!r} must be non-negative "
+                f"and finite, got {latency!r}")
+        scale = self.memory_bandwidth_scale
+        if not (_finite(scale) and scale > 0):
+            raise ProfileError(
+                f"memory_bandwidth_scale of {self.spec!r} must be positive "
+                f"and finite, got {scale!r}")
         points = tuple(sorted((float(s), float(e))
                               for s, e in self.bandwidth_efficiency))
         for size, eff in points:
-            if size <= 0 or not 0 < eff <= 1.0:
+            if not (_finite(size) and size > 0 and 0 < eff <= 1.0):
                 raise ProfileError(
                     f"bandwidth efficiency point ({size}, {eff}) of "
-                    f"{self.spec!r} must have size > 0 and efficiency in (0, 1]"
+                    f"{self.spec!r} must have a finite size > 0 and "
+                    f"efficiency in (0, 1]"
                 )
         object.__setattr__(self, "bandwidth_efficiency", points)
         object.__setattr__(self, "compute_rates",
@@ -294,6 +308,13 @@ def profile_to_doc(profile) -> Dict:
     }
 
 
+def _doc_number(value, field: str) -> float:
+    """A document number as a float; a bool or a non-number names ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProfileError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def profile_from_doc(doc) -> "HardwareProfile":
     """Parse a ``repro.hardware.profile/v1`` document (tolerant of extras)."""
     if not isinstance(doc, dict):
@@ -320,12 +341,19 @@ def profile_from_doc(doc) -> "HardwareProfile":
             raise ProfileError(f"spec entry {name!r} needs 'compute_rates'")
         specs.append(SpecProfile(
             spec=str(name),
-            compute_rates=tuple((str(k), float(v)) for k, v in rates.items()),
+            compute_rates=tuple(
+                (str(k), _doc_number(v, f"compute rate for {name!r}/{k!r}"))
+                for k, v in rates.items()),
             bandwidth_efficiency=tuple(
-                (float(s), float(e))
+                (_doc_number(s, f"bandwidth efficiency size of {name!r}"),
+                 _doc_number(e, f"bandwidth efficiency of {name!r}"))
                 for s, e in sd.get("bandwidth_efficiency", ())),
-            transfer_latency_s=float(sd.get("transfer_latency_s", 0.0)),
-            memory_bandwidth_scale=float(sd.get("memory_bandwidth_scale", 1.0)),
+            transfer_latency_s=_doc_number(
+                sd.get("transfer_latency_s", 0.0),
+                f"transfer_latency_s of {name!r}"),
+            memory_bandwidth_scale=_doc_number(
+                sd.get("memory_bandwidth_scale", 1.0),
+                f"memory_bandwidth_scale of {name!r}"),
         ))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):

@@ -18,8 +18,8 @@ Three telemetry concerns, one dependency-free layer:
 * :mod:`repro.obs.telemetry` — the durable half: an append-only JSONL
   event store (segment rotation, bounded retention, corrupt-line
   quarantine) recording request lifecycles, per-op sim timings and
-  planner search records, with a process-wide
-  :func:`~repro.obs.telemetry.active` writer gate.
+  planner search records; each producer writes only to the
+  :class:`~repro.obs.telemetry.TelemetryWriter` its owner hands it.
 * :mod:`repro.obs.slo` — latency/deadline SLO accounting: good/bad
   classification against an :class:`~repro.obs.slo.SLOConfig`, error
   budget and fast/slow burn-rate windows.

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from . import telemetry as telemetry_store
 from .logging import slow_request_threshold_s
 from .registry import MetricsRegistry
 from .slo import SLOTracker
@@ -106,7 +105,7 @@ class RequestRecorder:
     """The request sinks of one component.
 
     ``slo`` is an :class:`SLOTracker`, an ``SLOConfig``, a spec string or
-    None; ``telemetry`` a writer, or None for the process-wide one.
+    None; ``telemetry`` the component's writer, or None to record no events.
     ``labels`` are merged into every event.  A served plan slower than
     ``slow_request_s`` (default ``REPRO_SLOW_REQUEST_MS``, then 1 s) logs
     ``slow plan request`` on ``log`` and counts ``slow_requests``.
@@ -129,8 +128,7 @@ class RequestRecorder:
         self.latency = metrics.histogram(histogram)
         self.log = log
         self.slo = slo if isinstance(slo, SLOTracker) else SLOTracker(slo)
-        self.telemetry = telemetry if telemetry is not None \
-            else telemetry_store.active()
+        self.telemetry = telemetry
         self.labels = dict(labels or {})
         self.slow_request_s = slow_request_threshold_s(slow_request_s)
 

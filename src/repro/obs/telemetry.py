@@ -23,11 +23,18 @@ the full schema table):
 * ``chaos``     — one per injected wire fault, so SLO burn attribution
   can separate injected latency from organic latency.
 
+Each participant — a ``serve`` or ``simulate`` process, a fleet frontend,
+each fleet shard — opens one writer, and its owner hands that writer to
+every producer it builds (:class:`~repro.obs.request.RequestRecorder`,
+:class:`~repro.core.planner.Planner`, :func:`~repro.sim.evaluate`,
+``send_frame``).  No producer looks a writer up anywhere else, so the
+events of two participants sharing a process never mix.
+
 Design rules, mirrored from the PR 7 cache and chaos harness:
 
 * **disabled path costs nothing** — every producer guards with
-  ``t is not None and t.enabled`` before building the event dict, and
-  the process-wide :func:`active` gate is one attribute read;
+  ``t is not None and t.enabled`` on the writer it holds before building
+  the event dict;
 * **corrupt lines are quarantined, never deleted** — :func:`scrub`
   rewrites a damaged segment atomically without its bad lines and
   appends them to ``<segment>.corrupt`` (the PR 7 ``*.json.corrupt``
@@ -50,10 +57,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..ioutil import atomic_write_text
-
-#: environment variable carrying a telemetry directory for process-wide
-#: installation (the CLI's ``serve --telemetry-dir`` sets the same thing up)
-TELEMETRY_ENV = "REPRO_TELEMETRY_DIR"
 
 #: the event types the store understands (free-form extras are allowed,
 #: but the CLI summary groups by these)
@@ -90,8 +93,8 @@ def segment_paths(directory) -> List[Path]:
 class TelemetryWriter:
     """Append-only JSONL writer with size rotation and bounded retention.
 
-    Thread-safe; one instance is shared by every producer in a process
-    (service request path, sim evaluator, planner).  ``enabled`` is the
+    Thread-safe; one instance is shared by every producer its owner hands
+    it to (service request path, sim evaluator, planner).  ``enabled`` is the
     hot-path gate: producers must check it **before** building the event
     dict, so a disabled writer costs one attribute read and nothing else.
     """
@@ -481,51 +484,3 @@ def calibration_export(directory) -> Dict[str, Any]:
         "source": str(directory),
         "hardware": dict(sorted(hardware.items())),
     }
-
-
-# ----------------------------------------------------------------------
-# process-wide installation (the env-var / CLI gate, chaos.py pattern)
-# ----------------------------------------------------------------------
-
-_active: Optional[TelemetryWriter] = None
-_env_checked = False
-_active_lock = threading.Lock()
-
-
-def install(target, **kwargs) -> TelemetryWriter:
-    """Install a process-wide writer (directory path or writer instance)."""
-    global _active, _env_checked
-    writer = target if isinstance(target, TelemetryWriter) \
-        else TelemetryWriter(target, **kwargs)
-    with _active_lock:
-        _active = writer
-        _env_checked = True
-    return writer
-
-
-def uninstall() -> None:
-    """Remove the process-wide writer (and forget the env-var check)."""
-    global _active, _env_checked
-    with _active_lock:
-        if _active is not None:
-            _active.close()
-        _active = None
-        _env_checked = False
-
-
-def active() -> Optional[TelemetryWriter]:
-    """The process-wide writer, auto-installed from ``REPRO_TELEMETRY_DIR``.
-
-    The common (disabled) path is one attribute read — producers call this
-    per request / per plan, so it must cost nothing when telemetry is off.
-    """
-    global _active, _env_checked
-    if _active is not None or _env_checked:
-        return _active
-    with _active_lock:
-        if not _env_checked:
-            directory = os.environ.get(TELEMETRY_ENV)
-            if directory:
-                _active = TelemetryWriter(directory)
-            _env_checked = True
-        return _active

@@ -284,19 +284,6 @@ class Tracer:
 tracer = Tracer()
 
 
-def span_index(spans: List[Span]) -> Dict[int, Span]:
-    """``span_id -> span`` lookup over a span list."""
-    return {span.span_id: span for span in spans}
-
-
-def children_of(spans: List[Span]) -> Dict[Optional[int], List[Span]]:
-    """``parent_id -> [children]`` over a span list (None = roots)."""
-    tree: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        tree.setdefault(span.parent_id, []).append(span)
-    return tree
-
-
 def thread_rows(spans: List[Span]) -> Dict[int, int]:
     """Stable small-integer row (``tid``) per OS thread id, for exporters."""
     rows: Dict[int, int] = {}

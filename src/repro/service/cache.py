@@ -271,10 +271,6 @@ class PlanCache:
         with self._lock:
             return key in self._entries
 
-    def memory_keys(self):
-        with self._lock:
-            return list(self._entries)
-
     def disk_keys(self):
         if self.disk_dir is None:
             return []

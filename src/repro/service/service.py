@@ -61,12 +61,6 @@ class PlanResponse(RequestRecord):
         return self.source in ("memory", "disk")
 
 
-def _plan(request: PlanRequest, scheme: PartitionScheme) -> PlannedExecution:
-    planner = Planner(request.array, scheme, dtype_bytes=request.dtype_bytes,
-                      levels=request.levels)
-    return planner.plan(request.build_network(), request.batch)
-
-
 class PlanService:
     """Long-running, concurrent planning front-end over the AccPar planner."""
 
@@ -257,8 +251,18 @@ class PlanService:
         with self._pending_lock:
             self._pending.discard(fut)
 
+    def _plan(self, request: PlanRequest,
+              scheme: PartitionScheme) -> PlannedExecution:
+        """Plan ``request`` under ``scheme``; the search event goes to this
+        service's writer."""
+        planner = Planner(request.array, scheme,
+                          dtype_bytes=request.dtype_bytes,
+                          levels=request.levels,
+                          telemetry=self.recorder.telemetry)
+        return planner.plan(request.build_network(), request.batch)
+
     def _plan_exact(self, request: PlanRequest) -> PlannedExecution:
-        return _plan(request, request.partition_scheme())
+        return self._plan(request, request.partition_scheme())
 
     def _plan_degraded(self, request: PlanRequest) -> PlannedExecution:
         """The deadline fallback: same scheme, fallback search backend, inline.
@@ -266,7 +270,7 @@ class PlanService:
         Deliberately NOT cached — the background exact job owns the cache
         entry, so a degraded answer can never mask the exact plan.
         """
-        return _plan(request, request.partition_scheme(FALLBACK_BACKEND))
+        return self._plan(request, request.partition_scheme(FALLBACK_BACKEND))
 
     # ------------------------------------------------------------------
     # lifecycle / introspection

@@ -48,7 +48,6 @@ from .trace import (
     optimizer_update_events,
     total_amount,
 )
-from ..obs import telemetry as telemetry_store
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def _record_leaf_timings(telemetry, planned: PlannedExecution, node: GroupNode,
     """One durable ``op_timing`` event per (layer, phase) of a leaf group.
 
     These are the measured per-op timings ``repro telemetry export
-    --calibration`` aggregates into per-hardware curves.  Only called when
-    a telemetry writer is active and enabled, and memoized leaves record
+    --calibration`` aggregates into per-hardware curves.  Only called with
+    an enabled telemetry writer, and memoized leaves record
     once per distinct (group, stages) pair — duplicates carry no new
     calibration signal.
     """
@@ -238,16 +237,17 @@ def _level_net_events(
 
 def evaluate(planned: PlannedExecution,
              config: Optional[EngineConfig] = None,
-             profile=None) -> SimReport:
+             profile=None,
+             telemetry=None) -> SimReport:
     """Simulate one training iteration of a planned execution.
 
     ``profile`` selects the hardware rates the timing engine applies: the
     default (``None``) keeps the peak analytic ones; a
     :class:`~repro.hardware.profile.CalibratedProfile` scores the plan
     under measured effective rates instead (it must cover every spec in
-    the planned array).
+    the planned array).  ``telemetry`` is the writer that gets the
+    ``op_timing`` events, or None to record nothing.
     """
-    telemetry = telemetry_store.active()
     if telemetry is not None and not telemetry.enabled:
         telemetry = None
     root, _ = simulate_critical_path(planned, config, profile, telemetry)

@@ -558,21 +558,23 @@ class TestPlanDiffCommand:
 
 
 class TestTelemetryCommands:
-    @pytest.fixture(autouse=True)
-    def _no_process_writer(self):
-        from repro.obs import telemetry as telemetry_store
-
-        telemetry_store.uninstall()
-        yield
-        telemetry_store.uninstall()
+    SIMULATE = ["simulate", "--model", "lenet", "--array",
+                "tpu-v2:2,tpu-v3:2", "--batch", "32"]
 
     def _store(self, tmp_path):
         store = tmp_path / "telemetry"
-        code = main(["simulate", "--model", "lenet", "--array",
-                     "tpu-v2:2,tpu-v3:2", "--batch", "32",
-                     "--telemetry-dir", str(store)])
-        assert code == 0
+        assert main([*self.SIMULATE, "--telemetry-dir", str(store)]) == 0
         return store
+
+    def test_env_var_is_the_default_telemetry_dir(self, tmp_path,
+                                                  monkeypatch):
+        from repro.obs.telemetry import summarize
+
+        flag = self._store(tmp_path)
+        env = tmp_path / "env"
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(env))
+        assert main(self.SIMULATE) == 0
+        assert summarize(env)["by_type"] == summarize(flag)["by_type"]
 
     def test_simulate_writes_telemetry(self, capsys, tmp_path):
         store = self._store(tmp_path)

@@ -4,7 +4,6 @@ import logging
 
 import pytest
 
-from repro.obs import telemetry as telemetry_store
 from repro.obs.registry import MetricsRegistry
 from repro.obs.request import (
     REQUEST_EVENT_KEYS,
@@ -15,15 +14,6 @@ from repro.obs.request import (
 from repro.obs.telemetry import TelemetryWriter, read_events
 
 LOG = logging.getLogger("repro.test.request")
-
-
-@pytest.fixture(autouse=True)
-def _no_process_writer(monkeypatch):
-    """No process-wide writer, so ``telemetry=None`` means none."""
-    monkeypatch.delenv(telemetry_store.TELEMETRY_ENV, raising=False)
-    telemetry_store.uninstall()
-    yield
-    telemetry_store.uninstall()
 
 
 class TestRules:

@@ -9,12 +9,10 @@ import pytest
 from repro.hardware.presets import heterogeneous_array, homogeneous_array
 from repro.models.registry import build_model
 from repro.core.cost_model import PairCostModel
-from repro.core.planner import AccParPlanner
-from repro.obs import telemetry as telemetry_store
+from repro.core.planner import PartitionScheme, Planner
 from repro.obs.telemetry import (
     CALIBRATION_SCHEMA,
     ReadReport,
-    TELEMETRY_ENV,
     TelemetryError,
     TelemetryWriter,
     calibration_export,
@@ -25,14 +23,6 @@ from repro.obs.telemetry import (
     summarize,
 )
 from repro.sim.executor import evaluate
-
-
-@pytest.fixture(autouse=True)
-def _no_process_writer():
-    """Each test starts and ends without a process-wide writer."""
-    telemetry_store.uninstall()
-    yield
-    telemetry_store.uninstall()
 
 
 class TestWriter:
@@ -160,34 +150,16 @@ class TestQuarantine:
         assert len(read_events(tmp_path)) == 2
 
 
-class TestProcessWideInstall:
-    def test_install_and_active(self, tmp_path):
-        writer = telemetry_store.install(tmp_path)
-        assert telemetry_store.active() is writer
-        telemetry_store.uninstall()
-        assert telemetry_store.active() is None
-
-    def test_env_var_installs_lazily(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, str(tmp_path))
-        telemetry_store.uninstall()
-        writer = telemetry_store.active()
-        assert writer is not None
-        assert str(writer.directory) == str(tmp_path)
-        telemetry_store.uninstall()
-
-    def test_no_env_means_no_writer(self, monkeypatch):
-        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
-        assert telemetry_store.active() is None
+def _plan(telemetry=None, model="lenet", array=None):
+    planner = Planner(array or heterogeneous_array(), PartitionScheme(),
+                      telemetry=telemetry)
+    return planner.plan(build_model(model), batch=32)
 
 
 class TestProducers:
-    def _plan(self):
-        planner = AccParPlanner(heterogeneous_array())
-        return planner.plan(build_model("lenet"), batch=32)
-
     def test_planner_records_search_event(self, tmp_path):
-        telemetry_store.install(tmp_path)
-        self._plan()
+        with TelemetryWriter(tmp_path) as writer:
+            _plan(writer)
         events = read_events(tmp_path, types=("search",))
         assert len(events) == 1
         event = events[0]
@@ -203,16 +175,16 @@ class TestProducers:
         plans = {"lenet": heterogeneous_array(),
                  "alexnet": homogeneous_array(8)}
 
-        def plan(model):
-            AccParPlanner(plans[model]).plan(build_model(model), batch=32)
+        def plan(model, writer):
+            _plan(writer, model, plans[model])
 
         def searches(directory):
             return {e["model"]: e["counters"]["vec_searches"]
                     for e in read_events(directory, types=("search",))}
 
-        telemetry_store.install(tmp_path / "alone")
-        for model in plans:
-            plan(model)
+        with TelemetryWriter(tmp_path / "alone") as writer:
+            for model in plans:
+                plan(model, writer)
         alone = searches(tmp_path / "alone")
         assert alone["lenet"] != alone["alexnet"]
 
@@ -227,21 +199,22 @@ class TestProducers:
             return pack(model, workloads)
 
         monkeypatch.setattr(PairCostModel, "pack_step_tensors", pausing_pack)
-        telemetry_store.install(tmp_path / "together")
-        first = threading.Thread(target=plan, args=("lenet",))
+        together = TelemetryWriter(tmp_path / "together")
+        first = threading.Thread(target=plan, args=("lenet", together))
         first.start()
         try:
             assert paused.wait(30)
-            plan("alexnet")
+            plan("alexnet", together)
         finally:
             resume.set()
             first.join(30)
+            together.close()
         assert not first.is_alive()
         assert searches(tmp_path / "together") == alone
 
     def test_sim_records_op_timings_per_spec(self, tmp_path):
-        telemetry_store.install(tmp_path)
-        evaluate(self._plan())
+        with TelemetryWriter(tmp_path) as writer:
+            evaluate(_plan(), telemetry=writer)
         events = read_events(tmp_path, types=("op_timing",))
         assert events, "sim run must produce op_timing events"
         hardware = {e["hardware"] for e in events}
@@ -264,8 +237,8 @@ class TestProducers:
             assert event["time_s"] >= 0
 
     def test_calibration_export_schema(self, tmp_path):
-        telemetry_store.install(tmp_path)
-        evaluate(self._plan())
+        with TelemetryWriter(tmp_path) as writer:
+            evaluate(_plan(), telemetry=writer)
         document = calibration_export(tmp_path)
         assert document["schema"] == CALIBRATION_SCHEMA
         assert {"tpu-v2", "tpu-v3"} <= set(document["hardware"])
@@ -289,13 +262,12 @@ class TestProducers:
         """With telemetry disabled no event dict is ever built: producers
         must gate before allocation, so a poisoned record() never fires —
         for a plan, a simulation, a service hit, miss and error, and a
-        thread-fleet item."""
+        thread-fleet item, each handed the disabled writer."""
         from repro.fleet import FleetFrontend, ShardSupervisor
         from repro.obs import request as request_module
         from repro.service import PlanCache, PlanRequest, PlanService
 
         writer = TelemetryWriter(tmp_path, enabled=False)
-        telemetry_store.install(writer)
 
         calls = {"record": 0}
 
@@ -305,9 +277,10 @@ class TestProducers:
 
         monkeypatch.setattr(TelemetryWriter, "record", poisoned)
         monkeypatch.setattr(request_module, "request_event", poisoned)
-        planned = self._plan()
-        evaluate(planned)
-        with PlanService(cache=PlanCache(capacity=4)) as service:
+        planned = _plan(writer)
+        evaluate(planned, telemetry=writer)
+        with PlanService(cache=PlanCache(capacity=4),
+                         telemetry=writer) as service:
             request = PlanRequest(model="lenet", array=heterogeneous_array(),
                                   batch=32)
             assert service.plan(request).source == "planned"
@@ -317,7 +290,8 @@ class TestProducers:
                                          array=heterogeneous_array()))
             assert service.recorder.slo.snapshot()["total"] == 3
         with ShardSupervisor(1, mode="thread") as supervisor:
-            with FleetFrontend(supervisor.handles) as frontend:
+            with FleetFrontend(supervisor.handles,
+                               telemetry=writer) as frontend:
                 reply = frontend.handle_doc(
                     {"model": "lenet", "array": "tpu-v3:2", "batch": 32})
                 assert reply["ok"], reply
@@ -350,6 +324,35 @@ class TestProducers:
             assert event["shard"] == "t0"
         sources = [e["source"] for e in events]
         assert "memory" in sources[1]
+
+    def test_service_hands_its_writer_to_its_planners(self, tmp_path):
+        """The exact job and the deadline fallback both record their
+        search into the service's own writer."""
+        from repro.service import PlanCache, PlanRequest, PlanService
+
+        with TelemetryWriter(tmp_path) as writer:
+            with PlanService(cache=PlanCache(capacity=4),
+                             telemetry=writer) as service:
+                request = PlanRequest(model="lenet",
+                                      array=heterogeneous_array(), batch=32)
+                assert service.plan(request, deadline_s=0).degraded
+                service.drain()
+        searches = read_events(tmp_path, types=("search",))
+        assert sorted(e["backend"] for e in searches) == ["dp", "greedy"]
+        assert {e["model"] for e in searches} == {"lenet"}
+
+    def test_library_reads_no_environment(self, tmp_path, monkeypatch):
+        """``REPRO_TELEMETRY_DIR`` is only a CLI default: a planner, an
+        evaluation and a service given no writer record nothing."""
+        from repro.service import PlanCache, PlanRequest, PlanService
+
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
+        evaluate(_plan())
+        with PlanService(cache=PlanCache(capacity=4)) as service:
+            service.plan(PlanRequest(model="lenet",
+                                     array=heterogeneous_array(), batch=32))
+            assert "telemetry" not in service.snapshot()
+        assert segment_paths(tmp_path) == []
 
 
 class TestSummarize:

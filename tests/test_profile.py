@@ -74,6 +74,28 @@ class TestSpecProfileValidation:
             SpecProfile(spec="x", compute_rates=(("default", 1e12),),
                         bandwidth_efficiency=((0.0, 0.5),))
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("compute rate", {"compute_rates": (("default", math.inf),)}),
+        ("compute rate", {"compute_rates": (("default", math.nan),)}),
+        ("compute rate", {"compute_rates": (("default", True),)}),
+        ("compute rate", {"compute_rates": (("default", 1e12),
+                                            ("fc", "1e12"))}),
+        ("transfer_latency_s", {"transfer_latency_s": math.inf}),
+        ("transfer_latency_s", {"transfer_latency_s": math.nan}),
+        ("transfer_latency_s", {"transfer_latency_s": True}),
+        ("memory_bandwidth_scale", {"memory_bandwidth_scale": math.nan}),
+        ("memory_bandwidth_scale", {"memory_bandwidth_scale": math.inf}),
+        ("bandwidth efficiency", {"bandwidth_efficiency": ((math.inf, 0.5),)}),
+        ("bandwidth efficiency", {"bandwidth_efficiency": ((math.nan, 0.5),)}),
+        ("bandwidth efficiency", {"bandwidth_efficiency": ((1e6, math.nan),)}),
+    ])
+    def test_rejects_non_finite_values_naming_the_field(self, field,
+                                                        overrides):
+        kwargs = {"spec": "x", "compute_rates": (("default", 1e12),),
+                  **overrides}
+        with pytest.raises(ProfileError, match=field):
+            SpecProfile(**kwargs)
+
     def test_curve_points_sorted_by_size(self):
         sp = SpecProfile(spec="x", compute_rates=(("default", 1e12),),
                          bandwidth_efficiency=((1e6, 0.7), (1e3, 0.4)))
@@ -225,6 +247,28 @@ class TestRoundTrip:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ProfileError, match="kind"):
             profile_from_doc({"schema": PROFILE_SCHEMA, "kind": "mystic"})
+
+    @pytest.mark.parametrize("field, entry", [
+        ("transfer_latency_s", {"transfer_latency_s": math.inf}),
+        ("transfer_latency_s", {"transfer_latency_s": math.nan}),
+        ("compute rate", {"compute_rates": {"default": math.inf}}),
+        ("memory_bandwidth_scale", {"memory_bandwidth_scale": math.nan}),
+        ("bandwidth efficiency", {"bandwidth_efficiency": [[math.inf, 0.5]]}),
+        ("compute rate", {"compute_rates": {"default": True}}),
+        ("compute rate", {"compute_rates": {"default": "4.5e13"}}),
+        ("transfer_latency_s", {"transfer_latency_s": False}),
+        ("bandwidth efficiency", {"bandwidth_efficiency": [[True, 0.5]]}),
+    ])
+    def test_rejects_non_finite_document_values(self, field, entry):
+        """Python's ``json`` reads ``Infinity`` and ``NaN``; neither, nor a
+        bool or a string, makes a rate, a latency, a scale or a size."""
+        doc = profile_to_doc(simple_profile())
+        doc["specs"]["tpu-v2"] = {"compute_rates": {"default": 9e13},
+                                  **entry}
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(ProfileError, match=field) as refused:
+            profile_from_doc(doc)
+        assert "tpu-v2" in str(refused.value)
 
     def test_rejects_specless_document(self):
         with pytest.raises(ProfileError, match="specs"):

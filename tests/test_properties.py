@@ -118,13 +118,6 @@ class TestRatioSolverProperties:
             # no interior balance: result must sit at (or near) a boundary
             assert alpha <= RATIO_LO + 0.02 or alpha >= RATIO_HI - 0.02
 
-    @given(st.floats(min_value=1.0, max_value=1e15),
-           st.floats(min_value=1.0, max_value=1e15))
-    def test_proportional_ratio_in_bounds(self, ci, cj):
-        from repro.core.ratio import compute_proportional_ratio
-
-        assert RATIO_LO <= compute_proportional_ratio(ci, cj) <= RATIO_HI
-
 
 class TestDpOptimalityProperty:
     @settings(deadline=None, max_examples=25)

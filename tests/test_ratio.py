@@ -1,12 +1,17 @@
 """Unit tests for the Eq. 10 partitioning-ratio solver."""
 
+import numpy as np
 import pytest
 
 from repro.core.ratio import (
+    PATH_BISECTION,
+    PATH_LINEAR,
+    PATH_MINIMAX,
+    PATH_QUADRATIC,
     RATIO_HI,
     RATIO_LO,
-    compute_proportional_ratio,
     solve_balanced_ratio,
+    solve_balanced_ratio_poly_batch,
 )
 
 
@@ -55,16 +60,45 @@ class TestSolveBalancedRatio:
         assert alpha == 0.25
 
 
-class TestComputeProportionalRatio:
-    def test_tpu_ratio(self):
-        assert compute_proportional_ratio(420e12, 180e12) == pytest.approx(0.7)
+#: (const_i, lin_i, quad_i, const_j, lin_j, quad_j) per cell, and the α
+#: each cell was solved to (``float.hex``), recorded when the leftover
+#: cells still went through a scalar copy of the closed form
+LEFTOVER_CELLS = [
+    # a sign change whose affine root rounds outside the bracket: checked
+    # bisection
+    (("0x1.0db0875246325p-36", "0x1.4d8bd5b5aa268p-36", "0x0.0p+0",
+      "0x1.a5a298ecaefb0p-35", "-0x1.e137a143ccab5p-37", "0x0.0p+0"),
+     "0x1.ff7ced9128938p-1"),
+    (("0x1.e8071ff726ae9p-38", "0x1.58b10704789e7p-37", "0x0.0p+0",
+      "0x1.7e7f40d9ecc12p-36", "-0x1.619ed7aeb3954p-38", "0x0.0p+0"),
+     "0x1.ff7ced9128938p-1"),
+    (("0x1.1f1f77a9839c1p-17", "0x1.edb7a805d369fp-19", "0x0.0p+0",
+      "0x1.a3da8e2dc3cf8p-16", "-0x1.adb5551eed76fp-17", "0x0.0p+0"),
+     "0x1.ff7ced9128938p-1"),
+    # same residual sign at both ends around two interior roots:
+    # golden-section minimax; g = (α-0.3)(α-0.6), then one whose optimum
+    # is interior
+    ((1.18, 0.1, 0.0, 1.0, 0.0, 1.0), "0x1.0624dd2f1a9fcp-10"),
+    ((1.0, 0.0, -2.0, 0.4, 0.4, 0.0), "0x1.6b927eff964bfp-2"),
+    # closed forms the batch answers itself: affine, quadratic, endpoint
+    # minimax
+    ((0.0, 1.0, 0.0, 1.0, -1.0, 0.0), "0x1.0000000000000p-1"),
+    ((0.0, 0.5, 0.3, 1.0, -1.0, 0.1), "0x1.458684f509601p-1"),
+    ((10.0, 1.0, 0.0, 0.1, -0.1, 0.0), "0x1.0624dd2f1a9fcp-10"),
+]
 
-    def test_symmetric(self):
-        assert compute_proportional_ratio(5.0, 5.0) == 0.5
 
-    def test_clamped(self):
-        assert compute_proportional_ratio(1e30, 1.0) <= RATIO_HI
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            compute_proportional_ratio(0.0, 1.0)
+class TestBatchLeftovers:
+    def test_leftover_cells_pinned(self):
+        """Cells the batched closed form leaves open reach the golden-
+        section search or the checked bisection with α unchanged to the
+        bit, and each is counted on its path."""
+        coeffs = np.array([[float.fromhex(c) if isinstance(c, str) else c
+                            for c in cell] for cell, _ in LEFTOVER_CELLS])
+        alpha, counts = solve_balanced_ratio_poly_batch(
+            *coeffs.T.reshape(6, 2, 4))
+        assert alpha.shape == (2, 4)
+        assert [float(a).hex() for a in alpha.flat] == [
+            float.fromhex(expected).hex() for _, expected in LEFTOVER_CELLS]
+        assert counts == {PATH_LINEAR: 1, PATH_QUADRATIC: 1,
+                          PATH_BISECTION: 3, PATH_MINIMAX: 3}

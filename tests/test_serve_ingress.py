@@ -23,10 +23,9 @@ from repro.fleet import (FleetClient, FleetFrontend, ShardServer,
                          ShardSupervisor)
 from repro.fleet.wire import recv_frame, send_frame
 from repro.hardware.presets import MAX_BOARDS
-from repro.obs import telemetry as telemetry_store
 from repro.obs import tracer
 from repro.obs.request import REQUEST_EVENT_KEYS
-from repro.obs.telemetry import read_events
+from repro.obs.telemetry import read_events, segment_paths, summarize
 from repro.service import PlanCache, PlanService
 from repro.service.server import (
     KNOWN_OPS,
@@ -59,6 +58,10 @@ RECORDED = [PLAN, PLAN,
             json.dumps({"model": "no-such-model", "array": "tpu-v3:2"}),
             json.dumps({"model": "lenet", "array": "tpu-v3:2",
                         "backend": "quantum"})]
+
+#: two models planned, then both again from memory
+SEARCHED = [json.dumps({"model": model, "array": "tpu-v2:2,tpu-v3:2",
+                        "batch": 32}) for model in ("lenet", "alexnet")] * 2
 
 #: plan requests whose own scheme or knob is bad, in name or in type: each
 #: is refused when the request is built, before a fingerprint, the cache or
@@ -110,6 +113,29 @@ BAD_KNOB_ERRORS = [
 STATS = json.dumps({"op": "stats"})
 
 
+def profiled(tpu_v2):
+    """A lenet request whose inline profile gives ``tpu-v2`` ``tpu_v2``."""
+    specs = {"tpu-v2": {"compute_rates": {"default": 45e12}, **tpu_v2},
+             "tpu-v3": {"compute_rates": {"default": 123e12}}}
+    return json.dumps({"model": "lenet", "array": "tpu-v2:1,tpu-v3:1",
+                       "profile": {"schema": "repro.hardware.profile/v1",
+                                   "kind": "calibrated", "name": "bad",
+                                   "specs": specs}})
+
+
+#: inline profiles with one infinite or NaN value, and the field each
+#: refusal names
+NON_FINITE_PROFILES = [
+    (profiled({"transfer_latency_s": float("inf")}), "transfer_latency_s"),
+    (profiled({"transfer_latency_s": float("nan")}), "transfer_latency_s"),
+    (profiled({"compute_rates": {"default": float("inf")}}), "compute rate"),
+    (profiled({"memory_bandwidth_scale": float("nan")}),
+     "memory_bandwidth_scale"),
+    (profiled({"bandwidth_efficiency": [[float("inf"), 0.5]]}),
+     "bandwidth efficiency"),
+]
+
+
 def outcome(reply):
     return reply["ok"], reply.get("error")
 
@@ -120,6 +146,12 @@ def run_cli_serve(argv, lines, monkeypatch, capsys):
     code = main(["serve", *argv])
     out, err = capsys.readouterr()
     return code, [json.loads(line) for line in out.splitlines()], err
+
+
+def store_types(root):
+    """``{store: {event type: count}}`` for ``root`` and its subdirectories."""
+    return {str(path.relative_to(root)): summarize(path)["by_type"]
+            for path in (root, *root.iterdir()) if segment_paths(path)}
 
 
 def tcp_lines(port, lines):
@@ -267,12 +299,6 @@ class TestNestedJson:
 class TestRequestRecords:
     """Every plan request is recorded once, alike on every server."""
 
-    @pytest.fixture(autouse=True)
-    def _no_process_writer(self):
-        telemetry_store.uninstall()
-        yield
-        telemetry_store.uninstall()
-
     def test_serve_records_refused_requests(self, tmp_path, monkeypatch,
                                             capsys):
         store, cache = tmp_path / "tel", tmp_path / "cache"
@@ -292,7 +318,6 @@ class TestRequestRecords:
         single, fleet = tmp_path / "tel1", tmp_path / "tel2"
         run_cli_serve(["--cache-dir", "", "--telemetry-dir", str(single)],
                       RECORDED, monkeypatch, capsys)
-        telemetry_store.uninstall()
         run_cli_serve(["--shards", "2", "--cache-dir", "",
                        "--telemetry-dir", str(fleet)],
                       RECORDED, monkeypatch, capsys)
@@ -318,15 +343,43 @@ class TestRequestRecords:
             assert frontend[event["trace_id"]]["outcome"] == \
                 event["outcome"]
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_every_shard_records_the_searches_it_runs(
+            self, mode, tmp_path, monkeypatch, capsys):
+        store = tmp_path / "tel"
+        code, replies, _ = run_cli_serve(
+            ["--shards", "2", "--shard-mode", mode, "--cache-dir", "",
+             "--telemetry-dir", str(store)],
+            SEARCHED, monkeypatch, capsys)
+        assert code == 0
+        assert [r["source"] for r in replies] == ["planned"] * 2 + \
+            ["memory"] * 2
+        planned = {"0": [], "1": []}
+        for reply in replies[:2]:
+            planned[reply["shard"]].append(reply["model"])
+        for shard, models in planned.items():
+            searches = read_events(store / f"shard-{shard}",
+                                   types=("search",))
+            assert sorted(e["model"] for e in searches) == sorted(models)
+        assert read_events(store / "frontend", types=("search",)) == []
+
+    @pytest.mark.parametrize("fleet", [[], ["--shards", "2"]])
+    def test_env_var_writes_the_stores_the_flag_does(
+            self, fleet, tmp_path, monkeypatch, capsys):
+        flag, env = tmp_path / "flag", tmp_path / "env"
+        run_cli_serve([*fleet, "--cache-dir", "",
+                       "--telemetry-dir", str(flag)],
+                      SEARCHED, monkeypatch, capsys)
+        monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(env))
+        run_cli_serve([*fleet, "--cache-dir", ""], SEARCHED, monkeypatch,
+                      capsys)
+        stores = store_types(flag)
+        assert sum(types.get("search", 0) for types in stores.values()) == 2
+        assert store_types(env) == stores
+
 
 class TestBadSchemeKnobs:
     """A bad scheme name or knob is refused before any server counts it."""
-
-    @pytest.fixture(autouse=True)
-    def _no_process_writer(self):
-        telemetry_store.uninstall()
-        yield
-        telemetry_store.uninstall()
 
     def test_serve_refuses_before_the_service(self, tmp_path, monkeypatch,
                                               capsys):
@@ -364,6 +417,26 @@ class TestBadSchemeKnobs:
         assert [e["outcome"] for e in events] == ["error"] * len(BAD_KNOBS)
         for shard in ("shard-0", "shard-1"):
             assert read_events(store / shard, types=("request",)) == []
+
+
+class TestNonFiniteProfiles:
+    """An inline profile with an infinite or NaN value is refused naming
+    the field, and nothing is planned or cached for it."""
+
+    @pytest.mark.parametrize("fleet", [[], ["--shards", "2"]])
+    def test_refused_and_never_cached(self, fleet, monkeypatch, capsys):
+        code, replies, _ = run_cli_serve(
+            [*fleet, "--cache-dir", ""],
+            [line for line, _ in NON_FINITE_PROFILES] + [STATS],
+            monkeypatch, capsys)
+        assert code == 0
+        *refused, stats = replies
+        for reply, (_, field) in zip(refused, NON_FINITE_PROFILES):
+            assert reply["ok"] is False, reply
+            assert field in reply["error"] and "finite" in reply["error"]
+        caches = ([shard["cache"] for shard in stats["shards"].values()]
+                  if fleet else [stats["stats"]["cache"]])
+        assert [cache["puts"] for cache in caches] == [0] * len(caches)
 
 
 class TestEndOfInput:
