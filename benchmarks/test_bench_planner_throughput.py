@@ -5,8 +5,8 @@ the paper's heterogeneous 128+128 TPU-v2/v3 array and emits
 ``results/BENCH_planner.json``.  Three guarantees are enforced here rather
 than just reported:
 
-* the planner (packed closed-form step costs + the batched Eq. 9
-  recurrence) emits the *same plan* as the legacy mode — the scalar
+* the planner (packed closed-form step costs + the Eq. 9 recurrence on
+  Python floats) emits the *same plan* as the legacy mode — the scalar
   reference recurrence fed by bisection, uncached
   (``tests/reference_search.py``, registered as a search backend) — types
   identical, ratios within 1e-9;
@@ -15,6 +15,11 @@ than just reported:
 * fresh timings may not regress more than ``REGRESSION_FACTOR``× against the
   committed ``BENCH_planner.json`` (the CI gate; the committed file is read
   *before* it is rewritten with this run's numbers).
+
+Beside each network's ``optimized_ms`` the artifact records the search's
+split, ``pack_ms`` (phase 1, the packed step costs) and ``recurrence_ms``
+(phase 2), from the planner's ``vec_pack_ns`` / ``vec_recurrence_ns``
+counters over the same timed runs.
 """
 
 import json
@@ -27,6 +32,7 @@ from repro.core.planner import PartitionScheme, Planner
 from repro.hardware.presets import heterogeneous_array
 from repro.ioutil import atomic_write_text
 from repro.models import build_model
+from repro.obs.registry import planner_counters
 from repro.obs.telemetry import TelemetryWriter
 from repro.plan import register_backend
 from tests.reference_search import REFERENCE_BACKEND, ReferenceBisectionBackend
@@ -86,8 +92,18 @@ def _plan(net, scheme, telemetry=None):
     return Planner(array, scheme, telemetry=telemetry).plan(net, BATCH)
 
 
+def _search_ns():
+    """The planner's (pack, recurrence) nanoseconds so far."""
+    return (planner_counters.value("vec_pack_ns"),
+            planner_counters.value("vec_recurrence_ns"))
+
+
 def _interleaved_ms(net, scheme_factories):
-    """Time several schemes interleaved; returns (median_ms, min_ms) per scheme.
+    """Time several schemes interleaved.
+
+    Returns ``(median_ms, min_ms, pack_ms, recurrence_ms)`` per scheme, the
+    last two the medians of each run's search split (zero for a backend
+    that does not pack).
 
     Each repeat runs every scheme once, back to back, so a machine-noise
     burst (shared CI runner, single-core box) lands on all schemes instead
@@ -97,13 +113,21 @@ def _interleaved_ms(net, scheme_factories):
     block medians flaps; the medians are reported in the artifact.
     """
     times = [[] for _ in scheme_factories]
+    splits = [[] for _ in scheme_factories]
     for _ in range(REPEATS):
         for slot, factory in enumerate(scheme_factories):
             scheme = factory()
+            before = _search_ns()
             t0 = time.perf_counter()
             _plan(net, scheme)
             times[slot].append(time.perf_counter() - t0)
-    return [(statistics.median(ts) * 1e3, min(ts) * 1e3) for ts in times]
+            splits[slot].append([b - a for a, b in zip(before, _search_ns())])
+    return [
+        (statistics.median(ts) * 1e3, min(ts) * 1e3,
+         statistics.median(ns[0] for ns in split) / 1e6,
+         statistics.median(ns[1] for ns in split) / 1e6)
+        for ts, split in zip(times, splits)
+    ]
 
 
 def _legacy_scheme():
@@ -145,8 +169,8 @@ def test_planner_throughput_and_regression_gate(results_dir):
         _assert_same_plan(name, optimized, legacy)
 
         (
-            (optimized_ms, optimized_min),
-            (legacy_ms, legacy_min),
+            (optimized_ms, optimized_min, pack_ms, recurrence_ms),
+            (legacy_ms, legacy_min, _, _),
         ) = _interleaved_ms(net, (PartitionScheme, _legacy_scheme))
         # calibrate the seed baseline to this machine: the legacy mode runs
         # the seed's solver configuration in-process, so its slowdown vs the
@@ -158,6 +182,8 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "seed_baseline_ms": SEED_BASELINE_MS[name],
             "machine_factor": round(machine_factor, 3),
             "optimized_ms": round(optimized_ms, 2),
+            "pack_ms": round(pack_ms, 2),
+            "recurrence_ms": round(recurrence_ms, 2),
             "legacy_mode_ms": round(legacy_ms, 2),
             "speedup_vs_seed": round(seed_ms / optimized_min, 2),
             "speedup_vs_legacy_mode": round(legacy_min / optimized_min, 2),
@@ -186,7 +212,9 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "heterogeneous 128+128 TPU-v2/v3 array, "
             f"batch {BATCH}.  seed_baseline_ms is the pre-overhaul planner "
             "recorded at the seed commit; optimized_ms is the planner (packed "
-            "step costs, batched Eq. 9 recurrence); legacy_mode_ms is the "
+            "step costs, then the Eq. 9 recurrence on Python floats), and "
+            "pack_ms / recurrence_ms are the medians of its search's two "
+            "phases over the same runs; legacy_mode_ms is the "
             "same solver configuration as the seed (scalar recurrence, "
             "bisection, uncached) running in-process today; machine_factor "
             "(legacy_mode_ms / the legacy timing recorded alongside the seed "

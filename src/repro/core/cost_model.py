@@ -251,7 +251,7 @@ class PairCostModel:
         self.ratio_mode = ratio_mode
         self.stats = StepStats()
         # (elements, from states, to states) -> alignment_matrix's answer
-        self._alignment_matrices: Dict[Tuple, np.ndarray] = {}
+        self._alignment_matrices: Dict[Tuple, Tuple[Tuple[float, ...], ...]] = {}
         if self._analytic:
             self._lat_i = 0.0
             self._lat_j = 0.0
@@ -362,19 +362,14 @@ class PairCostModel:
         """
         n = len(workloads)
         shape = (n, len(ALL_TYPES))
-        total = np.empty(n)
-        a_in = np.empty(n)
-        rate_i = np.empty(n)
-        rate_j = np.empty(n)
-        psum = np.empty(shape)
-        for row, sw in enumerate(workloads):
-            total[row] = sw.flops_total()
-            a_in[row] = sw.a_input_fm()
-            kind = self._kind(sw)
-            rate_i[row] = self._rate_i(kind)
-            rate_j[row] = self._rate_j(kind)
-            for col, t in enumerate(ALL_TYPES):
-                psum[row, col] = sw.a_psum(t)
+        total = np.array([sw.flops_total() for sw in workloads], dtype=float)
+        kinds = [self._kind(sw) for sw in workloads]
+        rate_i = np.array([self._rate_i(kind) for kind in kinds], dtype=float)
+        rate_j = np.array([self._rate_j(kind) for kind in kinds], dtype=float)
+        psum = np.array([[sw.a_psum(t) for t in ALL_TYPES] for sw in workloads],
+                        dtype=float).reshape(shape)
+        # A(F_l): the Type-III partial sum is the input feature map
+        a_in = psum[:, TYPE_INDEX[PartitionType.TYPE_III]]
         dtype_bytes = float(self.dtype_bytes)
         zero = np.zeros(n)
 
@@ -612,23 +607,22 @@ class PairCostModel:
         boundary_fm_elements: float,
         from_states: Tuple[Optional[PartitionType], ...],
         to_states: Tuple[PartitionType, ...],
-    ) -> np.ndarray:
-        """:meth:`alignment_cost` of every (from, to) pair, as a matrix.
+    ) -> Tuple[Tuple[float, ...], ...]:
+        """:meth:`alignment_cost` of every (from, to) pair, as a float table.
 
         Memoized for the life of this model: the fork/join regions of one
         level search re-align equal tensors between equal state sets.  The
         planner builds one model per level search, so the memo never
-        outlives it, and every matrix is priced by this model's parties.
-        The matrix is shared between callers, so it is read-only.
+        outlives it, and every table is priced by this model's parties.
+        The table is shared between callers, so it is a tuple of tuples.
         """
         key = (boundary_fm_elements, from_states, to_states)
         matrix = self._alignment_matrices.get(key)
         if matrix is None:
-            matrix = np.array([
-                [self.alignment_cost(boundary_fm_elements, frm, to)
-                 for to in to_states]
+            matrix = tuple(
+                tuple(self.alignment_cost(boundary_fm_elements, frm, to)
+                      for to in to_states)
                 for frm in from_states
-            ])
-            matrix.flags.writeable = False
+            )
             self._alignment_matrices[key] = matrix
         return matrix

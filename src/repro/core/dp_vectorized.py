@@ -1,4 +1,4 @@
-"""Layer-wise search (Sections 5.1-5.2, Eq. 9) as a batched min-plus recurrence.
+"""Layer-wise search (Sections 5.1-5.2, Eq. 9): a packed min-plus recurrence.
 
 The DP runs over the sharded series-parallel stage list of
 :mod:`repro.core.stages`.  The DP state is the partition type governing the
@@ -15,36 +15,44 @@ computed up front as two tensors of shape ``(n_layers, 3 families, |T|)``
 (:meth:`PairCostModel.pack_step_tensors`): Eq. 9's step cost and its Eq. 10
 ratio per (layer, packed Table 5 family, type).
 
-**Phase 2 — recurrence.**  The DP frontier is a cost matrix ``F`` of shape
-``(entry_rows, |states|)``.  Per layer stage the update is one broadcast::
-
-    cand = F[:, :, None] + C[None, :, :]        # C gathered from the pack
-    F, choice = masked_first_within_slack(cand) # argmin over the in-state axis
-
-with the argmin matrix recorded for O(N) backtracking into the typed IR
-(:class:`~repro.plan.ir.LayerAssignment` / ``JoinAlignment`` / ``PathExit``).
+**Phase 2 — recurrence, on Python floats.**  One gather re-indexes both
+tensors by (layer, in-state, type) and one ``tolist()`` turns each into a
+flat list of floats; after that the recurrence makes no numpy call.  With
+|T| = 3 a step adds at most 27 numbers, which numpy's per-call overhead
+would dwarf.  The DP frontier is a list of rows (one per entry state) of
+costs per state; per layer stage the update is one
+:func:`~repro.core.tiebreak.min_plus_step` over the layer's step-cost
+rows, with its choice matrix recorded for O(N) backtracking into the
+typed IR (:class:`~repro.plan.ir.LayerAssignment` / ``JoinAlignment`` /
+``PathExit``).  What lives until the backtrack is kept flat (one list per
+table, one ``bytearray`` per choice matrix): containers the search keeps
+alive would feed the cyclic garbage collector, whose full passes scale
+with everything a long-running service holds.  ``None`` stands for the
+identity frontier at the start of a chain: row ``r`` holds 0 at state
+``r`` and nothing else, so the first step's frontier is its step-cost
+rows verbatim and row ``r`` chose state ``r``.
 
 A fork/join region (Figure 4) is one macro-transition: for every entry
 state and join state, each path's cheapest configuration between the two,
 summed over the paths (both groups execute all paths).  Each path runs
-*once* as a batch over all entry states (identity-initialized frontier);
-its last layer pays the re-alignment of its output tensor to the join
-state, and an empty path (identity skip) pays only the re-alignment of the
-fork tensor.  After the join the boundary tensor behaves like a weighted
-layer's output in the join state, so consecutive residual blocks chain.
-Besides the ``JoinAlignment`` the macro-transition records one ``PathExit``
-per path — the path's pre-alignment exit state — so the simulator replays
-exactly the re-alignments the search costed.
+*once* over all entry states (from the identity frontier); its last layer
+pays the re-alignment of its output tensor to the join state, and an empty
+path (identity skip) pays only the re-alignment of the fork tensor.  After
+the join the boundary tensor behaves like a weighted layer's output in the
+join state, so consecutive residual blocks chain.  Besides the
+``JoinAlignment`` the macro-transition records one ``PathExit`` per path —
+the path's pre-alignment exit state — so the simulator replays exactly the
+re-alignments the search costed.
 
-Tie-breaking uses the shared :mod:`repro.core.tiebreak` rule: the masked
-argmin picks the lowest state index within ``COST_REL_TOL`` slack of the
-minimum, i.e. a first-seen-wins scan in state order.
+Every choice, the final exit too, follows the one rule of
+:mod:`repro.core.tiebreak`: the first state in state order within
+``COST_REL_TOL`` slack of the minimum wins.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +67,7 @@ from .stages import (
     iter_layer_stages,
     last_workload,
 )
-from .tiebreak import UNREACHABLE, improves, masked_first_within_slack
+from .tiebreak import first_within_slack, min_plus_step
 from .types import ALL_TYPES, PartitionType, ShardedWorkload
 
 #: optional per-layer restriction of the searchable types (used by the fixed
@@ -69,12 +77,15 @@ SpaceFn = Callable[[ShardedWorkload], Sequence[PartitionType]]
 #: DP states: a partition type, or None for the free entry boundary
 State = Optional[PartitionType]
 
-#: DP state codes: row/column order of every index table.  ``None`` (the
-#: free entry boundary) first, then the types in ``ALL_TYPES`` order.
+#: DP state codes: the in-state axis of the gathered step costs.  ``None``
+#: (the free entry boundary) first, then the types in ``ALL_TYPES`` order.
 _STATE_ORDER: Tuple[State, ...] = (None,) + ALL_TYPES
 _STATE_CODE: Dict[State, int] = {s: i for i, s in enumerate(_STATE_ORDER)}
 
-#: packed family row per (state code, type code)
+#: packed family row per (state code, type code), and the type columns it
+#: pairs with: ``pack.cost[:, _FAM_TABLE, _TYPE_COLUMNS]`` is the step cost
+#: per (layer, in-state, type); flattened, one layer spans ``_BLOCK``
+#: entries and one in-state ``_WIDTH``
 _FAM_TABLE = np.array(
     [
         [PACKED_FAMILY_INDEX[transition_family(s, t)] for t in ALL_TYPES]
@@ -82,78 +93,63 @@ _FAM_TABLE = np.array(
     ],
     dtype=np.intp,
 )
+_TYPE_COLUMNS = np.arange(len(ALL_TYPES))
+_WIDTH = len(ALL_TYPES)
+_BLOCK = len(_STATE_ORDER) * _WIDTH
+_ALL_CODES = tuple(range(_WIDTH))
 
-# The three module memos below hold index arrays and constant frontiers:
-# each is a pure function of state tuples and array shapes, never of a
-# cost, so sharing them across searches cannot change a plan.  Costs are
-# per model: the re-alignment matrices live in the level's own
-# PairCostModel (alignment_matrix), which dies with the search.
-
-#: (in-state tuple, out-state tuple) → (family submatrix, type-code vector);
-#: a handful of distinct combinations exist per process, so the index
-#: arrays for the gather are built once each
-_GATHER_MEMO: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-
-#: identity frontiers for batched path DPs, keyed by row count; read-only
-_IDENTITY_CACHE: Dict[int, np.ndarray] = {}
-
-#: broadcast "row r chose predecessor r" argmin matrices, keyed by shape;
-#: the backtracking answer for any step taken from an identity frontier
-_SELF_CHOICE_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
+#: (in-state tuple, out-state tuple) → (in-state offsets, type codes); a
+#: pure function of the state tuples, never of a cost, so sharing it
+#: across searches cannot change a plan
+_CODES_MEMO: Dict[Tuple, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
 
-def _identity(rows: int) -> np.ndarray:
-    """The cached identity frontier: 0 on the diagonal, UNREACHABLE off it."""
-    identity = _IDENTITY_CACHE.get(rows)
-    if identity is None:
-        identity = np.full((rows, rows), UNREACHABLE)
-        np.fill_diagonal(identity, 0.0)
-        _IDENTITY_CACHE[rows] = identity
-    return identity
-
-
-def _self_choice(rows: int, cols: int) -> np.ndarray:
-    """Argmin matrix with ``choice[r, j] == r`` (identity-frontier steps)."""
-    choice = _SELF_CHOICE_CACHE.get((rows, cols))
-    if choice is None:
-        choice = np.broadcast_to(np.arange(rows)[:, None], (rows, cols))
-        _SELF_CHOICE_CACHE[(rows, cols)] = choice
-    return choice
-
-
-def _gather_indices(
+def _codes(
     in_states: Tuple[State, ...], out_states: Tuple[PartitionType, ...]
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     key = (in_states, out_states)
-    cached = _GATHER_MEMO.get(key)
-    if cached is None:
-        rows = np.array([_STATE_CODE[s] for s in in_states], dtype=np.intp)
-        t_codes = np.array([TYPE_INDEX[t] for t in out_states], dtype=np.intp)
-        cached = (_FAM_TABLE[rows[:, None], t_codes[None, :]], t_codes)
-        _GATHER_MEMO[key] = cached
-    return cached
+    codes = _CODES_MEMO.get(key)
+    if codes is None:
+        codes = (tuple(_STATE_CODE[s] * _WIDTH for s in in_states),
+                 tuple(TYPE_INDEX[t] for t in out_states))
+        _CODES_MEMO[key] = codes
+    return codes
+
+
+class _Level(NamedTuple):
+    """What every step of one level search reads."""
+
+    model: PairCostModel
+    costs: List[float]          # flat (layer, in-state, type) step costs
+    alphas: List[float]         # the ratios, laid out like ``costs``
+    index: Dict[int, int]       # id(layer stage) -> the layer's offset
+    space: Tuple[PartitionType, ...]
+    space_fn: Optional[SpaceFn]
 
 
 class _LayerDecision:
-    """One layer stage's argmin matrix plus what backtracking needs."""
+    """One layer stage's choice matrix plus what backtracking needs."""
 
-    __slots__ = ("name", "alpha", "fam", "t_codes", "out_states", "choice")
+    __slots__ = ("name", "alphas", "base", "offsets", "t_codes", "out_states",
+                 "choice")
 
-    def __init__(self, name, alpha, fam, t_codes, out_states, choice):
+    def __init__(self, name, alphas, base, offsets, t_codes, out_states,
+                 choice):
         self.name = name
-        self.alpha = alpha          # the layer's packed (family, type) α grid
-        self.fam = fam              # (S_in, S_out) packed family rows
-        self.t_codes = t_codes      # (S_out,) type columns
+        self.alphas = alphas        # the level's flat α table
+        self.base = base            # this layer's offset in it
+        self.offsets = offsets      # per in-state
+        self.t_codes = t_codes      # per out-state
         self.out_states = out_states
-        self.choice = choice        # (R, S_out) winning in-state index
+        self.choice = choice        # winning in-states, flat; None: row
 
     def entries(self, row: int, i: int, j: int) -> Tuple[PlanEntry, ...]:
-        alpha = float(self.alpha[self.fam[i, j], self.t_codes[j]])
+        alpha = self.alphas[self.base + self.offsets[i] + self.t_codes[j]]
         return (LayerAssignment(self.name, self.out_states[j], alpha),)
 
 
 class _ParallelDecision:
-    """One fork/join macro-stage's argmin matrices for lazy backtracking."""
+    """One fork/join macro-stage's choice matrices for lazy backtracking."""
 
     __slots__ = ("name", "in_states", "out_states", "paths", "nominal", "choice")
 
@@ -176,7 +172,7 @@ class _ParallelDecision:
                 chosen: State = self.in_states[i]
             else:
                 decisions, path_out, exit_choice = info
-                exit_idx = int(exit_choice[i, j])
+                exit_idx = exit_choice[i * len(self.out_states) + j]
                 out.extend(_backtrack(decisions, i, exit_idx))
                 chosen = path_out[exit_idx]
             if chosen is not None:
@@ -186,11 +182,12 @@ class _ParallelDecision:
 
 
 def _backtrack(decisions, row: int, exit_idx: int) -> Tuple[PlanEntry, ...]:
-    """Walk the recorded argmin matrices once, last stage to first."""
+    """Walk the recorded choice matrices once, last stage to first."""
     groups = []
     j = exit_idx
     for decision in reversed(decisions):
-        i = int(decision.choice[row, j])
+        choice = decision.choice
+        i = row if choice is None else choice[row * len(decision.out_states) + j]
         groups.append(decision.entries(row, i, j))
         j = i
     out: List[PlanEntry] = []
@@ -199,30 +196,32 @@ def _backtrack(decisions, row: int, exit_idx: int) -> Tuple[PlanEntry, ...]:
     return tuple(out)
 
 
-def _layer_step(stage, pack, index, space, space_fn, states, frontier):
+def _layer_step(level, stage, states, frontier):
     # ``space`` is pre-tupled once per search; only a per-layer restriction
     # needs normalizing here
-    layer_space = tuple(space_fn(stage.workload)) if space_fn is not None else space
-    row = index[id(stage)]
-    fam, t_codes = _gather_indices(states, layer_space)
-    step_costs = pack.cost[row][fam, t_codes[None, :]]
-    if frontier is _IDENTITY_CACHE.get(len(states)):
-        # first stage of a chain: row r of the identity frontier holds 0 at
-        # state r and UNREACHABLE elsewhere, so the argmin is r itself and
-        # the surviving cost is 0.0 + step — the step-cost gather verbatim
-        new_frontier = step_costs
-        choice = _self_choice(len(states), len(layer_space))
+    space_fn = level.space_fn
+    layer_space = (tuple(space_fn(stage.workload)) if space_fn is not None
+                   else level.space)
+    base = level.index[id(stage)]
+    offsets, t_codes = _codes(states, layer_space)
+    costs = level.costs
+    if t_codes == _ALL_CODES:
+        step = [costs[base + o:base + o + _WIDTH] for o in offsets]
     else:
-        cand = frontier[:, :, None] + step_costs[None, :, :]
-        new_frontier, choice = masked_first_within_slack(cand)
-    decision = _LayerDecision(stage.name, pack.alpha[row], fam, t_codes,
+        step = [[costs[base + o + t] for t in t_codes] for o in offsets]
+    if frontier is None:
+        # first stage of a chain: the step-cost rows are the frontier
+        frontier, choice = step, None
+    else:
+        frontier, choice = min_plus_step(frontier, step)
+    decision = _LayerDecision(stage.name, level.alphas, base, offsets, t_codes,
                               layer_space, choice)
-    return layer_space, new_frontier, decision
+    return layer_space, frontier, decision
 
 
-def _parallel_step(stage, model, pack, index, space, space_fn,
-                   states, frontier):
-    out_states = space
+def _parallel_step(level, stage, states, frontier):
+    model = level.model
+    out_states = level.space
     # the fork tensor: input feature map of the first weighted layer in any
     # non-empty path (all paths consume the same tensor)
     fork_elements = None
@@ -235,57 +234,47 @@ def _parallel_step(stage, model, pack, index, space, space_fn,
 
     stats = model.stats
     rows = len(states)
-    # all entry states at once: one batched DP per path
-    identity = _identity(rows)
-
-    macro = np.zeros((rows, len(out_states)))
+    macro = [[0.0] * len(out_states)] * rows
     paths: List[Optional[Tuple]] = []
     for path in stage.paths:
         if path:
+            # all entry states at once: one DP per path
             stats.vec_multipath_batches += 1
             stats.multipath_path_dp_runs += rows
             path_out, path_frontier, path_decisions = _run_chain(
-                path, model, pack, index, space, space_fn, states, identity,
-            )
+                level, path, states, None)
             out_elements = last_workload(path).a_output_fm()
             align = model.alignment_matrix(out_elements, path_out, out_states)
-            aligned = path_frontier[:, :, None] + align[None, :, :]
-            best, exit_choice = masked_first_within_slack(aligned)
-            # the paths' minima add up in path order
-            macro += best
+            best, exit_choice = min_plus_step(path_frontier, align)
             paths.append((path_decisions, path_out, exit_choice))
         else:
             # identity skip: re-align the fork tensor itself, still in the
             # entry state, to each join state
-            macro += model.alignment_matrix(fork_elements, states, out_states)
+            best = model.alignment_matrix(fork_elements, states, out_states)
             paths.append(None)
+        # the paths' minima add up in path order
+        macro = [[m + b for m, b in zip(mrow, brow)]
+                 for mrow, brow in zip(macro, best)]
 
-    if frontier is identity:
-        # same identity-entry shortcut as _layer_step: 0.0 + macro is macro
-        new_frontier = macro
-        choice = _self_choice(rows, len(out_states))
+    if frontier is None:
+        frontier, choice = macro, None
     else:
-        cand = frontier[:, :, None] + macro[None, :, :]
-        new_frontier, choice = masked_first_within_slack(cand)
+        frontier, choice = min_plus_step(frontier, macro)
     decision = _ParallelDecision(stage.name, states, out_states, paths,
                                  model.nominal_alpha(), choice)
-    return out_states, new_frontier, decision
+    return out_states, frontier, decision
 
 
-def _run_chain(stages, model, pack, index, space, space_fn,
-               states, frontier):
+def _run_chain(level, stages, states, frontier):
     """Phase 2 over one stage chain; frontier rows are entry states."""
     decisions = []
     for stage in stages:
         if isinstance(stage, ShardedLayerStage):
-            states, frontier, decision = _layer_step(
-                stage, pack, index, space, space_fn, states, frontier
-            )
+            states, frontier, decision = _layer_step(level, stage, states,
+                                                     frontier)
         elif isinstance(stage, ShardedParallelStage):
-            states, frontier, decision = _parallel_step(
-                stage, model, pack, index, space, space_fn,
-                states, frontier,
-            )
+            states, frontier, decision = _parallel_step(level, stage, states,
+                                                        frontier)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown stage kind {type(stage).__name__}")
         decisions.append(decision)
@@ -319,27 +308,25 @@ def search_stages(
         t_start = time.perf_counter_ns()
         with tracer.span("dp.pack", category="dp"):
             layers = list(iter_layer_stages(stages))
-            index = {id(stage): row for row, stage in enumerate(layers)}
+            index = {id(stage): row * _BLOCK for row, stage in enumerate(layers)}
             pack = model.pack_step_tensors([st.workload for st in layers])
         t_packed = time.perf_counter_ns()
         stats.vec_pack_ns += t_packed - t_start
 
         with tracer.span("dp.recurrence", category="dp"):
-            # the 1×1 identity frontier is exactly [[0.0]]: the free entry
-            # state at zero cost, and the first stage takes the identity
-            # shortcut like any path chain
+            level = _Level(
+                model,
+                pack.cost[:, _FAM_TABLE, _TYPE_COLUMNS].ravel().tolist(),
+                pack.alpha[:, _FAM_TABLE, _TYPE_COLUMNS].ravel().tolist(),
+                index, space, space_fn)
+            # from the free entry state; the first stage takes the
+            # identity shortcut like any path chain
             out_states, frontier, decisions = _run_chain(
-                stages, model, pack, index, space, space_fn,
-                (None,), _identity(1),
-            )
-            # final exit: first-seen-wins over the frontier order
+                level, stages, (None,), None)
             final = frontier[0]
-            best = 0
-            for j in range(1, len(out_states)):
-                if improves(float(final[j]), float(final[best])):
-                    best = j
+            best = first_within_slack(final)
             entries = _backtrack(decisions, 0, best)
-            best_cost = float(final[best])
+            best_cost = final[best]
         stats.vec_recurrence_ns += time.perf_counter_ns() - t_packed
         span.set("cost", best_cost)
     return SearchResult(

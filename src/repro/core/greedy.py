@@ -16,7 +16,7 @@ from ..plan.ir import LayerAssignment, SearchResult
 from .cost_model import PairCostModel
 from .dp_vectorized import SpaceFn
 from .stages import ShardedLayerStage, ShardedStage
-from .tiebreak import improves
+from .tiebreak import first_within_slack
 from .types import ALL_TYPES, PartitionType
 
 
@@ -29,13 +29,14 @@ def greedy_chain(
     """Myopic per-layer choice on a linear chain.
 
     Reads the same packed step costs as the DP and breaks ties with the
-    same ``COST_REL_TOL`` rule (:func:`~repro.core.tiebreak.improves`), so
-    greedy-vs-DP comparisons measure search quality, not last-ulp float
-    noise.
+    same ``COST_REL_TOL`` rule
+    (:func:`~repro.core.tiebreak.first_within_slack`), so greedy-vs-DP
+    comparisons measure search quality, not last-ulp float noise.
     """
     for stage in stages:
         if not isinstance(stage, ShardedLayerStage):
             raise TypeError("greedy_chain handles linear chains only")
+    space = tuple(space)
     if not space:
         raise ValueError("partition-type space must be non-empty")
 
@@ -44,17 +45,13 @@ def greedy_chain(
     total = 0.0
     prev: Optional[PartitionType] = None
     for row, stage in enumerate(stages):
-        layer_space = space_fn(stage.workload) if space_fn is not None else space
-        best = None
-        best_cost: Optional[float] = None
-        for t in layer_space:
-            cost, alpha = pack.cell(row, prev, t)
-            if improves(cost, best_cost):
-                best = (t, alpha)
-                best_cost = cost
-        assert best is not None and best_cost is not None
-        entries.append(LayerAssignment(stage.name, *best))
-        total += best_cost
-        prev = best[0]
+        layer_space = (tuple(space_fn(stage.workload)) if space_fn is not None
+                       else space)
+        cells = [pack.cell(row, prev, t) for t in layer_space]
+        k = first_within_slack([cost for cost, _ in cells])
+        cost, alpha = cells[k]
+        entries.append(LayerAssignment(stage.name, layer_space[k], alpha))
+        total += cost
+        prev = layer_space[k]
 
     return SearchResult(entries=tuple(entries), cost=total, exit_state=prev)

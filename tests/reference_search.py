@@ -4,9 +4,9 @@ Plain Python, one DP state at a time: a chain recurrence over frontier
 dictionaries plus the Section 5.2 fork/join macro-transition (each path
 run once per entry state, its exit re-aligned to every join state, the
 paths' minima summed in path order).  It breaks ties with the shared
-:func:`repro.core.tiebreak.improves` rule and scans states in the same
-order as :mod:`repro.core.dp_vectorized`, so on the same step costs the two
-must agree bit for bit.
+:func:`repro.core.tiebreak.first_within_slack` rule and lists states in
+the same order as :mod:`repro.core.dp_vectorized`, so on the same step
+costs the two must agree bit for bit.
 
 The recurrence takes a *step-cost function* ``step(stage, prev, cur) ->
 (cost, alpha)`` and has two feeds:
@@ -33,7 +33,7 @@ from repro.core.stages import (
     iter_layer_stages,
     last_workload,
 )
-from repro.core.tiebreak import improves
+from repro.core.tiebreak import first_within_slack
 from repro.core.types import ALL_TYPES, PartitionType
 from repro.plan.ir import JoinAlignment, LayerAssignment, PathExit, SearchResult
 
@@ -134,15 +134,14 @@ def parallel_transitions(stage, model, step: StepFn, space, in_states,
                     chosen = tt
                 else:
                     out_elements = last_workload(path).a_output_fm()
-                    best = None
-                    for exit_state, (cost, path_entries) in exits.items():
-                        aligned = cost + model.alignment_cost(
-                            out_elements, exit_state, s)
-                        if best is None or improves(aligned, best[0]):
-                            best = (aligned, path_entries, exit_state)
-                    total += best[0]
-                    entries += best[1]
-                    chosen = best[2]
+                    aligned = [
+                        info.cost + model.alignment_cost(out_elements, state, s)
+                        for state, info in exits.items()
+                    ]
+                    k = first_within_slack(aligned)
+                    chosen = list(exits)[k]
+                    total += aligned[k]
+                    entries += exits[chosen].entries
                 # the path's pre-alignment exit state (None only for a skip
                 # path at the free network entry: nothing to align)
                 if chosen is not None:
@@ -170,12 +169,13 @@ def chain_exits(stages, model, step: StepFn, space, entry: Dict[State, float],
         else:
             raise TypeError(f"unknown stage kind {type(stage).__name__}")
         advanced: Dict[State, Transition] = {}
-        for (tt, t), info in transitions.items():
-            base = frontier[tt]
-            total = base.cost + info.cost
-            incumbent = advanced.get(t)
-            if incumbent is None or improves(total, incumbent.cost):
-                advanced[t] = Transition(total, base.entries + info.entries)
+        for t in dict.fromkeys(t for _, t in transitions):
+            totals = [frontier[tt].cost + transitions[(tt, t)].cost
+                      for tt in frontier]
+            k = first_within_slack(totals)
+            tt = list(frontier)[k]
+            advanced[t] = Transition(
+                totals[k], frontier[tt].entries + transitions[(tt, t)].entries)
         frontier = advanced
     return frontier
 
@@ -193,10 +193,7 @@ def reference_search(stages, model, step: Optional[StepFn] = None,
     if step is None:
         step = pack_feed(model, stages)
     exits = chain_exits(stages, model, step, space, {None: 0.0}, space_fn)
-    best = None
-    for state, info in exits.items():
-        if best is None or improves(info.cost, exits[best].cost):
-            best = state
+    best = list(exits)[first_within_slack([info.cost for info in exits.values()])]
     return SearchResult(entries=exits[best].entries, cost=exits[best].cost,
                         exit_state=best)
 

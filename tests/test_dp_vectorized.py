@@ -1,4 +1,4 @@
-"""Equivalence and property tests for the vectorized Eq. 9 recurrence.
+"""Equivalence and property tests for the packed Eq. 9 recurrence.
 
 The contract under test: :func:`repro.core.dp_vectorized.search_stages` is
 *bit-identical* to the scalar reference recurrence of
@@ -7,29 +7,38 @@ typed entries in the same order, the same float cost, the same exit state
 — across randomized series-parallel workloads (including nested
 fork-in-path regions and per-layer space restrictions), every ratio mode,
 analytic and calibrated profiles, and the degenerate corners.  The shared
-tie-break rule in :mod:`repro.core.tiebreak` gets its own property test:
-the masked argmin must agree with a literal first-seen-wins scalar scan.
+tie-break rule in :mod:`repro.core.tiebreak` gets its own tests: the
+float min-plus step must pick, cell by cell, what ``first_within_slack``
+picks over that cell's candidates, for every frontier, in-state and
+out-state count, on exact, near and chained ties; and a stub pack that
+carries a chained near-tie into a layer must plan alike in the DP and the
+reference.
 """
 
+import itertools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.cost_model import REACHABLE_CELLS, PairCostModel
+from repro.core.cost_model import (
+    FAMILY_CROSS,
+    FAMILY_E,
+    FAMILY_ZERO,
+    PACKED_FAMILY_INDEX,
+    REACHABLE_CELLS,
+    TYPE_INDEX,
+    PairCostModel,
+    StepTensors,
+)
 from repro.core.dp_vectorized import search_stages
 from repro.core.stages import (
     ShardedLayerStage,
     ShardedParallelStage,
     iter_sharded_workloads,
 )
-from repro.core.tiebreak import (
-    COST_REL_TOL,
-    UNREACHABLE,
-    improves,
-    masked_first_within_slack,
-)
+from repro.core.tiebreak import first_within_slack, min_plus_step
 from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
 from repro.hardware import TPU_V2, TPU_V3, make_group
@@ -299,10 +308,10 @@ class TestCalibratedProfileEquivalence:
         assert model.alignment_matrix(1024.0, states, ALL_TYPES) is matrix
         assert two_party_model().alignment_matrix(
             1024.0, states, ALL_TYPES) is not matrix
-        assert matrix.tolist() == [
-            [model.alignment_cost(1024.0, frm, to) for to in ALL_TYPES]
+        assert matrix == tuple(
+            tuple(model.alignment_cost(1024.0, frm, to) for to in ALL_TYPES)
             for frm in states
-        ]
+        )
 
 
 def two_party_model(**kwargs):
@@ -359,60 +368,112 @@ class TestDegenerateCases:
         assert_same_search(stages, two_party_model(), two_party_model())
 
 
-class TestTieBreakProperty:
-    """masked_first_within_slack == the scalar first-seen-wins scan."""
+#: candidate columns with a known winner among three in-states:
+#: (name, candidates, winning index)
+NAMED_TIES = (
+    ("exact tie", (5.0, 5.0, 5.0), 0),
+    ("within slack", (1.0, 1.0 - 0.9e-9, 2.0), 0),
+    ("just past slack", (1.0, 1.0 - 1.1e-9, 2.0), 1),
+    ("minimum last", (3.0, 2.0, 1.0), 2),
+    # each neighbour within slack of the next, the ends not: the rule
+    # measures from the minimum, so index 1 wins, not the chain's end
+    ("chained tie", (1.0, 1.0 - 0.8e-9, 1.0 - 1.6e-9), 1),
+)
+
+
+class TestMinPlusStep:
+    """The float min-plus step picks what ``first_within_slack`` picks."""
 
     @staticmethod
-    def scalar_scan(cand):
-        rows, n_in, n_out = cand.shape
-        values = np.empty((rows, n_out))
-        choices = np.empty((rows, n_out), dtype=int)
-        for r in range(rows):
+    def assert_cellwise(frontier, step):
+        values, choices = min_plus_step(frontier, step)
+        n_out = len(step[0])
+        assert len(values) == len(frontier)
+        assert len(choices) == len(frontier) * n_out
+        for r, frow in enumerate(frontier):
+            assert len(values[r]) == n_out
             for j in range(n_out):
-                best = None
-                best_i = 0
+                cands = [f + s[j] for f, s in zip(frow, step)]
+                k = first_within_slack(cands)
+                assert choices[r * n_out + j] == k, (r, j, cands)
+                assert values[r][j] == cands[k]
+
+    @pytest.mark.parametrize(
+        "rows,n_in,n_out", list(itertools.product((1, 2, 3), repeat=3)))
+    def test_every_shape_matches_first_within_slack(self, rows, n_in, n_out):
+        rng = random.Random(rows * 100 + n_in * 10 + n_out)
+        for _, column, _ in NAMED_TIES:
+            # random costs, then one named candidate column planted in
+            # out-state 0: row 0 of the frontier is zero, so cell (0, 0)
+            # sees the column exactly
+            frontier = [[rng.uniform(0.0, 2.0) for _ in range(n_in)]
+                        for _ in range(rows)]
+            frontier[0] = [0.0] * n_in
+            step = [[rng.uniform(0.0, 2.0) for _ in range(n_out)]
+                    for _ in range(n_in)]
+            for i in range(n_in):
+                step[i][0] = column[i]
+            self.assert_cellwise(frontier, step)
+            # and the column carried by the frontier into every out-state
+            if rows > 1:
+                frontier[1] = list(column[:n_in])
                 for i in range(n_in):
-                    if best is None or improves(float(cand[r, i, j]), best):
-                        best = float(cand[r, i, j])
-                        best_i = i
-                values[r, j] = best
-                choices[r, j] = best_i
-        return values, choices
+                    step[i] = [0.0] * n_out
+                self.assert_cellwise(frontier, step)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_scalar_scan_on_random_costs(self, seed):
-        rng = np.random.default_rng(seed)
-        cand = rng.uniform(0.001, 10.0, size=(4, 3, 3))
-        # exact ties and unreachable sentinels, like real frontiers
-        cand[0, 2, :] = cand[0, 0, :]
-        cand[1, 1, 0] = UNREACHABLE
-        cand[2, :, 1] = UNREACHABLE
-        values, choices = masked_first_within_slack(cand)
-        ref_values, ref_choices = self.scalar_scan(cand)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(choices, ref_choices)
+    @pytest.mark.parametrize("name,column,winner", NAMED_TIES,
+                             ids=[t[0] for t in NAMED_TIES])
+    def test_named_ties(self, name, column, winner):
+        assert first_within_slack(column) == winner
+        values, choices = min_plus_step([[0.0, 0.0, 0.0]],
+                                        [[c] for c in column])
+        assert list(choices) == [winner]
+        # the winner keeps its own value, not the minimum
+        assert values == [[column[winner]]]
 
-    def test_exact_tie_prefers_lowest_index(self):
-        cand = np.full((1, 3, 2), 5.0)
-        values, choices = masked_first_within_slack(cand)
-        assert np.array_equal(choices, [[0, 0]])
-        assert np.array_equal(values, [[5.0, 5.0]])
+    @pytest.mark.parametrize("column,winner", [
+        ((4.0,), 0),
+        ((1.0, 1.0), 0),
+        ((1.0, 1.0 - 0.9e-9), 0),
+        ((1.0, 1.0 - 1.1e-9), 1),
+    ])
+    def test_one_or_two_in_states(self, column, winner):
+        assert first_within_slack(column) == winner
+        values, choices = min_plus_step([[0.0] * len(column)],
+                                        [[c] for c in column])
+        assert list(choices) == [winner]
+        assert values == [[column[winner]]]
 
-    def test_within_slack_counts_as_tie(self):
-        base = 1.0
-        lower = base * (1.0 - COST_REL_TOL / 2)
-        cand = np.array([[[base], [lower]]])
-        values, choices = masked_first_within_slack(cand)
-        # the second candidate is lower but within slack: first-seen wins
-        # and keeps its own value, exactly like the scalar incumbent
-        assert choices[0, 0] == 0
-        assert values[0, 0] == base
 
-    def test_beyond_slack_is_a_real_win(self):
-        cand = np.array([[[1.0], [0.9]]])
-        values, choices = masked_first_within_slack(cand)
-        assert choices[0, 0] == 1
-        assert values[0, 0] == 0.9
+class StubPackModel(PairCostModel):
+    """A cost model whose pack is a fixed tensor: step costs set by hand."""
+
+    def __init__(self, cost):
+        super().__init__(make_group(TPU_V3, 2), make_group(TPU_V2, 2))
+        self.cost = np.asarray(cost, dtype=float)
+
+    def pack_step_tensors(self, workloads):
+        assert len(workloads) == self.cost.shape[0]
+        return StepTensors(self.cost.copy(), np.full(self.cost.shape, 0.5))
+
+
+class TestChainedNearTie:
+    def test_dp_and_reference_agree_on_a_chained_near_tie(self):
+        # layer a costs nothing in any type; entering layer b as Type-I
+        # from a's Type-I, II, III costs the chained tie (1, 1-0.8e-9,
+        # 1-1.6e-9), and b's other types cost 10
+        zero, cross = PACKED_FAMILY_INDEX[FAMILY_ZERO], PACKED_FAMILY_INDEX[FAMILY_CROSS]
+        move = PACKED_FAMILY_INDEX[FAMILY_E]
+        cost = np.zeros((2, 3, 3))
+        cost[1] = 10.0
+        cost[1, zero, TYPE_INDEX[I]] = 1.0            # I -> I
+        cost[1, move, TYPE_INDEX[I]] = 1.0 - 0.8e-9   # II -> I
+        cost[1, cross, TYPE_INDEX[I]] = 1.0 - 1.6e-9  # III -> I
+        stages = [fc_layer("a", 8, 8, 8), fc_layer("b", 8, 8, 8)]
+        assert_same_search(stages, StubPackModel(cost), StubPackModel(cost))
+        result = search_stages(stages, StubPackModel(cost))
+        assert [e.ptype for e in result.entries] == [II, I]
+        assert result.cost == 1.0 - 0.8e-9
 
 
 class TestCounters:
