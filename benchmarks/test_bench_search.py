@@ -11,10 +11,10 @@ import pytest
 from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
-from repro.core.stages import ShardedLayerStage
-from repro.core.types import ShardedWorkload
+from repro.core.stages import to_sharded_stages
 from repro.experiments.reporting import format_table
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 
 from conftest import save_artifact
@@ -25,8 +25,8 @@ def chain(n_layers, batch=64, width=512):
     for idx in range(n_layers):
         w = LayerWorkload(f"fc{idx}", batch, width, width, (1, 1), (1, 1),
                           (1, 1), False)
-        stages.append(ShardedLayerStage(ShardedWorkload(w)))
-    return stages
+        stages.append(LayerStage(w))
+    return to_sharded_stages(stages)
 
 
 @pytest.fixture
@@ -99,8 +99,8 @@ def test_greedy_vs_dp_quality(benchmark, model, results_dir):
         for idx in range(len(dims) - 1):
             w = LayerWorkload(f"fc{idx}", batch, dims[idx], dims[idx + 1],
                               (1, 1), (1, 1), (1, 1), False)
-            stages.append(ShardedLayerStage(ShardedWorkload(w)))
-        adversarial.append((dims, stages))
+            stages.append(LayerStage(w))
+        adversarial.append((dims, to_sharded_stages(stages)))
 
     def run_all():
         out = {}

@@ -177,7 +177,7 @@ def _disk_row(model, array, tmp_path, builds):
         "hit_ms", "hit_ms_reference", "hit_ms_v2")}
     cache = PlanCache(disk_dir=dirs["canonical"])
     v2_put(dirs["v2"], key, planned)
-    hit_builds = dict.fromkeys(builds, 0)
+    hit_builds = dict.fromkeys(("build_model", "stages"), 0)
     # interleaved rounds: host drift hits every writer and reader alike
     for _ in range(DISK_ROUNDS):
         samples["put_ms_reference"].append(

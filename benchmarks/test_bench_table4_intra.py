@@ -58,6 +58,6 @@ def test_table4_intra_layer_costs(benchmark, results_dir):
     # ratio-independence: sharding the *other* dimensions changes the psum,
     # but the cost never takes an alpha argument — assert the documented
     # closed form holds for an arbitrarily sharded tensor too
-    sharded = FC.shard(I, 0.3)
+    sharded = ShardedWorkload(FC.base, batch_frac=0.3)
     ci, _ = model.intra_costs(sharded, II)
     assert ci == pytest.approx(sharded.a_output_fm() * 2 / TPU_V3.network_bandwidth)

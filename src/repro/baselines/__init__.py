@@ -6,18 +6,18 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.cost_model import RATIO_MODES
 from ..core.planner import PartitionScheme
-from ..core.types import HYPAR_TYPES, PartitionType, ShardedWorkload
+from ..core.types import HYPAR_TYPES, PartitionType
+from ..graph.layers import LayerWorkload
 from ..hardware.profile import HardwareProfile
 from ..plan.backends import canonical_backend_name
 
 
-def _batch_parallel(workload: ShardedWorkload) -> PartitionType:
+def _batch_parallel(workload: LayerWorkload) -> PartitionType:
     return PartitionType.TYPE_I
 
 
-def _one_weird_trick(workload: ShardedWorkload) -> PartitionType:
-    return (PartitionType.TYPE_I if workload.base.is_conv
-            else PartitionType.TYPE_II)
+def _one_weird_trick(workload: LayerWorkload) -> PartitionType:
+    return PartitionType.TYPE_I if workload.is_conv else PartitionType.TYPE_II
 
 
 #: every scheme by name.  A pinned scheme's search only chooses the

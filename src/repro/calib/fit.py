@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.planner import PlannedExecution
-from ..core.stages import iter_sharded_workloads
 from ..hardware.accelerator import AcceleratorSpec
 from ..sim.executor import SimReport
 
@@ -72,7 +71,7 @@ def probe_from_run(planned: PlannedExecution, report: SimReport) -> Probe:
     ``flops`` is the whole workload's three-phase total; ``network_bytes``
     sums the critical path's per-level traffic.
     """
-    flops = sum(sw.flops_total() for sw in iter_sharded_workloads(planned.stages))
+    flops = sum(sw.flops_total() for sw in planned.stages.workloads())
     net_bytes = sum(lv.net_bytes_left + lv.net_bytes_right for lv in report.levels)
     return Probe(flops=flops, network_bytes=net_bytes,
                  measured_seconds=report.total_time)

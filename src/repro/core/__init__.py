@@ -4,7 +4,7 @@ from .brute_force import brute_force_chain
 from .greedy import greedy_chain
 from .cost_model import PairCostModel, inter_layer_elements
 from .dp_vectorized import search_stages
-from .hierarchy import collect_level_plans, plan_tree, stages_key
+from .hierarchy import collect_level_plans, plan_tree
 from .planner import AccParPlanner, PartitionScheme, PlannedExecution, Planner
 from .ratio import solve_balanced_ratio
 from .quantize import (
@@ -21,17 +21,7 @@ from .serialize import (
     save_plan,
 )
 from .verify import PlanVerificationError, verify_planned
-from .stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    ShardedStage,
-    first_workload,
-    flatten_to_chain,
-    iter_sharded_workloads,
-    last_workload,
-    shard_stages,
-    to_sharded_stages,
-)
+from .stages import ShardedStages, flatten_to_chain, to_sharded_stages
 from ..plan.ir import HierarchicalPlan, LayerPartition, LevelPlan, SearchResult
 from .types import (
     ALL_TYPES,
@@ -72,22 +62,15 @@ __all__ = [
     "Planner",
     "REPLICATED_TENSOR",
     "SearchResult",
-    "ShardedLayerStage",
-    "ShardedParallelStage",
-    "ShardedStage",
+    "ShardedStages",
     "ShardedWorkload",
     "brute_force_chain",
     "greedy_chain",
     "collect_level_plans",
-    "first_workload",
     "flatten_to_chain",
     "inter_layer_elements",
-    "iter_sharded_workloads",
-    "last_workload",
     "plan_tree",
     "search_stages",
-    "shard_stages",
     "solve_balanced_ratio",
-    "stages_key",
     "to_sharded_stages",
 ]

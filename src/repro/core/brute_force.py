@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 from ..plan.ir import LayerAssignment, SearchResult
 from .cost_model import PairCostModel
 from .dp_vectorized import SpaceFn
-from .stages import ShardedLayerStage, ShardedStage
+from .stages import ShardedStages
 from .types import ALL_TYPES, PartitionType
 
 #: refuse enumerations beyond this many layers by default — 3^12 ≈ 531k
@@ -24,7 +24,7 @@ DEFAULT_MAX_LAYERS = 12
 
 
 def brute_force_chain(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     model: PairCostModel,
     space: Sequence[PartitionType] = ALL_TYPES,
     space_fn: Optional[SpaceFn] = None,
@@ -40,10 +40,9 @@ def brute_force_chain(
     Chains longer than ``max_layers`` raise :class:`ValueError` instead of
     enumerating |T|^N combinations.
     """
-    for stage in stages:
-        if not isinstance(stage, ShardedLayerStage):
-            raise TypeError("brute_force_chain handles linear chains only")
-    chain = [stage for stage in stages if isinstance(stage, ShardedLayerStage)]
+    if stages.skeleton.forks:
+        raise TypeError("brute_force_chain handles linear chains only")
+    chain = stages.skeleton.layers
     if not chain:
         return SearchResult(entries=(), cost=0.0, exit_state=None)
     if len(chain) > max_layers:
@@ -54,10 +53,10 @@ def brute_force_chain(
         )
 
     spaces = [
-        tuple(space_fn(stage.workload)) if space_fn is not None else tuple(space)
-        for stage in chain
+        tuple(space_fn(layer)) if space_fn is not None else tuple(space)
+        for layer in chain
     ]
-    pack = model.pack_step_tensors([stage.workload for stage in chain])
+    pack = model.pack_step_tensors(stages)
     # (cost, α) per layer and (prev, cur), read once from the pack
     steps = [
         {(prev, t): pack.cell(row, prev, t)
@@ -86,8 +85,8 @@ def brute_force_chain(
 
     assert best_combo is not None
     entries: Tuple[LayerAssignment, ...] = tuple(
-        LayerAssignment(stage.name, ptype, alpha)
-        for stage, ptype, alpha in zip(chain, best_combo, best_alphas)
+        LayerAssignment(layer.name, ptype, alpha)
+        for layer, ptype, alpha in zip(chain, best_combo, best_alphas)
     )
     return SearchResult(
         entries=entries,

@@ -26,7 +26,7 @@ dense (layer, Table 5 family, type) tensors it builds.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from .ratio import (
     solve_balanced_ratio_poly_batch,
 )
 from .types import ALL_TYPES, PartitionType, ShardedWorkload
+
+if TYPE_CHECKING:  # the stages module imports this one
+    from .stages import ShardedStages, Sizes
 
 #: transitions with zero inter-layer cost: the boundary tensors already agree
 ZERO_TRANSITIONS = frozenset(
@@ -182,11 +185,14 @@ class StepStats:
 class StepTensors(NamedTuple):
     """One level's packed Eq. 9 step costs (:meth:`PairCostModel.pack_step_tensors`).
 
-    ``cost`` and ``alpha`` have shape ``(n_layers, PACKED_FAMILY_COUNT, |T|)``.
+    ``cost`` and ``alpha`` have shape ``(n_layers, PACKED_FAMILY_COUNT, |T|)``;
+    ``sizes`` are the per-row tensor sizes they were derived from, which the
+    search's fork/join re-alignments read.
     """
 
     cost: np.ndarray
     alpha: np.ndarray
+    sizes: "Sizes"
 
     def cell(
         self, row: int, prev_type: Optional[PartitionType], cur_type: PartitionType
@@ -339,37 +345,40 @@ class PairCostModel:
     # ------------------------------------------------------------------
     # Eq. 9 step costs, packed
     # ------------------------------------------------------------------
-    def pack_step_tensors(self, workloads: Sequence[ShardedWorkload]) -> StepTensors:
+    def pack_step_tensors(self, stages: "ShardedStages") -> StepTensors:
         """Every Eq. 9 step costing of a level, as two dense tensors.
 
         Returns ``(cost, alpha)`` of shape
         ``(n_layers, PACKED_FAMILY_COUNT, |T|)``: the step cost and its
-        ratio for layer ``l`` entered through packed Table 5 family ``f``
-        under partition type ``t`` (type columns in ``ALL_TYPES`` order).
-        The one unreachable cell, cross family → Type-III, holds ``inf``.
+        ratio for layer row ``l`` entered through packed Table 5 family
+        ``f`` under partition type ``t`` (type columns in ``ALL_TYPES``
+        order).  The one unreachable cell, cross family → Type-III, holds
+        ``inf``.
 
-        Every cell repeats the per-party formulas of :meth:`step_pair_costs`
-        elementwise, in their operation order.  ``balanced`` builds each
-        cell's Eq. 10 polynomial ``const + lin·α + quad·α(1-α)`` per party
-        and solves all of them in one batch
-        (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`); the
-        fixed-α modes take the slower party at their one ratio;
+        The per-layer sizes and FLOPs come from the level's fraction table
+        as columns (:meth:`~repro.core.stages.ShardedStages.sizes`), and
+        every cell repeats the per-party formulas of
+        :meth:`step_pair_costs` elementwise, in their operation order.
+        ``balanced`` builds each cell's Eq. 10 polynomial
+        ``const + lin·α + quad·α(1-α)`` per party and solves all of them in
+        one batch (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`);
+        the fixed-α modes take the slower party at their one ratio;
         ``comm-volume`` counts bytes.  Calibrated profiles enter as per-kind
         compute rates, effective bandwidths at each transfer's
         α-independent base size and a latency constant per nonzero
         transfer; the analytic profile answers peak rates and zero latency,
         which reproduces the datasheet arithmetic bit for bit.
         """
-        n = len(workloads)
+        sizes = stages.sizes()
+        is_conv = stages.skeleton.is_conv
+        n = len(is_conv)
         shape = (n, len(ALL_TYPES))
-        total = np.array([sw.flops_total() for sw in workloads], dtype=float)
-        kinds = [self._kind(sw) for sw in workloads]
-        rate_i = np.array([self._rate_i(kind) for kind in kinds], dtype=float)
-        rate_j = np.array([self._rate_j(kind) for kind in kinds], dtype=float)
-        psum = np.array([[sw.a_psum(t) for t in ALL_TYPES] for sw in workloads],
-                        dtype=float).reshape(shape)
-        # A(F_l): the Type-III partial sum is the input feature map
-        a_in = psum[:, TYPE_INDEX[PartitionType.TYPE_III]]
+        total = sizes.flops
+        rate_i = np.where(is_conv, self._rate_i("conv"), self._rate_i("fc"))
+        rate_j = np.where(is_conv, self._rate_j("conv"), self._rate_j("fc"))
+        # the partial-sum tensor per type (Table 4): A(W_l), A(F_{l+1}), A(F_l)
+        psum = np.stack([sizes.a_weight, sizes.a_out, sizes.a_in], axis=1)
+        a_in = sizes.a_in
         dtype_bytes = float(self.dtype_bytes)
         zero = np.zeros(n)
 
@@ -381,7 +390,7 @@ class PairCostModel:
             inter = np.stack([zero, (cross + cross) * dtype_bytes,
                               (beta * a_in + alpha * a_in) * dtype_bytes], axis=1)
             cost = (2.0 * psum * dtype_bytes)[:, None, :] + inter[:, :, None]
-            return self._packed(cost, np.full(cost.shape, alpha))
+            return self._packed(cost, np.full(cost.shape, alpha), sizes)
 
         intra = psum * dtype_bytes
         move = a_in * dtype_bytes
@@ -418,7 +427,7 @@ class PairCostModel:
             cost_i = cp_i[:, None, :] + (intra_i[:, None, :] + inter_i)
             cost_j = cp_j[:, None, :] + (intra_j[:, None, :] + inter_j)
             return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j),
-                                np.full(cost_i.shape, alpha))
+                                np.full(cost_i.shape, alpha), sizes)
 
         # balanced: cost_i(α) = const_i + lin_i·α + quad_i·α(1-α), likewise
         # for party j; the zero family pays compute and the partial-sum
@@ -463,13 +472,15 @@ class PairCostModel:
         ab = alpha * (1.0 - alpha)
         cost_i = const_i + lin_i * alpha + quad_i * ab
         cost_j = const_j + lin_j * alpha + quad_j * ab
-        return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j), alpha)
+        return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j), alpha,
+                            sizes)
 
-    def _packed(self, cost: np.ndarray, alpha: np.ndarray) -> StepTensors:
+    def _packed(self, cost: np.ndarray, alpha: np.ndarray,
+                sizes: "Sizes") -> StepTensors:
         cost[:, PACKED_FAMILY_INDEX[FAMILY_CROSS],
              TYPE_INDEX[PartitionType.TYPE_III]] = np.inf
         self.stats.step_calls += REACHABLE_CELLS * cost.shape[0]
-        return StepTensors(cost, alpha)
+        return StepTensors(cost, alpha, sizes)
 
     # ------------------------------------------------------------------
     # component costs (Tables 4-6, per party, at one α)

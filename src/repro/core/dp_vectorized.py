@@ -1,7 +1,8 @@
 """Layer-wise search (Sections 5.1-5.2, Eq. 9): a packed min-plus recurrence.
 
-The DP runs over the sharded series-parallel stage list of
-:mod:`repro.core.stages`.  The DP state is the partition type governing the
+The DP runs over a level's sub-problem (:class:`repro.core.stages.ShardedStages`):
+the skeleton's series-parallel structure of layer rows and the level's
+fraction table.  The DP state is the partition type governing the
 boundary tensor after a stage (``None`` is the free network entry); Eq. 9's
 step costs come from :class:`~repro.core.cost_model.PairCostModel`, so the
 same search serves AccPar (balanced ratios, full space), HyPar
@@ -13,7 +14,8 @@ for N weighted layers — the paper's reduction from the O(3^N) brute force
 **Phase 1 — packing.**  Every step costing a level can ever need is
 computed up front as two tensors of shape ``(n_layers, 3 families, |T|)``
 (:meth:`PairCostModel.pack_step_tensors`): Eq. 9's step cost and its Eq. 10
-ratio per (layer, packed Table 5 family, type).
+ratio per (layer row, packed Table 5 family, type), from the table's
+columns.
 
 **Phase 2 — recurrence, on Python floats.**  One gather re-indexes both
 tensors by (layer, in-state, type) and one ``tolist()`` turns each into a
@@ -56,23 +58,19 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graph.layers import LayerWorkload
 from ..obs.tracing import tracer
 from ..plan.ir import JoinAlignment, LayerAssignment, PathExit, PlanEntry, SearchResult
 from .cost_model import PACKED_FAMILY_INDEX, TYPE_INDEX, PairCostModel, transition_family
-from .stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    ShardedStage,
-    first_workload,
-    iter_layer_stages,
-    last_workload,
-)
+from .stages import Fork, ShardedStages
 from .tiebreak import first_within_slack, min_plus_step
-from .types import ALL_TYPES, PartitionType, ShardedWorkload
+from .types import ALL_TYPES, PartitionType
 
 #: optional per-layer restriction of the searchable types (used by the fixed
-#: baselines: data parallelism pins Type-I everywhere, OWT pins by layer kind)
-SpaceFn = Callable[[ShardedWorkload], Sequence[PartitionType]]
+#: baselines: data parallelism pins Type-I everywhere, OWT pins by layer
+#: kind); it reads the layer's unsharded workload, since no restriction
+#: depends on a level's fractions
+SpaceFn = Callable[[LayerWorkload], Sequence[PartitionType]]
 
 #: DP states: a partition type, or None for the free entry boundary
 State = Optional[PartitionType]
@@ -122,7 +120,10 @@ class _Level(NamedTuple):
     model: PairCostModel
     costs: List[float]          # flat (layer, in-state, type) step costs
     alphas: List[float]         # the ratios, laid out like ``costs``
-    index: Dict[int, int]       # id(layer stage) -> the layer's offset
+    names: Tuple[str, ...]      # per layer row
+    layers: Tuple[LayerWorkload, ...]  # per layer row, for ``space_fn``
+    a_in: Optional[List[float]]   # per row A(F_l); read at forks only
+    a_out: Optional[List[float]]  # per row A(F_{l+1}); read at forks only
     space: Tuple[PartitionType, ...]
     space_fn: Optional[SpaceFn]
 
@@ -196,13 +197,13 @@ def _backtrack(decisions, row: int, exit_idx: int) -> Tuple[PlanEntry, ...]:
     return tuple(out)
 
 
-def _layer_step(level, stage, states, frontier):
+def _layer_step(level, row, states, frontier):
     # ``space`` is pre-tupled once per search; only a per-layer restriction
     # needs normalizing here
     space_fn = level.space_fn
-    layer_space = (tuple(space_fn(stage.workload)) if space_fn is not None
+    layer_space = (tuple(space_fn(level.layers[row])) if space_fn is not None
                    else level.space)
-    base = level.index[id(stage)]
+    base = row * _BLOCK
     offsets, t_codes = _codes(states, layer_space)
     costs = level.costs
     if t_codes == _ALL_CODES:
@@ -214,36 +215,30 @@ def _layer_step(level, stage, states, frontier):
         frontier, choice = step, None
     else:
         frontier, choice = min_plus_step(frontier, step)
-    decision = _LayerDecision(stage.name, level.alphas, base, offsets, t_codes,
-                              layer_space, choice)
+    decision = _LayerDecision(level.names[row], level.alphas, base, offsets,
+                              t_codes, layer_space, choice)
     return layer_space, frontier, decision
 
 
-def _parallel_step(level, stage, states, frontier):
+def _parallel_step(level, fork, states, frontier):
     model = level.model
     out_states = level.space
-    # the fork tensor: input feature map of the first weighted layer in any
-    # non-empty path (all paths consume the same tensor)
-    fork_elements = None
-    for path in stage.paths:
-        if path:
-            fork_elements = first_workload(path).a_input_fm()
-            break
-    if fork_elements is None:
-        raise ValueError(f"parallel stage {stage.name!r} has no weighted layers")
+    # the fork tensor: input feature map of the fork's first weighted layer
+    # (all paths consume the same tensor)
+    fork_elements = level.a_in[fork.first]
 
     stats = model.stats
     rows = len(states)
     macro = [[0.0] * len(out_states)] * rows
     paths: List[Optional[Tuple]] = []
-    for path in stage.paths:
+    for path, last in zip(fork.paths, fork.lasts):
         if path:
             # all entry states at once: one DP per path
             stats.vec_multipath_batches += 1
             stats.multipath_path_dp_runs += rows
             path_out, path_frontier, path_decisions = _run_chain(
                 level, path, states, None)
-            out_elements = last_workload(path).a_output_fm()
+            out_elements = level.a_out[last]
             align = model.alignment_matrix(out_elements, path_out, out_states)
             best, exit_choice = min_plus_step(path_frontier, align)
             paths.append((path_decisions, path_out, exit_choice))
@@ -260,29 +255,30 @@ def _parallel_step(level, stage, states, frontier):
         frontier, choice = macro, None
     else:
         frontier, choice = min_plus_step(frontier, macro)
-    decision = _ParallelDecision(stage.name, states, out_states, paths,
+    decision = _ParallelDecision(fork.name, states, out_states, paths,
                                  model.nominal_alpha(), choice)
     return out_states, frontier, decision
 
 
 def _run_chain(level, stages, states, frontier):
-    """Phase 2 over one stage chain; frontier rows are entry states."""
+    """Phase 2 over one stage chain; frontier rows are entry states.
+
+    A stage is a layer's row or a :class:`~repro.core.stages.Fork`.
+    """
     decisions = []
     for stage in stages:
-        if isinstance(stage, ShardedLayerStage):
-            states, frontier, decision = _layer_step(level, stage, states,
-                                                     frontier)
-        elif isinstance(stage, ShardedParallelStage):
+        if isinstance(stage, Fork):
             states, frontier, decision = _parallel_step(level, stage, states,
                                                         frontier)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown stage kind {type(stage).__name__}")
+        else:
+            states, frontier, decision = _layer_step(level, stage, states,
+                                                     frontier)
         decisions.append(decision)
     return states, frontier, decisions
 
 
 def search_stages(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     model: PairCostModel,
     space: Sequence[PartitionType] = ALL_TYPES,
     space_fn: Optional[SpaceFn] = None,
@@ -292,24 +288,26 @@ def search_stages(
     The entry boundary is free (``c(L_0, t) = 0``, Section 5.1: the input
     tensor may start in whichever partitioning the first layer prefers).
     ``space`` is the searchable type set; ``space_fn`` optionally restricts
-    it per layer (workload → allowed types).
+    it per layer (unsharded layer workload → allowed types).
     """
     space = tuple(space)
     if not space:
         raise ValueError("partition-type space must be non-empty")
-    stages = list(stages)
-    if not stages:
+    skeleton = stages.skeleton
+    if not skeleton.stages:
         return SearchResult(entries=(), cost=0.0, exit_state=None)
 
     stats = model.stats
     stats.vec_searches += 1
-    with tracer.span("dp.search", category="dp", stages=len(stages),
+    with tracer.span("dp.search", category="dp", stages=len(skeleton.stages),
                      space=len(space)) as span:
         t_start = time.perf_counter_ns()
         with tracer.span("dp.pack", category="dp"):
-            layers = list(iter_layer_stages(stages))
-            index = {id(stage): row * _BLOCK for row, stage in enumerate(layers)}
-            pack = model.pack_step_tensors([st.workload for st in layers])
+            pack = model.pack_step_tensors(stages)
+            a_in = a_out = None
+            if skeleton.forks:
+                a_in = pack.sizes.a_in.tolist()
+                a_out = pack.sizes.a_out.tolist()
         t_packed = time.perf_counter_ns()
         stats.vec_pack_ns += t_packed - t_start
 
@@ -318,11 +316,11 @@ def search_stages(
                 model,
                 pack.cost[:, _FAM_TABLE, _TYPE_COLUMNS].ravel().tolist(),
                 pack.alpha[:, _FAM_TABLE, _TYPE_COLUMNS].ravel().tolist(),
-                index, space, space_fn)
+                skeleton.names, skeleton.layers, a_in, a_out, space, space_fn)
             # from the free entry state; the first stage takes the
             # identity shortcut like any path chain
             out_states, frontier, decisions = _run_chain(
-                level, stages, (None,), None)
+                level, skeleton.stages, (None,), None)
             final = frontier[0]
             best = first_within_slack(final)
             entries = _backtrack(decisions, 0, best)

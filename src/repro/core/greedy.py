@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence
 from ..plan.ir import LayerAssignment, SearchResult
 from .cost_model import PairCostModel
 from .dp_vectorized import SpaceFn
-from .stages import ShardedLayerStage, ShardedStage
+from .stages import ShardedStages
 from .tiebreak import first_within_slack
 from .types import ALL_TYPES, PartitionType
 
 
 def greedy_chain(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     model: PairCostModel,
     space: Sequence[PartitionType] = ALL_TYPES,
     space_fn: Optional[SpaceFn] = None,
@@ -33,24 +33,24 @@ def greedy_chain(
     (:func:`~repro.core.tiebreak.first_within_slack`), so greedy-vs-DP
     comparisons measure search quality, not last-ulp float noise.
     """
-    for stage in stages:
-        if not isinstance(stage, ShardedLayerStage):
-            raise TypeError("greedy_chain handles linear chains only")
+    skeleton = stages.skeleton
+    if skeleton.forks:
+        raise TypeError("greedy_chain handles linear chains only")
     space = tuple(space)
     if not space:
         raise ValueError("partition-type space must be non-empty")
 
-    pack = model.pack_step_tensors([stage.workload for stage in stages])
+    pack = model.pack_step_tensors(stages)
     entries: List[LayerAssignment] = []
     total = 0.0
     prev: Optional[PartitionType] = None
-    for row, stage in enumerate(stages):
-        layer_space = (tuple(space_fn(stage.workload)) if space_fn is not None
+    for row, layer in enumerate(skeleton.layers):
+        layer_space = (tuple(space_fn(layer)) if space_fn is not None
                        else space)
         cells = [pack.cell(row, prev, t) for t in layer_space]
         k = first_within_slack([cost for cost, _ in cells])
         cost, alpha = cells[k]
-        entries.append(LayerAssignment(stage.name, layer_space[k], alpha))
+        entries.append(LayerAssignment(layer.name, layer_space[k], alpha))
         total += cost
         prev = layer_space[k]
 

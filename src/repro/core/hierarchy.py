@@ -12,9 +12,13 @@ quantizer by snapping a stored plan's ratios, and the simulator and the
 verifier replay the stored plan (:func:`stored_level`) and fold over the
 steps.
 
-Symmetric subtrees — ubiquitous once a homogeneous group is split equally —
-produce identical sub-problems, so the walk is memoized on
-``(group signature, subtree depth, stage content)``; this collapses the 255
+A node's sub-problem is a :class:`~repro.core.stages.ShardedStages`: the
+plan's one skeleton plus a ``(layers, 3)`` fraction table; a decision
+shards the table for each child with one vectorized multiply.  Symmetric
+subtrees — ubiquitous once a homogeneous group is split equally — produce
+identical tables, so the walk is memoized on ``(group signature, subtree
+depth, fraction key)``, where the fraction key merges exactly the tables
+whose fractions agree under ``round(x, 12)``; this collapses the 255
 internal nodes of a 256-accelerator tree to a handful of distinct steps.
 """
 
@@ -22,22 +26,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..hardware.cluster import GroupNode
 from ..obs.registry import planner_counters
 from ..obs.tracing import NULL_SPAN, tracer
 from ..plan.ir import HierarchicalPlan, LevelPlan
-from .stages import ShardedStage, iter_sharded_workloads, shard_stages
+from .stages import ShardedStages
 
 if TYPE_CHECKING:  # the planner module imports this one
     from .planner import PartitionScheme
-
-
-def stages_key(stages: Sequence[ShardedStage]) -> Tuple:
-    """Hashable content key of a sharded stage list (for memoization)."""
-    return tuple(w.key() for w in iter_sharded_workloads(stages))
 
 
 @dataclass(eq=False)
@@ -50,7 +48,7 @@ class Step:
     """
 
     node: GroupNode
-    stages: List[ShardedStage]
+    stages: ShardedStages
     plan: Optional[HierarchicalPlan]
     level: Optional[LevelPlan] = None
     left: Optional["Step"] = None
@@ -59,7 +57,7 @@ class Step:
 
 def walk(
     node: GroupNode,
-    stages: List[ShardedStage],
+    stages: ShardedStages,
     decide: Callable[..., Optional[LevelPlan]],
     plan: Optional[HierarchicalPlan] = None,
 ) -> Step:
@@ -74,17 +72,17 @@ def walk(
     return _walk(node, stages, plan, decide, None, {}, None)
 
 
-def _walk(node: GroupNode, stages: List[ShardedStage],
+def _walk(node: GroupNode, stages: ShardedStages,
           plan: Optional[HierarchicalPlan], decide, scheme: Optional[str],
           memo: Dict[Tuple, Step], tally: Optional[Counter]) -> Step:
     # a module function, not a closure: a recursive closure is a reference
-    # cycle, which would keep the memo's stage lists alive until a GC pass.
+    # cycle, which would keep the memo's tables alive until a GC pass.
     # ``scheme`` names a planner walk (plan_tree): only those count memo
     # hits and misses into ``tally`` and open ``hierarchy.plan`` spans
     planning = scheme is not None
     if planning and node.is_leaf:
         return Step(node, stages, plan)  # nothing to decide or fold
-    key = (node.group.signature(), node.depth(), stages_key(stages))
+    key = (node.group.signature(), node.depth(), stages.key())
     step = memo.get(key)
     if step is not None and (step.plan is plan or step.plan == plan):
         if planning:
@@ -102,12 +100,11 @@ def _walk(node: GroupNode, stages: List[ShardedStage],
         level = None if node.is_leaf else decide(node, stages, plan)
         if level is not None:
             assert node.left is not None and node.right is not None
-            assignments = level.layer_assignments()
             step.level = level
-            step.left = _walk(node.left, shard_stages(stages, assignments, "left"),
+            step.left = _walk(node.left, stages.shard(level, "left"),
                               None if plan is None else plan.left,
                               decide, scheme, memo, tally)
-            step.right = _walk(node.right, shard_stages(stages, assignments, "right"),
+            step.right = _walk(node.right, stages.shard(level, "right"),
                                None if plan is None else plan.right,
                                decide, scheme, memo, tally)
     return step
@@ -130,7 +127,7 @@ def plan_of(step: Step, scheme: str,
 
 def plan_tree(
     node: GroupNode,
-    stages: List[ShardedStage],
+    stages: ShardedStages,
     scheme: PartitionScheme,
     dtype_bytes: int = 2,
     tally: Optional[Counter] = None,
@@ -143,7 +140,7 @@ def plan_tree(
     """
     own: Counter = Counter()
 
-    def search(node: GroupNode, stages: List[ShardedStage], _) -> LevelPlan:
+    def search(node: GroupNode, stages: ShardedStages, _) -> LevelPlan:
         assert node.left is not None and node.right is not None
         return scheme.level_plan(stages, node.left.group, node.right.group,
                                  dtype_bytes, own)
@@ -156,7 +153,7 @@ def plan_tree(
     return plan
 
 
-def stored_level(node: GroupNode, stages: List[ShardedStage],
+def stored_level(node: GroupNode, stages: ShardedStages,
                  plan: HierarchicalPlan) -> Optional[LevelPlan]:
     """Replay a stored plan: its own level, unless it lacks a child, leaves
     a layer of ``stages`` unassigned or holds a ratio outside (0, 1)."""
@@ -166,7 +163,7 @@ def stored_level(node: GroupNode, stages: List[ShardedStage],
     layers = level.layers()
     assigned = {a.name for a in layers if 0.0 < a.alpha < 1.0}
     if len(assigned) < len(layers) or any(
-            w.name not in assigned for w in iter_sharded_workloads(stages)):
+            name not in assigned for name in stages.skeleton.names):
         return None
     return level
 

@@ -7,10 +7,10 @@ Typical use::
     planner = AccParPlanner(heterogeneous_array())
     planned = planner.plan(build_model("vgg19"), batch=512)
 
-``planned`` bundles the pairing tree, the sharded stages and the
-per-level plans; feed it to :func:`repro.sim.evaluate` for the simulated
-iteration time, or inspect ``planned.root_level_plan`` for the per-layer
-decisions (Figure 7).
+``planned`` bundles the pairing tree, the root sub-problem (the network's
+sharded stages as one fraction table) and the per-level plans; feed it to
+:func:`repro.sim.evaluate` for the simulated iteration time, or inspect
+``planned.root_level_plan`` for the per-layer decisions (Figure 7).
 
 Every scheme resolves its search algorithm through the backend registry
 (:func:`repro.plan.get_backend`): ``PartitionScheme(backend="greedy")``
@@ -23,8 +23,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..graph.layers import LayerWorkload
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
@@ -35,8 +36,8 @@ from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
 from .hierarchy import collect_level_plans, plan_tree
-from .stages import ShardedStage, flatten_to_chain, to_sharded_stages
-from .types import ALL_TYPES, PartitionType, ShardedWorkload
+from .stages import ShardedStages, flatten_to_chain, to_sharded_stages
+from .types import ALL_TYPES, PartitionType
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class PartitionScheme:
     * ``space`` — the searchable partition types;
     * ``ratio_mode`` — how a pair of per-party costs becomes one cost
       (:data:`repro.core.cost_model.RATIO_MODES`);
-    * ``pin`` — a function from a workload to its one type, or ``None``
-      to let the search choose from ``space``;
+    * ``pin`` — a function from a layer's (unsharded) workload to its one
+      type, or ``None`` to let the search choose from ``space``;
     * ``linearize`` — search the topologically ordered chain instead of
       the multi-path graph;
     * ``backend`` — the search algorithm's name in the
@@ -67,14 +68,14 @@ class PartitionScheme:
     name: str = "accpar"
     space: Tuple[PartitionType, ...] = ALL_TYPES
     ratio_mode: str = "balanced"
-    pin: Optional[Callable[[ShardedWorkload], PartitionType]] = None
+    pin: Optional[Callable[[LayerWorkload], PartitionType]] = None
     linearize: bool = False
     backend: str = "dp"
     profile: Optional[HardwareProfile] = None
 
     def level_plan(
         self,
-        stages: Sequence[ShardedStage],
+        stages: ShardedStages,
         party_i: AcceleratorGroup,
         party_j: AcceleratorGroup,
         dtype_bytes: int,
@@ -89,7 +90,7 @@ class PartitionScheme:
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
                               profile=self.profile)
         if self.linearize:
-            stages = flatten_to_chain(list(stages))
+            stages = flatten_to_chain(stages)
         result = get_backend(self.backend).search(
             stages, model, self.space,
             space_fn=None if self.pin is None else lambda w: (self.pin(w),))
@@ -107,8 +108,8 @@ class PartitionScheme:
 
 
 class _Stages:
-    """The ``stages`` field of :class:`PlannedExecution`: the list given,
-    or, for ``None``, the model's sharded stages built on first read.
+    """The ``stages`` field of :class:`PlannedExecution`: the table given,
+    or, for ``None``, the model's root sub-problem built on first read.
 
     The planner passes the stages its search ran over.  A plan read from
     a document (:func:`repro.core.serialize.plan_from_dict`) passes
@@ -116,11 +117,11 @@ class _Stages:
     first read builds the stages at the plan's batch, from the model a
     caller's ``network_builder`` returned at load or else from the
     registry's ``network_name``, and keeps them: every later read returns
-    that list.  Two threads that make the first read of one shared plan at
-    once may both build; their lists are equal, so no lock is taken.
+    that table.  Two threads that make the first read of one shared plan at
+    once may both build; their tables are equal, so no lock is taken.
     """
 
-    def __get__(self, planned, owner=None) -> List[ShardedStage]:
+    def __get__(self, planned, owner=None) -> ShardedStages:
         if planned is None:  # class access: the field has no default
             raise AttributeError("stages")
         stages = planned.__dict__["_stages"]
@@ -132,7 +133,7 @@ class _Stages:
             planned.__dict__["_stages"] = stages
         return stages
 
-    def __set__(self, planned, stages: Optional[List[ShardedStage]]) -> None:
+    def __set__(self, planned, stages: Optional[ShardedStages]) -> None:
         planned.__dict__["_stages"] = stages
 
 
@@ -148,7 +149,7 @@ class PlannedExecution:
     batch: int
     scheme: str
     tree: GroupNode
-    stages: List[ShardedStage] = _Stages()
+    stages: ShardedStages = _Stages()
     plan: HierarchicalPlan
     dtype_bytes: int
 

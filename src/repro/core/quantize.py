@@ -23,7 +23,7 @@ from ..plan.ir import (
 )
 from .hierarchy import collect_level_plans, plan_of, walk
 from .planner import PlannedExecution
-from .stages import ShardedStage, iter_sharded_workloads
+from .stages import ShardedStages
 from .types import PartitionType, ShardedWorkload
 
 
@@ -89,11 +89,11 @@ def quantize_plan(
     #: per snapped level: (each snapped ratio's shift, unrealizable count)
     snapped: Dict[int, Tuple[List[float], int]] = {}
 
-    def snap(node: GroupNode, stages: List[ShardedStage],
+    def snap(node: GroupNode, stages: ShardedStages,
              plan: HierarchicalPlan) -> Optional[LevelPlan]:
         if plan.level_plan is None:
             return None
-        by_name = {sw.name: sw for sw in iter_sharded_workloads(stages)}
+        by_name = {sw.name: sw for sw in stages.workloads()}
         shifts: List[float] = []
         unrealizable = 0
         entries: List[PlanEntry] = []

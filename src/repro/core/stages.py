@@ -1,150 +1,254 @@
-"""Sharded stage structures: the planner-side view of a network.
+"""Sharded stages: a level's sub-problem as one fraction table.
 
-The graph IR produces stages over :class:`~repro.graph.layers.LayerWorkload`;
-the hierarchical planner needs the same series-parallel skeleton but over
-:class:`~repro.core.types.ShardedWorkload`, because each pairing-tree level
-sees the tensors already cut down by its ancestors' decisions.  This module
-converts between the two and applies a level's assignments to produce each
-child's sub-problem.
+The graph IR decomposes a network into series-parallel stages over
+:class:`~repro.graph.layers.LayerWorkload` (:meth:`Network.stages`).  At
+every pairing-tree node the hierarchical planner sees the same structure,
+with each layer's tensors cut down by its ancestors' decisions.  Such a
+sub-problem (:class:`ShardedStages`) has two parts:
+
+* a :class:`Skeleton`, built once per plan by :func:`to_sharded_stages`
+  and shared by every level: the fork/join structure over layer *rows*,
+  each layer's base dimensions and op kind as numpy columns, each fork's
+  first-layer row and each path's last-layer row;
+* a ``(layers, 3)`` float64 array of the batch, D_i and D_o fractions each
+  layer keeps after the enclosing levels' partitions — the per-dimension
+  degrees FlexFlow uses to describe a layer's parallelization.
+
+A child's sub-problem shares the skeleton; its table is one vectorized
+multiply (:meth:`ShardedStages.shard`).  :meth:`ShardedStages.key` keys the
+walk memo, :meth:`ShardedStages.sizes` gives the search the per-layer tensor
+sizes and FLOPs as columns, and :meth:`ShardedStages.workloads` is the one
+per-layer accessor for every other reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from ..graph.layers import LayerWorkload
 from ..graph.network import LayerStage, ParallelStage, Stage
-from ..plan.ir import LayerPartition
+from ..plan.ir import LevelPlan
+from .cost_model import TYPE_INDEX
 from .types import ShardedWorkload
 
 
-@dataclass(frozen=True)
-class ShardedLayerStage:
-    """One weighted layer with its level-local sharded workload."""
+class Fork(NamedTuple):
+    """A fork/join region over layer rows; an empty path is an identity skip."""
 
-    workload: ShardedWorkload
-
-    @property
-    def name(self) -> str:
-        return self.workload.name
-
-
-@dataclass(frozen=True)
-class ShardedParallelStage:
-    """A fork/join region over sharded stages; empty path = identity skip."""
-
-    paths: Tuple[Tuple["ShardedStage", ...], ...]
-    name: str = "parallel"
-
-    def __post_init__(self) -> None:
-        if len(self.paths) < 2:
-            raise ValueError("a ShardedParallelStage needs at least two paths")
+    name: str
+    #: per path, its stages: a layer's row or a nested :class:`Fork`
+    paths: Tuple[Tuple[Union[int, "Fork"], ...], ...]
+    #: the first layer's row: its input feature map is the fork tensor
+    first: int
+    #: per path, its last layer's row (``None`` for an identity skip)
+    lasts: Tuple[Optional[int], ...]
 
 
-ShardedStage = Union[ShardedLayerStage, ShardedParallelStage]
+class Skeleton:
+    """What every level of one plan shares: structure, names and base columns.
+
+    ``stages`` is the series-parallel stage list with each weighted layer
+    replaced by its row; rows run in topological order (a fork's paths one
+    after the other).  ``dims`` holds six float64 columns per row: B, D_i,
+    D_o and the input, output and kernel spatial sizes.
+    """
+
+    __slots__ = ("stages", "names", "layers", "forks", "dims", "is_conv")
+
+    def __init__(self, stages: Tuple[Union[int, Fork], ...],
+                 layers: Tuple[LayerWorkload, ...], forks: Tuple[Fork, ...]):
+        self.stages = stages
+        self.layers = layers
+        self.names: Tuple[str, ...] = tuple(w.name for w in layers)
+        #: every fork, nested ones too
+        self.forks = forks
+        self.dims = np.array(
+            [(w.batch, w.d_in, w.d_out, w.in_spatial, w.out_spatial,
+              w.kernel_spatial) for w in layers], dtype=float,
+        ).reshape(len(layers), 6).T.copy()
+        self.is_conv = np.array([w.is_conv for w in layers], dtype=bool)
 
 
-def to_sharded_stages(stages: Sequence[Stage]) -> List[ShardedStage]:
-    """Wrap graph stages into unsharded (fraction-1) planner stages."""
-    out: List[ShardedStage] = []
+class Sizes(NamedTuple):
+    """Per-row tensor sizes and FLOPs of a sub-problem (the paper's A(.))."""
+
+    a_in: np.ndarray      # A(F_l) = A(E_l)
+    a_out: np.ndarray     # A(F_{l+1}) = A(E_{l+1})
+    a_weight: np.ndarray  # A(W_l) = A(ΔW_l)
+    flops: np.ndarray     # the three training mat-muls (Table 6)
+
+
+def _reduction_flops(reduction: np.ndarray) -> np.ndarray:
+    """:func:`repro.core.types._reduction_flops`, per element."""
+    return np.where(reduction >= 1.0, 2.0 * reduction - 1.0, reduction)
+
+
+def _round_half_even(x: float) -> int:
+    """``x``·10¹² rounded to an integer, ties to even, in exact arithmetic."""
+    num, den = x.as_integer_ratio()
+    quotient, remainder = divmod(num * 10**12, den)
+    twice = 2 * remainder
+    if twice > den or (twice == den and quotient & 1):
+        quotient += 1
+    return quotient
+
+
+class ShardedStages:
+    """One pairing-tree node's sub-problem: a skeleton and its fraction table.
+
+    ``fractions[row]`` holds the shares of B, D_i and D_o layer ``row``
+    retains after all enclosing levels, each in (0, 1]; the root
+    sub-problem holds ones.  The walk memo and every plan share tables,
+    so the array is made read-only.
+    """
+
+    __slots__ = ("skeleton", "fractions")
+
+    def __init__(self, skeleton: Skeleton, fractions: np.ndarray):
+        fractions.flags.writeable = False
+        self.skeleton = skeleton
+        self.fractions = fractions
+
+    def __len__(self) -> int:
+        return len(self.skeleton.layers)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShardedStages):
+            return NotImplemented
+        return (self.skeleton.stages == other.skeleton.stages
+                and self.skeleton.layers == other.skeleton.layers
+                and np.array_equal(self.fractions, other.fractions))
+
+    def workloads(self) -> List[ShardedWorkload]:
+        """Every layer's sharded workload, in row order."""
+        return [ShardedWorkload(layer, *row) for layer, row
+                in zip(self.skeleton.layers, self.fractions.tolist())]
+
+    def sizes(self) -> Sizes:
+        """Every layer's tensor sizes and FLOPs as columns.
+
+        Each element repeats :class:`ShardedWorkload`'s scalar formulas in
+        their operation order, so every value is bit-identical to the
+        scalar one.
+        """
+        batch, d_in, d_out, in_spatial, out_spatial, kernel_spatial = \
+            self.skeleton.dims
+        fractions = self.fractions
+        batch = batch * fractions[:, 0]
+        d_in = d_in * fractions[:, 1]
+        d_out = d_out * fractions[:, 2]
+        a_in = batch * d_in * in_spatial
+        a_out = batch * d_out * out_spatial
+        a_weight = d_in * d_out * kernel_spatial
+        flops = (a_out * _reduction_flops(d_in * kernel_spatial)
+                 + a_in * _reduction_flops(d_out * kernel_spatial)
+                 + a_weight * _reduction_flops(batch * out_spatial))
+        return Sizes(a_in, a_out, a_weight, flops)
+
+    def shard(self, level: LevelPlan, side: str) -> "ShardedStages":
+        """The sub-problem one party sees below ``level``.
+
+        ``side`` is ``"left"`` (share α) or ``"right"`` (share β = 1-α).
+        Each layer's assignment cuts the column its type partitions.
+        Every layer must be assigned, at a ratio inside (0, 1).
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        names = self.skeleton.names
+        try:
+            entries = list(map(level.assignment, names))
+        except KeyError as missing:
+            raise KeyError(f"no assignment for layer {missing.args[0]!r}") \
+                from None
+        alpha = np.array([entry.alpha for entry in entries], dtype=float)
+        inside = (alpha > 0.0) & (alpha < 1.0)
+        if not inside.all():
+            row = int(np.argmin(inside))
+            raise ValueError(f"ratio of layer {names[row]!r} must be in (0, 1), "
+                             f"got {entries[row].alpha}")
+        rows = np.arange(len(names))
+        # a type cuts the dimension it partitions; the fraction columns
+        # (B, D_i, D_o) follow ALL_TYPES, like the pack's type axis
+        columns = [TYPE_INDEX[entry.ptype] for entry in entries]
+        cut = self.fractions[rows, columns] * (alpha if side == "left"
+                                                else 1.0 - alpha)
+        inside = (cut > 0.0) & (cut <= 1.0)
+        if not inside.all():
+            row = int(np.argmin(inside))
+            raise ValueError(f"fraction of layer {names[row]!r} must be in "
+                             f"(0, 1], got {cut[row]}")
+        fractions = self.fractions.copy()
+        fractions[rows, columns] = cut
+        return ShardedStages(self.skeleton, fractions)
+
+    def key(self) -> bytes:
+        """The walk memo's key for this table (the skeleton is per walk).
+
+        Two tables get one key exactly when every fraction is equal under
+        Python's ``round(x, 12)``.  ``rint(x·10¹²)`` is that rounding
+        wherever x·10¹² lies more than 10⁻³ from a half-integer: for
+        x ≤ 1 the multiply errs by at most 6.1·10⁻⁵.  The few elements
+        nearer a tie are rounded in exact integer arithmetic.  The key is
+        the rounded integers' int64 bytes.
+        """
+        scaled = self.fractions * 1e12
+        rounded = np.rint(scaled)
+        near_tie = np.abs(scaled - rounded) > 0.499
+        if near_tie.any():
+            flat = self.fractions.ravel()
+            out = rounded.ravel()
+            for index in np.flatnonzero(near_tie):
+                out[index] = _round_half_even(float(flat[index]))
+        return rounded.astype(np.int64).tobytes()
+
+
+def _build(stages: Sequence[Stage], layers: List[LayerWorkload],
+           forks: List[Fork]) -> Tuple[Union[int, Fork], ...]:
+    """``stages`` with each layer replaced by its row; appends every layer
+    and every fork to the lists it is given."""
+    out: List[Union[int, Fork]] = []
     for stage in stages:
         if isinstance(stage, LayerStage):
-            out.append(ShardedLayerStage(ShardedWorkload(stage.workload)))
+            out.append(len(layers))
+            layers.append(stage.workload)
         elif isinstance(stage, ParallelStage):
-            out.append(
-                ShardedParallelStage(
-                    paths=tuple(tuple(to_sharded_stages(p)) for p in stage.paths),
-                    name=stage.name,
-                )
-            )
+            first = len(layers)
+            paths = []
+            lasts = []
+            for path in stage.paths:
+                paths.append(_build(path, layers, forks))
+                lasts.append(len(layers) - 1 if paths[-1] else None)
+            if first == len(layers):
+                raise ValueError(
+                    f"parallel stage {stage.name!r} has no weighted layers")
+            fork = Fork(stage.name, tuple(paths), first, tuple(lasts))
+            forks.append(fork)
+            out.append(fork)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown stage kind {type(stage).__name__}")
-    return out
+    return tuple(out)
 
 
-def iter_sharded_workloads(stages: Sequence[ShardedStage]) -> Iterable[ShardedWorkload]:
-    """All sharded workloads in topological order."""
-    for stage in stages:
-        if isinstance(stage, ShardedLayerStage):
-            yield stage.workload
-        else:
-            for path in stage.paths:
-                yield from iter_sharded_workloads(path)
+def to_sharded_stages(stages: Sequence[Stage]) -> ShardedStages:
+    """The root sub-problem of a network's stages: its skeleton at fractions 1."""
+    layers: List[LayerWorkload] = []
+    forks: List[Fork] = []
+    structure = _build(stages, layers, forks)
+    skeleton = Skeleton(structure, tuple(layers), tuple(forks))
+    return ShardedStages(skeleton, np.ones((len(layers), 3)))
 
 
-def iter_layer_stages(stages: Sequence[ShardedStage]) -> Iterable[ShardedLayerStage]:
-    """All weighted layer stages in topological order.
-
-    The stage-object twin of :func:`iter_sharded_workloads`, for callers
-    that need to map each stage back to its position — the vectorized
-    backend indexes its packed cost tensors by this order, which also makes
-    the order part of the packed-tensor cache key via the workload keys.
-    """
-    for stage in stages:
-        if isinstance(stage, ShardedLayerStage):
-            yield stage
-        else:
-            for path in stage.paths:
-                yield from iter_layer_stages(path)
-
-
-def first_workload(stages: Sequence[ShardedStage]) -> ShardedWorkload:
-    """The first weighted workload in a stage list (for fork-tensor sizing)."""
-    for workload in iter_sharded_workloads(stages):
-        return workload
-    raise ValueError("stage list has no weighted layers")
-
-
-def last_workload(stages: Sequence[ShardedStage]) -> ShardedWorkload:
-    result = None
-    for workload in iter_sharded_workloads(stages):
-        result = workload
-    if result is None:
-        raise ValueError("stage list has no weighted layers")
-    return result
-
-
-def shard_stages(
-    stages: Sequence[ShardedStage],
-    assignments: Dict[str, LayerPartition],
-    side: str,
-) -> List[ShardedStage]:
-    """The sub-problem one party sees below a level's plan.
-
-    ``side`` is ``"left"`` (share α) or ``"right"`` (share β = 1-α).  Every
-    weighted layer must have an assignment.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    left = side == "left"
-
-    out: List[ShardedStage] = []
-    for stage in stages:
-        if isinstance(stage, ShardedLayerStage):
-            lp = assignments.get(stage.name)
-            if lp is None:
-                raise KeyError(f"no assignment for layer {stage.name!r}")
-            fraction = lp.ratio if left else 1.0 - lp.ratio
-            out.append(
-                ShardedLayerStage(stage.workload.shard(lp.ptype, fraction))
-            )
-        else:
-            out.append(
-                ShardedParallelStage(
-                    paths=tuple(
-                        tuple(shard_stages(p, assignments, side)) for p in stage.paths
-                    ),
-                    name=stage.name,
-                )
-            )
-    return out
-
-
-def flatten_to_chain(stages: Sequence[ShardedStage]) -> List[ShardedLayerStage]:
-    """Linearize a series-parallel stage list into a plain chain.
+def flatten_to_chain(stages: ShardedStages) -> ShardedStages:
+    """Linearize a series-parallel sub-problem into a plain chain.
 
     This is how the HyPar baseline sees multi-path networks (it "can only
     handle DNN architectures with linear structure", Section 1): layers are
     visited in topological order and fork/join structure is discarded.
     """
-    return [ShardedLayerStage(w) for w in iter_sharded_workloads(stages)]
+    skeleton = stages.skeleton
+    if skeleton.forks:
+        skeleton = Skeleton(tuple(range(len(skeleton.layers))),
+                            skeleton.layers, ())
+    return ShardedStages(skeleton, stages.fractions)

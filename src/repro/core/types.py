@@ -18,7 +18,11 @@ Type-III  ``D_o``        ``F_l``              ``E_l``                backward
 partitions applied at enclosing hierarchy levels.  Fractions are real-valued
 so that the flexible ratios of Section 5.3 compose exactly across levels;
 all tensor sizes and FLOP counts derived from them are therefore also
-real-valued ("effective" amounts, in the paper's words).
+real-valued ("effective" amounts, in the paper's words).  The planner keeps
+a level's fractions as one table (:class:`repro.core.stages.ShardedStages`)
+and shards it there; a :class:`ShardedWorkload` is one row of that table,
+the scalar form that the simulator, the memory report and the other
+per-layer readers use.
 """
 
 from __future__ import annotations
@@ -103,7 +107,11 @@ class ShardedWorkload:
 
     ``batch_frac`` / ``din_frac`` / ``dout_frac`` are the shares of ``B`` /
     ``D_i`` / ``D_o`` retained after all enclosing hierarchy levels.  A fresh
-    (unsharded) layer has all fractions equal to 1.
+    (unsharded) layer has all fractions equal to 1.  One row of a
+    :class:`~repro.core.stages.ShardedStages` table, as its
+    ``workloads()`` accessor hands it out; the search itself reads the
+    table's columns (:meth:`~repro.core.stages.ShardedStages.sizes`), which
+    repeat these formulas in their operation order.
     """
 
     base: LayerWorkload
@@ -112,26 +120,15 @@ class ShardedWorkload:
     dout_frac: float = 1.0
 
     def __post_init__(self) -> None:
-        # unrolled validation: this constructor runs once per (layer, level,
-        # side) in the hierarchical planner, and a getattr loop costs more
-        # than the three comparisons it guards
-        if not 0.0 < self.batch_frac <= 1.0:
-            raise ValueError(f"batch_frac must be in (0, 1], got {self.batch_frac}")
-        if not 0.0 < self.din_frac <= 1.0:
-            raise ValueError(f"din_frac must be in (0, 1], got {self.din_frac}")
-        if not 0.0 < self.dout_frac <= 1.0:
-            raise ValueError(f"dout_frac must be in (0, 1], got {self.dout_frac}")
-
-    def _derive(self) -> None:
-        # Derived quantities are computed lazily in one batch on first
-        # access and then read as plain instance attributes.  Lazy, because
-        # the hierarchical planner constructs a workload per (layer, level,
-        # side) just to *key* its memo tables — with warm subtree and
-        # packed-tensor caches most of those are never costed at all.
-        # Batched, because the planner hot path reads each of them
-        # O(|T|²) times per layer per level, and plain attributes skip the
-        # descriptor machinery a cached_property would pay on every access.
-        # (A frozen dataclass still has a writable __dict__.)
+        for field in ("batch_frac", "din_frac", "dout_frac"):
+            value = getattr(self, field)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{field} must be in (0, 1], got {value}")
+        # computed once, at construction: the simulator's trace events and
+        # the bisection-fed reference recurrence read each of these many
+        # times per workload.  ShardedStages.sizes repeats these formulas,
+        # in this operation order, as columns.  (A frozen dataclass still
+        # has a writable __dict__.)
         base = self.base
         batch = base.batch * self.batch_frac
         d_in = base.d_in * self.din_frac
@@ -170,32 +167,17 @@ class ShardedWorkload:
         return self.base.d_out * self.dout_frac
 
     # -- effective tensor sizes (the paper's A(.)) ----------------------
-    # Computed in one batch by _derive on first access; the public methods
-    # keep their call syntax so call sites are unchanged.  The try/except
-    # is free on the (overwhelmingly common) warm path.
     def a_input_fm(self) -> float:
         """A(F_l) = A(E_l)."""
-        try:
-            return self._a_input_fm
-        except AttributeError:
-            self._derive()
-            return self._a_input_fm
+        return self._a_input_fm
 
     def a_output_fm(self) -> float:
         """A(F_{l+1}) = A(E_{l+1})."""
-        try:
-            return self._a_output_fm
-        except AttributeError:
-            self._derive()
-            return self._a_output_fm
+        return self._a_output_fm
 
     def a_weight(self) -> float:
         """A(W_l) = A(ΔW_l)."""
-        try:
-            return self._a_weight
-        except AttributeError:
-            self._derive()
-            return self._a_weight
+        return self._a_weight
 
     def a_psum(self, ptype: PartitionType) -> float:
         """Size of the partial-sum tensor exchanged intra-layer (Table 4)."""
@@ -214,37 +196,20 @@ class ShardedWorkload:
         return self.a_input_fm()       # F_l
 
     # -- FLOP counts (Table 6, CONV-extended per Section 4.3) ----------
-    # Computed by _derive alongside the tensor sizes.
     def flops_forward(self) -> float:
         """A(F_{l+1}) * (2 * D_i * K_h * K_w - 1)."""
-        try:
-            return self._flops_forward
-        except AttributeError:
-            self._derive()
-            return self._flops_forward
+        return self._flops_forward
 
     def flops_backward(self) -> float:
         """A(E_l) * (2 * D_o * K_h * K_w - 1)."""
-        try:
-            return self._flops_backward
-        except AttributeError:
-            self._derive()
-            return self._flops_backward
+        return self._flops_backward
 
     def flops_gradient(self) -> float:
         """A(W_l) * (2 * B * H_o * W_o - 1)."""
-        try:
-            return self._flops_gradient
-        except AttributeError:
-            self._derive()
-            return self._flops_gradient
+        return self._flops_gradient
 
     def flops_total(self) -> float:
-        try:
-            return self._flops_total
-        except AttributeError:
-            self._derive()
-            return self._flops_total
+        return self._flops_total
 
     def flops_phase(self, phase: Phase) -> float:
         if phase is Phase.FORWARD:
@@ -252,48 +217,3 @@ class ShardedWorkload:
         if phase is Phase.BACKWARD:
             return self.flops_backward()
         return self.flops_gradient()
-
-    # -- sharding -------------------------------------------------------
-    def shard(self, ptype: PartitionType, fraction: float) -> "ShardedWorkload":
-        """The sub-workload a party holds after partitioning by ``ptype``."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        # direct construction instead of dataclasses.replace: replace()
-        # re-introspects the field list on every call, and sharding sits on
-        # the per-level hot path of the hierarchical planner
-        if ptype is PartitionType.TYPE_I:
-            return ShardedWorkload(
-                self.base, self.batch_frac * fraction, self.din_frac, self.dout_frac
-            )
-        if ptype is PartitionType.TYPE_II:
-            return ShardedWorkload(
-                self.base, self.batch_frac, self.din_frac * fraction, self.dout_frac
-            )
-        return ShardedWorkload(
-            self.base, self.batch_frac, self.din_frac, self.dout_frac * fraction
-        )
-
-    def key(self) -> Tuple:
-        """Hashable identity for memoization across symmetric subtrees."""
-        # hand-rolled cache instead of functools.cached_property: the
-        # hierarchy memo hashes every workload once per level, and the
-        # descriptor protocol costs several times the dict probe below
-        # (a frozen dataclass still has a writable __dict__)
-        try:
-            return self._key
-        except AttributeError:
-            base = self.base
-            key = (
-                base.name,
-                base.batch,
-                base.d_in,
-                base.d_out,
-                base.in_hw,
-                base.out_hw,
-                base.kernel_hw,
-                round(self.batch_frac, 12),
-                round(self.din_frac, 12),
-                round(self.dout_frac, 12),
-            )
-            self.__dict__["_key"] = key
-            return key

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import List
 
-from ..plan.validate import collect_structure, validate_level
+from ..plan.validate import validate_level
 from ..sim.memory import leaf_memory_report
 from ..training.optimizers import SGD, OptimizerSpec
 from .hierarchy import Step, stored_level, walk
@@ -39,7 +39,9 @@ def verify_planned(
     With ``strict=True`` the first batch of issues raises
     :class:`PlanVerificationError` instead.
     """
-    layer_names, parallel_paths = collect_structure(planned.stages)
+    skeleton = planned.stages.skeleton
+    layer_names = set(skeleton.names)
+    parallel_paths = {fork.name: len(fork.paths) for fork in skeleton.forks}
 
     @functools.lru_cache(maxsize=None)
     def check(step: Step) -> List[str]:

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from ..core.cost_model import PairCostModel
 from ..core.planner import PlannedExecution
-from ..core.stages import iter_sharded_workloads
 from ..core.types import PartitionType
 from ..plan.ir import LayerPartition
 from ..sim.executor import SimReport
@@ -52,7 +51,7 @@ def root_level_breakdown(planned: PlannedExecution) -> List[LayerCostRow]:
 
     rows: List[LayerCostRow] = []
     prev: Optional[PartitionType] = None
-    for sw in iter_sharded_workloads(planned.stages):
+    for sw in planned.stages.workloads():
         lp: LayerPartition = assignments[sw.name]
         cp_i, cp_j = model.compute_costs(sw, lp.ptype, lp.ratio)
         intra_i, intra_j = model.intra_costs(sw, lp.ptype)

@@ -81,9 +81,7 @@ def figure7_alexnet_types(
 
 
 def _ordered_workloads(result: RunResult):
-    from ..core.stages import iter_sharded_workloads
-
-    return list(iter_sharded_workloads(result.planned.stages))
+    return result.planned.stages.workloads()
 
 
 @dataclass

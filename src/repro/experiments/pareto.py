@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..baselines import SCHEMES
 from ..core.cost_model import PairCostModel
 from ..core.dp_vectorized import search_stages
-from ..core.stages import ShardedLayerStage, ShardedStage
+from ..core.stages import ShardedStages
 from ..core.types import ALL_TYPES, PartitionType
 
 
@@ -58,21 +58,21 @@ class CostLandscape:
 
 
 def enumerate_landscape(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     model: PairCostModel,
     max_layers: int = 10,
 ) -> CostLandscape:
     """Exhaustively cost every type assignment of a *linear* chain."""
-    chain = [s for s in stages if isinstance(s, ShardedLayerStage)]
-    if len(chain) != len(stages):
+    if stages.skeleton.forks:
         raise ValueError("landscape enumeration handles linear chains only")
+    chain = stages.skeleton.names
     if len(chain) > max_layers:
         raise ValueError(
             f"{len(chain)} layers would enumerate 3^{len(chain)} plans; "
             f"raise max_layers explicitly if you mean it"
         )
 
-    pack = model.pack_step_tensors([stage.workload for stage in chain])
+    pack = model.pack_step_tensors(stages)
     costs: List[Tuple[Tuple[PartitionType, ...], float]] = []
     for combo in itertools.product(ALL_TYPES, repeat=len(chain)):
         total = 0.0
@@ -85,16 +85,16 @@ def enumerate_landscape(
 
     dp = search_stages(stages, model)
     return CostLandscape(
-        layer_names=[s.name for s in chain],
+        layer_names=list(chain),
         costs=costs,
         dp_cost=dp.cost,
     )
 
 
 def baseline_assignments(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
 ) -> Dict[str, Tuple[PartitionType, ...]]:
-    """The static baselines' assignments for a chain (DP and OWT)."""
-    chain = [s for s in stages if isinstance(s, ShardedLayerStage)]
-    return {name: tuple(SCHEMES[name].pin(s.workload) for s in chain)
+    """The static baselines' assignments, one type per layer row (DP and OWT)."""
+    layers = stages.skeleton.layers
+    return {name: tuple(SCHEMES[name].pin(layer) for layer in layers)
             for name in ("dp", "owt")}

@@ -299,7 +299,8 @@ class Network:
                 f"network {self.name!r} is not series-parallel decomposable: "
                 f"layers {sorted(duplicates)} are shared between fork paths"
             )
-        missing = {w.name for w in self.workloads(batch)} - seen
+        missing = {name for name, layer in self._layers.items()
+                   if layer.weighted} - seen
         if missing:
             raise GraphError(
                 f"network {self.name!r}: stage decomposition missed layers "

@@ -31,16 +31,18 @@ class SearchBackend(Protocol):
 
     def search(
         self,
-        stages: Sequence,
+        stages,
         model,
         space: Sequence[PartitionType] = ALL_TYPES,
         space_fn=None,
     ) -> SearchResult:
         """Find per-layer assignments for one hierarchy level.
 
-        ``model`` is the level's :class:`~repro.core.cost_model.PairCostModel`;
-        ``space`` the searchable partition types; ``space_fn`` an optional
-        per-layer restriction (workload → allowed types).
+        ``stages`` is the level's sub-problem
+        (:class:`~repro.core.stages.ShardedStages`); ``model`` is the
+        level's :class:`~repro.core.cost_model.PairCostModel`; ``space``
+        the searchable partition types; ``space_fn`` an optional per-layer
+        restriction (unsharded layer workload → allowed types).
         """
         ...  # pragma: no cover - protocol
 
@@ -48,9 +50,10 @@ class SearchBackend(Protocol):
 class DpSearchBackend:
     """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²).
 
-    Step costs are packed as dense (layer, family, type) tensors and the
-    recurrence plus fork/join macro-stages run as batched numpy min-plus;
-    see :mod:`repro.core.dp_vectorized` and ``docs/performance.md``.
+    Step costs are packed as dense (layer, family, type) tensors from the
+    level's fraction table, and the recurrence plus fork/join macro-stages
+    run on Python floats; see :mod:`repro.core.dp_vectorized` and
+    ``docs/performance.md``.
     """
 
     name = "dp"
@@ -70,7 +73,7 @@ class GreedySearchBackend:
         from ..core.greedy import greedy_chain
         from ..core.stages import flatten_to_chain
 
-        return greedy_chain(flatten_to_chain(list(stages)), model, space,
+        return greedy_chain(flatten_to_chain(stages), model, space,
                             space_fn=space_fn)
 
 
@@ -91,7 +94,7 @@ class BruteForceSearchBackend:
         from ..core.brute_force import brute_force_chain
         from ..core.stages import flatten_to_chain
 
-        return brute_force_chain(flatten_to_chain(list(stages)), model, space,
+        return brute_force_chain(flatten_to_chain(stages), model, space,
                                  space_fn=space_fn, max_layers=self.max_layers)
 
 

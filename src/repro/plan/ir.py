@@ -120,8 +120,7 @@ class LevelPlan:
     decision exactly once.
     """
 
-    __slots__ = ("entries", "cost", "scheme", "_layers", "_joins", "_exits",
-                 "_partitions")
+    __slots__ = ("entries", "cost", "scheme", "_layers", "_joins", "_exits")
 
     def __init__(self, entries: Iterable[PlanEntry] = (), cost: float = 0.0,
                  scheme: str = ""):
@@ -153,7 +152,6 @@ class LevelPlan:
         self._layers = layers
         self._joins = joins
         self._exits = exits
-        self._partitions: Optional[Dict[str, LayerPartition]] = None
 
     # -- typed iteration ------------------------------------------------
     def layers(self) -> Tuple[LayerAssignment, ...]:
@@ -173,7 +171,7 @@ class LevelPlan:
         return self._layers[layer_name]
 
     def partition(self, layer_name: str) -> LayerPartition:
-        return self._partition_map()[layer_name]
+        return self._layers[layer_name].partition
 
     def alignment_for(self, stage_name: str) -> Optional[JoinAlignment]:
         """The join alignment chosen for a fork/join stage, if any."""
@@ -199,19 +197,13 @@ class LevelPlan:
         return tuple(out)
 
     # -- aggregate views ------------------------------------------------
-    def _partition_map(self) -> Dict[str, LayerPartition]:
-        cached = self._partitions
-        if cached is None:
-            cached = {
-                a.name: LayerPartition(a.ptype, a.alpha)
-                for a in self._layers.values()
-            }
-            self._partitions = cached
-        return cached
-
     def layer_assignments(self) -> Dict[str, LayerPartition]:
-        """Layer name → :class:`LayerPartition` for the weighted layers."""
-        return dict(self._partition_map())
+        """Layer name → :class:`LayerPartition` for the weighted layers.
+
+        Built on each call: a plan keeps only its entries, so a long-lived
+        plan holds no second object per layer.
+        """
+        return {name: a.partition for name, a in self._layers.items()}
 
     @property
     def assignments(self) -> Dict[str, LayerPartition]:

@@ -28,10 +28,9 @@ from .ir import HierarchicalPlan, JoinAlignment, LevelPlan, PathExit
 def collect_structure(stages: Iterable) -> Tuple[Set[str], Dict[str, int]]:
     """Layer names and fork/join arities of a stage list, fork-in-path deep.
 
-    Works on both :class:`~repro.graph.network.Stage` lists (from
-    ``network.stages(batch)``) and the planner's sharded stage lists — both
-    expose ``name`` on layer stages and ``paths``/``name`` on parallel
-    stages, and sharding preserves the series-parallel structure.
+    ``stages`` is a :class:`~repro.graph.network.Stage` list (from
+    ``network.stages(batch)``): layer stages expose ``name``, parallel
+    stages ``paths`` and ``name``.
     """
     layer_names: Set[str] = set()
     parallel_paths: Dict[str, int] = {}

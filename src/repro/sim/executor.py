@@ -25,14 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.cost_model import inter_layer_elements
 from ..core.planner import PlannedExecution
 from ..core.hierarchy import Step, stored_level, walk
-from ..core.stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    ShardedStage,
-    first_workload,
-    iter_sharded_workloads,
-    last_workload,
-)
+from ..core.stages import Fork, ShardedStages
 from ..core.types import PSUM_PHASE, PartitionType, Phase
 from ..plan.ir import LevelPlan
 from ..hardware.cluster import GroupNode
@@ -108,7 +101,7 @@ def _record_op_timing(telemetry, planned: PlannedExecution, group,
 
 
 def _record_leaf_timings(telemetry, planned: PlannedExecution, node: GroupNode,
-                         stages: List[ShardedStage], engine: TimingEngine) -> None:
+                         stages: ShardedStages, engine: TimingEngine) -> None:
     """One durable ``op_timing`` event per (layer, phase) of a leaf group.
 
     These are the measured per-op timings ``repro telemetry export
@@ -117,7 +110,7 @@ def _record_leaf_timings(telemetry, planned: PlannedExecution, node: GroupNode,
     once per distinct (group, stages) pair — duplicates carry no new
     calibration signal.
     """
-    for sw in iter_sharded_workloads(stages):
+    for sw in stages.workloads():
         for phase in Phase:
             events = layer_phase_events(sw, phase)
             _record_op_timing(
@@ -165,12 +158,13 @@ class _NodeResult:
 
 
 def _level_net_events(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     level: LevelPlan,
 ) -> Tuple[List[TraceEvent], List[TraceEvent]]:
     """Per-party network/psum-add events for one level."""
     events_i: List[TraceEvent] = []
     events_j: List[TraceEvent] = []
+    workloads = stages.workloads()
 
     def emit_pair(amount_i: float, amount_j: float, name: str, phase: Phase,
                   granule: int) -> None:
@@ -179,33 +173,16 @@ def _level_net_events(
         if amount_j > 0:
             events_j.append(TraceEvent(EventKind.NET_READ, name, phase, amount_j, granule))
 
-    def walk(sub: Sequence[ShardedStage],
-             prev: Optional[PartitionType]) -> Optional[PartitionType]:
+    def walk(sub, prev: Optional[PartitionType]) -> Optional[PartitionType]:
         for stage in sub:
-            if isinstance(stage, ShardedLayerStage):
-                sw = stage.workload
-                lp = level.partition(sw.name)
-                g = granule_of(sw)
-                phase = PSUM_PHASE[lp.ptype]
-                # intra-layer: both parties fetch the peer's partial sums and add
-                psum = sw.a_psum(lp.ptype)
-                emit_pair(psum, psum, sw.name, phase, g)
-                events_i.append(TraceEvent(EventKind.ADD, sw.name, phase, psum, g))
-                events_j.append(TraceEvent(EventKind.ADD, sw.name, phase, psum, g))
-                # inter-layer: re-align the boundary tensor from prev's state
-                if prev is not None:
-                    amount_i, amount_j = inter_layer_elements(
-                        sw.a_input_fm(), prev, lp.ptype, lp.ratio
-                    )
-                    emit_pair(amount_i, amount_j, sw.name, Phase.FORWARD, g)
-                prev = lp.ptype
-            elif isinstance(stage, ShardedParallelStage):
+            if isinstance(stage, Fork):
                 join = level.alignment_for(stage.name)
-                fork = first_workload([stage])
-                for index, path in enumerate(stage.paths):
+                fork = workloads[stage.first]
+                for index, (path, last) in enumerate(zip(stage.paths,
+                                                         stage.lasts)):
                     if path:
                         exit_state = walk(path, prev)
-                        boundary = last_workload(path).a_output_fm()
+                        boundary = workloads[last].a_output_fm()
                     else:
                         exit_state = prev
                         boundary = fork.a_input_fm()  # the skip tensor itself
@@ -227,11 +204,26 @@ def _level_net_events(
                     prev = join.state
                 # else: linearized schemes (HyPar) recorded no join state; the
                 # boundary keeps the fork state, which never over-charges them
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown stage kind {type(stage).__name__}")
+            else:
+                sw = workloads[stage]
+                entry = level.assignment(sw.name)
+                g = granule_of(sw)
+                phase = PSUM_PHASE[entry.ptype]
+                # intra-layer: both parties fetch the peer's partial sums and add
+                psum = sw.a_psum(entry.ptype)
+                emit_pair(psum, psum, sw.name, phase, g)
+                events_i.append(TraceEvent(EventKind.ADD, sw.name, phase, psum, g))
+                events_j.append(TraceEvent(EventKind.ADD, sw.name, phase, psum, g))
+                # inter-layer: re-align the boundary tensor from prev's state
+                if prev is not None:
+                    amount_i, amount_j = inter_layer_elements(
+                        sw.a_input_fm(), prev, entry.ptype, entry.alpha
+                    )
+                    emit_pair(amount_i, amount_j, sw.name, Phase.FORWARD, g)
+                prev = entry.ptype
         return prev
 
-    walk(stages, None)
+    walk(stages.skeleton.stages, None)
     return events_i, events_j
 
 
@@ -291,7 +283,7 @@ def simulate_critical_path(planned: PlannedExecution,
 
                 verify_planned(planned, config.optimizer, strict=True)
             events: List[TraceEvent] = []
-            for sw in iter_sharded_workloads(stages):
+            for sw in stages.workloads():
                 events.extend(layer_events(sw))
                 events.extend(optimizer_update_events(sw, config.optimizer))
             leaf_time = engine.elapsed(events, node.group)
@@ -352,7 +344,7 @@ def simulate_critical_path(planned: PlannedExecution,
 
     root = fold(walk(planned.tree, planned.stages, stored_level, planned.plan))
     # the recursive closure is a reference cycle: empty the memo so the
-    # steps' stage lists go with the caller's last reference, not a GC pass
+    # steps' tables go with the caller's last reference, not a GC pass
     results.clear()
     return root, engine
 

@@ -10,16 +10,15 @@ evaluated configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..core.stages import ShardedStage, iter_sharded_workloads
+from ..core.stages import ShardedStages
 from ..hardware.accelerator import AcceleratorGroup
 from ..training.optimizers import SGD, OptimizerSpec
 
 
 @dataclass(frozen=True)
 class MemoryReport:
-    """Footprint of one party's sharded stage list."""
+    """Footprint of one party's sharded stages."""
 
     weight_bytes: float
     gradient_bytes: float
@@ -42,7 +41,7 @@ class MemoryReport:
 
 
 def leaf_memory_report(
-    stages: Sequence[ShardedStage],
+    stages: ShardedStages,
     group: AcceleratorGroup,
     dtype_bytes: int = 2,
     optimizer: OptimizerSpec = SGD,
@@ -50,7 +49,7 @@ def leaf_memory_report(
     """Footprint of the fully-sharded workload held by one leaf group."""
     weights = 0.0
     activations = 0.0
-    for sw in iter_sharded_workloads(stages):
+    for sw in stages.workloads():
         weights += sw.a_weight()
         # F_l and E_l shards are both resident during training; the output
         # feature map is the next layer's input and is counted there.

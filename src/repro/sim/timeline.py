@@ -14,7 +14,6 @@ import json
 from typing import Dict, List, Optional
 
 from ..core.planner import PlannedExecution
-from ..core.stages import iter_sharded_workloads
 from ..core.types import Phase
 from ..ioutil import atomic_write_text
 from .engine import EngineConfig
@@ -67,7 +66,7 @@ def critical_path_timeline(
     # leaf execution: per layer, per phase
     leaf = root.path[-1]
     leaf_row = len(root.levels)
-    for sw in iter_sharded_workloads(leaf.stages):
+    for sw in leaf.stages.workloads():
         for phase in Phase:
             dur = engine.elapsed(layer_phase_events(sw, phase),
                                  leaf.node.group) * 1e6

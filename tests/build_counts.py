@@ -1,4 +1,5 @@
-"""Count the model builds and stage decompositions that code makes.
+"""Count the model builds, stage decompositions and shape inferences that
+code makes.
 
 Shared by the tests and the disk-tier benchmark; imports nothing beyond
 ``repro``, so the CI jobs without ``hypothesis`` can import it.
@@ -12,14 +13,17 @@ from repro.models import registry
 
 
 def count_builds(monkeypatch) -> Dict[str, int]:
-    """Count ``build_model`` and ``Network.stages`` calls from now on.
+    """Count ``build_model``, ``Network.stages`` and ``Network.infer_shapes``
+    calls from now on.
 
     ``build_model`` is replaced in every ``repro`` module that imported it
     by name, so a call through any of those names counts.  The returned
-    dict's ``"build_model"`` and ``"stages"`` counts grow as calls happen.
+    dict's ``"build_model"``, ``"stages"`` and ``"infer_shapes"`` counts
+    grow as calls happen.
     """
-    calls = {"build_model": 0, "stages": 0}
+    calls = {"build_model": 0, "stages": 0, "infer_shapes": 0}
     build_model, stages = registry.build_model, Network.stages
+    infer_shapes = Network.infer_shapes
 
     def counted_build(*args, **kwargs):
         calls["build_model"] += 1
@@ -29,9 +33,14 @@ def count_builds(monkeypatch) -> Dict[str, int]:
         calls["stages"] += 1
         return stages(self, *args, **kwargs)
 
+    def counted_infer_shapes(self, *args, **kwargs):
+        calls["infer_shapes"] += 1
+        return infer_shapes(self, *args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if ((name == "repro" or name.startswith("repro."))
                 and vars(module).get("build_model") is build_model):
             monkeypatch.setattr(module, "build_model", counted_build)
     monkeypatch.setattr(Network, "stages", counted_stages)
+    monkeypatch.setattr(Network, "infer_shapes", counted_infer_shapes)
     return calls

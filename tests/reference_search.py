@@ -8,8 +8,11 @@ paths' minima summed in path order).  It breaks ties with the shared
 the same order as :mod:`repro.core.dp_vectorized`, so on the same step
 costs the two must agree bit for bit.
 
-The recurrence takes a *step-cost function* ``step(stage, prev, cur) ->
-(cost, alpha)`` and has two feeds:
+It runs over a level's sub-problem (:class:`repro.core.stages.ShardedStages`),
+reading each layer through the table's ``workloads()`` accessor, so fork
+and path boundary sizes come from the scalar formulas, not the table's
+columns.  The recurrence takes a *step-cost function* ``step(row, prev,
+cur) -> (cost, alpha)`` over the table's layer rows and has two feeds:
 
 * :func:`pack_feed` reads the model's packed step tensors — the very costs
   the DP gathers — so a mismatch can only come from the recurrence;
@@ -26,19 +29,13 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.cost_model import inter_layer_elements
 from repro.core.ratio import solve_balanced_ratio
-from repro.core.stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    first_workload,
-    iter_layer_stages,
-    last_workload,
-)
+from repro.core.stages import Fork
 from repro.core.tiebreak import first_within_slack
 from repro.core.types import ALL_TYPES, PartitionType
 from repro.plan.ir import JoinAlignment, LayerAssignment, PathExit, SearchResult
 
 State = Optional[PartitionType]
-StepFn = Callable[[ShardedLayerStage, State, PartitionType], Tuple[float, float]]
+StepFn = Callable[[int, State, PartitionType], Tuple[float, float]]
 
 #: registry name of :class:`ReferenceBisectionBackend`
 REFERENCE_BACKEND = "reference-bisection"
@@ -61,18 +58,16 @@ def comm_volume(model, sw, prev: State, cur: PartitionType, alpha: float) -> flo
 
 
 def pack_feed(model, stages) -> StepFn:
-    """Step costs read from ``model.pack_step_tensors`` over ``stages``' layers."""
-    layers = list(iter_layer_stages(stages))
-    rows = {id(stage): row for row, stage in enumerate(layers)}
-    pack = model.pack_step_tensors([stage.workload for stage in layers])
-    return lambda stage, prev, cur: pack.cell(rows[id(stage)], prev, cur)
+    """Step costs read from ``model.pack_step_tensors`` over ``stages``' rows."""
+    return model.pack_step_tensors(stages).cell
 
 
-def bisection_feed(model) -> StepFn:
+def bisection_feed(model, stages) -> StepFn:
     """Step costs from ``step_pair_costs``, Eq. 10 by bisection, uncached."""
+    layers = stages.workloads()
 
-    def step(stage, prev, cur):
-        sw = stage.workload
+    def step(row, prev, cur):
+        sw = layers[row]
         if model.ratio_mode == "comm-volume":
             alpha = model.nominal_alpha()
             return comm_volume(model, sw, prev, cur, alpha), alpha
@@ -88,19 +83,21 @@ def bisection_feed(model) -> StepFn:
     return step
 
 
-def layer_transitions(stage, step: StepFn, space, in_states, space_fn=None):
+def layer_transitions(row, layers, step: StepFn, space, in_states,
+                      space_fn=None):
     """Eq. 9 step costs of one weighted layer, every (in-state, type)."""
-    layer_space = space_fn(stage.workload) if space_fn is not None else space
+    sw = layers[row]
+    layer_space = space_fn(sw.base) if space_fn is not None else space
     transitions: Dict[Tuple[State, PartitionType], Transition] = {}
     for tt in in_states:
         for t in layer_space:
-            cost, alpha = step(stage, tt, t)
+            cost, alpha = step(row, tt, t)
             transitions[(tt, t)] = Transition(
-                cost, (LayerAssignment(stage.name, t, alpha),))
+                cost, (LayerAssignment(sw.name, t, alpha),))
     return transitions
 
 
-def parallel_transitions(stage, model, step: StepFn, space, in_states,
+def parallel_transitions(fork, layers, model, step: StepFn, space, in_states,
                          space_fn=None):
     """The macro-transition table of one fork/join region (Section 5.2).
 
@@ -109,31 +106,25 @@ def parallel_transitions(stage, model, step: StepFn, space, in_states,
     last layer pays the re-alignment of its output to ``s``, an empty path
     (identity skip) the re-alignment of the fork tensor, still in ``tt``.
     """
-    fork_elements = None
-    for path in stage.paths:
-        if path:
-            fork_elements = first_workload(path).a_input_fm()
-            break
-    if fork_elements is None:
-        raise ValueError(f"parallel stage {stage.name!r} has no weighted layers")
+    fork_elements = layers[fork.first].a_input_fm()
     nominal = model.nominal_alpha()
 
     transitions: Dict[Tuple[State, PartitionType], Transition] = {}
     for tt in in_states:
         path_exits = [
-            chain_exits(path, model, step, space, {tt: 0.0}, space_fn)
+            chain_exits(path, layers, model, step, space, {tt: 0.0}, space_fn)
             if path else None
-            for path in stage.paths
+            for path in fork.paths
         ]
         for s in space:
             total = 0.0
             entries: Tuple = ()
-            for index, (path, exits) in enumerate(zip(stage.paths, path_exits)):
+            for index, (last, exits) in enumerate(zip(fork.lasts, path_exits)):
                 if exits is None:
                     total += model.alignment_cost(fork_elements, tt, s)
                     chosen = tt
                 else:
-                    out_elements = last_workload(path).a_output_fm()
+                    out_elements = layers[last].a_output_fm()
                     aligned = [
                         info.cost + model.alignment_cost(out_elements, state, s)
                         for state, info in exits.items()
@@ -145,29 +136,30 @@ def parallel_transitions(stage, model, step: StepFn, space, in_states,
                 # the path's pre-alignment exit state (None only for a skip
                 # path at the free network entry: nothing to align)
                 if chosen is not None:
-                    entries += (PathExit(stage.name, index, chosen, nominal),)
-            entries += (JoinAlignment(stage.name, s, nominal),)
+                    entries += (PathExit(fork.name, index, chosen, nominal),)
+            entries += (JoinAlignment(fork.name, s, nominal),)
             transitions[(tt, s)] = Transition(total, entries)
     return transitions
 
 
-def chain_exits(stages, model, step: StepFn, space, entry: Dict[State, float],
+def chain_exits(stages, layers, model, step: StepFn, space,
+                entry: Dict[State, float],
                 space_fn=None) -> Dict[State, Transition]:
-    """Min-plus recurrence across a stage list from ``entry`` state costs.
+    """Min-plus recurrence across a skeleton stage list from ``entry`` costs.
 
-    Returns, per reachable exit state, the minimal total cost and the plan
-    entries along the optimal path.
+    ``stages`` holds layer rows and :class:`~repro.core.stages.Fork` s;
+    ``layers`` is the table's ``workloads()``.  Returns, per reachable exit
+    state, the minimal total cost and the plan entries along the optimal
+    path.
     """
     frontier = {state: Transition(cost) for state, cost in entry.items()}
     for stage in stages:
-        if isinstance(stage, ShardedLayerStage):
-            transitions = layer_transitions(stage, step, space, list(frontier),
-                                            space_fn)
-        elif isinstance(stage, ShardedParallelStage):
-            transitions = parallel_transitions(stage, model, step, space,
-                                               list(frontier), space_fn)
+        if isinstance(stage, Fork):
+            transitions = parallel_transitions(stage, layers, model, step,
+                                               space, list(frontier), space_fn)
         else:
-            raise TypeError(f"unknown stage kind {type(stage).__name__}")
+            transitions = layer_transitions(stage, layers, step, space,
+                                            list(frontier), space_fn)
         advanced: Dict[State, Transition] = {}
         for t in dict.fromkeys(t for _, t in transitions):
             totals = [frontier[tt].cost + transitions[(tt, t)].cost
@@ -187,12 +179,12 @@ def reference_search(stages, model, step: Optional[StepFn] = None,
     space = tuple(space)
     if not space:
         raise ValueError("partition-type space must be non-empty")
-    stages = list(stages)
-    if not stages:
+    if not len(stages):
         return SearchResult(entries=(), cost=0.0, exit_state=None)
     if step is None:
         step = pack_feed(model, stages)
-    exits = chain_exits(stages, model, step, space, {None: 0.0}, space_fn)
+    exits = chain_exits(stages.skeleton.stages, stages.workloads(), model, step,
+                        space, {None: 0.0}, space_fn)
     best = list(exits)[first_within_slack([info.cost for info in exits.values()])]
     return SearchResult(entries=exits[best].entries, cost=exits[best].cost,
                         exit_state=best)
@@ -204,5 +196,5 @@ class ReferenceBisectionBackend:
     name = REFERENCE_BACKEND
 
     def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
-        return reference_search(stages, model, bisection_feed(model), space,
-                                space_fn)
+        return reference_search(stages, model, bisection_feed(model, stages),
+                                space, space_fn)

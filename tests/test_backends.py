@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.stages import ShardedLayerStage, ShardedParallelStage
-from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES, PartitionType
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage, ParallelStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.plan.backends import (
     BruteForceSearchBackend,
@@ -21,7 +22,7 @@ I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
 def fc_stage(name, batch=16, d_in=32, d_out=32):
     w = LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
-    return ShardedLayerStage(ShardedWorkload(w))
+    return LayerStage(w)
 
 
 @pytest.fixture
@@ -32,7 +33,7 @@ def model():
 
 @pytest.fixture
 def chain():
-    return [fc_stage(f"l{i}") for i in range(4)]
+    return to_sharded_stages([fc_stage(f"l{i}") for i in range(4)])
 
 
 class TestRegistry:
@@ -130,12 +131,12 @@ class TestBackendSearch:
         assert brute.cost == pytest.approx(dp.cost, rel=1e-9)
 
     def test_brute_force_refuses_long_chains(self, model):
-        chain = [fc_stage(f"l{i}") for i in range(13)]
+        chain = to_sharded_stages([fc_stage(f"l{i}") for i in range(13)])
         with pytest.raises(ValueError, match="dp"):
             get_backend("brute-force").search(chain, model)
 
     def test_brute_force_cap_is_configurable(self, model):
-        chain = [fc_stage(f"l{i}") for i in range(5)]
+        chain = to_sharded_stages([fc_stage(f"l{i}") for i in range(5)])
         with pytest.raises(ValueError):
             BruteForceSearchBackend(max_layers=4).search(chain, model)
 
@@ -150,12 +151,12 @@ class TestBackendSearch:
         assert set(result.types().values()) == {III}
 
     def test_greedy_linearizes_fork_join(self, model):
-        region = ShardedParallelStage(
+        region = ParallelStage(
             paths=((fc_stage("p0a"), fc_stage("p0b")), (fc_stage("p1a"),)),
             name="blk",
         )
         result = get_backend("greedy").search(
-            [fc_stage("pre"), region, fc_stage("post")], model
+            to_sharded_stages([fc_stage("pre"), region, fc_stage("post")]), model
         )
         assert {"pre", "p0a", "p0b", "p1a", "post"} <= set(result.types())
 

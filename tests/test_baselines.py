@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import SCHEME_ORDER, SCHEMES, get_scheme
 from repro.core.planner import PartitionScheme
-from repro.core.stages import iter_sharded_workloads, to_sharded_stages
+from repro.core.stages import to_sharded_stages
 from repro.core.types import HYPAR_TYPES, PartitionType
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.models import build_model
@@ -100,7 +100,7 @@ class TestOwt:
     def test_conv_data_fc_model(self, parties, alexnet_stages):
         plan = get_scheme("owt").level_plan(alexnet_stages, *parties, 2)
         by_layer = plan.layer_assignments()
-        for sw in iter_sharded_workloads(alexnet_stages):
+        for sw in alexnet_stages.workloads():
             expected = I if sw.base.is_conv else II
             assert by_layer[sw.name].ptype is expected
 

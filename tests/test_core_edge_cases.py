@@ -7,15 +7,12 @@ from repro.core.dp_vectorized import search_stages
 from repro.plan.ir import SearchResult
 from repro.core.hierarchy import collect_level_plans, plan_tree
 from repro.core.planner import PartitionScheme, Planner
-from repro.core.stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    to_sharded_stages,
-)
-from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES, PartitionType
 from repro.plan.ir import HierarchicalPlan, LayerAssignment, LevelPlan
 from repro.baselines import get_scheme
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import (
     TPU_V2,
     TPU_V3,
@@ -32,7 +29,7 @@ I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
 def fc_stage(name, batch=16, d_in=32, d_out=32):
     w = LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
-    return ShardedLayerStage(ShardedWorkload(w))
+    return LayerStage(w)
 
 
 class TestBoundaryStepTaxonomy:
@@ -72,13 +69,13 @@ class TestBoundaryStepTaxonomy:
 class TestSearchDegeneracies:
     def test_singleton_space(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1))
-        result = search_stages([fc_stage("a"), fc_stage("b")], model,
-                               space=(II,))
+        result = search_stages(to_sharded_stages([fc_stage("a"), fc_stage("b")]),
+                               model, space=(II,))
         assert set(result.types().values()) == {II}
 
     def test_identical_layers_get_identical_types(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1))
-        stages = [fc_stage(f"l{i}") for i in range(6)]
+        stages = to_sharded_stages([fc_stage(f"l{i}") for i in range(6)])
         result = search_stages(stages, model)
         # all-but-first layers see identical step costs; the plan should not
         # oscillate through costly transitions
@@ -92,7 +89,7 @@ class TestSearchDegeneracies:
 
     def test_search_result_types_view(self):
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1))
-        result = search_stages([fc_stage("x")], model)
+        result = search_stages(to_sharded_stages([fc_stage("x")]), model)
         assert isinstance(result, SearchResult)
         assert set(result.types()) == {"x"}
 

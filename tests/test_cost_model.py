@@ -14,7 +14,9 @@ from repro.core.cost_model import (
 )
 from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
+from tests.tables import table
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -30,7 +32,8 @@ class Step(NamedTuple):
 
 def step(model, sw, prev, cur):
     """One packed Eq. 9 step plus its per-party split at the packed α."""
-    cost, alpha = model.pack_step_tensors([sw]).cell(0, prev, cur)
+    pack = model.pack_step_tensors(table([LayerStage(sw)]))
+    cost, alpha = pack.cell(0, prev, cur)
     ci, cj, (cp_i, _), (cm_i, _) = model.step_pair_costs(sw, prev, cur, alpha)
     return Step(cost, alpha, ci, cj, cp_i, cm_i)
 

@@ -5,23 +5,24 @@ import pytest
 from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
-from repro.core.stages import ShardedLayerStage, to_sharded_stages
-from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
 
 def chain(*dims, batch=16):
-    """Build a ShardedLayerStage chain of FC layers with the given widths."""
+    """The root sub-problem of a chain of FC layers with the given widths."""
     stages = []
     for idx in range(len(dims) - 1):
         w = LayerWorkload(
             f"fc{idx}", batch, dims[idx], dims[idx + 1], (1, 1), (1, 1), (1, 1), False
         )
-        stages.append(ShardedLayerStage(ShardedWorkload(w)))
-    return stages
+        stages.append(LayerStage(w))
+    return to_sharded_stages(stages)
 
 
 @pytest.fixture(params=["balanced", "equal", "comm-volume"])
@@ -33,7 +34,7 @@ def model(request):
 
 class TestChainDP:
     def test_empty_stage_list(self, model):
-        result = search_stages([], model)
+        result = search_stages(to_sharded_stages([]), model)
         assert result.cost == 0.0
         assert result.assignments == {}
 
@@ -94,7 +95,7 @@ class TestBruteForce:
             brute_force_chain(stages, model)
 
     def test_empty_chain(self, model):
-        result = brute_force_chain([], model)
+        result = brute_force_chain(to_sharded_stages([]), model)
         assert result.cost == 0.0
 
 

@@ -33,17 +33,14 @@ from repro.core.cost_model import (
     StepTensors,
 )
 from repro.core.dp_vectorized import search_stages
-from repro.core.stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    iter_sharded_workloads,
-)
 from repro.core.tiebreak import first_within_slack, min_plus_step
 from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage, ParallelStage, iter_stage_workloads
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.hardware.profile import CalibratedProfile, SpecProfile, load_profile
 from tests.reference_search import reference_search
+from tests.tables import table
 
 #: {tpu-v3} and {tpu-v2, tpu-v2} have equal effective compute and equal peak
 #: link bandwidth under this profile, but effective bandwidths 100x apart
@@ -66,12 +63,12 @@ _RESTRICTIONS = (
 
 def fc_layer(name, batch, d_in, d_out, fracs=(1.0, 1.0, 1.0)):
     w = LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
-    return ShardedLayerStage(ShardedWorkload(w, *fracs))
+    return LayerStage(ShardedWorkload(w, *fracs))
 
 
 def conv_layer(name, batch, d_in, d_out, hw, k, fracs=(1.0, 1.0, 1.0)):
     w = LayerWorkload(name, batch, d_in, d_out, (hw, hw), (hw, hw), (k, k), True)
-    return ShardedLayerStage(ShardedWorkload(w, *fracs))
+    return LayerStage(ShardedWorkload(w, *fracs))
 
 
 class _StageGen:
@@ -118,7 +115,7 @@ class _StageGen:
         )
         if not any(paths):  # all paths rolled empty: force one layer
             paths = ((self.layer(),),) + paths[1:]
-        return ShardedParallelStage(paths=paths, name=name)
+        return ParallelStage(paths=paths, name=name)
 
 
 def random_model(rng):
@@ -170,8 +167,14 @@ def random_calibrated_model(rng):
     )
 
 
+def search(stages, model, *args, **kwargs):
+    """The DP over a stage list's table."""
+    return search_stages(table(stages), model, *args, **kwargs)
+
+
 def assert_same_search(stages, model_a, model_b, space=ALL_TYPES, space_fn=None):
     """The DP on ``model_b`` == the reference fed from ``model_a``'s pack."""
+    stages = table(stages)
     scalar = reference_search(stages, model_a, space=space, space_fn=space_fn)
     vector = search_stages(stages, model_b, space, space_fn=space_fn)
     assert vector.entries == scalar.entries
@@ -187,7 +190,7 @@ class TestRandomizedEquivalence:
         rng = random.Random(8800 + seed)
         gen = _StageGen(rng)
         stages = gen.chain(6, 0)
-        workloads = list(iter_sharded_workloads(stages))
+        workloads = list(iter_stage_workloads(stages))
         assert workloads  # the generator never returns a layer-free net
         model_a = random_model(random.Random(17 * seed))
         model_b = random_model(random.Random(17 * seed))
@@ -200,7 +203,7 @@ class TestRandomizedEquivalence:
         stages = gen.chain(5, 0)
         restrict = {
             w.name: rng.choice(_RESTRICTIONS)
-            for w in iter_sharded_workloads(stages)
+            for w in iter_stage_workloads(stages)
         }
         fn = lambda w: restrict[w.name]
         model_a = random_model(random.Random(23 * seed))
@@ -229,7 +232,7 @@ class TestRandomizedEquivalence:
             def scan(sub, depth):
                 nonlocal nested, skipped
                 for st in sub:
-                    if isinstance(st, ShardedParallelStage):
+                    if isinstance(st, ParallelStage):
                         if depth > 0:
                             nested += 1
                         for path in st.paths:
@@ -244,7 +247,7 @@ class TestRandomizedEquivalence:
         total = 0
         for seed in range(40):
             gen = _StageGen(random.Random(8800 + seed))
-            total += len(list(iter_sharded_workloads(gen.chain(6, 0))))
+            total += len(list(iter_stage_workloads(gen.chain(6, 0))))
         assert total >= 200
 
 
@@ -270,7 +273,7 @@ class TestCalibratedProfileEquivalence:
         stages = gen.chain(5, 0)
         restrict = {
             w.name: rng.choice(_RESTRICTIONS)
-            for w in iter_sharded_workloads(stages)
+            for w in iter_stage_workloads(stages)
         }
         fn = lambda w: restrict[w.name]
         model_a = random_calibrated_model(random.Random(43 * seed))
@@ -283,7 +286,7 @@ class TestCalibratedProfileEquivalence:
         profile = load_profile(SPLIT_COLLISION)
         stages = [
             conv_layer("pre", 8, 64, 64, 14, 3),
-            ShardedParallelStage(
+            ParallelStage(
                 paths=(
                     (conv_layer("a1", 8, 64, 64, 14, 3),
                      conv_layer("a2", 8, 64, 64, 14, 3)),
@@ -296,7 +299,7 @@ class TestCalibratedProfileEquivalence:
         ]
         fast = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
                              profile=profile)
-        search_stages(stages, fast)
+        search(stages, fast)
         slow = lambda: PairCostModel(make_group(TPU_V2, 2),
                                      make_group(TPU_V2, 2), profile=profile)
         assert_same_search(stages, slow(), slow())
@@ -324,19 +327,19 @@ class TestDegenerateCases:
         assert_same_search(stages, two_party_model(), two_party_model())
 
     def test_empty_stage_list(self):
-        result = search_stages([], two_party_model())
+        result = search([], two_party_model())
         assert result.entries == ()
         assert result.cost == 0.0
         assert result.exit_state is None
 
     def test_empty_space_raises(self):
         with pytest.raises(ValueError, match="non-empty"):
-            search_stages([fc_layer("l", 8, 8, 8)], two_party_model(), space=())
+            search([fc_layer("l", 8, 8, 8)], two_party_model(), space=())
 
     def test_all_empty_fork_raises(self):
-        region = ShardedParallelStage(paths=((), ()), name="hollow")
+        region = ParallelStage(paths=((), ()), name="hollow")
         with pytest.raises(ValueError, match="no weighted layers"):
-            search_stages([region], two_party_model())
+            search([region], two_party_model())
 
     def test_hypar_space(self):
         stages = [fc_layer(f"l{i}", 64, 128, 128) for i in range(4)]
@@ -355,7 +358,7 @@ class TestDegenerateCases:
     def test_fork_join_chain(self):
         stages = [
             fc_layer("pre", 64, 64, 64),
-            ShardedParallelStage(
+            ParallelStage(
                 paths=(
                     (fc_layer("a1", 64, 64, 64), fc_layer("a2", 64, 64, 64)),
                     (fc_layer("b1", 64, 64, 64),),
@@ -454,7 +457,9 @@ class StubPackModel(PairCostModel):
 
     def pack_step_tensors(self, workloads):
         assert len(workloads) == self.cost.shape[0]
-        return StepTensors(self.cost.copy(), np.full(self.cost.shape, 0.5))
+        # a chain has no fork tensors to size
+        return StepTensors(self.cost.copy(), np.full(self.cost.shape, 0.5),
+                           None)
 
 
 class TestChainedNearTie:
@@ -471,7 +476,7 @@ class TestChainedNearTie:
         cost[1, cross, TYPE_INDEX[I]] = 1.0 - 1.6e-9  # III -> I
         stages = [fc_layer("a", 8, 8, 8), fc_layer("b", 8, 8, 8)]
         assert_same_search(stages, StubPackModel(cost), StubPackModel(cost))
-        result = search_stages(stages, StubPackModel(cost))
+        result = search(stages, StubPackModel(cost))
         assert [e.ptype for e in result.entries] == [II, I]
         assert result.cost == 1.0 - 0.8e-9
 
@@ -480,12 +485,12 @@ class TestCounters:
     def test_vec_counters_tick(self):
         stages = [
             fc_layer("pre", 64, 64, 64),
-            ShardedParallelStage(
+            ParallelStage(
                 paths=((fc_layer("a", 64, 64, 64),), ()), name="blk"
             ),
         ]
         model = two_party_model()
-        search_stages(stages, model)
+        search(stages, model)
         s = model.stats
         assert s.vec_searches == 1
         assert s.step_calls == 2 * REACHABLE_CELLS   # one pack of two layers
@@ -498,6 +503,6 @@ class TestCounters:
         # no cross-search pack cache: each search builds its own tensors
         stages = [fc_layer(f"l{i}", 64, 64, 64) for i in range(3)]
         model = two_party_model()
-        search_stages(stages, model)
-        search_stages(stages, model)
+        search(stages, model)
+        search(stages, model)
         assert model.stats.step_calls == 2 * 3 * REACHABLE_CELLS

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
 from repro.core.greedy import greedy_chain
-from repro.core.stages import ShardedLayerStage, to_sharded_stages
-from repro.core.types import PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import PartitionType
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.models import build_model
 
@@ -18,8 +19,8 @@ def chain(*dims, batch=32):
     for idx in range(len(dims) - 1):
         w = LayerWorkload(f"fc{idx}", batch, dims[idx], dims[idx + 1],
                           (1, 1), (1, 1), (1, 1), False)
-        stages.append(ShardedLayerStage(ShardedWorkload(w)))
-    return stages
+        stages.append(LayerStage(w))
+    return to_sharded_stages(stages)
 
 
 @pytest.fixture

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.baselines import get_scheme
-from repro.core.hierarchy import collect_level_plans, plan_tree, stages_key
+from repro.core.hierarchy import collect_level_plans, plan_tree
 from repro.core.planner import PartitionScheme
-from repro.core.stages import iter_sharded_workloads, to_sharded_stages
+from repro.core.stages import to_sharded_stages
 from repro.core.types import PartitionType
+from repro.plan.ir import LayerAssignment, LevelPlan
 from repro.hardware import bisection_tree, heterogeneous_array, homogeneous_array
 from repro.models import build_model
 
@@ -39,7 +40,7 @@ class TestPlanTree:
     def test_all_layers_assigned_at_each_level(self, stages):
         tree = bisection_tree(homogeneous_array(4), levels=2)
         plan = plan_tree(tree, stages, PartitionScheme())
-        layer_names = {sw.name for sw in iter_sharded_workloads(stages)}
+        layer_names = set(stages.skeleton.names)
         for level in collect_level_plans(plan):
             assert layer_names <= set(level.assignments)
 
@@ -74,20 +75,19 @@ class TestPlanTree:
         assert max(ratios) > 0.5
 
 
-class TestStagesKey:
+class TestTableKey:
+    """The walk memo keys a sub-problem by its fraction table."""
+
     def test_key_stable(self, stages):
-        assert stages_key(stages) == stages_key(stages)
+        assert stages.key() == stages.key()
 
     def test_key_changes_with_sharding(self, stages):
-        from repro.core.stages import shard_stages
-        from repro.plan.ir import LayerPartition
-
-        assignments = {
-            sw.name: LayerPartition(I, 0.5)
-            for sw in iter_sharded_workloads(stages)
-        }
-        left = shard_stages(stages, assignments, "left")
-        assert stages_key(stages) != stages_key(left)
+        level = LevelPlan([LayerAssignment(name, I, 0.5)
+                           for name in stages.skeleton.names])
+        left = stages.shard(level, "left")
+        assert stages.key() != left.key()
+        # an equal split gives both children one table, so one key
+        assert left.key() == stages.shard(level, "right").key()
 
     def test_key_hashable(self, stages):
-        hash(stages_key(stages))
+        hash((stages.key(),))

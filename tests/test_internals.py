@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.stages import ShardedLayerStage
 from repro.core.types import (
     PartitionType,
     Phase,
@@ -29,9 +28,9 @@ from repro.training.optimizers import ADAM, SGD
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
 
-def fc_stage(name="fc", batch=8, d_in=6, d_out=4):
+def fc_workload(name="fc", batch=8, d_in=6, d_out=4):
     w = LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
-    return ShardedLayerStage(ShardedWorkload(w))
+    return ShardedWorkload(w)
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ def model():
 
 class TestStepPairCosts:
     def test_decomposition_sums(self, model):
-        sw = fc_stage().workload
+        sw = fc_workload()
         ci, cj, (cp_i, cp_j), (cm_i, cm_j) = model.step_pair_costs(
             sw, I, II, 0.5
         )
@@ -115,7 +114,7 @@ class TestCommLog:
 
 class TestOptimizerUpdateEvents:
     def test_sgd_event_amounts(self):
-        sw = fc_stage().workload
+        sw = fc_workload()
         events = optimizer_update_events(sw, SGD)
         assert total_amount(events, EventKind.LOAD, quantized=False) == (
             2 * sw.a_weight()
@@ -128,7 +127,7 @@ class TestOptimizerUpdateEvents:
         )
 
     def test_adam_touches_more_state(self):
-        sw = fc_stage().workload
+        sw = fc_workload()
         sgd_loads = total_amount(optimizer_update_events(sw, SGD),
                                  EventKind.LOAD, quantized=False)
         adam_loads = total_amount(optimizer_update_events(sw, ADAM),
@@ -136,7 +135,7 @@ class TestOptimizerUpdateEvents:
         assert adam_loads == sgd_loads + 2 * sw.a_weight()
 
     def test_update_events_have_no_network(self):
-        sw = fc_stage().workload
+        sw = fc_workload()
         events = optimizer_update_events(sw, ADAM)
         assert total_amount(events, EventKind.NET_READ) == 0.0
 

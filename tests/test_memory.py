@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.stages import iter_sharded_workloads, shard_stages, to_sharded_stages
+from repro.core.stages import to_sharded_stages
 from repro.core.types import PartitionType
-from repro.plan.ir import LayerPartition
+from repro.plan.ir import LayerAssignment, LevelPlan
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.models import build_model
 from repro.sim.memory import leaf_memory_report
@@ -20,7 +20,7 @@ def stages():
 class TestFootprint:
     def test_weight_bytes(self, stages):
         report = leaf_memory_report(stages, make_group(TPU_V3, 1))
-        expected = sum(sw.a_weight() for sw in iter_sharded_workloads(stages)) * 2
+        expected = sum(sw.a_weight() for sw in stages.workloads()) * 2
         assert report.weight_bytes == pytest.approx(expected)
 
     def test_gradients_mirror_weights(self, stages):
@@ -39,11 +39,9 @@ class TestFootprint:
         assert 0.0 < report.utilization < 1.0
 
     def test_sharding_reduces_footprint(self, stages):
-        assignments = {
-            sw.name: LayerPartition(II, 0.5)
-            for sw in iter_sharded_workloads(stages)
-        }
-        left = shard_stages(stages, assignments, "left")
+        level = LevelPlan([LayerAssignment(name, II, 0.5)
+                           for name in stages.skeleton.names])
+        left = stages.shard(level, "left")
         full = leaf_memory_report(stages, make_group(TPU_V3, 1))
         half = leaf_memory_report(left, make_group(TPU_V3, 1))
         assert half.weight_bytes == pytest.approx(full.weight_bytes / 2)

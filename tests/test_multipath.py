@@ -9,13 +9,10 @@ import pytest
 
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
-from repro.core.stages import (
-    ShardedLayerStage,
-    ShardedParallelStage,
-    to_sharded_stages,
-)
-from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES, PartitionType
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage, ParallelStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.plan.ir import LayerAssignment, LevelPlan
 from tests.reference_search import chain_exits, pack_feed, parallel_transitions
@@ -25,14 +22,14 @@ I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
 def fc_stage(name, batch=16, d_in=32, d_out=32):
     w = LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
-    return ShardedLayerStage(ShardedWorkload(w))
+    return LayerStage(w)
 
 
 def residual_region(with_skip_layer=False):
     """A Figure 4-style region: P1 = one layer (or empty), P2 = two layers."""
     p2 = (fc_stage("p2a"), fc_stage("p2b"))
     p1 = (fc_stage("p1a"),) if with_skip_layer else ()
-    return ShardedParallelStage(paths=(p2, p1), name="block")
+    return ParallelStage(paths=(p2, p1), name="block")
 
 
 def as_level(info_or_result):
@@ -40,10 +37,17 @@ def as_level(info_or_result):
     return LevelPlan(entries=tuple(info_or_result.entries))
 
 
+def search(stages, model, **kwargs):
+    """The DP over a stage list's table."""
+    return search_stages(to_sharded_stages(stages), model, **kwargs)
+
+
 def parallel_stage_transitions(stage, model, space, in_states):
     """The reference macro-transition table, fed from the model's pack."""
-    return parallel_transitions(stage, model, pack_feed(model, [stage]),
-                                space, in_states)
+    table = to_sharded_stages([stage])
+    (fork,) = table.skeleton.stages
+    return parallel_transitions(fork, table.workloads(), model,
+                                pack_feed(model, table), space, in_states)
 
 
 @pytest.fixture
@@ -92,15 +96,15 @@ class TestParallelTransitions:
         """A two-path region must cost at least each path alone."""
         region = residual_region(with_skip_layer=True)
         transitions = parallel_stage_transitions(region, model, ALL_TYPES, [I])
-        path = [fc_stage("p2a"), fc_stage("p2b")]
-        exits = chain_exits(path, model, pack_feed(model, path), ALL_TYPES,
-                            {I: 0.0})
+        path = to_sharded_stages([fc_stage("p2a"), fc_stage("p2b")])
+        exits = chain_exits(path.skeleton.stages, path.workloads(), model,
+                            pack_feed(model, path), ALL_TYPES, {I: 0.0})
         single = min(info.cost for info in exits.values())
         best_region = min(info.cost for info in transitions.values())
         assert best_region >= single - 1e-12
 
     def test_all_empty_paths_raise(self, model):
-        stage = ShardedParallelStage(paths=((), ()), name="empty")
+        stage = ParallelStage(paths=((), ()), name="empty")
         with pytest.raises(ValueError):
             parallel_stage_transitions(stage, model, ALL_TYPES, [I])
 
@@ -138,7 +142,7 @@ class TestPathExitRecording:
         """End-to-end regression on a two-path ResNet-style block: the final
         plan must carry consistent path-exit entries for the chosen DP path."""
         stages = [fc_stage("pre"), residual_region(), fc_stage("post")]
-        level = search_stages(stages, model).to_level_plan("test")
+        level = search(stages, model).to_level_plan("test")
         exit0 = level.path_exit("block", 0)
         exit1 = level.path_exit("block", 1)
         join = level.alignment_for("block")
@@ -167,18 +171,18 @@ class TestPathExitRecording:
 class TestEndToEndMultipath:
     def test_search_through_residual_block(self, model):
         stages = [fc_stage("pre"), residual_region(), fc_stage("post")]
-        result = search_stages(stages, model)
+        result = search(stages, model)
         layer_names = {"pre", "p2a", "p2b", "post"}
         assert layer_names <= set(result.assignments)
         assert result.cost > 0.0
 
     def test_consecutive_blocks_chain(self, model):
-        block1 = ShardedParallelStage(paths=((fc_stage("b1a"), fc_stage("b1b")), ()),
+        block1 = ParallelStage(paths=((fc_stage("b1a"), fc_stage("b1b")), ()),
                                       name="blk1")
-        block2 = ShardedParallelStage(paths=((fc_stage("b2a"), fc_stage("b2b")), ()),
+        block2 = ParallelStage(paths=((fc_stage("b2a"), fc_stage("b2b")), ()),
                                       name="blk2")
         stages = [fc_stage("pre"), block1, block2, fc_stage("post")]
-        result = search_stages(stages, model)
+        result = search(stages, model)
         assert {"pre", "b1a", "b1b", "b2a", "b2b", "post"} <= set(result.assignments)
         level = result.to_level_plan("test")
         assert level.alignment_for("blk1") is not None
@@ -190,9 +194,9 @@ class TestEndToEndMultipath:
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V3, 1),
                               ratio_mode="balanced")
         stages = [fc_stage("pre"), residual_region(), fc_stage("post")]
-        best = search_stages(stages, model)
+        best = search(stages, model)
         for t in ALL_TYPES:
-            uniform = search_stages(stages, model, space_fn=lambda w, t=t: (t,))
+            uniform = search(stages, model, space_fn=lambda w, t=t: (t,))
             assert best.cost <= uniform.cost + 1e-12
 
     def test_resnet18_plans_all_layers(self, model):
@@ -207,12 +211,12 @@ class TestEndToEndMultipath:
         assert planned == expected
 
     def test_nested_parallel_in_path(self, model):
-        inner = ShardedParallelStage(paths=((fc_stage("i1"),), ()), name="inner")
-        outer = ShardedParallelStage(
+        inner = ParallelStage(paths=((fc_stage("i1"),), ()), name="inner")
+        outer = ParallelStage(
             paths=((fc_stage("o1"), inner, fc_stage("o2")), ()), name="outer"
         )
         stages = [fc_stage("pre"), outer, fc_stage("post")]
-        result = search_stages(stages, model)
+        result = search(stages, model)
         assert {"pre", "o1", "i1", "o2", "post"} <= set(result.assignments)
         level = result.to_level_plan("test")
         assert level.alignment_for("inner") is not None
@@ -224,10 +228,10 @@ class TestNestedForkJoin:
 
     @staticmethod
     def nested_region():
-        inner = ShardedParallelStage(
+        inner = ParallelStage(
             paths=((fc_stage("n_i1"), fc_stage("n_i2")), ()), name="inner"
         )
-        return ShardedParallelStage(
+        return ParallelStage(
             paths=((fc_stage("n_o1"), inner, fc_stage("n_o2")),
                    (fc_stage("n_skip"),)),
             name="outer",
@@ -282,7 +286,7 @@ class TestNestedForkJoin:
         """The full chain through a nested region searches and yields a
         positive cost with a consistent typed plan."""
         stages = [fc_stage("pre"), self.nested_region(), fc_stage("post")]
-        result = search_stages(stages, model)
+        result = search(stages, model)
         assert result.cost > 0.0
         level = result.to_level_plan("test")
         assert {e.name for e in level.layers()} == {

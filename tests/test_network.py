@@ -157,6 +157,17 @@ class TestStageDecomposition:
         with pytest.raises(ValueError):
             ParallelStage(paths=((),))
 
+    def test_stages_infers_shapes_once(self, monkeypatch):
+        from repro.models import build_model
+        from tests.build_counts import count_builds
+
+        nets = [linear_net(), residual_net(True), build_model("resnet18")]
+        calls = count_builds(monkeypatch)
+        for net in nets:
+            net.stages(batch=2)
+        assert calls["stages"] == 3
+        assert calls["infer_shapes"] == 3
+
 
 class TestNestedForks:
     def test_nested_fork_join(self):

@@ -3,7 +3,9 @@
 Every reachable cell of the pack is re-derived from the scalar per-party
 Table 4-6 formulas at the cell's own α, for every Eq. 9 entry condition
 (the free entry plus the nine Table 5 transitions), over random workloads,
-all four ratio modes and analytic as well as random calibrated profiles:
+all four ratio modes and analytic as well as random calibrated profiles.
+The pack reads the level's fraction table; the scalar formulas read each
+row as a :class:`~repro.core.types.ShardedWorkload`:
 
 * the fixed-α modes (``proportional``, ``equal``) must equal
   ``max(step_pair_costs(...))`` bit for bit, and ``comm-volume`` the
@@ -29,8 +31,10 @@ from repro.core.cost_model import (
 )
 from repro.core.ratio import solve_balanced_ratio
 from repro.core.types import ALL_TYPES, PartitionType
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from tests.reference_search import comm_volume
+from tests.tables import table
 from tests.test_dp_vectorized import _StageGen, random_profile
 
 #: the free entry boundary plus the nine (prev, cur) Table 5 transitions
@@ -39,6 +43,11 @@ TRANSITIONS = [(None, t) for t in ALL_TYPES] + [
 ]
 
 MODES = ("balanced", "proportional", "equal", "comm-volume")
+
+
+def pack_of(model, workloads):
+    """The model's pack over a chain of these sharded workloads."""
+    return model.pack_step_tensors(table([LayerStage(sw) for sw in workloads]))
 
 
 def random_case(seed, mode, calibrated):
@@ -61,7 +70,7 @@ def random_case(seed, mode, calibrated):
 def test_every_reachable_cell_matches_the_scalar_formulas(seed, mode, calibrated):
     workloads, model = random_case(1000 * seed + MODES.index(mode), mode,
                                    calibrated)
-    pack = model.pack_step_tensors(workloads)
+    pack = pack_of(model, workloads)
     assert pack.cost.shape == (len(workloads), 3, len(ALL_TYPES))
     for row, sw in enumerate(workloads):
         for prev, cur in TRANSITIONS:
@@ -85,7 +94,7 @@ def test_every_reachable_cell_matches_the_scalar_formulas(seed, mode, calibrated
 @pytest.mark.parametrize("mode", MODES)
 def test_cross_to_type_iii_is_unreachable(mode):
     workloads, model = random_case(7, mode, calibrated=False)
-    pack = model.pack_step_tensors(workloads)
+    pack = pack_of(model, workloads)
     cross = PACKED_FAMILY_INDEX[FAMILY_CROSS]
     type_iii = TYPE_INDEX[PartitionType.TYPE_III]
     assert np.all(np.isinf(pack.cost[:, cross, type_iii]))
@@ -97,5 +106,5 @@ def test_cross_to_type_iii_is_unreachable(mode):
 
 def test_empty_level_packs_empty():
     model = PairCostModel(make_group(TPU_V3, 2), make_group(TPU_V2, 2))
-    pack = model.pack_step_tensors([])
+    pack = pack_of(model, [])
     assert pack.cost.shape == (0, 3, len(ALL_TYPES))

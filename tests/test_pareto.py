@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.cost_model import PairCostModel
-from repro.core.stages import ShardedLayerStage, to_sharded_stages
-from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES, PartitionType
 from repro.experiments.pareto import (
     CostLandscape,
     baseline_assignments,
     enumerate_landscape,
 )
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.models import build_model
 
@@ -22,8 +23,8 @@ def fc_chain(*dims, batch=64):
     for idx in range(len(dims) - 1):
         w = LayerWorkload(f"fc{idx}", batch, dims[idx], dims[idx + 1],
                           (1, 1), (1, 1), (1, 1), False)
-        stages.append(ShardedLayerStage(ShardedWorkload(w)))
-    return stages
+        stages.append(LayerStage(w))
+    return to_sharded_stages(stages)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,6 @@ class TestBaselineAssignments:
 
     def test_owt_follows_layer_kind(self):
         stages = to_sharded_stages(build_model("alexnet").stages(8))
-        chain = [s for s in stages if isinstance(s, ShardedLayerStage)]
-        owt = baseline_assignments(chain)["owt"]
+        owt = baseline_assignments(stages)["owt"]
         assert owt[:5] == (I,) * 5      # conv layers
         assert owt[5:] == (II,) * 3     # fc layers

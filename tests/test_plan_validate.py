@@ -30,20 +30,15 @@ class TestCollectStructure:
         assert all(n >= 2 for n in parallel.values())
 
     def test_fork_inside_path_is_found(self):
-        from repro.core.stages import (
-            ShardedLayerStage,
-            ShardedParallelStage,
-        )
-        from repro.core.types import ShardedWorkload
         from repro.graph.layers import LayerWorkload
+        from repro.graph.network import LayerStage, ParallelStage
 
         def fc(name):
             w = LayerWorkload(name, 4, 4, 4, (1, 1), (1, 1), (1, 1), False)
-            return ShardedLayerStage(ShardedWorkload(w))
+            return LayerStage(w)
 
-        inner = ShardedParallelStage(paths=((fc("i1"),), ()), name="inner")
-        outer = ShardedParallelStage(paths=((fc("o1"), inner), ()),
-                                     name="outer")
+        inner = ParallelStage(paths=((fc("i1"),), ()), name="inner")
+        outer = ParallelStage(paths=((fc("o1"), inner), ()), name="outer")
         layers, parallel = collect_structure([fc("pre"), outer])
         assert layers == {"pre", "o1", "i1"}
         assert parallel == {"inner": 2, "outer": 2}

@@ -9,12 +9,14 @@ from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel, inter_layer_elements
 from repro.core.dp_vectorized import search_stages
 from repro.core.ratio import RATIO_HI, RATIO_LO, solve_balanced_ratio
-from repro.core.stages import ShardedLayerStage
 from repro.core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.graph.shapes import TensorShape
 from repro.hardware import TPU_V2, TPU_V3, make_group
+from repro.plan.ir import LayerAssignment, LevelPlan
 from repro.sim.trace import EventKind, TraceEvent
+from tests.tables import table
 from repro.core.types import Phase
 
 types_st = st.sampled_from(list(ALL_TYPES))
@@ -30,6 +32,13 @@ def make_fc(batch, d_in, d_out, name="fc"):
     return ShardedWorkload(
         LayerWorkload(name, batch, d_in, d_out, (1, 1), (1, 1), (1, 1), False)
     )
+
+
+def shard(sw, ptype, alpha, side="left"):
+    """``sw`` after one level assigns it ``ptype`` at ratio ``alpha``."""
+    level = LevelPlan([LayerAssignment(sw.name, ptype, alpha)])
+    (out,) = table([LayerStage(sw)]).shard(level, side).workloads()
+    return out
 
 
 class TestInterLayerProperties:
@@ -70,8 +79,8 @@ class TestShardedWorkloadProperties:
     @given(batch_st, dims_st, dims_st, types_st, ratio_st)
     def test_shard_conserves_split_dimension(self, batch, d_in, d_out, t, alpha):
         base = make_fc(batch, d_in, d_out)
-        left = base.shard(t, alpha)
-        right = base.shard(t, 1.0 - alpha)
+        left = shard(base, t, alpha, "left")
+        right = shard(base, t, alpha, "right")
         assert left.batch + right.batch == pytest.approx(base.batch + (
             base.batch if t is not PartitionType.TYPE_I else 0.0
         )) or t is PartitionType.TYPE_I
@@ -85,7 +94,7 @@ class TestShardedWorkloadProperties:
     @given(batch_st, dims_st, dims_st, types_st, ratio_st)
     def test_flops_nonnegative_and_monotone(self, batch, d_in, d_out, t, alpha):
         base = make_fc(batch, d_in, d_out)
-        sharded = base.shard(t, alpha)
+        sharded = shard(base, t, alpha)
         assert sharded.flops_total() >= 0.0
         assert sharded.flops_total() <= base.flops_total() + 1e-6
 
@@ -127,10 +136,10 @@ class TestDpOptimalityProperty:
         st.sampled_from(["balanced", "equal", "comm-volume"]),
     )
     def test_dp_equals_brute_force(self, widths, batch, ratio_mode):
-        stages = [
-            ShardedLayerStage(make_fc(batch, widths[i], widths[i + 1], f"fc{i}"))
+        stages = table([
+            LayerStage(make_fc(batch, widths[i], widths[i + 1], f"fc{i}"))
             for i in range(len(widths) - 1)
-        ]
+        ])
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1),
                               ratio_mode=ratio_mode)
         dp = search_stages(stages, model)
@@ -144,10 +153,10 @@ class TestDpOptimalityProperty:
         st.integers(min_value=1, max_value=128),
     )
     def test_dp_beats_any_fixed_assignment(self, widths, fixed_types, batch):
-        stages = [
-            ShardedLayerStage(make_fc(batch, widths[i], widths[i + 1], f"fc{i}"))
+        stages = table([
+            LayerStage(make_fc(batch, widths[i], widths[i + 1], f"fc{i}"))
             for i in range(len(widths) - 1)
-        ]
+        ])
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1))
         optimal = search_stages(stages, model)
         pinned = search_stages(

@@ -61,9 +61,7 @@ class TestQuantizePlan:
         assert report.n_ratios > 0
         assert report.levels_quantized == len(quantized.level_plans())
         # check the root level explicitly
-        from repro.core.stages import iter_sharded_workloads
-
-        by_name = {sw.name: sw for sw in iter_sharded_workloads(planned.stages)}
+        by_name = {sw.name: sw for sw in planned.stages.workloads()}
         for name, lp in quantized.root_level_plan.layer_assignments().items():
             extent = int(partitioned_extent(by_name[name], lp.ptype))
             assert lp.ratio * extent == pytest.approx(round(lp.ratio * extent))

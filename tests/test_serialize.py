@@ -109,7 +109,8 @@ class TestRoundTrip:
         # the builder's model makes the stages: nothing is built again
         builds = count_builds(monkeypatch)
         assert reloaded.stages == planned.stages
-        assert builds == {"build_model": 0, "stages": 1}
+        assert builds == {"build_model": 0, "stages": 1,
+                          "infer_shapes": 1}
         assert calls == ["alexnet"]
 
 
@@ -125,18 +126,22 @@ class TestLazyStages:
             document = json.loads(path.read_text())
         builds = count_builds(monkeypatch)
         loaded = plan_from_dict(document)
-        assert builds == {"build_model": 0, "stages": 0}
+        assert builds == {"build_model": 0, "stages": 0,
+                          "infer_shapes": 0}
         stages = loaded.stages
-        assert builds == {"build_model": 1, "stages": 1}
+        assert builds == {"build_model": 1, "stages": 1,
+                          "infer_shapes": 1}
         assert loaded.stages is stages
-        assert builds == {"build_model": 1, "stages": 1}
+        assert builds == {"build_model": 1, "stages": 1,
+                          "infer_shapes": 1}
         assert stages == AccParPlanner(heterogeneous_array(2, 2)).plan(
             build_model("alexnet"), batch=loaded.batch).stages
 
     def test_planned_plan_keeps_its_stages(self, planned, monkeypatch):
         builds = count_builds(monkeypatch)
         assert planned.stages is planned.stages
-        assert builds == {"build_model": 0, "stages": 0}
+        assert builds == {"build_model": 0, "stages": 0,
+                          "infer_shapes": 0}
 
     def test_replace_carries_the_stages(self, planned):
         loaded = plan_from_dict(plan_to_dict(planned))

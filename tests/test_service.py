@@ -108,14 +108,17 @@ class TestDiskTier:
             warm = second.plan(request_alexnet)
         assert warm.source == "disk"
         # a reply reads no stages, so the hit builds no model
-        assert calls == {"build_model": 0, "stages": 0}
+        assert calls == {"build_model": 0, "stages": 0,
+                         "infer_shapes": 0}
         assert evaluate(warm.planned).total_time == pytest.approx(
             evaluate(cold.planned).total_time)
-        assert calls == {"build_model": 1, "stages": 1}
+        assert calls == {"build_model": 1, "stages": 1,
+                         "infer_shapes": 1}
         stages = warm.planned.stages
         evaluate(warm.planned)
         assert warm.planned.stages is stages
-        assert calls == {"build_model": 1, "stages": 1}
+        assert calls == {"build_model": 1, "stages": 1,
+                         "infer_shapes": 1}
         assert stages == cold.planned.stages
 
     def test_trident_entry_is_a_disk_hit(self, tmp_path, array):
@@ -719,3 +722,27 @@ class TestPerRequestBackend:
             {"model": "lenet", "batch": 32, "backend": "greedy"}
         )
         assert request.backend == "greedy"
+
+
+class TestLongLivedPlans:
+    def test_cached_plans_hold_no_layer_partitions(self):
+        """A plan keeps one entry object per layer and level: the memory
+        tier holds no ``LayerPartition`` beside each ``LayerAssignment``,
+        because every full GC pass walks all the objects a service holds."""
+        import gc
+
+        from repro.plan.ir import LayerPartition
+
+        def partitions():
+            gc.collect()
+            return sum(type(o) is LayerPartition for o in gc.get_objects())
+
+        before = partitions()
+        with PlanService(cache=PlanCache()) as service:
+            for model, batch in (("alexnet", 96), ("resnet18", 160),
+                                 ("vgg11", 224)):
+                response = service.plan(PlanRequest(
+                    model=model, array=heterogeneous_array(), batch=batch))
+                assert response.source == "planned"
+            assert len(service.cache) == 3
+            assert partitions() == before

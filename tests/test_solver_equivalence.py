@@ -19,7 +19,8 @@ from repro.core.cost_model import PairCostModel
 from repro.core.hierarchy import collect_level_plans
 from repro.core.planner import PartitionScheme, Planner
 from repro.core.ratio import solve_balanced_ratio
-from repro.core.types import ALL_TYPES, ShardedWorkload
+from repro.core.stages import to_sharded_stages
+from repro.core.types import ALL_TYPES
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.hardware.presets import heterogeneous_array
 from repro.models import available_models, build_model
@@ -42,11 +43,11 @@ def _pair_models():
 class TestClosedFormMatchesBisection:
     @pytest.mark.parametrize("model_name", available_models())
     def test_alpha_within_1e9_across_registry(self, model_name):
-        workloads = [ShardedWorkload(w)
-                     for w in build_model(model_name).workloads(batch=16)]
+        table = to_sharded_stages(build_model(model_name).stages(batch=16))
+        workloads = table.workloads()
         checked = 0
         for pair_name, model in _pair_models().items():
-            pack = model.pack_step_tensors(workloads)
+            pack = model.pack_step_tensors(table)
             for row, sw in enumerate(workloads):
                 for prev, cur in TRANSITIONS:
                     alpha_packed = pack.cell(row, prev, cur)[1]

@@ -7,11 +7,11 @@ from repro.core.brute_force import brute_force_chain
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_vectorized import search_stages
 from repro.core.planner import Planner
-from repro.core.stages import ShardedLayerStage, to_sharded_stages
-from repro.core.types import ShardedWorkload
+from repro.core.stages import to_sharded_stages
 from repro.core.verify import verify_planned
 from repro.graph import validate_network
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.hardware import TPU_V2, TPU_V3, heterogeneous_array, make_group
 from repro.models.synthetic import (
     SyntheticConfig,
@@ -87,15 +87,11 @@ class TestPlannerFuzzing:
     @pytest.mark.parametrize("seed", range(5))
     def test_dp_optimal_on_random_chains(self, seed):
         widths = random_chain_widths(seed, min_layers=2, max_layers=5)
-        stages = [
-            ShardedLayerStage(
-                ShardedWorkload(
-                    LayerWorkload(f"fc{i}", 32, widths[i], widths[i + 1],
-                                  (1, 1), (1, 1), (1, 1), False)
-                )
-            )
+        stages = to_sharded_stages([
+            LayerStage(LayerWorkload(f"fc{i}", 32, widths[i], widths[i + 1],
+                                     (1, 1), (1, 1), (1, 1), False))
             for i in range(len(widths) - 1)
-        ]
+        ])
         model = PairCostModel(make_group(TPU_V3, 1), make_group(TPU_V2, 1))
         dp = search_stages(stages, model)
         bf = brute_force_chain(stages, model)

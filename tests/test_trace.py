@@ -122,7 +122,7 @@ class TestPsumEvents:
         assert adds == sw.a_psum(I)
 
     def test_conv_exchange_quantized_to_kernel(self):
-        sw = conv_sw().shard(I, 0.3)
+        sw = ShardedWorkload(conv_sw().base, batch_frac=0.3)
         events = psum_exchange_events(sw, I)
         for e in events:
             assert e.quantized_amount() % 9 == 0

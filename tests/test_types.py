@@ -13,7 +13,9 @@ from repro.core.types import (
     ShardedWorkload,
 )
 from repro.graph.layers import LayerWorkload
+from repro.graph.network import LayerStage
 from repro.plan.ir import JoinAlignment, LayerAssignment, LayerPartition, LevelPlan
+from tests.tables import table
 
 
 def fc_workload(batch=8, d_in=6, d_out=4, name="fc"):
@@ -118,26 +120,37 @@ class TestTable6Flops:
         assert sw.flops_forward() >= 0.0
 
 
+def one_layer(sw):
+    """The one-layer sub-problem holding ``sw``."""
+    return table([LayerStage(sw)])
+
+
+def shard(sw, ptype, alpha, side="left"):
+    """``sw`` after one level assigns it ``ptype`` at ratio ``alpha``."""
+    level = LevelPlan([LayerAssignment(sw.name, ptype, alpha)])
+    (out,) = one_layer(sw).shard(level, side).workloads()
+    return out
+
+
 class TestSharding:
+    """A level's shard, on the table (:meth:`ShardedStages.shard`)."""
+
     def test_type_i_shards_batch(self):
-        sw = ShardedWorkload(fc_workload()).shard(PartitionType.TYPE_I, 0.25)
+        sw = shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_I, 0.25)
         assert sw.batch == pytest.approx(2.0)
         assert sw.d_in == 6 and sw.d_out == 4
 
     def test_type_ii_shards_din(self):
-        sw = ShardedWorkload(fc_workload()).shard(PartitionType.TYPE_II, 0.5)
+        sw = shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_II, 0.5)
         assert sw.d_in == pytest.approx(3.0)
 
     def test_type_iii_shards_dout(self):
-        sw = ShardedWorkload(fc_workload()).shard(PartitionType.TYPE_III, 0.5)
+        sw = shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_III, 0.5)
         assert sw.d_out == pytest.approx(2.0)
 
     def test_shards_compose_multiplicatively(self):
-        sw = (
-            ShardedWorkload(fc_workload())
-            .shard(PartitionType.TYPE_I, 0.5)
-            .shard(PartitionType.TYPE_I, 0.5)
-        )
+        once = shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_I, 0.5)
+        sw = shard(once, PartitionType.TYPE_I, 0.5)
         assert sw.batch_frac == pytest.approx(0.25)
 
     def test_shard_volume_conservation(self):
@@ -145,8 +158,8 @@ class TestSharding:
         and leave the other two dimensions untouched."""
         for ptype in ALL_TYPES:
             base = ShardedWorkload(conv_workload())
-            left = base.shard(ptype, 0.3)
-            right = base.shard(ptype, 0.7)
+            left = shard(base, ptype, 0.3, "left")
+            right = shard(base, ptype, 0.3, "right")
             if ptype is PartitionType.TYPE_I:
                 assert left.batch + right.batch == pytest.approx(base.batch)
                 assert left.d_in == base.d_in and left.d_out == base.d_out
@@ -159,19 +172,20 @@ class TestSharding:
 
     def test_invalid_fraction_raises(self):
         with pytest.raises(ValueError):
-            ShardedWorkload(fc_workload()).shard(PartitionType.TYPE_I, 0.0)
+            shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_I, 0.0)
         with pytest.raises(ValueError):
-            ShardedWorkload(fc_workload()).shard(PartitionType.TYPE_I, 1.5)
+            shard(ShardedWorkload(fc_workload()), PartitionType.TYPE_I, 1.5)
 
     def test_invalid_fraction_field_raises(self):
         with pytest.raises(ValueError):
             ShardedWorkload(fc_workload(), batch_frac=0.0)
 
     def test_key_distinguishes_fractions(self):
-        a = ShardedWorkload(fc_workload(), batch_frac=0.5)
-        b = ShardedWorkload(fc_workload(), batch_frac=0.25)
+        a = one_layer(ShardedWorkload(fc_workload(), batch_frac=0.5))
+        b = one_layer(ShardedWorkload(fc_workload(), batch_frac=0.25))
         assert a.key() != b.key()
-        assert a.key() == ShardedWorkload(fc_workload(), batch_frac=0.5).key()
+        assert a.key() == one_layer(ShardedWorkload(fc_workload(),
+                                                    batch_frac=0.5)).key()
 
 
 class TestLayerPartition:
