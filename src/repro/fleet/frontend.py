@@ -87,7 +87,9 @@ from .wire import (
     MAX_RESPONSE_FRAME_BYTES,
     looks_like_v1,
     negotiate,
+    open_connection,
     read_frame,
+    start_server,
     write_frame,
 )
 
@@ -183,7 +185,7 @@ class _ShardPool:
             self._slots.put_nowait(None)  # links are dialed lazily
 
     async def _connect(self) -> _ShardLink:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        reader, writer = await open_connection(self.host, self.port)
         link = _ShardLink(reader, writer)
         hello = await link.request(
             {"op": "hello", "proto": 2, "role": "frontend"})
@@ -373,7 +375,7 @@ class FleetFrontend:
                              retry=self.retry, metrics=self.metrics)
             for name, host, port in self._shard_addrs
         }
-        server = await asyncio.start_server(
+        server = await start_server(
             self._handle_connection, self._host, self._requested_port,
             limit=MAX_REQUEST_FRAME_BYTES + 1024)
         self.host, self.port = server.sockets[0].getsockname()[:2]
@@ -512,7 +514,14 @@ class FleetFrontend:
 
     # -- plan items ----------------------------------------------------
     def _parse_item(self, doc: Dict) -> str:
-        """Validate a plan document and return its fingerprint (blocking)."""
+        """Validate a plan document and return its fingerprint.
+
+        Runs on the event loop: with the array and network digests cached
+        per process, a repeat request costs less here than a hop to a
+        worker thread would.  A model or array the process has not seen
+        blocks the loop once, while it is built and hashed: up to ~7 ms
+        for resnet152, ~1 ms for a 4,096-board array (docs/serving.md).
+        """
         return request_from_doc(doc).fingerprint()
 
     def _shed_doc(self, decision: Decision, start_ns: int,
@@ -562,10 +571,8 @@ class FleetFrontend:
                 record, self._shed_doc(quick, start_ns), start_ns,
                 "quick_shed")
 
-        loop = asyncio.get_running_loop()
         try:
-            fingerprint = await loop.run_in_executor(
-                None, self._parse_item, doc)
+            fingerprint = self._parse_item(doc)
         except Exception as exc:
             return self._account_item(
                 record, {"ok": False, "error": str(exc)}, start_ns,
@@ -592,6 +599,7 @@ class FleetFrontend:
             forwarded["deadline_ms"] = 0  # cache-now-or-fallback on the shard
 
         owner = self.ring.owner(fingerprint)
+        loop = asyncio.get_running_loop()
         deadline_abs = (loop.time() + deadline_s
                         if deadline_s is not None else None)
         future: "asyncio.Future[Dict]" = loop.create_future()
@@ -723,7 +731,7 @@ class FleetFrontend:
         self.metrics.counter("heartbeats").inc()
 
         async def ping() -> bool:
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await open_connection(host, port)
             try:
                 await write_frame(writer, {"op": "ping"})
                 reply = await read_frame(reader, MAX_RESPONSE_FRAME_BYTES)
@@ -797,10 +805,8 @@ class FleetFrontend:
         if not isinstance(doc, dict):
             return {"ok": False, "error": "warm items must be JSON objects"}
         self.metrics.counter("warm_items").inc()
-        loop = asyncio.get_running_loop()
         try:
-            fingerprint = await loop.run_in_executor(
-                None, self._parse_item, doc)
+            fingerprint = self._parse_item(doc)
         except Exception as exc:
             return {"ok": False, "error": str(exc)}
         owner = self.ring.owner(fingerprint)

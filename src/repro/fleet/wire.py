@@ -23,7 +23,10 @@ connections, decoded line by line exactly like stdin
 
 Both blocking-socket (``send_frame``/``recv_frame``) and asyncio
 (``write_frame``/``read_frame``) helpers live here so the shard servers,
-the frontend and the clients all speak from one implementation.
+the frontend and the clients all speak from one implementation.  The
+frontend opens its asyncio streams with :func:`open_connection` and
+:func:`start_server`, which read each socket into one buffer per
+connection.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import socket
 import struct
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..service.server import MAX_REQUEST_BYTES
 
@@ -48,6 +51,10 @@ MAX_REQUEST_FRAME_BYTES = MAX_REQUEST_BYTES
 #: response frames can carry merged traces and serialized plans; clients
 #: accept up to this much before declaring the peer broken
 MAX_RESPONSE_FRAME_BYTES = 64 << 20
+
+#: bytes one asyncio socket read fills: the buffer :func:`open_connection`
+#: and :func:`start_server` give each connection, reused for every read
+READ_BUFFER_BYTES = 64 << 10
 
 _LENGTH = struct.Struct(">I")
 
@@ -251,3 +258,53 @@ async def read_frame(
     except asyncio.IncompleteReadError as exc:
         raise FrameError("connection closed mid-frame") from exc
     return decode_body(body)
+
+
+class _BufferedStreamProtocol(asyncio.StreamReaderProtocol,
+                              asyncio.BufferedProtocol):
+    """A stream protocol whose transport reads into one reused buffer.
+
+    Under asyncio's plain stream protocol the transport reads with a fresh
+    ``recv(256 KiB)`` each time, above glibc's default 128 KiB mmap
+    threshold, so each read of a ~300-byte reply maps and unmaps a buffer.
+    Here the transport ``recv_into``s the connection's own buffer, and
+    :meth:`buffer_updated` hands the stream reader, which copies them, only
+    the bytes that arrived.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._buffer = memoryview(bytearray(READ_BUFFER_BYTES))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._buffer[:nbytes])
+
+
+async def open_connection(
+    host: str, port: int,
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """:func:`asyncio.open_connection`, reading into one reused buffer."""
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader(loop=loop)
+    protocol = _BufferedStreamProtocol(reader, loop=loop)
+    transport, _ = await loop.create_connection(
+        lambda: protocol, host, port)
+    writer = asyncio.StreamWriter(transport, protocol, reader, loop)
+    return reader, writer
+
+
+async def start_server(
+    client_connected_cb, host: str, port: int, limit: int = 2 ** 16,
+) -> asyncio.AbstractServer:
+    """:func:`asyncio.start_server`; each connection reads into one reused
+    buffer."""
+    loop = asyncio.get_running_loop()
+
+    def factory() -> _BufferedStreamProtocol:
+        reader = asyncio.StreamReader(limit=limit, loop=loop)
+        return _BufferedStreamProtocol(reader, client_connected_cb, loop=loop)
+
+    return await loop.create_server(factory, host, port)

@@ -126,6 +126,13 @@ class AcceleratorGroup:
         still distinct request inputs, and hashing the order keeps the
         fingerprint a pure function of the constructor arguments.
         """
+        return self._digest
+
+    # computed once per group, like the spec digest; the array builders of
+    # repro.hardware.presets share one group per array, so a repeat request
+    # for a 256-board array reads this instead of hashing 256 members
+    @cached_property
+    def _digest(self) -> str:
         return stable_digest([m.fingerprint() for m in self.members])
 
     def __str__(self) -> str:

@@ -13,9 +13,10 @@ bit units.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, List, Tuple
 
-from .accelerator import AcceleratorSpec, AcceleratorGroup, make_group, merge_groups
+from .accelerator import AcceleratorSpec, AcceleratorGroup
 
 GB = 1e9
 GIB = 2**30
@@ -54,15 +55,23 @@ PAPER_BATCH = 512
 #: document cannot make a server build and hash a million-member array
 MAX_BOARDS = 4096
 
+#: arrays kept per process, least recently used out.  An array is a pure
+#: function of its ``(spec, count)`` runs and a frozen value, so every
+#: request that names one array shares one group, and the digest the group
+#: caches, as :data:`repro.hardware.cluster.TREE_CACHE_SIZE` shares pairing
+#: trees.  The runs come from outside input (a request's or a plan
+#: document's array), so the cache evicts.
+ARRAY_CACHE_SIZE = 64
+
 
 def heterogeneous_array(n_v2: int = 128, n_v3: int = 128) -> AcceleratorGroup:
     """The Section 6.2 array: 128 TPU-v2 + 128 TPU-v3 boards."""
-    return merge_groups(make_group(TPU_V2, n_v2), make_group(TPU_V3, n_v3))
+    return group_from_runs(((TPU_V2, n_v2), (TPU_V3, n_v3)))
 
 
 def homogeneous_array(n: int = 128) -> AcceleratorGroup:
     """The Section 6.3 array: 128 TPU-v3 boards."""
-    return make_group(TPU_V3, n)
+    return group_from_runs(((TPU_V3, n),))
 
 
 def group_from_runs(
@@ -72,7 +81,8 @@ def group_from_runs(
 
     Raises ``ValueError`` on a count that is not a positive integer, or on
     counts summing past :data:`MAX_BOARDS`; both are checked before any
-    member is built.
+    member is built, and a refused array is never cached.  Equal runs
+    return one shared group (see :data:`ARRAY_CACHE_SIZE`).
     """
     runs = list(runs)
     for _, count in runs:
@@ -82,6 +92,13 @@ def group_from_runs(
     if boards > MAX_BOARDS:
         raise ValueError(
             f"array of {boards} boards exceeds the limit of {MAX_BOARDS}")
+    return _shared_group(tuple((spec, count) for spec, count in runs))
+
+
+@functools.lru_cache(maxsize=ARRAY_CACHE_SIZE)
+def _shared_group(
+    runs: Tuple[Tuple[AcceleratorSpec, int], ...],
+) -> AcceleratorGroup:
     members: List[AcceleratorSpec] = []
     for spec, count in runs:
         members += [spec] * count

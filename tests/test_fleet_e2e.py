@@ -8,6 +8,7 @@ and genuinely cross-process trace aggregation.
 import json
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -179,6 +180,24 @@ class TestWarmReplication:
         fingerprint = client.plan(spec())["fingerprint"]
         assert frontend.admission.estimate(fingerprint) == \
             frontend.admission.floor_s
+
+
+class TestLoopOnly:
+    def test_items_are_parsed_on_the_loop_without_executor_threads(
+            self, fleet):
+        """The frontend fingerprints plan and warm items on its event
+        loop: answering them starts no default-executor thread."""
+        _, _, client = fleet
+
+        def executor_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith("asyncio_")}
+
+        before = executor_threads()
+        reply = client.plan_batch([spec(batch=8 * (i + 1)) for i in range(4)])
+        assert reply["succeeded"] == 4
+        assert client.warm([spec(batch=64)])["ok"]
+        assert not executor_threads() - before
 
 
 class TestProtocol:

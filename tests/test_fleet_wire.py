@@ -1,24 +1,34 @@
-"""Wire protocol v2: framing, negotiation, size caps, v1 sniffing."""
+"""Wire protocol v2: framing, negotiation, size caps, v1 sniffing, and
+the frontend's buffered asyncio streams."""
 
 import asyncio
+import json
 import socket
 import threading
 
 import pytest
 
+from repro.fleet import frontend as frontend_module
+from repro.fleet.frontend import FleetFrontend
+from repro.fleet.shard import ShardSupervisor
 from repro.fleet.wire import (
     FrameError,
     FrameTooLarge,
     PROTOCOL_VERSION,
+    READ_BUFFER_BYTES,
     decode_body,
     encode_frame,
     hello_doc,
     looks_like_v1,
     negotiate,
+    open_connection,
     read_frame,
     recv_frame,
     send_frame,
+    start_server,
+    write_frame,
 )
+from repro.service.server import MAX_REQUEST_BYTES
 
 
 def socket_pair():
@@ -250,3 +260,149 @@ def test_request_reply_pingpong_across_threads():
     a.close()
     thread.join(5.0)
     b.close()
+
+
+class TestBufferedStreams:
+    """``open_connection``/``start_server`` read each socket into one
+    reused buffer; frames cross a real loopback socket unchanged."""
+
+    @staticmethod
+    def _exchange(send, receive):
+        """Run ``send(reader, writer)`` on an ``open_connection`` client
+        against a ``start_server`` whose handler runs ``receive(reader,
+        writer)``; return what ``receive`` returned, or raise what it
+        raised."""
+
+        async def run():
+            done = asyncio.get_running_loop().create_future()
+
+            async def handler(reader, writer):
+                try:
+                    done.set_result(await receive(reader, writer))
+                except Exception as exc:
+                    done.set_exception(exc)
+                finally:
+                    writer.close()
+
+            server = await start_server(handler, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await open_connection(host, port)
+            try:
+                await send(reader, writer)
+                return await asyncio.wait_for(done, 10.0)
+            finally:
+                writer.close()
+                server.close()
+                await server.wait_closed()
+
+        return asyncio.run(run())
+
+    def test_a_frame_16x_the_buffer_arrives_whole_both_ways(self):
+        doc = {"pad": "x" * (16 * READ_BUFFER_BYTES)}
+        echoed = {}
+
+        async def send(reader, writer):
+            await write_frame(writer, doc)
+            echoed["doc"] = await read_frame(reader)
+
+        async def receive(reader, writer):
+            got = await read_frame(reader, max_bytes=32 * READ_BUFFER_BYTES)
+            await write_frame(writer, got)
+            return got
+
+        assert self._exchange(send, receive) == doc
+        assert echoed["doc"] == doc
+
+    def test_three_frames_in_one_write_read_as_three(self):
+        frames = [{"i": i, "pad": "y" * (i * 1000)} for i in range(3)]
+
+        async def send(reader, writer):
+            writer.write(b"".join(encode_frame(doc) for doc in frames))
+            await writer.drain()
+            writer.write_eof()
+
+        async def receive(reader, writer):
+            got = []
+            while (doc := await read_frame(reader)) is not None:
+                got.append(doc)
+            return got
+
+        assert self._exchange(send, receive) == frames
+
+    def test_eof_mid_frame_is_an_error(self):
+        frame = encode_frame({"op": "plan", "pad": "z" * 5000})
+
+        async def send(reader, writer):
+            writer.write(frame[:len(frame) - 3])
+            await writer.drain()
+            writer.write_eof()
+
+        async def receive(reader, writer):
+            return await read_frame(reader)
+
+        with pytest.raises(FrameError, match="mid-frame"):
+            self._exchange(send, receive)
+
+
+class TestFrontendStreams:
+    """Every socket of a live frontend reads through the reused buffer."""
+
+    @pytest.fixture
+    def frontend(self, tmp_path, monkeypatch):
+        """A 2-shard thread fleet; records the protocol under each client
+        connection and each shard link as the frontend opens it."""
+        protocols = {"client": [], "link": []}
+        handle_connection = FleetFrontend._handle_connection
+        link_init = frontend_module._ShardLink.__init__
+
+        async def spy_connection(self, reader, writer):
+            protocols["client"].append(writer.transport.get_protocol())
+            await handle_connection(self, reader, writer)
+
+        def spy_link(self, reader, writer):
+            protocols["link"].append(writer.transport.get_protocol())
+            link_init(self, reader, writer)
+
+        monkeypatch.setattr(FleetFrontend, "_handle_connection",
+                            spy_connection)
+        monkeypatch.setattr(frontend_module._ShardLink, "__init__", spy_link)
+        with ShardSupervisor(2, cache_dir=tmp_path) as sup:
+            with FleetFrontend(sup.handles) as frontend:
+                yield frontend, protocols
+
+    @staticmethod
+    def _lines(port, lines):
+        with socket.create_connection(("127.0.0.1", port), 30.0) as sock:
+            sock.settimeout(30.0)
+            stream = sock.makefile("rwb")
+            replies = []
+            for line in lines:
+                stream.write(line + b"\n")
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+            return replies
+
+    def test_client_connections_and_shard_links_are_buffered(self, frontend):
+        frontend, protocols = frontend
+        ping, stats = self._lines(frontend.port, [
+            json.dumps({"op": "ping"}).encode(),
+            json.dumps({"op": "stats"}).encode()])
+        assert ping["ok"] and stats["ok"]
+        assert protocols["client"] and protocols["link"]
+        for protocol in protocols["client"] + protocols["link"]:
+            assert isinstance(protocol, asyncio.BufferedProtocol), protocol
+
+    def test_v1_line_and_over_limit_lines_get_their_replies(self, frontend):
+        frontend, _ = frontend
+        plan = json.dumps({"model": "lenet", "array": "tpu-v2:2,tpu-v3:2",
+                           "batch": 32, "id": "v1"}).encode()
+        # over the request cap, then past the stream's own limit too
+        over = json.dumps({"model": "x" * (MAX_REQUEST_BYTES + 1)}).encode()
+        huge = json.dumps({"model": "x" * (2 * MAX_REQUEST_BYTES)}).encode()
+        first, refused, dropped, served = self._lines(
+            frontend.port, [plan, over, huge, plan])
+        assert first["ok"] and first["id"] == "v1" and "shard" in first
+        assert refused["error"] == dropped["error"] == "request too large"
+        assert refused["got_bytes"] == len(over)
+        assert dropped["got_bytes"] >= len(huge)
+        assert served["ok"] and served["fingerprint"] == first["fingerprint"]

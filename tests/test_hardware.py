@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.digest import stable_digest
 from repro.hardware import (
     AcceleratorGroup,
     AcceleratorSpec,
@@ -15,6 +16,9 @@ from repro.hardware import (
     max_hierarchy_levels,
     merge_groups,
 )
+from repro.hardware import accelerator, presets
+from repro.hardware.presets import ARRAY_CACHE_SIZE, MAX_BOARDS, parse_array
+from repro.service.server import request_from_doc
 
 
 class TestSpecs:
@@ -83,6 +87,68 @@ class TestPresets:
         arr = homogeneous_array()
         assert arr.size == 128
         assert arr.is_homogeneous
+
+
+class TestSharedArrays:
+    """One array text is parsed into one group, which hashes its members
+    once per process."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        presets._shared_group.cache_clear()
+
+    def test_one_text_twice_is_one_group_hashed_once(self, monkeypatch):
+        payloads = []
+
+        def counting(payload):
+            payloads.append(payload)
+            return stable_digest(payload)
+
+        monkeypatch.setattr(accelerator, "stable_digest", counting)
+        first = parse_array("tpu-v2:3,tpu-v3:5")
+        second = parse_array("tpu-v2:3,tpu-v3:5")
+        assert first is second
+        assert first.fingerprint() == second.fingerprint()
+        group_payloads = [p for p in payloads if isinstance(p, list)]
+        assert len(group_payloads) == 1
+
+    def test_spellings_of_hetero_share_one_group_and_fingerprint(self):
+        texts = ("hetero", " HETERO ", "tpu-v2:128,tpu-v3:128")
+        groups = [parse_array(text) for text in texts]
+        assert all(group is heterogeneous_array() for group in groups)
+        # the cached digest is the member-list digest it always was
+        assert groups[0].fingerprint() == stable_digest(
+            [m.fingerprint() for m in groups[0].members])
+        fingerprints = {
+            request_from_doc({"model": "alexnet", "array": text}).fingerprint()
+            for text in texts}
+        assert len(fingerprints) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("tpu-v2:0", "board count 0 is not a positive integer"),
+        ("tpu-v9:1", "unknown accelerator 'tpu-v9'"),
+        (f"tpu-v2:{MAX_BOARDS},tpu-v3:1",
+         f"array of {MAX_BOARDS + 1} boards exceeds the limit "
+         f"of {MAX_BOARDS}"),
+    ])
+    def test_refused_on_every_request_and_never_cached(self, text, message):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message) as info:
+                parse_array(text)
+            messages.add(str(info.value))
+            with pytest.raises(ValueError, match=message) as info:
+                request_from_doc({"model": "alexnet", "array": text})
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        assert presets._shared_group.cache_info().currsize == 0
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        for count in range(1, ARRAY_CACHE_SIZE + 11):
+            assert parse_array(f"tpu-v3:{count}").size == count
+        assert presets._shared_group.cache_info().currsize <= ARRAY_CACHE_SIZE
+        # an evicted array is built again, equal to the first one
+        assert parse_array("tpu-v3:1") == make_group(TPU_V3, 1)
 
 
 class TestBisectionTree:
