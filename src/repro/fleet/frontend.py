@@ -1,20 +1,29 @@
 """The fleet frontend: one asyncio process that routes for all shards.
 
-Request path for one batch item::
+Request path for one client request (a ``plan`` op is a batch of one)::
 
-    parse ─▶ quick shed? ─▶ fingerprint ─▶ admission ─▶ EDF queue ─▶
-        dispatcher ─▶ owning shard (consistent hash) ─▶ response
+    for each item: quick shed? ─▶ parse + fingerprint ─▶ admission ─▶
+        owning shard (consistent hash)
+    one unit per owning shard ─▶ EDF queue ─▶ dispatcher ─▶
+        one plan_batch frame to the shard ─▶ per-item replies, in order
 
-* **Batched plan API** — ``{"op": "plan_batch", "items": [...]}`` fans the
-  items out concurrently; each item is routed, queued and answered
-  independently, and the batch response carries per-item status in order.
-* **Deadline-aware queueing** — admitted items wait in an
-  earliest-deadline-first priority queue drained by a fixed set of
-  dispatcher tasks (one per shard link, so the queue only holds what the
-  shards cannot absorb).  Items are checked against their deadline twice:
-  at admission (:mod:`repro.fleet.admission` — the fast shed) and again at
-  dequeue (late shed), so a queue stampede cannot make the fleet burn
-  planner time on requests that already expired.
+* **Batched plan API** — ``{"op": "plan_batch", "items": [...]}`` admits
+  every item in one pass on the event loop, with no task per item.  The
+  admitted items that one shard owns form a *unit*, and each unit crosses
+  to its shard as one ``plan_batch`` frame (split only past the shard's
+  request limit), so a 16-item batch over two shards costs two request
+  frames and two replies.  Items keep their own status, and the batch
+  response lists them in order.  Units never mix client requests: one
+  client's cold item must not hold up another client's hits.
+* **Deadline-aware queueing** — units wait in an earliest-deadline-first
+  priority queue (a unit's priority is its earliest item deadline)
+  drained by a fixed set of dispatcher tasks (one per shard link, so the
+  queue only holds what the shards cannot absorb).  Items are checked
+  against their deadline twice: at admission (:mod:`repro.fleet.admission`
+  — the fast shed) and again at dequeue (late shed, item by item), so a
+  queue stampede cannot make the fleet burn planner time on requests
+  that already expired.  Admission's queue depth counts queued items,
+  not units.
 * **Degradation under pressure** — past the admission controller's
   degrade threshold an item is forwarded with a zero deadline: the owning
   shard answers from cache if it can, otherwise with its fallback backend
@@ -36,10 +45,10 @@ Request path for one batch item::
   keys reroute to survivors) and rejoins on the first success.  Shard
   links retry transient transport errors with the shared
   :class:`~repro.fleet.retry.RetryPolicy` (exponential backoff + jitter,
-  never past the item's deadline), and the dispatcher fails an item over
-  along the ring's successor order when its owner stays unreachable —
-  plans are deterministic, so a failover replan is bit-identical to the
-  owner's answer.  See docs/serving.md ("Fault tolerance").
+  never past the unit's deadline), and when a unit's owner stays
+  unreachable each of its items fails over along its own ring successor
+  order — plans are deterministic, so a failover replan is bit-identical
+  to the owner's answer.  See docs/serving.md ("Fault tolerance").
 
 The frontend runs its event loop in a dedicated thread so the blocking
 CLI (and tests) can drive it.  JSON-lines clients reach it two ways, both
@@ -63,9 +72,12 @@ from ..obs.registry import MetricsRegistry
 from ..obs.request import RequestRecord, RequestRecorder
 from ..obs.tracing import new_trace_id, tracer
 from ..service.server import (
+    batch_items,
+    batch_reply,
     decode_line,
     doc_record,
     is_shutdown_ack,
+    not_an_object,
     request_from_doc,
     too_large,
 )
@@ -73,7 +85,6 @@ from .admission import ADMIT, DEGRADE, AdmissionController, Decision
 from .health import HealthMonitor
 from .retry import (
     DEFAULT_RETRY,
-    NO_RETRY,
     TRANSIENT_EXCEPTIONS,
     RetryPolicy,
     classify,
@@ -81,10 +92,12 @@ from .retry import (
 from .ring import HashRing
 from .wire import (
     BadPayload,
+    FRAME_HEADER_BYTES,
     FrameError,
     FrameTooLarge,
     MAX_REQUEST_FRAME_BYTES,
     MAX_RESPONSE_FRAME_BYTES,
+    encode_frame,
     looks_like_v1,
     negotiate,
     open_connection,
@@ -101,7 +114,10 @@ FRONTEND_OPS = ("hello", "ping", "plan", "plan_batch", "warm", "stats",
 
 #: every fixed-name counter the frontend increments; enumerated for docs
 #: and tests (the per-reason ``retries_<reason>`` / ``failover_<reason>``
-#: counters appear dynamically, suffixed by :func:`repro.fleet.retry.classify`)
+#: counters appear dynamically, suffixed by :func:`repro.fleet.retry.classify`).
+#: ``routed`` and the ``failover_*`` counters count items; ``shard_frames``
+#: (plan frames sent to shards), ``route_errors``, ``retries_total`` and
+#: ``dispatch_timeouts`` count frames
 FLEET_COUNTER_NAMES = (
     "items",
     "batches",
@@ -111,6 +127,7 @@ FLEET_COUNTER_NAMES = (
     "shed_queue_full",
     "shed_late",
     "routed",
+    "shard_frames",
     "route_errors",
     "warm_items",
     "replicated_puts",
@@ -125,13 +142,10 @@ FLEET_COUNTER_NAMES = (
     "slow_requests",
 )
 
-#: extra headroom past an item's deadline before a dispatched request is
-#: abandoned: the owning shard enforces the deadline itself (fallback
+#: extra headroom past a unit's latest item deadline before its frame is
+#: abandoned: the owning shard enforces each deadline itself (fallback
 #: plans), so the frontend only cuts genuinely wedged shards loose
 DISPATCH_GRACE_S = 0.25
-
-#: one batch may carry at most this many specs
-MAX_BATCH_ITEMS = 1024
 
 
 class ShardUnavailable(RuntimeError):
@@ -146,8 +160,10 @@ class _ShardLink:
         self.reader = reader
         self.writer = writer
 
-    async def request(self, doc: Dict) -> Dict:
-        await write_frame(self.writer, doc)
+    async def request(self, frame: bytes) -> Dict:
+        """Send one encoded frame; return the shard's reply."""
+        self.writer.write(frame)
+        await self.writer.drain()
         reply = await read_frame(self.reader, MAX_RESPONSE_FRAME_BYTES)
         if reply is None:
             raise FrameError("shard closed the connection")
@@ -187,8 +203,8 @@ class _ShardPool:
     async def _connect(self) -> _ShardLink:
         reader, writer = await open_connection(self.host, self.port)
         link = _ShardLink(reader, writer)
-        hello = await link.request(
-            {"op": "hello", "proto": 2, "role": "frontend"})
+        hello = await link.request(encode_frame(
+            {"op": "hello", "proto": 2, "role": "frontend"}))
         if not hello.get("ok"):
             link.close()
             raise ShardUnavailable(
@@ -202,10 +218,14 @@ class _ShardPool:
         if exc is not None:
             self.metrics.counter(f"retries_{classify(exc)}").inc()
 
-    async def request(self, doc: Dict, *,
-                      deadline_abs: Optional[float] = None,
-                      retry: bool = True) -> Dict:
-        policy = self.retry if retry else NO_RETRY
+    async def request(self, doc: Dict) -> Dict:
+        return await self.send(encode_frame(doc))
+
+    async def send(self, frame: bytes, *,
+                   deadline_abs: Optional[float] = None) -> Dict:
+        """Send one encoded frame and return the reply, retrying per
+        policy; a retry re-sends the same bytes."""
+        policy = self.retry
         loop = asyncio.get_running_loop()
         slot = await self._slots.get()
         link: Optional[_ShardLink] = slot
@@ -222,7 +242,7 @@ class _ShardPool:
                 try:
                     if link is None:
                         link = await self._connect()
-                    return await link.request(doc)
+                    return await link.request(frame)
                 except TRANSIENT_EXCEPTIONS as exc:
                     if link is not None:
                         link.close()
@@ -251,17 +271,40 @@ class _ShardPool:
 
 
 class _WorkItem:
-    """One admitted plan item waiting for a dispatcher."""
+    """One admitted plan item: what the shard gets, and what it answered."""
 
-    __slots__ = ("doc", "shard", "deadline_abs", "future", "fingerprint")
+    __slots__ = ("doc", "owner", "deadline_abs", "fingerprint", "record",
+                 "start_ns", "action", "tried", "reply")
 
-    def __init__(self, doc: Dict, shard: str, deadline_abs: Optional[float],
-                 future: "asyncio.Future[Dict]", fingerprint: str):
+    def __init__(self, doc: Dict, owner: str, deadline_abs: Optional[float],
+                 fingerprint: str, record: RequestRecord, start_ns: int,
+                 action: str):
         self.doc = doc
-        self.shard = shard
+        #: the shard the ring routed the item to
+        self.owner = owner
         self.deadline_abs = deadline_abs
-        self.future = future
         self.fingerprint = fingerprint
+        self.record = record
+        self.start_ns = start_ns
+        self.action = action
+        #: shards a frame carrying the item was sent to, in order
+        self.tried: List[str] = []
+        self.reply: Optional[Dict] = None
+
+
+class _Unit:
+    """The admitted items of one client request that one shard owns: one
+    queue entry, sent as one ``plan_batch`` frame."""
+
+    __slots__ = ("shard", "items", "future")
+
+    def __init__(self, shard: str, items: List[_WorkItem],
+                 future: "asyncio.Future[int]"):
+        self.shard = shard
+        self.items = items
+        #: resolved, to its ``perf_counter_ns``, once every item has its
+        #: reply
+        self.future = future
 
 
 class FleetFrontend:
@@ -323,6 +366,8 @@ class FleetFrontend:
         self._startup_error: Optional[BaseException] = None
         self._stopping = False
         self._seq = itertools.count()
+        #: items in the queued units: the depth admission decides on
+        self._queued_items = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -368,7 +413,7 @@ class FleetFrontend:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._queue: "asyncio.PriorityQueue[Tuple[float, int, _WorkItem]]" = (
+        self._queue: "asyncio.PriorityQueue[Tuple[float, int, _Unit]]" = (
             asyncio.PriorityQueue())
         self._pools = {
             name: _ShardPool(name, host, port, self.links_per_shard,
@@ -492,7 +537,7 @@ class FleetFrontend:
                 reply = {"ok": True, "server": self.name,
                          "shards": [n for n, _, _ in self._shard_addrs]}
             elif op == "plan":
-                reply = await self._serve_item(doc)
+                (reply,) = await self._serve_items([doc])
             elif op == "plan_batch":
                 reply = await self._serve_batch(doc)
             elif op == "warm":
@@ -539,10 +584,12 @@ class FleetFrontend:
         return doc
 
     def _account_item(self, record: RequestRecord, reply: Dict,
-                      start_ns: int, action: str) -> Dict:
+                      start_ns: int, action: str,
+                      end_ns: Optional[int] = None) -> Dict:
         """Complete an item's record from its reply and record it: every
-        ``_serve_item`` exit (shed, invalid, dispatched) comes here."""
-        record.latency_s = (time.perf_counter_ns() - start_ns) / 1e9
+        item's exit (shed, invalid, dispatched) comes here."""
+        end_ns = end_ns or time.perf_counter_ns()
+        record.latency_s = (end_ns - start_ns) / 1e9
         record.action = action
         record.shard = reply.get("shard")
         record.source = reply.get("source")
@@ -555,8 +602,36 @@ class FleetFrontend:
         self.recorder.observe(record)
         return reply
 
-    async def _serve_item(self, doc: Dict) -> Dict:
-        """One plan item: admission → routing → dispatch → response."""
+    async def _serve_items(self, docs: List[Optional[Dict]]) -> List[Dict]:
+        """One client request's plan items: admitted in one pass, sent as
+        one unit per owning shard, answered in order.  ``None`` stands for
+        an item that is not a JSON object."""
+        depth = self._queued_items
+        slots: List[Union[Dict, _WorkItem]] = []
+        owned: Dict[Tuple[str, bool], List[_WorkItem]] = {}
+        for doc in docs:
+            slot = not_an_object() if doc is None \
+                else self._admit(doc, depth)
+            if isinstance(slot, _WorkItem):
+                # an item without a deadline would lift its frame's
+                # timeout, so it never shares a frame with one that has
+                key = (slot.owner, slot.deadline_abs is None)
+                owned.setdefault(key, []).append(slot)
+                depth += 1
+            slots.append(slot)
+        units = [self._enqueue(owner, items)
+                 for (owner, _), items in owned.items()]
+        for unit in units:
+            done_ns = await unit.future
+            for item in unit.items:
+                self._settle(item, done_ns)
+        return [slot.reply if isinstance(slot, _WorkItem) else slot
+                for slot in slots]
+
+    def _admit(self, doc: Dict, depth: int) -> Union[Dict, _WorkItem]:
+        """An item up to its enqueue: quick shed, parse, admission, trace
+        id, forwarded document, ring owner.  Returns the admitted item, or
+        the reply of one that was shed or refused (already recorded)."""
         start_ns = time.perf_counter_ns()
         self.metrics.counter("items").inc()
         record = doc_record(doc)
@@ -579,8 +654,7 @@ class FleetFrontend:
                 "invalid")
         record.fingerprint = fingerprint
 
-        decision = self.admission.decide(
-            fingerprint, deadline_s, self._queue.qsize())
+        decision = self.admission.decide(fingerprint, deadline_s, depth)
         if not decision.admitted:
             self.metrics.counter(
                 "shed_queue_full" if "queue" in decision.reason
@@ -590,52 +664,75 @@ class FleetFrontend:
                 start_ns, decision.action)
         self.metrics.counter("admitted").inc()
 
-        trace_id = record.trace_id = record.trace_id or new_trace_id()
+        record.trace_id = record.trace_id or new_trace_id()
         forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
         forwarded["op"] = "plan"
-        forwarded["trace_id"] = trace_id
+        forwarded["trace_id"] = record.trace_id
         if decision.action == DEGRADE:
             self.metrics.counter("degraded_pressure").inc()
             forwarded["deadline_ms"] = 0  # cache-now-or-fallback on the shard
-
-        owner = self.ring.owner(fingerprint)
-        loop = asyncio.get_running_loop()
-        deadline_abs = (loop.time() + deadline_s
+        deadline_abs = (self._loop.time() + deadline_s
                         if deadline_s is not None else None)
-        future: "asyncio.Future[Dict]" = loop.create_future()
-        item = _WorkItem(forwarded, owner, deadline_abs, future, fingerprint)
-        priority = deadline_abs if deadline_abs is not None else float("inf")
-        self._queue.put_nowait((priority, next(self._seq), item))
+        return _WorkItem(forwarded, self.ring.owner(fingerprint),
+                         deadline_abs, fingerprint, record, start_ns,
+                         decision.action)
 
-        reply = await future
-        reply.setdefault("shard", owner)
+    def _enqueue(self, owner: str, items: List[_WorkItem]) -> _Unit:
+        unit = _Unit(owner, items, self._loop.create_future())
+        deadlines = [item.deadline_abs for item in items
+                     if item.deadline_abs is not None]
+        priority = min(deadlines) if deadlines else float("inf")
+        self._queued_items += len(items)
+        self._queue.put_nowait((priority, next(self._seq), unit))
+        return unit
+
+    def _settle(self, item: _WorkItem, end_ns: int) -> None:
+        """An item after its reply: the ``fleet.item`` span and its
+        record, timed to when its unit was done."""
+        item.reply.setdefault("shard", item.owner)
         tracer.record(
             "fleet.item", "fleet",
-            start_ns=start_ns, end_ns=time.perf_counter_ns(),
-            trace_id=trace_id, shard=owner,
-            model=doc.get("model"), action=decision.action,
+            start_ns=item.start_ns, end_ns=end_ns,
+            trace_id=item.record.trace_id, shard=item.owner,
+            model=item.doc.get("model"), action=item.action,
         )
-        return self._account_item(record, reply, start_ns, decision.action)
+        self._account_item(item.record, item.reply, item.start_ns,
+                           item.action, end_ns)
 
     async def _dispatcher(self) -> None:
-        """Drain the EDF queue into the owning shards (with failover)."""
-        loop = asyncio.get_running_loop()
+        """Drain the EDF queue: each unit to its shard, with failover."""
         while True:
-            _, _, item = await self._queue.get()
-            if item.future.cancelled():
+            _, _, unit = await self._queue.get()
+            self._queued_items -= len(unit.items)
+            if unit.future.cancelled():
                 continue
-            if (item.deadline_abs is not None
-                    and loop.time() > item.deadline_abs):
-                self.metrics.counter("shed_late").inc()
-                item.future.set_result({
-                    "ok": False, "error": "shed",
-                    "reason": "deadline expired while queued",
-                    "fingerprint": item.fingerprint,
-                })
-                continue
-            reply = await self._dispatch_with_failover(item, loop)
-            if not item.future.cancelled():
-                item.future.set_result(reply)
+            now = self._loop.time()
+            live = []
+            for item in unit.items:
+                if item.deadline_abs is not None and now > item.deadline_abs:
+                    self.metrics.counter("shed_late").inc()
+                    item.reply = {
+                        "ok": False, "error": "shed",
+                        "reason": "deadline expired while queued",
+                        "fingerprint": item.fingerprint,
+                    }
+                else:
+                    live.append(item)
+            try:
+                if live and self.health.is_up(unit.shard):
+                    await self._send(unit.shard, live)
+                elif live:
+                    await self._fail_over(live, "shard_down",
+                                          f"shard {unit.shard} is down")
+            except Exception as exc:  # never strand the waiting request
+                log.exception("dispatch failed", extra={
+                    "event": "dispatch_error", "shard": unit.shard})
+                for item in live:
+                    if item.reply is None:
+                        item.reply = {"ok": False, "error": str(exc),
+                                      "fingerprint": item.fingerprint}
+            if not unit.future.cancelled():
+                unit.future.set_result(time.perf_counter_ns())
 
     def _failover_order(self, item: _WorkItem) -> List[str]:
         """Shards to try for one item: ring order, healthy ones first.
@@ -646,10 +743,10 @@ class FleetFrontend:
         to, which keeps failover traffic cache-friendly.  Known-down
         shards sink to the back rather than vanish: when every shard is
         down the item still gets one loud attempt instead of a silent
-        drop.
+        drop.  Only consulted once the owner is down or has failed.
         """
-        order = [item.shard] + [s for s in self.ring.successors(
-            item.fingerprint) if s != item.shard]
+        order = [item.owner] + [s for s in self.ring.successors(
+            item.fingerprint) if s != item.owner]
         for name in self._pools:
             if name not in order:  # off-ring (marked down) shards, last
                 order.append(name)
@@ -657,63 +754,108 @@ class FleetFrontend:
         down = [s for s in order if s not in healthy]
         return (healthy + down) if healthy else order
 
-    async def _dispatch_with_failover(self, item: _WorkItem, loop) -> Dict:
-        """Try the owner, then fail over along the ring until the deadline."""
-        order = self._failover_order(item)
-        if order and order[0] != item.shard:
-            # the routed owner is known-down: reroute before dialing it
-            self.metrics.counter("failover_total").inc()
-            self.metrics.counter("failover_shard_down").inc()
-        last_error: object = "no shards configured"
-        for hop, shard in enumerate(order):
-            timeout = None
-            if item.deadline_abs is not None:
-                remaining = item.deadline_abs - loop.time()
-                if hop and remaining <= 0:
-                    break  # no budget left for another hop
-                timeout = max(remaining, 0.0) + DISPATCH_GRACE_S
-            if hop:
+    async def _fail_over(self, items: List[_WorkItem], reason: str,
+                         error: str) -> None:
+        """Send each item to the next untried shard of its own failover
+        order, regrouped by that shard: ``reason`` is ``shard_down`` when
+        the owner is known down before dialing, ``transport`` when a frame
+        to a shard failed."""
+        groups: Dict[str, List[_WorkItem]] = {}
+        for item in items:
+            order = self._failover_order(item)
+            shard = next((s for s in order if s not in item.tried), None)
+            if shard is None or (item.deadline_abs is not None
+                                 and item.deadline_abs <= self._loop.time()):
+                item.reply = {
+                    "ok": False,
+                    "error": f"no healthy shard available: {error}",
+                    "tried": order,
+                    "fingerprint": item.fingerprint,
+                }
+                continue
+            # a first try on the owner itself (every shard down) is no move
+            if item.tried or shard != item.owner:
                 self.metrics.counter("failover_total").inc()
-                self.metrics.counter("failover_transport").inc()
-            t0 = time.perf_counter()
-            try:
-                request = self._pools[shard].request(
-                    item.doc, deadline_abs=item.deadline_abs)
-                reply = await (asyncio.wait_for(request, timeout)
-                               if timeout is not None else request)
-            except asyncio.TimeoutError:
-                # the shard accepted the request but never answered within
-                # the deadline (frozen/stalled): the deadline is spent, so
-                # shed rather than burn another shard on an expired item
-                self.metrics.counter("dispatch_timeouts").inc()
-                self.health.record_failure(shard, "timeout")
-                return {
+                self.metrics.counter(f"failover_{reason}").inc()
+            groups.setdefault(shard, []).append(item)
+        await asyncio.gather(*[self._send(shard, group)
+                               for shard, group in groups.items()])
+
+    async def _send(self, shard: str, items: List[_WorkItem]) -> None:
+        """Items to one shard as one ``plan_batch`` frame, halved until
+        each frame fits the shard's request limit; set every item's reply.
+
+        The frame may take as long as its latest item's deadline allows,
+        plus :data:`DISPATCH_GRACE_S`; a frame of items without deadlines,
+        as long as it takes (a unit never mixes the two).
+        """
+        frame = encode_frame(
+            {"op": "plan_batch", "items": [item.doc for item in items]})
+        body_bytes = len(frame) - FRAME_HEADER_BYTES
+        if body_bytes > MAX_REQUEST_FRAME_BYTES:
+            if len(items) == 1:
+                (item,) = items
+                item.reply = dict(too_large(body_bytes),
+                                  fingerprint=item.fingerprint)
+                return
+            half = len(items) // 2
+            await self._send(shard, items[:half])
+            await self._send(shard, items[half:])
+            return
+        deadline_abs = timeout = None
+        if all(item.deadline_abs is not None for item in items):
+            deadline_abs = max(item.deadline_abs for item in items)
+            timeout = (max(deadline_abs - self._loop.time(), 0.0)
+                       + DISPATCH_GRACE_S)
+        for item in items:
+            item.tried.append(shard)
+        self.metrics.counter("shard_frames").inc()
+        t0 = time.perf_counter()
+        try:
+            request = self._pools[shard].send(frame, deadline_abs=deadline_abs)
+            reply = await (asyncio.wait_for(request, timeout)
+                           if timeout is not None else request)
+        except asyncio.TimeoutError:
+            # the shard took the frame but never answered within the
+            # deadline (frozen/stalled): the deadline is spent, so shed
+            # rather than burn another shard on expired items
+            self.metrics.counter("dispatch_timeouts").inc()
+            self.health.record_failure(shard, "timeout")
+            for item in items:
+                item.reply = {
                     "ok": False, "error": "shed",
                     "reason": f"deadline expired during dispatch "
                               f"(shard {shard} unresponsive)",
                     "shard": shard, "fingerprint": item.fingerprint,
                 }
-            except Exception as exc:
-                self.metrics.counter("route_errors").inc()
-                self.health.record_failure(shard, "request")
-                last_error = exc
-                continue
-            self.metrics.counter("routed").inc()
-            self.health.record_success(shard)
-            if reply.get("ok"):
+            return
+        except Exception as exc:
+            self.metrics.counter("route_errors").inc()
+            self.health.record_failure(shard, "request")
+            await self._fail_over(items, "transport", str(exc))
+            return
+        # the frame's hop: its round trip less the shard's time on it
+        hop_s = time.perf_counter() - t0 - reply.get("latency_ms", 0) / 1e3
+        self.metrics.counter("routed").inc(len(items))
+        self.health.record_success(shard)
+        replies = reply.get("items")
+        if not isinstance(replies, list) or len(replies) != len(items):
+            # a shard that could not read the frame says why, once
+            replies = [{"ok": False, "error": reply.get("error")
+                        or "shard reply carries no item replies"}
+                       for _ in items]
+        for item, item_reply in zip(items, replies):
+            if item_reply.get("ok"):
+                # what the item would have cost alone: the hop plus its
+                # own service time, not its frame's slowest item's
                 self.admission.observe(
-                    item.fingerprint, time.perf_counter() - t0,
-                    cache_hit=bool(reply.get("cache_hit")))
-            reply.setdefault("shard", shard)
-            if hop:
-                reply.setdefault("failover_from", item.shard)
-            return reply
-        return {
-            "ok": False,
-            "error": f"no healthy shard available: {last_error}",
-            "tried": order,
-            "fingerprint": item.fingerprint,
-        }
+                    item.fingerprint,
+                    hop_s + item_reply.get("latency_ms", 0) / 1e3,
+                    cache_hit=bool(item_reply.get("cache_hit")))
+            item_reply.setdefault("shard", shard)
+            if len(item.tried) > 1:
+                item_reply.setdefault("failover_from", item.owner)
+            item.reply = item_reply
 
     # -- heartbeats ----------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -755,39 +897,13 @@ class FleetFrontend:
     async def _serve_batch(self, doc: Dict) -> Dict:
         start_ns = time.perf_counter_ns()
         self.metrics.counter("batches").inc()
-        items = doc.get("items")
-        if not isinstance(items, list) or not items:
-            return {"ok": False, "error": "plan_batch needs a non-empty "
-                                          "'items' list"}
-        if len(items) > MAX_BATCH_ITEMS:
-            return {"ok": False, "error": "batch too large",
-                    "limit_items": MAX_BATCH_ITEMS, "got_items": len(items)}
-        batch_deadline = doc.get("deadline_ms")
-        prepared = []
-        for item in items:
-            if not isinstance(item, dict):
-                prepared.append({"__invalid__": True})
-                continue
-            merged = dict(item)
-            if batch_deadline is not None:
-                merged.setdefault("deadline_ms", batch_deadline)
-            prepared.append(merged)
-        results = await asyncio.gather(*[
-            self._serve_item(item) if "__invalid__" not in item
-            else _immediate({"ok": False,
-                             "error": "batch items must be JSON objects"})
-            for item in prepared
-        ])
+        items, error = batch_items(doc)
+        if error is not None:
+            return error
+        replies = await self._serve_items(items)
         latency_s = (time.perf_counter_ns() - start_ns) / 1e9
         self.metrics.histogram("batch_latency_s").observe(latency_s)
-        succeeded = sum(1 for r in results if r.get("ok"))
-        return {
-            "ok": True,
-            "items": list(results),
-            "count": len(results),
-            "succeeded": succeeded,
-            "latency_ms": round(latency_s * 1e3, 3),
-        }
+        return batch_reply(replies, latency_s)
 
     # -- warm replication ----------------------------------------------
     async def _serve_warm(self, doc: Dict) -> Dict:
@@ -857,7 +973,7 @@ class FleetFrontend:
         return {
             "metrics": self.metrics.snapshot(),
             "admission": self.admission.snapshot(),
-            "queue_depth": self._queue.qsize() if self._loop else 0,
+            "queue_depth": self._queued_items,
             "ring": self.ring.describe(),
             "health": self.health.snapshot(),
             **self.recorder.snapshot(),
@@ -904,10 +1020,6 @@ class FleetFrontend:
         """Block until the frontend stops (shutdown op or :meth:`stop`)."""
         if self._thread is not None:
             self._thread.join()
-
-
-async def _immediate(doc: Dict) -> Dict:
-    return doc
 
 
 async def _read_line(reader: asyncio.StreamReader,

@@ -200,8 +200,9 @@ class ShardServer:
 
         Every op but ``hello`` and the chaos ops goes through the shared
         plan-service op table (:func:`repro.service.server.handle_doc`);
-        the shard adds its ``shard`` label to every reply, its chaos
-        counters to ``stats`` and its process name to ``trace`` spans.
+        the shard adds its ``shard`` label to every reply and to every
+        ``plan_batch`` item, its chaos counters to ``stats`` and its
+        process name to ``trace`` spans.
         A ``None`` reply means "answer with silence and drop the
         connection" — only the chaos kill path produces it, because a
         crashing shard does not say goodbye.
@@ -223,6 +224,9 @@ class ShardServer:
             if op == "trace":
                 for span in reply.get("spans", ()):
                     span["process"] = f"shard-{self.name}"
+            if op == "plan_batch":
+                for item in reply.get("items", ()):
+                    item["shard"] = self.name
         reply["shard"] = self.name
         if doc.get("id") is not None:
             reply.setdefault("id", doc["id"])

@@ -58,6 +58,9 @@ READ_BUFFER_BYTES = 64 << 10
 
 _LENGTH = struct.Struct(">I")
 
+#: bytes of a frame's length prefix: a frame's body is its length less this
+FRAME_HEADER_BYTES = _LENGTH.size
+
 
 class FrameError(ValueError):
     """The byte stream does not parse as a protocol-v2 frame."""
@@ -168,18 +171,24 @@ def _record_chaos(doc: Dict[str, Any], tags: "tuple[str, ...]",
     """Durably note an injected fault so SLO burn can be attributed.
 
     The event carries the outbound doc's trace id (requests and replies
-    both echo it), which is how :func:`repro.obs.telemetry.summarize`
+    both echo it), and a ``plan_batch`` frame's item trace ids under
+    ``trace_ids``, which is how :func:`repro.obs.telemetry.summarize`
     separates chaos-injected latency from organic latency.  ``telemetry``
     is the sender's writer; ``None`` records nothing.
     """
     if not tags or telemetry is None or not telemetry.enabled:
         return
-    telemetry.record({
+    event = {
         "type": "chaos",
         "faults": list(tags),
         "trace_id": doc.get("trace_id"),
         "op": doc.get("op"),
-    })
+    }
+    items = doc.get("items")
+    if isinstance(items, list):
+        event["trace_ids"] = [item.get("trace_id") for item in items
+                              if isinstance(item, dict)]
+    telemetry.record(event)
 
 
 def send_frame(sock: socket.socket, doc: Dict[str, Any],

@@ -109,13 +109,19 @@ def parse_array(text: str) -> AcceleratorGroup:
     """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'.
 
     Raises ``ValueError`` on a spec it cannot read, or on one
-    :func:`group_from_runs` refuses.
+    :func:`group_from_runs` refuses.  A text of more than
+    :data:`MAX_BOARDS` components is refused before any is read: each
+    names at least one board.
     """
     key = text.strip().lower()
     if key in ("hetero", "heterogeneous"):
         return heterogeneous_array()
     if key in ("homo", "homogeneous"):
         return homogeneous_array()
+    parts = key.count(",") + 1
+    if parts > MAX_BOARDS:
+        raise ValueError(f"array of at least {parts} boards exceeds the "
+                         f"limit of {MAX_BOARDS}")
     components = []
     for part in key.split(","):
         name, colon, count = part.partition(":")

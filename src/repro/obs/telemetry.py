@@ -347,9 +347,10 @@ def summarize(directory) -> Dict[str, Any]:
         if event.get("type") == "chaos":
             for fault in event.get("faults", ()):
                 chaos_faults[fault] = chaos_faults.get(fault, 0) + 1
-            trace_id = event.get("trace_id")
-            if trace_id:
-                chaos_trace_ids.add(trace_id)
+            for trace_id in [event.get("trace_id"),
+                             *(event.get("trace_ids") or ())]:
+                if trace_id:
+                    chaos_trace_ids.add(trace_id)
 
     for event in events:
         etype = event.get("type", "unknown")

@@ -143,6 +143,29 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _Resumed:
+    """Puts an open span back on the calling thread's stack for a block,
+    without closing it (:meth:`Tracer.resume`)."""
+
+    __slots__ = ("_span",)
+
+    def __init__(self, span: Span):
+        self._span = span
+
+    def __enter__(self) -> Span:
+        local = self._span._tracer._local
+        stack = getattr(local, "stack", None)
+        if stack is None:
+            stack = local.stack = []
+        stack.append(self._span)
+        return self._span
+
+    def __exit__(self, *exc_info) -> None:
+        stack = self._span._tracer._local.stack
+        if stack and stack[-1] is self._span:
+            stack.pop()
+
+
 class Tracer:
     """Collects spans process-wide; disabled (and nearly free) by default."""
 
@@ -203,6 +226,33 @@ class Tracer:
             return NULL_SPAN
         self.spans_started += 1
         return Span(self, name, category, attributes)
+
+    def begin(self, name: str, category: str = "planner", **attributes):
+        """Open a span that outlives the call: for work done in parts.
+
+        The span starts now, under the thread's current span and trace id,
+        but stays off the thread's stack.  Run each part under
+        ``with tracer.resume(span):`` so the spans it opens nest under this
+        one, and close it with :meth:`finish`.  Returns :data:`NULL_SPAN`
+        while disabled, which both accept.
+        """
+        if not self.enabled:
+            return NULL_SPAN
+        span = self.span(name, category, **attributes)
+        span.__enter__()
+        self._local.stack.pop()
+        return span
+
+    def resume(self, span):
+        """A context manager that makes ``span`` (from :meth:`begin`) the
+        thread's current span for a block, without closing it."""
+        return span if span is NULL_SPAN else _Resumed(span)
+
+    def finish(self, span) -> None:
+        """Close and collect a span opened by :meth:`begin`."""
+        if span is not NULL_SPAN:
+            span.end_ns = time.perf_counter_ns()
+            self._collect(span)
 
     def record(
         self,

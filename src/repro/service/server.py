@@ -10,6 +10,8 @@ Optional fields: ``scheme`` (default ``accpar``), ``levels``, ``dtype_bytes``,
 ``space`` (partition-type values, e.g. ``["I", "II"]``), ``ratio_mode``,
 ``backend`` (search backend name, e.g. ``"greedy"``), ``profile``, ``id``
 (echoed back).  Control operations use ``op``; see :data:`KNOWN_OPS`.
+``{"op": "plan_batch", "items": [...]}`` answers many plan documents in one
+reply, each item as the ``plan`` op would answer it alone.
 
 Every JSON-lines ingress, stdin or TCP, single process or fleet, decodes
 with :func:`decode_line` and gets exactly one reply per line, so a bad line
@@ -42,12 +44,17 @@ from .service import PlanResponse, PlanService
 #: before parsing, so a client cannot make a server parse unbounded input.
 MAX_REQUEST_BYTES = 1 << 20
 
+#: the most items one ``plan_batch`` request carries, on a service or a
+#: fleet frontend
+MAX_BATCH_ITEMS = 1024
+
 #: the longest ``deadline_ms`` a plan waits for, in ms: the longest wait a
 #: thread can make (a longer deadline raises from ``Future.result``)
 _MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 
 #: the ops :func:`handle_doc` answers; an unknown op's reply lists them
-KNOWN_OPS = ("ping", "plan", "cache_put", "stats", "trace", "shutdown")
+KNOWN_OPS = ("ping", "plan", "plan_batch", "cache_put", "stats", "trace",
+             "shutdown")
 
 #: one request document in, one reply out (:func:`handle_doc` on a service)
 Handler = Callable[[Dict], Dict]
@@ -66,6 +73,53 @@ def too_large(got_bytes: int) -> Dict:
     """The reply to a request over :data:`MAX_REQUEST_BYTES`."""
     return {"ok": False, "error": "request too large",
             "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": got_bytes}
+
+
+def batch_items(doc: Dict) -> Tuple[Optional[List[Optional[Dict]]],
+                                    Optional[Dict]]:
+    """A ``plan_batch`` document's items as ``(items, None)`` or
+    ``(None, error reply)``.
+
+    ``items`` must be a non-empty list of at most :data:`MAX_BATCH_ITEMS`
+    entries.  An object entry comes back as a copy that inherits the
+    batch's ``deadline_ms`` unless it sets its own; any other entry comes
+    back as ``None``, which its server refuses alone
+    (:func:`not_an_object`).
+    """
+    items = doc.get("items")
+    if not isinstance(items, list) or not items:
+        return None, {"ok": False,
+                      "error": "plan_batch needs a non-empty 'items' list"}
+    if len(items) > MAX_BATCH_ITEMS:
+        return None, {"ok": False, "error": "batch too large",
+                      "limit_items": MAX_BATCH_ITEMS, "got_items": len(items)}
+    deadline_ms = doc.get("deadline_ms")
+    copies: List[Optional[Dict]] = []
+    for item in items:
+        if not isinstance(item, dict):
+            copies.append(None)
+            continue
+        item = dict(item)
+        if deadline_ms is not None:
+            item.setdefault("deadline_ms", deadline_ms)
+        copies.append(item)
+    return copies, None
+
+
+def not_an_object() -> Dict:
+    """The reply to a ``plan_batch`` item that is not a JSON object."""
+    return {"ok": False, "error": "batch items must be JSON objects"}
+
+
+def batch_reply(replies: List[Dict], latency_s: float) -> Dict:
+    """A ``plan_batch`` reply: the items' replies in order, and a tally."""
+    return {
+        "ok": True,
+        "items": replies,
+        "count": len(replies),
+        "succeeded": sum(1 for reply in replies if reply.get("ok")),
+        "latency_ms": round(latency_s * 1e3, 3),
+    }
 
 
 def decode_line(line: Union[str, bytes]) -> Tuple[Optional[Dict],
@@ -201,29 +255,20 @@ def handle_doc(service: PlanService, doc: Dict) -> Dict:
     """Answer one request document: the op table of every plan service.
 
     ``plan`` adopts ``trace_id`` and, with ``include_plan``, carries the
-    serialized plan (warm replication reads it); ``cache_put`` installs a
-    peer-planned entry.  ``shutdown`` **drains first, then acknowledges**:
-    in-flight jobs (background refinements too) reach the disk tier and
-    the stats snapshot is written before the ack, so a client that reads
-    the ack knows its plans are durable.
+    serialized plan (warm replication reads it); ``plan_batch`` answers
+    each item so, and refuses an item whose ``op`` is not ``plan`` on its
+    own; ``cache_put`` installs a peer-planned entry.  ``shutdown``
+    **drains first, then acknowledges**: in-flight jobs (background
+    refinements too) reach the disk tier and the stats snapshot is written
+    before the ack, so a client that reads the ack knows its plans are
+    durable.
     """
     op = doc.get("op", "plan")
     try:
         if op == "plan":
-            start = time.perf_counter()
-            try:
-                request = request_from_doc(doc)
-            except Exception as exc:
-                # refused before PlanService.plan, which records the rest
-                service.recorder.observe(doc_record(
-                    doc, latency_s=time.perf_counter() - start,
-                    error=str(exc)))
-                raise
-            response = service.plan(request, deadline_s=deadline_seconds(doc),
-                                    trace_id=doc.get("trace_id"))
-            reply = response_to_doc(response)
-            if doc.get("include_plan"):
-                reply["plan"] = plan_to_dict(response.planned)
+            reply = _plan_reply(service.plan(*_plan_args(service, doc)), doc)
+        elif op == "plan_batch":
+            reply = _serve_batch(service, doc)
         elif op == "ping":
             reply = {"ok": True}
         elif op == "cache_put":
@@ -250,6 +295,63 @@ def handle_doc(service: PlanService, doc: Dict) -> Dict:
     if doc.get("id") is not None:
         reply["id"] = doc["id"]
     return reply
+
+
+def _plan_args(service: PlanService, doc: Dict) -> Tuple[
+        PlanRequest, Optional[float], Optional[str]]:
+    """A plan document as :meth:`PlanService.plan`'s arguments; a refused
+    document is recorded here, since the service never sees it."""
+    start = time.perf_counter()
+    try:
+        request = request_from_doc(doc)
+    except Exception as exc:
+        service.recorder.observe(doc_record(
+            doc, latency_s=time.perf_counter() - start, error=str(exc)))
+        raise
+    return request, deadline_seconds(doc), doc.get("trace_id")
+
+
+def _plan_reply(response: PlanResponse, doc: Dict) -> Dict:
+    """The ``plan`` op's reply; ``include_plan`` adds the serialized plan
+    (warm replication reads it)."""
+    reply = response_to_doc(response)
+    if doc.get("include_plan"):
+        reply["plan"] = plan_to_dict(response.planned)
+    return reply
+
+
+def _serve_batch(service: PlanService, doc: Dict) -> Dict:
+    """``plan_batch``: every item answered as the ``plan`` op would answer
+    it alone, arriving now (:meth:`PlanService.plan_many`)."""
+    start = time.perf_counter()
+    items, error = batch_items(doc)
+    if error is not None:
+        return error
+    replies: List[Optional[Dict]] = [None] * len(items)
+    planned: List[int] = []
+    args = []
+    for index, item in enumerate(items):
+        if item is None:
+            replies[index] = not_an_object()
+            continue
+        try:
+            args.append(_plan_args(service, item))
+        except Exception as exc:
+            replies[index] = {"ok": False, "error": str(exc)}
+            continue
+        planned.append(index)
+    for index, response in zip(planned, service.plan_many(args)):
+        if response.error is not None:
+            replies[index] = {"ok": False, "error": response.error}
+            continue
+        try:
+            replies[index] = _plan_reply(response, items[index])
+        except Exception as exc:  # one item's failure is its own
+            replies[index] = {"ok": False, "error": str(exc)}
+    for item, reply in zip(items, replies):
+        if item is not None and item.get("id") is not None:
+            reply["id"] = item["id"]
+    return batch_reply(replies, time.perf_counter() - start)
 
 
 def handle_line(handle: Handler, line: Union[str, bytes]) -> Dict:

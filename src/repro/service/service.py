@@ -14,19 +14,25 @@ Request lifecycle (:meth:`PlanService.plan`):
    refinement), so the *next* request gets the exact plan.
 
 Distinct fingerprints run concurrently across the pool; identical ones never
-plan twice.  All counters land in a :class:`~repro.obs.registry.MetricsRegistry`.
+plan twice.  :meth:`PlanService.plan_many` serves several requests at once
+(a ``plan_batch`` frame): it runs steps 1-3 for every request before it
+waits on any, so their misses plan side by side, and it finishes each
+request as soon as its answer is ready.  All counters land in a
+:class:`~repro.obs.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import wait as wait_any
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.planner import PartitionScheme, PlannedExecution, Planner
 from ..obs.logging import get_logger
@@ -59,6 +65,33 @@ class PlanResponse(RequestRecord):
     @property
     def cache_hit(self) -> bool:
         return self.source in ("memory", "disk")
+
+
+class _Started:
+    """One request between :meth:`PlanService._start` and
+    :meth:`PlanService._finish`: a cache answer, or the single-flight
+    future it waits on, or the error its start raised."""
+
+    __slots__ = ("request", "response", "start", "span", "future", "leader",
+                 "waiting_since", "error")
+
+    def __init__(self, request: PlanRequest, response: PlanResponse,
+                 start: float, span):
+        self.request = request
+        self.response = response
+        self.start = start
+        self.span = span
+        self.future: Optional[Future] = None
+        self.leader = False
+        self.waiting_since = start
+        self.error: Optional[BaseException] = None
+
+    def time_left(self, now: float) -> float:
+        """Seconds a miss may still wait for its exact plan at ``now``."""
+        deadline_s = self.response.deadline_s
+        if deadline_s is None:
+            return math.inf
+        return deadline_s - (now - self.waiting_since)
 
 
 class PlanService:
@@ -126,50 +159,96 @@ class PlanService:
         Every exit, a raised error too, hands the response to the
         service's :class:`~repro.obs.request.RequestRecorder` once.
         """
+        return self._finish(self._start(request, deadline_s, trace_id))
+
+    def plan_many(
+        self,
+        requests: Sequence[Tuple[PlanRequest, Optional[float],
+                                 Optional[str]]],
+    ) -> List[PlanResponse]:
+        """Serve ``(request, deadline_s, trace_id)`` triples as if each had
+        arrived alone, now, as :meth:`plan` serves one.
+
+        Every request starts before any miss is waited for: it is
+        fingerprinted and looked up, and on a miss its exact job is
+        submitted (or joins one in flight).  So the misses plan at the same
+        time in the worker pool, and each waits at most its own deadline,
+        counted from its start.  A cache hit is finished as soon as it
+        starts, and a miss as soon as its plan lands or its deadline
+        passes, so no request is timed across another's wait.  A failed
+        request does not raise: its response comes back with ``error`` set
+        and no ``planned``, recorded as :meth:`plan` records it.
+        """
+        started: List[_Started] = []
+        waiting: List[_Started] = []
+        for entry in requests:
+            one = self._start(*entry)
+            started.append(one)
+            if one.future is None:  # a cache hit, or a failed start
+                self._finish(one, raise_error=False)
+            else:
+                waiting.append(one)
+        while waiting:
+            now = time.perf_counter()
+            due = [one for one in waiting
+                   if one.future.done() or one.time_left(now) <= 0]
+            if not due:
+                timeout = min(one.time_left(now) for one in waiting)
+                wait_any({one.future for one in waiting},
+                         None if timeout == math.inf else timeout,
+                         FIRST_COMPLETED)
+                continue
+            for one in due:
+                waiting.remove(one)
+                self._finish(one, raise_error=False)
+        return [one.response for one in started]
+
+    def _start(self, request: PlanRequest, deadline_s: Optional[float],
+               trace_id: Optional[str]) -> _Started:
+        """The first half of a request: everything before the wait."""
         if self._closed:
             raise RuntimeError("PlanService is closed")
+        start = time.perf_counter()
         trace_id = trace_id or new_trace_id()
         previous_trace_id = tracer.current_trace_id()
         tracer.set_trace_id(trace_id)
+        span = tracer.begin("service.request", category="service",
+                            model=request.model, scheme=request.scheme)
         try:
-            with tracer.span("service.request", category="service",
-                             model=request.model, scheme=request.scheme):
-                return self._plan_traced(request, deadline_s, trace_id)
+            with tracer.resume(span):
+                if self.default_profile is not None and \
+                        request.profile is None:
+                    # substitute before fingerprinting: a profiled service
+                    # must key (and cache) its plans under the profile that
+                    # priced them
+                    request = dataclasses.replace(
+                        request, profile=self.default_profile)
+                self.metrics.counter("requests").inc()
+                started = _Started(request, PlanResponse(
+                    trace_id=trace_id, model=request.model,
+                    scheme=request.scheme, backend=request.backend,
+                    deadline_s=deadline_s), start, span)
+                try:
+                    self._look_up(started)
+                except BaseException as exc:  # _finish records and raises it
+                    started.error = exc
         finally:
             tracer.set_trace_id(previous_trace_id)
+        if started.error is not None and \
+                not isinstance(started.error, Exception):
+            self._finish(started)  # an interrupt: record it and raise now
+        return started
 
-    def _plan_traced(
-        self, request: PlanRequest, deadline_s: Optional[float], trace_id: str
-    ) -> PlanResponse:
-        start = time.perf_counter()
-        if self.default_profile is not None and request.profile is None:
-            # substitute before fingerprinting: a profiled service must key
-            # (and cache) its plans under the profile that priced them
-            request = dataclasses.replace(request, profile=self.default_profile)
-        self.metrics.counter("requests").inc()
-        response = PlanResponse(trace_id=trace_id, model=request.model,
-                                scheme=request.scheme, backend=request.backend,
-                                deadline_s=deadline_s)
-        try:
-            self._serve(request, response, start)
-        except BaseException as exc:
-            response.error = str(exc) or type(exc).__name__
-            raise
-        finally:
-            response.latency_s = time.perf_counter() - start
-            self.recorder.observe(response)
-        return response
-
-    def _serve(self, request: PlanRequest, response: PlanResponse,
-               start: float) -> None:
-        """Fill in ``response`` from the cache or the planner."""
+    def _look_up(self, started: _Started) -> None:
+        """Answer from the cache, or begin the single-flight job."""
+        request, response = started.request, started.response
         with tracer.span("service.fingerprint", category="service"):
             key = response.fingerprint = request.fingerprint()
         after_fingerprint = time.perf_counter()
 
         with tracer.span("service.cache_lookup", category="service"):
             planned, tier = self.cache.get_with_tier(key)
-        response.phases = (after_fingerprint - start,
+        response.phases = (after_fingerprint - started.start,
                            time.perf_counter() - after_fingerprint)
         if planned is not None:
             self.metrics.counter(f"hits_{tier}").inc()
@@ -183,8 +262,41 @@ class PlanService:
         else:
             self.metrics.counter("coalesced").inc()
         response.coalesced = not leader
-        deadline_s = response.deadline_s
+        started.future, started.leader = future, leader
+        started.waiting_since = time.perf_counter()
 
+    def _finish(self, started: _Started,
+                raise_error: bool = True) -> PlanResponse:
+        """The second half of a request: wait, fall back, record."""
+        response = started.response
+        previous_trace_id = tracer.current_trace_id()
+        tracer.set_trace_id(response.trace_id)
+        try:
+            with tracer.resume(started.span):
+                if started.error is None and started.future is not None:
+                    try:
+                        self._wait(started)
+                    except BaseException as exc:
+                        started.error = exc
+                if started.error is not None:
+                    response.error = (str(started.error)
+                                      or type(started.error).__name__)
+                response.latency_s = time.perf_counter() - started.start
+                self.recorder.observe(response)
+        finally:
+            tracer.finish(started.span)
+            tracer.set_trace_id(previous_trace_id)
+        error = started.error
+        if error is not None and (raise_error
+                                  or not isinstance(error, Exception)):
+            raise error
+        return response
+
+    def _wait(self, started: _Started) -> None:
+        """Wait out the deadline for the exact plan, else fall back."""
+        request, response = started.request, started.response
+        future, leader = started.future, started.leader
+        deadline_s = response.deadline_s
         try:
             with tracer.span("service.singleflight_wait", category="service",
                              leader=leader):
@@ -192,7 +304,11 @@ class PlanService:
                     # "ready right now" is decided on arrival: the exact job
                     # this request just started is not, however fast it is
                     raise FutureTimeout()
-                response.planned = future.result(timeout=deadline_s)
+                timeout = None
+                if deadline_s is not None:
+                    timeout = max(0.0, deadline_s - (
+                        time.perf_counter() - started.waiting_since))
+                response.planned = future.result(timeout=timeout)
         except FutureTimeout:
             self.metrics.counter("degraded").inc()
             with tracer.span("service.degraded_fallback", category="service"):

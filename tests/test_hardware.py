@@ -143,6 +143,18 @@ class TestSharedArrays:
         assert len(messages) == 1
         assert presets._shared_group.cache_info().currsize == 0
 
+    def test_too_many_components_are_refused_before_any_is_read(self):
+        # every component names at least one board, so a text of more
+        # components than the cap is refused by its length alone
+        text = ",".join(["tpu-v9:1"] * (MAX_BOARDS + 1))
+        with pytest.raises(ValueError) as info:
+            parse_array(text)
+        assert str(info.value) == (
+            f"array of at least {MAX_BOARDS + 1} boards exceeds the limit "
+            f"of {MAX_BOARDS}")
+        assert parse_array(",".join(["tpu-v2:1"] * MAX_BOARDS)).size == \
+            MAX_BOARDS
+
     def test_the_cache_holds_at_most_its_bound(self):
         for count in range(1, ARRAY_CACHE_SIZE + 11):
             assert parse_array(f"tpu-v3:{count}").size == count

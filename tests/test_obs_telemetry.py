@@ -386,6 +386,28 @@ class TestSummarize:
         assert requests["organic"]["count"] == 2
         assert requests["organic"]["p50_ms"] in (1.0, 5.0)
 
+    def test_a_faulted_batch_frame_attributes_every_item(self, tmp_path):
+        """A fault on a ``plan_batch`` reply frame touches each of its
+        items: the chaos event names their trace ids."""
+        from repro.fleet.chaos import ChaosController, ChaosSpec
+        from repro.fleet.wire import send_frame
+
+        class Sink:
+            def sendall(self, data):
+                pass
+
+        chaos = ChaosController(ChaosSpec(seed=1, delay=1.0, delay_ms=0))
+        reply = {"ok": True, "items": [{"ok": True, "trace_id": "t-1"},
+                                       {"ok": True, "trace_id": "t-2"}]}
+        with TelemetryWriter(tmp_path) as writer:
+            send_frame(Sink(), reply, chaos=chaos, telemetry=writer)
+            for trace_id in ("t-1", "t-2", "t-3"):
+                writer.record({"type": "request", "outcome": "ok",
+                               "latency_ms": 1.0, "trace_id": trace_id})
+        requests = summarize(tmp_path)["requests"]
+        assert requests["chaos_injected"]["count"] == 2
+        assert requests["organic"]["count"] == 1
+
     def test_empty_store(self, tmp_path):
         summary = summarize(tmp_path)
         assert summary["events"] == 0
