@@ -18,8 +18,8 @@ than just reported:
 
 Beside each network's ``optimized_ms`` the artifact records the search's
 split, ``pack_ms`` (phase 1, the packed step costs) and ``recurrence_ms``
-(phase 2), from the planner's ``vec_pack_ns`` / ``vec_recurrence_ns``
-counters over the same timed runs.
+(phase 2), from each timed plan's own ``vec_pack_ns`` /
+``vec_recurrence_ns`` counts (each runs for a participant of its own).
 """
 
 import json
@@ -32,8 +32,8 @@ from repro.core.planner import PartitionScheme, Planner
 from repro.hardware.presets import heterogeneous_array
 from repro.ioutil import atomic_write_text
 from repro.models import build_model
-from repro.obs.registry import planner_counters
 from repro.obs.telemetry import TelemetryWriter
+from repro.obs.tracing import Participant, set_request_context
 from repro.plan import register_backend
 from tests.reference_search import REFERENCE_BACKEND, ReferenceBisectionBackend
 
@@ -92,12 +92,6 @@ def _plan(net, scheme, telemetry=None):
     return Planner(array, scheme, telemetry=telemetry).plan(net, BATCH)
 
 
-def _search_ns():
-    """The planner's (pack, recurrence) nanoseconds so far."""
-    return (planner_counters.value("vec_pack_ns"),
-            planner_counters.value("vec_recurrence_ns"))
-
-
 def _interleaved_ms(net, scheme_factories):
     """Time several schemes interleaved.
 
@@ -117,11 +111,17 @@ def _interleaved_ms(net, scheme_factories):
     for _ in range(REPEATS):
         for slot, factory in enumerate(scheme_factories):
             scheme = factory()
-            before = _search_ns()
+            owner = Participant()
             t0 = time.perf_counter()
-            _plan(net, scheme)
+            previous = set_request_context(owner)
+            try:
+                _plan(net, scheme)
+            finally:
+                set_request_context(*previous)
             times[slot].append(time.perf_counter() - t0)
-            splits[slot].append([b - a for a, b in zip(before, _search_ns())])
+            counts = owner.planner_counts()
+            splits[slot].append([counts.get("vec_pack_ns", 0),
+                                 counts.get("vec_recurrence_ns", 0)])
     return [
         (statistics.median(ts) * 1e3, min(ts) * 1e3,
          statistics.median(ns[0] for ns in split) / 1e6,

@@ -470,23 +470,25 @@ def _simulate(args, telemetry) -> int:
 
 def _cmd_profile(args) -> int:
     """Trace one planning run; emit Chrome trace JSON + a profile table."""
-    from .obs import chrome_trace_document, render_profile, save_trace_document
-    from .obs.tracing import tracer
+    from .obs import (Participant, chrome_trace_document, render_profile,
+                      save_trace_document, set_request_context)
 
     network = build_model(args.model)
     planner = Planner(args.array, get_scheme(args.scheme, backend=args.backend),
                       levels=args.levels)
 
-    was_enabled = tracer.enabled
+    # the run is its own participant: the plan's spans land on its tracer
+    profiled = Participant()
+    tracer = profiled.tracer
     tracer.enable()
-    tracer.clear()
+    previous = set_request_context(profiled)
     try:
         t0 = time.perf_counter()
         planned = planner.plan(network, args.batch)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        spans = tracer.drain()
     finally:
-        tracer.enabled = was_enabled
+        set_request_context(*previous)
+    spans = tracer.drain()
 
     print(f"profiled {args.model} / {args.scheme} on {args.array}: "
           f"{elapsed_ms:.1f} ms, {len(spans)} spans"
@@ -572,7 +574,6 @@ def _cmd_serve(args) -> int:
     op table or a fleet frontend's.  A fleet with ``--port`` serves TCP
     only, until a shutdown op (see docs/serving.md)."""
     from .obs.logging import configure_json_logging
-    from .obs.tracing import tracer
     from .service.server import handle_doc, serve_loop
 
     fleet_flags = [flag for flag in FLEET_ONLY_FLAGS
@@ -590,8 +591,6 @@ def _cmd_serve(args) -> int:
     # resolve the profile up front so a broken file fails fast in both
     # modes (fleet shards re-load it from the path)
     default_profile = _load_profile_arg(args)
-    if args.trace:
-        tracer.enable()
     with contextlib.ExitStack() as stack:
         try:
             if args.shards:
@@ -606,6 +605,8 @@ def _cmd_serve(args) -> int:
                     args.cache_dir, args.capacity, args.workers,
                     slo=args.slo, telemetry=telemetry,
                     default_profile=default_profile))
+                if args.trace:
+                    service.participant.tracer.enable()
                 handle = functools.partial(handle_doc, service)
             served = serve_loop(handle, sys.stdin, sys.stdout)
         except KeyboardInterrupt:
@@ -651,6 +652,8 @@ def _start_fleet(args, stack: contextlib.ExitStack):
         slo=args.slo,
         telemetry=frontend_telemetry,
     ))
+    if args.trace:
+        frontend.tracer.enable()
     shard_list = ", ".join(
         f"{h.name}@{h.host}:{h.port}" for h in supervisor.handles)
     print(f"fleet up: frontend {frontend.host}:{frontend.port} "

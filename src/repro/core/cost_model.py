@@ -32,7 +32,7 @@ import numpy as np
 
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import ANALYTIC, HardwareProfile
-from ..obs.tracing import tracer
+from ..obs.tracing import span
 from .ratio import (
     PATH_BISECTION,
     PATH_LINEAR,
@@ -154,8 +154,9 @@ class StepStats:
 
     A plain ``__slots__`` bag of integers owned by one
     :class:`PairCostModel`; the search bumps attributes directly and the
-    scheme adds :meth:`as_dict` to its plan's tally, which reaches
-    :data:`repro.obs.registry.planner_counters` once per plan.
+    scheme adds :meth:`as_dict` to its plan's tally, which reaches the
+    plan's participant (:class:`repro.obs.tracing.Participant`) once per
+    plan.
     The names are documented in ``docs/observability.md``.
     """
 
@@ -246,8 +247,8 @@ class PairCostModel:
         self.party_i = party_i
         self.party_j = party_j
         self.profile = ANALYTIC if profile is None else profile
-        # the analytic flag picks the datasheet arithmetic verbatim in the
-        # scalar per-party formulas and skips the per-size bandwidth lookups
+        # the analytic profile answers the peak bandwidth at every size:
+        # :meth:`_bandwidths` skips its per-size lookups
         self._analytic = bool(getattr(self.profile, "is_analytic", False))
         self.c_i = self.profile.compute_rate(party_i)
         self.c_j = self.profile.compute_rate(party_j)
@@ -258,12 +259,8 @@ class PairCostModel:
         self.stats = StepStats()
         # (elements, from states, to states) -> alignment_matrix's answer
         self._alignment_matrices: Dict[Tuple, Tuple[Tuple[float, ...], ...]] = {}
-        if self._analytic:
-            self._lat_i = 0.0
-            self._lat_j = 0.0
-        else:
-            self._lat_i = self.profile.transfer_latency_s(party_i)
-            self._lat_j = self.profile.transfer_latency_s(party_j)
+        self._lat_i = self.profile.transfer_latency_s(party_i)
+        self._lat_j = self.profile.transfer_latency_s(party_j)
         # per-kind effective compute rates and per-size effective bandwidths
         # are profile lookups; one dict per party keeps them O(1)
         self._rate_cache_i: dict = {"default": self.c_i}
@@ -456,12 +453,12 @@ class PairCostModel:
         quad_j = np.stack([flat, np.broadcast_to((cross / bw_cross_j)[:, None], shape),
                            flat], axis=1)
 
-        with tracer.span("ratio.solve", category="ratio",
-                         cells=const_i.size) as span:
+        with span("ratio.solve", category="ratio",
+                  cells=const_i.size) as solve:
             alpha, counts = solve_balanced_ratio_poly_batch(
                 const_i, lin_i, quad_i, const_j, lin_j, quad_j
             )
-            span.set("paths", counts)
+            solve.set("paths", counts)
         stats = self.stats
         stats.ratio_solves += alpha.size
         stats.ratio_closed_linear += counts[PATH_LINEAR]
@@ -507,8 +504,6 @@ class PairCostModel:
         charge the per-transfer latency constant when the exchange happens.
         """
         amount = sw.a_psum(ptype) * self.dtype_bytes
-        if self._analytic:
-            return amount / self.b_i, amount / self.b_j
         if amount <= 0:
             return 0.0, 0.0
         return (
@@ -536,11 +531,6 @@ class PairCostModel:
         amount_i, amount_j = inter_layer_elements(
             boundary_fm_elements, prev_type, cur_type, alpha
         )
-        if self._analytic:
-            return (
-                amount_i * self.dtype_bytes / self.b_i,
-                amount_j * self.dtype_bytes / self.b_j,
-            )
         family = transition_family(prev_type, cur_type)
         if family == FAMILY_ZERO or boundary_fm_elements <= 0:
             return 0.0, 0.0

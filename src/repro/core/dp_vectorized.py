@@ -59,7 +59,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..graph.layers import LayerWorkload
-from ..obs.tracing import tracer
+from ..obs.tracing import span
 from ..plan.ir import JoinAlignment, LayerAssignment, PathExit, PlanEntry, SearchResult
 from .cost_model import PACKED_FAMILY_INDEX, TYPE_INDEX, PairCostModel, transition_family
 from .stages import Fork, ShardedStages
@@ -299,10 +299,10 @@ def search_stages(
 
     stats = model.stats
     stats.vec_searches += 1
-    with tracer.span("dp.search", category="dp", stages=len(skeleton.stages),
-                     space=len(space)) as span:
+    with span("dp.search", category="dp", stages=len(skeleton.stages),
+              space=len(space)) as search:
         t_start = time.perf_counter_ns()
-        with tracer.span("dp.pack", category="dp"):
+        with span("dp.pack", category="dp"):
             pack = model.pack_step_tensors(stages)
             a_in = a_out = None
             if skeleton.forks:
@@ -311,7 +311,7 @@ def search_stages(
         t_packed = time.perf_counter_ns()
         stats.vec_pack_ns += t_packed - t_start
 
-        with tracer.span("dp.recurrence", category="dp"):
+        with span("dp.recurrence", category="dp"):
             level = _Level(
                 model,
                 pack.cost[:, _FAM_TABLE, _TYPE_COLUMNS].ravel().tolist(),
@@ -326,7 +326,7 @@ def search_stages(
             entries = _backtrack(decisions, 0, best)
             best_cost = final[best]
         stats.vec_recurrence_ns += time.perf_counter_ns() - t_packed
-        span.set("cost", best_cost)
+        search.set("cost", best_cost)
     return SearchResult(
         entries=entries,
         cost=best_cost,

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..hardware.cluster import GroupNode
-from ..obs.registry import planner_counters
-from ..obs.tracing import NULL_SPAN, tracer
+from ..obs.tracing import NULL_SPAN, current_participant, span
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .stages import ShardedStages
 
@@ -94,9 +93,9 @@ def _walk(node: GroupNode, stages: ShardedStages,
         tally["hierarchy_memo_misses"] += 1
     # the span wraps the node's search AND both child walks, so child
     # hierarchy spans nest inside their parent's in the trace
-    with tracer.span("hierarchy.plan", category="hierarchy",
-                     level=node.level + 1, group=str(node.group),
-                     scheme=scheme) if planning else NULL_SPAN:
+    with span("hierarchy.plan", category="hierarchy",
+              level=node.level + 1, group=str(node.group),
+              scheme=scheme) if planning else NULL_SPAN:
         level = None if node.is_leaf else decide(node, stages, plan)
         if level is not None:
             assert node.left is not None and node.right is not None
@@ -136,7 +135,8 @@ def plan_tree(
 
     The plan's search work (each level's search counts and the walk's
     memo hits and misses) is counted apart from any other plan's and
-    merged into :data:`planner_counters` once; ``tally`` receives it too.
+    added once to the participant the calling thread works for, if any;
+    ``tally`` receives it too.
     """
     own: Counter = Counter()
 
@@ -147,7 +147,9 @@ def plan_tree(
 
     plan = plan_of(_walk(node, stages, None, search, scheme.name, {}, own),
                    scheme.name)
-    planner_counters.merge(own)
+    participant = current_participant()
+    if participant is not None:
+        participant.count(own)
     if tally is not None:
         tally.update(own)
     return plan

@@ -31,7 +31,6 @@ from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
 from ..models.registry import build_model
-from ..obs.registry import planner_counters
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
@@ -85,7 +84,7 @@ class PartitionScheme:
 
         The search work (the cost model's :class:`StepStats` and one
         ``level_plans_<backend>`` count) is added to ``tally`` when one is
-        given, else merged into :data:`planner_counters`.
+        given.
         """
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
                               profile=self.profile)
@@ -94,16 +93,14 @@ class PartitionScheme:
         result = get_backend(self.backend).search(
             stages, model, self.space,
             space_fn=None if self.pin is None else lambda w: (self.pin(w),))
-        counts = model.stats.as_dict()
-        # per-backend served-plan series (repro_planner_level_plans_<b>_total
-        # in Prometheus): which search algorithm actually produced the plans.
-        # Aliases canonicalize so "exact" and "dpv" feed the "dp" series.
-        backend = canonical_backend_name(self.backend)
-        counts["level_plans_" + backend.replace("-", "_")] = 1
-        if tally is None:
-            planner_counters.merge(counts)
-        else:
-            tally.update(counts)
+        if tally is not None:
+            tally.update(model.stats.as_dict())
+            # per-backend served-plan series
+            # (repro_planner_level_plans_<b>_total in Prometheus): which
+            # search algorithm actually produced the plans.  Aliases
+            # canonicalize so "exact" and "dpv" feed the "dp" series.
+            backend = canonical_backend_name(self.backend)
+            tally["level_plans_" + backend.replace("-", "_")] += 1
         return result.to_level_plan(self.name)
 
 

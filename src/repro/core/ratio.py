@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Tuple
 
-from ..obs.tracing import tracer
+from ..obs.tracing import span
 
 #: ratios are kept strictly inside (0, 1); a zero share would be a degenerate
 #: "partition" the basic types do not model
@@ -189,12 +189,10 @@ def solve_balanced_ratio(
     when it runs as the closed-form solver's checked fallback, where the
     span nests inside the batched ``ratio.solve`` span that triggered it.
     """
-    if tracer.enabled:
-        with tracer.span("ratio.bisection", category="ratio") as span:
-            alpha = _solve_balanced_ratio(pair_cost, lo, hi, tol, max_iter)
-            span.set("alpha", alpha)
-        return alpha
-    return _solve_balanced_ratio(pair_cost, lo, hi, tol, max_iter)
+    with span("ratio.bisection", category="ratio") as bisection:
+        alpha = _solve_balanced_ratio(pair_cost, lo, hi, tol, max_iter)
+        bisection.set("alpha", alpha)
+    return alpha
 
 
 def _solve_balanced_ratio(

@@ -121,11 +121,11 @@ class ChaosController:
         """Apply wire faults to one encoded frame, naming what was done.
 
         Returns ``(frame_bytes_or_None, delay_s, tags)``: ``None`` means
-        the frame is dropped; the caller sleeps ``delay_s`` (sync or
-        async) before writing whatever survives; ``tags`` lists the
-        injected faults (``"drop"`` / ``"delay"`` / ``"corrupt"``, empty
-        when the frame passed untouched) so telemetry can mark the
-        request as chaos-injected for SLO burn attribution.
+        the frame is dropped; the caller sleeps ``delay_s`` before writing
+        whatever survives; ``tags`` lists the injected faults (``"drop"`` /
+        ``"delay"`` / ``"corrupt"``, empty when the frame passed untouched)
+        so telemetry can mark the request as chaos-injected for SLO burn
+        attribution.
 
         The RNG draw order (one draw per fault class per frame, fixed) is
         identical to the untagged :meth:`perturb`, so episodes stay

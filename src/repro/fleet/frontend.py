@@ -70,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..obs.logging import get_logger
 from ..obs.registry import MetricsRegistry
 from ..obs.request import RequestRecord, RequestRecorder
-from ..obs.tracing import new_trace_id, tracer
+from ..obs.tracing import Tracer, new_trace_id
 from ..service.server import (
     batch_items,
     batch_reply,
@@ -274,7 +274,7 @@ class _WorkItem:
     """One admitted plan item: what the shard gets, and what it answered."""
 
     __slots__ = ("doc", "owner", "deadline_abs", "fingerprint", "record",
-                 "start_ns", "action", "tried", "reply")
+                 "start_ns", "action", "tried", "reply", "end_ns")
 
     def __init__(self, doc: Dict, owner: str, deadline_abs: Optional[float],
                  fingerprint: str, record: RequestRecord, start_ns: int,
@@ -290,6 +290,8 @@ class _WorkItem:
         #: shards a frame carrying the item was sent to, in order
         self.tried: List[str] = []
         self.reply: Optional[Dict] = None
+        #: when a shard answered the item, 0 until then
+        self.end_ns = 0
 
 
 class _Unit:
@@ -335,10 +337,12 @@ class FleetFrontend:
         self.ring = ring or HashRing([addr[0] for addr in self._shard_addrs])
         self.metrics = metrics or MetricsRegistry()
         self.admission = admission or AdmissionController()
+        #: the frontend's own spans (``fleet.item``); its shards keep theirs
+        self.tracer = Tracer()
         #: SLO, telemetry, ``item_latency_s`` and the slow-request log
         self.recorder = RequestRecorder(
-            "frontend", self.metrics, "item_latency_s", log, slo=slo,
-            telemetry=telemetry)
+            "frontend", self.metrics, "item_latency_s", log,
+            tracer=self.tracer, slo=slo, telemetry=telemetry)
         self.links_per_shard = links_per_shard
         self.retry = retry or DEFAULT_RETRY
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -624,7 +628,7 @@ class FleetFrontend:
         for unit in units:
             done_ns = await unit.future
             for item in unit.items:
-                self._settle(item, done_ns)
+                self._settle(item, item.end_ns or done_ns)
         return [slot.reply if isinstance(slot, _WorkItem) else slot
                 for slot in slots]
 
@@ -688,9 +692,10 @@ class FleetFrontend:
 
     def _settle(self, item: _WorkItem, end_ns: int) -> None:
         """An item after its reply: the ``fleet.item`` span and its
-        record, timed to when its unit was done."""
+        record, timed to when a shard answered it, else to when its unit
+        was done."""
         item.reply.setdefault("shard", item.owner)
-        tracer.record(
+        self.tracer.record(
             "fleet.item", "fleet",
             start_ns=item.start_ns, end_ns=end_ns,
             trace_id=item.record.trace_id, shard=item.owner,
@@ -810,7 +815,7 @@ class FleetFrontend:
         for item in items:
             item.tried.append(shard)
         self.metrics.counter("shard_frames").inc()
-        t0 = time.perf_counter()
+        sent_ns = time.perf_counter_ns()
         try:
             request = self._pools[shard].send(frame, deadline_abs=deadline_abs)
             reply = await (asyncio.wait_for(request, timeout)
@@ -835,7 +840,8 @@ class FleetFrontend:
             await self._fail_over(items, "transport", str(exc))
             return
         # the frame's hop: its round trip less the shard's time on it
-        hop_s = time.perf_counter() - t0 - reply.get("latency_ms", 0) / 1e3
+        hop_ns = time.perf_counter_ns() - sent_ns \
+            - reply.get("latency_ms", 0) * 1e6
         self.metrics.counter("routed").inc(len(items))
         self.health.record_success(shard)
         replies = reply.get("items")
@@ -845,12 +851,13 @@ class FleetFrontend:
                         or "shard reply carries no item replies"}
                        for _ in items]
         for item, item_reply in zip(items, replies):
+            # what the item cost alone: the hop plus its own service
+            # time, not its frame's slowest item's
+            item_ns = hop_ns + item_reply.get("latency_ms", 0) * 1e6
+            item.end_ns = sent_ns + int(item_ns)
             if item_reply.get("ok"):
-                # what the item would have cost alone: the hop plus its
-                # own service time, not its frame's slowest item's
                 self.admission.observe(
-                    item.fingerprint,
-                    hop_s + item_reply.get("latency_ms", 0) / 1e3,
+                    item.fingerprint, item_ns / 1e9,
                     cache_hit=bool(item_reply.get("cache_hit")))
             item_reply.setdefault("shard", shard)
             if len(item.tried) > 1:
@@ -989,7 +996,7 @@ class FleetFrontend:
     async def _fleet_trace(self) -> Dict:
         """Merge frontend spans with every shard's into one span-dict list."""
         local = [dict(span.as_dict(), process="frontend")
-                 for span in tracer.drain()]
+                 for span in self.tracer.drain()]
 
         async def one(name: str) -> List[Dict]:
             try:

@@ -15,9 +15,10 @@ Two run modes, same server class:
   ``ThreadingTCPServer``; used by tests and by small single-machine fleets
   where process isolation is not worth the memory duplication;
 * **process** — :func:`run_shard` is spawned as a separate OS process (the
-  production topology): its cache, worker pool, metrics and
-  tracer are fully isolated, and the actual bound port travels back over a
-  pipe so ephemeral ports work.
+  production topology): its cache, worker pool and metrics are fully
+  isolated, and the actual bound port travels back over a pipe so
+  ephemeral ports work.  In both modes its spans and planner counts are
+  its service's own.
 
 The supervisor starts N shards with per-shard disk-cache directories
 (``<cache_dir>/shard-<name>``) and stops them by protocol (a ``shutdown``
@@ -40,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.logging import get_logger, set_log_context
 from ..obs.telemetry import TelemetryWriter
-from ..obs.tracing import tracer
 from ..service.cache import PlanCache
 from ..service.server import handle_doc as service_handle_doc
 from ..service.server import is_shutdown_ack, too_large
@@ -166,7 +166,7 @@ class ShardServer:
             default_profile=default_profile,
         )
         if trace:
-            tracer.enable()
+            self.service.participant.tracer.enable()
         if isinstance(chaos, str):
             chaos = ChaosSpec.parse(chaos)
         if isinstance(chaos, ChaosSpec):

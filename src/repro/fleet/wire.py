@@ -153,19 +153,6 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def _perturbed(
-    data: bytes, chaos
-) -> "tuple[Optional[bytes], float, tuple[str, ...]]":
-    """Run one outbound frame through ``chaos``, one shard's controller, or
-    pass it through untouched when ``chaos`` is ``None``.  The returned
-    ``tags`` name the injected faults so callers can attribute the
-    latency they are about to cause.
-    """
-    if chaos is None:
-        return data, 0.0, ()
-    return chaos.perturb_tagged(data)
-
-
 def _record_chaos(doc: Dict[str, Any], tags: "tuple[str, ...]",
                   telemetry=None) -> None:
     """Durably note an injected fault so SLO burn can be attributed.
@@ -193,12 +180,16 @@ def _record_chaos(doc: Dict[str, Any], tags: "tuple[str, ...]",
 
 def send_frame(sock: socket.socket, doc: Dict[str, Any],
                chaos=None, telemetry=None) -> None:
-    data, delay_s, tags = _perturbed(encode_frame(doc), chaos)
-    _record_chaos(doc, tags, telemetry)
-    if delay_s:
-        time.sleep(delay_s)
-    if data is None:  # chaos dropped the frame; the peer sees a stall
-        return
+    """Send one frame, through ``chaos`` (a shard's fault injector) when
+    given; ``telemetry`` is the sender's writer for the faults injected."""
+    data = encode_frame(doc)
+    if chaos is not None:
+        data, delay_s, tags = chaos.perturb_tagged(data)
+        _record_chaos(doc, tags, telemetry)
+        if delay_s:
+            time.sleep(delay_s)
+        if data is None:  # chaos dropped the frame; the peer sees a stall
+            return
     sock.sendall(data)
 
 
@@ -234,15 +225,9 @@ def recv_frame(
 # asyncio streams (the frontend and its shard links)
 # ----------------------------------------------------------------------
 
-async def write_frame(writer: asyncio.StreamWriter, doc: Dict[str, Any],
-                      chaos=None, telemetry=None) -> None:
-    data, delay_s, tags = _perturbed(encode_frame(doc), chaos)
-    _record_chaos(doc, tags, telemetry)
-    if delay_s:
-        await asyncio.sleep(delay_s)
-    if data is None:  # chaos dropped the frame; the peer sees a stall
-        return
-    writer.write(data)
+async def write_frame(writer: asyncio.StreamWriter,
+                      doc: Dict[str, Any]) -> None:
+    writer.write(encode_frame(doc))
     await writer.drain()
 
 

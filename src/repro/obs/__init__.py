@@ -2,14 +2,15 @@
 
 Three telemetry concerns, one dependency-free layer:
 
-* :mod:`repro.obs.tracing` — structured spans with thread-local nesting and
-  a process-wide :data:`~repro.obs.tracing.tracer`; near-zero overhead while
-  disabled, which is the default.
+* :mod:`repro.obs.tracing` — structured spans with thread-local nesting,
+  one :class:`~repro.obs.tracing.Tracer` per participant (a plan service,
+  a fleet shard's service, the fleet frontend, a profiling run) and the
+  request context naming the participant a thread works for; near-zero
+  overhead while disabled, which is the default.
 * :mod:`repro.obs.registry` — the canonical home of the metric primitives
   (:class:`~repro.obs.registry.Counter`,
   :class:`~repro.obs.registry.LatencyHistogram`,
-  :class:`~repro.obs.registry.MetricsRegistry`,
-  :class:`~repro.obs.registry.PerfCounters`) plus Prometheus
+  :class:`~repro.obs.registry.MetricsRegistry`) plus Prometheus
   text-exposition rendering.
 * :mod:`repro.obs.export` — Chrome Trace Event JSON and a self-time /
   cumulative-time profile table over collected spans.
@@ -24,15 +25,16 @@ Three telemetry concerns, one dependency-free layer:
   classification against an :class:`~repro.obs.slo.SLOConfig`, error
   budget and fast/slow burn-rate windows.
 
-Typical profiling session::
+Typical profiling session (what ``repro profile`` does)::
 
-    from repro.obs import tracer, chrome_trace_document, render_profile
+    from repro.obs import Participant, render_profile, set_request_context
 
-    tracer.enable()
+    profiled = Participant()
+    profiled.tracer.enable()
+    previous = set_request_context(profiled)
     planner.plan(network, batch)
-    spans = tracer.drain()
-    tracer.disable()
-    print(render_profile(spans))
+    set_request_context(*previous)
+    print(render_profile(profiled.tracer.drain()))
 """
 
 from .export import (
@@ -57,20 +59,18 @@ from .registry import (
     Counter,
     LatencyHistogram,
     MetricsRegistry,
-    PerfCounters,
-    planner_counters,
     render_prometheus,
 )
 from .slo import SLOConfig, SLOSpecError, SLOTracker
 from .telemetry import TelemetryWriter
-from .tracing import Span, Tracer, new_trace_id, tracer
+from .tracing import Participant, Span, Tracer, new_trace_id, set_request_context
 
 __all__ = [
     "Counter",
     "JsonLogFormatter",
     "LatencyHistogram",
     "MetricsRegistry",
-    "PerfCounters",
+    "Participant",
     "REQUIRED_EVENT_KEYS",
     "SLOConfig",
     "SLOSpecError",
@@ -87,11 +87,10 @@ __all__ = [
     "dict_spans_to_events",
     "get_logger",
     "new_trace_id",
-    "planner_counters",
     "profile_rows",
     "render_profile",
     "render_prometheus",
     "save_trace_document",
+    "set_request_context",
     "spans_to_events",
-    "tracer",
 ]

@@ -1,9 +1,10 @@
 """Structured JSON logging with trace-id correlation.
 
-One JSON object per line, machine-parseable, carrying the active trace id
-from :data:`repro.obs.tracing.tracer` so a request's log lines and its
-spans join on the same key.  Built on the stdlib ``logging`` module: any
-handler/level configuration users already have keeps working, and
+One JSON object per line, machine-parseable, carrying the trace id of the
+thread's request context (:func:`repro.obs.tracing.current_trace_id`) so a
+request's log lines and its spans join on the same key.  Built on the
+stdlib ``logging`` module: any handler/level configuration users already
+have keeps working, and
 :func:`configure_json_logging` is a convenience, not a requirement.
 
 The plan service and the fleet frontend use :func:`get_logger` for their
@@ -20,7 +21,7 @@ import os
 import threading
 from typing import Any, Dict, Optional, TextIO
 
-from .tracing import tracer
+from .tracing import current_trace_id
 
 #: environment variable overriding the slow-request threshold (milliseconds)
 SLOW_REQUEST_ENV = "REPRO_SLOW_REQUEST_MS"
@@ -72,8 +73,8 @@ class JsonLogFormatter(logging.Formatter):
     """Format records as one JSON object per line.
 
     Standard fields: ``ts`` (epoch seconds), ``level``, ``logger``,
-    ``message``; plus ``trace_id`` when the tracer has one active on the
-    emitting thread, and every ``extra`` key the call site attached.
+    ``message``; plus ``trace_id`` when the emitting thread serves a
+    request, and every ``extra`` key the call site attached.
     """
 
     def format(self, record: logging.LogRecord) -> str:
@@ -83,7 +84,7 @@ class JsonLogFormatter(logging.Formatter):
             "logger": record.name,
             "message": record.getMessage(),
         }
-        trace_id = getattr(record, "trace_id", None) or tracer.current_trace_id()
+        trace_id = getattr(record, "trace_id", None) or current_trace_id()
         if trace_id:
             document["trace_id"] = trace_id
         for key, value in record.__dict__.items():

@@ -1,7 +1,8 @@
 """The unified metrics registry: one home for every counter and histogram.
 
-The plan service's request counters and latency histograms live here
-beside the planner's search-work counters (:data:`planner_counters`).
+The plan service's request counters and latency histograms live here,
+and so do the planner's search-work counts of each participant
+(:class:`repro.obs.tracing.Participant`).
 
 Everything is dependency-free (no prometheus client in the image), but
 :func:`render_prometheus` emits standard `text exposition format
@@ -56,8 +57,8 @@ SERVICE_HISTOGRAM_NAMES = (
 )
 
 #: every counter the planner search bumps (documented in
-#: docs/observability.md; each plan merges its levels' StepStats into
-#: these once)
+#: docs/observability.md; each plan adds its levels' StepStats to its
+#: participant's counts once)
 PLANNER_COUNTER_NAMES = (
     "step_calls",
     "boundary_calls",
@@ -310,45 +311,6 @@ class MetricsRegistry:
         """This registry's metrics alone, as Prometheus exposition text."""
         return render_prometheus({"metrics": self.snapshot()},
                                  include_defaults=False)
-
-
-class PerfCounters:
-    """Thread-safe registry of named monotonic counters (planner work)."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("perf counters only go up")
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + amount
-
-    def merge(self, counts: Mapping[str, int]) -> None:
-        """Fold a batch of local counts (e.g. a model's StepStats) in."""
-        with self._lock:
-            for name, amount in counts.items():
-                if amount:
-                    self._counts[name] = self._counts.get(name, 0) + amount
-
-    def value(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        """JSON-compatible dump, sorted by name."""
-        with self._lock:
-            return dict(sorted(self._counts.items()))
-
-    def reset(self) -> None:
-        """Zero every counter (tests and benchmark isolation)."""
-        with self._lock:
-            self._counts.clear()
-
-
-#: process-wide planner counters; surfaced by the plan service and benchmarks
-planner_counters = PerfCounters()
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple
 from .logging import slow_request_threshold_s
 from .registry import MetricsRegistry
 from .slo import SLOTracker
-from .tracing import tracer
+from .tracing import Tracer
 
 
 @dataclass
@@ -104,6 +104,7 @@ REQUEST_EVENT_KEYS = tuple(request_event(RequestRecord(), "service"))
 class RequestRecorder:
     """The request sinks of one component.
 
+    ``tracer`` is the component's own, whose health the snapshot reports.
     ``slo`` is an :class:`SLOTracker`, an ``SLOConfig``, a spec string or
     None; ``telemetry`` the component's writer, or None to record no events.
     ``labels`` are merged into every event.  A served plan slower than
@@ -118,6 +119,7 @@ class RequestRecorder:
         histogram: str,
         log: logging.Logger,
         *,
+        tracer: Tracer,
         slo=None,
         telemetry=None,
         labels: Optional[Dict[str, Any]] = None,
@@ -127,6 +129,7 @@ class RequestRecorder:
         self.metrics = metrics
         self.latency = metrics.histogram(histogram)
         self.log = log
+        self.tracer = tracer
         self.slo = slo if isinstance(slo, SLOTracker) else SLOTracker(slo)
         self.telemetry = telemetry
         self.labels = dict(labels or {})
@@ -161,7 +164,7 @@ class RequestRecorder:
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``slo``, ``tracer`` and (with a writer) ``telemetry`` stats."""
-        snap = {"slo": self.slo.snapshot(), "tracer": tracer.health()}
+        snap = {"slo": self.slo.snapshot(), "tracer": self.tracer.health()}
         if self.telemetry is not None:
             snap["telemetry"] = self.telemetry.snapshot()
         return snap

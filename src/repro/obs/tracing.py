@@ -1,4 +1,4 @@
-"""Structured span tracing for the planner and the plan service.
+"""Structured span tracing, and the request context that says whose it is.
 
 A :class:`Span` is one timed region of execution — a hierarchy level plan, a
 DP stage, a ratio solve, a service request — with nanosecond timestamps,
@@ -6,15 +6,23 @@ free-form attributes and a parent pointer maintained by a thread-local
 stack, so concurrent planning jobs in the service's worker pool each build
 their own correctly nested tree.
 
+Each participant of the serving stack owns its tracer: a plan service
+(single-process or a fleet shard's) and a ``repro profile`` run through a
+:class:`Participant`, which also holds their planner counts, and the fleet
+frontend directly.  Work done for a participant runs with it in the
+thread's request context (:func:`set_request_context`), beside the
+request's trace id (:func:`new_trace_id`): the planner's spans
+(:func:`span`) and counts reach their owner through it, and spans and log
+lines read the trace id there.
+
 Design constraints, in priority order:
 
-1. **Disabled means free.**  The process-wide :data:`tracer` starts
-   disabled and every hot call site guards on the single attribute read
-   ``tracer.enabled`` before building a span (the DP inner loop performs
-   *no* allocation on the disabled path — asserted by
+1. **Disabled means free.**  A tracer starts disabled, and a disabled
+   :meth:`Tracer.span` (so :func:`span` too) returns the shared
+   :data:`NULL_SPAN` singleton without allocating a span (the DP search
+   starts *no* span on the disabled path — asserted by
    ``tests/test_obs_tracing.py`` via :attr:`Tracer.spans_started`, not by
-   timing).  Cold call sites may call :meth:`Tracer.span` unconditionally;
-   it returns the shared :data:`NULL_SPAN` singleton while disabled.
+   timing).
 2. **No dependencies.**  Only the standard library; the exporters in
    :mod:`repro.obs.export` turn collected spans into Chrome Trace Event
    JSON and profile tables.
@@ -22,11 +30,6 @@ Design constraints, in priority order:
    spans; further spans are timed but dropped (counted in
    :attr:`Tracer.spans_dropped`), so an accidentally long trace session
    degrades instead of exhausting memory.
-
-Trace ids are 16-hex-char request correlators (:func:`new_trace_id`): the
-service generates one per request, stores it in the tracer's thread-local
-slot (:meth:`Tracer.set_trace_id`), and both spans and the JSON log
-formatter pick it up from there.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from .registry import MetricsRegistry
 
 
 def new_trace_id() -> str:
@@ -95,7 +100,7 @@ class Span:
         stack: List[Span] = getattr(local, "stack", None) or []
         if stack:
             self.parent_id = stack[-1].span_id
-        self.trace_id = getattr(local, "trace_id", None)
+        self.trace_id = _context.current[1]
         self.thread_id = threading.get_ident()
         stack.append(self)
         local.stack = stack
@@ -167,7 +172,7 @@ class _Resumed:
 
 
 class Tracer:
-    """Collects spans process-wide; disabled (and nearly free) by default."""
+    """One participant's spans; disabled (and nearly free) by default."""
 
     def __init__(self, enabled: bool = False, max_spans: int = 200_000):
         if max_spans <= 0:
@@ -204,23 +209,12 @@ class Tracer:
             self.buffer_high_water = 0
 
     # ------------------------------------------------------------------
-    # trace-id propagation (thread-local; workers set it per job)
-    # ------------------------------------------------------------------
-    def set_trace_id(self, trace_id: Optional[str]) -> None:
-        self._local.trace_id = trace_id
-
-    def current_trace_id(self) -> Optional[str]:
-        return getattr(self._local, "trace_id", None)
-
-    # ------------------------------------------------------------------
     # span creation and collection
     # ------------------------------------------------------------------
     def span(self, name: str, category: str = "planner", **attributes):
         """Open a span; ``with tracer.span("dp.search", stages=3): ...``.
 
-        Returns :data:`NULL_SPAN` while disabled.  Hot loops should guard
-        on :attr:`enabled` themselves so not even the keyword dict for
-        ``attributes`` is built.
+        Returns :data:`NULL_SPAN` while disabled.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -273,8 +267,8 @@ class Tracer:
         held across an ``await`` would corrupt the stack for every other
         task.  The fleet frontend therefore measures with
         ``time.perf_counter_ns()`` and records completed spans here, with
-        the trace id passed explicitly instead of read from thread-local
-        state.
+        the trace id passed explicitly instead of read from the request
+        context.
         """
         if not self.enabled:
             return
@@ -330,8 +324,67 @@ class Tracer:
         return spans
 
 
-#: the process-wide tracer every instrumented module shares
-tracer = Tracer()
+class Participant:
+    """A plan service's or a ``repro profile`` run's tracer, and the
+    search counts of the plans it ran."""
+
+    __slots__ = ("tracer", "_planner")
+
+    def __init__(self) -> None:
+        self.tracer = Tracer()
+        self._planner = MetricsRegistry()
+
+    def count(self, counts: Mapping[str, int]) -> None:
+        """Add one plan's search counts (from any thread)."""
+        for name, amount in counts.items():
+            if amount:
+                self._planner.counter(name).inc(amount)
+
+    def planner_counts(self) -> Dict[str, int]:
+        """The search counts so far, sorted by name."""
+        return self._planner.snapshot()["counters"]
+
+
+class _Context(threading.local):
+    #: (participant, trace id) of the request the thread works on
+    current: Tuple[Optional[Participant], Optional[str]] = (None, None)
+
+
+_context = _Context()
+
+
+def set_request_context(participant: Optional[Participant],
+                        trace_id: Optional[str] = None
+                        ) -> Tuple[Optional[Participant], Optional[str]]:
+    """Make the calling thread work for ``participant`` on the request
+    ``trace_id``: :func:`span` records to its tracer, the planner counts
+    to it, and spans and log lines carry ``trace_id``.
+
+    Returns the context it replaces; put that back with
+    ``set_request_context(*previous)`` when the work is done.
+    """
+    previous = _context.current
+    _context.current = (participant, trace_id)
+    return previous
+
+
+def current_participant() -> Optional[Participant]:
+    """The participant the calling thread works for, if any."""
+    return _context.current[0]
+
+
+def current_trace_id() -> Optional[str]:
+    """The trace id of the request the calling thread serves, if any."""
+    return _context.current[1]
+
+
+def span(name: str, category: str = "planner", **attributes):
+    """A span on the current participant's tracer; :data:`NULL_SPAN` when
+    no participant runs or its tracer is disabled."""
+    participant = _context.current[0]
+    if participant is None or not participant.tracer.enabled:
+        return NULL_SPAN
+    return participant.tracer.span(name, category, **attributes)
 
 
 def thread_rows(spans: List[Span]) -> Dict[int, int]:

@@ -35,7 +35,6 @@ from ..core.serialize import plan_from_dict, plan_to_dict
 from ..hardware.presets import parse_array
 from ..ioutil import atomic_write_text
 from ..obs.request import RequestRecord
-from ..obs.tracing import tracer
 from .fingerprint import PlanRequest
 from .service import PlanResponse, PlanService
 
@@ -280,8 +279,9 @@ def handle_doc(service: PlanService, doc: Dict) -> Dict:
         elif op == "stats":
             reply = {"ok": True, "stats": service.snapshot()}
         elif op == "trace":
-            reply = {"ok": True,
-                     "spans": [span.as_dict() for span in tracer.drain()]}
+            reply = {"ok": True, "spans": [
+                span.as_dict()
+                for span in service.participant.tracer.drain()]}
         elif op == "shutdown":
             pending = service.pending_jobs()
             service.drain()

@@ -36,10 +36,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.planner import PartitionScheme, PlannedExecution, Planner
 from ..obs.logging import get_logger
-from ..obs.registry import MetricsRegistry, planner_counters, render_prometheus
+from ..obs.registry import MetricsRegistry, render_prometheus
 from ..obs.request import RequestRecord, RequestRecorder
 from ..obs.slo import render_slo_lines
-from ..obs.tracing import new_trace_id, tracer
+from ..obs.tracing import Participant, new_trace_id, set_request_context, span
 from .cache import PlanCache
 from .fingerprint import PlanRequest
 from .singleflight import SingleFlight
@@ -119,12 +119,15 @@ class PlanService:
             else default_profile
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: this service's spans and planner counts: every request and
+        #: planning job runs with it in the thread's request context
+        self.participant = Participant()
         #: SLO, telemetry (a fleet shard labels events ``{"shard": name}``),
         #: ``request_latency_s`` and the slow-request log
         self.recorder = RequestRecorder(
-            "service", self.metrics, "request_latency_s", log, slo=slo,
-            telemetry=telemetry, labels=telemetry_labels,
-            slow_request_s=slow_request_s)
+            "service", self.metrics, "request_latency_s", log,
+            tracer=self.participant.tracer, slo=slo, telemetry=telemetry,
+            labels=telemetry_labels, slow_request_s=slow_request_s)
         self._flight = SingleFlight()
         self._pool = ThreadPoolExecutor(
             max_workers=workers or os.cpu_count() or 4,
@@ -152,9 +155,10 @@ class PlanService:
         Every request gets a trace id — a fresh one unless the caller
         passes ``trace_id`` (the fleet frontend does, so one id follows a
         request across the frontend and the owning shard process).  It is
-        active on this thread for the duration of the call (spans and log
-        lines pick it up), propagated into the worker that plans on the
-        request's behalf, and returned on the :class:`PlanResponse`.
+        in this thread's request context, with :attr:`participant`, for
+        the duration of the call (spans and log lines pick it up),
+        propagated into the worker that plans on the request's behalf,
+        and returned on the :class:`PlanResponse`.
 
         Every exit, a raised error too, hands the response to the
         service's :class:`~repro.obs.request.RequestRecorder` once.
@@ -210,12 +214,12 @@ class PlanService:
             raise RuntimeError("PlanService is closed")
         start = time.perf_counter()
         trace_id = trace_id or new_trace_id()
-        previous_trace_id = tracer.current_trace_id()
-        tracer.set_trace_id(trace_id)
-        span = tracer.begin("service.request", category="service",
-                            model=request.model, scheme=request.scheme)
+        tracer = self.participant.tracer
+        previous = set_request_context(self.participant, trace_id)
+        request_span = tracer.begin("service.request", category="service",
+                                    model=request.model, scheme=request.scheme)
         try:
-            with tracer.resume(span):
+            with tracer.resume(request_span):
                 if self.default_profile is not None and \
                         request.profile is None:
                     # substitute before fingerprinting: a profiled service
@@ -227,13 +231,13 @@ class PlanService:
                 started = _Started(request, PlanResponse(
                     trace_id=trace_id, model=request.model,
                     scheme=request.scheme, backend=request.backend,
-                    deadline_s=deadline_s), start, span)
+                    deadline_s=deadline_s), start, request_span)
                 try:
                     self._look_up(started)
                 except BaseException as exc:  # _finish records and raises it
                     started.error = exc
         finally:
-            tracer.set_trace_id(previous_trace_id)
+            set_request_context(*previous)
         if started.error is not None and \
                 not isinstance(started.error, Exception):
             self._finish(started)  # an interrupt: record it and raise now
@@ -242,11 +246,11 @@ class PlanService:
     def _look_up(self, started: _Started) -> None:
         """Answer from the cache, or begin the single-flight job."""
         request, response = started.request, started.response
-        with tracer.span("service.fingerprint", category="service"):
+        with span("service.fingerprint", category="service"):
             key = response.fingerprint = request.fingerprint()
         after_fingerprint = time.perf_counter()
 
-        with tracer.span("service.cache_lookup", category="service"):
+        with span("service.cache_lookup", category="service"):
             planned, tier = self.cache.get_with_tier(key)
         response.phases = (after_fingerprint - started.start,
                            time.perf_counter() - after_fingerprint)
@@ -269,8 +273,8 @@ class PlanService:
                 raise_error: bool = True) -> PlanResponse:
         """The second half of a request: wait, fall back, record."""
         response = started.response
-        previous_trace_id = tracer.current_trace_id()
-        tracer.set_trace_id(response.trace_id)
+        tracer = self.participant.tracer
+        previous = set_request_context(self.participant, response.trace_id)
         try:
             with tracer.resume(started.span):
                 if started.error is None and started.future is not None:
@@ -285,7 +289,7 @@ class PlanService:
                 self.recorder.observe(response)
         finally:
             tracer.finish(started.span)
-            tracer.set_trace_id(previous_trace_id)
+            set_request_context(*previous)
         error = started.error
         if error is not None and (raise_error
                                   or not isinstance(error, Exception)):
@@ -298,8 +302,8 @@ class PlanService:
         future, leader = started.future, started.leader
         deadline_s = response.deadline_s
         try:
-            with tracer.span("service.singleflight_wait", category="service",
-                             leader=leader):
+            with span("service.singleflight_wait", category="service",
+                      leader=leader):
                 if leader and deadline_s is not None and deadline_s <= 0:
                     # "ready right now" is decided on arrival: the exact job
                     # this request just started is not, however fast it is
@@ -311,7 +315,7 @@ class PlanService:
                 response.planned = future.result(timeout=timeout)
         except FutureTimeout:
             self.metrics.counter("degraded").inc()
-            with tracer.span("service.degraded_fallback", category="service"):
+            with span("service.degraded_fallback", category="service"):
                 response.planned = self._plan_degraded(request)
             response.source, response.degraded = "degraded", True
             return
@@ -330,9 +334,10 @@ class PlanService:
     def _submit_exact(self, key: str, request: PlanRequest, future: Future,
                       trace_id: str = "") -> None:
         def job() -> None:
-            # the worker thread inherits the requesting thread's trace id so
-            # the exact-planning spans and logs correlate with the request
-            tracer.set_trace_id(trace_id or None)
+            # the worker works for this service, on the requesting thread's
+            # trace id, so the exact plan's spans, counts and logs correlate
+            # with the request
+            previous = set_request_context(self.participant, trace_id or None)
             try:
                 # a caller can miss the cache, then lose the begin() race to
                 # a leader that already finished: re-check before planning so
@@ -341,10 +346,9 @@ class PlanService:
                 if planned is None:
                     self.metrics.counter("planner_runs").inc()
                     t0 = time.perf_counter()
-                    with tracer.span("service.plan_exact", category="service",
-                                     model=request.model,
-                                     scheme=request.scheme,
-                                     fingerprint=key):
+                    with span("service.plan_exact", category="service",
+                              model=request.model, scheme=request.scheme,
+                              fingerprint=key):
                         planned = self._plan_exact(request)
                     self.metrics.histogram("exact_plan_s").observe(
                         time.perf_counter() - t0
@@ -357,6 +361,7 @@ class PlanService:
                 # only after the put: a new caller either finds the cache
                 # entry or joins a still-open flight, never a stale gap
                 self._flight.finish(key)
+                set_request_context(*previous)
 
         pooled = self._pool.submit(job)
         with self._pending_lock:
@@ -419,10 +424,10 @@ class PlanService:
     def snapshot(self) -> dict:
         """JSON-compatible stats: metrics, cache counters, planner counters.
 
-        ``planner`` holds the process-wide search-work counters
-        (:data:`repro.obs.registry.planner_counters`): packed step costings,
-        ratio-solver path split, hierarchy memo hits, multipath DP runs —
-        the cold-path cost behind every ``planner_runs`` increment.
+        ``planner`` holds the search work of the plans this service ran
+        (:attr:`participant`): packed step costings, ratio-solver path
+        split, hierarchy memo hits, multipath DP runs — the cold-path cost
+        behind every ``planner_runs`` increment.
         """
         cache_stats = self.cache.stats.as_dict()
         cache_stats["memory_entries"] = len(self.cache)
@@ -430,7 +435,7 @@ class PlanService:
         return {
             "metrics": self.metrics.snapshot(),
             "cache": cache_stats,
-            "planner": planner_counters.snapshot(),
+            "planner": self.participant.planner_counts(),
             **self.recorder.snapshot(),
         }
 

@@ -68,19 +68,20 @@ class TestRegistry:
     def test_level_plan_counter_canonicalizes_aliases(self, chain):
         # every spelling of the exact DP must feed one Prometheus series,
         # not fragment per requested spelling
+        from collections import Counter
+
         from repro.core.planner import PartitionScheme
         from repro.hardware import make_group
-        from repro.obs.registry import planner_counters
 
         party_i, party_j = make_group(TPU_V3, 1), make_group(TPU_V2, 1)
         spellings = ("dp", "accpar", "exact", "dpv", "dp_vectorized",
                      "dp-vectorized", "vectorized")
-        before = planner_counters.value("level_plans_dp")
+        tally = Counter()
         for spelling in spellings:
-            PartitionScheme(backend=spelling).level_plan(chain, party_i, party_j, 2)
-        after = planner_counters.value("level_plans_dp")
-        assert after == before + len(spellings)
-        assert planner_counters.value("level_plans_dp_vectorized") == 0
+            PartitionScheme(backend=spelling).level_plan(
+                chain, party_i, party_j, 2, tally)
+        assert tally["level_plans_dp"] == len(spellings)
+        assert tally["level_plans_dp_vectorized"] == 0
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(KeyError, match="brute-force.*dp.*fixed-type.*greedy"):

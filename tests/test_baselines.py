@@ -1,6 +1,8 @@
 """Unit tests for the named schemes, the DP / OWT / HyPar baselines and
 the factory that builds them."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines import SCHEME_ORDER, SCHEMES, get_scheme
@@ -9,7 +11,6 @@ from repro.core.stages import to_sharded_stages
 from repro.core.types import HYPAR_TYPES, PartitionType
 from repro.hardware import TPU_V2, TPU_V3, make_group
 from repro.models import build_model
-from repro.obs.registry import planner_counters
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
 
@@ -79,9 +80,9 @@ class TestRegistry:
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_every_scheme_counts_its_level_plans(name, parties, alexnet_stages):
     series = "level_plans_" + SCHEMES[name].backend
-    before = planner_counters.value(series)
-    SCHEMES[name].level_plan(alexnet_stages, *parties, 2)
-    assert planner_counters.value(series) == before + 1
+    tally = Counter()
+    SCHEMES[name].level_plan(alexnet_stages, *parties, 2, tally)
+    assert tally[series] == 1
 
 
 class TestDataParallel:

@@ -415,7 +415,7 @@ class TestCalibrateCommand:
 class TestProfileCommand:
     def test_profile_prints_table_and_writes_trace(self, capsys, tmp_path):
         from repro.obs.export import REQUIRED_EVENT_KEYS
-        from repro.obs.tracing import tracer
+        from repro.obs.tracing import current_participant
 
         trace = tmp_path / "trace.json"
         code = main(["profile", "lenet", "--array", "tpu-v2:2,tpu-v3:2",
@@ -433,8 +433,8 @@ class TestProfileCommand:
         for key in REQUIRED_EVENT_KEYS:
             assert all(key in event for event in events), key
         assert {e["name"] for e in events} >= {"hierarchy.plan", "dp.search"}
-        # profiling must not leave the process-wide tracer enabled
-        assert not tracer.enabled
+        # the profiling run's participant does not outlive it
+        assert current_participant() is None
 
     def test_profile_emits_both_traces(self, capsys, tmp_path):
         planner_trace = tmp_path / "planner.json"

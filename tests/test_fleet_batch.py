@@ -32,7 +32,6 @@ from repro.fleet.wire import (
     recv_frame,
     send_frame,
 )
-from repro.obs import tracer
 from repro.service import PlanService
 from repro.service.server import (
     KNOWN_OPS,
@@ -266,15 +265,11 @@ class TestPlanMany:
         nest under its own ``service.request`` and carry its trace id."""
         requests = [(request_from_doc(spec(batch=b)), None, f"t{b}")
                     for b in (8, 16)]
-        tracer.enable()
-        try:
-            with PlanService(workers=2) as service:
-                service.plan_many(requests)
-                service.drain()
-            spans = tracer.drain()
-        finally:
-            tracer.disable()
-            tracer.clear()
+        with PlanService(workers=2) as service:
+            service.participant.tracer.enable()
+            service.plan_many(requests)
+            service.drain()
+        spans = service.participant.tracer.drain()
         roots = {span.trace_id: span for span in spans
                  if span.name == "service.request"}
         assert set(roots) == {"t8", "t16"}
@@ -392,6 +387,39 @@ class TestOneFramePerShard:
         assert after["est_hit_ms"] < before["est_hit_ms"] + 20, \
             (before, after)
         assert served["ok"] and served["cache_hit"], served
+
+    def test_a_hit_is_timed_to_its_own_answer_not_its_frames(
+            self, tmp_path, monkeypatch):
+        """A hit that shares a frame with a slow miss is recorded as the
+        shard answered it: the frame's send time, its hop and the hit's
+        own time on the shard.  The client's reply still waits for the
+        miss."""
+        sleepy_planner(monkeypatch, 0.3)
+        with ShardSupervisor(1, cache_dir=tmp_path) as sup:
+            frontend = FleetFrontend(sup.handles, heartbeat_interval_s=0.0)
+            frontend.tracer.enable()
+            with frontend, FleetClient(port=frontend.port) as client:
+                assert client.plan(spec(batch=64))["ok"]
+                records = recorded(frontend, monkeypatch)
+                t0 = time.perf_counter()
+                reply = client.plan_batch([spec(batch=8, deadline_ms=400),
+                                           spec(batch=64, deadline_ms=50)])
+                elapsed = time.perf_counter() - t0
+                spans = {span.trace_id: span
+                         for span in frontend.tracer.drain()}
+        miss, hit = reply["items"]
+        assert miss["source"] == "planned" and hit["cache_hit"], reply
+        assert elapsed >= 0.3
+        by_fingerprint = {record.fingerprint: record for record in records}
+        hit_record = by_fingerprint[hit["fingerprint"]]
+        miss_record = by_fingerprint[miss["fingerprint"]]
+        assert hit_record.latency_s < 0.05 and hit_record.deadline_met, \
+            hit_record
+        assert miss_record.latency_s >= 0.3 and miss_record.deadline_met
+        assert spans[hit_record.trace_id].duration_ns < 50e6
+        assert spans[miss_record.trace_id].duration_ns >= 300e6
+        slo = frontend.recorder.slo.snapshot()
+        assert (slo["deadline_total"], slo["deadline_met_total"]) == (2, 2)
 
     def test_an_item_without_a_deadline_does_not_hold_one_with(
             self, tmp_path):

@@ -26,7 +26,7 @@ from repro.fleet.wire import (
     recv_frame,
     send_frame,
 )
-from repro.obs import chrome_trace_from_dicts, tracer
+from repro.obs import chrome_trace_from_dicts
 from repro.plan.diff import plan_diff
 from repro.service.server import request_from_doc, serve_loop
 from repro.service.service import PlanService
@@ -275,14 +275,10 @@ class TestTraceAggregation:
     def test_trace_op_merges_spans_with_trace_ids(self, tmp_path):
         with ShardSupervisor(2, cache_dir=tmp_path, trace=True) as sup:
             frontend = FleetFrontend(sup.handles)
+            frontend.tracer.enable()
             with frontend, FleetClient(port=frontend.port) as client:
-                try:
-                    tracer.enable()
-                    client.plan_batch([spec(), spec(batch=64)])
-                    reply = client.trace()
-                finally:
-                    tracer.disable()
-                    tracer.clear()
+                client.plan_batch([spec(), spec(batch=64)])
+                reply = client.trace()
         assert reply["ok"] and reply["count"] > 0
         doc = chrome_trace_from_dicts(reply["spans"])
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]

@@ -18,7 +18,7 @@ from repro.obs.logging import (
     set_log_context,
     slow_request_threshold_s,
 )
-from repro.obs.tracing import tracer
+from repro.obs.tracing import Participant, set_request_context
 from repro.service import PlanRequest, PlanService
 
 
@@ -65,13 +65,13 @@ class TestJsonLogFormatter:
         (document,) = emitted(buffer)
         assert document["payload"] == repr({1, 2})
 
-    def test_trace_id_from_tracer_thread_local(self, json_log):
+    def test_trace_id_from_the_request_context(self, json_log):
         logger, buffer = json_log
-        tracer.set_trace_id("deadbeefcafe0000")
+        previous = set_request_context(Participant(), "deadbeefcafe0000")
         try:
             logger.info("traced")
         finally:
-            tracer.set_trace_id(None)
+            set_request_context(*previous)
         logger.info("untraced")
         traced, untraced = emitted(buffer)
         assert traced["trace_id"] == "deadbeefcafe0000"

@@ -13,7 +13,6 @@ from repro.obs.registry import (
     Counter,
     LatencyHistogram,
     MetricsRegistry,
-    PerfCounters,
     render_prometheus,
 )
 
@@ -184,17 +183,6 @@ class TestCountersAndRegistry:
         assert "# TYPE repro_fleet_shard_up gauge" in text
         assert 'repro_fleet_shard_up{shard="0"} 1' in text
         assert 'repro_fleet_shard_up{shard="1"} 0' in text
-
-    def test_perf_counters_merge_and_reset(self):
-        perf = PerfCounters()
-        perf.inc("step_calls", 2)
-        perf.merge({"step_calls": 3, "ratio_solves": 7, "zero": 0})
-        assert perf.value("step_calls") == 5
-        assert perf.snapshot() == {"ratio_solves": 7, "step_calls": 5}
-        with pytest.raises(ValueError):
-            perf.inc("step_calls", -1)
-        perf.reset()
-        assert perf.snapshot() == {}
 
 
 class TestNoShims:

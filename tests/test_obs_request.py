@@ -12,6 +12,7 @@ from repro.obs.request import (
     request_event,
 )
 from repro.obs.telemetry import TelemetryWriter, read_events
+from repro.obs.tracing import Tracer
 
 LOG = logging.getLogger("repro.test.request")
 
@@ -66,8 +67,8 @@ class TestRecorder:
         telemetry = TelemetryWriter(tmp_path) if tmp_path else None
         return RequestRecorder(
             "service", MetricsRegistry(), "request_latency_s", LOG,
-            slo="latency_ms=100,objective=0.9", telemetry=telemetry,
-            **kwargs)
+            tracer=Tracer(), slo="latency_ms=100,objective=0.9",
+            telemetry=telemetry, **kwargs)
 
     def test_every_record_feeds_the_slo_and_telemetry(self, tmp_path):
         recorder = self.recorder(tmp_path, labels={"shard": "3"})

@@ -1,5 +1,7 @@
 """Tracer tests: nesting, the disabled fast path, and Chrome export."""
 
+import contextlib
+import sys
 import threading
 
 import pytest
@@ -16,18 +18,36 @@ from repro.obs.export import (
     chrome_trace_document,
     spans_to_events,
 )
-from repro.obs.tracing import NULL_SPAN, Tracer, new_trace_id, tracer
+from repro.obs.tracing import (
+    NULL_SPAN,
+    Participant,
+    Tracer,
+    current_participant,
+    current_trace_id,
+    new_trace_id,
+    set_request_context,
+)
 from repro.service import PlanRequest, PlanService
+
+
+@contextlib.contextmanager
+def working_for(participant, trace_id=None):
+    """The calling thread works for ``participant`` inside the block."""
+    previous = set_request_context(participant, trace_id)
+    try:
+        yield participant
+    finally:
+        set_request_context(*previous)
 
 
 @pytest.fixture
 def enabled_tracer():
-    """Enable the process-wide tracer for one test, restoring it after."""
-    tracer.clear()
-    tracer.enable()
-    yield tracer
-    tracer.disable()
-    tracer.clear()
+    """A participant's enabled tracer, this thread working for the
+    participant for one test."""
+    owner = Participant()
+    owner.tracer.enable()
+    with working_for(owner):
+        yield owner.tracer
 
 
 @pytest.fixture
@@ -38,6 +58,13 @@ def array():
 def plan_spans(enabled_tracer, array, model="lenet", batch=32):
     AccParPlanner(array).plan(build_model(model), batch)
     return enabled_tracer.drain()
+
+
+def traced_service(**kwargs):
+    """A plan service whose own tracer is enabled."""
+    service = PlanService(**kwargs)
+    service.participant.tracer.enable()
+    return service
 
 
 class TestTracerBasics:
@@ -95,24 +122,82 @@ class TestTracerBasics:
         assert t.spans() == [] and t.spans_dropped == 0
 
     def test_trace_id_is_thread_local(self):
-        t = Tracer(enabled=True)
-        t.set_trace_id("abc")
+        owner = Participant()
+        owner.tracer.enable()
         seen = {}
 
         def worker():
-            seen["worker"] = t.current_trace_id()
+            seen["worker"] = (current_participant(), current_trace_id())
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert t.current_trace_id() == "abc"
-        assert seen["worker"] is None
+        with working_for(owner, "abc"):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            assert current_trace_id() == "abc"
+            assert current_participant() is owner
+            with owner.tracer.span("tagged") as tagged:
+                pass
+        assert seen["worker"] == (None, None)
+        assert tagged.trace_id == "abc"
+
+    def test_the_previous_request_context_comes_back(self):
+        outer, inner = Participant(), Participant()
+        assert set_request_context(outer, "a") == (None, None)
+        assert set_request_context(inner, "b") == (outer, "a")
+        assert (current_participant(), current_trace_id()) == (inner, "b")
+        set_request_context(outer, "a")
+        assert set_request_context(None) == (outer, "a")
+        assert (current_participant(), current_trace_id()) == (None, None)
 
     def test_new_trace_id_shape(self):
         a, b = new_trace_id(), new_trace_id()
         assert a != b
         assert len(a) == 16
         int(a, 16)  # valid hex
+
+
+class TestParticipant:
+    def test_planner_counts_add_up_per_name(self):
+        owner = Participant()
+        owner.count({"step_calls": 2})
+        owner.count({"step_calls": 3, "ratio_solves": 7, "zero": 0})
+        assert owner.planner_counts() == {"ratio_solves": 7, "step_calls": 5}
+        assert list(owner.planner_counts()) == ["ratio_solves", "step_calls"]
+        with pytest.raises(ValueError):
+            owner.count({"step_calls": -1})
+        assert owner.planner_counts()["step_calls"] == 5
+
+    def test_concurrent_plans_lose_no_count(self):
+        """A service's worker threads add their plans' counts at once."""
+        owner = Participant()
+        threads = [threading.Thread(target=lambda: [
+            owner.count({"step_calls": 1, "vec_searches": 2})
+            for _ in range(500)]) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert owner.planner_counts() == {"step_calls": 4000,
+                                          "vec_searches": 8000}
+
+    def test_a_plan_counts_to_the_participant_it_runs_for(self, array):
+        owner, bystander = Participant(), Participant()
+        with working_for(owner):
+            AccParPlanner(array).plan(build_model("lenet"), 32)
+        counts = owner.planner_counts()
+        # a root split and two distinct child splits on 2+2 boards
+        assert counts["level_plans_dp"] == 3
+        assert counts["step_calls"] > 0
+        assert bystander.planner_counts() == {}
+        # a plan with no participant running counts nowhere
+        AccParPlanner(array).plan(build_model("lenet"), 32)
+        assert owner.planner_counts() == counts
 
 
 class TestTracerHealth:
@@ -156,18 +241,21 @@ class TestDisabledFastPath:
     def test_dp_inner_loop_allocates_no_spans_when_disabled(self, array):
         """Counter-based (not timing-based) no-allocation guard.
 
-        With the process-wide tracer disabled, a full DP search must not
-        start a single span: ``spans_started`` only moves on the enabled
-        path, so a zero delta proves the disabled branch never reaches
-        span construction.
+        With the running participant's tracer disabled, a full DP search
+        must not start a single span: ``spans_started`` only moves on the
+        enabled path, so a zero delta proves the disabled branch never
+        reaches span construction.
         """
+        owner = Participant()
+        tracer = owner.tracer
         assert not tracer.enabled
         network = build_model("resnet18")  # includes multi-path stages
         stages = to_sharded_stages(network.stages(32))
         node = bisection_tree(array, 1, "type-separated")
         model = PairCostModel(node.left.group, node.right.group, 2, "balanced")
         before_started = tracer.spans_started
-        search_stages(stages, model)
+        with working_for(owner):
+            search_stages(stages, model)
         assert tracer.spans_started == before_started
         assert tracer.spans() == []
 
@@ -268,12 +356,12 @@ class TestChromeExport:
 
 
 class TestServiceTracing:
-    def test_request_gets_trace_id_and_lifecycle_spans(self, enabled_tracer, array):
-        with PlanService(workers=2) as service:
+    def test_request_gets_trace_id_and_lifecycle_spans(self, array):
+        with traced_service(workers=2) as service:
             request = PlanRequest(model="lenet", array=array, batch=32)
             response = service.plan(request)
             service.drain()
-        spans = enabled_tracer.drain()
+        spans = service.participant.tracer.drain()
         assert response.trace_id and len(response.trace_id) == 16
         by_name = {}
         for span in spans:
@@ -292,20 +380,20 @@ class TestServiceTracing:
         assert exact_span.thread_id != 0
         assert request_span.attributes["model"] == "lenet"
 
-    def test_cache_hit_requests_get_distinct_trace_ids(self, enabled_tracer, array):
-        with PlanService(workers=2) as service:
+    def test_cache_hit_requests_get_distinct_trace_ids(self, array):
+        with traced_service(workers=2) as service:
             request = PlanRequest(model="lenet", array=array, batch=32)
             first = service.plan(request)
             second = service.plan(request)
         assert second.cache_hit
         assert first.trace_id != second.trace_id
 
-    def test_planner_spans_inherit_request_trace_id(self, enabled_tracer, array):
-        with PlanService(workers=2) as service:
+    def test_planner_spans_inherit_request_trace_id(self, array):
+        with traced_service(workers=2) as service:
             request = PlanRequest(model="lenet", array=array, batch=32)
             response = service.plan(request)
             service.drain()
-        spans = enabled_tracer.drain()
+        spans = service.participant.tracer.drain()
         dp_spans = [s for s in spans if s.name == "dp.search"]
         assert dp_spans
         assert all(s.trace_id == response.trace_id for s in dp_spans)

@@ -23,7 +23,6 @@ from repro.fleet import (FleetClient, FleetFrontend, ShardServer,
                          ShardSupervisor)
 from repro.fleet.wire import recv_frame, send_frame
 from repro.hardware.presets import MAX_BOARDS
-from repro.obs import tracer
 from repro.obs.request import REQUEST_EVENT_KEYS
 from repro.obs.telemetry import read_events, segment_paths, summarize
 from repro.service import PlanCache, PlanService
@@ -534,13 +533,9 @@ class TestServeCommand:
         assert "--port" in err and "--chaos" in err
 
     def test_trace_without_shards(self, monkeypatch, capsys):
-        try:
-            code, replies, _ = run_cli_serve(
-                ["--cache-dir", "", "--trace"],
-                [PLAN, json.dumps({"op": "trace"})], monkeypatch, capsys)
-        finally:
-            tracer.disable()
-            tracer.clear()
+        code, replies, _ = run_cli_serve(
+            ["--cache-dir", "", "--trace"],
+            [PLAN, json.dumps({"op": "trace"})], monkeypatch, capsys)
         assert code == 0 and replies[0]["ok"]
         names = {span["name"] for span in replies[1]["spans"]}
         assert "service.request" in names
