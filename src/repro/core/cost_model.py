@@ -39,6 +39,7 @@ from .ratio import (
     PATH_MINIMAX,
     PATH_QUADRATIC,
     solve_balanced_ratio_poly_batch,
+    symmetric_balanced_ratio,
 )
 from .types import ALL_TYPES, PartitionType, ShardedWorkload
 
@@ -168,6 +169,7 @@ class StepStats:
         "ratio_closed_quadratic",
         "ratio_bisection_fallback",
         "ratio_minimax",
+        "ratio_symmetric",
         "multipath_path_dp_runs",
         "vec_searches",
         "vec_pack_ns",
@@ -256,6 +258,10 @@ class PairCostModel:
         self.b_j = party_j.network_bandwidth
         self.dtype_bytes = dtype_bytes
         self.ratio_mode = ratio_mode
+        # one group signature, compared as the member specs in order: one
+        # profile then prices both parties alike, bit for bit (a signature
+        # names specs, and two specs may share a name)
+        self._symmetric = party_i.members == party_j.members
         self.stats = StepStats()
         # (elements, from states, to states) -> alignment_matrix's answer
         self._alignment_matrices: Dict[Tuple, Tuple[Tuple[float, ...], ...]] = {}
@@ -358,8 +364,19 @@ class PairCostModel:
         :meth:`step_pair_costs` elementwise, in their operation order.
         ``balanced`` builds each cell's Eq. 10 polynomial
         ``const + lin·α + quad·α(1-α)`` per party and solves all of them in
-        one batch (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`);
-        the fixed-α modes take the slower party at their one ratio;
+        one batch (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`),
+        except between two parties of one group signature (the same member
+        specs, in order), where it prices party *i* alone at α = ½
+        (:func:`~repro.core.ratio.symmetric_balanced_ratio`).
+        That holds because one profile prices identical parties at equal
+        rates, bandwidths and latency, so in exact arithmetic party *j*'s
+        polynomial is party *i*'s mirrored: ``lin_j = -lin_i``,
+        ``quad_j = quad_i`` and ``const_j = const_i + lin_i``.  Then
+        ``cost_j(α) = cost_i(1-α)``, the residual is ``lin_i·(2α - 1)``, and
+        it is zero at ½, where the solver's affine path ``-ΔA/ΔB`` lands up
+        to rounding.  A cell with ``lin_i == 0`` balances at every α; it
+        keeps the solver's answer there, ``lo``.
+        The fixed-α modes take the slower party at their one ratio;
         ``comm-volume`` counts bytes.  Calibrated profiles enter as per-kind
         compute rates, effective bandwidths at each transfer's
         α-independent base size and a latency constant per nonzero
@@ -432,13 +449,8 @@ class PairCostModel:
         # family adds party i's β·A and party j's α·A boundary fetches
         base_ci = psum / rate_i[:, None] + intra / bw_intra_i + lat_intra_i
         base_li = np.broadcast_to((total / rate_i)[:, None], shape)
-        base_cj = ((total[:, None] + psum) / rate_j[:, None]
-                   + intra / bw_intra_j + lat_intra_j)
-        base_lj = np.broadcast_to((-total / rate_j)[:, None], shape)
         move_i = (move / bw_move_i)[:, None]
-        move_j = (move / bw_move_j)[:, None]
         lat_edge_i = lat_edge_i[:, None]
-        lat_edge_j = lat_edge_j[:, None]
         flat = np.zeros(shape)
 
         # family axis rows: 0 = zero, 1 = cross, 2 = move (PACKED_FAMILY_INDEX)
@@ -447,6 +459,21 @@ class PairCostModel:
         lin_i = np.stack([base_li, base_li, base_li - move_i], axis=1)
         quad_i = np.stack([flat, np.broadcast_to((cross / bw_cross_i)[:, None], shape),
                            flat], axis=1)
+        stats = self.stats
+        stats.ratio_solves += const_i.size
+
+        if self._symmetric:
+            # identical parties balance at α = 1/2 (see the docstring)
+            alpha = symmetric_balanced_ratio(lin_i)
+            stats.ratio_symmetric += alpha.size
+            cost = const_i + lin_i * alpha + quad_i * (alpha * (1.0 - alpha))
+            return self._packed(cost, alpha, sizes)
+
+        base_cj = ((total[:, None] + psum) / rate_j[:, None]
+                   + intra / bw_intra_j + lat_intra_j)
+        base_lj = np.broadcast_to((-total / rate_j)[:, None], shape)
+        move_j = (move / bw_move_j)[:, None]
+        lat_edge_j = lat_edge_j[:, None]
         const_j = np.stack([base_cj, base_cj + lat_edge_j,
                             base_cj + lat_edge_j], axis=1)
         lin_j = np.stack([base_lj, base_lj, base_lj + move_j], axis=1)
@@ -459,8 +486,6 @@ class PairCostModel:
                 const_i, lin_i, quad_i, const_j, lin_j, quad_j
             )
             solve.set("paths", counts)
-        stats = self.stats
-        stats.ratio_solves += alpha.size
         stats.ratio_closed_linear += counts[PATH_LINEAR]
         stats.ratio_closed_quadratic += counts[PATH_QUADRATIC]
         stats.ratio_bisection_fallback += counts[PATH_BISECTION]

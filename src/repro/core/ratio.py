@@ -20,6 +20,9 @@ When the balance residual never changes sign on the bracket (one party
 dominates at every admissible ratio) there is no balanced α; the slower
 party's cost is then minimized at an endpoint, or by golden-section search
 when the residual dips through zero inside the bracket.
+
+Between two identical parties the balance is the even split, by symmetry
+(:func:`symmetric_balanced_ratio`), and no equation is solved.
 """
 
 from __future__ import annotations
@@ -162,6 +165,21 @@ def solve_balanced_ratio_poly_batch(
             alpha.flat[idx] = solve_balanced_ratio(costs, lo, hi)
             counts[PATH_BISECTION] += 1
     return alpha, counts
+
+
+def symmetric_balanced_ratio(lin_i):
+    """Eq. 10 between two identical parties, by symmetry: ½ per cell.
+
+    Party *j*'s polynomial is party *i*'s mirrored (``cost_j(α) =
+    cost_i(1-α)``), so the residual is ``lin_i·(2α - 1)``: zero at ½,
+    which :func:`solve_balanced_ratio_poly_batch` reaches through its
+    affine path up to rounding.  A cell whose cost does not depend on α
+    (``lin_i == 0``) balances everywhere; the batch solver answers
+    :data:`RATIO_LO` there, and so does this.
+    """
+    import numpy as np
+
+    return np.where(lin_i == 0.0, RATIO_LO, 0.5)
 
 
 def _pair_costs(const_i: float, lin_i: float, quad_i: float,

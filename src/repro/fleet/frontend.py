@@ -609,7 +609,11 @@ class FleetFrontend:
     async def _serve_items(self, docs: List[Optional[Dict]]) -> List[Dict]:
         """One client request's plan items: admitted in one pass, sent as
         one unit per owning shard, answered in order.  ``None`` stands for
-        an item that is not a JSON object."""
+        an item that is not a JSON object.
+
+        Every item is admitted against the depth queued before the request
+        arrived: its own items are not a queue (``MAX_BATCH_ITEMS`` bounds
+        them)."""
         depth = self._queued_items
         slots: List[Union[Dict, _WorkItem]] = []
         owned: Dict[Tuple[str, bool], List[_WorkItem]] = {}
@@ -621,7 +625,6 @@ class FleetFrontend:
                 # timeout, so it never shares a frame with one that has
                 key = (slot.owner, slot.deadline_abs is None)
                 owned.setdefault(key, []).append(slot)
-                depth += 1
             slots.append(slot)
         units = [self._enqueue(owner, items)
                  for (owner, _), items in owned.items()]

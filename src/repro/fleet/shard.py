@@ -33,13 +33,14 @@ import multiprocessing
 import os
 import socket
 import socketserver
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.logging import get_logger, set_log_context
+from ..obs.logging import configure_json_logging, get_logger
 from ..obs.telemetry import TelemetryWriter
 from ..service.cache import PlanCache
 from ..service.server import handle_doc as service_handle_doc
@@ -316,9 +317,9 @@ def run_shard(config: Dict, port_conn) -> None:
     ``config`` is a plain dict of primitives so the function works under
     every multiprocessing start method (spawn pickles it).
     """
-    # every JSON log line this process emits carries its shard name, so
-    # logs join the {shard="n"} metric series without per-call-site extras
-    set_log_context(shard=str(config["name"]))
+    # a spawned process starts with no logging configured; its service's
+    # participant adds the shard name to every line it logs
+    configure_json_logging(stream=sys.stderr)
     server = ShardServer(
         config["name"],
         host=config.get("host", "127.0.0.1"),

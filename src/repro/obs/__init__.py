@@ -47,14 +47,7 @@ from .export import (
     save_trace_document,
     spans_to_events,
 )
-from .logging import (
-    JsonLogFormatter,
-    clear_log_context,
-    configure_json_logging,
-    get_logger,
-    log_context,
-    set_log_context,
-)
+from .logging import JsonLogFormatter, configure_json_logging, get_logger
 from .registry import (
     Counter,
     LatencyHistogram,
@@ -78,9 +71,6 @@ __all__ = [
     "Span",
     "TelemetryWriter",
     "Tracer",
-    "clear_log_context",
-    "log_context",
-    "set_log_context",
     "chrome_trace_document",
     "chrome_trace_from_dicts",
     "configure_json_logging",

@@ -2,7 +2,10 @@
 
 One JSON object per line, machine-parseable, carrying the trace id of the
 thread's request context (:func:`repro.obs.tracing.current_trace_id`) so a
-request's log lines and its spans join on the same key.  Built on the
+request's log lines and its spans join on the same key, and the log fields
+of the participant that context names (a fleet shard's service carries
+``{"shard": name}``, so its lines join the ``{shard="n"}`` metric series
+in thread and process shards alike).  Built on the
 stdlib ``logging`` module: any handler/level configuration users already
 have keeps working, and
 :func:`configure_json_logging` is a convenience, not a requirement.
@@ -18,10 +21,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
-from typing import Any, Dict, Optional, TextIO
+from typing import Optional, TextIO
 
-from .tracing import current_trace_id
+from .tracing import current_participant, current_trace_id
 
 #: environment variable overriding the slow-request threshold (milliseconds)
 SLOW_REQUEST_ENV = "REPRO_SLOW_REQUEST_MS"
@@ -36,45 +38,14 @@ _RECORD_FIELDS = frozenset(logging.LogRecord(
     "", 0, "", 0, "", (), None).__dict__) | {"message", "asctime",
                                              "taskName"}
 
-# process-wide fields stamped onto every JSON log line (e.g. the shard
-# name inside a shard process, so its log lines join the {shard="n"}
-# metric series); explicit `extra={...}` keys on a record win
-_log_context: Dict[str, Any] = {}
-_log_context_lock = threading.Lock()
-
-
-def set_log_context(**fields: Any) -> None:
-    """Merge fields into the process-wide log context (None deletes).
-
-    ``run_shard`` calls ``set_log_context(shard=name)`` so every JSON log
-    line a shard process emits carries its shard name without each call
-    site having to thread it through ``extra``.
-    """
-    with _log_context_lock:
-        for key, value in fields.items():
-            if value is None:
-                _log_context.pop(key, None)
-            else:
-                _log_context[key] = value
-
-
-def clear_log_context() -> None:
-    with _log_context_lock:
-        _log_context.clear()
-
-
-def log_context() -> Dict[str, Any]:
-    """Copy of the current process-wide log context."""
-    with _log_context_lock:
-        return dict(_log_context)
-
-
 class JsonLogFormatter(logging.Formatter):
     """Format records as one JSON object per line.
 
     Standard fields: ``ts`` (epoch seconds), ``level``, ``logger``,
     ``message``; plus ``trace_id`` when the emitting thread serves a
-    request, and every ``extra`` key the call site attached.
+    request, every ``extra`` key the call site attached, and the
+    ``log_fields`` of the participant the thread works for (an ``extra``
+    key of the same name wins).
     """
 
     def format(self, record: logging.LogRecord) -> str:
@@ -95,8 +66,9 @@ class JsonLogFormatter(logging.Formatter):
             except (TypeError, ValueError):
                 value = repr(value)
             document[key] = value
-        with _log_context_lock:
-            for key, value in _log_context.items():
+        participant = current_participant()
+        if participant is not None:
+            for key, value in participant.log_fields.items():
                 document.setdefault(key, value)
         if record.exc_info:
             document["exception"] = self.formatException(record.exc_info)

@@ -67,6 +67,7 @@ PLANNER_COUNTER_NAMES = (
     "ratio_closed_quadratic",
     "ratio_bisection_fallback",
     "ratio_minimax",
+    "ratio_symmetric",
     "hierarchy_memo_hits",
     "hierarchy_memo_misses",
     "multipath_path_dp_runs",

@@ -325,14 +325,17 @@ class Tracer:
 
 
 class Participant:
-    """A plan service's or a ``repro profile`` run's tracer, and the
-    search counts of the plans it ran."""
+    """A plan service's or a ``repro profile`` run's tracer, the search
+    counts of the plans it ran, and the fields its JSON log lines carry
+    (``log_fields``, e.g. a fleet shard's ``{"shard": name}``)."""
 
-    __slots__ = ("tracer", "_planner")
+    __slots__ = ("tracer", "_planner", "log_fields")
 
-    def __init__(self) -> None:
+    def __init__(self, log_fields: Optional[Mapping[str, Any]] = None
+                 ) -> None:
         self.tracer = Tracer()
         self._planner = MetricsRegistry()
+        self.log_fields: Dict[str, Any] = dict(log_fields or {})
 
     def count(self, counts: Mapping[str, int]) -> None:
         """Add one plan's search counts (from any thread)."""

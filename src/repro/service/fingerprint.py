@@ -31,10 +31,8 @@ from ..plan.backends import canonical_backend_name
 
 #: bump when the fingerprint payload layout (or plan semantics) changes;
 #: folded into every key so old disk-cache entries simply stop matching
-#: (v2: per-request search backend + typed plan-entry serialization;
-#: v3: hardware profile in the payload — calibrated and analytic plans
-#: must never share a cache entry)
-REQUEST_SCHEMA_VERSION = 3
+#: (the history is in :meth:`PlanRequest.fingerprint`)
+REQUEST_SCHEMA_VERSION = 4
 
 #: the ``space`` values a request may name, in ``PartitionType`` order
 _TYPE_VALUES = tuple(t.value for t in PartitionType)
@@ -145,6 +143,16 @@ class PlanRequest:
         The model is resolved through the registry and its structural
         fingerprint is hashed, so re-registering a model name with a
         different architecture can never hit a stale entry.
+
+        ``schema`` is :data:`REQUEST_SCHEMA_VERSION`:
+
+        * v2: the per-request search backend, and typed plan entries;
+        * v3: the hardware profile, so calibrated and analytic plans never
+          share a cache entry;
+        * v4: a split between identical groups stores α = ½ exactly (the
+          symmetric branch of ``PairCostModel.pack_step_tensors``), where
+          v3 plans hold the Eq. 10 solver's ½ ± ~1e-10, so no entry
+          written before answers with the old last bits.
         """
         return stable_digest(
             {

@@ -119,9 +119,10 @@ class PlanService:
             else default_profile
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: this service's spans and planner counts: every request and
-        #: planning job runs with it in the thread's request context
-        self.participant = Participant()
+        #: this service's spans, planner counts and log fields: every
+        #: request and planning job runs with it in the thread's request
+        #: context, so a fleet shard's log lines carry ``{"shard": name}``
+        self.participant = Participant(log_fields=telemetry_labels)
         #: SLO, telemetry (a fleet shard labels events ``{"shard": name}``),
         #: ``request_latency_s`` and the slow-request log
         self.recorder = RequestRecorder(

@@ -10,7 +10,9 @@ pinned from both sides:
 * an entry in the indented layout of the earlier writer
   (``json.dumps(document, indent=2)``) still loads as a disk hit.  The
   fixtures in ``tests/fixtures/cache_indented/`` were written by that
-  earlier build's ``PlanCache`` and are frozen.
+  earlier build's ``PlanCache`` and are frozen.  Each is named by its
+  request's key under ``REQUEST_SCHEMA_VERSION`` 3, which this build no
+  longer looks up, so the layout tests copy it under today's key.
 """
 
 import json
@@ -33,6 +35,13 @@ FIXTURE_MODELS = ("alexnet", "resnet18")
 def request(model, array=None, batch=64):
     return PlanRequest(model=model, array=array or heterogeneous_array(2, 2),
                        batch=batch)
+
+
+def fixture_of(model):
+    """The frozen indented entry of ``model``'s request."""
+    (path,) = [path for path in FIXTURES.glob("*.json")
+               if json.loads(path.read_text())["network"] == model]
+    return path
 
 
 def write_entry(directory, req):
@@ -108,8 +117,9 @@ class TestIndentedFixtures:
     @pytest.mark.parametrize("model", FIXTURE_MODELS)
     def test_indented_entry_is_a_disk_hit(self, tmp_path, model):
         req = request(model)
-        source = FIXTURES / f"{req.fingerprint()}.json"
-        shutil.copy(source, tmp_path)
+        source = fixture_of(model)
+        target = tmp_path / f"{req.fingerprint()}.json"
+        shutil.copy(source, target)
         with PlanService(cache=PlanCache(disk_dir=tmp_path)) as svc:
             response = svc.plan(req)
             assert response.source == "disk" and response.cache_hit
@@ -120,6 +130,20 @@ class TestIndentedFixtures:
             fresh = svc.plan(req).planned
         assert plan_diff(response.planned.plan, fresh.plan) == []
         # read, never rewritten
+        assert target.read_bytes() == source.read_bytes()
+
+    @pytest.mark.parametrize("model", FIXTURE_MODELS)
+    def test_an_entry_keyed_by_schema_3_is_never_read(self, tmp_path, model):
+        """A schema bump orphans every earlier entry: the request replans
+        beside it and leaves it as it was."""
+        req = request(model)
+        source = fixture_of(model)
+        shutil.copy(source, tmp_path)
+        assert source.stem != req.fingerprint()
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as svc:
+            response = svc.plan(req)
+            assert response.source == "planned" and not response.cache_hit
+            assert svc.metrics.value("planner_runs") == 1
         assert (tmp_path / source.name).read_bytes() == source.read_bytes()
 
 

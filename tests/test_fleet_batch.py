@@ -469,6 +469,25 @@ class TestOneFramePerShard:
                 assert counters(client)["shard_frames"] >= 2
 
 
+class TestBatchAdmission:
+    def test_a_batch_is_not_its_own_queue(self, fleet):
+        """Every item of a request is admitted against the depth queued
+        before it, so one batch past the degrade and queue-full depths
+        on an idle fleet is answered whole, at full fidelity."""
+        _, frontend, client = fleet
+        assert client.plan(spec())["ok"]
+        items = 300
+        assert items > frontend.admission.max_queue_depth
+        reply = client.plan_batch([spec() for _ in range(items)])
+        assert reply["succeeded"] == items, reply["items"][-1]
+        assert all(item["cache_hit"] and not item.get("degraded")
+                   for item in reply["items"])
+        after = counters(client)
+        assert after.get("shed_queue_full", 0) == 0
+        assert after.get("degraded_pressure", 0) == 0
+        assert after["admitted"] == items + 1
+
+
 class TestFailoverPerItem:
     def test_each_item_of_a_lost_frame_takes_its_own_next_shard(
             self, tmp_path):

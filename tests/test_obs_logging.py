@@ -3,23 +3,28 @@
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.hardware import heterogeneous_array
 from repro.obs.logging import (
     DEFAULT_SLOW_REQUEST_S,
     SLOW_REQUEST_ENV,
     JsonLogFormatter,
-    clear_log_context,
     configure_json_logging,
     get_logger,
-    log_context,
-    set_log_context,
     slow_request_threshold_s,
 )
 from repro.obs.tracing import Participant, set_request_context
 from repro.service import PlanRequest, PlanService
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -98,39 +103,100 @@ class TestJsonLogFormatter:
         assert again in logger.handlers
 
 
-class TestLogContext:
-    """Process-wide context fields (e.g. a fleet shard's name) on every line."""
+class TestParticipantLogFields:
+    """A participant's log fields (e.g. a fleet shard's name) on every line
+    logged while a thread works for it."""
 
-    @pytest.fixture(autouse=True)
-    def _clean_context(self):
-        clear_log_context()
-        yield
-        clear_log_context()
-
-    def test_context_field_appears_on_every_line(self, json_log):
+    def test_fields_appear_on_every_line(self, json_log):
         logger, buffer = json_log
-        set_log_context(shard="3")
-        logger.info("one")
-        logger.warning("two")
-        for document in emitted(buffer):
+        previous = set_request_context(Participant(log_fields={"shard": "3"}))
+        try:
+            logger.info("one")
+            logger.warning("two")
+        finally:
+            set_request_context(*previous)
+        documents = emitted(buffer)
+        assert len(documents) == 2
+        for document in documents:
             assert document["shard"] == "3"
 
-    def test_explicit_extra_wins_over_context(self, json_log):
+    def test_explicit_extra_wins_over_fields(self, json_log):
         logger, buffer = json_log
-        set_log_context(shard="3")
-        logger.info("override", extra={"shard": "9"})
+        previous = set_request_context(Participant(log_fields={"shard": "3"}))
+        try:
+            logger.info("override", extra={"shard": "9"})
+        finally:
+            set_request_context(*previous)
         (document,) = emitted(buffer)
         assert document["shard"] == "9"
 
-    def test_none_removes_and_clear_empties(self, json_log):
+    def test_fields_are_the_participants_own(self, json_log):
         logger, buffer = json_log
-        set_log_context(shard="3", region="east")
-        set_log_context(region=None)
-        assert log_context() == {"shard": "3"}
-        clear_log_context()
-        logger.info("bare")
+        fields = {"shard": "3", "region": "east"}
+        participant = Participant(log_fields=fields)
+        fields.pop("region")
+        assert participant.log_fields == {"shard": "3", "region": "east"}
+        assert Participant().log_fields == {}
+        previous = set_request_context(participant)
+        set_request_context(*previous)
+        logger.info("bare")  # the context was put back
         (document,) = emitted(buffer)
-        assert "shard" not in document
+        assert "shard" not in document and "region" not in document
+
+    def test_each_thread_logs_its_own_participants_fields(self, json_log):
+        """Two shards' services in one process (thread shards) each stamp
+        their own name, whichever logs first."""
+        logger, buffer = json_log
+        started = threading.Barrier(2)
+
+        def serve(name):
+            previous = set_request_context(
+                Participant(log_fields={"shard": name}))
+            try:
+                started.wait(5)
+                for _ in range(20):
+                    logger.info("line", extra={"sender": name})
+            finally:
+                set_request_context(*previous)
+
+        threads = [threading.Thread(target=serve, args=(name,))
+                   for name in ("0", "1")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        documents = emitted(buffer)
+        assert len(documents) == 40
+        assert all(d["shard"] == d["sender"] for d in documents)
+
+
+class TestShardLogLines:
+    """``repro serve --shards 2`` with every request logged as slow: the
+    shard that served it logs a JSON line naming itself."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_a_shards_slow_request_line_names_it(self, mode):
+        line = json.dumps({"model": "lenet", "array": "tpu-v2:2,tpu-v3:2",
+                           "batch": 32})
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--shards", "2",
+             "--shard-mode", mode, "--cache-dir", ""],
+            input=line + "\n", capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC, SLOW_REQUEST_ENV: "0"})
+        assert result.returncode == 0, result.stderr
+        (reply,) = [json.loads(text) for text in result.stdout.splitlines()]
+        assert reply["ok"], reply
+        shard_lines = []
+        for text in result.stderr.splitlines():
+            if "slow plan request" not in text:
+                continue
+            document = json.loads(text)  # every such line is JSON
+            if document["logger"] == "repro.service":
+                shard_lines.append(document)
+        assert len(shard_lines) == 1, result.stderr
+        (document,) = shard_lines
+        assert document["shard"] == reply["shard"]
+        assert document["trace_id"] == reply["trace_id"]
 
 
 class TestSlowRequestThreshold:

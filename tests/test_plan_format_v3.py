@@ -13,8 +13,10 @@ replan over it) and by a shard's ``cache_put`` (an error reply, and the
 shard serves on).
 """
 
+import dataclasses
 import hashlib
 import json
+import math
 import socket
 import time
 from pathlib import Path
@@ -35,7 +37,7 @@ from repro.hardware import heterogeneous_array
 from repro.hardware.cluster import TREE_CACHE_SIZE, _tree
 from repro.hardware.presets import parse_array
 from repro.models import build_model
-from repro.plan import plan_diff
+from repro.plan import LayerAssignment, plan_diff
 from repro.service import PlanCache, PlanRequest, PlanService
 from repro.service.server import describe_cache_dir, handle_doc
 from tests.plan_zoo import ZOO, ZOO_IDS, canonical, count_nodes, plan
@@ -65,12 +67,58 @@ def entries_and_costs(root):
             for path, node in root.splits()]
 
 
-def assert_same_plan(a, b):
+def same_head(a, b):
     assert plan_diff(a.plan, b.plan) == []
-    assert entries_and_costs(a.plan) == entries_and_costs(b.plan)
     assert (a.network_name, a.batch, a.scheme, a.dtype_bytes) == \
         (b.network_name, b.batch, b.scheme, b.dtype_bytes)
     assert a.tree.group.members == b.tree.group.members
+
+
+def assert_same_plan(a, b):
+    same_head(a, b)
+    assert entries_and_costs(a.plan) == entries_and_costs(b.plan)
+
+
+def symmetric_splits(planned):
+    """The paths of the splits between two groups of one signature."""
+    paths = set()
+
+    def visit(node, plan, path):
+        if plan is None or plan.level_plan is None:
+            return
+        if node.left.group.signature() == node.right.group.signature():
+            paths.add(path)
+        visit(node.left, plan.left, path + "L")
+        visit(node.right, plan.right, path + "R")
+
+    visit(planned.tree, planned.plan, "root")
+    return paths
+
+
+def assert_frozen_plan_is_todays(today, frozen):
+    """``frozen`` was written before a split between identical groups was
+    solved by symmetry: ``today`` makes the same decisions, stores α
+    exactly 0.5 on every layer of those splits, with a cost within 1e-12
+    relative, and keeps every other entry and cost bit for bit."""
+    same_head(today, frozen)
+    symmetric = symmetric_splits(today)
+    nodes, frozen_nodes = (entries_and_costs(today.plan),
+                           entries_and_costs(frozen.plan))
+    assert len(nodes) == len(frozen_nodes)
+    for (path, entries, cost), (frozen_path, frozen_entries, frozen_cost) \
+            in zip(nodes, frozen_nodes):
+        assert path == frozen_path
+        if path not in symmetric:
+            assert (entries, cost) == (frozen_entries, frozen_cost), path
+            continue
+        layers = [e for e in entries if isinstance(e, LayerAssignment)]
+        assert layers and all(e.alpha == 0.5 for e in layers), path
+        assert entries == tuple(
+            dataclasses.replace(e, alpha=0.5)
+            if isinstance(e, LayerAssignment) else e
+            for e in frozen_entries), path
+        assert math.isclose(cost, frozen_cost, rel_tol=1e-12,
+                            abs_tol=0.0), (path, cost, frozen_cost)
 
 
 class TestV2Fixtures:
@@ -104,7 +152,7 @@ class TestV2Fixtures:
         # called itself "trident2"; its plan is today's all the same
         if from_v2.network_name == "trident2":
             from_v2.network_name = "trident"
-        assert_same_plan(from_v3, from_v2)
+        assert_frozen_plan_is_todays(from_v3, from_v2)
 
     def test_extra_keys_on_a_v2_loaded_plan(self):
         path = fixture_path("alexnet", "hetero", "accpar", None)
