@@ -164,7 +164,10 @@ def test_fleet_batched_throughput_and_regression_gate(results_dir, tmp_path):
             f"from the sharded caches.  Each figure is the median of "
             f"{FLEETS} fresh fleets; shard_frames_per_warm_batch is the "
             "plan frames one warm batch sent to the shards (one per "
-            "owning shard)."
+            "owning shard).  Thread-mode shards share the frontend's "
+            "process and its one interpreter lock, so the 1 -> 2 -> 4 "
+            "shard rows compare the cost of more frames and hops per "
+            "batch, not serving capacity."
         ),
         "batch_items": len(_batch_docs()),
         "warm_repeats": WARM_REPEATS,

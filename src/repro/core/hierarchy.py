@@ -16,10 +16,13 @@ A node's sub-problem is a :class:`~repro.core.stages.ShardedStages`: the
 plan's one skeleton plus a ``(layers, 3)`` fraction table; a decision
 shards the table for each child with one vectorized multiply.  Symmetric
 subtrees — ubiquitous once a homogeneous group is split equally — produce
-identical tables, so the walk is memoized on ``(group signature, subtree
-depth, fraction key)``, where the fraction key merges exactly the tables
-whose fractions agree under ``round(x, 12)``; this collapses the 255
-internal nodes of a 256-accelerator tree to a handful of distinct steps.
+identical tables, so the walk is memoized on ``(group spec runs, subtree
+depth, fraction key)``.  The spec runs
+(:meth:`~repro.hardware.accelerator.AcceleratorGroup.spec_runs`) merge
+only groups of equal specs in equal order, whatever the specs are named,
+and the fraction key merges exactly the tables whose fractions agree under
+``round(x, 12)``; this collapses the 255 internal nodes of a
+256-accelerator tree to a handful of distinct steps.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _walk(node: GroupNode, stages: ShardedStages,
     planning = scheme is not None
     if planning and node.is_leaf:
         return Step(node, stages, plan)  # nothing to decide or fold
-    key = (node.group.signature(), node.depth(), stages.key())
+    key = (node.group.spec_runs(), node.depth(), stages.key())
     step = memo.get(key)
     if step is not None and (step.plan is plan or step.plan == plan):
         if planning:

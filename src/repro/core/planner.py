@@ -7,6 +7,10 @@ Typical use::
     planner = AccParPlanner(heterogeneous_array())
     planned = planner.plan(build_model("vgg19"), batch=512)
 
+A request names its model instead, ``planner.plan("vgg19", batch=512)``:
+the registered model was decomposed once per process
+(:func:`repro.core.stages.model_stages`), and the plan fills in its batch.
+
 ``planned`` bundles the pairing tree, the root sub-problem (the network's
 sharded stages as one fraction table) and the per-level plans; feed it to
 :func:`repro.sim.evaluate` for the simulated iteration time, or inspect
@@ -23,19 +27,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..graph.layers import LayerWorkload
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
-from ..models.registry import build_model
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
 from .hierarchy import collect_level_plans, plan_tree
-from .stages import ShardedStages, flatten_to_chain, to_sharded_stages
+from .stages import (ShardedStages, flatten_to_chain, model_stages,
+                     to_sharded_stages)
 from .types import ALL_TYPES, PartitionType
 
 
@@ -106,16 +110,17 @@ class PartitionScheme:
 
 class _Stages:
     """The ``stages`` field of :class:`PlannedExecution`: the table given,
-    or, for ``None``, the model's root sub-problem built on first read.
+    or, for ``None``, the model's root sub-problem made on first read.
 
     The planner passes the stages its search ran over.  A plan read from
     a document (:func:`repro.core.serialize.plan_from_dict`) passes
-    ``None``, so a cache hit that is only answered builds no model.  Its
-    first read builds the stages at the plan's batch, from the model a
-    caller's ``network_builder`` returned at load or else from the
-    registry's ``network_name``, and keeps them: every later read returns
-    that table.  Two threads that make the first read of one shared plan at
-    once may both build; their tables are equal, so no lock is taken.
+    ``None``, so a cache hit that is only answered reads no stages.  Its
+    first read decomposes the model a caller's ``network_builder``
+    returned at load, or else fills the plan's batch into the registered
+    ``network_name``'s entry (:func:`~repro.core.stages.model_stages`),
+    and keeps the table: every later read returns it.  Two threads that
+    make the first read of one shared plan at once may both make one;
+    their tables are equal, so no lock is taken.
     """
 
     def __get__(self, planned, owner=None) -> ShardedStages:
@@ -125,8 +130,10 @@ class _Stages:
         if stages is None:
             network = planned.__dict__.get("_network")
             if network is None:
-                network = build_model(planned.network_name)
-            stages = to_sharded_stages(network.stages(planned.batch))
+                stages = model_stages(planned.network_name).root(
+                    planned.batch)
+            else:
+                stages = to_sharded_stages(network.stages(planned.batch))
             planned.__dict__["_stages"] = stages
         return stages
 
@@ -241,7 +248,15 @@ class Planner:
         self.split_policy = split_policy
         self.telemetry = telemetry
 
-    def plan(self, network: Network, batch: int) -> PlannedExecution:
+    def plan(self, network: Union[Network, str],
+             batch: int) -> PlannedExecution:
+        """Plan ``network`` at mini-batch ``batch``.
+
+        A :class:`Network` is decomposed here.  A string names a registered
+        model (a plan request's ``model``): its decomposition is the one
+        this process made (:func:`repro.core.stages.model_stages`), and
+        only the batch is filled in.  Both search the same root sub-problem.
+        """
         # telemetry gate first: the disabled path must stay one attribute
         # read with zero allocations (the planner-throughput bench gates
         # this), so even the search event's tally is behind the guard
@@ -265,10 +280,15 @@ class Planner:
             levels = max_hierarchy_levels(self.array)
         tree = bisection_tree(self.array, levels, self.split_policy,
                               profile=profile)
-        stages = to_sharded_stages(network.stages(batch))
+        if isinstance(network, str):
+            model = model_stages(network)
+            name, stages = model.name, model.root(batch)
+        else:
+            name = network.name
+            stages = to_sharded_stages(network.stages(batch))
         plan = plan_tree(tree, stages, self.scheme, self.dtype_bytes, tally)
         planned = PlannedExecution(
-            network_name=network.name,
+            network_name=name,
             batch=batch,
             scheme=self.scheme.name,
             tree=tree,
@@ -280,7 +300,7 @@ class Planner:
         if t is not None:
             t.record({
                 "type": "search",
-                "model": network.name,
+                "model": name,
                 "batch": batch,
                 "scheme": self.scheme.name,
                 "backend": canonical_backend_name(self.scheme.backend),

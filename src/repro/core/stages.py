@@ -6,10 +6,10 @@ every pairing-tree node the hierarchical planner sees the same structure,
 with each layer's tensors cut down by its ancestors' decisions.  Such a
 sub-problem (:class:`ShardedStages`) has two parts:
 
-* a :class:`Skeleton`, built once per plan by :func:`to_sharded_stages`
-  and shared by every level: the fork/join structure over layer *rows*,
-  each layer's base dimensions and op kind as numpy columns, each fork's
-  first-layer row and each path's last-layer row;
+* a :class:`Skeleton`, shared by every level of one plan: the fork/join
+  structure over layer *rows*, each layer's base dimensions and op kind as
+  numpy columns, each fork's first-layer row and each path's last-layer
+  row;
 * a ``(layers, 3)`` float64 array of the batch, D_i and D_o fractions each
   layer keeps after the enclosing levels' partitions — the per-dimension
   degrees FlexFlow uses to describe a layer's parallelization.
@@ -19,16 +19,25 @@ multiply (:meth:`ShardedStages.shard`).  :meth:`ShardedStages.key` keys the
 walk memo, :meth:`ShardedStages.sizes` gives the search the per-layer tensor
 sizes and FLOPs as columns, and :meth:`ShardedStages.workloads` is the one
 per-layer accessor for every other reader.
+
+A plan request names a registered model.  Every IR layer passes its
+input's batch through unchanged (:mod:`repro.graph.layers`), so the
+decomposition and every shape past dimension 0 are the same at every batch:
+:func:`model_stages` decomposes each registered model once per process
+(a :class:`ModelStages`), and a request fills in only its batch
+(:meth:`ModelStages.root`).
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..graph.layers import LayerWorkload
-from ..graph.network import LayerStage, ParallelStage, Stage
+from ..graph.network import LayerStage, Network, ParallelStage, Stage
+from ..models.registry import model_builder
 from ..plan.ir import LevelPlan
 from .cost_model import TYPE_INDEX
 from .types import ShardedWorkload
@@ -69,6 +78,20 @@ class Skeleton:
               w.kernel_spatial) for w in layers], dtype=float,
         ).reshape(len(layers), 6).T.copy()
         self.is_conv = np.array([w.is_conv for w in layers], dtype=bool)
+
+    def with_batch(self, batch: int) -> "Skeleton":
+        """This skeleton at mini-batch ``batch``: new layer workloads and
+        a copy of the columns with a new B row; the structure, names, forks
+        and op kinds are this skeleton's own objects."""
+        skeleton = object.__new__(Skeleton)
+        skeleton.stages = self.stages
+        skeleton.names = self.names
+        skeleton.forks = self.forks
+        skeleton.is_conv = self.is_conv
+        skeleton.layers = tuple(w.with_batch(batch) for w in self.layers)
+        skeleton.dims = self.dims.copy()
+        skeleton.dims[0] = batch
+        return skeleton
 
 
 class Sizes(NamedTuple):
@@ -238,6 +261,58 @@ def to_sharded_stages(stages: Sequence[Stage]) -> ShardedStages:
     structure = _build(stages, layers, forks)
     skeleton = Skeleton(structure, tuple(layers), tuple(forks))
     return ShardedStages(skeleton, np.ones((len(layers), 3)))
+
+
+#: models kept per process by :func:`model_stages`, least recently used
+#: out: a name registered again leaves its old function's entry behind
+MODEL_CACHE_SIZE = 256
+
+
+class ModelStages:
+    """What every request for one registered model shares, built once.
+
+    ``digest`` is the network's structural fingerprint
+    (:meth:`Network.fingerprint`, the ``network`` field of a request's
+    key); ``skeleton`` is the root sub-problem's skeleton at batch 1;
+    ``name`` is the network's own name, which its plans carry.  An entry
+    holds structure and no cost, and nothing writes to it once built, so
+    every shard thread reads it without a lock.
+    """
+
+    __slots__ = ("name", "digest", "skeleton")
+
+    def __init__(self, network: Network):
+        self.name = network.name
+        self.digest = network.fingerprint()
+        self.skeleton = to_sharded_stages(network.stages(1)).skeleton
+        self.skeleton.dims.flags.writeable = False
+        self.skeleton.is_conv.flags.writeable = False
+
+    def root(self, batch: int) -> ShardedStages:
+        """The root sub-problem at ``batch``: equal to
+        ``to_sharded_stages(network.stages(batch))``, with no shape
+        inference and no decomposition."""
+        skeleton = self.skeleton.with_batch(batch)
+        return ShardedStages(skeleton, np.ones((len(skeleton.layers), 3)))
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _model_stages(builder: Callable[[], Network]) -> ModelStages:
+    return ModelStages(builder())
+
+
+def model_stages(name: str) -> ModelStages:
+    """The :class:`ModelStages` of the model registered under ``name``.
+
+    Built on the first call for the registered function, and kept: the key
+    is that function, so a name registered again under another function
+    misses, and registering the first function again finds its old entry.
+    Two threads that make the first call at once may both build; their
+    entries are equal, so no lock is taken.  An error from building or
+    decomposing the model (a :class:`~repro.graph.network.GraphError`) is
+    raised on every call and never kept.
+    """
+    return _model_stages(model_builder(name))
 
 
 def flatten_to_chain(stages: ShardedStages) -> ShardedStages:

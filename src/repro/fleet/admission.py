@@ -18,7 +18,12 @@ The frontend calls :meth:`AdmissionController.decide` once per batch item,
 4. **admit** — otherwise the item queues for exact planning.
 
 Cost estimates are exponentially-weighted moving averages of observed
-shard service times, split by cache hit vs. cold plan; the frontend knows
+shard service times, split by cache hit vs. cold plan.  The cache-hit
+estimate also ages: without fresh observations it decays back toward its
+initial value, halving its excess every :data:`HIT_HALF_LIFE_S`.  So a slow
+spell that pushed it up cannot leave it there while step 1 sheds every
+item that could bring it down; the first items admitted again report the
+shards' current speed.  The frontend knows
 which to expect because it tracks the set of fingerprints believed warm
 (fed by responses and warm-replication, :meth:`note_warm`).  A second
 deadline check happens at *dequeue* time in the frontend ("late shed"):
@@ -29,6 +34,7 @@ queued and is then shed rather than dispatched.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -36,6 +42,13 @@ from typing import Dict, Optional
 ADMIT = "admit"
 SHED = "shed"
 DEGRADE = "degrade"
+
+#: seconds over which the cache-hit estimate's excess over its initial
+#: value halves while no hit is observed
+HIT_HALF_LIFE_S = 1.0
+
+#: the clock the estimate ages by (tests replace it)
+_clock = time.monotonic
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,8 @@ class AdmissionController:
         self.alpha = alpha
         self.max_hints = max_hints
         self._cold_s = initial_cold_s
-        self._hit_s = initial_hit_s
+        self._initial_hit_s = self._hit_s = initial_hit_s
+        self._hit_observed_at = _clock()
         self._warm_hints: set = set()
         self._decisions: Dict[str, int] = {
             ADMIT: 0, SHED: 0, DEGRADE: 0}
@@ -93,12 +107,23 @@ class AdmissionController:
                 self._warm_hints.pop()  # arbitrary eviction; hints are hints
             self._warm_hints.add(fingerprint)
 
+    def _aged_hit_s(self, now: float) -> float:
+        """The cache-hit estimate at ``now``; call with the lock held."""
+        excess = self._hit_s - self._initial_hit_s
+        if excess <= 0.0:
+            return self._hit_s
+        age = now - self._hit_observed_at
+        return self._initial_hit_s + excess * 0.5 ** (age / HIT_HALF_LIFE_S)
+
     def observe(self, fingerprint: str, latency_s: float,
                 cache_hit: bool) -> None:
         """Fold one observed shard service time into the estimates."""
         with self._lock:
             if cache_hit:
-                self._hit_s += self.alpha * (latency_s - self._hit_s)
+                now = _clock()
+                hit_s = self._aged_hit_s(now)
+                self._hit_s = hit_s + self.alpha * (latency_s - hit_s)
+                self._hit_observed_at = now
             else:
                 self._cold_s += self.alpha * (latency_s - self._cold_s)
             if len(self._warm_hints) < self.max_hints:
@@ -108,14 +133,14 @@ class AdmissionController:
         """Expected service time: hit estimate if hinted warm, else cold."""
         with self._lock:
             if fingerprint is not None and fingerprint in self._warm_hints:
-                return self._hit_s
+                return self._aged_hit_s(_clock())
             return self._cold_s
 
     @property
     def floor_s(self) -> float:
         """The cheapest possible service estimate (a cache hit)."""
         with self._lock:
-            return self._hit_s
+            return self._aged_hit_s(_clock())
 
     # ------------------------------------------------------------------
     # policy
@@ -172,7 +197,7 @@ class AdmissionController:
         with self._lock:
             return {
                 "est_cold_ms": round(self._cold_s * 1e3, 3),
-                "est_hit_ms": round(self._hit_s * 1e3, 3),
+                "est_hit_ms": round(self._aged_hit_s(_clock()) * 1e3, 3),
                 "warm_hints": len(self._warm_hints),
                 "max_queue_depth": self.max_queue_depth,
                 "degrade_depth": self.degrade_depth,

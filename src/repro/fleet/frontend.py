@@ -565,11 +565,13 @@ class FleetFrontend:
     def _parse_item(self, doc: Dict) -> str:
         """Validate a plan document and return its fingerprint.
 
-        Runs on the event loop: with the array and network digests cached
-        per process, a repeat request costs less here than a hop to a
-        worker thread would.  A model or array the process has not seen
-        blocks the loop once, while it is built and hashed: up to ~7 ms
-        for resnet152, ~1 ms for a 4,096-board array (docs/serving.md).
+        Runs on the event loop: with the array digest and the model's
+        entry (:func:`repro.core.stages.model_stages`) kept per process, a
+        repeat request costs less here than a hop to a worker thread
+        would.  A model or array the process has not seen blocks the loop
+        once, while it is built, hashed and (the model) decomposed: up to
+        ~13 ms for resnet152, ~1 ms for a 4,096-board array
+        (docs/serving.md).
         """
         return request_from_doc(doc).fingerprint()
 

@@ -115,8 +115,29 @@ class AcceleratorGroup:
         return tuple(sorted(counts.items()))
 
     def signature(self) -> Tuple[Tuple[str, int], ...]:
-        """Hashable multiset of member types; used for plan/sim memoization."""
+        """Hashable multiset of member type names, for display."""
         return self._signature
+
+    @cached_property
+    def _spec_runs(self) -> Tuple[Tuple[str, int], ...]:
+        runs: list = []
+        for spec in self.members:
+            # ``is`` first: an array's boards are mostly one spec object
+            if runs and (spec is runs[-1][0] or spec == runs[-1][0]):
+                runs[-1][1] += 1
+            else:
+                runs.append([spec, 1])
+        return tuple((spec.fingerprint(), count) for spec, count in runs)
+
+    def spec_runs(self) -> Tuple[Tuple[str, int], ...]:
+        """The members as runs of equal specs, each ``(spec digest, count)``.
+
+        Two groups have equal runs exactly when they hold equal specs in
+        the same order, whatever the specs are named; the hierarchy walk
+        memoizes on it.  Computed once per group, and a string's hash is
+        cached, so a lookup hashes no member.
+        """
+        return self._spec_runs
 
     def fingerprint(self) -> str:
         """Stable content hash of the ordered member list.

@@ -112,6 +112,22 @@ SPLIT_POLICIES = {
 #: evict; no workload uses more than a handful of arrays.
 TREE_CACHE_SIZE = 64
 
+#: pairing trees one group keeps for itself (:func:`bisection_tree`), one
+#: per (levels, policy, profile) asked of it; past this many, a lookup
+#: goes to the shared cache without keeping its answer
+GROUP_TREES = 16
+
+
+def _group_cache(array: AcceleratorGroup) -> dict:
+    """The trees and depth already looked up for ``array``, kept on it.
+
+    A group is frozen and shared per array text
+    (:func:`repro.hardware.presets.group_from_runs`), so a repeat request
+    answers here, without sorting the members or hashing their tuple for
+    the shared caches.  Stored like the group's cached digest.
+    """
+    return array.__dict__.setdefault("_pairing", {})
+
 
 def _member_order_key(profile: Optional[HardwareProfile]):
     """Sort key: descending *effective* compute density, name-stable.
@@ -147,8 +163,17 @@ def bisection_tree(array: AcceleratorGroup, levels: int,
         raise ValueError(
             f"unknown split policy {policy!r}; available: {sorted(SPLIT_POLICIES)}"
         )
-    ordered = tuple(sorted(array.members, key=_member_order_key(profile)))
-    return _tree(ordered, levels, policy)
+    if getattr(profile, "is_analytic", False):
+        profile = None  # the same member order, so the same tree
+    cache = _group_cache(array)
+    key = (levels, policy, profile)
+    tree = cache.get(key)
+    if tree is None:
+        ordered = tuple(sorted(array.members, key=_member_order_key(profile)))
+        tree = _tree(ordered, levels, policy)
+        if len(cache) < GROUP_TREES:
+            cache[key] = tree
+    return tree
 
 
 @functools.lru_cache(maxsize=TREE_CACHE_SIZE)
@@ -172,9 +197,14 @@ def max_hierarchy_levels(array: AcceleratorGroup) -> int:
 
     Recurses over member tuples only — building the full node/group tree
     just to measure its depth costs O(n²) group constructions for an
-    n-accelerator array.
+    n-accelerator array.  Kept on the group after the first call.
     """
-    return _depth(tuple(sorted(array.members, key=lambda m: (-m.flops, m.name))))
+    cache = _group_cache(array)
+    depth = cache.get("depth")
+    if depth is None:
+        depth = cache["depth"] = _depth(
+            tuple(sorted(array.members, key=lambda m: (-m.flops, m.name))))
+    return depth
 
 
 @functools.lru_cache(maxsize=TREE_CACHE_SIZE)

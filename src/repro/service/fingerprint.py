@@ -16,17 +16,17 @@ cache entry at once rather than silently serving stale plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..baselines import get_scheme
 from ..core.planner import PartitionScheme
+from ..core.stages import model_stages
 from ..core.types import PartitionType
 from ..digest import stable_digest
 from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import CalibratedProfile
-from ..models.registry import build_model, model_builder
+from ..models.registry import build_model
 from ..plan.backends import canonical_backend_name
 
 #: bump when the fingerprint payload layout (or plan semantics) changes;
@@ -36,17 +36,6 @@ REQUEST_SCHEMA_VERSION = 4
 
 #: the ``space`` values a request may name, in ``PartitionType`` order
 _TYPE_VALUES = tuple(t.value for t in PartitionType)
-
-
-@lru_cache(maxsize=256)
-def _digest_by_builder(builder: Callable[[], Network]) -> str:
-    """The structural digest of a registered builder's network, once each.
-
-    The key is the registered function, so a name registered again under
-    another function misses, and registering the first function again finds
-    its old digest.  Bounded, because replaced functions stay behind.
-    """
-    return builder().fingerprint()
 
 
 @dataclass(frozen=True)
@@ -135,6 +124,8 @@ class PlanRequest:
             ratio_mode=self.ratio_mode)
 
     def build_network(self) -> Network:
+        """A fresh network of the request's model, for callers that want
+        the object; the service plans the model by name."""
         return build_model(self.model)
 
     def fingerprint(self) -> str:
@@ -142,7 +133,11 @@ class PlanRequest:
 
         The model is resolved through the registry and its structural
         fingerprint is hashed, so re-registering a model name with a
-        different architecture can never hit a stale entry.
+        different architecture can never hit a stale entry.  The digest is
+        kept in the model's process-wide entry
+        (:func:`repro.core.stages.model_stages`), which the planner reads
+        too: the first request for a registered function builds and
+        decomposes its network, and no later one does.
 
         ``schema`` is :data:`REQUEST_SCHEMA_VERSION`:
 
@@ -158,7 +153,7 @@ class PlanRequest:
             {
                 "schema": REQUEST_SCHEMA_VERSION,
                 "model": self.model.lower(),
-                "network": _digest_by_builder(model_builder(self.model)),
+                "network": model_stages(self.model).digest,
                 "array": self.array.fingerprint(),
                 "batch": self.batch,
                 "scheme": self.scheme.lower(),

@@ -381,7 +381,7 @@ class PlanService:
                           dtype_bytes=request.dtype_bytes,
                           levels=request.levels,
                           telemetry=self.recorder.telemetry)
-        return planner.plan(request.build_network(), request.batch)
+        return planner.plan(request.model, request.batch)
 
     def _plan_exact(self, request: PlanRequest) -> PlannedExecution:
         return self._plan(request, request.partition_scheme())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fleet import admission
 from repro.fleet.admission import ADMIT, DEGRADE, SHED, AdmissionController
 
 
@@ -100,3 +101,41 @@ class TestSnapshot:
         assert snap["decisions"] == {"admit": 1, "shed": 1, "degrade": 1}
         assert snap["est_hit_ms"] == pytest.approx(2.0)
         assert snap["max_queue_depth"] == 10
+
+
+class TestHitEstimateAges:
+    """A stale cache-hit estimate cannot keep shedding the traffic that
+    would correct it."""
+
+    def test_a_high_estimate_stops_shedding_within_bounded_time(
+            self, monkeypatch):
+        now = [100.0]
+        monkeypatch.setattr(admission, "_clock", lambda: now[0])
+        ctl = AdmissionController(alpha=1.0, initial_hit_s=0.002)
+        ctl.observe("fp", 0.256, cache_hit=True)  # a slow spell
+        assert ctl.floor_s == pytest.approx(0.256)
+        assert ctl.quick_shed(0.050) is not None
+        shed_until = None
+        for tick in range(1, 101):  # no hit observed for 10 s
+            now[0] = 100.0 + tick * 0.1
+            if ctl.quick_shed(0.050) is None:
+                shed_until = tick * 0.1
+                break
+        assert shed_until is not None and shed_until <= 4.0
+        assert ctl.decide("fp", 0.050, queue_depth=0).action == ADMIT
+        assert ctl.snapshot()["est_hit_ms"] < 0.050 / ctl.safety_factor * 1e3
+
+    def test_fresh_hits_replace_the_aged_estimate(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(admission, "_clock", lambda: now[0])
+        ctl = AdmissionController(alpha=0.5, initial_hit_s=0.002)
+        ctl.observe("fp", 0.256, cache_hit=True)
+        now[0] = 60.0  # long aged: back at the initial estimate
+        assert ctl.floor_s == pytest.approx(0.002, abs=1e-6)
+        ctl.observe("fp", 0.004, cache_hit=True)
+        assert ctl.floor_s == pytest.approx(0.003, abs=1e-6)
+        # estimates at or below the initial one do not move with time
+        ctl = AdmissionController(alpha=1.0, initial_hit_s=0.002)
+        ctl.observe("fp", 0.001, cache_hit=True)
+        now[0] = 1e6
+        assert ctl.floor_s == pytest.approx(0.001)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.planner import AccParPlanner
 from repro.digest import stable_digest
 from repro.hardware import (
     AcceleratorGroup,
@@ -16,8 +17,9 @@ from repro.hardware import (
     max_hierarchy_levels,
     merge_groups,
 )
-from repro.hardware import accelerator, presets
+from repro.hardware import accelerator, cluster, presets
 from repro.hardware.presets import ARRAY_CACHE_SIZE, MAX_BOARDS, parse_array
+from repro.models import build_model
 from repro.service.server import request_from_doc
 
 
@@ -263,3 +265,34 @@ class TestSplitPolicies:
                               policy="interleaved")
         assert tree.depth() == 3
         assert len(list(tree.leaves())) == 8
+
+
+class TestPairingTreeLookups:
+    """A repeat request on one shared array answers its pairing tree and
+    depth from the group, without sorting its members."""
+
+    @pytest.mark.parametrize("text", ["hetero", "homo", "tpu-v2:2,tpu-v3:2"])
+    def test_second_request_sorts_nothing(self, monkeypatch, text):
+        array = parse_array(text)
+        AccParPlanner(array).plan(build_model("lenet"), 16)
+        sorts = []
+
+        def counting_sorted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "sorted", counting_sorted, raising=False)
+        tree = bisection_tree(array, max_hierarchy_levels(array))
+        planned = AccParPlanner(parse_array(text)).plan(build_model("lenet"),
+                                                        32)
+        assert sorts == []
+        assert planned.tree is tree
+
+    def test_equal_arrays_built_apart_share_one_tree(self):
+        first = AcceleratorGroup((TPU_V3, TPU_V2, TPU_V3))
+        second = AcceleratorGroup((TPU_V3, TPU_V2, TPU_V3))
+        assert first is not second
+        assert bisection_tree(first, 2) is bisection_tree(second, 2)
+        assert bisection_tree(first, 1) is not bisection_tree(first, 2)
+        assert bisection_tree(first, 2, "interleaved") is not \
+            bisection_tree(first, 2)

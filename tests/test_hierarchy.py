@@ -1,5 +1,7 @@
 """Unit tests for hierarchical (recursive) planning over the pairing tree."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines import get_scheme
@@ -8,7 +10,9 @@ from repro.core.planner import PartitionScheme
 from repro.core.stages import to_sharded_stages
 from repro.core.types import PartitionType
 from repro.plan.ir import LayerAssignment, LevelPlan
-from repro.hardware import bisection_tree, heterogeneous_array, homogeneous_array
+from repro.hardware import (AcceleratorGroup, AcceleratorSpec, bisection_tree,
+                            heterogeneous_array, homogeneous_array,
+                            max_hierarchy_levels)
 from repro.models import build_model
 
 I = PartitionType.TYPE_I
@@ -91,3 +95,50 @@ class TestTableKey:
 
     def test_key_hashable(self, stages):
         hash((stages.key(),))
+
+
+class TestWalkMemoKey:
+    """The walk memo merges only groups of equal specs, whatever their
+    names."""
+
+    FAST = AcceleratorSpec("tpu", 4e14, 16e9, 600e9, 8e9)
+    SLOW = AcceleratorSpec("tpu", 1e12, 16e9, 600e9, 8e9)
+
+    @pytest.mark.parametrize("model", ["alexnet", "vgg11", "resnet18"])
+    @pytest.mark.parametrize("scheme", [
+        get_scheme("owt"), get_scheme("dp"),
+        get_scheme("accpar", ratio_mode="equal")])
+    def test_same_named_groups_of_other_specs_are_not_merged(self, model,
+                                                             scheme):
+        array = AcceleratorGroup((self.FAST, self.FAST, self.SLOW, self.SLOW))
+        tree = bisection_tree(array, levels=2)
+        root = to_sharded_stages(build_model(model).stages(batch=64))
+        plan = plan_tree(tree, root, scheme)
+        assert plan.left is not plan.right
+        for side, node in (("left", tree.left), ("right", tree.right)):
+            direct = scheme.level_plan(root.shard(plan.level_plan, side),
+                                       node.left.group, node.right.group, 2)
+            assert getattr(plan, side).level_plan.cost == direct.cost, side
+
+    @pytest.mark.parametrize("array, hits, misses", [
+        (heterogeneous_array(), 12, 15),
+        (homogeneous_array(), 6, 7),
+    ])
+    def test_preset_hit_counts_are_unchanged(self, array, hits, misses):
+        tally = Counter()
+        tree = bisection_tree(array, max_hierarchy_levels(array))
+        root = to_sharded_stages(build_model("alexnet").stages(batch=64))
+        plan_tree(tree, root, PartitionScheme(), 2, tally)
+        assert (tally["hierarchy_memo_hits"],
+                tally["hierarchy_memo_misses"]) == (hits, misses)
+
+    def test_spec_runs(self):
+        assert AcceleratorGroup((self.FAST, self.SLOW)).signature() == \
+            AcceleratorGroup((self.SLOW, self.FAST)).signature()
+        runs = AcceleratorGroup((self.FAST, self.FAST, self.SLOW)).spec_runs()
+        assert runs == ((self.FAST.fingerprint(), 2),
+                        (self.SLOW.fingerprint(), 1))
+        # an equal spec built apart joins the run
+        twin = AcceleratorSpec("tpu", 4e14, 16e9, 600e9, 8e9)
+        assert AcceleratorGroup((self.FAST, twin)).spec_runs() == \
+            ((self.FAST.fingerprint(), 2),)

@@ -24,7 +24,7 @@ from repro.models import build_model
 from repro.sim.executor import evaluate
 from repro.training.optimizers import ADAM
 
-from tests.build_counts import count_builds
+from tests.build_counts import NO_BUILD, ONE_BUILD, count_builds
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -109,13 +109,14 @@ class TestRoundTrip:
         # the builder's model makes the stages: nothing is built again
         builds = count_builds(monkeypatch)
         assert reloaded.stages == planned.stages
-        assert builds == {"build_model": 0, "stages": 1,
-                          "infer_shapes": 1}
+        assert builds == {**NO_BUILD, "stages": 1, "infer_shapes": 1,
+                          "ipdom": 1}
         assert calls == ["alexnet"]
 
 
 class TestLazyStages:
-    """A loaded plan builds its model and stages on first read, not at load."""
+    """A loaded plan makes its stages on first read, not at load, from the
+    model's one entry per process."""
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_load_builds_nothing(self, planned, monkeypatch, version):
@@ -124,24 +125,27 @@ class TestLazyStages:
         else:
             path = FIXTURES / f"plans_v{version}" / "alexnet_hetero_accpar.json"
             document = json.loads(path.read_text())
-        builds = count_builds(monkeypatch)
+        # alexnet under a function no earlier test registered: the first
+        # read builds its model entry
+        builds = count_builds(monkeypatch, "alexnet")
         loaded = plan_from_dict(document)
-        assert builds == {"build_model": 0, "stages": 0,
-                          "infer_shapes": 0}
+        assert builds == NO_BUILD
         stages = loaded.stages
-        assert builds == {"build_model": 1, "stages": 1,
-                          "infer_shapes": 1}
+        assert builds == ONE_BUILD
         assert loaded.stages is stages
-        assert builds == {"build_model": 1, "stages": 1,
-                          "infer_shapes": 1}
-        assert stages == AccParPlanner(heterogeneous_array(2, 2)).plan(
-            build_model("alexnet"), batch=loaded.batch).stages
+        assert builds == ONE_BUILD
+        # a second plan of the model, at another batch, builds nothing
+        other = plan_from_dict({**document, "batch": loaded.batch + 5})
+        assert other.stages.skeleton.names == stages.skeleton.names
+        assert builds == ONE_BUILD
+        for plan in (loaded, other):
+            assert plan.stages == AccParPlanner(heterogeneous_array(2, 2)).plan(
+                build_model("alexnet"), batch=plan.batch).stages
 
     def test_planned_plan_keeps_its_stages(self, planned, monkeypatch):
         builds = count_builds(monkeypatch)
         assert planned.stages is planned.stages
-        assert builds == {"build_model": 0, "stages": 0,
-                          "infer_shapes": 0}
+        assert builds == NO_BUILD
 
     def test_replace_carries_the_stages(self, planned):
         loaded = plan_from_dict(plan_to_dict(planned))

@@ -1,5 +1,6 @@
 """Tests for the plan service: cache tiers, single-flight, deadlines, metrics."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,7 +29,7 @@ from repro.service.server import (handle_doc, handle_line, request_from_doc,
 from repro.service.service import FALLBACK_BACKEND
 from repro.sim.executor import evaluate
 
-from tests.build_counts import count_builds
+from tests.build_counts import ONE_BUILD, count_builds
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -101,25 +102,29 @@ class TestDiskTier:
 
     def test_disk_hit_builds_stages_on_first_read(self, tmp_path, monkeypatch,
                                                   request_alexnet):
+        # alexnet under a function no earlier test registered: its one
+        # model entry is built in this test
+        calls = count_builds(monkeypatch, "alexnet")
         with PlanService(cache=PlanCache(disk_dir=tmp_path)) as first:
             cold = first.plan(request_alexnet)
-        calls = count_builds(monkeypatch)
+        assert calls == ONE_BUILD
         with PlanService(cache=PlanCache(disk_dir=tmp_path)) as second:
             warm = second.plan(request_alexnet)
-        assert warm.source == "disk"
+            # the same model at another batch plans from the same entry
+            other = second.plan(dataclasses.replace(request_alexnet,
+                                                    batch=48))
+        assert warm.source == "disk" and other.source == "planned"
         # a reply reads no stages, so the hit builds no model
-        assert calls == {"build_model": 0, "stages": 0,
-                         "infer_shapes": 0}
+        assert calls == ONE_BUILD
+        assert warm.planned._stages is None
         assert evaluate(warm.planned).total_time == pytest.approx(
             evaluate(cold.planned).total_time)
-        assert calls == {"build_model": 1, "stages": 1,
-                         "infer_shapes": 1}
         stages = warm.planned.stages
         evaluate(warm.planned)
         assert warm.planned.stages is stages
-        assert calls == {"build_model": 1, "stages": 1,
-                         "infer_shapes": 1}
+        assert calls == ONE_BUILD
         assert stages == cold.planned.stages
+        assert other.planned.stages != stages
 
     def test_trident_entry_is_a_disk_hit(self, tmp_path, array):
         request = PlanRequest(model="trident", array=array, batch=32)
