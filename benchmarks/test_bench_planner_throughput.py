@@ -5,8 +5,9 @@ the paper's heterogeneous 128+128 TPU-v2/v3 array and emits
 ``results/BENCH_planner.json``.  Three guarantees are enforced here rather
 than just reported:
 
-* the planner (packed closed-form step costs + the Eq. 9 recurrence on
-  Python floats) emits the *same plan* as the legacy mode — the scalar
+* the planner (packed closed-form step costs + the Eq. 9 recurrence: every
+  fork path in one numpy sweep, the top-level chain on Python floats)
+  emits the *same plan* as the legacy mode — the scalar
   reference recurrence fed by bisection, uncached
   (``tests/reference_search.py``, registered as a search backend) — types
   identical, ratios within 1e-9;
@@ -248,7 +249,9 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "heterogeneous 128+128 TPU-v2/v3 array, "
             f"batch {BATCH}.  seed_baseline_ms is the pre-overhaul planner "
             "recorded at the seed commit; optimized_ms is the planner (packed "
-            "step costs, then the Eq. 9 recurrence on Python floats), and "
+            "step costs, then the Eq. 9 recurrence: every fork path of a "
+            "level in one numpy sweep, the top-level chain on Python "
+            "floats), and "
             "pack_ms / recurrence_ms are the medians of its search's two "
             "phases over the same runs; legacy_mode_ms is the "
             "same solver configuration as the seed (scalar recurrence, "

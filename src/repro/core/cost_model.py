@@ -107,6 +107,25 @@ PACKED_FAMILY_COUNT = 3
 #: partition type → column on the packed tensors' type axis
 TYPE_INDEX = {t: i for i, t in enumerate(ALL_TYPES)}
 
+#: the from-state axis of :meth:`PairCostModel.alignment_tables`: the free
+#: entry boundary (``None``), then the types in ``ALL_TYPES`` order
+BOUNDARY_STATES: Tuple[Optional[PartitionType], ...] = (None,) + ALL_TYPES
+
+#: per alignment-table cell (from state in ``BOUNDARY_STATES`` × to type in
+#: ``ALL_TYPES``), what it costs: 0 nothing, 1 the cross family, 2 the move
+#: family.  II → II and III → III are move transitions in Table 5, but a
+#: tensor already in the wanted state is not re-aligned, and the zero family
+#: moves nothing.
+_ALIGNED_COST = np.array(
+    [[0 if prev_type is None or prev_type is cur_type
+      or _TRANSITION_FAMILY[(prev_type, cur_type)] == FAMILY_ZERO
+      else 1 if _TRANSITION_FAMILY[(prev_type, cur_type)] == FAMILY_CROSS
+      else 2
+      for cur_type in ALL_TYPES] for prev_type in BOUNDARY_STATES],
+    dtype=np.intp)
+#: the cells of one alignment table that cost something
+_PRICED_CELLS = int(np.count_nonzero(_ALIGNED_COST))
+
 #: reachable cells per packed layer: every (family, type) pair but
 #: cross → Type-III, which no Table 5 transition maps to
 REACHABLE_CELLS = PACKED_FAMILY_COUNT * len(ALL_TYPES) - 1
@@ -263,8 +282,6 @@ class PairCostModel:
         # names specs, and two specs may share a name)
         self._symmetric = party_i.members == party_j.members
         self.stats = StepStats()
-        # (elements, from states, to states) -> alignment_matrix's answer
-        self._alignment_matrices: Dict[Tuple, Tuple[Tuple[float, ...], ...]] = {}
         self._lat_i = self.profile.transfer_latency_s(party_i)
         self._lat_j = self.profile.transfer_latency_s(party_j)
         # per-kind effective compute rates and per-size effective bandwidths
@@ -628,27 +645,52 @@ class PairCostModel:
             return 0.0
         return self.boundary_step(boundary_fm_elements, from_state, to_state)
 
-    def alignment_matrix(
-        self,
-        boundary_fm_elements: float,
-        from_states: Tuple[Optional[PartitionType], ...],
-        to_states: Tuple[PartitionType, ...],
-    ) -> Tuple[Tuple[float, ...], ...]:
-        """:meth:`alignment_cost` of every (from, to) pair, as a float table.
+    def alignment_tables(self, elements: np.ndarray) -> np.ndarray:
+        """:meth:`alignment_cost` for every boundary tensor in ``elements``.
 
-        Memoized for the life of this model: the fork/join regions of one
-        level search re-align equal tensors between equal state sets.  The
-        planner builds one model per level search, so the memo never
-        outlives it, and every table is priced by this model's parties.
-        The table is shared between callers, so it is a tuple of tuples.
+        Returns one table per tensor, shape ``(len(elements),
+        len(BOUNDARY_STATES), |T|)``: the cost of re-aligning that tensor
+        from each state of :data:`BOUNDARY_STATES` (the free entry first)
+        to each type, in ``ALL_TYPES`` order.  A table is zero on its
+        diagonal, from the free entry state and on the zero transitions;
+        its four other cells repeat :meth:`boundary_step` →
+        :meth:`inter_costs` elementwise, in their operation order, so each
+        is bit-identical to the scalar cost.  Calibrated profiles take the
+        bandwidth at each transfer's α-independent base size
+        (:meth:`_bandwidths`).  ``stats.boundary_calls`` counts the cells
+        priced.
         """
-        key = (boundary_fm_elements, from_states, to_states)
-        matrix = self._alignment_matrices.get(key)
-        if matrix is None:
-            matrix = tuple(
-                tuple(self.alignment_cost(boundary_fm_elements, frm, to)
-                      for to in to_states)
-                for frm in from_states
-            )
-            self._alignment_matrices[key] = matrix
-        return matrix
+        elements = np.asarray(elements, dtype=float)
+        n = len(elements)
+        self.stats.boundary_calls += n * _PRICED_CELLS
+        alpha = self._nominal_alpha
+        beta = 1.0 - alpha
+        dtype_bytes = self.dtype_bytes
+        # per tensor: nothing, the cross family, the move family
+        priced = np.zeros((n, 3))
+        # the cross family moves α·β·(A(F)+A(E)) for each party, the move
+        # family β·A(F) for party i and α·A(F) for party j
+        cross = alpha * beta * 2.0
+        if self.ratio_mode == "comm-volume":
+            # bytes both parties move
+            amount = cross * elements
+            priced[:, 1] = (amount + amount) * dtype_bytes
+            priced[:, 2] = (beta * elements + alpha * elements) * dtype_bytes
+        else:
+            # (family, party, tensor); the cross family moves both
+            # boundary tensors, so its base size is twice the move's
+            bases = np.concatenate((2.0 * elements * dtype_bytes,
+                                    elements * dtype_bytes)).reshape(2, n)
+            bw_i, bw_j = self._bandwidths(bases)
+            bandwidth = np.empty((2, 2, n))
+            bandwidth[:, 0] = bw_i
+            bandwidth[:, 1] = bw_j
+            shares = np.array([[cross, cross], [beta, alpha]])[:, :, None]
+            latency = np.array([self._lat_i, self._lat_j])[None, :, None]
+            parties = shares * elements * dtype_bytes / bandwidth + latency
+            # the slower party, as ``max`` picks it; nothing moves for an
+            # empty tensor
+            slower = np.where(parties[:, 1] > parties[:, 0], parties[:, 1],
+                              parties[:, 0])
+            priced[:, 1:] = np.where(elements > 0, slower, 0.0).T
+        return priced[:, _ALIGNED_COST]

@@ -17,9 +17,10 @@ Every candidate is compared with the *minimum*, not with the incumbent
 of a running scan: on the chained near-tie ``(1.0, 1 - 0.8e-9,
 1 - 1.6e-9)`` index 1 wins, where such a scan would keep 1.0 past it
 and lose it to index 2.  :func:`first_within_slack` is the rule over one
-candidate list; :func:`min_plus_step` inlines it in one Eq. 9 step.
-Costs are non-negative, so the minimum always qualifies (should none,
-the last candidate wins in both forms).
+candidate list; :func:`min_plus_step` inlines it in one Eq. 9 step, and
+:func:`first_within_slack_along` applies it elementwise to stacked
+candidates in numpy.  Costs are non-negative, so the minimum always
+qualifies (should none, the last candidate wins in all three forms).
 
 :mod:`repro.core.brute_force` keeps its exact ``>=`` comparison: it is an
 optimality oracle, checked against the DP by cost, not by plan.
@@ -28,6 +29,8 @@ optimality oracle, checked against the DP by cost, not by plan.
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 #: relative slack for comparing candidate costs: two candidates closer than
 #: this are a *tie* and the first-seen one wins.  Mathematically tied
@@ -60,8 +63,8 @@ def min_plus_step(
     and ``choices[r * out + j]`` its in-state, row-major in a
     ``bytearray``, which the cyclic garbage collector does not track (a
     search keeps every step's choices until it backtracks).  For three
-    in-states the rule is inlined and unrolled: this runs once per layer
-    and path exit of every level search, and a function call per cell
+    in-states the rule is inlined and unrolled: this runs once per stage
+    of every level search's top-level chain, and a function call per cell
     costs as much as the arithmetic.
     """
     tol = COST_REL_TOL
@@ -102,3 +105,24 @@ def min_plus_step(
             pick(k)
         values.append(vrow)
     return values, choices
+
+
+def first_within_slack_along(
+    candidates: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`first_within_slack` along axis 0, elementwise, in numpy.
+
+    ``candidates[i]`` holds in-state ``i``'s candidate of every cell.  Per
+    cell, the first in-state whose candidate ``c`` has ``c - min <=
+    COST_REL_TOL * c`` wins and keeps its own value; should none qualify,
+    the last wins.  These are the IEEE-754 operations of the float forms,
+    so each cell picks what :func:`first_within_slack` picks over it.
+    Returns ``(values, choices)``, both of shape ``candidates.shape[1:]``.
+    """
+    low = np.minimum.reduce(candidates, axis=0)
+    qualifies = candidates - low <= COST_REL_TOL * candidates
+    qualifies[-1] = True
+    choices = qualifies.argmax(axis=0)
+    cells = candidates.reshape(len(candidates), -1)
+    values = cells[choices.ravel(), np.arange(cells.shape[1])]
+    return values.reshape(choices.shape), choices

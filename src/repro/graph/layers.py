@@ -78,19 +78,28 @@ class LayerWorkload:
         return self.kernel_hw[0] * self.kernel_hw[1]
 
     def with_batch(self, batch: int) -> "LayerWorkload":
-        """The same layer run at a different mini-batch size."""
+        """The same layer run at a different mini-batch size.
+
+        A plan fills its batch into every layer of its model, so this skips
+        the frozen constructor's argument handling and sets the fields
+        directly: this layer's, with ``batch`` replaced.  It equals the
+        constructor's result and hashes the same.  It does not copy
+        ``__dict__``: reading that builds a dict object per copy, ~60 bytes
+        more per layer that every plan held in memory keeps.
+        """
         if batch <= 0:
             raise ValueError("batch must be positive")
-        return LayerWorkload(
-            name=self.name,
-            batch=batch,
-            d_in=self.d_in,
-            d_out=self.d_out,
-            in_hw=self.in_hw,
-            out_hw=self.out_hw,
-            kernel_hw=self.kernel_hw,
-            is_conv=self.is_conv,
-        )
+        copy = object.__new__(LayerWorkload)
+        set_field = object.__setattr__
+        set_field(copy, "name", self.name)
+        set_field(copy, "batch", batch)
+        set_field(copy, "d_in", self.d_in)
+        set_field(copy, "d_out", self.d_out)
+        set_field(copy, "in_hw", self.in_hw)
+        set_field(copy, "out_hw", self.out_hw)
+        set_field(copy, "kernel_hw", self.kernel_hw)
+        set_field(copy, "is_conv", self.is_conv)
+        return copy
 
 
 class Layer:

@@ -51,9 +51,9 @@ class DpSearchBackend:
     """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²).
 
     Step costs are packed as dense (layer, family, type) tensors from the
-    level's fraction table, and the recurrence plus fork/join macro-stages
-    run on Python floats; see :mod:`repro.core.dp_vectorized` and
-    ``docs/performance.md``.
+    level's fraction table; every fork/join path of the level is solved in
+    one numpy sweep and the top-level chain runs on Python floats; see
+    :mod:`repro.core.dp_vectorized` and ``docs/performance.md``.
     """
 
     name = "dp"

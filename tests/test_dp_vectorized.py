@@ -32,13 +32,18 @@ from repro.core.cost_model import (
     PairCostModel,
     StepTensors,
 )
+from repro.baselines import get_scheme
 from repro.core.dp_vectorized import search_stages
+from repro.core.planner import Planner
+from repro.core.stages import model_stages
 from repro.core.tiebreak import first_within_slack, min_plus_step
 from repro.core.types import ALL_TYPES, HYPAR_TYPES, PartitionType, ShardedWorkload
 from repro.graph.layers import LayerWorkload
 from repro.graph.network import LayerStage, ParallelStage, iter_stage_workloads
 from repro.hardware import TPU_V2, TPU_V3, make_group
+from repro.hardware.presets import parse_array
 from repro.hardware.profile import CalibratedProfile, SpecProfile, load_profile
+from repro.obs.tracing import Participant, set_request_context
 from tests.reference_search import reference_search
 from tests.tables import table
 
@@ -304,18 +309,6 @@ class TestCalibratedProfileEquivalence:
                                      make_group(TPU_V2, 2), profile=profile)
         assert_same_search(stages, slow(), slow())
 
-    def test_alignment_matrix_is_memoized_per_model(self):
-        model = two_party_model()
-        states = (None, I, II, III)
-        matrix = model.alignment_matrix(1024.0, states, ALL_TYPES)
-        assert model.alignment_matrix(1024.0, states, ALL_TYPES) is matrix
-        assert two_party_model().alignment_matrix(
-            1024.0, states, ALL_TYPES) is not matrix
-        assert matrix == tuple(
-            tuple(model.alignment_cost(1024.0, frm, to) for to in ALL_TYPES)
-            for frm in states
-        )
-
 
 def two_party_model(**kwargs):
     return PairCostModel(make_group(TPU_V3, 2), make_group(TPU_V2, 2), **kwargs)
@@ -506,3 +499,40 @@ class TestCounters:
         search(stages, model)
         search(stages, model)
         assert model.stats.step_calls == 2 * 3 * REACHABLE_CELLS
+
+
+#: per-plan fork/join counters at batch 64 under accpar, as the per-path
+#: recursion counted them: (multipath_path_dp_runs, vec_multipath_batches)
+PLAN_COUNTERS = {
+    ("alexnet", "hetero"): (0, 0),
+    ("alexnet", "homo"): (0, 0),
+    ("resnet18", "hetero"): (495, 165),
+    ("resnet18", "homo"): (231, 77),
+    ("resnet50", "hetero"): (900, 300),
+    ("resnet50", "homo"): (420, 140),
+}
+
+
+class TestPlanCounters:
+    """The sweep counts what the per-path recursion counted: one path DP
+    per non-empty path, over as many rows as its fork has entry states."""
+
+    @pytest.mark.parametrize("model,array", sorted(PLAN_COUNTERS))
+    def test_multipath_counters_keep_their_per_plan_values(self, model, array):
+        owner = Participant()
+        previous = set_request_context(owner)
+        try:
+            Planner(parse_array(array), get_scheme("accpar")).plan(model, 64)
+        finally:
+            set_request_context(*previous)
+        counts = owner.planner_counts()
+        runs, batches = PLAN_COUNTERS[(model, array)]
+        assert counts.get("multipath_path_dp_runs", 0) == runs
+        assert counts.get("vec_multipath_batches", 0) == batches
+        # alignment cells priced: four per path-exit tensor and per fork
+        # tensor with an identity skip, in every level search
+        forks = model_stages(model).skeleton.forks
+        tensors = sum(1 for fork in forks for path in fork.paths if path)
+        tensors += sum(1 for fork in forks if () in fork.paths)
+        assert counts.get("boundary_calls", 0) == \
+            4 * tensors * counts["level_plans_dp"]

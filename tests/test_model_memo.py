@@ -50,6 +50,29 @@ def test_memo_root_is_a_fresh_decomposition(model, batch):
     assert np.array_equal(memo.skeleton.is_conv, fresh.skeleton.is_conv)
 
 
+@pytest.mark.parametrize("model", available_models())
+@pytest.mark.parametrize("batch", [1, 7, 1024])
+def test_with_batch_copy_is_the_constructors_workload(model, batch):
+    # the batch fill copies each layer without the frozen constructor
+    for layer in model_stages(model).skeleton.layers:
+        copy = layer.with_batch(batch)
+        built = dataclasses.replace(layer, batch=batch)
+        assert type(copy) is type(built)
+        assert copy == built
+        assert hash(copy) == hash(built)
+        assert dataclasses.astuple(copy) == dataclasses.astuple(built)
+        assert vars(copy) == vars(built)
+        # the copy is new; the layer it came from keeps its batch
+        assert copy is not layer and layer.batch == 1
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_with_batch_refuses_a_non_positive_batch(batch):
+    layer = model_stages("alexnet").skeleton.layers[0]
+    with pytest.raises(ValueError, match="batch must be positive"):
+        layer.with_batch(batch)
+
+
 def test_a_plan_at_a_new_batch_builds_nothing(monkeypatch):
     for model in available_models():
         _plan(model, 16)
