@@ -249,9 +249,11 @@ def test_planner_throughput_and_regression_gate(results_dir):
             "heterogeneous 128+128 TPU-v2/v3 array, "
             f"batch {BATCH}.  seed_baseline_ms is the pre-overhaul planner "
             "recorded at the seed commit; optimized_ms is the planner (packed "
-            "step costs, then the Eq. 9 recurrence: every fork path of a "
-            "level in one numpy sweep, the top-level chain on Python "
-            "floats), and "
+            "step costs, a split between identical groups priced in closed "
+            "form at alpha = 1/2, then the Eq. 9 recurrence: every fork path "
+            "of a level in one numpy sweep, the top-level chain on Python "
+            "floats over its own rows; both children of a split cut in one "
+            "pass), and "
             "pack_ms / recurrence_ms are the medians of its search's two "
             "phases over the same runs; legacy_mode_ms is the "
             "same solver configuration as the seed (scalar recurrence, "

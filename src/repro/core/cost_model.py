@@ -169,14 +169,25 @@ def inter_layer_elements(
     raise ValueError(f"unknown transition {key!r}")
 
 
-class StepStats:
-    """Lock-free per-model counters for the search hot path.
+def _families(n: int, zero, cross, move) -> np.ndarray:
+    """A ``(n, PACKED_FAMILY_COUNT, |T|)`` tensor from its three family
+    rows (:data:`PACKED_FAMILY_INDEX` order), each ``(n, |T|)`` or
+    broadcast along the type axis."""
+    out = np.empty((n, PACKED_FAMILY_COUNT, len(ALL_TYPES)))
+    out[:, 0] = zero
+    out[:, 1] = cross
+    out[:, 2] = move
+    return out
 
-    A plain ``__slots__`` bag of integers owned by one
-    :class:`PairCostModel`; the search bumps attributes directly and the
-    scheme adds :meth:`as_dict` to its plan's tally, which reaches the
-    plan's participant (:class:`repro.obs.tracing.Participant`) once per
-    plan.
+
+class StepStats:
+    """Lock-free counters for the search hot path.
+
+    A plain ``__slots__`` bag of integers that the search bumps directly.
+    One plan owns one (:func:`repro.core.hierarchy.plan_tree`): every
+    level search's :class:`PairCostModel` counts into it, and
+    :meth:`as_dict` reaches the plan's tally and participant
+    (:class:`repro.obs.tracing.Participant`) once per plan.
     The names are documented in ``docs/observability.md``.
     """
 
@@ -250,7 +261,9 @@ class PairCostModel:
       communication *amount* in bytes (no computation, no bandwidth), since
       HyPar uses communication as the proxy for performance.
 
-    Work performed is tallied in ``self.stats`` (:class:`StepStats`).
+    Work performed is tallied in ``self.stats`` (:class:`StepStats`): the
+    ``stats`` given, which a plan's level searches share, or the model's
+    own.
     """
 
     def __init__(
@@ -260,6 +273,7 @@ class PairCostModel:
         dtype_bytes: int = 2,
         ratio_mode: str = "balanced",
         profile: Optional[HardwareProfile] = None,
+        stats: Optional[StepStats] = None,
     ):
         if ratio_mode not in RATIO_MODES:
             raise ValueError(f"unknown ratio_mode {ratio_mode!r}")
@@ -281,7 +295,7 @@ class PairCostModel:
         # profile then prices both parties alike, bit for bit (a signature
         # names specs, and two specs may share a name)
         self._symmetric = party_i.members == party_j.members
-        self.stats = StepStats()
+        self.stats = StepStats() if stats is None else stats
         self._lat_i = self.profile.transfer_latency_s(party_i)
         self._lat_j = self.profile.transfer_latency_s(party_j)
         # per-kind effective compute rates and per-size effective bandwidths
@@ -384,7 +398,9 @@ class PairCostModel:
         one batch (:func:`~repro.core.ratio.solve_balanced_ratio_poly_batch`),
         except between two parties of one group signature (the same member
         specs, in order), where it prices party *i* alone at α = ½
-        (:func:`~repro.core.ratio.symmetric_balanced_ratio`).
+        (:func:`~repro.core.ratio.symmetric_balanced_ratio`), in closed
+        form: each family row's cost and ratio are written straight from
+        party *i*'s per-row columns, and no polynomial tensor is built.
         That holds because one profile prices identical parties at equal
         rates, bandwidths and latency, so in exact arithmetic party *j*'s
         polynomial is party *i*'s mirrored: ``lin_j = -lin_i``,
@@ -403,22 +419,17 @@ class PairCostModel:
         sizes = stages.sizes()
         is_conv = stages.skeleton.is_conv
         n = len(is_conv)
-        shape = (n, len(ALL_TYPES))
         total = sizes.flops
-        rate_i = np.where(is_conv, self._rate_i("conv"), self._rate_i("fc"))
-        rate_j = np.where(is_conv, self._rate_j("conv"), self._rate_j("fc"))
-        # the partial-sum tensor per type (Table 4): A(W_l), A(F_{l+1}), A(F_l)
-        psum = np.stack([sizes.a_weight, sizes.a_out, sizes.a_in], axis=1)
+        psum = sizes.psum
         a_in = sizes.a_in
         dtype_bytes = float(self.dtype_bytes)
-        zero = np.zeros(n)
 
         if self.ratio_mode == "comm-volume":
             # HyPar's bytes: both parties' partial sums plus both parties'
             # boundary fetches, at α = β = 1/2
             alpha = beta = 0.5
             cross = alpha * beta * 2.0 * a_in
-            inter = np.stack([zero, (cross + cross) * dtype_bytes,
+            inter = np.stack([np.zeros(n), (cross + cross) * dtype_bytes,
                               (beta * a_in + alpha * a_in) * dtype_bytes], axis=1)
             cost = (2.0 * psum * dtype_bytes)[:, None, :] + inter[:, :, None]
             return self._packed(cost, np.full(cost.shape, alpha), sizes)
@@ -429,17 +440,52 @@ class PairCostModel:
         bw_intra_i, bw_intra_j = self._bandwidths(intra)
         bw_move_i, bw_move_j = self._bandwidths(move)
         bw_cross_i, bw_cross_j = self._bandwidths(cross)
+        rate_i = np.where(is_conv, self._rate_i("conv"), self._rate_i("fc"))
         # the latency constant lands once per nonzero transfer
         lat_intra_i = np.where(psum > 0, self._lat_i, 0.0)
-        lat_intra_j = np.where(psum > 0, self._lat_j, 0.0)
         lat_edge_i = np.where(a_in > 0, self._lat_i, 0.0)
+
+        balanced = self.ratio_mode == "balanced"
+        if balanced:
+            # cost_i(α) = const_i + lin_i·α + quad_i·α(1-α) per family row:
+            # the zero family pays compute and the partial-sum exchange, the
+            # cross family adds the α·β re-alignment (quad_i), the move
+            # family party i's β·A boundary fetch (const_i + move_i,
+            # lin_i - move_i)
+            base_ci = psum / rate_i[:, None] + intra / bw_intra_i + lat_intra_i
+            lin_i = (total / rate_i)[:, None]
+            move_i = (move / bw_move_i)[:, None]
+            quad_i = (cross / bw_cross_i)[:, None]
+            edge_i = lat_edge_i[:, None]
+            cells = n * PACKED_FAMILY_COUNT * len(ALL_TYPES)
+            self.stats.ratio_solves += cells
+            if self._symmetric:
+                # identical parties balance at α = 1/2 (see the docstring):
+                # party i's cost at its ratio, in the polynomial's operation
+                # order.  The zero and move rows have no α(1-α) term: its
+                # 0.0 would change no sum, since no sum here is -0.0
+                lin_move = lin_i - move_i
+                half = symmetric_balanced_ratio(lin_i)
+                half_move = symmetric_balanced_ratio(lin_move)
+                self.stats.ratio_symmetric += cells
+                shift = lin_i * half
+                cost = _families(
+                    n, base_ci + shift,
+                    base_ci + edge_i + shift + quad_i * (half * (1.0 - half)),
+                    base_ci + move_i + edge_i + lin_move * half_move)
+                return self._packed(cost, _families(n, half, half, half_move),
+                                    sizes)
+
+        rate_j = np.where(is_conv, self._rate_j("conv"), self._rate_j("fc"))
+        lat_intra_j = np.where(psum > 0, self._lat_j, 0.0)
         lat_edge_j = np.where(a_in > 0, self._lat_j, 0.0)
 
-        if self.ratio_mode != "balanced":
+        if not balanced:
             # one fixed α: compute_costs + intra_costs + inter_costs per
             # party, then the slower party
             alpha = self._nominal_alpha
             beta = 1.0 - alpha
+            zero = np.zeros(n)
             cp_i = (alpha * total[:, None] + psum) / rate_i[:, None]
             cp_j = (beta * total[:, None] + psum) / rate_j[:, None]
             intra_i = intra / bw_intra_i + lat_intra_i
@@ -460,48 +506,23 @@ class PairCostModel:
             return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j),
                                 np.full(cost_i.shape, alpha), sizes)
 
-        # balanced: cost_i(α) = const_i + lin_i·α + quad_i·α(1-α), likewise
-        # for party j; the zero family pays compute and the partial-sum
-        # exchange, the cross family adds the α·β re-alignment, the move
-        # family adds party i's β·A and party j's α·A boundary fetches
-        base_ci = psum / rate_i[:, None] + intra / bw_intra_i + lat_intra_i
-        base_li = np.broadcast_to((total / rate_i)[:, None], shape)
-        move_i = (move / bw_move_i)[:, None]
-        lat_edge_i = lat_edge_i[:, None]
-        flat = np.zeros(shape)
-
-        # family axis rows: 0 = zero, 1 = cross, 2 = move (PACKED_FAMILY_INDEX)
-        const_i = np.stack([base_ci, base_ci + lat_edge_i,
-                            base_ci + move_i + lat_edge_i], axis=1)
-        lin_i = np.stack([base_li, base_li, base_li - move_i], axis=1)
-        quad_i = np.stack([flat, np.broadcast_to((cross / bw_cross_i)[:, None], shape),
-                           flat], axis=1)
-        stats = self.stats
-        stats.ratio_solves += const_i.size
-
-        if self._symmetric:
-            # identical parties balance at α = 1/2 (see the docstring)
-            alpha = symmetric_balanced_ratio(lin_i)
-            stats.ratio_symmetric += alpha.size
-            cost = const_i + lin_i * alpha + quad_i * (alpha * (1.0 - alpha))
-            return self._packed(cost, alpha, sizes)
-
+        # party j holds β: its compute falls with α, and it fetches α·A on
+        # a move
         base_cj = ((total[:, None] + psum) / rate_j[:, None]
                    + intra / bw_intra_j + lat_intra_j)
-        base_lj = np.broadcast_to((-total / rate_j)[:, None], shape)
-        move_j = (move / bw_move_j)[:, None]
-        lat_edge_j = lat_edge_j[:, None]
-        const_j = np.stack([base_cj, base_cj + lat_edge_j,
-                            base_cj + lat_edge_j], axis=1)
-        lin_j = np.stack([base_lj, base_lj, base_lj + move_j], axis=1)
-        quad_j = np.stack([flat, np.broadcast_to((cross / bw_cross_j)[:, None], shape),
-                           flat], axis=1)
-
-        with span("ratio.solve", category="ratio",
-                  cells=const_i.size) as solve:
-            alpha, counts = solve_balanced_ratio_poly_batch(
-                const_i, lin_i, quad_i, const_j, lin_j, quad_j
-            )
+        lin_j = (-total / rate_j)[:, None]
+        edge_j = lat_edge_j[:, None]
+        poly_i = (_families(n, base_ci, base_ci + edge_i,
+                            base_ci + move_i + edge_i),
+                  _families(n, lin_i, lin_i, lin_i - move_i),
+                  _families(n, 0.0, quad_i, 0.0))
+        poly_j = (_families(n, base_cj, base_cj + edge_j, base_cj + edge_j),
+                  _families(n, lin_j, lin_j,
+                            lin_j + (move / bw_move_j)[:, None]),
+                  _families(n, 0.0, (cross / bw_cross_j)[:, None], 0.0))
+        stats = self.stats
+        with span("ratio.solve", category="ratio", cells=cells) as solve:
+            alpha, counts = solve_balanced_ratio_poly_batch(*poly_i, *poly_j)
             solve.set("paths", counts)
         stats.ratio_closed_linear += counts[PATH_LINEAR]
         stats.ratio_closed_quadratic += counts[PATH_QUADRATIC]
@@ -509,8 +530,8 @@ class PairCostModel:
         stats.ratio_minimax += counts[PATH_MINIMAX]
 
         ab = alpha * (1.0 - alpha)
-        cost_i = const_i + lin_i * alpha + quad_i * ab
-        cost_j = const_j + lin_j * alpha + quad_j * ab
+        cost_i, cost_j = (const + lin * alpha + quad * ab
+                          for const, lin, quad in (poly_i, poly_j))
         return self._packed(np.where(cost_i >= cost_j, cost_i, cost_j), alpha,
                             sizes)
 

@@ -32,11 +32,11 @@ only the re-alignment of the fork tensor; every such table is priced in
 one vectorized call (:meth:`PairCostModel.alignment_tables`).  Each
 fork's macro table is its paths' minima added in path order, from 0.0,
 and takes a row of the gathered step costs.  Only the top-level chain
-stays sequential: one ``tolist()`` turns the table into floats, and each
-stage, a fork included, is one :func:`~repro.core.tiebreak.min_plus_step`
-with its choices recorded.  After the join the boundary tensor behaves
-like a weighted layer's output in the join state, so consecutive residual
-blocks chain.
+stays sequential: one ``tolist()`` turns the table's rows it reads into
+floats, and each stage, a fork included, is one
+:func:`~repro.core.tiebreak.min_plus_step` with its choices recorded.
+After the join the boundary tensor behaves like a weighted layer's
+output in the join state, so consecutive residual blocks chain.
 
 The sweep's shapes are resolved once per skeleton structure and search
 space (:class:`_Program`): which rows each path gathers, where its
@@ -128,7 +128,9 @@ class _Step(NamedTuple):
 
     fork: Optional[_ForkPlan]     # None for a layer
     row: int                      # its row in the step-cost table
-    starts: Tuple[int, ...]       # per in-state: its flat offset there
+    #: per in-state: its flat offset in the table its chain reads (the
+    #: top-level chain reads its own rows, :attr:`_Program.chain_rows`)
+    starts: Tuple[int, ...]
     t_codes: Tuple[int, ...]      # per out-state: its type column
     out_states: Tuple[PartitionType, ...]
     choice: int                   # its choice block, rows × out; -1: first
@@ -174,6 +176,9 @@ class _Program(NamedTuple):
     """A level search's shapes for one skeleton structure and space."""
 
     chain: Tuple[_Step, ...]      # the top-level stages
+    #: the step-cost table's rows the chain reads, in its order; ``None``
+    #: when that is every row in order (a chain without forks)
+    chain_rows: Optional[np.ndarray]
     rounds: Tuple[_Round, ...]    # innermost forks first
     n_forks: int
     n_slots: int                  # path minima, plus one zero slot
@@ -350,10 +355,11 @@ def _compile(structure, n_rows: int, space: Tuple[PartitionType, ...],
             _frozen([n_rows + rec.index for rec in members]),
         ))
 
-    def steps_of(records, choices):
+    def steps_of(records, choices, blocks):
         out = []
-        for (rec, row, in_states, out_states), choice in zip(records, choices):
-            starts = tuple(row * _BLOCK + _STATE_CODE[s] * _WIDTH
+        for (rec, row, in_states, out_states), choice, block in zip(
+                records, choices, blocks):
+            starts = tuple(block * _BLOCK + _STATE_CODE[s] * _WIDTH
                            for s in in_states)
             t_codes = tuple(TYPE_INDEX[t] for t in out_states)
             alpha_at = () if rec is not None else tuple(
@@ -367,7 +373,9 @@ def _compile(structure, n_rows: int, space: Tuple[PartitionType, ...],
     for rec in forks:
         rec.plan = _ForkPlan(rec.fork.name, rec.entry, tuple(
             None if path is None
-            else _PathPlan(steps_of(path.steps, path.choices), path.exit)
+            else _PathPlan(steps_of(path.steps, path.choices,
+                                    [row for _, row, _, _ in path.steps]),
+                           path.exit)
             for path in rec.paths))
 
     # the top-level chain has one row (the free entry), so step k's
@@ -377,9 +385,12 @@ def _compile(structure, n_rows: int, space: Tuple[PartitionType, ...],
     for _, _, _, out_states in top[1:]:
         top_choices.append(offset)
         offset += len(out_states)
+    chain_rows = [row for _, row, _, _ in top]
     runs = [len(rec.entry) for rec in forks for path in rec.paths if path]
     return _Program(
-        steps_of(top, top_choices), tuple(rounds), len(forks), n_slots + 1,
+        steps_of(top, top_choices, range(len(top))),
+        None if chain_rows == list(range(n_rows)) else _frozen(chain_rows),
+        tuple(rounds), len(forks), n_slots + 1,
         _frozen(exit_rows), _frozen(fork_rows), sum(runs), len(runs))
 
 
@@ -525,8 +536,10 @@ def search_stages(
                     (table, np.empty((program.n_forks,) + table.shape[1:])))
                 path_choices = _sweep(program, table, tables)
 
-            # the top-level chain, from the free entry state, on floats
-            costs = table.ravel().tolist()
+            # the top-level chain, from the free entry state, on floats:
+            # its own rows only
+            rows = program.chain_rows
+            costs = (table if rows is None else table[rows]).ravel().tolist()
             frontier = None
             top_choices = bytearray()
             for step in program.chain:

@@ -14,8 +14,9 @@ steps.
 
 A node's sub-problem is a :class:`~repro.core.stages.ShardedStages`: the
 plan's one skeleton plus a ``(layers, 3)`` fraction table; a decision
-shards the table for each child with one vectorized multiply.  Symmetric
-subtrees — ubiquitous once a homogeneous group is split equally — produce
+cuts the table for both children in one vectorized multiply, and an
+equal split gives both children one table.  Symmetric subtrees —
+ubiquitous once a homogeneous group is split equally — produce
 identical tables, so the walk is memoized on ``(group spec runs, subtree
 depth, fraction key)``.  The spec runs
 (:meth:`~repro.hardware.accelerator.AcceleratorGroup.spec_runs`) merge
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from ..hardware.cluster import GroupNode
 from ..obs.tracing import NULL_SPAN, current_participant, span
 from ..plan.ir import HierarchicalPlan, LevelPlan
+from .cost_model import StepStats
 from .stages import ShardedStages
 
 if TYPE_CHECKING:  # the planner module imports this one
@@ -103,10 +105,11 @@ def _walk(node: GroupNode, stages: ShardedStages,
         if level is not None:
             assert node.left is not None and node.right is not None
             step.level = level
-            step.left = _walk(node.left, stages.shard(level, "left"),
+            left, right = stages.split(level)
+            step.left = _walk(node.left, left,
                               None if plan is None else plan.left,
                               decide, scheme, memo, tally)
-            step.right = _walk(node.right, stages.shard(level, "right"),
+            step.right = _walk(node.right, right,
                                None if plan is None else plan.right,
                                decide, scheme, memo, tally)
     return step
@@ -136,20 +139,26 @@ def plan_tree(
 ) -> HierarchicalPlan:
     """Plan every level of the pairing tree rooted at ``node``.
 
-    The plan's search work (each level's search counts and the walk's
-    memo hits and misses) is counted apart from any other plan's and
-    added once to the participant the calling thread works for, if any;
-    ``tally`` receives it too.
+    The plan's search work is counted apart from any other plan's: each
+    level search's cost model counts into one :class:`StepStats`, the
+    walk counts its level searches and memo hits and misses, and the sum
+    is added once to the participant the calling thread works for, if
+    any; ``tally`` receives it too.
     """
     own: Counter = Counter()
+    stats = StepStats()
+    searches = scheme.level_plans_counter
 
     def search(node: GroupNode, stages: ShardedStages, _) -> LevelPlan:
         assert node.left is not None and node.right is not None
+        own[searches] += 1
         return scheme.level_plan(stages, node.left.group, node.right.group,
-                                 dtype_bytes, own)
+                                 dtype_bytes, stats)
 
     plan = plan_of(_walk(node, stages, None, search, scheme.name, {}, own),
                    scheme.name)
+    if own[searches]:
+        own.update(stats.as_dict())
     participant = current_participant()
     if participant is not None:
         participant.count(own)

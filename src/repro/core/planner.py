@@ -36,7 +36,7 @@ from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
 from ..plan.backends import canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
-from .cost_model import PairCostModel
+from .cost_model import PairCostModel, StepStats
 from .hierarchy import collect_level_plans, plan_tree
 from .stages import (ShardedStages, flatten_to_chain, model_stages,
                      to_sharded_stages)
@@ -76,35 +76,36 @@ class PartitionScheme:
     backend: str = "dp"
     profile: Optional[HardwareProfile] = None
 
+    @property
+    def level_plans_counter(self) -> str:
+        """The counter of this scheme's level searches,
+        ``level_plans_<backend>`` (``repro_planner_level_plans_<b>_total``
+        in Prometheus): which search algorithm produced the plans.  Aliases
+        canonicalize, so "exact" and "dpv" feed the "dp" series."""
+        return "level_plans_" + canonical_backend_name(self.backend).replace(
+            "-", "_")
+
     def level_plan(
         self,
         stages: ShardedStages,
         party_i: AcceleratorGroup,
         party_j: AcceleratorGroup,
         dtype_bytes: int,
-        tally: Optional[Counter] = None,
+        stats: Optional[StepStats] = None,
     ) -> LevelPlan:
         """Assign a partition type and ratio to every weighted layer.
 
-        The search work (the cost model's :class:`StepStats` and one
-        ``level_plans_<backend>`` count) is added to ``tally`` when one is
-        given.
+        The search's work is counted into ``stats`` when one is given: a
+        plan's level searches share one :class:`StepStats`
+        (:func:`~repro.core.hierarchy.plan_tree`).
         """
         model = PairCostModel(party_i, party_j, dtype_bytes, self.ratio_mode,
-                              profile=self.profile)
+                              profile=self.profile, stats=stats)
         if self.linearize:
             stages = flatten_to_chain(stages)
         result = get_backend(self.backend).search(
             stages, model, self.space,
             space_fn=None if self.pin is None else lambda w: (self.pin(w),))
-        if tally is not None:
-            tally.update(model.stats.as_dict())
-            # per-backend served-plan series
-            # (repro_planner_level_plans_<b>_total in Prometheus): which
-            # search algorithm actually produced the plans.  Aliases
-            # canonicalize so "exact" and "dpv" feed the "dp" series.
-            backend = canonical_backend_name(self.backend)
-            tally["level_plans_" + backend.replace("-", "_")] += 1
         return result.to_level_plan(self.name)
 
 

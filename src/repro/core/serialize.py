@@ -108,22 +108,25 @@ def _spec_from_dict(data: Dict) -> AcceleratorSpec:
     return AcceleratorSpec(**{f: data[f] for f in _SPEC_FIELDS})
 
 
+#: every partition type by its stored value, and back: a dict read here,
+#: where ``Enum.value`` is a Python-level property run once per entry
+_PTYPES: Dict[str, PartitionType] = {ptype.value: ptype
+                                     for ptype in PartitionType}
+_VALUES: Dict[PartitionType, str] = {ptype: value
+                                     for value, ptype in _PTYPES.items()}
+
+
 def _entry_to_dict(entry: PlanEntry) -> Dict:
     if isinstance(entry, LayerAssignment):
-        return {"layer": entry.name, "type": entry.ptype.value,
+        return {"layer": entry.name, "type": _VALUES[entry.ptype],
                 "alpha": entry.alpha}
     if isinstance(entry, JoinAlignment):
-        return {"join": entry.stage, "state": entry.state.value,
+        return {"join": entry.stage, "state": _VALUES[entry.state],
                 "alpha": entry.alpha}
     if isinstance(entry, PathExit):
         return {"exit": entry.stage, "path": entry.path_index,
-                "state": entry.state.value, "alpha": entry.alpha}
+                "state": _VALUES[entry.state], "alpha": entry.alpha}
     raise TypeError(f"not a plan entry: {entry!r}")  # pragma: no cover
-
-
-#: every partition type by its stored value
-_PTYPES: Dict[str, PartitionType] = {ptype.value: ptype
-                                     for ptype in PartitionType}
 
 
 def _ptype(value, context: str) -> PartitionType:

@@ -14,10 +14,11 @@ sub-problem (:class:`ShardedStages`) has two parts:
   layer keeps after the enclosing levels' partitions — the per-dimension
   degrees FlexFlow uses to describe a layer's parallelization.
 
-A child's sub-problem shares the skeleton; its table is one vectorized
-multiply (:meth:`ShardedStages.shard`).  :meth:`ShardedStages.key` keys the
-walk memo, :meth:`ShardedStages.sizes` gives the search the per-layer tensor
-sizes and FLOPs as columns, and :meth:`ShardedStages.workloads` is the one
+A child's sub-problem shares the skeleton; both children's tables are
+one vectorized multiply (:meth:`ShardedStages.split`), and one table when
+their cuts are equal.  :meth:`ShardedStages.key` keys the walk memo,
+:meth:`ShardedStages.sizes` gives the search the per-layer tensor sizes
+and FLOPs as columns, and :meth:`ShardedStages.workloads` is the one
 per-layer accessor for every other reader.
 
 A plan request names a registered model.  Every IR layer passes its
@@ -101,6 +102,23 @@ class Sizes(NamedTuple):
     a_out: np.ndarray     # A(F_{l+1}) = A(E_{l+1})
     a_weight: np.ndarray  # A(W_l) = A(ΔW_l)
     flops: np.ndarray     # the three training mat-muls (Table 6)
+    #: the partial-sum tensor per row and type (Table 4), types in
+    #: ``ALL_TYPES`` order: A(W_l), A(F_{l+1}), A(F_l)
+    psum: np.ndarray
+
+
+#: rows of the kept (B, D_i, D_o) columns and of ``Skeleton.dims`` that
+#: :meth:`ShardedStages.sizes` multiplies per tensor, in ``Sizes.psum``
+#: order: A(W) = D_i·D_o·kernel, A(F_{l+1}) = B·D_o·out, A(F_l) = B·D_i·in
+_TENSOR_FIRST = np.array([1, 0, 0])
+_TENSOR_SECOND = np.array([2, 2, 1])
+_TENSOR_SPATIAL = slice(5, 2, -1)
+#: the training phases in the scalar formula's order (forward, backward,
+#: weight gradient) reduce over D_i, D_o and B, and produce the partial
+#: sums of Type-II, -III and -I: per phase, its row of the kept columns
+#: and of ``Sizes.psum``, and the spatial row of its reduction
+_PHASES = np.array([1, 2, 0])
+_PHASE_SPATIAL = np.array([5, 5, 4])
 
 
 def _reduction_flops(reduction: np.ndarray) -> np.ndarray:
@@ -124,15 +142,17 @@ class ShardedStages:
     ``fractions[row]`` holds the shares of B, D_i and D_o layer ``row``
     retains after all enclosing levels, each in (0, 1]; the root
     sub-problem holds ones.  The walk memo and every plan share tables,
-    so the array is made read-only.
+    so the array is made read-only, and a table keeps its memo key once
+    computed (:meth:`key`).
     """
 
-    __slots__ = ("skeleton", "fractions")
+    __slots__ = ("skeleton", "fractions", "_key")
 
     def __init__(self, skeleton: Skeleton, fractions: np.ndarray):
         fractions.flags.writeable = False
         self.skeleton = skeleton
         self.fractions = fractions
+        self._key: Optional[bytes] = None
 
     def __len__(self) -> int:
         return len(self.skeleton.layers)
@@ -152,33 +172,32 @@ class ShardedStages:
     def sizes(self) -> Sizes:
         """Every layer's tensor sizes and FLOPs as columns.
 
-        Each element repeats :class:`ShardedWorkload`'s scalar formulas in
-        their operation order, so every value is bit-identical to the
-        scalar one.
+        The three tensors, and the three phases' reductions, are each one
+        ``(3, layers)`` product.  Each element repeats
+        :class:`ShardedWorkload`'s scalar formulas in their operation
+        order, so every value is bit-identical to the scalar one.
         """
-        batch, d_in, d_out, in_spatial, out_spatial, kernel_spatial = \
-            self.skeleton.dims
-        fractions = self.fractions
-        batch = batch * fractions[:, 0]
-        d_in = d_in * fractions[:, 1]
-        d_out = d_out * fractions[:, 2]
-        a_in = batch * d_in * in_spatial
-        a_out = batch * d_out * out_spatial
-        a_weight = d_in * d_out * kernel_spatial
-        flops = (a_out * _reduction_flops(d_in * kernel_spatial)
-                 + a_in * _reduction_flops(d_out * kernel_spatial)
-                 + a_weight * _reduction_flops(batch * out_spatial))
-        return Sizes(a_in, a_out, a_weight, flops)
+        dims = self.skeleton.dims
+        # B, D_i, D_o after the enclosing levels' cuts
+        kept = dims[:3] * self.fractions.T
+        psum = (kept[_TENSOR_FIRST] * kept[_TENSOR_SECOND]
+                * dims[_TENSOR_SPATIAL])
+        phases = psum[_PHASES] * _reduction_flops(
+            kept[_PHASES] * dims[_PHASE_SPATIAL])
+        a_weight, a_out, a_in = psum
+        return Sizes(a_in, a_out, a_weight, phases[0] + phases[1] + phases[2],
+                     psum.T)
 
-    def shard(self, level: LevelPlan, side: str) -> "ShardedStages":
-        """The sub-problem one party sees below ``level``.
+    def split(self, level: LevelPlan
+              ) -> Tuple["ShardedStages", "ShardedStages"]:
+        """The sub-problems the two parties see below ``level``: (left, right).
 
-        ``side`` is ``"left"`` (share α) or ``"right"`` (share β = 1-α).
-        Each layer's assignment cuts the column its type partitions.
-        Every layer must be assigned, at a ratio inside (0, 1).
+        The left party keeps share α, the right β = 1-α, of the column each
+        layer's type partitions.  Every layer must be assigned, at a ratio
+        inside (0, 1), and every cut must stay inside (0, 1].  Both sides
+        are cut in one multiply; when the two cuts are bitwise equal (every
+        α is ½), both children are one table.
         """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         names = self.skeleton.names
         try:
             entries = list(map(level.assignment, names))
@@ -195,16 +214,28 @@ class ShardedStages:
         # a type cuts the dimension it partitions; the fraction columns
         # (B, D_i, D_o) follow ALL_TYPES, like the pack's type axis
         columns = [TYPE_INDEX[entry.ptype] for entry in entries]
-        cut = self.fractions[rows, columns] * (alpha if side == "left"
-                                                else 1.0 - alpha)
+        cut = self.fractions[rows, columns] * np.array((alpha, 1.0 - alpha))
         inside = (cut > 0.0) & (cut <= 1.0)
         if not inside.all():
-            row = int(np.argmin(inside))
+            side, row = divmod(int(np.argmin(inside)), len(names))
             raise ValueError(f"fraction of layer {names[row]!r} must be in "
-                             f"(0, 1], got {cut[row]}")
+                             f"(0, 1], got {cut[side, row]}")
         fractions = self.fractions.copy()
-        fractions[rows, columns] = cut
-        return ShardedStages(self.skeleton, fractions)
+        fractions[rows, columns] = cut[0]
+        left = ShardedStages(self.skeleton, fractions)
+        if cut[0].tobytes() == cut[1].tobytes():
+            return left, left
+        fractions = self.fractions.copy()
+        fractions[rows, columns] = cut[1]
+        return left, ShardedStages(self.skeleton, fractions)
+
+    def shard(self, level: LevelPlan, side: str) -> "ShardedStages":
+        """The sub-problem one party sees below ``level``: ``side`` is
+        ``"left"`` (share α) or ``"right"`` (share β = 1-α) of
+        :meth:`split`."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self.split(level)[side == "right"]
 
     def key(self) -> bytes:
         """The walk memo's key for this table (the skeleton is per walk).
@@ -214,17 +245,19 @@ class ShardedStages:
         wherever x·10¹² lies more than 10⁻³ from a half-integer: for
         x ≤ 1 the multiply errs by at most 6.1·10⁻⁵.  The few elements
         nearer a tie are rounded in exact integer arithmetic.  The key is
-        the rounded integers' int64 bytes.
+        the rounded integers' int64 bytes, computed once per table.
         """
-        scaled = self.fractions * 1e12
-        rounded = np.rint(scaled)
-        near_tie = np.abs(scaled - rounded) > 0.499
-        if near_tie.any():
-            flat = self.fractions.ravel()
-            out = rounded.ravel()
-            for index in np.flatnonzero(near_tie):
-                out[index] = _round_half_even(float(flat[index]))
-        return rounded.astype(np.int64).tobytes()
+        if self._key is None:
+            scaled = self.fractions * 1e12
+            rounded = np.rint(scaled)
+            near_tie = np.abs(scaled - rounded) > 0.499
+            if near_tie.any():
+                flat = self.fractions.ravel()
+                out = rounded.ravel()
+                for index in np.flatnonzero(near_tie):
+                    out[index] = _round_half_even(float(flat[index]))
+            self._key = rounded.astype(np.int64).tobytes()
+        return self._key
 
 
 def _build(stages: Sequence[Stage], layers: List[LayerWorkload],

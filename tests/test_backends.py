@@ -70,16 +70,17 @@ class TestRegistry:
         # not fragment per requested spelling
         from collections import Counter
 
+        from repro.core.hierarchy import plan_tree
         from repro.core.planner import PartitionScheme
-        from repro.hardware import make_group
+        from repro.hardware import AcceleratorGroup
+        from repro.hardware.cluster import bisection_tree
 
-        party_i, party_j = make_group(TPU_V3, 1), make_group(TPU_V2, 1)
+        tree = bisection_tree(AcceleratorGroup((TPU_V3, TPU_V2)), 1)
         spellings = ("dp", "accpar", "exact", "dpv", "dp_vectorized",
                      "dp-vectorized", "vectorized")
         tally = Counter()
         for spelling in spellings:
-            PartitionScheme(backend=spelling).level_plan(
-                chain, party_i, party_j, 2, tally)
+            plan_tree(tree, chain, PartitionScheme(backend=spelling), 2, tally)
         assert tally["level_plans_dp"] == len(spellings)
         assert tally["level_plans_dp_vectorized"] == 0
 

@@ -6,10 +6,12 @@ from collections import Counter
 import pytest
 
 from repro.baselines import SCHEME_ORDER, SCHEMES, get_scheme
+from repro.core.hierarchy import plan_tree
 from repro.core.planner import PartitionScheme
 from repro.core.stages import to_sharded_stages
 from repro.core.types import HYPAR_TYPES, PartitionType
-from repro.hardware import TPU_V2, TPU_V3, make_group
+from repro.hardware import TPU_V2, TPU_V3, AcceleratorGroup, make_group
+from repro.hardware.cluster import bisection_tree
 from repro.models import build_model
 
 I, II, III = PartitionType.TYPE_I, PartitionType.TYPE_II, PartitionType.TYPE_III
@@ -80,8 +82,11 @@ class TestRegistry:
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_every_scheme_counts_its_level_plans(name, parties, alexnet_stages):
     series = "level_plans_" + SCHEMES[name].backend
+    assert SCHEMES[name].level_plans_counter == series
     tally = Counter()
-    SCHEMES[name].level_plan(alexnet_stages, *parties, 2, tally)
+    tree = bisection_tree(AcceleratorGroup(parties[0].members
+                                           + parties[1].members), 1)
+    plan_tree(tree, alexnet_stages, SCHEMES[name], 2, tally)
     assert tally[series] == 1
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.stages import Fork, flatten_to_chain, to_sharded_stages
+from repro.core.stages import (Fork, ShardedStages, Sizes, flatten_to_chain,
+                                to_sharded_stages)
 from repro.core.types import PartitionType
 from repro.graph.network import ParallelStage
 from repro.models import build_model
@@ -57,6 +58,49 @@ class TestConversion:
             assert sizes.a_out[row] == sw.a_output_fm()
             assert sizes.a_weight[row] == sw.a_weight()
             assert sizes.flops[row] == sw.flops_total()
+
+
+def column_sizes(stages):
+    """``stages.sizes()`` as one formula per column (the reference)."""
+    batch, d_in, d_out, in_spatial, out_spatial, kernel_spatial = \
+        stages.skeleton.dims
+    fractions = stages.fractions
+    batch = batch * fractions[:, 0]
+    d_in = d_in * fractions[:, 1]
+    d_out = d_out * fractions[:, 2]
+    a_in = batch * d_in * in_spatial
+    a_out = batch * d_out * out_spatial
+    a_weight = d_in * d_out * kernel_spatial
+
+    def reduction_flops(reduction):
+        return np.where(reduction >= 1.0, 2.0 * reduction - 1.0, reduction)
+
+    flops = (a_out * reduction_flops(d_in * kernel_spatial)
+             + a_in * reduction_flops(d_out * kernel_spatial)
+             + a_weight * reduction_flops(batch * out_spatial))
+    return Sizes(a_in, a_out, a_weight, flops,
+                 np.stack([a_weight, a_out, a_in], axis=1))
+
+
+class TestSizeColumns:
+    """The ``(3, layers)`` products equal the column formulas bit for bit."""
+
+    @pytest.mark.parametrize("model", ["alexnet", "resnet18", "trident"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fractions(self, model, seed):
+        rng = np.random.default_rng(seed)
+        root = to_sharded_stages(build_model(model).stages(batch=64))
+        shape = root.fractions.shape
+        # uniform shares, exact powers of two and tiny ones, which move
+        # reductions to either side of 1
+        fractions = np.choose(rng.integers(0, 3, shape), (
+            rng.uniform(0.0, 1.0, shape) + 1e-12,
+            2.0 ** -rng.integers(0, 12, shape).astype(float),
+            rng.uniform(1e-9, 1e-3, shape)))
+        stages = ShardedStages(root.skeleton, fractions)
+        for got, want in zip(stages.sizes(), column_sizes(stages)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestForkRows:
